@@ -1,21 +1,28 @@
-(* The backing store is a dense array indexed by word index: simulated
-   addresses start at a small fixed layout base and metadata stores
-   cluster in the static+heap regions, so the footprint stays
-   proportional to the highest address actually stored to — and a
-   store/load is an array access instead of a hashtable probe on the
-   allocators' hot path.  [touched] marks words ever stored, preserving
-   the distinct-word count (reads of untouched words are 0 either
-   way).
+(* The backing store is a two-level paged array indexed by word index:
+   a top-level array of fixed-size word pages, grown on demand.  A page
+   is allocated on its first store; every slot without one points at a
+   shared all-zero page, so a load is two array reads with no branch on
+   whether the page exists, and reads of never-stored words are 0.  The
+   footprint is proportional to the number of distinct pages stored to,
+   not to the highest address — the heap region starts above the 4 MiB
+   static region, and a dense array would allocate and zero everything
+   below it once per simulated run.
 
    Trace emission is packed and batched at the source: each access
    appends (addr, meta) to an internal {!Event.Batch} — two int stores,
    no [Event.t] record — which is flushed downstream as one
    [emit_packed_batch] per 256 events.  Anything observing the sink's
    state must {!flush} first (the workload driver does). *)
+
+let page_bits = 10
+let page_words = 1 lsl page_bits
+let page_mask = page_words - 1
+
+(* Never written: [set_word] replaces it with a fresh page first. *)
+let zero_page = Array.make page_words 0
+
 type t = {
-  mutable words : int array;
-  mutable touched : Bytes.t;
-  mutable written : int;  (* distinct words ever stored *)
+  mutable pages : int array array;
   mutable sink : Sink.t;
   mutable source : Event.source;
   mutable src_bits : int;  (* Packed.source_bits of [source], cached *)
@@ -25,29 +32,25 @@ type t = {
 let batch_capacity = Event.Batch.default_capacity
 
 let create ?(sink = Sink.null) () =
-  { words = Array.make 4096 0;
-    touched = Bytes.make 4096 '\000';
-    written = 0;
+  { pages = Array.make 16 zero_page;
     sink;
     source = Event.App;
     src_bits = 0;
     buf = Event.Batch.create ~capacity:batch_capacity () }
 
-(* Grow (by doubling) until word index [i] is in range. *)
-let ensure t i =
-  let n = Array.length t.words in
-  if i >= n then begin
-    let n' =
-      let rec go n' = if i < n' then n' else go (2 * n') in
-      go (2 * n)
-    in
-    let words = Array.make n' 0 in
-    Array.blit t.words 0 words 0 n;
-    let touched = Bytes.make n' '\000' in
-    Bytes.blit t.touched 0 touched 0 n;
-    t.words <- words;
-    t.touched <- touched
-  end
+(* Install a fresh page at page index [p], growing the top level (by
+   doubling) until [p] is in range. *)
+let alloc_page t p =
+  let n = Array.length t.pages in
+  if p >= n then begin
+    let rec go n' = if p < n' then n' else go (2 * n') in
+    let pages = Array.make (go (2 * n)) zero_page in
+    Array.blit t.pages 0 pages 0 n;
+    t.pages <- pages
+  end;
+  let page = Array.make page_words 0 in
+  Array.unsafe_set t.pages p page;
+  page
 
 let flush t =
   if t.buf.Event.Batch.len > 0 then begin
@@ -78,14 +81,20 @@ let check_word_addr a =
     invalid_arg (Printf.sprintf "Sim_memory: access to null/negative 0x%x" a)
 
 let set_word t i v =
-  ensure t i;
-  Array.unsafe_set t.words i v;
-  if Bytes.unsafe_get t.touched i = '\000' then begin
-    Bytes.unsafe_set t.touched i '\001';
-    t.written <- t.written + 1
-  end
+  let p = i lsr page_bits in
+  let page =
+    if p < Array.length t.pages then
+      let page = Array.unsafe_get t.pages p in
+      if page != zero_page then page else alloc_page t p
+    else alloc_page t p
+  in
+  Array.unsafe_set page (i land page_mask) v
 
-let get_word t i = if i < Array.length t.words then Array.unsafe_get t.words i else 0
+let get_word t i =
+  let p = i lsr page_bits in
+  if p < Array.length t.pages then
+    Array.unsafe_get (Array.unsafe_get t.pages p) (i land page_mask)
+  else 0
 
 (* Append one packed event, flushing at the batch grain.  [kmeta] is the
    meta word sans source bits: size lsl 3 (read) or size lsl 3 lor 4
@@ -138,5 +147,3 @@ let peek t a =
 let poke t a v =
   check_word_addr a;
   set_word t (Addr.word_index a) v
-
-let words_written t = t.written

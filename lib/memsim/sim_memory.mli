@@ -4,7 +4,10 @@
     paper: every load and store goes through it, is recorded as a trace
     event, and (for word accesses) actually reads or writes a backing
     store so allocator metadata — freelist links, boundary tags, chunk
-    headers — behaves like real memory.
+    headers — behaves like real memory.  The backing store is paged:
+    fixed-size word pages are allocated on their first store, so its
+    footprint follows the pages actually stored to, not the highest
+    address.
 
     Accesses carry the current {e source} ([App], [Malloc] or [Free]);
     allocators set the source on entry to [malloc]/[free] so their
@@ -67,7 +70,3 @@ val peek : t -> Addr.t -> int
 
 val poke : t -> Addr.t -> int -> unit
 (** Like {!store} but emits no event. *)
-
-val words_written : t -> int
-(** Number of distinct words ever stored — a measure of the metadata
-    footprint, used in tests. *)

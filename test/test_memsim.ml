@@ -329,7 +329,8 @@ let test_mem_load_store () =
   check_int "reads back" 42 (Sim_memory.load m 0x1000);
   Sim_memory.store m 0x1000 7;
   check_int "overwrites" 7 (Sim_memory.load m 0x1000);
-  check_int "distinct words" 1 (Sim_memory.words_written m)
+  check_int "peek sees the store" 7 (Sim_memory.peek m 0x1000);
+  check_int "neighbour untouched" 0 (Sim_memory.peek m 0x1004)
 
 let test_mem_emits_events () =
   let c = Sink.Counter.create () in
@@ -392,6 +393,29 @@ let test_mem_peek_poke_silent () =
   check_int "no events" 0 (Sink.Counter.total c);
   check_int "but visible to load" 99 (Sim_memory.load m 0x1000)
 
+let test_mem_page_boundary () =
+  (* 0x10000 is a page boundary for any page of up to 16K words. *)
+  let b = 0x10000 in
+  let m = Sim_memory.create () in
+  Sim_memory.store m (b - 4) 1;
+  check_int "other side still 0" 0 (Sim_memory.load m b);
+  Sim_memory.store m b 2;
+  check_int "below the boundary" 1 (Sim_memory.load m (b - 4));
+  check_int "above the boundary" 2 (Sim_memory.load m b);
+  check_int "neighbour below" 0 (Sim_memory.load m (b - 8));
+  check_int "neighbour above" 0 (Sim_memory.load m (b + 4))
+
+let test_mem_peek_poke_unallocated () =
+  let m = Sim_memory.create () in
+  (* Past the end of the default layout: no page has been allocated
+     here, and the page table does not reach this far yet. *)
+  let a = 0x800_0000 in
+  check_int "peek of a never-allocated page" 0 (Sim_memory.peek m a);
+  Sim_memory.poke m a 5;
+  check_int "poke allocates it" 5 (Sim_memory.peek m a);
+  check_int "rest of its page is 0" 0 (Sim_memory.peek m (a + 4));
+  check_int "lower page still unallocated" 0 (Sim_memory.peek m 0x10000)
+
 let test_mem_rejects_unaligned () =
   let m = Sim_memory.create () in
   Alcotest.check_raises "unaligned load"
@@ -419,20 +443,41 @@ let prop_ranged_covers_exactly =
       in
       walk a evs)
 
+(* Region bases of the allocators' real layout ({!Allocators.Heap}): the
+   4 MiB static region, the 64 MiB heap above it, and the heap's limit,
+   past which nothing is handed out. *)
+let layout_bases =
+  let l = Region.Layout.create () in
+  let static = Region.Layout.add l ~name:"static" ~size:(4 * 1024 * 1024) in
+  let heap = Region.Layout.add l ~name:"heap" ~size:(64 * 1024 * 1024) in
+  [| Region.base static; Region.base heap; Region.limit heap |]
+
 let prop_store_load_roundtrip =
   QCheck.Test.make ~name:"store/load roundtrip over random programs"
     ~count:200
-    QCheck.(small_list (pair (int_bound 1000) int))
-    (fun writes ->
+    QCheck.(
+      small_list
+        (quad bool (int_bound 2)
+           (oneof [ int_bound 64; int_bound 1_000_000 ])
+           int))
+    (fun ops ->
       let m = Sim_memory.create () in
       let model = Hashtbl.create 16 in
-      List.iter
-        (fun (slot, v) ->
-          let a = 0x1000 + (4 * slot) in
+      (* Stores interleaved with loads, which may hit never-stored
+         words (expect 0). *)
+      let step (is_store, region, slot, v) =
+        let a = layout_bases.(region) + (4 * slot) in
+        if is_store then begin
           Sim_memory.store m a v;
-          Hashtbl.replace model a v)
-        writes;
-      Hashtbl.fold (fun a v acc -> acc && Sim_memory.load m a = v) model true)
+          Hashtbl.replace model a v;
+          true
+        end
+        else
+          Sim_memory.load m a
+          = Option.value ~default:0 (Hashtbl.find_opt model a)
+      in
+      List.for_all step ops
+      && Hashtbl.fold (fun a v acc -> acc && Sim_memory.load m a = v) model true)
 
 (* ------------------------------------------------------------------ *)
 (* Trace_file                                                         *)
@@ -993,6 +1038,9 @@ let () =
           Alcotest.test_case "ranged zero" `Quick test_mem_ranged_zero;
           Alcotest.test_case "peek/poke silent" `Quick
             test_mem_peek_poke_silent;
+          Alcotest.test_case "page boundary" `Quick test_mem_page_boundary;
+          Alcotest.test_case "peek/poke on an unallocated page" `Quick
+            test_mem_peek_poke_unallocated;
           Alcotest.test_case "rejects unaligned" `Quick
             test_mem_rejects_unaligned;
         ]

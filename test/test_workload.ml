@@ -308,6 +308,20 @@ let test_driver_allocator_integrity_after_run () =
       Allocators.Allocator.check alloc)
     (Allocators.Registry.keys ())
 
+let test_driver_allocation_budget () =
+  (* A run's simulated memory must cost the pages it touches, not its
+     highest address: gs-large's heap sits above the 4 MiB static
+     region, so an address-sized backing store would allocate millions
+     of major words for this tiny run. *)
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let _r =
+    Driver.run ~scale:0.002 ~profile:Programs.gs_large ~allocator:"quickfit" ()
+  in
+  let grown = (Gc.quick_stat ()).Gc.major_words -. before in
+  check_bool
+    (Printf.sprintf "major words grew by %.0f, budget 256K" grown)
+    true (grown < 262_144.)
+
 let test_trace_replay_equivalence () =
   (* Replaying a recorded workload trace must produce exactly the cache
      statistics of live simulation — the stored-trace and
@@ -389,6 +403,7 @@ let () =
           tc "reallocs happen" test_driver_reallocs_happen;
           tc "allocator integrity after run"
             test_driver_allocator_integrity_after_run;
+          tc "allocation budget" test_driver_allocation_budget;
           tc "trace replay equivalence" test_trace_replay_equivalence;
         ] );
     ]
