@@ -551,18 +551,8 @@ let substrate_tests =
           (Cachesim.Forest.access_block forest ~kind:Memsim.Event.Read
              ~source:Memsim.Event.App ~block:(!fcounter * 37 land 0xFFFF)))
   in
-  (* The unboxing win on the consumer hot path, isolated: one 256-event
-     delivery into the same forest family, once as a packed batch
-     (two int loads per event, no allocation) and once as the boxed
-     compat path took it before the packed rework (one decoded Event.t
-     per reference). *)
-  let family () =
-    Cachesim.Forest.create
-      (List.filter
-         (fun (c : Cachesim.Config.t) ->
-           c.block_bytes = 32 && Cachesim.Policy.is_lru c.policy)
-         Core.Runs.standard_configs)
-  in
+  (* The consumer hot path, isolated: one 256-event packed delivery into
+     the same forest family (two int loads per event, no allocation). *)
   let delivery =
     let b = Memsim.Event.Batch.create ~capacity:256 () in
     for i = 0 to 255 do
@@ -572,22 +562,15 @@ let substrate_tests =
     done;
     b
   in
-  let packed_forest = family () in
-  let batch_packed_kernel =
-    Staged.stage (fun () ->
-        Cachesim.Forest.access_packed_batch packed_forest delivery)
+  let packed_forest =
+    Cachesim.Forest.create
+      (List.filter
+         (fun (c : Cachesim.Config.t) ->
+           c.block_bytes = 32 && Cachesim.Policy.is_lru c.policy)
+         Core.Runs.standard_configs)
   in
-  let boxed_forest = family () in
-  let batch_boxed_kernel =
-    (* Materialise one Event.t per reference then consume it — the cost
-       every delivery paid before the packed rework. *)
-    Staged.stage (fun () ->
-        for i = 0 to delivery.Memsim.Event.Batch.len - 1 do
-          Cachesim.Forest.access boxed_forest
-            (Memsim.Event.Packed.to_event
-               ~addr:delivery.Memsim.Event.Batch.addrs.(i)
-               ~meta:delivery.Memsim.Event.Batch.metas.(i))
-        done)
+  let batch_packed_kernel =
+    Staged.stage (fun () -> Cachesim.Forest.sink packed_forest delivery)
   in
   let stack = Vmsim.Lru_stack.create () in
   let scounter = ref 0 in
@@ -614,7 +597,6 @@ let substrate_tests =
   [ Test.make ~name:"substrate:cache-access" cache_kernel;
     Test.make ~name:"substrate:forest-access" forest_kernel;
     Test.make ~name:"substrate:forest-batch-packed" batch_packed_kernel;
-    Test.make ~name:"substrate:forest-batch-boxed" batch_boxed_kernel;
     Test.make ~name:"substrate:policy-lru-8way" (policy_kernel Cachesim.Policy.Lru);
     Test.make ~name:"substrate:policy-plru-8way"
       (policy_kernel Cachesim.Policy.Plru);

@@ -565,7 +565,7 @@ let probe_cmd =
     Term.(
       const run $ scale_arg $ penalty_arg $ store_arg $ program_arg $ alloc_arg)
 
-(* ---- record / replay ------------------------------------------------ *)
+(* ---- record ------------------------------------------------------- *)
 
 let record_cmd =
   let program_arg =
@@ -600,36 +600,6 @@ let record_cmd =
   let doc = "Record a workload's reference trace to a file." in
   Cmd.v (Cmd.info "record" ~doc)
     Term.(const run $ scale_arg $ program_arg $ alloc_arg $ out_arg)
-
-let replay_cmd =
-  let file_arg =
-    let doc = "Trace file produced by $(b,loclab record)." in
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
-  in
-  let run file =
-    let multi = Cachesim.Multi.create Cachesim.Config.paper_direct_mapped in
-    let pages = Vmsim.Page_sim.create () in
-    let counter = Memsim.Sink.Counter.create () in
-    let sink =
-      Memsim.Sink.fanout
-        [ Cachesim.Multi.sink multi;
-          Vmsim.Page_sim.sink pages;
-          Memsim.Sink.Counter.sink counter ]
-    in
-    let n = Memsim.Trace_file.replay_file file sink in
-    Printf.printf "replayed %s events from %s\n\n" (Metrics.Table.fmt_int n)
-      file;
-    List.iter
-      (fun (name, pct) -> Printf.printf "  %-9s miss rate %6.3f%%\n" name pct)
-      (Cachesim.Multi.miss_rate_series multi);
-    Printf.printf "\n  footprint %s, page faults at footprint/2: %s\n"
-      (Metrics.Table.fmt_kb (Vmsim.Page_sim.footprint_bytes pages))
-      (Metrics.Table.fmt_int
-         (Vmsim.Page_sim.faults pages
-            ~memory_bytes:(max 4096 (Vmsim.Page_sim.footprint_bytes pages / 2))))
-  in
-  let doc = "Replay a recorded trace through the cache and page simulators." in
-  Cmd.v (Cmd.info "replay" ~doc) Term.(const run $ file_arg)
 
 (* ---- trace ----------------------------------------------------------- *)
 
@@ -1439,7 +1409,7 @@ let main =
   let info = Cmd.info "loclab" ~version:"1.0.0" ~doc in
   Cmd.group info
     [ list_cmd; run_cmd; all_cmd; report_cmd; store_cmd; probe_cmd;
-      profile_cmd; record_cmd; replay_cmd; trace_cmd; serve_cmd; client_cmd;
+      profile_cmd; record_cmd; trace_cmd; serve_cmd; client_cmd;
       top_cmd ]
 
 let () =

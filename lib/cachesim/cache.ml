@@ -114,23 +114,12 @@ let access_packed t ~addr ~meta =
     ignore (access_block t ~kind ~source ~block)
   done
 
-let access_packed_batch t (b : Memsim.Event.Batch.t) =
+let sink t (b : Memsim.Event.Batch.t) =
   let addrs = b.Memsim.Event.Batch.addrs and metas = b.Memsim.Event.Batch.metas in
   for i = 0 to b.Memsim.Event.Batch.len - 1 do
     access_packed t ~addr:(Array.unsafe_get addrs i)
       ~meta:(Array.unsafe_get metas i)
   done
-
-let sink t =
-  let access_event = access t in
-  { Memsim.Sink.emit = access_event;
-    emit_batch =
-      (fun buf len ->
-        for i = 0 to len - 1 do
-          access_event (Array.unsafe_get buf i)
-        done);
-    emit_packed_batch = access_packed_batch t;
-  }
 
 let contains_block t ~block =
   let set = block land (t.num_sets - 1) in

@@ -26,12 +26,9 @@ val access_packed : t -> addr:int -> meta:int -> unit
 (** One reference in packed form ({!Memsim.Event.Packed}); no [Event.t]
     is materialised. *)
 
-val access_packed_batch : t -> Memsim.Event.Batch.t -> unit
-(** Feeds a whole packed batch through {!access_packed}. *)
-
 val sink : t -> Memsim.Sink.t
-(** The cache as a trace consumer; packed batches take the packed
-    path. *)
+(** The cache as a trace consumer: feeds each batch through
+    {!access_packed}. *)
 
 val contains_block : t -> block:int -> bool
 (** Whether the block is currently resident (no side effects). *)

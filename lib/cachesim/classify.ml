@@ -83,14 +83,17 @@ let classify_block t ~kind ~source block =
   else t.capacity_misses <- t.capacity_misses + 1;
   if not (Hashtbl.mem t.seen block) then Hashtbl.replace t.seen block ()
 
-let sink t =
-  Memsim.Sink.of_fn (fun (e : Memsim.Event.t) ->
-      let bb = (Cache.config t.cache).Config.block_bytes in
-      let first = e.addr / bb in
-      let last = (e.addr + e.size - 1) / bb in
-      for block = first to last do
-        classify_block t ~kind:e.kind ~source:e.source block
-      done)
+let sink t (b : Memsim.Event.Batch.t) =
+  let bb = (Cache.config t.cache).Config.block_bytes in
+  for i = 0 to b.Memsim.Event.Batch.len - 1 do
+    let addr = Array.unsafe_get b.Memsim.Event.Batch.addrs i in
+    let meta = Array.unsafe_get b.Memsim.Event.Batch.metas i in
+    let kind = Memsim.Event.Packed.kind meta
+    and source = Memsim.Event.Packed.source meta in
+    for block = addr / bb to (addr + (meta lsr 3) - 1) / bb do
+      classify_block t ~kind ~source block
+    done
+  done
 
 let counts t =
   { cold = t.cold; capacity = t.capacity_misses; conflict = t.conflict;

@@ -311,14 +311,9 @@ let access_range_ks t ~ks ~addr ~size =
     ignore (access_block_ks t ~ks ~block)
   done
 
-let access t (e : Memsim.Event.t) =
-  access_range_ks t
-    ~ks:(ks_index ~kind:e.kind ~source:e.source)
-    ~addr:e.addr ~size:e.size
-
-(* The packed hot path: ks, addr and size all come straight out of the
-   two packed ints — no Event.t is materialised. *)
-let access_packed_batch t (b : Memsim.Event.Batch.t) =
+(* The sink: ks, addr and size all come straight out of the two packed
+   ints — no Event.t is materialised. *)
+let sink t (b : Memsim.Event.Batch.t) =
   let addrs = b.Memsim.Event.Batch.addrs and metas = b.Memsim.Event.Batch.metas in
   for i = 0 to b.Memsim.Event.Batch.len - 1 do
     let meta = Array.unsafe_get metas i in
@@ -327,17 +322,6 @@ let access_packed_batch t (b : Memsim.Event.Batch.t) =
       ~addr:(Array.unsafe_get addrs i)
       ~size:(meta lsr 3)
   done
-
-let sink t =
-  let access_event = access t in
-  { Memsim.Sink.emit = access_event;
-    emit_batch =
-      (fun buf len ->
-        for i = 0 to len - 1 do
-          access_event (Array.unsafe_get buf i)
-        done);
-    emit_packed_batch = access_packed_batch t;
-  }
 
 let absorb t other =
   (* Merge another shard's counters into ours.  Only statistics move:

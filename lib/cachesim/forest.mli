@@ -47,31 +47,19 @@ val access_block : t -> kind:Memsim.Event.kind ->
     block index, i.e. [addr / block_bytes]) in every member and returns
     how many members missed (0 = hit everywhere). *)
 
-val ks_index :
-  kind:Memsim.Event.kind -> source:Memsim.Event.source -> int
-(** The fused kind/source counter index ([ki*3 + si]) used by the hot
-    entries below; resolve it once per event, not once per block. *)
-
 val access_block_ks : t -> ks:int -> block:int -> int
-(** {!access_block} with the kind/source already fused into a
-    {!ks_index}; the hot entry for {!Hierarchy}. *)
+(** {!access_block} with the kind/source already fused into the
+    {!Memsim.Event.Packed.ks} counter index; the hot entry for
+    {!Hierarchy}. *)
 
 val access_range_ks : t -> ks:int -> addr:int -> size:int -> unit
 (** Touches every block the byte range spans, with the kind/source
     already fused; the hot entry for {!Multi}'s batch loop. *)
 
-val access : t -> Memsim.Event.t -> unit
-(** Feeds one reference event, touching every block the byte range
-    spans (addresses must be non-negative). *)
-
-val access_packed_batch : t -> Memsim.Event.Batch.t -> unit
-(** Feeds a packed batch through the hot path without materialising
-    [Event.t] records. *)
-
 val sink : t -> Memsim.Sink.t
-(** The family as a trace consumer; boxed batches replay the buffer in
-    order through {!access}, packed batches go straight through
-    {!access_packed_batch}. *)
+(** The family as a trace consumer: every event touches each block its
+    byte range spans (addresses must be non-negative), without
+    materialising [Event.t] records. *)
 
 val absorb : t -> t -> unit
 (** [absorb t other] adds [other]'s counters (accesses, misses, cold

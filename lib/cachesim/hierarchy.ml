@@ -66,12 +66,7 @@ let access_parts t ~kind ~source ~ks ~addr ~size =
     end
   done
 
-let access t (e : Memsim.Event.t) =
-  access_parts t ~kind:e.kind ~source:e.source
-    ~ks:(Forest.ks_index ~kind:e.kind ~source:e.source)
-    ~addr:e.addr ~size:e.size
-
-let access_packed_batch t (b : Memsim.Event.Batch.t) =
+let sink t (b : Memsim.Event.Batch.t) =
   let addrs = b.Memsim.Event.Batch.addrs and metas = b.Memsim.Event.Batch.metas in
   for i = 0 to b.Memsim.Event.Batch.len - 1 do
     let meta = Array.unsafe_get metas i in
@@ -82,17 +77,6 @@ let access_packed_batch t (b : Memsim.Event.Batch.t) =
       ~addr:(Array.unsafe_get addrs i)
       ~size:(meta lsr 3)
   done
-
-let sink t =
-  let access_event = access t in
-  { Memsim.Sink.emit = access_event;
-    emit_batch =
-      (fun buf len ->
-        for i = 0 to len - 1 do
-          access_event (Array.unsafe_get buf i)
-        done);
-    emit_packed_batch = access_packed_batch t;
-  }
 
 let num_levels t = Array.length t.levels
 let level_config t i = t.levels.(i).config

@@ -19,7 +19,6 @@ val create : l1:Config.t -> l2:Config.t -> t
 (** Two-level convenience wrapper, equivalent to
     [create_levels [l1; l2]]. *)
 
-val access : t -> Memsim.Event.t -> unit
 val sink : t -> Memsim.Sink.t
 
 val num_levels : t -> int

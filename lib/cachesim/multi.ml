@@ -72,53 +72,24 @@ let create configs =
   in
   { slots; forests; singles = Array.of_list (List.rev !singles_rev) }
 
-let access t e =
-  for i = 0 to Array.length t.forests - 1 do
-    Forest.access t.forests.(i) e
-  done;
-  for i = 0 to Array.length t.singles - 1 do
-    Cache.access t.singles.(i) e
+(* ks/addr/size come straight from the two packed ints, shared across
+   every family and single. *)
+let sink t (b : Memsim.Event.Batch.t) =
+  let forests = t.forests and singles = t.singles in
+  let addrs = b.Memsim.Event.Batch.addrs
+  and metas = b.Memsim.Event.Batch.metas in
+  for i = 0 to b.Memsim.Event.Batch.len - 1 do
+    let meta = Array.unsafe_get metas i in
+    let addr = Array.unsafe_get addrs i in
+    let ks = Memsim.Event.Packed.ks meta in
+    let size = meta lsr 3 in
+    for j = 0 to Array.length forests - 1 do
+      Forest.access_range_ks (Array.unsafe_get forests j) ~ks ~addr ~size
+    done;
+    for j = 0 to Array.length singles - 1 do
+      Cache.access_packed (Array.unsafe_get singles j) ~addr ~meta
+    done
   done
-
-let sink t =
-  let forests = t.forests in
-  let singles = t.singles in
-  let emit = access t in
-  { Memsim.Sink.emit;
-    emit_batch =
-      (fun buf len ->
-        (* Decode each event's kind/source once, then feed every family. *)
-        for i = 0 to len - 1 do
-          let e : Memsim.Event.t = Array.unsafe_get buf i in
-          let ks = Forest.ks_index ~kind:e.kind ~source:e.source in
-          for j = 0 to Array.length forests - 1 do
-            Forest.access_range_ks
-              (Array.unsafe_get forests j)
-              ~ks ~addr:e.addr ~size:e.size
-          done;
-          for j = 0 to Array.length singles - 1 do
-            Cache.access (Array.unsafe_get singles j) e
-          done
-        done);
-    emit_packed_batch =
-      (fun b ->
-        (* Packed hot path: ks/addr/size come straight from the two
-           packed ints, shared across every family and single. *)
-        let addrs = b.Memsim.Event.Batch.addrs
-        and metas = b.Memsim.Event.Batch.metas in
-        for i = 0 to b.Memsim.Event.Batch.len - 1 do
-          let meta = Array.unsafe_get metas i in
-          let addr = Array.unsafe_get addrs i in
-          let ks = Memsim.Event.Packed.ks meta in
-          let size = meta lsr 3 in
-          for j = 0 to Array.length forests - 1 do
-            Forest.access_range_ks (Array.unsafe_get forests j) ~ks ~addr ~size
-          done;
-          for j = 0 to Array.length singles - 1 do
-            Cache.access_packed (Array.unsafe_get singles j) ~addr ~meta
-          done
-        done);
-  }
 
 let stats_of t = function
   | In_forest (f, m) -> Forest.member_stats t.forests.(f) m

@@ -16,14 +16,14 @@ let replay ?(domains = 1) ~configs trace =
     invalid_arg "Cachesim.Shard.replay: domains must be >= 1";
   if domains = 1 then begin
     let f = Forest.create configs in
-    Memsim.Trace_buffer.iter_chunks (Forest.access_packed_batch f) trace;
+    Memsim.Trace_buffer.iter_chunks (Forest.sink f) trace;
     Forest.results f
   end
   else begin
     let chunks = Memsim.Trace_buffer.chunks trace in
     let worker i () =
       let f = Forest.create ~shard:(i, domains) configs in
-      Array.iter (Forest.access_packed_batch f) chunks;
+      Array.iter (Forest.sink f) chunks;
       f
     in
     (* Workers 1..n-1 run in spawned domains; worker 0 runs here, so

@@ -197,16 +197,15 @@ let flush (ctx : Context.t) =
   let run_with_flush akey quantum =
     let cache = Cachesim.Cache.create (Cachesim.Config.make (64 * 1024)) in
     let count = ref 0 in
-    let sink =
-      Memsim.Sink.make_packed ~emit_packed_batch:(fun b ->
-          for i = 0 to b.Memsim.Event.Batch.len - 1 do
-            incr count;
-            if quantum > 0 && !count mod quantum = 0 then
-              Cachesim.Cache.flush cache;
-            Cachesim.Cache.access_packed cache
-              ~addr:(Array.unsafe_get b.Memsim.Event.Batch.addrs i)
-              ~meta:(Array.unsafe_get b.Memsim.Event.Batch.metas i)
-          done)
+    let sink (b : Memsim.Event.Batch.t) =
+      for i = 0 to b.Memsim.Event.Batch.len - 1 do
+        incr count;
+        if quantum > 0 && !count mod quantum = 0 then
+          Cachesim.Cache.flush cache;
+        Cachesim.Cache.access_packed cache
+          ~addr:(Array.unsafe_get b.Memsim.Event.Batch.addrs i)
+          ~meta:(Array.unsafe_get b.Memsim.Event.Batch.metas i)
+      done
     in
     let _r =
       Workload.Driver.run ~sink

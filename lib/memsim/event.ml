@@ -27,9 +27,7 @@ module Packed = struct
   (* An event is two native ints: the address, verbatim, and a meta word
      [size lsl 3  lor  kind lsl 2  lor  source] (kind: 0 read / 1 write;
      source: 0 app / 1 malloc / 2 free).  The meta layout is exactly the
-     word {!Sink.Checksum} has always mixed per event, so a checksum
-     over packed traffic equals the checksum over the boxed record
-     stream bit for bit. *)
+     word {!Sink.Checksum} mixes per event. *)
 
   let kind_bit = function Read -> 0 | Write -> 4
   let source_bits = function App -> 0 | Malloc -> 1 | Free -> 2
@@ -111,14 +109,4 @@ module Batch = struct
     b
 
   let to_list b = List.init b.len (get b)
-
-  let copy b =
-    { addrs = Array.sub b.addrs 0 (max 1 b.len);
-      metas = Array.sub b.metas 0 (max 1 b.len);
-      len = b.len }
-
-  let iter f b =
-    for i = 0 to b.len - 1 do
-      f (get b i)
-    done
 end

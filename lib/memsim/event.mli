@@ -7,10 +7,10 @@
     consumers can attribute cache misses the way the paper does (direct
     allocator misses vs. indirect placement effects).
 
-    The boxed record {!t} is the convenience form; the hot path carries
-    events {e packed} as two native ints ({!Packed}) inside
+    Events travel {e packed} as two native ints ({!Packed}) inside
     struct-of-arrays buffers ({!Batch}), so replaying a trace allocates
-    nothing per event. *)
+    nothing per event.  The boxed record {!t} is only a decoded view,
+    for tests, the reference oracles and {!Trace_buffer.events}. *)
 
 type kind =
   | Read
@@ -45,8 +45,7 @@ type event = t
 
 (** The unboxed event codec: one event = (addr, meta), two native ints.
     The meta word is [size lsl 3  lor  kind lsl 2  lor  source] — the
-    exact word {!Sink.Checksum} mixes per event, so checksums computed
-    over packed and boxed deliveries agree bit for bit. *)
+    exact word {!Sink.Checksum} mixes per event. *)
 module Packed : sig
   val meta : kind:kind -> source:source -> size:int -> int
   (** Encode kind/source/size into a meta word.  Lossless for any
@@ -70,8 +69,8 @@ end
 
 (** A batch of packed events in struct-of-arrays form: two parallel
     [int array]s and a length.  This is the wire format of the hot
-    pipeline — producers fill a preallocated batch and hand it to
-    {!Sink.t.emit_packed_batch}; consumers read [addrs]/[metas] directly
+    pipeline — producers fill a preallocated batch and hand it to a
+    {!Sink.t}; consumers read [addrs]/[metas] directly
     and must treat the batch as read-only (fanout shares one batch among
     all its consumers) and fully consumed by the time they return. *)
 module Batch : sig
@@ -110,6 +109,4 @@ module Batch : sig
   (** [of_events buf len] packs the first [len] boxed events. *)
 
   val to_list : t -> event list
-  val copy : t -> t
-  val iter : (event -> unit) -> t -> unit
 end

@@ -10,9 +10,9 @@
 
    Trace emission is packed and batched at the source: each access
    appends (addr, meta) to an internal {!Event.Batch} — two int stores,
-   no [Event.t] record — which is flushed downstream as one
-   [emit_packed_batch] per 256 events.  Anything observing the sink's
-   state must {!flush} first (the workload driver does). *)
+   no [Event.t] record — which is delivered downstream as one sink call
+   per 256 events.  Anything observing the sink's state must {!flush}
+   first. *)
 
 let page_bits = 10
 let page_words = 1 lsl page_bits
@@ -54,7 +54,7 @@ let alloc_page t p =
 
 let flush t =
   if t.buf.Event.Batch.len > 0 then begin
-    t.sink.Sink.emit_packed_batch t.buf;
+    t.sink t.buf;
     Event.Batch.clear t.buf
   end
 
@@ -101,8 +101,8 @@ let get_word t i =
    (write). *)
 let emit_packed t addr kmeta =
   Event.Batch.push t.buf ~addr ~meta:(kmeta lor t.src_bits);
-  (* Flush-on-full after the push: the same 256-event delivery
-     boundaries the driver's Sink.Batcher used to produce. *)
+  (* Flush-on-full after the push: deliveries land on fixed 256-event
+     boundaries. *)
   if t.buf.Event.Batch.len = batch_capacity then flush t
 
 (* Word-access meta words, precomputed: word_bytes lsl 3 (+ write bit). *)

@@ -14,7 +14,7 @@
     metadata traffic is attributed correctly.
 
     Events are packed at the source into an internal {!Event.Batch} and
-    delivered downstream as one [emit_packed_batch] per 256 events — no
+    delivered downstream as one sink call per 256 events — no
     [Event.t] record is allocated on the hot path.  Consequently sink
     state lags the simulation by up to one batch: call {!flush} before
     observing counters, checksums or cache statistics fed by this

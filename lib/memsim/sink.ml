@@ -1,190 +1,21 @@
-type t = {
-  emit : Event.t -> unit;
-  emit_batch : Event.t array -> int -> unit;
-  emit_packed_batch : Event.Batch.t -> unit;
-}
+type t = Event.Batch.t -> unit
 
-let batch_of_emit f buf len =
-  for i = 0 to len - 1 do
-    f (Array.unsafe_get buf i)
-  done
+let null : t = ignore
 
-let packed_of_emit f (b : Event.Batch.t) =
-  for i = 0 to b.len - 1 do
-    f (Event.Batch.get b i)
-  done
-
-let dummy_event : Event.t =
-  { kind = Event.Read; source = Event.App; addr = 0; size = 1 }
-
-let null =
-  { emit = ignore; emit_batch = (fun _ _ -> ()); emit_packed_batch = ignore }
-
-let of_fn f =
-  { emit = f; emit_batch = batch_of_emit f; emit_packed_batch = packed_of_emit f }
-
-let make ~emit ~emit_batch =
-  (* Compatibility constructor for consumers that only know boxed
-     batches: a packed delivery is decoded into a (reused) boxed scratch
-     and handed over as ONE emit_batch call, so batch-grain consumers
-     (probes, batchers) observe the same delivery boundaries either
-     way. *)
-  let scratch = ref [||] in
-  { emit;
-    emit_batch;
-    emit_packed_batch =
-      (fun b ->
-        let len = b.Event.Batch.len in
-        if len > 0 then begin
-          if Array.length !scratch < len then
-            scratch := Array.make (max len 256) dummy_event;
-          let out = !scratch in
-          for i = 0 to len - 1 do
-            Array.unsafe_set out i (Event.Batch.get b i)
-          done;
-          emit_batch out len
-        end);
-  }
-
-let make_packed ~emit_packed_batch =
-  (* Native-packed consumer: boxed deliveries are packed into a reused
-     scratch batch and forwarded as one packed delivery. *)
-  let scratch = Event.Batch.create () in
-  { emit =
-      (fun e ->
-        Event.Batch.clear scratch;
-        Event.Batch.push_event scratch e;
-        emit_packed_batch scratch);
-    emit_batch =
-      (fun buf len ->
-        if len > 0 then begin
-          Event.Batch.clear scratch;
-          for i = 0 to len - 1 do
-            Event.Batch.push_event scratch (Array.unsafe_get buf i)
-          done;
-          emit_packed_batch scratch
-        end);
-    emit_packed_batch;
-  }
-
-let emit_packed_batch t b = t.emit_packed_batch b
-
-module Compat = struct
-  let emit t e = t.emit e
-  let emit_batch t buf ~len = t.emit_batch buf len
-end
-
-let fanout sinks =
+let fanout sinks : t =
   match sinks with
   | [] -> null
   | [ s ] -> s
   | [ a; b ] ->
-      { emit =
-          (fun e ->
-            a.emit e;
-            b.emit e);
-        emit_batch =
-          (fun buf len ->
-            a.emit_batch buf len;
-            b.emit_batch buf len);
-        emit_packed_batch =
-          (fun batch ->
-            a.emit_packed_batch batch;
-            b.emit_packed_batch batch);
-      }
+      fun batch ->
+        a batch;
+        b batch
   | sinks ->
       let arr = Array.of_list sinks in
-      { emit =
-          (fun e ->
-            for i = 0 to Array.length arr - 1 do
-              arr.(i).emit e
-            done);
-        emit_batch =
-          (fun buf len ->
-            for i = 0 to Array.length arr - 1 do
-              arr.(i).emit_batch buf len
-            done);
-        emit_packed_batch =
-          (fun batch ->
-            for i = 0 to Array.length arr - 1 do
-              arr.(i).emit_packed_batch batch
-            done);
-      }
-
-let filter pred sink =
-  (* The batch path must stay a batch path: compact the matching events
-     into a scratch buffer (the caller's buffer is shared with sibling
-     fanout consumers, so it must not be compacted in place) and forward
-     them as one emit_batch call.  The packed path compacts into its own
-     packed scratch, so sibling consumers of a shared packed batch can
-     never observe the compaction. *)
-  let scratch = ref [||] in
-  let pscratch = Event.Batch.create () in
-  { emit = (fun e -> if pred e then sink.emit e);
-    emit_batch =
-      (fun buf len ->
-        if Array.length !scratch < len then
-          scratch := Array.make (max len 256) dummy_event;
-        let out = !scratch in
-        let n = ref 0 in
-        for i = 0 to len - 1 do
-          let e = Array.unsafe_get buf i in
-          if pred e then begin
-            Array.unsafe_set out !n e;
-            incr n
-          end
-        done;
-        if !n > 0 then sink.emit_batch out !n);
-    emit_packed_batch =
-      (fun b ->
-        Event.Batch.clear pscratch;
-        for i = 0 to b.Event.Batch.len - 1 do
-          if pred (Event.Batch.get b i) then
-            Event.Batch.push pscratch
-              ~addr:(Array.unsafe_get b.Event.Batch.addrs i)
-              ~meta:(Array.unsafe_get b.Event.Batch.metas i)
-        done;
-        if pscratch.Event.Batch.len > 0 then sink.emit_packed_batch pscratch);
-  }
-
-module Batcher = struct
-  type batcher = {
-    buf : Event.t array;
-    capacity : int;
-    mutable len : int;
-    downstream : t;
-  }
-
-  let default_capacity = 256
-
-  let create ?(capacity = default_capacity) downstream =
-    if capacity < 1 then invalid_arg "Sink.Batcher.create: capacity must be >= 1";
-    { buf = Array.make capacity dummy_event; capacity; len = 0; downstream }
-
-  let flush b =
-    if b.len > 0 then begin
-      b.downstream.emit_batch b.buf b.len;
-      b.len <- 0
-    end
-
-  let sink b =
-    { emit =
-        (fun e ->
-          Array.unsafe_set b.buf b.len e;
-          b.len <- b.len + 1;
-          if b.len = b.capacity then flush b);
-      emit_batch =
-        (* Already-batched input: drain our buffer to keep order, then
-           pass the foreign batch through untouched. *)
-        (fun buf len ->
-          flush b;
-          b.downstream.emit_batch buf len);
-      emit_packed_batch =
-        (fun batch ->
-          flush b;
-          b.downstream.emit_packed_batch batch);
-    }
-end
+      fun batch ->
+        for i = 0 to Array.length arr - 1 do
+          arr.(i) batch
+        done
 
 module Counter = struct
   (* Event tallies live in a 6-cell array indexed [ki*3 + si] (ki: 0
@@ -198,30 +29,18 @@ module Counter = struct
 
   let create () = { cells = Array.make 6 0; bytes = 0 }
 
-  let count c (e : Event.t) =
-    c.bytes <- c.bytes + e.size;
-    let ki = match e.kind with Read -> 0 | Write -> 1 in
-    let si = match e.source with App -> 0 | Malloc -> 1 | Free -> 2 in
-    let ks = (ki * 3) + si in
-    Array.unsafe_set c.cells ks (Array.unsafe_get c.cells ks + 1)
-
-  (* Packed path: size and the fused counter index both come straight
-     out of the meta word — no record is ever materialised. *)
+  (* Size and the fused counter index both come straight out of the
+     meta word — no record is ever materialised. *)
   let count_meta c meta =
     c.bytes <- c.bytes + (meta lsr 3);
     let ks = Event.Packed.ks meta in
     Array.unsafe_set c.cells ks (Array.unsafe_get c.cells ks + 1)
 
-  let sink c =
-    { emit = count c;
-      emit_batch = batch_of_emit (count c);
-      emit_packed_batch =
-        (fun b ->
-          let metas = b.Event.Batch.metas in
-          for i = 0 to b.Event.Batch.len - 1 do
-            count_meta c (Array.unsafe_get metas i)
-          done);
-    }
+  let sink c (b : Event.Batch.t) =
+    let metas = b.Event.Batch.metas in
+    for i = 0 to b.Event.Batch.len - 1 do
+      count_meta c (Array.unsafe_get metas i)
+    done
 
   let reads c = c.cells.(0) + c.cells.(1) + c.cells.(2)
   let writes c = c.cells.(3) + c.cells.(4) + c.cells.(5)
@@ -251,85 +70,14 @@ module Checksum = struct
 
   let mix c x = c.h <- (c.h lxor x) * fnv_prime
 
-  (* The boxed path mixes (addr, meta-word); the packed path mixes the
-     same two ints directly (the packed meta layout IS the word this
-     checksum has always mixed), so the two paths agree bit for bit. *)
-  let feed c (e : Event.t) =
-    mix c e.addr;
-    mix c (Event.Packed.meta_of_event e)
-
-  let sink c =
-    { emit = feed c;
-      emit_batch = batch_of_emit (feed c);
-      emit_packed_batch =
-        (fun b ->
-          let addrs = b.Event.Batch.addrs and metas = b.Event.Batch.metas in
-          for i = 0 to b.Event.Batch.len - 1 do
-            mix c (Array.unsafe_get addrs i);
-            mix c (Array.unsafe_get metas i)
-          done);
-    }
+  let sink c (b : Event.Batch.t) =
+    let addrs = b.Event.Batch.addrs and metas = b.Event.Batch.metas in
+    for i = 0 to b.Event.Batch.len - 1 do
+      mix c (Array.unsafe_get addrs i);
+      mix c (Array.unsafe_get metas i)
+    done
 
   (* Mask the sign bit away so the value prints, compares and encodes
      as a plain non-negative int everywhere. *)
   let value c = c.h land max_int
-end
-
-module Recorder = struct
-  (* Bounded retention in preallocated packed arrays: the first
-     [capacity] events are kept (two int stores each, no per-event list
-     cell), later events are only counted. *)
-  type recorder = {
-    capacity : int;
-    addrs : int array;
-    metas : int array;
-    mutable len : int;  (* events retained; = min (count, capacity) *)
-    mutable count : int;  (* events observed *)
-  }
-
-  let create ?(capacity = 65536) () =
-    (* Not an assert: -noassert builds must still reject a negative
-       capacity instead of silently recording nothing. *)
-    if capacity < 0 then
-      invalid_arg "Sink.Recorder.create: capacity must be >= 0";
-    { capacity;
-      addrs = Array.make capacity 0;
-      metas = Array.make capacity 0;
-      len = 0;
-      count = 0 }
-
-  let record r addr meta =
-    if r.len < r.capacity then begin
-      Array.unsafe_set r.addrs r.len addr;
-      Array.unsafe_set r.metas r.len meta;
-      r.len <- r.len + 1
-    end;
-    r.count <- r.count + 1
-
-  let sink r =
-    { emit = (fun e -> record r e.addr (Event.Packed.meta_of_event e));
-      emit_batch =
-        (fun buf len ->
-          for i = 0 to len - 1 do
-            let e = Array.unsafe_get buf i in
-            record r e.Event.addr (Event.Packed.meta_of_event e)
-          done);
-      emit_packed_batch =
-        (fun b ->
-          (* Real batch path: blit the fitting prefix, count the rest. *)
-          let n = b.Event.Batch.len in
-          let fit = min n (r.capacity - r.len) in
-          if fit > 0 then begin
-            Array.blit b.Event.Batch.addrs 0 r.addrs r.len fit;
-            Array.blit b.Event.Batch.metas 0 r.metas r.len fit;
-            r.len <- r.len + fit
-          end;
-          r.count <- r.count + n);
-    }
-
-  let events r =
-    List.init r.len (fun i ->
-        Event.Packed.to_event ~addr:r.addrs.(i) ~meta:r.metas.(i))
-
-  let dropped r = max 0 (r.count - r.capacity)
 end

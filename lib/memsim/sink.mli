@@ -1,109 +1,30 @@
 (** Trace consumers.
 
-    A sink receives every reference event of a simulation run.  Sinks are
-    composable: [fanout] broadcasts one trace to several consumers (e.g. a
-    family of cache simulators plus the page-fault simulator plus raw
-    counters), exactly as the paper drives TYCHO and VMSIM from one
-    execution-driven trace.
+    A sink receives every reference event of a simulation run, one
+    packed {!Event.Batch} at a time.  Sinks are composable: [fanout]
+    broadcasts one trace to several consumers (e.g. a family of cache
+    simulators plus the page-fault simulator plus raw counters), exactly
+    as the paper drives TYCHO and VMSIM from one execution-driven trace.
 
-    Sinks consume events one at a time ([emit]), a boxed batch at a time
-    ([emit_batch]), or — the hot path — a {e packed} batch at a time
-    ([emit_packed_batch], over {!Event.Batch} struct-of-arrays buffers,
-    no per-event allocation).  Any delivery must be observationally
-    identical to emitting each of its events in order; the batch forms
-    exist to amortise per-event closure dispatch and boxing.  [fanout]
-    hands the whole batch to each consumer in turn, so consumers must not
-    rely on being interleaved event-by-event with their siblings — none
-    of the simulators do, as each owns disjoint state.  A packed batch is
-    shared read-only among fanout siblings and is only valid for the
-    duration of the call: consumers must fully consume (or copy) it
-    before returning. *)
+    A delivery must be observationally identical to delivering its
+    events one by one in order; batches exist to amortise per-event
+    closure dispatch.  [fanout] hands the whole batch to each consumer
+    in turn, so consumers must not rely on being interleaved
+    event-by-event with their siblings — none of the simulators do, as
+    each owns disjoint state.  A batch is shared read-only among fanout
+    siblings, owned by the producer and only valid for the duration of
+    the call: consumers must fully consume (or copy) it before
+    returning, as the producer may reuse it the moment the call
+    returns. *)
 
-type t = {
-  emit : Event.t -> unit;
-  emit_batch : Event.t array -> int -> unit;
-      (** [emit_batch buf len] consumes [buf.(0 .. len-1)], exactly as
-          [len] successive [emit]s would.  Entries beyond [len] are
-          garbage and must not be read. *)
-  emit_packed_batch : Event.Batch.t -> unit;
-      (** Consumes a packed batch, exactly as emitting each decoded
-          event in order would.  The batch is read-only and owned by the
-          producer; it may be reused the moment this call returns. *)
-}
+type t = Event.Batch.t -> unit
 
 val null : t
 (** Discards every event. *)
 
-val of_fn : (Event.t -> unit) -> t
-(** Wraps a plain function; batches (boxed and packed) are consumed by
-    decoding and iterating it. *)
-
-val make :
-  emit:(Event.t -> unit) -> emit_batch:(Event.t array -> int -> unit) -> t
-(** A sink with a specialised boxed-batch path.  Packed deliveries are
-    decoded into a reused scratch array and handed to [emit_batch] as
-    ONE call per packed batch, so batch-grain consumers observe the same
-    delivery boundaries on either path. *)
-
-val make_packed : emit_packed_batch:(Event.Batch.t -> unit) -> t
-(** A natively packed consumer.  Boxed deliveries ([emit]/[emit_batch])
-    are packed into a reused scratch batch and forwarded as one packed
-    delivery each. *)
-
-val emit_packed_batch : t -> Event.Batch.t -> unit
-(** Delivers a packed batch — the one supported delivery entry point. *)
-
-(** The boxed delivery shims, kept for external producers and the
-    differential tests that pin them against the packed path.  Both
-    must remain observationally identical to packing the same events
-    into an {!Event.Batch.t} and delivering it via
-    {!emit_packed_batch}; new code should do exactly that instead. *)
-module Compat : sig
-  val emit : t -> Event.t -> unit
-  [@@deprecated "pack events into an Event.Batch and use Sink.emit_packed_batch"]
-  (** Delivers one boxed event. *)
-
-  val emit_batch : t -> Event.t array -> len:int -> unit
-  [@@deprecated "pack events into an Event.Batch and use Sink.emit_packed_batch"]
-  (** [emit_batch t buf ~len] delivers the first [len] events of
-      [buf]. *)
-end
-
 val fanout : t list -> t
-(** [fanout sinks] forwards each event to every sink, in order.  Batches
-    are delivered whole to each sink in turn (see the module comment). *)
-
-val filter : (Event.t -> bool) -> t -> t
-(** [filter pred sink] forwards only events satisfying [pred].  Batches
-    stay batches: matching events are compacted into one batch delivery
-    downstream (order preserved, empty batches suppressed), so filtering
-    does not degrade a consumer's batch path to per-event dispatch.
-    Compaction happens in the filter's own scratch buffers — never in
-    the caller's batch — so sibling fanout consumers sharing the
-    incoming batch are unaffected. *)
-
-(** Buffers events into a preallocated array and flushes them downstream
-    with one [emit_batch] call, so a producer that emits word-at-a-time
-    costs the downstream fanout one dispatch per batch instead of one
-    per reference.  (The simulated machine now batches internally in
-    packed form — see {!Sim_memory} — so this is mainly for external
-    per-event producers.)  The owner must [flush] before anything reads
-    downstream state. *)
-module Batcher : sig
-  type batcher
-
-  val create : ?capacity:int -> t -> batcher
-  (** [create downstream] with a buffer of [capacity] events (default
-      256).  @raise Invalid_argument if [capacity < 1]. *)
-
-  val sink : batcher -> t
-  (** The buffering front: stores each event, auto-flushing when the
-      buffer fills.  Batches (boxed or packed) arriving at the front are
-      passed through (after draining the buffer, to preserve order). *)
-
-  val flush : batcher -> unit
-  (** Deliver any buffered events downstream now. *)
-end
+(** [fanout sinks] forwards each batch to every sink, in order (see the
+    module comment). *)
 
 (** Running totals of a trace: how many references, reads, writes, bytes,
     broken down by source.  This supplies the [D] term of the paper's
@@ -114,8 +35,8 @@ module Counter : sig
   val create : unit -> counter
 
   val sink : counter -> t
-  (** Packed batches are tallied straight from the meta words — no
-      [Event.t] is materialised on the hot path. *)
+  (** Tallies straight from the meta words — no [Event.t] is
+      materialised. *)
 
   val total : counter -> int
   (** Number of reference events observed. *)
@@ -136,9 +57,8 @@ end
     artifacts persist it to detect simulation drift: a stored cell whose
     inputs (program, allocator, scale, seed) match but whose trace
     checksum differs from a fresh run exposes a behavioural change that
-    the memoization would otherwise hide.  The per-event word this
-    checksum mixes is exactly {!Event.Packed.meta}, so packed and boxed
-    deliveries of the same trace produce bit-identical values. *)
+    the memoization would otherwise hide.  Per event it mixes the
+    address, then the {!Event.Packed.meta} word. *)
 module Checksum : sig
   type checksum
 
@@ -147,25 +67,4 @@ module Checksum : sig
 
   val value : checksum -> int
   (** Checksum of everything observed so far, in [0, max_int]. *)
-end
-
-(** Bounded in-memory recording of a trace, useful in tests and for
-    inspecting short runs.  Events are retained packed in preallocated
-    int arrays (two stores per event, no list cells); packed batches are
-    absorbed by blitting. *)
-module Recorder : sig
-  type recorder
-
-  val create : ?capacity:int -> unit -> recorder
-  (** [capacity] bounds how many events are retained (default 65536);
-      later events are dropped but still counted.
-      @raise Invalid_argument if [capacity < 0]. *)
-
-  val sink : recorder -> t
-
-  val events : recorder -> Event.t list
-  (** Recorded events in emission order. *)
-
-  val dropped : recorder -> int
-  (** Number of events that arrived after capacity was reached. *)
 end

@@ -148,7 +148,7 @@ let read_lines data sink parse =
   let cap = Event.Batch.capacity batch in
   let flush () =
     if batch.Event.Batch.len > 0 then begin
-      sink.Sink.emit_packed_batch batch;
+      sink batch;
       Event.Batch.clear batch
     end
   in
@@ -199,14 +199,12 @@ module Text = struct
 
   let write f =
     let b = Buffer.create 4096 in
-    let emit_packed_batch (batch : Event.Batch.t) =
-      for i = 0 to batch.Event.Batch.len - 1 do
-        let m = Array.unsafe_get batch.Event.Batch.metas i in
-        Buffer.add_string b (if m land 4 = 0 then "R 0x" else "W 0x");
-        Printf.bprintf b "%x\n" (Array.unsafe_get batch.Event.Batch.addrs i)
-      done
-    in
-    f (Sink.make_packed ~emit_packed_batch);
+    f (fun (batch : Event.Batch.t) ->
+        for i = 0 to batch.Event.Batch.len - 1 do
+          let m = Array.unsafe_get batch.Event.Batch.metas i in
+          Buffer.add_string b (if m land 4 = 0 then "R 0x" else "W 0x");
+          Printf.bprintf b "%x\n" (Array.unsafe_get batch.Event.Batch.addrs i)
+        done);
     Buffer.contents b
 end
 
@@ -249,16 +247,14 @@ module Csv = struct
     Buffer.add_string b Source.csv_header;
     Buffer.add_char b '\n';
     let index = ref 0 in
-    let emit_packed_batch (batch : Event.Batch.t) =
-      for i = 0 to batch.Event.Batch.len - 1 do
-        let m = Array.unsafe_get batch.Event.Batch.metas i in
-        Printf.bprintf b "%d,%s,0x%x\n" !index
-          (if m land 4 = 0 then "R" else "W")
-          (Array.unsafe_get batch.Event.Batch.addrs i);
-        incr index
-      done
-    in
-    f (Sink.make_packed ~emit_packed_batch);
+    f (fun (batch : Event.Batch.t) ->
+        for i = 0 to batch.Event.Batch.len - 1 do
+          let m = Array.unsafe_get batch.Event.Batch.metas i in
+          Printf.bprintf b "%d,%s,0x%x\n" !index
+            (if m land 4 = 0 then "R" else "W")
+            (Array.unsafe_get batch.Event.Batch.addrs i);
+          incr index
+        done);
     Buffer.contents b
 end
 
@@ -296,12 +292,9 @@ module Framed = struct
     let count = ref 0 in
     let trace =
       Trace_file.record_to_string (fun rec_sink ->
-          let counting =
-            Sink.make_packed ~emit_packed_batch:(fun batch ->
-                count := !count + batch.Event.Batch.len;
-                rec_sink.Sink.emit_packed_batch batch)
-          in
-          f counting)
+          f (fun batch ->
+              count := !count + batch.Event.Batch.len;
+              rec_sink batch))
     in
     let w = Binio.Writer.create () in
     Binio.Writer.int w !count;

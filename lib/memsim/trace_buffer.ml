@@ -1,8 +1,8 @@
 (* Chunked packed trace capture.  Each chunk is a fixed-capacity
    Event.Batch; filling one allocates the next, so capturing an N-event
    trace costs ~2N ints in a handful of arrays, with no per-event
-   boxing and no quadratic re-blitting.  Incoming packed batches are
-   absorbed by blit. *)
+   boxing and no quadratic re-blitting.  Incoming batches are absorbed
+   by blit. *)
 
 type t = {
   chunk_capacity : int;
@@ -27,9 +27,9 @@ let rotate t =
   t.chunks_rev <- t.current :: t.chunks_rev;
   t.current <- Event.Batch.create ~capacity:t.chunk_capacity ()
 
-(* Copy [src.(off .. off+n)] into the buffer, rotating at chunk
-   boundaries. *)
-let absorb t (src : Event.Batch.t) =
+(* The sink: copy each incoming batch into the buffer, rotating at
+   chunk boundaries. *)
+let sink t (src : Event.Batch.t) =
   let off = ref 0 in
   let remaining = ref src.Event.Batch.len in
   while !remaining > 0 do
@@ -49,23 +49,6 @@ let absorb t (src : Event.Batch.t) =
   done;
   t.total <- t.total + src.Event.Batch.len
 
-let push t ~addr ~meta =
-  if t.current.Event.Batch.len = t.chunk_capacity then rotate t;
-  Event.Batch.push t.current ~addr ~meta;
-  t.total <- t.total + 1
-
-let sink t =
-  { Sink.emit =
-      (fun e -> push t ~addr:e.Event.addr ~meta:(Event.Packed.meta_of_event e));
-    emit_batch =
-      (fun buf len ->
-        for i = 0 to len - 1 do
-          let e = Array.unsafe_get buf i in
-          push t ~addr:e.Event.addr ~meta:(Event.Packed.meta_of_event e)
-        done);
-    emit_packed_batch = (fun b -> absorb t b);
-  }
-
 let chunks t =
   let all = List.rev (if t.current.Event.Batch.len > 0 then t.current :: t.chunks_rev else t.chunks_rev) in
   Array.of_list all
@@ -76,7 +59,7 @@ let events t =
 let replay t sink =
   let cs = chunks t in
   for i = 0 to Array.length cs - 1 do
-    sink.Sink.emit_packed_batch cs.(i)
+    sink cs.(i)
   done
 
 let iter_chunks f t =

@@ -7,8 +7,8 @@
     same trace sharded across domains; see [Cachesim.Shard]).
 
     Chunks returned by {!chunks} alias the buffer's storage: capture
-    first, then replay — pushing more events after taking [chunks] may
-    leave the returned array stale. *)
+    first, then replay — delivering more events after taking [chunks]
+    may leave the returned array stale. *)
 
 type t
 
@@ -23,11 +23,7 @@ val length : t -> int
 (** Events captured so far. *)
 
 val sink : t -> Sink.t
-(** A sink that appends everything it receives.  Packed batches are
-    absorbed by blitting. *)
-
-val push : t -> addr:int -> meta:int -> unit
-(** Appends one packed event directly. *)
+(** A sink that appends everything it receives, by blitting. *)
 
 val chunks : t -> Event.Batch.t array
 (** The captured trace as packed chunks, in emission order.  Read-only;

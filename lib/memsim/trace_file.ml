@@ -3,12 +3,11 @@ let magic = "LOCLAB1\n"
 (* Flags byte layout:
    bit 0        kind (0 = read, 1 = write)
    bits 1-2     source (0 app, 1 malloc, 2 free)
-   bits 3-7     size field: 1..30 inline, 31 = escaped varint follows *)
+   bits 3-7     size field: 1..30 inline, 31 = escaped varint follows
 
-let encode_source = function
-  | Event.App -> 0
-  | Event.Malloc -> 1
-  | Event.Free -> 2
+   Both directions convert to and from the packed meta word
+   ([size lsl 3 lor kind lsl 2 lor source], see {!Event.Packed}) with
+   shifts and masks alone. *)
 
 (* Decode failures carry the byte offset of the event's flags byte and
    the byte itself in hex, so damage in a multi-MB trace can be located
@@ -39,19 +38,24 @@ let write_varint put v =
 let zigzag v = if v >= 0 then v lsl 1 else ((-v) lsl 1) - 1
 let unzigzag v = if v land 1 = 0 then v lsr 1 else -((v + 1) lsr 1)
 
-let write_event put prev_addr (e : Event.t) =
-  let kind_bit = match e.kind with Event.Read -> 0 | Event.Write -> 1 in
-  let size_field = if e.size >= 1 && e.size <= 30 then e.size else 31 in
-  let flags = kind_bit lor (encode_source e.source lsl 1) lor (size_field lsl 3) in
+let write_event put prev_addr ~addr ~meta =
+  let size = meta lsr 3 in
+  let size_field = if size >= 1 && size <= 30 then size else 31 in
+  let flags =
+    ((meta lsr 2) land 1) lor ((meta land 3) lsl 1) lor (size_field lsl 3)
+  in
   put flags;
-  if size_field = 31 then write_varint put e.size;
-  write_varint put (zigzag (e.addr - prev_addr))
+  if size_field = 31 then write_varint put size;
+  write_varint put (zigzag (addr - prev_addr))
 
-let recording_sink put =
+let recording_sink put : Sink.t =
   let prev = ref 0 in
-  Sink.of_fn (fun e ->
-      write_event put !prev e;
-      prev := e.Event.addr)
+  fun b ->
+    for i = 0 to b.Event.Batch.len - 1 do
+      let addr = Array.unsafe_get b.Event.Batch.addrs i in
+      write_event put !prev ~addr ~meta:(Array.unsafe_get b.Event.Batch.metas i);
+      prev := addr
+    done
 
 let record_to_file path f =
   let oc = open_out_bin path in
@@ -80,37 +84,35 @@ let read_varint cur =
   in
   go 0 0
 
-(* [None] on clean end-of-trace; a truncated event is corruption. *)
-let read_event cur prev_addr =
+(* Decodes the next event straight into [batch], advancing [prev] to its
+   address; [false] on clean end-of-trace.  A truncated event is
+   corruption. *)
+let read_event cur prev batch =
   let off = cur.pos () in
   match cur.input_byte () with
-  | exception End_of_file -> None
+  | exception End_of_file -> false
   | flags -> (
       try
-        let kind = if flags land 1 = 0 then Event.Read else Event.Write in
-        let source =
-          match (flags lsr 1) land 3 with
-          | 0 -> Event.App
-          | 1 -> Event.Malloc
-          | 2 -> Event.Free
-          | s -> corrupt off flags "bad source %d" s
-        in
+        let source = (flags lsr 1) land 3 in
+        if source = 3 then corrupt off flags "bad source %d" source;
         let size_field = flags lsr 3 in
         let size = if size_field = 31 then read_varint cur else size_field in
         if size < 1 then corrupt off flags "corrupt size %d" size;
-        let addr = prev_addr + unzigzag (read_varint cur) in
-        Some { Event.kind; source; addr; size }
+        let addr = !prev + unzigzag (read_varint cur) in
+        prev := addr;
+        Event.Batch.push batch ~addr
+          ~meta:((size lsl 3) lor ((flags land 1) lsl 2) lor source);
+        true
       with End_of_file -> corrupt off flags "truncated event")
 
-let replay_cursor cur sink =
-  (* Decode straight into a packed batch and deliver at the pipeline's
-     batch grain — order-preserving, one downstream dispatch per 256
-     events instead of one per event. *)
+let replay_cursor cur (sink : Sink.t) =
+  (* Deliver at the pipeline's batch grain: order-preserving, one
+     downstream dispatch per 256 events. *)
   let batch = Event.Batch.create () in
   let cap = Event.Batch.capacity batch in
   let flush () =
     if batch.Event.Batch.len > 0 then begin
-      sink.Sink.emit_packed_batch batch;
+      sink batch;
       Event.Batch.clear batch
     end
   in
@@ -118,13 +120,8 @@ let replay_cursor cur sink =
   let count = ref 0 in
   let continue = ref true in
   while !continue do
-    match read_event cur !prev with
-    | None -> continue := false
-    | Some e ->
-        prev := e.Event.addr;
-        incr count;
-        if batch.Event.Batch.len = cap then flush ();
-        Event.Batch.push_event batch e
+    if batch.Event.Batch.len = cap then flush ();
+    if read_event cur prev batch then incr count else continue := false
   done;
   flush ();
   !count

@@ -65,14 +65,9 @@ module Windows = struct
      close; the callback receives the exact cumulative count.  Place the
      tap last in a fanout so sibling consumers have already absorbed
      everything up to [events] when the callback reads their state. *)
-  let sink t =
-    Memsim.Sink.make
-      ~emit:(fun _ ->
-        t.seen <- t.seen + 1;
-        if t.seen - t.last_fire >= t.every then fire t)
-      ~emit_batch:(fun _ len ->
-        t.seen <- t.seen + len;
-        if t.seen - t.last_fire >= t.every then fire t)
+  let sink t (b : Memsim.Event.Batch.t) =
+    t.seen <- t.seen + b.Memsim.Event.Batch.len;
+    if t.seen - t.last_fire >= t.every then fire t
 
   let flush t = if t.seen > t.last_fire then fire t
 

@@ -38,9 +38,9 @@ module Windows : sig
   (** [f ~window ~events] is called with the 1-based window index and
       the exact cumulative event count at the close.  Windows close at
       the first delivery edge at least [every] events after the last
-      close — exactly every [every] events under per-event delivery, at
-      batch boundaries under batched delivery (a batch is indivisible
-      downstream).  @raise Invalid_argument if [every < 1]. *)
+      close: a batch is indivisible downstream, so a window closes at
+      the end of the batch that reaches it.
+      @raise Invalid_argument if [every < 1]. *)
 
   val sink : t -> Memsim.Sink.t
   (** The tap.  Place it {e last} in the fanout so sibling consumers

@@ -33,17 +33,9 @@ let touch_page t page =
     t.last_page <- page
   end
 
-let access t (e : Memsim.Event.t) =
-  t.references <- t.references + 1;
-  let first = e.addr lsr t.page_shift in
-  let last = (e.addr + e.size - 1) lsr t.page_shift in
-  for page = first to last do
-    touch_page t page
-  done
-
-(* Packed hot path: only addr and size matter to the page stack, both
-   read straight from the packed ints. *)
-let access_packed_batch t (b : Memsim.Event.Batch.t) =
+(* Only addr and size matter to the page stack, both read straight from
+   the packed ints. *)
+let sink t (b : Memsim.Event.Batch.t) =
   let addrs = b.Memsim.Event.Batch.addrs and metas = b.Memsim.Event.Batch.metas in
   for i = 0 to b.Memsim.Event.Batch.len - 1 do
     t.references <- t.references + 1;
@@ -55,17 +47,6 @@ let access_packed_batch t (b : Memsim.Event.Batch.t) =
       touch_page t page
     done
   done
-
-let sink t =
-  let access_event = access t in
-  { Memsim.Sink.emit = access_event;
-    emit_batch =
-      (fun buf len ->
-        for i = 0 to len - 1 do
-          access_event (Array.unsafe_get buf i)
-        done);
-    emit_packed_batch = access_packed_batch t;
-  }
 
 let references t = t.references
 let distinct_pages t = Lru_stack.distinct t.stack

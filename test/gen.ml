@@ -37,6 +37,22 @@ let event_gen ?(addr_bound = 4096) ?(max_size = 70) () =
 let events_gen ?(max_events = 400) ?addr_bound ?max_size () =
   Gen.(list_size (int_range 1 max_events) (event_gen ?addr_bound ?max_size ()))
 
+(* ---- delivery -------------------------------------------------------- *)
+
+(* Delivers [events] to [sink] as packed batches of [grain] events (the
+   last batch may be shorter), reusing one batch as a producer does. *)
+let deliver ?(grain = 7) (sink : Memsim.Sink.t) events =
+  let b = Memsim.Event.Batch.create () in
+  List.iter
+    (fun e ->
+      Memsim.Event.Batch.push_event b e;
+      if Memsim.Event.Batch.length b = grain then begin
+        sink b;
+        Memsim.Event.Batch.clear b
+      end)
+    events;
+  if Memsim.Event.Batch.length b > 0 then sink b
+
 (* ---- cache shapes ---------------------------------------------------- *)
 
 (* Small caches (a handful of sets and ways) so random traces actually

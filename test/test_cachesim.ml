@@ -5,6 +5,7 @@ open Cachesim
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let deliver = Testkit.Gen.deliver
 
 (* Naive substring check, for asserting on error-message contents. *)
 let contains_substring ~needle haystack =
@@ -378,10 +379,8 @@ let prop_full_assoc_has_no_conflicts =
     ~count:100 trace_arb (fun trace ->
       let cl = Classify.create (Config.make ~block_bytes:32 ~associativity:8 256) in
       let sink = Classify.sink cl in
-      List.iter
-        (fun (addr, size) ->
-          sink.Memsim.Sink.emit (Memsim.Event.read addr size))
-        trace;
+      deliver sink
+        (List.map (fun (addr, size) -> Memsim.Event.read addr size) trace);
       (Classify.counts cl).Classify.conflict = 0)
 
 (* ------------------------------------------------------------------ *)
@@ -392,7 +391,7 @@ let test_multi_broadcast () =
   let m = Multi.create Config.paper_direct_mapped in
   let sink = Multi.sink m in
   for i = 0 to 99 do
-    sink.Memsim.Sink.emit (Memsim.Event.read (i * 64) 4)
+    deliver sink [ Memsim.Event.read (i * 64) 4 ]
   done;
   List.iter
     (fun (_, s) -> check_int "each cache saw all accesses" 100 s.Stats.accesses)
@@ -405,7 +404,7 @@ let test_multi_bigger_cache_fewer_misses () =
      the 256K cache (8192 blocks) holds everything. *)
   for _pass = 1 to 5 do
     for b = 0 to 1023 do
-      sink.Memsim.Sink.emit (Memsim.Event.read (b * 32) 4)
+      deliver sink [ Memsim.Event.read (b * 32) 4 ]
     done
   done;
   let rates = List.map snd (Multi.miss_rate_series m) in
@@ -440,8 +439,8 @@ let test_multi_find () =
 let test_classify_cold () =
   let cl = Classify.create (Config.make ~block_bytes:32 128) in
   let sink = Classify.sink cl in
-  sink.Memsim.Sink.emit (Memsim.Event.read 0 4);
-  sink.Memsim.Sink.emit (Memsim.Event.read 32 4);
+  deliver sink [ Memsim.Event.read 0 4 ];
+  deliver sink [ Memsim.Event.read 32 4 ];
   let c = Classify.counts cl in
   check_int "all cold" 2 c.Classify.cold;
   check_int "no conflict" 0 c.Classify.conflict;
@@ -455,7 +454,7 @@ let test_classify_conflict () =
      conflict misses. *)
   let a = 0 and b = 4 * 32 in
   List.iter
-    (fun addr -> sink.Memsim.Sink.emit (Memsim.Event.read addr 4))
+    (fun addr -> deliver sink [ Memsim.Event.read addr 4 ])
     [ a; b; a; b; a; b ];
   let c = Classify.counts cl in
   check_int "two cold" 2 c.Classify.cold;
@@ -469,7 +468,7 @@ let test_classify_capacity () =
      misses even fully-associatively -> capacity misses. *)
   for _pass = 1 to 2 do
     for b = 0 to 7 do
-      sink.Memsim.Sink.emit (Memsim.Event.read (b * 32) 4)
+      deliver sink [ Memsim.Event.read (b * 32) 4 ]
     done
   done;
   let c = Classify.counts cl in
@@ -483,10 +482,8 @@ let prop_classify_partitions_misses =
       let cfg = Config.make ~block_bytes:32 256 in
       let cl = Classify.create cfg in
       let sink = Classify.sink cl in
-      List.iter
-        (fun (addr, size) ->
-          sink.Memsim.Sink.emit (Memsim.Event.read addr size))
-        trace;
+      deliver sink
+        (List.map (fun (addr, size) -> Memsim.Event.read addr size) trace);
       let c = Classify.counts cl in
       let s = Classify.stats cl in
       c.Classify.cold + c.Classify.capacity + c.Classify.conflict
@@ -506,7 +503,7 @@ let test_hierarchy_l2_sees_only_l1_misses () =
   let sink = Hierarchy.sink h in
   (* Touch block 0 three times: one L1 miss, then hits. *)
   for _ = 1 to 3 do
-    sink.Memsim.Sink.emit (Memsim.Event.read 0 4)
+    deliver sink [ Memsim.Event.read 0 4 ]
   done;
   check_int "L1 sees 3" 3 (Hierarchy.l1_stats h).Stats.accesses;
   check_int "L1 misses once" 1 (Hierarchy.l1_stats h).Stats.misses;
@@ -519,7 +516,7 @@ let test_hierarchy_stall_cycles () =
       ~l2:(Config.make ~block_bytes:32 4096)
   in
   let sink = Hierarchy.sink h in
-  sink.Memsim.Sink.emit (Memsim.Event.read 0 4);
+  deliver sink [ Memsim.Event.read 0 4 ];
   (* one L1 miss + one L2 miss *)
   check_int "stalls = 10 + 100" 110
     (Hierarchy.stall_cycles h ~l1_penalty:10 ~l2_penalty:100)
@@ -535,7 +532,7 @@ let test_hierarchy_l2_filters () =
      thrashes, L2 only cold-misses. *)
   for _pass = 1 to 10 do
     for b = 0 to 7 do
-      sink.Memsim.Sink.emit (Memsim.Event.read (b * 32) 4)
+      deliver sink [ Memsim.Event.read (b * 32) 4 ]
     done
   done;
   let l1 = Hierarchy.l1_stats h and l2 = Hierarchy.l2_stats h in
@@ -580,13 +577,10 @@ let test_forest_equivalence () =
         [ 2; 4; 8 ]
   in
   let forest = Forest.create configs in
-  let fsink = Forest.sink forest in
   let caches = List.map Cache.create configs in
-  List.iter
-    (fun e ->
-      fsink.Memsim.Sink.emit e;
-      List.iter (fun c -> Cache.access c e) caches)
-    (lcg_stream 6000);
+  let stream = lcg_stream 6000 in
+  deliver (Forest.sink forest) stream;
+  List.iter (fun e -> List.iter (fun c -> Cache.access c e) caches) stream;
   List.iteri
     (fun i c ->
       Alcotest.check stats_testable
@@ -596,8 +590,8 @@ let test_forest_equivalence () =
     caches
 
 let test_forest_batched_multi_equivalence () =
-  (* The production pipeline shape: several families behind a Batcher
-     (odd capacity, so flushes land mid-stream), against independent
+  (* The production pipeline shape: several families fed packed batches
+     (odd grain, so batch edges land mid-stream), against independent
      caches fed event by event. *)
   let configs =
     Config.paper_direct_mapped
@@ -606,15 +600,10 @@ let test_forest_batched_multi_equivalence () =
         Config.make ~name:"64K-b128" ~block_bytes:128 (64 * 1024) ]
   in
   let multi = Multi.create configs in
-  let batcher = Memsim.Sink.Batcher.create ~capacity:7 (Multi.sink multi) in
-  let bsink = Memsim.Sink.Batcher.sink batcher in
   let caches = List.map Cache.create configs in
-  List.iter
-    (fun e ->
-      bsink.Memsim.Sink.emit e;
-      List.iter (fun c -> Cache.access c e) caches)
-    (lcg_stream 6000);
-  Memsim.Sink.Batcher.flush batcher;
+  let stream = lcg_stream 6000 in
+  deliver ~grain:7 (Multi.sink multi) stream;
+  List.iter (fun e -> List.iter (fun c -> Cache.access c e) caches) stream;
   List.iter2
     (fun c (cfg, stats) ->
       Alcotest.check stats_testable cfg.Config.name (Cache.stats c) stats)
@@ -646,52 +635,6 @@ let forest_case_gen =
             (pair bool (int_range 0 2))
             (pair (int_range 0 4095) (int_range 1 70)))))
 
-let prop_forest_matches_caches =
-  QCheck.Test.make ~name:"forest matches independent caches" ~count:300
-    (QCheck.make forest_case_gen)
-    (fun (configs, raw_events) ->
-      let forest = Forest.create configs in
-      let caches = List.map Cache.create configs in
-      List.iter
-        (fun ((write, src), (addr, size)) ->
-          let source =
-            match src with
-            | 0 -> Memsim.Event.App
-            | 1 -> Memsim.Event.Malloc
-            | _ -> Memsim.Event.Free
-          in
-          let e =
-            if write then Memsim.Event.write ~source addr size
-            else Memsim.Event.read ~source addr size
-          in
-          Forest.access forest e;
-          List.iter (fun c -> Cache.access c e) caches)
-        raw_events;
-      List.for_all
-        (fun (i, c) -> Cache.stats c = Forest.member_stats forest i)
-        (List.mapi (fun i c -> (i, c)) caches))
-
-(* ------------------------------------------------------------------ *)
-(* Packed deliveries: simulators fed packed batches must equal boxed  *)
-(* ------------------------------------------------------------------ *)
-
-(* Deliver [events] to [sink] as packed batches of [grain] events. *)
-let deliver_packed ?(grain = 7) sink events =
-  let b = Memsim.Event.Batch.create () in
-  let rec go = function
-    | [] ->
-        if Memsim.Event.Batch.length b > 0 then
-          Memsim.Sink.emit_packed_batch sink b
-    | e :: rest ->
-        Memsim.Event.Batch.push_event b e;
-        if Memsim.Event.Batch.length b = grain then begin
-          Memsim.Sink.emit_packed_batch sink b;
-          Memsim.Event.Batch.clear b
-        end;
-        go rest
-  in
-  go events
-
 let events_of_raw raw =
   List.map
     (fun ((write, src), (addr, size)) ->
@@ -705,21 +648,36 @@ let events_of_raw raw =
       else Memsim.Event.read ~source addr size)
     raw
 
+(* The forest fed [events] at [grain] against each member simulated on
+   its own by Cache.access, one boxed event at a time. *)
+let forest_matches_caches ~grain configs events =
+  let forest = Forest.create configs in
+  deliver ~grain (Forest.sink forest) events;
+  List.for_all
+    (fun (i, cfg) ->
+      let c = Cache.create cfg in
+      List.iter (Cache.access c) events;
+      Cache.stats c = Forest.member_stats forest i)
+    (List.mapi (fun i cfg -> (i, cfg)) configs)
+
+let prop_forest_matches_caches =
+  QCheck.Test.make ~name:"forest matches independent caches" ~count:300
+    (QCheck.make forest_case_gen)
+    (fun (configs, raw_events) ->
+      forest_matches_caches ~grain:1 configs (events_of_raw raw_events))
+
+(* ------------------------------------------------------------------ *)
+(* Packed deliveries against independent references                  *)
+(* ------------------------------------------------------------------ *)
+
 let prop_forest_packed_matches_boxed =
-  (* The satellite differential: a forest fed packed batches must land
-     on exactly the per-member statistics of one fed boxed events. *)
+  (* Multi-event packed batches must land on exactly the per-member
+     statistics of independent caches fed boxed events. *)
   QCheck.Test.make ~name:"forest packed batches equal boxed events"
     ~count:300
     (QCheck.make forest_case_gen)
     (fun (configs, raw_events) ->
-      let events = events_of_raw raw_events in
-      let boxed = Forest.create configs in
-      List.iter (Forest.access boxed) events;
-      let packed = Forest.create configs in
-      deliver_packed (Forest.sink packed) events;
-      List.for_all
-        (fun i -> Forest.member_stats boxed i = Forest.member_stats packed i)
-        (List.init (List.length configs) Fun.id))
+      forest_matches_caches ~grain:7 configs (events_of_raw raw_events))
 
 let test_multi_packed_matches_boxed () =
   (* Multiple families + a non-LRU single: the packed Multi sink must
@@ -735,26 +693,46 @@ let test_multi_packed_matches_boxed () =
   let caches = List.map Cache.create configs in
   let stream = lcg_stream 6000 in
   List.iter (fun e -> List.iter (fun c -> Cache.access c e) caches) stream;
-  deliver_packed ~grain:13 (Multi.sink multi) stream;
+  deliver ~grain:13 (Multi.sink multi) stream;
   List.iter2
     (fun c (cfg, stats) ->
       Alcotest.check stats_testable cfg.Config.name (Cache.stats c) stats)
     caches (Multi.results multi)
 
 let test_hierarchy_packed_matches_boxed () =
+  (* The boxed reference is a chain of plain per-event caches: every
+     block of a reference probes the first cache, and each cache sees
+     only the blocks the one above missed.  The packed hierarchy runs
+     its LRU levels on the forest member path, so the two share no
+     probe code. *)
   let levels =
     [ Config.make ~name:"L1" (8 * 1024);
       Config.make ~name:"L2" ~associativity:4 (64 * 1024) ]
   in
-  let boxed = Hierarchy.create_levels levels in
+  let caches = List.map Cache.create levels in
   let packed = Hierarchy.create_levels levels in
   let stream = lcg_stream 6000 in
-  List.iter (Hierarchy.access boxed) stream;
-  deliver_packed ~grain:11 (Hierarchy.sink packed) stream;
+  let l1_block = (List.hd levels).Config.block_bytes in
+  List.iter
+    (fun (e : Memsim.Event.t) ->
+      for block = e.addr / l1_block to (e.addr + e.size - 1) / l1_block do
+        let addr = block * l1_block in
+        let rec down = function
+          | [] -> ()
+          | c :: rest ->
+              let bb = (Cache.config c).Config.block_bytes in
+              if Cache.access_block c ~kind:e.kind ~source:e.source
+                   ~block:(addr / bb)
+              then down rest
+        in
+        down caches
+      done)
+    stream;
+  deliver ~grain:11 (Hierarchy.sink packed) stream;
   List.iter2
-    (fun (cfg, a) (_, b) ->
-      Alcotest.check stats_testable cfg.Config.name a b)
-    (Hierarchy.results boxed) (Hierarchy.results packed)
+    (fun c (cfg, stats) ->
+      Alcotest.check stats_testable cfg.Config.name (Cache.stats c) stats)
+    caches (Hierarchy.results packed)
 
 (* ------------------------------------------------------------------ *)
 (* Shard: set-partitioned domain-parallel replay                      *)
@@ -762,11 +740,7 @@ let test_hierarchy_packed_matches_boxed () =
 
 let capture_trace events =
   let tb = Memsim.Trace_buffer.create ~chunk_capacity:512 () in
-  List.iter
-    (fun e ->
-      Memsim.Trace_buffer.push tb ~addr:e.Memsim.Event.addr
-        ~meta:(Memsim.Event.Packed.meta_of_event e))
-    events;
+  deliver ~grain:256 (Memsim.Trace_buffer.sink tb) events;
   tb
 
 let test_shard_identity () =
@@ -1093,15 +1067,10 @@ let test_multi_mixed_policies () =
       Config.make ~associativity:4 ~policy:(Policy.Random 7) (8 * 1024) ]
   in
   let multi = Multi.create configs in
-  let batcher = Memsim.Sink.Batcher.create ~capacity:7 (Multi.sink multi) in
-  let bsink = Memsim.Sink.Batcher.sink batcher in
   let caches = List.map Cache.create configs in
-  List.iter
-    (fun e ->
-      bsink.Memsim.Sink.emit e;
-      List.iter (fun c -> Cache.access c e) caches)
-    (lcg_stream 6000);
-  Memsim.Sink.Batcher.flush batcher;
+  let stream = lcg_stream 6000 in
+  deliver ~grain:7 (Multi.sink multi) stream;
+  List.iter (fun e -> List.iter (fun c -> Cache.access c e) caches) stream;
   List.iter2
     (fun c (cfg, stats) ->
       Alcotest.check stats_testable cfg.Config.name (Cache.stats c) stats)
@@ -1135,7 +1104,7 @@ let test_hierarchy_three_level_filters () =
      L1 thrashes every pass; L2 and L3 cold-miss once per block. *)
   for _pass = 1 to 10 do
     for b = 0 to 7 do
-      sink.Memsim.Sink.emit (Memsim.Event.read (b * 32) 4)
+      deliver sink [ Memsim.Event.read (b * 32) 4 ]
     done
   done;
   check_int "3 levels" 3 (Hierarchy.num_levels h);
@@ -1151,7 +1120,7 @@ let test_hierarchy_three_level_filters () =
 
 let test_hierarchy_per_level_stalls () =
   let h = three_level () in
-  Hierarchy.access h (Memsim.Event.read 0 4);
+  deliver (Hierarchy.sink h) [ Memsim.Event.read 0 4 ];
   (* One access missing all three levels: pays the L2 access, the L3
      access, and main memory. *)
   check_int "stalls sum per-level penalties" 250
@@ -1167,7 +1136,7 @@ let test_hierarchy_per_level_stalls () =
       ~l1:(Config.make ~block_bytes:32 128)
       ~l2:(Config.make ~block_bytes:32 4096)
   in
-  Hierarchy.access h2 (Memsim.Event.read 0 4);
+  deliver (Hierarchy.sink h2) [ Memsim.Event.read 0 4 ];
   check_int "compat wrapper = array form"
     (Hierarchy.stalls h2 ~penalties:[| 10; 100 |])
     (Hierarchy.stall_cycles h2 ~l1_penalty:10 ~l2_penalty:100)
@@ -1185,7 +1154,7 @@ let test_hierarchy_access_chain_invariant () =
     (fun (cpu : Cpu.t) ->
       let h = Cpu.hierarchy cpu in
       let sink = Hierarchy.sink h in
-      List.iter (fun e -> sink.Memsim.Sink.emit e) (lcg_stream 4000);
+      deliver sink (lcg_stream 4000);
       let stats = List.map snd (Hierarchy.results h) in
       let rec chain = function
         | a :: (b : Stats.t) :: rest ->
@@ -1234,7 +1203,7 @@ let test_cpu_skylake_cost_model () =
     "miss penalties follow next-level latencies" [| 12; 42; 240 |]
     (Cpu.miss_penalties cpu);
   let h = Cpu.hierarchy cpu in
-  Hierarchy.access h (Memsim.Event.read 0 4);
+  deliver (Hierarchy.sink h) [ Memsim.Event.read 0 4 ];
   (* one miss at each level *)
   check_int "stalls" 294 (Cpu.stall_cycles cpu h);
   check_int "total = instructions + stalls" 394

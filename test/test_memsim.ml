@@ -3,9 +3,13 @@
 
 open Memsim
 
-(* Several suites here deliberately exercise the deprecated boxed
-   delivery shims (Sink.Compat) to pin them against the packed path. *)
-[@@@alert "-deprecated"]
+let deliver = Testkit.Gen.deliver
+
+(* Everything [f] delivers to a recording sink, decoded. *)
+let record f =
+  let tb = Trace_buffer.create ~chunk_capacity:1024 () in
+  f (Trace_buffer.sink tb);
+  Trace_buffer.events tb
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -78,10 +82,10 @@ let test_event_pp () =
 
 let test_sink_counter () =
   let c = Sink.Counter.create () in
-  let s = Sink.Counter.sink c in
-  s.emit (Event.read 0x1000 4);
-  s.emit (Event.write 0x1004 4);
-  s.emit (Event.read ~source:Event.Malloc 0x2000 2);
+  deliver (Sink.Counter.sink c)
+    [ Event.read 0x1000 4;
+      Event.write 0x1004 4;
+      Event.read ~source:Event.Malloc 0x2000 2 ];
   check_int "total" 3 (Sink.Counter.total c);
   check_int "reads" 2 (Sink.Counter.reads c);
   check_int "writes" 1 (Sink.Counter.writes c);
@@ -95,84 +99,24 @@ let test_sink_counter () =
 let test_sink_fanout () =
   let c1 = Sink.Counter.create () and c2 = Sink.Counter.create () in
   let s = Sink.fanout [ Sink.Counter.sink c1; Sink.Counter.sink c2 ] in
-  s.emit (Event.read 0x1000 4);
-  s.emit (Event.read 0x1000 4);
+  deliver s [ Event.read 0x1000 4; Event.read 0x1000 4 ];
   check_int "c1 sees all" 2 (Sink.Counter.total c1);
   check_int "c2 sees all" 2 (Sink.Counter.total c2)
 
 let test_sink_fanout_three () =
   let cs = List.init 3 (fun _ -> Sink.Counter.create ()) in
   let s = Sink.fanout (List.map Sink.Counter.sink cs) in
-  s.emit (Event.write 0x4 1);
+  deliver s [ Event.write 0x4 1 ];
   List.iter (fun c -> check_int "each sees one" 1 (Sink.Counter.total c)) cs
-
-let test_sink_filter () =
-  let c = Sink.Counter.create () in
-  let s =
-    Sink.filter
-      (fun (e : Event.t) -> e.source = Event.Malloc)
-      (Sink.Counter.sink c)
-  in
-  s.emit (Event.read 0x1000 4);
-  s.emit (Event.read ~source:Event.Malloc 0x1000 4);
-  check_int "only malloc passes" 1 (Sink.Counter.total c)
-
-(* filter must keep the batch path a batch path: one emit_batch in, at
-   most one emit_batch out (the matching events, compacted, in order) —
-   and the result must equal filtering event-by-event. *)
-let test_sink_filter_batch () =
-  let stream =
-    List.init 31 (fun i ->
-        let source =
-          match i mod 3 with
-          | 0 -> Event.App
-          | 1 -> Event.Malloc
-          | _ -> Event.Free
-        in
-        Event.read ~source (4 * i) 4)
-  in
-  let pred (e : Event.t) = e.Event.source <> Event.App in
-  (* Reference: filter the stream per-event. *)
-  let direct = Sink.Recorder.create () in
-  List.iter
-    (fun e -> if pred e then (Sink.Recorder.sink direct).emit e)
-    stream;
-  (* Batched: one delivery, counting downstream batch dispatches. *)
-  let batched = Sink.Recorder.create () in
-  let batch_calls = ref 0 in
-  let downstream =
-    Sink.make
-      ~emit:(fun e -> (Sink.Recorder.sink batched).emit e)
-      ~emit_batch:(fun buf len ->
-        incr batch_calls;
-        Sink.emit_packed_batch (Sink.Recorder.sink batched)
-          (Event.Batch.of_events buf len))
-  in
-  let f = Sink.filter pred downstream in
-  let arr = Array.of_list stream in
-  f.emit_batch arr (Array.length arr);
-  check_int "one downstream batch per input batch" 1 !batch_calls;
-  check_bool "batched = per-event filtering" true
-    (Sink.Recorder.events batched = Sink.Recorder.events direct);
-  (* A batch with no survivors is suppressed entirely. *)
-  let only_app = Array.of_list (List.filter (fun e -> not (pred e)) stream) in
-  f.emit_batch only_app (Array.length only_app);
-  check_int "empty result batch suppressed" 1 !batch_calls;
-  (* The caller's buffer must not be compacted in place: a fanout
-     sibling reading after the filter still sees the original events. *)
-  let sibling = Sink.Recorder.create () in
-  let pair = Sink.fanout [ Sink.filter pred Sink.null; Sink.Recorder.sink sibling ] in
-  pair.emit_batch arr (Array.length arr);
-  check_bool "sibling sees unfiltered batch" true
-    (Sink.Recorder.events sibling = stream)
 
 let test_sink_counter_reset () =
   let c = Sink.Counter.create () in
   let s = Sink.Counter.sink c in
-  s.emit (Event.read ~source:Event.App 0x10 4);
-  s.emit (Event.write ~source:Event.Malloc 0x14 8);
-  s.emit (Event.read ~source:Event.Free 0x18 2);
-  s.emit (Event.write ~source:Event.Free 0x1c 1);
+  deliver s
+    [ Event.read ~source:Event.App 0x10 4;
+      Event.write ~source:Event.Malloc 0x14 8;
+      Event.read ~source:Event.Free 0x18 2;
+      Event.write ~source:Event.Free 0x1c 1 ];
   check_int "pre-reset total" 4 (Sink.Counter.total c);
   Sink.Counter.reset c;
   check_int "total cleared" 0 (Sink.Counter.total c);
@@ -183,101 +127,10 @@ let test_sink_counter_reset () =
   check_int "malloc cells cleared" 0 (Sink.Counter.by_source c Event.Malloc);
   check_int "free cells cleared" 0 (Sink.Counter.by_source c Event.Free);
   (* The counter keeps counting correctly after a reset. *)
-  s.emit (Event.write ~source:Event.Malloc 0x20 16);
+  deliver s [ Event.write ~source:Event.Malloc 0x20 16 ];
   check_int "counts resume" 1 (Sink.Counter.total c);
   check_int "bytes resume" 16 (Sink.Counter.bytes c);
   check_int "malloc resumes" 1 (Sink.Counter.by_source c Event.Malloc)
-
-let test_sink_recorder () =
-  let r = Sink.Recorder.create ~capacity:2 () in
-  let s = Sink.Recorder.sink r in
-  s.emit (Event.read 0x10 4);
-  s.emit (Event.write 0x14 4);
-  s.emit (Event.read 0x18 4);
-  check_int "kept up to capacity" 2 (List.length (Sink.Recorder.events r));
-  check_int "dropped counted" 1 (Sink.Recorder.dropped r);
-  match Sink.Recorder.events r with
-  | [ e1; e2 ] ->
-      check_int "order preserved: first" 0x10 e1.Event.addr;
-      check_int "order preserved: second" 0x14 e2.Event.addr
-  | _ -> Alcotest.fail "expected exactly two events"
-
-(* Dropped-event accounting at capacity: every event past the limit is
-   counted (and only counted), whether it arrives singly or batched. *)
-let test_sink_recorder_dropped () =
-  let r = Sink.Recorder.create ~capacity:3 () in
-  let s = Sink.Recorder.sink r in
-  let ev i = Event.read (4 * i) 4 in
-  check_int "nothing dropped while empty" 0 (Sink.Recorder.dropped r);
-  s.emit (ev 0);
-  s.emit (ev 1);
-  check_int "under capacity drops nothing" 0 (Sink.Recorder.dropped r);
-  (* A batch straddling the capacity boundary: one slot left, four
-     events — the first is kept, three are dropped. *)
-  s.emit_batch (Array.init 4 (fun i -> ev (2 + i))) 4;
-  check_int "kept exactly capacity" 3 (List.length (Sink.Recorder.events r));
-  check_int "straddling batch counted" 3 (Sink.Recorder.dropped r);
-  s.emit (ev 9);
-  check_int "every further event counted" 4 (Sink.Recorder.dropped r);
-  check_bool "kept prefix in order" true
-    (Sink.Recorder.events r = [ ev 0; ev 1; ev 2 ]);
-  (* Zero capacity keeps nothing and counts everything. *)
-  let z = Sink.Recorder.create ~capacity:0 () in
-  (Sink.Recorder.sink z).emit (ev 0);
-  check_int "zero capacity keeps nothing" 0
-    (List.length (Sink.Recorder.events z));
-  check_int "zero capacity counts drops" 1 (Sink.Recorder.dropped z)
-
-let test_sink_recorder_rejects () =
-  Alcotest.check_raises "negative capacity"
-    (Invalid_argument "Sink.Recorder.create: capacity must be >= 0") (fun () ->
-      ignore (Sink.Recorder.create ~capacity:(-1) ()))
-
-(* A batched delivery path must be observationally identical to direct
-   delivery: same events, same order, whatever mix of single emits and
-   pass-through batches arrives at the front. *)
-let test_sink_batcher_equivalence () =
-  let stream =
-    List.init 23 (fun i ->
-        let source =
-          match i mod 3 with
-          | 0 -> Event.App
-          | 1 -> Event.Malloc
-          | _ -> Event.Free
-        in
-        if i mod 2 = 0 then Event.read ~source (4 * i) (1 + (i mod 7))
-        else Event.write ~source (4 * i) (1 + (i mod 7)))
-  in
-  let direct_r = Sink.Recorder.create () in
-  List.iter (Sink.Recorder.sink direct_r).emit stream;
-  let batched_r = Sink.Recorder.create () in
-  let batched_c = Sink.Counter.create () in
-  let b =
-    Sink.Batcher.create ~capacity:5
-      (Sink.fanout
-         [ Sink.Recorder.sink batched_r; Sink.Counter.sink batched_c ])
-  in
-  let front = Sink.Batcher.sink b in
-  (* First half event-at-a-time, then an already-batched chunk (the
-     pass-through path), then the rest event-at-a-time. *)
-  let arr = Array.of_list stream in
-  for i = 0 to 10 do
-    front.emit arr.(i)
-  done;
-  front.emit_batch (Array.sub arr 11 6) 6;
-  for i = 17 to Array.length arr - 1 do
-    front.emit arr.(i)
-  done;
-  Sink.Batcher.flush b;
-  check_bool "batched events = direct events" true
-    (Sink.Recorder.events batched_r = Sink.Recorder.events direct_r);
-  check_int "counter saw every event" (List.length stream)
-    (Sink.Counter.total batched_c)
-
-let test_sink_batcher_rejects () =
-  Alcotest.check_raises "zero capacity"
-    (Invalid_argument "Sink.Batcher.create: capacity must be >= 1") (fun () ->
-      ignore (Sink.Batcher.create ~capacity:0 Sink.null))
 
 (* ------------------------------------------------------------------ *)
 (* Region                                                             *)
@@ -364,13 +217,14 @@ let test_mem_with_source_restores_on_raise () =
   check_bool "source restored" true (Sim_memory.source m = Event.App)
 
 let test_mem_ranged_word_grain () =
-  let r = Sink.Recorder.create () in
-  let m = Sim_memory.create ~sink:(Sink.Recorder.sink r) () in
-  Sim_memory.write_bytes m 0x1002 10;
-  Sim_memory.flush m;
+  let evs =
+    record (fun sink ->
+        let m = Sim_memory.create ~sink () in
+        Sim_memory.write_bytes m 0x1002 10;
+        Sim_memory.flush m)
+  in
   (* 0x1002..0x100b: partial word (2B at 0x1002), word at 0x1004,
      word at 0x1008 — 3 events. *)
-  let evs = Sink.Recorder.events r in
   check_int "three pieces" 3 (List.length evs);
   let sizes = List.map (fun (e : Event.t) -> e.size) evs in
   Alcotest.(check (list int)) "piece sizes" [ 2; 4; 4 ] sizes;
@@ -429,11 +283,12 @@ let prop_ranged_covers_exactly =
   QCheck.Test.make ~name:"ranged events cover exactly [a, a+n)" ~count:300
     QCheck.(pair (int_range 1 100_000) (int_range 1 256))
     (fun (a, n) ->
-      let r = Sink.Recorder.create ~capacity:1024 () in
-      let m = Sim_memory.create ~sink:(Sink.Recorder.sink r) () in
-      Sim_memory.read_bytes m a n;
-      Sim_memory.flush m;
-      let evs = Sink.Recorder.events r in
+      let evs =
+        record (fun sink ->
+            let m = Sim_memory.create ~sink () in
+            Sim_memory.read_bytes m a n;
+            Sim_memory.flush m)
+      in
       (* Contiguous, non-overlapping, total size = n, starting at a. *)
       let rec walk pos = function
         | [] -> pos = a + n
@@ -495,13 +350,11 @@ let test_trace_roundtrip () =
       (* > 30 bytes: escaped size *)
       Event.read 0x1_000_000 1 ]
   in
-  Trace_file.record_to_file path (fun sink ->
-      List.iter sink.Sink.emit events);
-  let rec_ = Sink.Recorder.create () in
-  let n = Trace_file.replay_file path (Sink.Recorder.sink rec_) in
-  Alcotest.(check int) "event count" (List.length events) n;
-  Alcotest.(check bool) "events identical" true
-    (Sink.Recorder.events rec_ = events);
+  Trace_file.record_to_file path (fun sink -> deliver sink events);
+  let n = ref 0 in
+  let back = record (fun sink -> n := Trace_file.replay_file path sink) in
+  Alcotest.(check int) "event count" (List.length events) !n;
+  Alcotest.(check bool) "events identical" true (back = events);
   Sys.remove path
 
 let test_trace_rejects_foreign () =
@@ -518,7 +371,7 @@ let test_trace_rejects_foreign () =
 let test_trace_truncation_detected () =
   let path = tmp_trace "loclab_trunc.trace" in
   Trace_file.record_to_file path (fun sink ->
-      sink.Sink.emit (Event.read 0x123456 4));
+      deliver sink [ Event.read 0x123456 4 ]);
   (* Chop the last byte off. *)
   let ic = open_in_bin path in
   let len = in_channel_length ic in
@@ -537,9 +390,8 @@ let test_trace_compactness () =
   (* Sequential word touches encode in ~2 bytes/event. *)
   let path = tmp_trace "loclab_compact.trace" in
   Trace_file.record_to_file path (fun sink ->
-      for i = 0 to 9_999 do
-        sink.Sink.emit (Event.read (0x10000 + (4 * i)) 4)
-      done);
+      deliver ~grain:256 sink
+        (List.init 10_000 (fun i -> Event.read (0x10000 + (4 * i)) 4)));
   let ic = open_in_bin path in
   let len = in_channel_length ic in
   close_in ic;
@@ -557,12 +409,11 @@ let prop_trace_roundtrip_random =
            (Testkit.Gen.event_gen ~addr_bound:10_000_000 ~max_size:5000 ())))
     (fun events ->
       let path = tmp_trace "loclab_prop.trace" in
-      Trace_file.record_to_file path (fun sink ->
-          List.iter sink.Sink.emit events);
-      let rec_ = Sink.Recorder.create ~capacity:100_000 () in
-      let n = Trace_file.replay_file path (Sink.Recorder.sink rec_) in
+      Trace_file.record_to_file path (fun sink -> deliver sink events);
+      let n = ref 0 in
+      let back = record (fun sink -> n := Trace_file.replay_file path sink) in
       Sys.remove path;
-      n = List.length events && Sink.Recorder.events rec_ = events)
+      !n = List.length events && back = events)
 
 (* Corrupt binary traces must be reported with the byte offset and the
    offending flags byte, so a bad capture is debuggable with a hex
@@ -582,8 +433,7 @@ let failure_of f =
 let test_trace_corrupt_offset () =
   let base =
     Trace_file.record_to_string (fun sink ->
-        sink.Sink.emit (Event.read 0x1000 4);
-        sink.Sink.emit (Event.write 0x2000 8))
+        deliver sink [ Event.read 0x1000 4; Event.write 0x2000 8 ])
   in
   let with_byte off c =
     let b = Bytes.of_string base in
@@ -608,7 +458,7 @@ let test_trace_truncated_offset () =
      varint is missing, and the error must point at the event start. *)
   let base =
     Trace_file.record_to_string (fun sink ->
-        sink.Sink.emit (Event.read 0x123456 4))
+        deliver sink [ Event.read 0x123456 4 ])
   in
   let msg =
     failure_of (fun () ->
@@ -621,9 +471,9 @@ let test_trace_truncated_offset () =
 (* ------------------------------------------------------------------ *)
 
 let read_events fmt data =
-  let rec_ = Sink.Recorder.create ~capacity:100_000 () in
-  let n = Trace.read fmt data (Sink.Recorder.sink rec_) in
-  (n, Sink.Recorder.events rec_)
+  let n = ref 0 in
+  let events = record (fun sink -> n := Trace.read fmt data sink) in
+  (!n, events)
 
 let test_text_empty () =
   let n, events = read_events Trace.Source.Text "" in
@@ -691,8 +541,7 @@ let test_framed_roundtrip () =
       Event.read ~source:Event.Free 0x0ff0 2 ]
   in
   let framed =
-    Trace.write Trace.Source.Framed (fun sink ->
-        List.iter sink.Sink.emit events)
+    Trace.write Trace.Source.Framed (fun sink -> deliver sink events)
   in
   let n, back = read_events Trace.Source.Framed framed in
   Alcotest.(check int) "count" (List.length events) n;
@@ -732,11 +581,11 @@ let prop_text_csv_text_roundtrip =
     (fun accesses ->
       let text =
         Trace.write Trace.Source.Text (fun sink ->
-            List.iter
-              (fun (w, addr) ->
-                sink.Sink.emit
-                  (if w then Event.write addr 1 else Event.read addr 1))
-              accesses)
+            deliver sink
+              (List.map
+                 (fun (w, addr) ->
+                   if w then Event.write addr 1 else Event.read addr 1)
+                 accesses))
       in
       let csv =
         Trace.write Trace.Source.Csv (fun sink ->
@@ -808,108 +657,45 @@ let test_batch_basics () =
     (Invalid_argument "Event.Batch.create: capacity must be >= 1") (fun () ->
       ignore (Event.Batch.create ~capacity:0 ()))
 
-(* Deliver [events] to [sink] as packed batches of [grain] events. *)
-let deliver_packed ?(grain = 7) sink events =
-  let b = Event.Batch.create () in
-  let rec go = function
-    | [] -> if Event.Batch.length b > 0 then Sink.emit_packed_batch sink b
-    | e :: rest ->
-        Event.Batch.push_event b e;
-        if Event.Batch.length b = grain then begin
-          Sink.emit_packed_batch sink b;
-          Event.Batch.clear b
-        end;
-        go rest
-  in
-  go events
-
 let counter_cells c =
   Sink.Counter.
     [ total c; reads c; writes c; bytes c;
       by_source c Event.App; by_source c Event.Malloc; by_source c Event.Free ]
 
+(* The reference: every Counter tally and the FNV-1a checksum (address,
+   then meta word, per event), folded straight over the event list. *)
+let reference_tallies events =
+  let count p = List.length (List.filter p events) in
+  let by_source src = count (fun (e : Event.t) -> e.source = src) in
+  [ List.length events;
+    count (fun (e : Event.t) -> e.kind = Event.Read);
+    count (fun (e : Event.t) -> e.kind = Event.Write);
+    List.fold_left (fun acc (e : Event.t) -> acc + e.size) 0 events;
+    by_source Event.App; by_source Event.Malloc; by_source Event.Free ]
+
+let reference_checksum events =
+  let mix h x = (h lxor x) * 0x100000001B3 in
+  List.fold_left
+    (fun h (e : Event.t) -> mix (mix h e.addr) (Event.Packed.meta_of_event e))
+    0x11C9DC5 events
+  land max_int
+
 let prop_packed_counter_checksum_differential =
-  (* The satellite differential: packed deliveries of a random trace
-     must leave Counter and Checksum in exactly the state boxed
-     per-event deliveries do. *)
+  (* Packed deliveries of a random trace must leave Counter and Checksum
+     in exactly the state a fold over the event list computes. *)
   QCheck.Test.make
     ~name:"packed Counter/Checksum equal boxed on random traces" ~count:300
     (QCheck.make (Testkit.Gen.events_gen ()))
     (fun events ->
-      let cb = Sink.Counter.create () and cp = Sink.Counter.create () in
-      let hb = Sink.Checksum.create () and hp = Sink.Checksum.create () in
-      List.iter (Sink.Counter.sink cb).Sink.emit events;
-      List.iter (Sink.Checksum.sink hb).Sink.emit events;
-      deliver_packed (Sink.Counter.sink cp) events;
-      deliver_packed (Sink.Checksum.sink hp) events;
-      counter_cells cb = counter_cells cp
-      && Sink.Checksum.value hb = Sink.Checksum.value hp)
-
-let test_recorder_packed_batch () =
-  (* The packed path blits whole batches and counts the overflow. *)
-  let r = Sink.Recorder.create ~capacity:5 () in
-  let s = Sink.Recorder.sink r in
-  let evs = List.init 8 (fun i -> Event.read (0x1000 + (4 * i)) 4) in
-  deliver_packed ~grain:3 s evs;
-  check_int "kept capacity" 5 (List.length (Sink.Recorder.events r));
-  check_int "dropped counted" 3 (Sink.Recorder.dropped r);
-  check_bool "prefix retained in order" true
-    (Sink.Recorder.events r = List.filteri (fun i _ -> i < 5) evs)
-
-let test_filter_fanout_no_alias () =
-  (* A filter compacts into its own scratch: a sibling consumer of the
-     same shared batch must still see the full, unmodified stream, and
-     the producer's batch must come back untouched. *)
-  let pred (e : Event.t) = e.source = Event.App in
-  let a = Sink.Recorder.create () and b = Sink.Recorder.create () in
-  let fan =
-    Sink.fanout
-      [ Sink.filter pred (Sink.Recorder.sink a); Sink.Recorder.sink b ]
-  in
-  let evs =
-    [ Event.read 0x1000 4;
-      Event.write ~source:Event.Malloc 0x2000 4;
-      Event.read ~source:Event.Free 0x3000 4;
-      Event.write 0x4000 8 ]
-  in
-  let batch = Event.Batch.create () in
-  List.iter (Event.Batch.push_event batch) evs;
-  let before = Event.Batch.copy batch in
-  Sink.emit_packed_batch fan batch;
-  check_bool "filtered side" true
-    (Sink.Recorder.events a = List.filter pred evs);
-  check_bool "sibling sees full stream" true (Sink.Recorder.events b = evs);
-  check_bool "shared batch unmodified" true
-    (Event.Batch.to_list batch = Event.Batch.to_list before);
-  (* Same guarantee on the boxed batch path. *)
-  let a2 = Sink.Recorder.create () and b2 = Sink.Recorder.create () in
-  let fan2 =
-    Sink.fanout
-      [ Sink.filter pred (Sink.Recorder.sink a2); Sink.Recorder.sink b2 ]
-  in
-  let arr = Array.of_list evs in
-  Sink.Compat.emit_batch fan2 arr ~len:(Array.length arr);
-  check_bool "boxed: filtered side" true
-    (Sink.Recorder.events a2 = List.filter pred evs);
-  check_bool "boxed: sibling full" true (Sink.Recorder.events b2 = evs);
-  check_bool "boxed: caller array unmodified" true
-    (Array.to_list arr = evs)
-
-let test_make_packed_boxed_shim () =
-  (* make_packed consumers must see boxed deliveries as packed ones. *)
-  let seen = ref [] in
-  let s =
-    Sink.make_packed ~emit_packed_batch:(fun b ->
-        seen := !seen @ Event.Batch.to_list b)
-  in
-  let e1 = Event.read 0x1000 4 and e2 = Event.write 0x2000 8 in
-  s.Sink.emit e1;
-  Sink.Compat.emit_batch s [| e2; e1 |] ~len:2;
-  check_bool "boxed deliveries arrive packed" true (!seen = [ e1; e2; e1 ])
+      let c = Sink.Counter.create () and h = Sink.Checksum.create () in
+      deliver (Sink.Counter.sink c) events;
+      deliver (Sink.Checksum.sink h) events;
+      counter_cells c = reference_tallies events
+      && Sink.Checksum.value h = reference_checksum events)
 
 let test_trace_buffer_roundtrip () =
-  (* Tiny chunks force rotation; mixed delivery paths must concatenate
-     in order, and replay must reproduce the stream. *)
+  (* Tiny chunks force rotation; deliveries of mixed sizes must
+     concatenate in order, and replay must reproduce the stream. *)
   let tb = Trace_buffer.create ~chunk_capacity:4 () in
   let s = Trace_buffer.sink tb in
   let evs = List.init 23 (fun i ->
@@ -918,17 +704,21 @@ let test_trace_buffer_roundtrip () =
   in
   (match evs with
   | e0 :: e1 :: rest ->
-      s.Sink.emit e0;
-      Sink.Compat.emit_batch s [| e1 |] ~len:1;
-      deliver_packed ~grain:6 s rest
+      deliver s [ e0 ];
+      deliver s [ e1 ];
+      deliver ~grain:6 s rest
   | _ -> assert false);
   check_int "length" 23 (Trace_buffer.length tb);
   check_bool "events in order" true (Trace_buffer.events tb = evs);
-  let r = Sink.Recorder.create () in
-  Trace_buffer.replay tb (Sink.Recorder.sink r);
-  check_bool "replay reproduces stream" true (Sink.Recorder.events r = evs);
+  check_bool "replay reproduces stream" true
+    (record (Trace_buffer.replay tb) = evs);
   check_bool "chunk sizes" true
     (Array.for_all (fun c -> Event.Batch.length c <= 4) (Trace_buffer.chunks tb))
+
+let test_trace_buffer_rejects () =
+  Alcotest.check_raises "zero chunk capacity"
+    (Invalid_argument "Trace_buffer.create: chunk_capacity must be >= 1")
+    (fun () -> ignore (Trace_buffer.create ~chunk_capacity:0 ()))
 
 let test_mem_internal_batching () =
   (* Sim_memory batches internally: under one batch nothing is
@@ -978,17 +768,7 @@ let () =
           Alcotest.test_case "counter" `Quick test_sink_counter;
           Alcotest.test_case "fanout" `Quick test_sink_fanout;
           Alcotest.test_case "fanout three" `Quick test_sink_fanout_three;
-          Alcotest.test_case "filter" `Quick test_sink_filter;
-          Alcotest.test_case "filter batch" `Quick test_sink_filter_batch;
           Alcotest.test_case "counter reset" `Quick test_sink_counter_reset;
-          Alcotest.test_case "recorder" `Quick test_sink_recorder;
-          Alcotest.test_case "recorder dropped" `Quick
-            test_sink_recorder_dropped;
-          Alcotest.test_case "recorder rejects" `Quick
-            test_sink_recorder_rejects;
-          Alcotest.test_case "batcher equivalence" `Quick
-            test_sink_batcher_equivalence;
-          Alcotest.test_case "batcher rejects" `Quick test_sink_batcher_rejects;
         ] );
       ( "region",
         [
@@ -1049,14 +829,10 @@ let () =
         [
           Alcotest.test_case "meta layout" `Quick test_packed_meta_layout;
           Alcotest.test_case "batch basics" `Quick test_batch_basics;
-          Alcotest.test_case "recorder packed batch" `Quick
-            test_recorder_packed_batch;
-          Alcotest.test_case "filter in fanout does not alias siblings"
-            `Quick test_filter_fanout_no_alias;
-          Alcotest.test_case "make_packed boxed shim" `Quick
-            test_make_packed_boxed_shim;
           Alcotest.test_case "trace buffer roundtrip" `Quick
             test_trace_buffer_roundtrip;
+          Alcotest.test_case "trace buffer rejects" `Quick
+            test_trace_buffer_rejects;
           Alcotest.test_case "sim_memory internal batching" `Quick
             test_mem_internal_batching;
         ]

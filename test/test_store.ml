@@ -534,8 +534,8 @@ let test_differential_cold_vs_warm () =
 let test_checksum_orders_and_fields () =
   let feed events =
     let c = Memsim.Sink.Checksum.create () in
-    let sink = Memsim.Sink.Checksum.sink c in
-    List.iter (fun e -> sink.Memsim.Sink.emit e) events;
+    Memsim.Sink.Checksum.sink c
+      (Memsim.Event.Batch.of_events (Array.of_list events) (List.length events));
     Memsim.Sink.Checksum.value c
   in
   let e1 = Memsim.Event.read 0x1000 4 in

@@ -549,8 +549,9 @@ let test_windows_per_event () =
         closes := (window, events) :: !closes)
   in
   let s = Telemetry.Probe.Windows.sink w in
+  (* One event per delivery: windows close at exact multiples. *)
   for i = 1 to 7 do
-    s.Memsim.Sink.emit (mk_event i)
+    s (Memsim.Event.Batch.of_events [| mk_event i |] 1)
   done;
   check_bool "closes at exact multiples" true
     (List.rev !closes = [ (1, 3); (2, 6) ]);
@@ -569,8 +570,7 @@ let test_windows_batch () =
   in
   let s = Telemetry.Probe.Windows.sink w in
   let deliver n =
-    Memsim.Sink.emit_packed_batch s
-      (Memsim.Event.Batch.of_events (Array.init n mk_event) n)
+    s (Memsim.Event.Batch.of_events (Array.init n mk_event) n)
   in
   (* Batches are indivisible: a 25-event batch crosses two window edges
      but closes only one window, at the batch boundary. *)
@@ -578,7 +578,7 @@ let test_windows_batch () =
   check_bool "one close per delivery" true (List.rev !closes = [ (1, 25) ]);
   deliver 4;
   check_bool "short batch below edge" true (List.rev !closes = [ (1, 25) ]);
-  s.Memsim.Sink.emit (mk_event 0);
+  deliver 1;
   (* 30 seen, last close at 25: not yet 10 past. *)
   check_bool "edge is relative to last close" true
     (List.rev !closes = [ (1, 25) ]);

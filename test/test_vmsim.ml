@@ -186,9 +186,10 @@ let prop_stack_cold_equals_distinct =
 (* Page_sim                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let deliver = Testkit.Gen.deliver
+
 let feed_addrs ps addrs =
-  let sink = Page_sim.sink ps in
-  List.iter (fun a -> sink.Memsim.Sink.emit (Memsim.Event.read a 4)) addrs
+  deliver (Page_sim.sink ps) (List.map (fun a -> Memsim.Event.read a 4) addrs)
 
 let test_pagesim_basic () =
   let ps = Page_sim.create () in
@@ -218,8 +219,7 @@ let test_pagesim_same_page_collapse () =
 
 let test_pagesim_event_spanning_pages () =
   let ps = Page_sim.create () in
-  let sink = Page_sim.sink ps in
-  sink.Memsim.Sink.emit (Memsim.Event.read 4090 16);
+  deliver (Page_sim.sink ps) [ Memsim.Event.read 4090 16 ];
   (* crosses a page boundary *)
   check_int "two pages touched" 2 (Page_sim.distinct_pages ps);
   check_int "one reference" 1 (Page_sim.references ps)
@@ -251,33 +251,29 @@ let test_pagesim_rejects_bad_page_size () =
     | _ -> false)
 
 let test_pagesim_packed_matches_boxed () =
-  (* Packed deliveries must land on the same stack state as boxed. *)
+  (* Packed deliveries must fault exactly as the naive LRU oracle fed
+     every page each boxed event touches, in order. *)
   let events =
     List.init 500 (fun i ->
         Memsim.Event.read ((i * 1321) mod 50_000) (1 + (i mod 70)))
   in
-  let boxed = Page_sim.create () in
-  List.iter (fun e -> (Page_sim.sink boxed).Memsim.Sink.emit e) events;
-  let packed = Page_sim.create () in
-  let b = Memsim.Event.Batch.create () in
+  let naive = Naive_lru.create () in
+  let cold = ref 0 in
   List.iter
-    (fun e ->
-      Memsim.Event.Batch.push_event b e;
-      if Memsim.Event.Batch.length b = 9 then begin
-        Memsim.Sink.emit_packed_batch (Page_sim.sink packed) b;
-        Memsim.Event.Batch.clear b
-      end)
+    (fun (e : Memsim.Event.t) ->
+      for page = e.addr / 4096 to (e.addr + e.size - 1) / 4096 do
+        if Naive_lru.access naive page = None then incr cold
+      done)
     events;
-  if Memsim.Event.Batch.length b > 0 then
-    Memsim.Sink.emit_packed_batch (Page_sim.sink packed) b;
-  check_int "references" (Page_sim.references boxed) (Page_sim.references packed);
-  check_int "distinct pages" (Page_sim.distinct_pages boxed)
-    (Page_sim.distinct_pages packed);
+  let packed = Page_sim.create () in
+  deliver ~grain:9 (Page_sim.sink packed) events;
+  check_int "references" (List.length events) (Page_sim.references packed);
+  check_int "distinct pages" !cold (Page_sim.distinct_pages packed);
   List.iter
     (fun mb ->
       check_int
         (Printf.sprintf "faults at %d" mb)
-        (Page_sim.faults boxed ~memory_bytes:mb)
+        (Naive_lru.misses_at naive ~capacity:(mb / 4096))
         (Page_sim.faults packed ~memory_bytes:mb))
     [ 4096; 8 * 4096; 64 * 4096 ]
 
