@@ -198,8 +198,9 @@ let () =
 (* Encode one grid cell's reference trace as a cachetrace text capture
    and as the compact binary, measure each reader's parse throughput
    into a counting sink, then replay the parsed events through the
-   32-byte LRU forest family sharded over 1 and 2 domains — the path
-   `loclab trace import --jobs` takes. *)
+   32-byte LRU forest family sharded over 1 and 2 domains.  (`loclab
+   trace import` itself replays on one domain, through the same
+   consumers as a grid cell.) *)
 let ingest_jobs = [ 1; 2 ]
 let ingest_events = ref 0
 let ingest_text_bytes = ref 0

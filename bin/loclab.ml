@@ -415,12 +415,7 @@ let store_gc_cmd =
     let store = require_store store_dir "gc" in
     let removed =
       Store.gc store ~keep:(fun ~digest ~payload ->
-          match Core.Artifact.decode_meta payload with
-          | Error _ -> false
-          | Ok m ->
-              m.Core.Artifact.schema_version = Core.Artifact.schema_version
-              && Core.Artifact.digest_of_meta m = digest
-              && Result.is_ok (Core.Artifact.decode payload))
+          Result.is_ok (Core.Runs.validate ~digest payload))
     in
     List.iter (fun f -> Printf.printf "removed %s\n" f) removed;
     Printf.printf "%d files removed, %d cells kept\n" (List.length removed)
@@ -632,8 +627,8 @@ let resolve_trace_format format data =
   | None -> Memsim.Trace.Source.sniff data
 
 let trace_import_cmd =
-  let run jobs store_dir format file =
-    let ctx = make_ctx (resolve_options ?jobs ?store_dir ()) in
+  let run store_dir format file =
+    let ctx = make_ctx (resolve_options ?store_dir ()) in
     let runs = ctx.Core.Context.runs in
     let data = slurp_trace file in
     let fmt = resolve_trace_format format data in
@@ -658,7 +653,7 @@ let trace_import_cmd =
      before, under any capture format) and print its cell digest."
   in
   Cmd.v (Cmd.info "import" ~doc)
-    Term.(const run $ jobs_arg $ store_arg $ trace_format_arg $ trace_file_arg)
+    Term.(const run $ store_arg $ trace_format_arg $ trace_file_arg)
 
 let trace_export_cmd =
   let to_arg =
@@ -703,8 +698,8 @@ let trace_export_cmd =
       const run $ trace_format_arg $ to_arg $ out_arg $ trace_file_arg)
 
 let trace_run_cmd =
-  let run jobs store_dir format file =
-    let ctx = make_ctx (resolve_options ?jobs ?store_dir ()) in
+  let run store_dir format file =
+    let ctx = make_ctx (resolve_options ?store_dir ()) in
     let source = Memsim.Trace.of_path ?format file in
     match Core.Experiment.run_source ctx source with
     | exception Failure msg ->
@@ -719,7 +714,7 @@ let trace_run_cmd =
      (provenance, stream identity, cache sweep, hierarchy, footprint)."
   in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(const run $ jobs_arg $ store_arg $ trace_format_arg $ trace_file_arg)
+    Term.(const run $ store_arg $ trace_format_arg $ trace_file_arg)
 
 let trace_cmd =
   let doc =

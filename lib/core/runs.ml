@@ -78,76 +78,87 @@ let paper_hierarchy () =
   Cachesim.Hierarchy.create_levels
     [ Cachesim.Config.make (16 * 1024); Cachesim.Config.make (256 * 1024) ]
 
-let run t ~profile ~allocator =
-  Telemetry.Span.with_span ~cat:"cell" (profile ^ "/" ^ allocator) @@ fun () ->
-  let prof = Workload.Programs.find profile in
+(* ---- the consumer set ----------------------------------------------- *)
+
+(* What the consumers saw of one cell's event stream. *)
+type observed = {
+  caches : (Cachesim.Config.t * Cachesim.Stats.t) list;
+  hierarchy : (Cachesim.Config.t * Cachesim.Stats.t) list;
+  fault_curve : Vmsim.Fault_curve.t;
+}
+
+(* Every cell, synthetic or external, feeds the same consumers: the
+   standard sweep, the paper hierarchy and the page simulator.  [feed]
+   delivers the whole stream to each of their sinks — a driver fans
+   them out over its one run, a captured trace replays into each in
+   turn (one consumer's state in cache at a time) — and its result
+   comes back beside what the consumers observed.  The stream's
+   checksum is taken where the stream originates: beside the driver,
+   or in [capture]. *)
+let simulate feed =
   let multi = Cachesim.Multi.create standard_configs in
   let hier = paper_hierarchy () in
   let pages = Vmsim.Page_sim.create () in
-  let checksum = Memsim.Sink.Checksum.create () in
-  let sink =
-    Memsim.Sink.fanout
+  let fed =
+    feed
       [ Cachesim.Multi.sink multi;
         Cachesim.Hierarchy.sink hier;
-        Vmsim.Page_sim.sink pages;
-        Memsim.Sink.Checksum.sink checksum ]
+        Vmsim.Page_sim.sink pages ]
   in
+  ( fed,
+    { caches = Cachesim.Multi.results multi;
+      hierarchy = Cachesim.Hierarchy.results hier;
+      fault_curve = Vmsim.Page_sim.curve pages } )
+
+let run t ~profile ~allocator =
+  Telemetry.Span.with_span ~cat:"cell" (profile ^ "/" ^ allocator) @@ fun () ->
+  let prof = Workload.Programs.find profile in
   let heap = Allocators.Heap.create () in
   let alloc = build_allocator ~profile_key:profile ~allocator heap in
-  let result =
-    Workload.Driver.run_with ~sink ~scale:t.scale ~profile:prof ~heap ~alloc ()
+  let checksum = Memsim.Sink.Checksum.create () in
+  let result, o =
+    simulate (fun sinks ->
+        let sink =
+          Memsim.Sink.fanout (sinks @ [ Memsim.Sink.Checksum.sink checksum ])
+        in
+        Workload.Driver.run_with ~sink ~scale:t.scale ~profile:prof ~heap
+          ~alloc ())
   in
   Artifact.of_run ~program:profile ~allocator ~scale:t.scale
     ~trace_checksum:(Memsim.Sink.Checksum.value checksum)
-    ~result
-    ~caches:(Cachesim.Multi.results multi)
-    ~hierarchy:(Cachesim.Hierarchy.results hier)
-    ~fault_curve:(Vmsim.Page_sim.curve pages)
+    ~result ~caches:o.caches ~hierarchy:o.hierarchy ~fault_curve:o.fault_curve
     ()
 
-(* ---- persistent store plumbing ------------------------------------- *)
+(* ---- the resolution path -------------------------------------------- *)
 
-let cell_digest t ~profile ~allocator =
-  let prof = Workload.Programs.find profile in
-  Artifact.digest ~program:profile ~allocator ~scale:t.scale
-    ~seed:prof.Workload.Profile.seed
+(* The one rule for accepting a stored payload, shared by every reader
+   and by [store gc]: it must decode, and its metadata must digest to
+   the digest it is filed under. *)
+let validate ~digest payload =
+  match Artifact.decode payload with
+  | Error reason -> Error ("undecodable artifact: " ^ reason)
+  | Ok art ->
+      let filed = Artifact.digest_of_meta art.Artifact.meta in
+      if filed = digest then Ok art
+      else Error (Printf.sprintf "metadata digests to %s (misfiled cell)" filed)
 
-(* Fetch one cell from the persistent store, fully validated.  Any
-   failure — absent, truncated, CRC mismatch, undecodable, or metadata
-   that does not match the requested coordinates — degrades to [None],
-   i.e. to re-simulation; corruption is reported, never fatal. *)
-let load_from_store t ~profile ~allocator =
+(* Any failure — absent, truncated, CRC mismatch, or rejected by
+   [validate] — degrades to [None], i.e. to re-simulation; corruption
+   is reported, never fatal. *)
+let read store ~digest =
+  match Store.find store ~digest with
+  | Store.Miss | Store.Corrupt _ -> None (* Corrupt logged by Store *)
+  | Store.Hit payload -> (
+      match validate ~digest payload with
+      | Ok art -> Some (payload, art)
+      | Error reason ->
+          Log.warn (fun m -> m "cell %s: %s; re-simulating" digest reason);
+          None)
+
+let stored t ~digest =
   match t.store with
   | None -> None
-  | Some store -> (
-      match cell_digest t ~profile ~allocator with
-      | exception Not_found -> None (* unknown profile: let [run] raise *)
-      | digest -> (
-          match Store.find store ~digest with
-          | Store.Miss | Store.Corrupt _ -> None (* Corrupt logged by Store *)
-          | Store.Hit payload -> (
-              match Artifact.decode payload with
-              | Error reason ->
-                  Log.warn (fun m ->
-                      m "cell (%s, %s): undecodable artifact (%s); re-simulating"
-                        profile allocator reason);
-                  None
-              | Ok art ->
-                  let m = art.Artifact.meta in
-                  if
-                    m.Artifact.program <> profile
-                    || m.Artifact.allocator <> allocator
-                    || m.Artifact.scale <> t.scale
-                  then begin
-                    Log.warn (fun mf ->
-                        mf
-                          "cell (%s, %s): stored metadata names (%s, %s, scale \
-                           %g) — digest drift; re-simulating"
-                          profile allocator m.Artifact.program
-                          m.Artifact.allocator m.Artifact.scale);
-                    None
-                  end
-                  else Some art)))
+  | Some store -> Option.map snd (read store ~digest)
 
 let write_through t art =
   match t.store with
@@ -157,28 +168,47 @@ let write_through t art =
         ~digest:(Artifact.digest_of_meta art.Artifact.meta)
         (Artifact.encode art)
 
-let get t ~profile ~allocator =
-  let key = (profile, allocator) in
+(* Every resolved cell enters the memo here, counted by where it came
+   from; a simulated one is written through first. *)
+let admit t ((program, allocator) as key) source art =
+  (match source with
+  | `Store ->
+      t.store_hits <- t.store_hits + 1;
+      Telemetry.Metrics.Counter.inc cell_store_c
+  | `Simulated ->
+      t.simulated <- t.simulated + 1;
+      Telemetry.Metrics.Counter.inc cell_sim_c;
+      write_through t art);
+  Log.debug (fun m ->
+      m "cell (%s, %s): %s" program allocator
+        (match source with `Store -> "store hit" | `Simulated -> "simulated"));
+  Hashtbl.replace t.memo key art
+
+(* memo → validated store read → [compute], written through.  [digest]
+   is forced only on a memo miss. *)
+let resolve t key ~digest compute =
   match Hashtbl.find_opt t.memo key with
-  | Some a ->
+  | Some art ->
       Telemetry.Metrics.Counter.inc cell_memo_c;
-      a
-  | None -> (
-      match load_from_store t ~profile ~allocator with
-      | Some a ->
-          t.store_hits <- t.store_hits + 1;
-          Telemetry.Metrics.Counter.inc cell_store_c;
-          Log.debug (fun m -> m "cell (%s, %s): store hit" profile allocator);
-          Hashtbl.replace t.memo key a;
-          a
-      | None ->
-          let a = run t ~profile ~allocator in
-          t.simulated <- t.simulated + 1;
-          Telemetry.Metrics.Counter.inc cell_sim_c;
-          Log.debug (fun m -> m "cell (%s, %s): simulated" profile allocator);
-          write_through t a;
-          Hashtbl.replace t.memo key a;
-          a)
+      art
+  | None ->
+      let art, source =
+        match stored t ~digest:(digest ()) with
+        | Some art -> (art, `Store)
+        | None -> (compute (), `Simulated)
+      in
+      admit t key source art;
+      art
+
+let cell_digest t ~profile ~allocator =
+  let prof = Workload.Programs.find profile in
+  Artifact.digest ~program:profile ~allocator ~scale:t.scale
+    ~seed:prof.Workload.Profile.seed
+
+let get t ~profile ~allocator =
+  resolve t (profile, allocator)
+    ~digest:(fun () -> cell_digest t ~profile ~allocator)
+    (fun () -> run t ~profile ~allocator)
 
 let dedupe_missing t cells =
   (* Keep first-occurrence order and drop cells the memo already holds:
@@ -197,13 +227,12 @@ let dedupe_missing t cells =
 let load t cells =
   List.filter
     (fun ((profile, allocator) as key) ->
-      match load_from_store t ~profile ~allocator with
-      | Some a ->
-          t.store_hits <- t.store_hits + 1;
-          Telemetry.Metrics.Counter.inc cell_store_c;
-          Hashtbl.replace t.memo key a;
+      match stored t ~digest:(cell_digest t ~profile ~allocator) with
+      | Some art ->
+          admit t key `Store art;
           false
-      | None -> true)
+      | None -> true
+      | exception Not_found -> true (* unknown profile: let [run] raise *))
     (dedupe_missing t cells)
 
 let prefetch t cells =
@@ -225,13 +254,7 @@ let prefetch t cells =
               (fun (profile, allocator) -> run t ~profile ~allocator)
               pending)
       in
-      List.iter2
-        (fun key art ->
-          t.simulated <- t.simulated + 1;
-          Telemetry.Metrics.Counter.inc cell_sim_c;
-          write_through t art;
-          Hashtbl.replace t.memo key art)
-        pending artifacts
+      List.iter2 (fun key art -> admit t key `Simulated art) pending artifacts
 
 (* ---- external trace ingestion --------------------------------------- *)
 
@@ -240,8 +263,8 @@ let prefetch t cells =
    event stream (so the same accesses imported as text, CSV or binary
    land on the same cell), its "program" is [trace:<ident>], its
    allocator key is ["external"], and its scale is fixed at 1 (there is
-   no workload to scale).  That keeps the whole store/memo/warm-serve
-   machinery untouched. *)
+   no workload to scale).  It resolves like any other cell, and its
+   capture replays into the same consumers a driver feeds. *)
 
 let external_allocator = "external"
 let external_scale = 1.0
@@ -259,119 +282,18 @@ let trace_digest ~ident =
   Artifact.digest ~program:(trace_program ~ident)
     ~allocator:external_allocator ~scale:external_scale ~seed:ident
 
-(* Validated store lookup for an external cell; mirrors
-   [load_from_store], degrading every failure to re-simulation. *)
-let load_external t ~program ~ident =
-  match t.store with
-  | None -> None
-  | Some store -> (
-      match Store.find store ~digest:(trace_digest ~ident) with
-      | Store.Miss | Store.Corrupt _ -> None (* Corrupt logged by Store *)
-      | Store.Hit payload -> (
-          match Artifact.decode payload with
-          | Error reason ->
-              Log.warn (fun m ->
-                  m "trace cell %s: undecodable artifact (%s); re-simulating"
-                    program reason);
-              None
-          | Ok art ->
-              let m = art.Artifact.meta in
-              if
-                m.Artifact.program <> program
-                || m.Artifact.allocator <> external_allocator
-                || m.Artifact.trace_checksum <> ident
-              then begin
-                Log.warn (fun mf ->
-                    mf
-                      "trace cell %s: stored metadata names (%s, %s) — digest \
-                       drift; re-simulating"
-                      program m.Artifact.program m.Artifact.allocator);
-                None
-              end
-              else Some art))
+type capture = {
+  format : Memsim.Trace.Source.format;
+  data : string;
+  buffer : Memsim.Trace_buffer.t;
+  counter : Memsim.Sink.Counter.counter;
+  events : int;
+  ident : int;
+}
 
-(* Simulate a captured external trace under the full standard sweep.
-   The 32-byte LRU forest family goes through [Cachesim.Shard.replay]
-   (set-range sharded across up to [jobs] domains, stats identical to
-   sequential); the remaining configurations plus the hierarchy and the
-   page simulator consume one sequential packed replay.  Results are
-   stitched back into [standard_configs] order, so an external artifact
-   has the same cache list shape as a synthetic one. *)
-let simulate_trace t ~program ~provenance ~events ~ident ~counter buffer =
-  Telemetry.Span.with_span ~cat:"ingest" program @@ fun () ->
-  let family_block =
-    (List.hd standard_configs).Cachesim.Config.block_bytes
-  in
-  let shardable, rest =
-    List.partition
-      (fun (c : Cachesim.Config.t) ->
-        c.Cachesim.Config.block_bytes = family_block
-        && Cachesim.Policy.is_lru c.Cachesim.Config.policy)
-      standard_configs
-  in
-  let sharded =
-    Cachesim.Shard.replay ~domains:t.jobs ~configs:shardable buffer
-  in
-  let multi = Cachesim.Multi.create rest in
-  let hier = paper_hierarchy () in
-  let pages = Vmsim.Page_sim.create () in
-  Memsim.Trace_buffer.replay buffer
-    (Memsim.Sink.fanout
-       [ Cachesim.Multi.sink multi;
-         Cachesim.Hierarchy.sink hier;
-         Vmsim.Page_sim.sink pages ]);
-  let pool = sharded @ Cachesim.Multi.results multi in
-  let caches =
-    List.map
-      (fun (c : Cachesim.Config.t) ->
-        match
-          List.find_opt
-            (fun ((c' : Cachesim.Config.t), _) ->
-              c'.Cachesim.Config.name = c.Cachesim.Config.name)
-            pool
-        with
-        | Some cell -> cell
-        | None -> assert false)
-      standard_configs
-  in
-  let by_source = Memsim.Sink.Counter.by_source counter in
-  { Artifact.meta =
-      { Artifact.program;
-        allocator = external_allocator;
-        scale = external_scale;
-        seed = ident;
-        schema_version = Artifact.schema_version;
-        trace_checksum = ident };
-    provenance;
-    summary =
-      (* There is no simulated machine behind an imported trace, so the
-         instruction/heap fields are zero; the reference counts are
-         real. *)
-      { Artifact.steps_run = 0;
-        instructions = 0;
-        app_instructions = 0;
-        malloc_instructions = 0;
-        free_instructions = 0;
-        data_refs = events;
-        app_refs = by_source Memsim.Event.App;
-        allocator_refs =
-          by_source Memsim.Event.Malloc + by_source Memsim.Event.Free;
-        heap_used = 0;
-        max_live_bytes = 0 };
-    alloc_stats = Allocators.Alloc_stats.create ();
-    caches;
-    hierarchy = Cachesim.Hierarchy.results hier;
-    fault_curve = Vmsim.Page_sim.curve pages }
-
-let ingest t ~format ~data =
-  let provenance =
-    { Artifact.source_format = Memsim.Trace.Source.format_to_string format;
-      source_bytes = String.length data;
-      source_checksum = Store.Codec.crc32 data }
-  in
-  (* One capture pass: buffer the packed events for (possibly sharded)
-     replay, checksum the stream for identity, and tally per-source
-     counts for the summary. *)
+let capture ~format ~data =
+  (* One pass: buffer the packed events for replay, checksum the stream
+     for identity, and tally per-source counts for the summary. *)
   let buffer = Memsim.Trace_buffer.create () in
   let checksum = Memsim.Sink.Checksum.create () in
   let counter = Memsim.Sink.Counter.create () in
@@ -382,32 +304,58 @@ let ingest t ~format ~data =
            Memsim.Sink.Checksum.sink checksum;
            Memsim.Sink.Counter.sink counter ])
   in
-  let ident = Memsim.Sink.Checksum.value checksum in
-  let program = trace_program ~ident in
-  let key = (program, external_allocator) in
-  match Hashtbl.find_opt t.memo key with
-  | Some a ->
-      Telemetry.Metrics.Counter.inc cell_memo_c;
-      a
-  | None -> (
-      match load_external t ~program ~ident with
-      | Some a ->
-          t.store_hits <- t.store_hits + 1;
-          Telemetry.Metrics.Counter.inc cell_store_c;
-          Log.debug (fun m -> m "trace cell %s: store hit" program);
-          Hashtbl.replace t.memo key a;
-          a
-      | None ->
-          let a =
-            simulate_trace t ~program ~provenance ~events ~ident ~counter
-              buffer
-          in
-          t.simulated <- t.simulated + 1;
-          Telemetry.Metrics.Counter.inc cell_sim_c;
-          Log.debug (fun m -> m "trace cell %s: simulated" program);
-          write_through t a;
-          Hashtbl.replace t.memo key a;
-          a)
+  { format;
+    data;
+    buffer;
+    counter;
+    events;
+    ident = Memsim.Sink.Checksum.value checksum }
+
+let capture_digest c = trace_digest ~ident:c.ident
+
+let simulate_trace c =
+  let program = trace_program ~ident:c.ident in
+  Telemetry.Span.with_span ~cat:"ingest" program @@ fun () ->
+  let (), o = simulate (List.iter (Memsim.Trace_buffer.replay c.buffer)) in
+  let by_source = Memsim.Sink.Counter.by_source c.counter in
+  { Artifact.meta =
+      { Artifact.program;
+        allocator = external_allocator;
+        scale = external_scale;
+        seed = c.ident;
+        schema_version = Artifact.schema_version;
+        trace_checksum = c.ident };
+    provenance =
+      { Artifact.source_format = Memsim.Trace.Source.format_to_string c.format;
+        source_bytes = String.length c.data;
+        source_checksum = Store.Codec.crc32 c.data };
+    summary =
+      (* There is no simulated machine behind an imported trace, so the
+         instruction/heap fields are zero; the reference counts are
+         real. *)
+      { Artifact.steps_run = 0;
+        instructions = 0;
+        app_instructions = 0;
+        malloc_instructions = 0;
+        free_instructions = 0;
+        data_refs = c.events;
+        app_refs = by_source Memsim.Event.App;
+        allocator_refs =
+          by_source Memsim.Event.Malloc + by_source Memsim.Event.Free;
+        heap_used = 0;
+        max_live_bytes = 0 };
+    alloc_stats = Allocators.Alloc_stats.create ();
+    caches = o.caches;
+    hierarchy = o.hierarchy;
+    fault_curve = o.fault_curve }
+
+let ingest_capture t c =
+  resolve t
+    (trace_program ~ident:c.ident, external_allocator)
+    ~digest:(fun () -> capture_digest c)
+    (fun () -> simulate_trace c)
+
+let ingest t ~format ~data = ingest_capture t (capture ~format ~data)
 
 let get_source t (source : Memsim.Trace.Source.t) =
   match source with

@@ -3,13 +3,18 @@
 
     Each run drives the profile against the allocator once, feeding the
     fused trace to: the paper's direct-mapped cache sweep (16K–256K), an
-    associativity set at 16 K (2/4/8-way), a block-size sweep at 64 K, a
+    associativity set at 16 K (2/4/8-way), a block-size sweep at 64 K,
+    pseudo-LRU (PLRU) and quad-age LRU (QLRU) members at 16 K 8-way, a
     two-level hierarchy (16 K L1 / 256 K L2), the page-fault simulator
     and the trace checksum.  The finished cell is distilled to a typed
     {!Artifact.t}; the in-process memo and the optional persistent
     {!Store.t} both hold artifacts, so regenerating all tables and
     figures costs one pass per pair — or zero passes from a warm
-    store. *)
+    store.
+
+    Every cell, synthetic or ingested, resolves through one path: memo,
+    then the validated store read ({!read}), then simulation, written
+    through. *)
 
 type t
 
@@ -34,12 +39,11 @@ val simulated : t -> int
 
 val get : t -> profile:string -> allocator:string -> Artifact.t
 (** Memoized; consults the store before simulating.  A stored cell that
-    is truncated, fails its CRC, does not decode, or carries mismatched
-    metadata is reported (via [Logs], sources [loclab.store] /
-    [loclab.runs]) and transparently re-simulated — never a crash,
-    never wrong numbers.  [allocator] is a {!Allocators.Registry} key;
-    ["custom"] is trained on the profile's own size histogram (the
-    CustoMalloc workflow).
+    is truncated, fails its CRC, or is rejected by {!validate} is
+    reported (via [Logs], sources [loclab.store] / [loclab.runs]) and
+    transparently re-simulated — never a crash, never wrong numbers.
+    [allocator] is a {!Allocators.Registry} key; ["custom"] is trained
+    on the profile's own size histogram (the CustoMalloc workflow).
     @raise Not_found for unknown keys. *)
 
 val load : t -> (string * string) list -> (string * string) list
@@ -71,13 +75,25 @@ val prefetch : t -> (string * string) list -> unit
     the same accesses imported as text, CSV or binary land on the same
     cell and warm-serve each other. *)
 
+type capture
+(** A parsed external trace: its buffered events, stream identity and
+    provenance. *)
+
+val capture : format:Memsim.Trace.Source.format -> data:string -> capture
+(** Decode [data] in one pass.  @raise Failure on malformed trace
+    data. *)
+
+val capture_digest : capture -> string
+(** Store digest of the capture's cell. *)
+
+val ingest_capture : t -> capture -> Artifact.t
+(** Resolve the capture's cell like {!get}: memo, validated store read,
+    or a replay of its events into the same consumers a synthetic run
+    feeds, written through.  The artifact's provenance records the
+    capture's format, byte length and CRC-32. *)
+
 val ingest : t -> format:Memsim.Trace.Source.format -> data:string -> Artifact.t
-(** Decode the capture [data], simulate it under the full standard
-    sweep (the 32-byte LRU family set-range-sharded across up to
-    {!jobs} domains via {!Cachesim.Shard.replay}, everything else on a
-    sequential packed replay — results bit-identical to [jobs = 1]),
-    and memoize/write through exactly like {!get}.  The artifact's
-    provenance records the capture's format, byte length and CRC-32.
+(** [ingest_capture t (capture ~format ~data)].
     @raise Failure on malformed trace data. *)
 
 val get_source : t -> Memsim.Trace.Source.t -> Artifact.t
@@ -85,15 +101,26 @@ val get_source : t -> Memsim.Trace.Source.t -> Artifact.t
     slurped and {!ingest}ed. *)
 
 val trace_ident : format:Memsim.Trace.Source.format -> data:string -> int * int
-(** [(events, checksum)] of the capture's event stream — the cheap
-    one-pass identity used to probe the store before committing to a
-    full ingest.  @raise Failure on malformed trace data. *)
+(** [(events, checksum)] of the capture's event stream, without
+    buffering it.  @raise Failure on malformed trace data. *)
 
 val trace_digest : ident:int -> string
 (** Store digest of the external cell identified by [ident]. *)
 
 val external_allocator : string
 (** The allocator key external cells carry (["external"]). *)
+
+(** {1 The validated store read} *)
+
+val validate : digest:string -> string -> (Artifact.t, string) result
+(** Accept a stored payload only if it decodes and its metadata digests
+    to [digest], the digest it is filed under; otherwise say why.  The
+    rule every reader and [loclab store gc] apply. *)
+
+val read : Store.t -> digest:string -> (string * Artifact.t) option
+(** The payload filed under [digest] and its artifact, if it passes
+    {!validate}.  Every failure (absent, truncated, CRC mismatch,
+    undecodable, misfiled) is [None]; a rejected payload is logged. *)
 
 val standard_configs : Cachesim.Config.t list
 (** Everything simulated per run: the paper sweep plus the

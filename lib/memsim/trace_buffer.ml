@@ -1,8 +1,9 @@
 (* Chunked packed trace capture.  Each chunk is a fixed-capacity
-   Event.Batch; filling one allocates the next, so capturing an N-event
-   trace costs ~2N ints in a handful of arrays, with no per-event
-   boxing and no quadratic re-blitting.  Incoming batches are absorbed
-   by blit. *)
+   Event.Batch; filling one allocates the next, twice as large up to
+   [chunk_capacity], so capturing an N-event trace costs ~2N ints in a
+   handful of arrays — a short capture allocates in proportion to its
+   length — with no per-event boxing and no quadratic re-blitting.
+   Incoming batches are absorbed by blit. *)
 
 type t = {
   chunk_capacity : int;
@@ -12,20 +13,26 @@ type t = {
 }
 
 let default_chunk_capacity = 1 lsl 16
+let first_chunk_capacity = 1 lsl 12
 
 let create ?(chunk_capacity = default_chunk_capacity) () =
   if chunk_capacity < 1 then
     invalid_arg "Trace_buffer.create: chunk_capacity must be >= 1";
   { chunk_capacity;
     chunks_rev = [];
-    current = Event.Batch.create ~capacity:chunk_capacity ();
+    current =
+      Event.Batch.create
+        ~capacity:(min chunk_capacity first_chunk_capacity) ();
     total = 0 }
 
 let length t = t.total
 
 let rotate t =
   t.chunks_rev <- t.current :: t.chunks_rev;
-  t.current <- Event.Batch.create ~capacity:t.chunk_capacity ()
+  t.current <-
+    Event.Batch.create
+      ~capacity:(min t.chunk_capacity (2 * Event.Batch.capacity t.current))
+      ()
 
 (* The sink: copy each incoming batch into the buffer, rotating at
    chunk boundaries. *)
@@ -33,7 +40,7 @@ let sink t (src : Event.Batch.t) =
   let off = ref 0 in
   let remaining = ref src.Event.Batch.len in
   while !remaining > 0 do
-    let room = t.chunk_capacity - t.current.Event.Batch.len in
+    let room = Event.Batch.capacity t.current - t.current.Event.Batch.len in
     if room = 0 then rotate t
     else begin
       let n = min room !remaining in

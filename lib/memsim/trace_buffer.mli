@@ -13,8 +13,11 @@
 type t
 
 val create : ?chunk_capacity:int -> unit -> t
-(** A fresh empty buffer.  [chunk_capacity] (default 65536 events) is
-    the granularity of internal storage and of {!replay} deliveries.
+(** A fresh empty buffer.  [chunk_capacity] (default 65536 events)
+    bounds the granularity of internal storage and of {!replay}
+    deliveries: the first chunk holds up to 4096 events and each next
+    one doubles, up to [chunk_capacity], so a short capture allocates in
+    proportion to its length.
     @raise Invalid_argument if [chunk_capacity < 1]. *)
 
 val default_chunk_capacity : int

@@ -190,6 +190,12 @@ let open_access_log ~path ~sample =
 
 (* ---- server state --------------------------------------------------- *)
 
+(* One in-progress single-flight computation: a reply payload and
+   whether it came from the store. *)
+type flight = {
+  mutable outcome : (string * bool, exn * Printexc.raw_backtrace) result option;
+}
+
 type t = {
   listen_fd : Unix.file_descr;
   listen_addr : Protocol.addr;  (* resolved: TCP port 0 becomes real *)
@@ -204,9 +210,10 @@ type t = {
   conns_mu : Mutex.t;
   mutable conns : (conn * Thread.t) list;
   mutable next_cid : int;
-  (* single-flight: digest (or experiment key) -> in-progress future *)
+  (* single-flight: digest (or experiment key) -> in-progress flight *)
   sf_mu : Mutex.t;
-  sf : (string, (string * bool) Exec.Pool.future) Hashtbl.t;
+  sf_landed : Condition.t;  (* some flight's outcome arrived *)
+  sf : (string, flight) Hashtbl.t;
   (* stats *)
   requests : int Atomic.t;
   errors : int Atomic.t;
@@ -294,6 +301,7 @@ let create ?(server_version = "loclab/1.0.0")
     conns = [];
     next_cid = 0;
     sf_mu = Mutex.create ();
+    sf_landed = Condition.create ();
     sf = Hashtbl.create 16;
     requests = Atomic.make 0;
     errors = Atomic.make 0;
@@ -349,44 +357,73 @@ let check_scale scale =
       (Protocol.Bad_request,
        Printf.sprintf "scale %g out of range (0, 4]" scale)
 
-(* Deduplicate identical concurrent work: the first arrival schedules
-   the computation on the pool, later arrivals await the same future.
-   The table entry lives exactly as long as the computation, so a
-   completed (or failed) key recomputes freshly next time.  The await
-   is the request's dominant stage: "simulate" for the leader,
+(* Deduplicate identical concurrent work: the first arrival registers
+   a flight under [sf_mu], releases the lock, and only then computes on
+   the pool, so neither /status nor any other key waits behind a
+   simulation — even at jobs = 1, where the pool runs the task inline
+   on the leader's thread.  Later arrivals wait for the flight's
+   outcome.  The table entry lives exactly as long as the computation,
+   so a completed (or failed) key recomputes freshly next time.  The
+   wait is the request's dominant stage: "simulate" for the leader,
    "single_flight_wait" for a deduplicated follower. *)
 let single_flight t rctx key compute =
+  let settle flight =
+    match flight.outcome with
+    | Some (Ok v) -> v
+    | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+    | None -> assert false
+  in
   Mutex.lock t.sf_mu;
   match Hashtbl.find_opt t.sf key with
-  | Some fut ->
-      Mutex.unlock t.sf_mu;
-      Rctx.stage rctx "single_flight_wait" (fun () -> Exec.Pool.await fut)
+  | Some flight ->
+      Rctx.stage rctx "single_flight_wait" (fun () ->
+          while Option.is_none flight.outcome do
+            Condition.wait t.sf_landed t.sf_mu
+          done;
+          Mutex.unlock t.sf_mu);
+      settle flight
   | None ->
-      (* The leader's stage must wrap the dispatch too: a pool without
-         worker domains (jobs = 1) runs the task inline in [async], so
-         timing only the [await] would attribute the whole simulation
-         to nothing. *)
-      Rctx.stage rctx "simulate" (fun () ->
-          let fut = Exec.Pool.async t.pool compute in
-          Hashtbl.replace t.sf key fut;
-          Mutex.unlock t.sf_mu;
-          Fun.protect
-            ~finally:(fun () ->
-              Mutex.lock t.sf_mu;
-              Hashtbl.remove t.sf key;
-              Mutex.unlock t.sf_mu)
-            (fun () -> Exec.Pool.await fut))
+      let flight = { outcome = None } in
+      Hashtbl.replace t.sf key flight;
+      Mutex.unlock t.sf_mu;
+      let outcome =
+        Rctx.stage rctx "simulate" (fun () ->
+            match Exec.Pool.await (Exec.Pool.async t.pool compute) with
+            | v -> Ok v
+            | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+      in
+      Mutex.lock t.sf_mu;
+      flight.outcome <- Some outcome;
+      Hashtbl.remove t.sf key;
+      Condition.broadcast t.sf_landed;
+      Mutex.unlock t.sf_mu;
+      settle flight
 
-(* Store consult shared by the warm fast paths: answer straight from
-   the handler thread without touching the pool. *)
-let store_find t rctx ~digest =
-  Rctx.stage rctx "store_lookup" (fun () ->
-      match t.store with
-      | None -> None
-      | Some store -> (
-          match Store.find store ~digest with
-          | Store.Hit payload -> Some payload
-          | Store.Miss | Store.Corrupt _ -> None))
+(* Every cell request, synthetic or ingested, ends here.  Warm: the
+   store's payload, accepted by Core's validated read, straight from
+   the handler thread.  Cold: a single-flighted call into Core's
+   resolve, whose own validated read answers a flight that lands after
+   another one filled the store; a simulated artifact is written
+   through, and Artifact.encode is exactly what the store persists, so
+   warm and cold replies are byte-identical for the same cell. *)
+let resolve_cell t rctx ~digest ~scale resolve =
+  Rctx.set_cell rctx digest;
+  let warm =
+    Rctx.stage rctx "store_lookup" (fun () ->
+        Option.bind t.store (fun store -> Core.Runs.read store ~digest))
+  in
+  let artifact, was_warm =
+    match warm with
+    | Some (payload, _) -> (payload, true)
+    | None ->
+        single_flight t rctx digest (fun () ->
+            let runs = Core.Runs.create ~scale ?store:t.store () in
+            let art = resolve runs in
+            (Core.Artifact.encode art, Core.Runs.store_hits runs > 0))
+  in
+  Atomic.incr (if was_warm then t.warm else t.simulated);
+  Rctx.set_warm rctx was_warm;
+  Result.Ok (Protocol.Cell_ok { digest; artifact })
 
 let run_cell t rctx ~program ~allocator ~scale =
   match check_scale scale with
@@ -407,53 +444,13 @@ let run_cell t rctx ~program ~allocator ~scale =
             Result.Error
               (Protocol.Unknown_key,
                Printf.sprintf "unknown allocator %S" allocator)
-          else begin
+          else
             let digest =
               Core.Artifact.digest ~program ~allocator ~scale
                 ~seed:profile.Workload.Profile.seed
             in
-            Rctx.set_cell rctx digest;
-            (* Warm path: hand back the store's verified payload bytes
-               themselves, no pool dispatch.  Cold path: single-flight
-               a simulation through Core.Runs (which writes the same
-               bytes through the store), then encode — Artifact.encode
-               is exactly what the store persists, so warm and cold
-               replies are byte-identical for the same cell. *)
-            match store_find t rctx ~digest with
-            | Some payload ->
-                Atomic.incr t.warm;
-                Rctx.set_warm rctx true;
-                Result.Ok (Protocol.Cell_ok { digest; artifact = payload })
-            | None ->
-                let artifact, was_warm =
-                  single_flight t rctx digest (fun () ->
-                      (* Re-check inside the flight: a follower that
-                         becomes a fresh leader after the previous
-                         flight completed finds the store warm. *)
-                      let stored =
-                        match t.store with
-                        | None -> None
-                        | Some store -> (
-                            match Store.find store ~digest with
-                            | Store.Hit payload -> Some payload
-                            | Store.Miss | Store.Corrupt _ -> None)
-                      in
-                      match stored with
-                      | Some payload -> (payload, true)
-                      | None ->
-                          let runs =
-                            Core.Runs.create ~scale ?store:t.store ()
-                          in
-                          let art =
-                            Core.Runs.get runs ~profile:program ~allocator
-                          in
-                          (Core.Artifact.encode art, false))
-                in
-                if was_warm then Atomic.incr t.warm
-                else Atomic.incr t.simulated;
-                Rctx.set_warm rctx was_warm;
-                Result.Ok (Protocol.Cell_ok { digest; artifact })
-          end)
+            resolve_cell t rctx ~digest ~scale (fun runs ->
+                Core.Runs.get runs ~profile:program ~allocator))
 
 let run_experiment t rctx ~id ~scale =
   match check_scale scale with
@@ -482,51 +479,19 @@ let run_ingest t rctx ~format ~trace =
   match Memsim.Trace.Source.format_of_string format with
   | Result.Error msg -> Result.Error (Protocol.Bad_request, msg)
   | Result.Ok fmt -> (
-      (* Parse once up front so a malformed capture is a typed
-         Bad_request, not an Internal from inside the single-flight. *)
+      (* Parse up front so a malformed capture is a typed Bad_request,
+         not an Internal from inside the single-flight; a cold ingest
+         replays this same capture. *)
       match
         Rctx.stage rctx "parse" (fun () ->
-            Core.Runs.trace_ident ~format:fmt ~data:trace)
+            Core.Runs.capture ~format:fmt ~data:trace)
       with
       | exception Failure msg -> Result.Error (Protocol.Bad_request, msg)
-      | _events, ident -> (
-          let digest = Core.Runs.trace_digest ~ident in
-          Rctx.set_cell rctx digest;
-          (* Same warm/cold contract as run_cell: the store's verified
-             bytes when the event stream was seen before (under any
-             capture format), a fresh simulation written through
-             otherwise. *)
-          match store_find t rctx ~digest with
-          | Some payload ->
-              Atomic.incr t.warm;
-              Rctx.set_warm rctx true;
-              Result.Ok (Protocol.Cell_ok { digest; artifact = payload })
-          | None ->
-              let artifact, was_warm =
-                single_flight t rctx digest (fun () ->
-                    let stored =
-                      match t.store with
-                      | None -> None
-                      | Some store -> (
-                          match Store.find store ~digest with
-                          | Store.Hit payload -> Some payload
-                          | Store.Miss | Store.Corrupt _ -> None)
-                    in
-                    match stored with
-                    | Some payload -> (payload, true)
-                    | None ->
-                        (* jobs:1 inside the request: the request
-                           already occupies a pool worker (see
-                           run_experiment). *)
-                        let runs = Core.Runs.create ?store:t.store () in
-                        let art =
-                          Core.Runs.ingest runs ~format:fmt ~data:trace
-                        in
-                        (Core.Artifact.encode art, false))
-              in
-              if was_warm then Atomic.incr t.warm else Atomic.incr t.simulated;
-              Rctx.set_warm rctx was_warm;
-              Result.Ok (Protocol.Cell_ok { digest; artifact })))
+      | capture ->
+          (* An external cell has no workload to scale. *)
+          resolve_cell t rctx
+            ~digest:(Core.Runs.capture_digest capture)
+            ~scale:1. (fun runs -> Core.Runs.ingest_capture runs capture))
 
 let execute t rctx (req : Protocol.request) : Protocol.response =
   match

@@ -196,8 +196,8 @@ let test_ingest_artifact_shape () =
   check_int "L1 accesses" 1000 (Core.Artifact.l1 art).Cachesim.Stats.accesses
 
 let test_ingest_jobs_identical () =
-  (* Sharded replay is a wall-clock knob only: the artifact bytes are
-     identical for any domain count. *)
+  (* The grid's worker count never reaches an ingested cell: the
+     artifact bytes are identical for any [jobs]. *)
   let art jobs =
     Core.Artifact.encode
       (Core.Runs.ingest (Core.Runs.create ~jobs ())
@@ -251,6 +251,34 @@ let test_ingest_report_renders () =
       check_bool ("report has " ^ needle) true (contains ~needle out))
     [ "External trace cell"; "text capture"; "16K-dm"; "256K-dm";
       Core.Artifact.digest_of_meta art.Core.Artifact.meta ]
+
+(* An external cell is a synthetic cell without a driver: a lossless
+   capture of a grid cell's event stream, ingested, observes exactly
+   what the grid cell did. *)
+let test_ingest_matches_synthetic_cell () =
+  let scale = 0.005 and program = "make" and allocator = "bsd" in
+  let synthetic =
+    Core.Runs.get (Core.Runs.create ~scale ()) ~profile:program ~allocator
+  in
+  let capture =
+    Memsim.Trace.write Memsim.Trace.Source.Binary (fun sink ->
+        ignore
+          (Workload.Driver.run ~sink ~scale
+             ~profile:(Workload.Programs.find program) ~allocator ()))
+  in
+  let ingested =
+    Core.Runs.ingest (Core.Runs.create ()) ~format:Memsim.Trace.Source.Binary
+      ~data:capture
+  in
+  check_int "trace checksum"
+    synthetic.Core.Artifact.meta.Core.Artifact.trace_checksum
+    ingested.Core.Artifact.meta.Core.Artifact.trace_checksum;
+  check_bool "caches" true
+    (synthetic.Core.Artifact.caches = ingested.Core.Artifact.caches);
+  check_bool "hierarchy" true
+    (synthetic.Core.Artifact.hierarchy = ingested.Core.Artifact.hierarchy);
+  check_bool "fault curve" true
+    (synthetic.Core.Artifact.fault_curve = ingested.Core.Artifact.fault_curve)
 
 (* ------------------------------------------------------------------ *)
 (* Experiments                                                        *)
@@ -496,6 +524,8 @@ let () =
           tc "synthetic source is the grid cell"
             test_get_source_synthetic_is_grid_cell;
           tc "report renders" test_ingest_report_renders;
+          tc "binary capture matches its synthetic cell"
+            test_ingest_matches_synthetic_cell;
         ] );
       ( "experiments",
         [

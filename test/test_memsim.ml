@@ -694,26 +694,36 @@ let prop_packed_counter_checksum_differential =
       && Sink.Checksum.value h = reference_checksum events)
 
 let test_trace_buffer_roundtrip () =
-  (* Tiny chunks force rotation; deliveries of mixed sizes must
-     concatenate in order, and replay must reproduce the stream. *)
-  let tb = Trace_buffer.create ~chunk_capacity:4 () in
-  let s = Trace_buffer.sink tb in
-  let evs = List.init 23 (fun i ->
-      if i mod 3 = 0 then Event.write ~source:Event.Malloc (0x1000 + (4 * i)) 4
-      else Event.read (0x1000 + (4 * i)) 4)
-  in
-  (match evs with
-  | e0 :: e1 :: rest ->
-      deliver s [ e0 ];
-      deliver s [ e1 ];
-      deliver ~grain:6 s rest
-  | _ -> assert false);
-  check_int "length" 23 (Trace_buffer.length tb);
-  check_bool "events in order" true (Trace_buffer.events tb = evs);
-  check_bool "replay reproduces stream" true
-    (record (Trace_buffer.replay tb) = evs);
-  check_bool "chunk sizes" true
-    (Array.for_all (fun c -> Event.Batch.length c <= 4) (Trace_buffer.chunks tb))
+  (* Chunks rotate — tiny fixed ones, and default ones that grow from a
+     small first chunk; deliveries of mixed sizes must concatenate in
+     order, and replay must reproduce the stream. *)
+  List.iter
+    (fun (chunk_capacity, n) ->
+      let tb = Trace_buffer.create ~chunk_capacity () in
+      let s = Trace_buffer.sink tb in
+      let evs = List.init n (fun i ->
+          if i mod 3 = 0 then
+            Event.write ~source:Event.Malloc (0x1000 + (4 * i)) 4
+          else Event.read (0x1000 + (4 * i)) 4)
+      in
+      (match evs with
+      | e0 :: e1 :: rest ->
+          deliver s [ e0 ];
+          deliver s [ e1 ];
+          deliver ~grain:6 s rest
+      | _ -> assert false);
+      check_int "length" n (Trace_buffer.length tb);
+      check_bool "events in order" true (Trace_buffer.events tb = evs);
+      check_bool "replay reproduces stream" true
+        (record (Trace_buffer.replay tb) = evs);
+      let chunks = Trace_buffer.chunks tb in
+      check_bool "chunk sizes" true
+        (Array.for_all
+           (fun c -> Event.Batch.capacity c <= chunk_capacity)
+           chunks);
+      check_bool "first chunk no larger than the capture needs" true
+        (Event.Batch.capacity chunks.(0) <= max 4096 (min n chunk_capacity)))
+    [ (4, 23); (Trace_buffer.default_chunk_capacity, 30_000) ]
 
 let test_trace_buffer_rejects () =
   Alcotest.check_raises "zero chunk capacity"

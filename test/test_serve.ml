@@ -355,11 +355,11 @@ let fresh_paths () =
   ( Filename.concat (Filename.get_temp_dir_name ()) (tag ^ ".sock"),
     Filename.concat (Filename.get_temp_dir_name ()) (tag ^ "-store") )
 
-let with_server ?access_log ?access_log_sample f =
+let with_server_jobs ~jobs ?access_log ?access_log_sample f =
   let sock, store_dir = fresh_paths () in
   let store = Store.open_ store_dir in
   let server =
-    Serve.Server.create ~jobs:1 ~store ?access_log ?access_log_sample
+    Serve.Server.create ~jobs ~store ?access_log ?access_log_sample
       ~listen:(P.Unix_path sock) ()
   in
   let runner = Thread.create Serve.Server.run server in
@@ -368,6 +368,9 @@ let with_server ?access_log ?access_log_sample f =
       Serve.Server.shutdown server;
       Thread.join runner)
     (fun () -> f ~sock ~store server)
+
+let with_server ?access_log ?access_log_sample f =
+  with_server_jobs ~jobs:1 ?access_log ?access_log_sample f
 
 let rpc client req =
   match Serve.Client.request client req with
@@ -675,6 +678,16 @@ let http_exchange sock payload =
       drain ();
       Buffer.contents buf)
 
+let http_body resp =
+  let rec find i =
+    if i + 4 > String.length resp then
+      Alcotest.fail "no header/body split in HTTP response"
+    else if String.sub resp i 4 = "\r\n\r\n" then
+      String.sub resp (i + 4) (String.length resp - i - 4)
+    else find (i + 1)
+  in
+  find 0
+
 let test_http_paths () =
   with_server (fun ~sock ~store:_ _server ->
       (* A method prefix with a malformed request line: 400. *)
@@ -693,17 +706,7 @@ let test_http_paths () =
       let resp = http_exchange sock "GET /status HTTP/1.0\r\n\r\n" in
       check_bool "/status -> 200" true (contains resp "200 OK");
       check_bool "/status is JSON" true (contains resp "application/json");
-      let body =
-        let rec find i =
-          if i + 4 > String.length resp then
-            Alcotest.fail "no header/body split in /status response"
-          else if String.sub resp i 4 = "\r\n\r\n" then
-            String.sub resp (i + 4) (String.length resp - i - 4)
-          else find (i + 1)
-        in
-        find 0
-      in
-      match Metrics.Export.of_string body with
+      match Metrics.Export.of_string (http_body resp) with
       | Error msg -> Alcotest.failf "/status unparsable: %s" msg
       | Ok json ->
           let has k =
@@ -722,6 +725,171 @@ let test_http_paths () =
           check_bool "protocol_max = version" true
             (Option.bind protocol_max Metrics.Export.to_int_opt
             = Some P.version))
+
+(* ------------------------------------------------------------------ *)
+(* The shared resolution path                                         *)
+(* ------------------------------------------------------------------ *)
+
+let cell_digest ~program ~allocator ~scale =
+  Core.Artifact.digest ~program ~allocator ~scale
+    ~seed:(Workload.Programs.find program).Workload.Profile.seed
+
+let cell_reply c req =
+  match rpc c req with
+  | P.Cell_ok { digest; artifact } -> (digest, artifact)
+  | r -> Alcotest.failf "cell: unexpected %s" (P.encode_response r)
+
+(* [loclab_cells_total{source="simulated"}] from the process-wide
+   registry the server's cells count into. *)
+let simulated_total () =
+  let prefix = "loclab_cells_total{source=\"simulated\"} " in
+  let text =
+    Telemetry.Metrics.to_prometheus
+      (Telemetry.Metrics.snapshot Telemetry.Metrics.default)
+  in
+  List.find_map
+    (fun line ->
+      if String.starts_with ~prefix line then
+        int_of_string_opt
+          (String.sub line (String.length prefix)
+             (String.length line - String.length prefix))
+      else None)
+    (String.split_on_char '\n' text)
+  |> Option.value ~default:0
+
+let single_flight_keys sock =
+  let body = http_body (http_exchange sock "GET /status HTTP/1.0\r\n\r\n") in
+  match Metrics.Export.of_string body with
+  | Error msg -> Alcotest.failf "/status unparsable: %s" msg
+  | Ok json -> (
+      match Metrics.Export.member "single_flight" json with
+      | Some (Metrics.Export.List keys) ->
+          List.filter_map
+            (function Metrics.Export.String k -> Some k | _ -> None)
+            keys
+      | _ -> Alcotest.fail "/status has no single_flight list")
+
+(* A payload filed under another cell's digest fails the validated
+   read: the reply must name the requested cell, and the store must
+   hold that cell afterwards. *)
+let check_healed store ~digest reply =
+  (match Core.Artifact.decode_meta reply with
+  | Ok m ->
+      check_string "reply names the requested cell" digest
+        (Core.Artifact.digest_of_meta m)
+  | Error e -> Alcotest.failf "reply meta: %s" e);
+  match Store.find store ~digest with
+  | Store.Hit payload -> check_string "store healed with the reply" reply payload
+  | Store.Miss -> Alcotest.fail "healed cell missing"
+  | Store.Corrupt e -> Alcotest.failf "store corrupt: %s" e
+
+let test_misfiled_payload_rejected () =
+  with_server (fun ~sock ~store _server ->
+      let scale = 0.01 in
+      let bsd = cell_digest ~program:"make" ~allocator:"bsd" ~scale in
+      let firstfit =
+        Core.Runs.get (Core.Runs.create ~scale ()) ~profile:"make"
+          ~allocator:"firstfit"
+      in
+      Store.put store ~digest:bsd (Core.Artifact.encode firstfit);
+      let trace = "R 0x2000\nW 0x2040\nR 0x2000\n" in
+      let trace_digest =
+        Core.Runs.trace_digest
+          ~ident:
+            (snd
+               (Core.Runs.trace_ident ~format:Memsim.Trace.Source.Text
+                  ~data:trace))
+      in
+      let other =
+        Core.Runs.ingest (Core.Runs.create ())
+          ~format:Memsim.Trace.Source.Text ~data:"R 0x1000\n"
+      in
+      Store.put store ~digest:trace_digest (Core.Artifact.encode other);
+      Serve.Client.with_connection (P.Unix_path sock) (fun c ->
+          let d, reply =
+            cell_reply c
+              (P.Run_cell { program = "make"; allocator = "bsd"; scale })
+          in
+          check_string "cell digest" bsd d;
+          check_healed store ~digest:bsd reply;
+          let d, reply = cell_reply c (P.Ingest { format = "text"; trace }) in
+          check_string "ingest digest" trace_digest d;
+          check_healed store ~digest:trace_digest reply))
+
+(* At jobs = 1 the pool runs a cold cell inline on the handler thread;
+   the single-flight lock must not be held meanwhile.  /status must
+   answer while the cell is still simulating — before its simulation
+   is counted — and list its digest. *)
+let test_status_during_cold_cell () =
+  with_server (fun ~sock ~store:_ _server ->
+      let program, allocator, scale = ("gs-large", "firstfit", 0.05) in
+      let digest = cell_digest ~program ~allocator ~scale in
+      let before = simulated_total () in
+      let finished = Atomic.make false in
+      let cell =
+        Thread.create
+          (fun () ->
+            Fun.protect
+              ~finally:(fun () -> Atomic.set finished true)
+              (fun () ->
+                Serve.Client.with_connection (P.Unix_path sock) (fun c ->
+                    ignore
+                      (cell_reply c (P.Run_cell { program; allocator; scale })))))
+          ()
+      in
+      let deadline = Unix.gettimeofday () +. 120. in
+      let rec poll () =
+        if List.mem digest (single_flight_keys sock) then
+          Some (simulated_total ())
+        else if Atomic.get finished || Unix.gettimeofday () > deadline then
+          None
+        else begin
+          Thread.delay 0.005;
+          poll ()
+        end
+      in
+      let seen = poll () in
+      Thread.join cell;
+      check_bool "/status listed the in-flight digest" true (seen <> None);
+      check_int "listed while the cell was still simulating" before
+        (Option.value seen ~default:(-1));
+      check_int "the cell simulated once" (before + 1) (simulated_total ()))
+
+(* N clients ask for the same cold cell at once: one simulation, and
+   every reply is the store's payload byte for byte. *)
+let test_concurrent_single_flight () =
+  with_server_jobs ~jobs:2 (fun ~sock ~store _server ->
+      let program, allocator, scale = ("espresso", "quickfit", 0.02) in
+      let digest = cell_digest ~program ~allocator ~scale in
+      let before = simulated_total () in
+      let n = 4 in
+      let connected = Atomic.make 0 in
+      let replies = Array.make n "" in
+      let client i () =
+        Serve.Client.with_connection (P.Unix_path sock) (fun c ->
+            Atomic.incr connected;
+            while Atomic.get connected < n do
+              Thread.yield ()
+            done;
+            let d, bytes =
+              cell_reply c (P.Run_cell { program; allocator; scale })
+            in
+            check_string "reply digest" digest d;
+            replies.(i) <- bytes)
+      in
+      List.init n (fun i -> Thread.create (client i) ())
+      |> List.iter Thread.join;
+      (match Store.find store ~digest with
+      | Store.Hit payload ->
+          Array.iteri
+            (fun i reply ->
+              check_string
+                (Printf.sprintf "reply %d = store payload" i)
+                payload reply)
+            replies
+      | Store.Miss -> Alcotest.fail "cell not written through"
+      | Store.Corrupt e -> Alcotest.failf "store corrupt: %s" e);
+      check_int "exactly one simulation" (before + 1) (simulated_total ()))
 
 (* ------------------------------------------------------------------ *)
 (* Client receive timeout                                             *)
@@ -830,6 +998,12 @@ let () =
         ] );
       ( "http",
         [ tc "400, 405, 404 and /status" test_http_paths ] );
+      ( "resolution",
+        [
+          tc "misfiled payload rejected and healed" test_misfiled_payload_rejected;
+          tc "/status answers during a jobs=1 cold cell" test_status_during_cold_cell;
+          tc "concurrent cold requests simulate once" test_concurrent_single_flight;
+        ] );
       ( "client",
         [ tc "receive timeout on a mute server" test_client_receive_timeout ] );
     ]
