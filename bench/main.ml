@@ -874,10 +874,15 @@ let () =
           false
         end
   in
-  if store_is_temp then begin
-    Array.iter
-      (fun f -> Sys.remove (Filename.concat store_dir f))
-      (Sys.readdir store_dir);
-    Unix.rmdir store_dir
-  end;
+  (* The store nests its derived cells in a sub-directory. *)
+  let rec remove_tree path =
+    if Sys.is_directory path then begin
+      Array.iter
+        (fun f -> remove_tree (Filename.concat path f))
+        (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+  in
+  if store_is_temp then remove_tree store_dir;
   if refused then exit 1

@@ -50,9 +50,10 @@ let jobs_arg =
 let store_arg =
   let doc =
     "Persistent artifact store directory (created if absent).  Finished \
-     grid cells are written through to it and later runs read them back \
-     instead of simulating; a warm store renders byte-identically to a \
-     cold one.  Defaults to $(b,LOCLAB_STORE); empty means no store."
+     grid cells and derived cells (the off-grid experiments' rows) are \
+     written through to it and later runs read them back instead of \
+     simulating; a warm store renders byte-identically to a cold one.  \
+     Defaults to $(b,LOCLAB_STORE); empty means no store."
   in
   Arg.(
     value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
@@ -141,26 +142,34 @@ let timed f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* Render one experiment and log (id, store-hit/simulated deltas,
-   elapsed) — the per-experiment progress line for [all]/[report]. *)
+(* Render one experiment and log (id, store-hit/simulated deltas of
+   grid and derived cells, elapsed) — the per-experiment progress line
+   for [all]/[report]. *)
 let render_with_progress ctx (e : Core.Experiment.t) =
   let runs = ctx.Core.Context.runs in
-  let h0 = Core.Runs.store_hits runs and s0 = Core.Runs.simulated runs in
+  let counts () =
+    Core.Runs.
+      (store_hits runs, simulated runs, derived_hits runs, derived_computed runs)
+  in
+  let h0, s0, dh0, dc0 = counts () in
   let out, dt = timed (fun () -> Core.Experiment.run ctx e.Core.Experiment.id) in
+  let h, s, dh, dc = counts () in
   Logs.info (fun m ->
-      m "%-13s %2d cells (+%d store, +%d simulated)  %6.2fs"
+      m "%-13s %2d cells (+%d store, +%d simulated; derived +%d store, +%d \
+         computed)  %6.2fs"
         e.Core.Experiment.id
         (List.length e.Core.Experiment.cells)
-        (Core.Runs.store_hits runs - h0)
-        (Core.Runs.simulated runs - s0)
-        dt);
+        (h - h0) (s - s0) (dh - dh0) (dc - dc0) dt);
   out
 
 let grid_summary ctx =
   let runs = ctx.Core.Context.runs in
   Logs.info (fun m ->
-      m "grid: %d cells from store, %d simulated"
-        (Core.Runs.store_hits runs) (Core.Runs.simulated runs))
+      m "grid: %d cells from store, %d simulated; derived: %d from store, %d \
+         computed"
+        (Core.Runs.store_hits runs) (Core.Runs.simulated runs)
+        (Core.Runs.derived_hits runs)
+        (Core.Runs.derived_computed runs))
 
 (* ---- list ---------------------------------------------------------- *)
 
@@ -302,10 +311,13 @@ let report_cmd =
     write_telemetry ~metrics_out ~trace_out
   in
   let doc =
-    "Regenerate every table and figure from a warm artifact store \
-     without simulating any grid cell.  A fully cold store is an error; \
-     isolated missing or corrupt cells are re-simulated (with a \
-     warning) and healed.  Output is byte-identical to $(b,loclab all)."
+    "Regenerate every table and figure from a warm artifact store with \
+     zero simulation: grid cells and the off-grid experiments' derived \
+     cells are read back.  A fully cold grid is an error; isolated \
+     missing or corrupt grid or derived cells are recomputed and healed \
+     (a damaged one with a warning).  $(b,--cpu) and $(b,--penalty) \
+     apply at render time and never force a recompute.  Output is \
+     byte-identical to $(b,loclab all)."
   in
   Cmd.v (Cmd.info "report" ~doc)
     Term.(
@@ -325,105 +337,113 @@ let require_store store_dir sub =
 
 let short d = if String.length d > 12 then String.sub d 0 12 else d
 
+(* Every namespace of the store (grid cells, then derived cells), each
+   with its own sub-store under the root. *)
+let namespaces store =
+  List.map
+    (fun (ns : Core.Runs.namespace) -> (ns, ns.locate store))
+    Core.Runs.namespaces
+
 let store_ls_cmd =
   let run store_dir =
     let store = require_store store_dir "ls" in
-    let digests = Store.ls store in
     List.iter
-      (fun digest ->
-        match Store.find store ~digest with
-        | Store.Hit payload -> (
-            match Core.Artifact.decode_meta payload with
-            | Ok m ->
-                Printf.printf
-                  "%s  %-10s %-14s scale %-5g seed %-6d schema %d  %7d bytes\n"
-                  (short digest) m.Core.Artifact.program
-                  m.Core.Artifact.allocator m.Core.Artifact.scale
-                  m.Core.Artifact.seed m.Core.Artifact.schema_version
-                  (String.length payload)
-            | Error reason ->
-                Printf.printf "%s  <unreadable metadata: %s>\n" (short digest)
-                  reason)
-        | Store.Corrupt reason ->
-            Printf.printf "%s  <corrupt: %s>\n" (short digest) reason
-        | Store.Miss -> ())
-      digests;
-    Printf.printf "%d cells in %s\n" (List.length digests) (Store.root store)
+      (fun ((ns : Core.Runs.namespace), sub) ->
+        let digests = Store.ls sub in
+        List.iter
+          (fun digest ->
+            match Store.find sub ~digest with
+            | Store.Hit payload -> (
+                match ns.describe payload with
+                | Ok line ->
+                    Printf.printf "%s  %s  %7d bytes\n" (short digest) line
+                      (String.length payload)
+                | Error reason ->
+                    Printf.printf "%s  <unreadable metadata: %s>\n"
+                      (short digest) reason)
+            | Store.Corrupt reason ->
+                Printf.printf "%s  <corrupt: %s>\n" (short digest) reason
+            | Store.Miss -> ())
+          digests;
+        Printf.printf "%d %s cells in %s\n" (List.length digests) ns.name
+          (Store.root sub))
+      (namespaces store)
   in
-  let doc = "List the cells in the store with their decoded metadata." in
+  let doc =
+    "List the grid and derived cells in the store with their decoded \
+     metadata."
+  in
   Cmd.v (Cmd.info "ls" ~doc) Term.(const run $ store_arg)
 
 let store_verify_cmd =
   let run store_dir =
     let store = require_store store_dir "verify" in
-    let bad = ref 0 in
-    let cells = Store.verify store in
+    let bad = ref 0 and total = ref 0 in
     List.iter
-      (fun (digest, r) ->
-        match r with
-        | Error reason ->
-            incr bad;
-            Printf.printf "%s  BAD frame: %s\n" (short digest) reason
-        | Ok bytes -> (
-            match Store.find store ~digest with
-            | Store.Miss | Store.Corrupt _ ->
-                incr bad;
-                Printf.printf "%s  BAD: vanished between passes\n" (short digest)
+      (fun ((ns : Core.Runs.namespace), sub) ->
+        List.iter
+          (fun digest ->
+            incr total;
+            let fail fmt =
+              incr bad;
+              Printf.printf ("%s  BAD " ^^ fmt ^^ "\n") (short digest)
+            in
+            match Store.find sub ~digest with
+            | Store.Corrupt reason -> fail "frame: %s" reason
+            | Store.Miss -> fail "%s" "vanished during verify"
             | Store.Hit payload -> (
-                match Core.Artifact.decode_meta payload with
-                | Error reason ->
-                    incr bad;
-                    Printf.printf "%s  BAD metadata: %s\n" (short digest) reason
-                | Ok m when
-                    m.Core.Artifact.schema_version
-                    <> Core.Artifact.schema_version ->
+                let line = Result.value (ns.describe payload) ~default:"" in
+                match ns.check ~digest payload with
+                | Ok () ->
+                    Printf.printf "%s  ok  %s  %7d bytes\n" (short digest) line
+                      (String.length payload)
+                | Error (Core.Runs.Stale reason) ->
                     (* Readable but unreachable: digests of the current
                        schema never collide with it.  Not an error. *)
-                    Printf.printf "%s  foreign schema %d (%s/%s) — gc'able\n"
-                      (short digest) m.Core.Artifact.schema_version
-                      m.Core.Artifact.program m.Core.Artifact.allocator
-                | Ok m -> (
-                    match Core.Artifact.decode payload with
-                    | Error reason ->
-                        incr bad;
-                        Printf.printf "%s  BAD body: %s\n" (short digest) reason
-                    | Ok _ when Core.Artifact.digest_of_meta m <> digest ->
-                        incr bad;
-                        Printf.printf
-                          "%s  BAD: metadata digests to %s (misfiled cell)\n"
-                          (short digest)
-                          (short (Core.Artifact.digest_of_meta m))
-                    | Ok _ ->
-                        Printf.printf "%s  ok  %-10s %-14s %7d bytes\n"
-                          (short digest) m.Core.Artifact.program
-                          m.Core.Artifact.allocator bytes))))
-      cells;
+                    Printf.printf "%s  stale %s: %s (%s) — gc'able\n"
+                      (short digest) ns.name reason line
+                | Error (Core.Runs.Invalid reason) -> fail "%s" reason))
+          (Store.ls sub))
+      (namespaces store);
     if !bad > 0 then begin
-      Printf.printf "%d of %d cells bad\n" !bad (List.length cells);
+      Printf.printf "%d of %d cells bad\n" !bad !total;
       exit 1
     end
-    else Printf.printf "verified %d cells, all ok\n" (List.length cells)
+    else Printf.printf "verified %d cells, all ok\n" !total
   in
   let doc =
-    "Re-read every cell, checking frame CRC, metadata, body decode and \
-     content address; exits 1 if any cell is bad."
+    "Re-read every grid and derived cell, checking its frame CRC and its \
+     namespace's validation rule (decodes under the current schema, key \
+     digests to its filename); exits 1 if any cell is bad."
   in
   Cmd.v (Cmd.info "verify" ~doc) Term.(const run $ store_arg)
 
 let store_gc_cmd =
   let run store_dir =
     let store = require_store store_dir "gc" in
-    let removed =
-      Store.gc store ~keep:(fun ~digest ~payload ->
-          Result.is_ok (Core.Runs.validate ~digest payload))
+    let removed, kept =
+      List.fold_left
+        (fun (removed, kept) ((ns : Core.Runs.namespace), sub) ->
+          let gone =
+            Store.gc sub ~keep:(fun ~digest ~payload ->
+                Result.is_ok (ns.check ~digest payload))
+          in
+          List.iter
+            (fun f ->
+              Printf.printf "removed %s\n" (Filename.concat (Store.root sub) f))
+            gone;
+          ( removed + List.length gone,
+            kept
+            @ [ Printf.sprintf "%d %s cells" (List.length (Store.ls sub))
+                  ns.name ] ))
+        (0, []) (namespaces store)
     in
-    List.iter (fun f -> Printf.printf "removed %s\n" f) removed;
-    Printf.printf "%d files removed, %d cells kept\n" (List.length removed)
-      (List.length (Store.ls store))
+    Printf.printf "%d files removed, kept %s\n" removed
+      (String.concat " and " kept)
   in
   let doc =
     "Remove corrupt cells, leftover temp files, foreign-schema cells \
-     and misfiled cells."
+     and misfiled cells, in the grid and derived namespaces alike."
   in
   Cmd.v (Cmd.info "gc" ~doc) Term.(const run $ store_arg)
 

@@ -110,12 +110,17 @@ let miss_penalties t =
   let lats = Array.of_list (List.map (fun l -> l.hit_latency) t.levels) in
   Array.init n (fun i -> if i = n - 1 then t.mem_latency else lats.(i + 1))
 
-let stall_cycles t hier = Hierarchy.stalls hier ~penalties:(miss_penalties t)
+let stall_cycles t levels =
+  (* fold_left2 rejects a level count that is not the preset's. *)
+  List.fold_left2
+    (fun acc (s : Stats.t) penalty -> acc + (s.misses * penalty))
+    0 levels
+    (Array.to_list (miss_penalties t))
 
-let total_cycles t hier ~instructions =
+let total_cycles t levels ~instructions =
   (* The paper's execution-time model, per-level: one cycle per
      instruction plus memory stalls. *)
-  instructions + stall_cycles t hier
+  instructions + stall_cycles t levels
 
 let pp ppf t =
   Format.fprintf ppf "%s: %s, mem %d cycles" t.key

@@ -39,10 +39,13 @@ val miss_penalties : t -> int array
     pays level [i+1]'s hit latency; the last level pays
     [mem_latency]. *)
 
-val stall_cycles : t -> Hierarchy.t -> int
-(** [stall_cycles t h] = [Hierarchy.stalls h ~penalties:(miss_penalties t)]. *)
+val stall_cycles : t -> Stats.t list -> int
+(** Memory stall cycles of per-level statistics (outermost first, one
+    entry per level, e.g. [List.map snd (Hierarchy.results h)] or a
+    stored copy of them): each level's misses pay {!miss_penalties}.
+    @raise Invalid_argument when the level count is not the preset's. *)
 
-val total_cycles : t -> Hierarchy.t -> instructions:int -> int
+val total_cycles : t -> Stats.t list -> instructions:int -> int
 (** One cycle per instruction plus {!stall_cycles} — the paper's
     execution-time model with per-level penalties. *)
 

@@ -181,21 +181,32 @@ let seq_family (ctx : Context.t) =
   ^ "\nExpected: BestFit walks the whole list (most search work and the\n\
      most scattered references); segregating by size shrinks both.\n"
 
-let flush (ctx : Context.t) =
-  (* Flush-aware runs are cheap one-offs outside the shared grid. *)
-  let profile = Workload.Programs.find "gs-large" in
-  let table =
-    Table.create
-      ~title:
-        "Extension: periodic cache flushes (context switches, Mogul & \
-         Borg) — 64K direct-mapped miss rate on GS-Large"
-      ~columns:
-        [ ("Allocator", Table.Left); ("no flush (%)", Table.Right);
-          ("every 100K refs (%)", Table.Right);
-          ("every 20K refs (%)", Table.Right) ]
-  in
+(* Flush-aware runs are one-offs outside the shared grid: one driver
+   pass per (allocator, quantum), kept as a derived cell. *)
+let flush_program = "gs-large"
+let flush_config = Cachesim.Config.make (64 * 1024)
+let flush_quanta = [ 0; 100_000; 20_000 ]
+
+let flush_allocators =
+  [ ("firstfit", "FirstFit"); ("bsd", "BSD"); ("gnu-local", "GNU local");
+    ("quickfit", "QuickFit") ]
+
+let quantum_name q = Printf.sprintf "flush-%d" q
+
+let flush_rows (ctx : Context.t) =
+  let scale = min 0.1 (Runs.scale ctx.Context.runs) in
+  let allocators = List.map fst flush_allocators in
+  Runs.derive ctx.Context.runs ~id:"abl-flush" ~scale
+    ~inputs:
+      (Derived.inputs
+         [ ("programs", [ Derived.program flush_program ]);
+           ("allocators", allocators);
+           ("config", [ Derived.config flush_config ]);
+           ("quanta", List.map string_of_int flush_quanta) ])
+  @@ fun () ->
+  let profile = Workload.Programs.find flush_program in
   let run_with_flush akey quantum =
-    let cache = Cachesim.Cache.create (Cachesim.Config.make (64 * 1024)) in
+    let cache = Cachesim.Cache.create flush_config in
     let count = ref 0 in
     let sink (b : Memsim.Event.Batch.t) =
       for i = 0 to b.Memsim.Event.Batch.len - 1 do
@@ -207,28 +218,97 @@ let flush (ctx : Context.t) =
           ~meta:(Array.unsafe_get b.Memsim.Event.Batch.metas i)
       done
     in
-    let _r =
-      Workload.Driver.run ~sink
-        ~scale:(min 0.1 (Runs.scale ctx.Context.runs))
-        ~profile ~allocator:akey ()
-    in
-    Cachesim.Stats.miss_rate_pct (Cachesim.Cache.stats cache)
+    let r = Workload.Driver.run ~sink ~scale ~profile ~allocator:akey () in
+    (r, (quantum_name quantum, Cachesim.Cache.stats cache))
+  in
+  List.map
+    (fun akey ->
+      let runs = List.map (run_with_flush akey) flush_quanta in
+      Derived.row ~program:flush_program ~variant:akey
+        (fst (List.hd runs))
+        (List.map snd runs))
+    allocators
+
+let flush (ctx : Context.t) =
+  let rows = flush_rows ctx in
+  let table =
+    Table.create
+      ~title:
+        "Extension: periodic cache flushes (context switches, Mogul & \
+         Borg) — 64K direct-mapped miss rate on GS-Large"
+      ~columns:
+        [ ("Allocator", Table.Left); ("no flush (%)", Table.Right);
+          ("every 100K refs (%)", Table.Right);
+          ("every 20K refs (%)", Table.Right) ]
   in
   List.iter
     (fun (akey, alabel) ->
+      let row = Derived.find rows ~program:flush_program ~variant:akey in
       Table.add_row table
-        [ alabel;
-          Table.fmt_float ~decimals:2 (run_with_flush akey 0);
-          Table.fmt_float ~decimals:2 (run_with_flush akey 100_000);
-          Table.fmt_float ~decimals:2 (run_with_flush akey 20_000) ])
-    [ ("firstfit", "FirstFit"); ("bsd", "BSD"); ("gnu-local", "GNU local");
-      ("quickfit", "QuickFit") ];
+        (alabel
+        :: List.map
+             (fun q ->
+               Table.fmt_float ~decimals:2
+                 (Cachesim.Stats.miss_rate_pct
+                    (Derived.stats row (quantum_name q))))
+             flush_quanta))
+    flush_allocators;
   Table.render table
   ^ "\nThe paper's own numbers deliberately exclude flushes; frequent\n\
      flushes compress the allocator differences toward cold-start costs.\n"
 
+(* Each program's profiling pass trains the predictor, then each variant
+   runs once into a 16K/64K sweep; the passes are a derived cell. *)
+let lifetime_programs = [ ("gawk", "Gawk"); ("espresso", "Espresso") ]
+let lifetime_variants = [ "predictive"; "quickfit"; "custom"; "gnu-local" ]
+
+let lifetime_configs =
+  [ Cachesim.Config.make (16 * 1024); Cachesim.Config.make (64 * 1024) ]
+
+let lifetime_rows (ctx : Context.t) ~scale =
+  Runs.derive ctx.Context.runs ~id:"abl-lifetime" ~scale
+    ~inputs:
+      (Derived.inputs
+         [ ("programs",
+            List.map (fun (p, _) -> Derived.program p) lifetime_programs);
+           ("variants", lifetime_variants);
+           ("configs", List.map Derived.config lifetime_configs) ])
+  @@ fun () ->
+  List.concat_map
+    (fun (pkey, _) ->
+      let profile = Workload.Programs.find pkey in
+      (* Profiling pass, then the measured run with a trained table. *)
+      let predictions = Workload.Driver.train_predictor ~profile () in
+      let build variant heap =
+        if variant = "predictive" then
+          let p = Allocators.Predictive.create ~predictions heap in
+          ( Allocators.Predictive.allocator p,
+            Some (fun () -> Allocators.Predictive.arena_pages p) )
+        else
+          (Runs.build_allocator ~profile_key:pkey ~allocator:variant heap, None)
+      in
+      List.map
+        (fun variant ->
+          let multi = Cachesim.Multi.create lifetime_configs in
+          let heap = Allocators.Heap.create () in
+          let alloc, arena_pages = build variant heap in
+          let r =
+            Workload.Driver.run_with
+              ~sink:(Cachesim.Multi.sink multi)
+              ~scale ~profile ~heap ~alloc ()
+          in
+          Derived.row ~program:pkey ~variant
+            ?arena_pages:(Option.map (fun f -> f ()) arena_pages)
+            r
+            (List.map
+               (fun ((c : Cachesim.Config.t), s) -> (c.name, s))
+               (Cachesim.Multi.results multi)))
+        lifetime_variants)
+    lifetime_programs
+
 let lifetime_prediction (ctx : Context.t) =
   let scale = min 0.25 (Runs.scale ctx.Context.runs) in
+  let rows = lifetime_rows ctx ~scale in
   let table =
     Table.create
       ~title:
@@ -244,54 +324,25 @@ let lifetime_prediction (ctx : Context.t) =
   in
   List.iter
     (fun (pkey, plabel) ->
-      let profile = Workload.Programs.find pkey in
-      (* Profiling pass, then the measured run with a trained table. *)
-      let predictions = Workload.Driver.train_predictor ~profile () in
-      let measure name build =
-        let multi =
-          Cachesim.Multi.create
-            [ Cachesim.Config.make (16 * 1024);
-              Cachesim.Config.make (64 * 1024) ]
-        in
-        let heap = Allocators.Heap.create () in
-        let alloc, arena_pages = build heap in
-        let r =
-          Workload.Driver.run_with
-            ~sink:(Cachesim.Multi.sink multi)
-            ~scale ~profile ~heap ~alloc ()
-        in
-        let rate kb =
-          Cachesim.Stats.miss_rate_pct
-            (snd (Cachesim.Multi.find multi ~name:(Printf.sprintf "%dK-dm" kb)))
-        in
-        Table.add_row table
-          [ plabel; name;
-            (match arena_pages with
-            | Some f -> string_of_int (f ())
-            | None -> "-");
-            Table.fmt_kb r.Workload.Driver.heap_used;
-            Table.fmt_pct (Workload.Driver.allocator_fraction r);
-            Table.fmt_float ~decimals:2 (rate 16);
-            Table.fmt_float ~decimals:2 (rate 64) ]
-      in
-      measure "predictive" (fun heap ->
-          let p = Allocators.Predictive.create ~predictions heap in
-          ( Allocators.Predictive.allocator p,
-            Some (fun () -> Allocators.Predictive.arena_pages p) ));
-      measure "quickfit" (fun heap ->
-          (Allocators.Registry.build "quickfit" heap, None));
-      measure "custom" (fun heap ->
-          let histogram =
-            Workload.Dist.to_histogram profile.Workload.Profile.size_dist
-              ~scale:100_000
+      List.iter
+        (fun variant ->
+          let row = Derived.find rows ~program:pkey ~variant in
+          let rate kb =
+            Cachesim.Stats.miss_rate_pct
+              (Derived.stats row (Printf.sprintf "%dK-dm" kb))
           in
-          ( Allocators.Custom.allocator
-              (Allocators.Custom.create_for ~histogram heap),
-            None ));
-      measure "gnu-local" (fun heap ->
-          (Allocators.Registry.build "gnu-local" heap, None));
+          Table.add_row table
+            [ plabel; variant;
+              (match row.Derived.arena_pages with
+              | Some pages -> string_of_int pages
+              | None -> "-");
+              Table.fmt_kb row.Derived.heap_used;
+              Table.fmt_pct (Derived.allocator_fraction row);
+              Table.fmt_float ~decimals:2 (rate 16);
+              Table.fmt_float ~decimals:2 (rate 64) ])
+        lifetime_variants;
       Table.add_separator table)
-    [ ("gawk", "Gawk"); ("espresso", "Espresso") ];
+    lifetime_programs;
   Table.render table
   ^ "\nPredicted-short objects bump-allocate into a few recycled arena\n\
      pages; dead-together objects cost no per-object free-list traffic.\n\

@@ -200,7 +200,7 @@ let read_alloc_stats r : Allocators.Alloc_stats.t =
     live_objects;
     max_live_objects }
 
-let write_cache_stats w (s : Cachesim.Stats.t) =
+let write_stats w (s : Cachesim.Stats.t) =
   W.int w s.accesses;
   W.int w s.misses;
   W.int w s.read_accesses;
@@ -216,7 +216,7 @@ let write_cache_stats w (s : Cachesim.Stats.t) =
   W.int w s.free_accesses;
   W.int w s.free_misses
 
-let read_cache_stats r : Cachesim.Stats.t =
+let read_stats r : Cachesim.Stats.t =
   let accesses = R.int r in
   let misses = R.int r in
   let read_accesses = R.int r in
@@ -287,12 +287,12 @@ let encode t =
   W.list w
     (fun (config, stats) ->
       write_config w config;
-      write_cache_stats w stats)
+      write_stats w stats)
     t.caches;
   W.list w
     (fun (config, stats) ->
       write_config w config;
-      write_cache_stats w stats)
+      write_stats w stats)
     t.hierarchy;
   write_curve w t.fault_curve;
   W.contents w
@@ -312,13 +312,13 @@ let decode payload =
       let caches =
         R.list r (fun r ->
             let config = read_config r in
-            let stats = read_cache_stats r in
+            let stats = read_stats r in
             (config, stats))
       in
       let hierarchy =
         R.list r (fun r ->
             let config = read_config r in
-            let stats = read_cache_stats r in
+            let stats = read_stats r in
             (config, stats))
       in
       let fault_curve = read_curve r in

@@ -111,6 +111,11 @@ val decode_meta : string -> (meta, string) result
 (** Read only the (version-frozen) metadata header, succeeding even for
     payloads whose body layout belongs to another schema version. *)
 
+val write_stats : Store.Codec.Writer.t -> Cachesim.Stats.t -> unit
+(** The cache-statistics field sequence, shared with {!Derived}. *)
+
+val read_stats : Store.Codec.Reader.t -> Cachesim.Stats.t
+
 val equal : t -> t -> bool
 (** Structural equality of every field, histograms element-wise. *)
 

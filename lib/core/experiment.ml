@@ -106,7 +106,7 @@ let all =
     { id = "tabcpu";
       title = "Allocator ranking on modern CPU hierarchies";
       paper_ref = "extension; Risco-Martin et al. methodology";
-      cells = [];  (* fresh off-grid hierarchy simulations at render time *)
+      cells = [];  (* off-grid: its rows are a derived cell (Runs.derive) *)
       render = Tables.tabcpu };
     { id = "abl-coalesce";
       title = "Coalescing ablation (FirstFit)";
@@ -148,12 +148,12 @@ let all =
     { id = "abl-flush";
       title = "Context-switch flush extension";
       paper_ref = "section 3.2 discussion";
-      cells = [];  (* fresh off-grid simulations at render time *)
+      cells = [];  (* off-grid: its rows are a derived cell (Runs.derive) *)
       render = Ablations.flush };
     { id = "abl-lifetime";
       title = "Lifetime-prediction future work";
       paper_ref = "section 5.1 future work";
-      cells = [];  (* fresh off-grid simulations at render time *)
+      cells = [];  (* off-grid: its rows are a derived cell (Runs.derive) *)
       render = Ablations.lifetime_prediction };
     { id = "abl-penalty";
       title = "Miss-penalty sweep extension";

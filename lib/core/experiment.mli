@@ -8,8 +8,9 @@ type t = {
   cells : (string * string) list;
       (** The (profile, allocator) grid cells the renderer demands —
           the prefetch hint {!warm} feeds to {!Runs.prefetch}.  Empty
-          for static experiments and for the two ablations that run
-          fresh off-grid simulations at render time. *)
+          for static experiments and for the three off-grid experiments
+          ([tabcpu], [abl-flush], [abl-lifetime]), whose rows are a
+          derived cell resolved when they render ({!Runs.derive}). *)
   render : Context.t -> string;
 }
 

@@ -2,13 +2,199 @@ let log_src = Logs.Src.create "loclab.runs" ~doc:"loclab run grid"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+(* ---- content-addressed namespaces ---------------------------------- *)
+
+(* What a namespace's payloads are: how a value is encoded, decoded and
+   addressed, and how its version-frozen header reads under any schema
+   (its schema version and a one-line description). *)
+type 'v codec = {
+  name : string;
+  schema_version : int;
+  encode : 'v -> string;
+  decode : string -> ('v, string) result;
+  digest_of : 'v -> string;
+  header : string -> (int * string, string) result;
+}
+
+type rejection = Stale of string | Invalid of string
+
+(* The one rule for accepting a stored payload, shared by every reader
+   and by [store gc]: it must decode under the current schema, and its
+   key must digest to the digest it is filed under. *)
+let validate codec ~digest payload =
+  match codec.decode payload with
+  | Ok v ->
+      let filed = codec.digest_of v in
+      if filed = digest then Ok v
+      else
+        Error
+          (Invalid (Printf.sprintf "metadata digests to %s (misfiled %s)" filed
+             codec.name))
+  | Error reason -> (
+      match codec.header payload with
+      | Ok (schema, _) when schema <> codec.schema_version ->
+          Error
+            (Stale
+               (Printf.sprintf "schema %d (this build reads %d)" schema
+                  codec.schema_version))
+      | _ -> Error (Invalid ("undecodable " ^ codec.name ^ ": " ^ reason)))
+
+let rejection_reason (Stale r | Invalid r) = r
+
+(* Any failure — absent, truncated, CRC mismatch, or rejected by
+   [validate] — degrades to [None], i.e. to recomputation; corruption
+   is reported, never fatal. *)
+let read_with codec store ~digest =
+  match Store.find store ~digest with
+  | Store.Miss | Store.Corrupt _ -> None (* Corrupt logged by Store *)
+  | Store.Hit payload -> (
+      match validate codec ~digest payload with
+      | Ok v -> Some (payload, v)
+      | Error r ->
+          Log.warn (fun m ->
+              m "%s cell %s: %s; recomputing" codec.name digest
+                (rejection_reason r));
+          None)
+
+(* One namespace of one grid: its memo, its store, and how many values
+   came from each source, counted by the namespace's metric family. *)
+type ('k, 'v) space = {
+  codec : 'v codec;
+  store : Store.t option Lazy.t;
+  memo : ('k, 'v) Hashtbl.t;
+  memo_c : Telemetry.Metrics.Counter.h;
+  store_c : Telemetry.Metrics.Counter.h;
+  computed_c : Telemetry.Metrics.Counter.h;
+  mutable hits : int;
+  mutable computed : int;
+}
+
+let counters ~name ~help ~computed =
+  let f =
+    Telemetry.Metrics.Counter.family ~name ~help ~labels:[ "source" ] ()
+  in
+  let c l = Telemetry.Metrics.Counter.labels f [ l ] in
+  (c "memo", c "store", c computed)
+
+let cells_c =
+  counters ~name:"loclab_cells_total"
+    ~help:"Grid cells resolved, by how they were satisfied"
+    ~computed:"simulated"
+
+let derived_c =
+  counters ~name:"loclab_derived_total"
+    ~help:"Derived cells (off-grid experiment rows) resolved, by how they \
+           were satisfied"
+    ~computed:"computed"
+
+let space codec (memo_c, store_c, computed_c) store =
+  { codec;
+    store;
+    memo = Hashtbl.create 64;
+    memo_c;
+    store_c;
+    computed_c;
+    hits = 0;
+    computed = 0 }
+
+let stored sp ~digest =
+  Option.bind (Lazy.force sp.store) (fun store ->
+      Option.map snd (read_with sp.codec store ~digest))
+
+(* Every resolved value enters the memo here, counted by where it came
+   from; a computed one is written through first. *)
+let admit sp key source v =
+  (match source with
+  | `Store ->
+      sp.hits <- sp.hits + 1;
+      Telemetry.Metrics.Counter.inc sp.store_c
+  | `Computed ->
+      sp.computed <- sp.computed + 1;
+      Telemetry.Metrics.Counter.inc sp.computed_c;
+      Option.iter
+        (fun store ->
+          Store.put store ~digest:(sp.codec.digest_of v) (sp.codec.encode v))
+        (Lazy.force sp.store));
+  Log.debug (fun m ->
+      m "%s %s: %s" sp.codec.name (sp.codec.digest_of v)
+        (match source with `Store -> "store hit" | `Computed -> "computed"));
+  Hashtbl.replace sp.memo key v
+
+(* memo → validated store read → [compute], written through.  [digest]
+   is forced only on a memo miss. *)
+let resolve sp key ~digest compute =
+  match Hashtbl.find_opt sp.memo key with
+  | Some v ->
+      Telemetry.Metrics.Counter.inc sp.memo_c;
+      v
+  | None ->
+      let v, source =
+        match stored sp ~digest:(digest ()) with
+        | Some v -> (v, `Store)
+        | None -> (compute (), `Computed)
+      in
+      admit sp key source v;
+      v
+
+let cell_codec =
+  { name = "grid";
+    schema_version = Artifact.schema_version;
+    encode = Artifact.encode;
+    decode = Artifact.decode;
+    digest_of = (fun (a : Artifact.t) -> Artifact.digest_of_meta a.meta);
+    header =
+      (fun payload ->
+        Result.map
+          (fun (m : Artifact.meta) ->
+            ( m.schema_version,
+              Printf.sprintf "%-10s %-14s scale %-5g seed %-6d schema %d"
+                m.program m.allocator m.scale m.seed m.schema_version ))
+          (Artifact.decode_meta payload)) }
+
+let derived_codec =
+  { name = "derived";
+    schema_version = Derived.schema_version;
+    encode = Derived.encode;
+    decode = Derived.decode;
+    digest_of = (fun (d : Derived.t) -> Derived.digest_of_meta d.meta);
+    header =
+      (fun payload ->
+        Result.map
+          (fun (m : Derived.meta) ->
+            ( m.schema_version,
+              Printf.sprintf "%-25s scale %-5g schema %d" m.id m.scale
+                m.schema_version ))
+          (Derived.decode_meta payload)) }
+
+(* Derived cells live in their own sub-store of the root, so the grid's
+   namespace ([Store.ls], [store gc]'s artifact rule) never sees them. *)
+let derived_store root =
+  Store.open_ (Filename.concat (Store.root root) "derived")
+
+type namespace = {
+  name : string;
+  locate : Store.t -> Store.t;
+  check : digest:string -> string -> (unit, rejection) result;
+  describe : string -> (string, string) result;
+}
+
+let namespace (codec : _ codec) ~locate =
+  { name = codec.name;
+    locate;
+    check =
+      (fun ~digest payload ->
+        Result.map ignore (validate codec ~digest payload));
+    describe = (fun payload -> Result.map snd (codec.header payload)) }
+
+let namespaces =
+  [ namespace cell_codec ~locate:Fun.id;
+    namespace derived_codec ~locate:derived_store ]
+
 type t = {
   scale : float;
   jobs : int;
-  store : Store.t option;
-  memo : (string * string, Artifact.t) Hashtbl.t;
-  mutable store_hits : int;
-  mutable simulated : int;
+  cells : (string * string, Artifact.t) space;
+  derived : (string, Derived.t) space;
 }
 
 let standard_configs =
@@ -40,16 +226,17 @@ let create ?(scale = 0.2) ?(jobs = 1) ?store () =
   if jobs < 1 then invalid_arg "Runs.create: jobs must be >= 1";
   { scale;
     jobs;
-    store;
-    memo = Hashtbl.create 64;
-    store_hits = 0;
-    simulated = 0 }
+    cells = space cell_codec cells_c (Lazy.from_val store);
+    derived =
+      space derived_codec derived_c (lazy (Option.map derived_store store)) }
 
 let scale t = t.scale
 let jobs t = t.jobs
-let store t = t.store
-let store_hits t = t.store_hits
-let simulated t = t.simulated
+let store t = Lazy.force t.cells.store
+let store_hits t = t.cells.hits
+let simulated t = t.cells.computed
+let derived_hits t = t.derived.hits
+let derived_computed t = t.derived.computed
 
 (* "custom" is the synthesized allocator: train its size classes on the
    profile's own request mix, like CustoMalloc generating an allocator
@@ -64,15 +251,6 @@ let build_allocator ~profile_key ~allocator heap =
     Allocators.Custom.allocator (Allocators.Custom.create_for ~histogram heap)
   end
   else Allocators.Registry.build allocator heap
-
-let cells_f =
-  Telemetry.Metrics.Counter.family ~name:"loclab_cells_total"
-    ~help:"Grid cells resolved, by how they were satisfied"
-    ~labels:[ "source" ] ()
-
-let cell_memo_c = Telemetry.Metrics.Counter.labels cells_f [ "memo" ]
-let cell_store_c = Telemetry.Metrics.Counter.labels cells_f [ "store" ]
-let cell_sim_c = Telemetry.Metrics.Counter.labels cells_f [ "simulated" ]
 
 let paper_hierarchy () =
   Cachesim.Hierarchy.create_levels
@@ -129,76 +307,9 @@ let run t ~profile ~allocator =
     ~result ~caches:o.caches ~hierarchy:o.hierarchy ~fault_curve:o.fault_curve
     ()
 
-(* ---- the resolution path -------------------------------------------- *)
+(* ---- grid cells ------------------------------------------------------ *)
 
-(* The one rule for accepting a stored payload, shared by every reader
-   and by [store gc]: it must decode, and its metadata must digest to
-   the digest it is filed under. *)
-let validate ~digest payload =
-  match Artifact.decode payload with
-  | Error reason -> Error ("undecodable artifact: " ^ reason)
-  | Ok art ->
-      let filed = Artifact.digest_of_meta art.Artifact.meta in
-      if filed = digest then Ok art
-      else Error (Printf.sprintf "metadata digests to %s (misfiled cell)" filed)
-
-(* Any failure — absent, truncated, CRC mismatch, or rejected by
-   [validate] — degrades to [None], i.e. to re-simulation; corruption
-   is reported, never fatal. *)
-let read store ~digest =
-  match Store.find store ~digest with
-  | Store.Miss | Store.Corrupt _ -> None (* Corrupt logged by Store *)
-  | Store.Hit payload -> (
-      match validate ~digest payload with
-      | Ok art -> Some (payload, art)
-      | Error reason ->
-          Log.warn (fun m -> m "cell %s: %s; re-simulating" digest reason);
-          None)
-
-let stored t ~digest =
-  match t.store with
-  | None -> None
-  | Some store -> Option.map snd (read store ~digest)
-
-let write_through t art =
-  match t.store with
-  | None -> ()
-  | Some store ->
-      Store.put store
-        ~digest:(Artifact.digest_of_meta art.Artifact.meta)
-        (Artifact.encode art)
-
-(* Every resolved cell enters the memo here, counted by where it came
-   from; a simulated one is written through first. *)
-let admit t ((program, allocator) as key) source art =
-  (match source with
-  | `Store ->
-      t.store_hits <- t.store_hits + 1;
-      Telemetry.Metrics.Counter.inc cell_store_c
-  | `Simulated ->
-      t.simulated <- t.simulated + 1;
-      Telemetry.Metrics.Counter.inc cell_sim_c;
-      write_through t art);
-  Log.debug (fun m ->
-      m "cell (%s, %s): %s" program allocator
-        (match source with `Store -> "store hit" | `Simulated -> "simulated"));
-  Hashtbl.replace t.memo key art
-
-(* memo → validated store read → [compute], written through.  [digest]
-   is forced only on a memo miss. *)
-let resolve t key ~digest compute =
-  match Hashtbl.find_opt t.memo key with
-  | Some art ->
-      Telemetry.Metrics.Counter.inc cell_memo_c;
-      art
-  | None ->
-      let art, source =
-        match stored t ~digest:(digest ()) with
-        | Some art -> (art, `Store)
-        | None -> (compute (), `Simulated)
-      in
-      admit t key source art;
-      art
+let read store ~digest = read_with cell_codec store ~digest
 
 let cell_digest t ~profile ~allocator =
   let prof = Workload.Programs.find profile in
@@ -206,7 +317,7 @@ let cell_digest t ~profile ~allocator =
     ~seed:prof.Workload.Profile.seed
 
 let get t ~profile ~allocator =
-  resolve t (profile, allocator)
+  resolve t.cells (profile, allocator)
     ~digest:(fun () -> cell_digest t ~profile ~allocator)
     (fun () -> run t ~profile ~allocator)
 
@@ -217,7 +328,7 @@ let dedupe_missing t cells =
   List.rev
     (List.fold_left
        (fun acc key ->
-         if Hashtbl.mem t.memo key || Hashtbl.mem seen key then acc
+         if Hashtbl.mem t.cells.memo key || Hashtbl.mem seen key then acc
          else begin
            Hashtbl.replace seen key ();
            key :: acc
@@ -227,9 +338,9 @@ let dedupe_missing t cells =
 let load t cells =
   List.filter
     (fun ((profile, allocator) as key) ->
-      match stored t ~digest:(cell_digest t ~profile ~allocator) with
+      match stored t.cells ~digest:(cell_digest t ~profile ~allocator) with
       | Some art ->
-          admit t key `Store art;
+          admit t.cells key `Store art;
           false
       | None -> true
       | exception Not_found -> true (* unknown profile: let [run] raise *))
@@ -254,7 +365,8 @@ let prefetch t cells =
               (fun (profile, allocator) -> run t ~profile ~allocator)
               pending)
       in
-      List.iter2 (fun key art -> admit t key `Simulated art) pending artifacts
+      List.iter2 (fun key art -> admit t.cells key `Computed art) pending
+        artifacts
 
 (* ---- external trace ingestion --------------------------------------- *)
 
@@ -350,7 +462,7 @@ let simulate_trace c =
     fault_curve = o.fault_curve }
 
 let ingest_capture t c =
-  resolve t
+  resolve t.cells
     (trace_program ~ident:c.ident, external_allocator)
     ~digest:(fun () -> capture_digest c)
     (fun () -> simulate_trace c)
@@ -365,3 +477,19 @@ let get_source t (source : Memsim.Trace.Source.t) =
       let format = Option.get (Memsim.Trace.Source.format_of source) in
       let path = Option.get (Memsim.Trace.Source.path_of source) in
       ingest t ~format ~data:(Memsim.Trace.slurp path)
+
+(* ---- derived cells -------------------------------------------------- *)
+
+let derive t ~id ~scale ~inputs compute =
+  let meta =
+    { Derived.id; scale; schema_version = Derived.schema_version; inputs }
+  in
+  let digest = Derived.digest_of_meta meta in
+  let d =
+    resolve t.derived digest
+      ~digest:(fun () -> digest)
+      (fun () ->
+        Telemetry.Span.with_span ~cat:"derived" id @@ fun () ->
+        { Derived.meta; rows = compute () })
+  in
+  d.Derived.rows

@@ -1,5 +1,6 @@
 (** The run grid: one fully instrumented simulation per
-    (program, allocator) pair, shared by every experiment.
+    (program, allocator) pair, shared by every experiment, plus the
+    derived cells of the experiments that simulate off the grid.
 
     Each run drives the profile against the allocator once, feeding the
     fused trace to: the paper's direct-mapped cache sweep (16K–256K), an
@@ -10,11 +11,15 @@
     {!Artifact.t}; the in-process memo and the optional persistent
     {!Store.t} both hold artifacts, so regenerating all tables and
     figures costs one pass per pair — or zero passes from a warm
-    store.
+    store.  The off-grid experiments ([tabcpu], [abl-flush],
+    [abl-lifetime]) store their simulated rows as {!Derived.t} cells
+    ({!derive}), so a warm store renders everything without simulating.
 
-    Every cell, synthetic or ingested, resolves through one path: memo,
-    then the validated store read ({!read}), then simulation, written
-    through. *)
+    Every value, grid cell, ingested trace or derived cell, resolves
+    through one path over its namespace's codec: memo, then the
+    validated store read ({!namespace}'s [check]), then computation,
+    written through.  The two namespaces share a store root: grid cells
+    at its top level, derived cells in its [derived/] sub-store. *)
 
 type t
 
@@ -23,7 +28,8 @@ val create : ?scale:float -> ?jobs:int -> ?store:Store.t -> unit -> t
     {!Workload.Driver.run}.  [jobs] (default 1) bounds the worker
     domains {!prefetch} may use to fill the grid concurrently.
     [store], when given, is consulted before any simulation and written
-    through after each one.
+    through after each one; derived cells use its [derived/] sub-store,
+    created on first use.
     @raise Invalid_argument if [scale <= 0] or [jobs < 1]. *)
 
 val scale : t -> float
@@ -31,16 +37,22 @@ val jobs : t -> int
 val store : t -> Store.t option
 
 val store_hits : t -> int
-(** Cells served from the persistent store so far. *)
+(** Grid cells served from the persistent store so far. *)
 
 val simulated : t -> int
-(** Cells computed by simulation so far (each was a store miss when a
-    store is attached). *)
+(** Grid cells computed by simulation so far (each was a store miss
+    when a store is attached).  Derived cells count separately. *)
+
+val derived_hits : t -> int
+(** Derived cells served from the persistent store so far. *)
+
+val derived_computed : t -> int
+(** Derived cells computed by simulation so far. *)
 
 val get : t -> profile:string -> allocator:string -> Artifact.t
 (** Memoized; consults the store before simulating.  A stored cell that
-    is truncated, fails its CRC, or is rejected by {!validate} is
-    reported (via [Logs], sources [loclab.store] / [loclab.runs]) and
+    is truncated, fails its CRC, or is rejected by its namespace's
+    [check] ({!namespaces}) is reported (via [Logs], sources [loclab.store] / [loclab.runs]) and
     transparently re-simulated — never a crash, never wrong numbers.
     [allocator] is a {!Allocators.Registry} key; ["custom"] is trained
     on the profile's own size histogram (the CustoMalloc workflow).
@@ -110,17 +122,47 @@ val trace_digest : ident:int -> string
 val external_allocator : string
 (** The allocator key external cells carry (["external"]). *)
 
+(** {1 Derived cells} *)
+
+val derive :
+  t -> id:string -> scale:float -> inputs:string ->
+  (unit -> Derived.row list) -> Derived.row list
+(** [derive t ~id ~scale ~inputs compute] resolves the derived cell
+    keyed by [(id, Derived.schema_version, scale, inputs)] like
+    {!get}: memo, validated read of the store's [derived/] namespace,
+    or [compute ()] written through.  [inputs] must describe everything
+    [compute] simulates (see {!Derived.inputs}); [scale] is the
+    effective scale it simulates at. *)
+
 (** {1 The validated store read} *)
 
-val validate : digest:string -> string -> (Artifact.t, string) result
-(** Accept a stored payload only if it decodes and its metadata digests
-    to [digest], the digest it is filed under; otherwise say why.  The
-    rule every reader and [loclab store gc] apply. *)
+type rejection =
+  | Stale of string
+      (** A readable header of another schema version: unreachable by
+          current digests, and reclaimed by [store gc]. *)
+  | Invalid of string  (** Undecodable, or misfiled under another key. *)
+
+type namespace = {
+  name : string;  (** ["grid"] or ["derived"]. *)
+  locate : Store.t -> Store.t;
+      (** The namespace's store under a root opened with {!Store.open_}. *)
+  check : digest:string -> string -> (unit, rejection) result;
+      (** The one rule every reader and [loclab store gc]/[verify]
+          apply: the payload decodes under the current schema and its
+          key digests to [digest], the digest it is filed under. *)
+  describe : string -> (string, string) result;
+      (** One line from the payload's version-frozen header, under any
+          schema. *)
+}
+
+val namespaces : namespace list
+(** Grid cells, then derived cells. *)
 
 val read : Store.t -> digest:string -> (string * Artifact.t) option
-(** The payload filed under [digest] and its artifact, if it passes
-    {!validate}.  Every failure (absent, truncated, CRC mismatch,
-    undecodable, misfiled) is [None]; a rejected payload is logged. *)
+(** The grid-cell payload filed under [digest] and its artifact, if it
+    passes the cell namespace's [check].  Every failure (absent,
+    truncated, CRC mismatch, undecodable, misfiled) is [None]; a
+    rejected payload is logged. *)
 
 val standard_configs : Cachesim.Config.t list
 (** Everything simulated per run: the paper sweep plus the
@@ -131,5 +173,5 @@ val build_allocator :
   Allocators.Allocator.t
 (** Instantiate a registry allocator on [heap]; ["custom"] is trained
     on the profile's size histogram (the CustoMalloc workflow).  Used
-    by off-grid experiments (context-switch ablation, modern-CPU
-    ranking) that drive their own simulations. *)
+    by the grid and by the modern-CPU ranking's derived cell, which
+    drives its own simulations. *)

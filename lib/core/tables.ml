@@ -141,32 +141,64 @@ let tab6 (ctx : Context.t) =
 (* The paper's allocator ranking, re-run on modern (2008-2017) L1/L2/L3
    hierarchies with real replacement policies.  Off-grid like the flush
    ablation: one driver pass per allocator on GS-Large, fanned out to
-   every CPU preset's hierarchy so all presets see the identical
-   trace. *)
+   every CPU preset's hierarchy so all presets see the identical trace.
+   The passes are a derived cell holding each preset's per-level
+   statistics; latencies, and so cycles, are applied when rendering. *)
+let cpu_program = "gs-large"
+
+let level_name (cpu : Cachesim.Cpu.t) i = Printf.sprintf "%s/L%d" cpu.key (i + 1)
+
+let cpu_rows (ctx : Context.t) ~scale ~cpus =
+  let allocators = List.map fst Context.with_custom in
+  Runs.derive ctx.Context.runs ~id:"tabcpu" ~scale
+    ~inputs:
+      (Derived.inputs
+         [ ("programs", [ Derived.program cpu_program ]);
+           ("allocators", allocators);
+           ("cpus", List.map Derived.cpu cpus) ])
+  @@ fun () ->
+  let profile = Workload.Programs.find cpu_program in
+  List.map
+    (fun akey ->
+      let hiers =
+        List.map (fun cpu -> (cpu, Cachesim.Cpu.hierarchy cpu)) cpus
+      in
+      let heap = Allocators.Heap.create () in
+      let alloc =
+        Runs.build_allocator ~profile_key:cpu_program ~allocator:akey heap
+      in
+      let sink =
+        Memsim.Sink.fanout
+          (List.map (fun (_, h) -> Cachesim.Hierarchy.sink h) hiers)
+      in
+      let r = Workload.Driver.run_with ~sink ~scale ~profile ~heap ~alloc () in
+      Derived.row ~program:cpu_program ~variant:akey r
+        (List.concat_map
+           (fun (cpu, h) ->
+             List.mapi
+               (fun i (_, stats) -> (level_name cpu i, stats))
+               (Cachesim.Hierarchy.results h))
+           hiers))
+    allocators
+
 let tabcpu (ctx : Context.t) =
   let scale = min 0.1 (Runs.scale ctx.Context.runs) in
-  let profile = Workload.Programs.find "gs-large" in
   let cpus = Cachesim.Cpu.all in
+  let rows = cpu_rows ctx ~scale ~cpus in
+  let level_stats (cpu : Cachesim.Cpu.t) row =
+    List.mapi (fun i _ -> Derived.stats row (level_name cpu i)) cpu.levels
+  in
   let runs =
     List.map
       (fun (akey, alabel) ->
-        let hiers =
-          List.map (fun cpu -> (cpu, Cachesim.Cpu.hierarchy cpu)) cpus
-        in
-        let heap = Allocators.Heap.create () in
-        let alloc = Runs.build_allocator ~profile_key:"gs-large" ~allocator:akey heap in
-        let sink =
-          Memsim.Sink.fanout
-            (List.map (fun (_, h) -> Cachesim.Hierarchy.sink h) hiers)
-        in
-        let r =
-          Workload.Driver.run_with ~sink ~scale ~profile ~heap ~alloc ()
-        in
-        (alabel, r.Workload.Driver.instructions, hiers))
+        let row = Derived.find rows ~program:cpu_program ~variant:akey in
+        ( alabel,
+          row.Derived.instructions,
+          List.map (fun cpu -> (cpu, level_stats cpu row)) cpus ))
       Context.with_custom
   in
-  let total cpu hier instructions =
-    Cachesim.Cpu.total_cycles cpu hier ~instructions
+  let total cpu levels instructions =
+    Cachesim.Cpu.total_cycles cpu levels ~instructions
   in
   let ranking =
     Table.create
@@ -182,14 +214,14 @@ let tabcpu (ctx : Context.t) =
              cpus)
   in
   List.iter
-    (fun (alabel, instructions, hiers) ->
+    (fun (alabel, instructions, presets) ->
       Table.add_row ranking
         (alabel
         :: List.map
-             (fun (cpu, hier) ->
+             (fun (cpu, levels) ->
                Table.fmt_float ~decimals:2
-                 (float_of_int (total cpu hier instructions) /. 1e6))
-             hiers))
+                 (float_of_int (total cpu levels instructions) /. 1e6))
+             presets))
     runs;
   (* Winner order per preset, cheapest first — the headline the paper's
      Figure 4-7 discussion asks about. *)
@@ -200,8 +232,8 @@ let tabcpu (ctx : Context.t) =
            let ranked =
              List.sort compare
                (List.map
-                  (fun (alabel, instructions, hiers) ->
-                    (total cpu (snd (List.nth hiers i)) instructions, alabel))
+                  (fun (alabel, instructions, presets) ->
+                    (total cpu (snd (List.nth presets i)) instructions, alabel))
                   runs)
            in
            Printf.sprintf "  %-12s %s" (cpu.key ^ ":")
@@ -224,24 +256,23 @@ let tabcpu (ctx : Context.t) =
         @ [ ("stalls (x10^6)", Table.Right); ("total (x10^6)", Table.Right) ])
   in
   List.iter
-    (fun (alabel, instructions, hiers) ->
-      let hier =
-        snd (List.find (fun ((c : Cachesim.Cpu.t), _) -> c.key = cpu.key) hiers)
+    (fun (alabel, instructions, presets) ->
+      let levels =
+        snd (List.find (fun ((c : Cachesim.Cpu.t), _) -> c.key = cpu.key) presets)
       in
       let miss_cells =
-        List.mapi
-          (fun i _ ->
-            Table.fmt_float ~decimals:2
-              (Cachesim.Stats.miss_rate_pct (Cachesim.Hierarchy.level_stats hier i)))
-          cpu.levels
+        List.map
+          (fun stats ->
+            Table.fmt_float ~decimals:2 (Cachesim.Stats.miss_rate_pct stats))
+          levels
       in
       Table.add_row detail
         (alabel
         :: miss_cells
         @ [ Table.fmt_float ~decimals:2
-              (float_of_int (Cachesim.Cpu.stall_cycles cpu hier) /. 1e6);
+              (float_of_int (Cachesim.Cpu.stall_cycles cpu levels) /. 1e6);
             Table.fmt_float ~decimals:2
-              (float_of_int (total cpu hier instructions) /. 1e6) ]))
+              (float_of_int (total cpu levels instructions) /. 1e6) ]))
     runs;
   Table.render ranking
   ^ "\nRanking per preset (cheapest first):\n" ^ order ^ "\n\n"

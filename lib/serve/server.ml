@@ -461,6 +461,9 @@ let run_experiment t rctx ~id ~scale =
           Result.Error
             (Protocol.Unknown_key, Printf.sprintf "unknown experiment %S" id)
       | _ ->
+          (* The context renders through the store: grid cells and an
+             off-grid experiment's derived cell are read back when warm
+             and written through when computed. *)
           let key = Printf.sprintf "exp:%s:%h" id scale in
           Rctx.set_cell rctx key;
           let text, _ =

@@ -99,21 +99,10 @@ let put t ~digest payload =
 
 let mem t ~digest = match find t ~digest with Hit _ -> true | _ -> false
 
-let cells t =
+let ls t =
   Sys.readdir t.root |> Array.to_list
   |> List.filter_map (fun f -> Filename.chop_suffix_opt ~suffix:cell_ext f)
   |> List.sort compare
-
-let ls = cells
-
-let verify t =
-  List.map
-    (fun digest ->
-      match find t ~digest with
-      | Hit payload -> (digest, Ok (String.length payload))
-      | Miss -> (digest, Error "vanished during verify")
-      | Corrupt reason -> (digest, Error reason))
-    (cells t)
 
 let gc t ~keep =
   let removed = ref [] in

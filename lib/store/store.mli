@@ -47,10 +47,6 @@ val mem : t -> digest:string -> bool
 val ls : t -> string list
 (** Digests of every [.art] cell currently in the store, sorted. *)
 
-val verify : t -> (string * (int, string) result) list
-(** Re-read and CRC-check every cell: [(digest, Ok payload_bytes)] or
-    [(digest, Error reason)], sorted by digest. *)
-
 val gc : t -> keep:(digest:string -> payload:string -> bool) -> string list
 (** Remove corrupt cells, leftover temp files, and verified cells the
     [keep] predicate rejects (e.g. foreign schema versions).  Returns

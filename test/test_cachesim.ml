@@ -1205,9 +1205,10 @@ let test_cpu_skylake_cost_model () =
   let h = Cpu.hierarchy cpu in
   deliver (Hierarchy.sink h) [ Memsim.Event.read 0 4 ];
   (* one miss at each level *)
-  check_int "stalls" 294 (Cpu.stall_cycles cpu h);
+  let levels = List.map snd (Hierarchy.results h) in
+  check_int "stalls" 294 (Cpu.stall_cycles cpu levels);
   check_int "total = instructions + stalls" 394
-    (Cpu.total_cycles cpu h ~instructions:100)
+    (Cpu.total_cycles cpu levels ~instructions:100)
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                              *)

@@ -739,10 +739,10 @@ let cell_reply c req =
   | P.Cell_ok { digest; artifact } -> (digest, artifact)
   | r -> Alcotest.failf "cell: unexpected %s" (P.encode_response r)
 
-(* [loclab_cells_total{source="simulated"}] from the process-wide
-   registry the server's cells count into. *)
-let simulated_total () =
-  let prefix = "loclab_cells_total{source=\"simulated\"} " in
+(* [family{source="..."}] from the process-wide registry the server's
+   cells count into. *)
+let source_total family source =
+  let prefix = Printf.sprintf "%s{source=\"%s\"} " family source in
   let text =
     Telemetry.Metrics.to_prometheus
       (Telemetry.Metrics.snapshot Telemetry.Metrics.default)
@@ -756,6 +756,9 @@ let simulated_total () =
       else None)
     (String.split_on_char '\n' text)
   |> Option.value ~default:0
+
+let simulated_total () = source_total "loclab_cells_total" "simulated"
+let derived_computed_total () = source_total "loclab_derived_total" "computed"
 
 let single_flight_keys sock =
   let body = http_body (http_exchange sock "GET /status HTTP/1.0\r\n\r\n") in
@@ -891,6 +894,31 @@ let test_concurrent_single_flight () =
       | Store.Corrupt e -> Alcotest.failf "store corrupt: %s" e);
       check_int "exactly one simulation" (before + 1) (simulated_total ()))
 
+(* An off-grid experiment's rows are a derived cell: the first request
+   computes and writes it through, a second one at the same scale reads
+   it back and replies with the same bytes, simulating nothing. *)
+let test_experiment_warm_from_store () =
+  with_server (fun ~sock ~store:_ _server ->
+      Serve.Client.with_connection (P.Unix_path sock) (fun c ->
+          let report () =
+            match rpc c (P.Run_experiment { id = "tabcpu"; scale = 0.01 }) with
+            | P.Report_ok text -> text
+            | r ->
+                Alcotest.failf "experiment: unexpected %s"
+                  (P.encode_response r)
+          in
+          let computed0 = derived_computed_total () in
+          let first = report () in
+          let computed = derived_computed_total ()
+          and simulated = simulated_total () in
+          check_int "the first request computed the cell" (computed0 + 1)
+            computed;
+          let second = report () in
+          check_string "second reply byte-identical" first second;
+          check_int "no derived cell computed" computed
+            (derived_computed_total ());
+          check_int "no grid cell simulated" simulated (simulated_total ())))
+
 (* ------------------------------------------------------------------ *)
 (* Client receive timeout                                             *)
 (* ------------------------------------------------------------------ *)
@@ -1003,6 +1031,8 @@ let () =
           tc "misfiled payload rejected and healed" test_misfiled_payload_rejected;
           tc "/status answers during a jobs=1 cold cell" test_status_during_cold_cell;
           tc "concurrent cold requests simulate once" test_concurrent_single_flight;
+          tc "second experiment request reads its derived cell"
+            test_experiment_warm_from_store;
         ] );
       ( "client",
         [ tc "receive timeout on a mute server" test_client_receive_timeout ] );

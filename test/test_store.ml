@@ -43,16 +43,15 @@ let fresh_dir =
     made_dirs := dir :: !made_dirs;
     dir
 
-let cleanup_dirs () =
-  List.iter
-    (fun dir ->
-      if Sys.file_exists dir && Sys.is_directory dir then begin
-        Array.iter
-          (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-          (Sys.readdir dir);
-        try Unix.rmdir dir with Unix.Unix_error _ -> ()
-      end)
-    !made_dirs
+(* Stores nest their derived namespace in a sub-directory. *)
+let rec remove_tree path =
+  if Sys.file_exists path && Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    try Unix.rmdir path with Unix.Unix_error _ -> ()
+  end
+  else try Sys.remove path with Sys_error _ -> ()
+
+let cleanup_dirs () = List.iter remove_tree !made_dirs
 
 let read_file path =
   let ic = open_in_bin path in
@@ -373,12 +372,14 @@ let test_store_verify_and_gc () =
   Store.put store ~digest:"unwanted" "keep says no";
   flip_byte (Filename.concat (Store.root store) "bad.art") 20;
   write_file (Filename.concat (Store.root store) "leftover.art.tmp") "junk";
-  let verdicts = Store.verify store in
+  let verdicts =
+    List.map (fun digest -> (digest, Store.find store ~digest)) (Store.ls store)
+  in
   check_int "verify covers all cells" 3 (List.length verdicts);
   check_bool "good verifies" true
-    (match List.assoc "good" verdicts with Ok _ -> true | Error _ -> false);
+    (match List.assoc "good" verdicts with Store.Hit _ -> true | _ -> false);
   check_bool "bad fails verify" true
-    (match List.assoc "bad" verdicts with Error _ -> true | Ok _ -> false);
+    (match List.assoc "bad" verdicts with Store.Corrupt _ -> true | _ -> false);
   let removed =
     Store.gc store ~keep:(fun ~digest ~payload:_ -> digest <> "unwanted")
   in
@@ -521,11 +522,120 @@ let test_differential_cold_vs_warm () =
     (fun (id, cold) ->
       check_string (id ^ " warm = cold") cold (Core.Experiment.run warm_ctx id))
     cold_out;
-  (* ... and the warm pass must not have simulated a single grid cell. *)
-  check_int "warm pass simulated nothing" 0
-    (Core.Runs.simulated warm_ctx.Core.Context.runs);
+  (* ... and the warm pass must not have simulated anything: no grid
+     cell, and none of the off-grid experiments' derived cells. *)
+  let warm = warm_ctx.Core.Context.runs in
+  check_int "warm pass simulated no grid cell" 0 (Core.Runs.simulated warm);
+  check_int "warm pass computed no derived cell" 0
+    (Core.Runs.derived_computed warm);
   check_bool "warm pass fed from the store" true
-    (Core.Runs.store_hits warm_ctx.Core.Context.runs > 0)
+    (Core.Runs.store_hits warm > 0);
+  check_int "every derived cell read from the store"
+    (Core.Runs.derived_computed cold_ctx.Core.Context.runs)
+    (Core.Runs.derived_hits warm);
+  check_int "the three off-grid experiments are derived cells" 3
+    (Core.Runs.derived_hits warm)
+
+(* --cpu picks the preset tabcpu details at render time; it is not part
+   of the derived cell, so a store filled under one preset serves
+   another without recomputing, with the bytes of a cold render. *)
+let test_derived_cpu_applies_at_render () =
+  let dir = fresh_dir () in
+  let ctx ?store cpu = Core.Context.create ~scale:0.02 ?store ~cpu () in
+  let skylake = ctx ~store:(Store.open_ dir) Cachesim.Cpu.skylake in
+  let skylake_out = Core.Experiment.run skylake "tabcpu" in
+  check_int "the skylake pass computed the cell" 1
+    (Core.Runs.derived_computed skylake.Core.Context.runs);
+  let warm = ctx ~store:(Store.open_ dir) Cachesim.Cpu.haswell in
+  let warm_out = Core.Experiment.run warm "tabcpu" in
+  check_int "haswell from a skylake store computes nothing" 0
+    (Core.Runs.derived_computed warm.Core.Context.runs);
+  check_int "haswell read the stored cell" 1
+    (Core.Runs.derived_hits warm.Core.Context.runs);
+  check_string "warm haswell = cold haswell"
+    (Core.Experiment.run (ctx Cachesim.Cpu.haswell) "tabcpu")
+    warm_out;
+  check_bool "the preset changes the rendering" true (warm_out <> skylake_out)
+
+(* ------------------------------------------------------------------ *)
+(* Derived namespace: one validation rule for readers and gc          *)
+(* ------------------------------------------------------------------ *)
+
+let derived_namespace =
+  List.find
+    (fun (ns : Core.Runs.namespace) -> ns.name = "derived")
+    Core.Runs.namespaces
+
+let test_derived_gc_and_heal () =
+  let dir = fresh_dir () in
+  let ids = [ "tabcpu"; "abl-flush"; "abl-lifetime" ] in
+  let render () =
+    let ctx = Core.Context.create ~scale:0.01 ~store:(Store.open_ dir) () in
+    (ctx.Core.Context.runs, List.map (Core.Experiment.run ctx) ids)
+  in
+  let cold, cold_out = render () in
+  check_int "cold render computed each derived cell" 3
+    (Core.Runs.derived_computed cold);
+  let derived = derived_namespace.locate (Store.open_ dir) in
+  check_int "grid namespace untouched" 0 (List.length (Store.ls (Store.open_ dir)));
+  let cells =
+    List.map
+      (fun digest ->
+        match Store.find derived ~digest with
+        | Store.Hit payload -> (
+            match Core.Derived.decode payload with
+            | Ok d -> (d.Core.Derived.meta.Core.Derived.id, (digest, d))
+            | Error e -> Alcotest.failf "derived %s: %s" digest e)
+        | _ -> Alcotest.failf "derived %s unreadable" digest)
+      (Store.ls derived)
+  in
+  let digest id = fst (List.assoc id cells) in
+  let file id = Filename.concat (Store.root derived) (digest id ^ ".art") in
+  let lifetime = snd (List.assoc "abl-lifetime" cells) in
+  (* Corrupt: a flipped byte fails the frame CRC. *)
+  flip_byte (file "tabcpu") 20;
+  (* Misfiled: another experiment's payload under abl-flush's digest. *)
+  Store.put derived ~digest:(digest "abl-flush") (Core.Derived.encode lifetime);
+  (* Stale: a readable header of another schema version. *)
+  Store.put derived ~digest:(digest "abl-lifetime")
+    (Core.Derived.encode
+       { lifetime with
+         Core.Derived.meta =
+           { lifetime.Core.Derived.meta with
+             Core.Derived.schema_version = Core.Derived.schema_version + 1 } });
+  let verdict id =
+    match Store.find derived ~digest:(digest id) with
+    | Store.Hit payload -> (
+        match derived_namespace.check ~digest:(digest id) payload with
+        | Ok () -> "ok"
+        | Error (Core.Runs.Stale _) -> "stale"
+        | Error (Core.Runs.Invalid _) -> "invalid")
+    | Store.Corrupt _ -> "corrupt"
+    | Store.Miss -> "missing"
+  in
+  Alcotest.(check (list string))
+    "verdicts" [ "corrupt"; "invalid"; "stale" ]
+    (List.map verdict ids);
+  let removed =
+    Store.gc derived ~keep:(fun ~digest ~payload ->
+        Result.is_ok (derived_namespace.check ~digest payload))
+  in
+  Alcotest.(check (list string))
+    "gc removes all three"
+    (List.sort compare (List.map (fun id -> digest id ^ ".art") ids))
+    removed;
+  (* The next render recomputes each one and writes it back... *)
+  let healed, healed_out = render () in
+  check_int "each recomputed" 3 (Core.Runs.derived_computed healed);
+  Alcotest.(check (list string)) "same bytes" cold_out healed_out;
+  Alcotest.(check (list string))
+    "written back"
+    (List.sort compare (List.map digest ids))
+    (Store.ls derived);
+  (* ... after which a render reads all three. *)
+  let warm, _ = render () in
+  check_int "warm computes nothing" 0 (Core.Runs.derived_computed warm);
+  check_int "warm reads all three" 3 (Core.Runs.derived_hits warm)
 
 (* ------------------------------------------------------------------ *)
 (* Trace checksum                                                     *)
@@ -598,7 +708,12 @@ let () =
                 test_ingest_write_through_and_warm_read;
             ] );
           ( "differential",
-            [ tc "cold vs warm byte-identical" test_differential_cold_vs_warm ] );
+            [ tc "cold vs warm byte-identical" test_differential_cold_vs_warm;
+              tc "--cpu applies at render time"
+                test_derived_cpu_applies_at_render ] );
+          ( "derived",
+            [ tc "gc removes bad derived cells, render heals"
+                test_derived_gc_and_heal ] );
           ( "checksum",
             [ tc "order and field sensitivity" test_checksum_orders_and_fields ] );
         ])
