@@ -7,7 +7,7 @@ open Cmdliner
 
 (* Every shared knob resolves through Core.Context.Options.build with
    precedence flag > LOCLAB_* environment > default, so run, all,
-   report, probe, profile, serve and the bench agree on semantics.  The
+   report, probe, profile and serve agree on semantics.  The
    flags are therefore all optional here: an absent flag lets the
    builder consult the environment. *)
 
@@ -857,8 +857,7 @@ let profile_cmd =
       & opt string "loclab-trace.json"
       & info [ "trace-out" ] ~docv:"FILE" ~doc)
   in
-  let run scale penalty program allocs window series_out metrics_out trace_out =
-    ignore penalty;
+  let run scale program allocs window series_out metrics_out trace_out =
     let scale = (resolve_options ?scale ()).Core.Context.Options.scale in
     if window < 1 then begin
       Printf.eprintf "loclab: window must be >= 1\n";
@@ -929,8 +928,8 @@ let profile_cmd =
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
-      const run $ scale_arg $ penalty_arg $ program_arg $ allocs_arg
-      $ window_arg $ series_out_arg $ pmetrics_arg $ ptrace_arg)
+      const run $ scale_arg $ program_arg $ allocs_arg $ window_arg
+      $ series_out_arg $ pmetrics_arg $ ptrace_arg)
 
 (* ---- serve / client -------------------------------------------------- *)
 

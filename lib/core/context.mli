@@ -23,7 +23,7 @@ val create :
     store and a cold grid render byte-identically. *)
 
 (** The one CLI/service options builder: every entry point (run, all,
-    report, probe, profile, serve, the bench) resolves the shared knobs
+    report, probe, profile, serve) resolves the shared knobs
     — scale, miss penalty, worker domains, store directory, CPU preset —
     through {!Options.build}, which pins the precedence
     [flag > LOCLAB_* environment > default] in one place instead of

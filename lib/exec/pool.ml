@@ -199,12 +199,4 @@ let await fut =
   | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
   | Running -> assert false
 
-let default_jobs () =
-  match Sys.getenv_opt "LOCLAB_JOBS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some j when j >= 1 -> clamp_jobs j
-      | Some _ | None -> 1)
-  | None -> 1
-
 let recommended_jobs () = clamp_jobs (Domain.recommended_domain_count ())

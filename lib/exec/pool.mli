@@ -72,13 +72,6 @@ val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] on a fresh pool and guarantees
     {!shutdown}, also on exception. *)
 
-val default_jobs : unit -> int
-(** The parallelism to use when the caller gave no explicit [--jobs]:
-    the [LOCLAB_JOBS] environment variable if it parses as a positive
-    integer, else [1].  (The conservative default keeps batch output
-    timing stable on shared CI hosts; pass [--jobs 0] at the CLI to ask
-    for one domain per core.) *)
-
 val recommended_jobs : unit -> int
 (** One domain per core: [Domain.recommended_domain_count], clamped to
     [\[1, 64\]]. *)

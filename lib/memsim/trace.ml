@@ -4,7 +4,7 @@
    Workload run; this module makes the event source pluggable.  Every
    reader streams packed {!Event.Batch} deliveries into a sink — no
    boxed [Event.t] on the hot path — so an externally captured trace
-   flows through exactly the pipeline (forest, shard, hierarchy, vmsim)
+   flows through exactly the pipeline (forest, hierarchy, vmsim)
    that synthetic traffic does. *)
 
 let framed_magic = "LOCTRC1\n"

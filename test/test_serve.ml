@@ -739,10 +739,10 @@ let cell_reply c req =
   | P.Cell_ok { digest; artifact } -> (digest, artifact)
   | r -> Alcotest.failf "cell: unexpected %s" (P.encode_response r)
 
-(* [family{source="..."}] from the process-wide registry the server's
-   cells count into. *)
-let source_total family source =
-  let prefix = Printf.sprintf "%s{source=\"%s\"} " family source in
+(* One sample's value from the process-wide registry the server counts
+   into; [sample] is the metric name with its label set, if any. *)
+let metric_value sample =
+  let prefix = sample ^ " " in
   let text =
     Telemetry.Metrics.to_prometheus
       (Telemetry.Metrics.snapshot Telemetry.Metrics.default)
@@ -756,6 +756,9 @@ let source_total family source =
       else None)
     (String.split_on_char '\n' text)
   |> Option.value ~default:0
+
+let source_total family source =
+  metric_value (Printf.sprintf "%s{source=\"%s\"}" family source)
 
 let simulated_total () = source_total "loclab_cells_total" "simulated"
 let derived_computed_total () = source_total "loclab_derived_total" "computed"
@@ -919,6 +922,127 @@ let test_experiment_warm_from_store () =
             (derived_computed_total ());
           check_int "no grid cell simulated" simulated (simulated_total ())))
 
+let status_section server key =
+  match Metrics.Export.of_string (Serve.Server.status_json server) with
+  | Error msg -> Alcotest.failf "/status unparsable: %s" msg
+  | Ok json -> Metrics.Export.member key json
+
+(* Per-stage request counts and quantiles from /status. *)
+let status_stages server =
+  let field conv k st = Option.bind (Metrics.Export.member k st) conv in
+  match status_section server "stages" with
+  | Some (Metrics.Export.List stages) ->
+      List.filter_map
+        (fun st ->
+          match
+            ( field Metrics.Export.to_string_opt "stage" st,
+              field Metrics.Export.to_int_opt "count" st,
+              field Metrics.Export.to_float_opt "p50_us" st,
+              field Metrics.Export.to_float_opt "p99_us" st )
+          with
+          | Some name, Some count, Some p50, Some p99 ->
+              Some (name, (count, p50, p99))
+          | _ -> None)
+        stages
+  | _ -> Alcotest.fail "/status has no stages list"
+
+(* Two connections send warm cells, one cold cell and health requests
+   to a jobs=2 server that logs every request.  The access log and its
+   counter, the per-stage latency table and the slow-request table must
+   all account for that traffic.  Metrics and stage histograms are
+   process-global, so both are read as deltas. *)
+let test_access_log_and_stages () =
+  let access_log =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "loclab-test-%d-%d-access.jsonl" (Unix.getpid ())
+         (Random.bits ()))
+  in
+  let written () = metric_value "loclab_access_log_written_total" in
+  Telemetry.Rctx.Slow.reset ();
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove access_log with Sys_error _ -> ())
+    (fun () ->
+      with_server_jobs ~jobs:2 ~access_log ~access_log_sample:1
+        (fun ~sock ~store server ->
+          let scale = 0.005 in
+          let cell (program, allocator) =
+            P.Run_cell { program; allocator; scale }
+          in
+          let w1 = ("espresso", "bsd") and w2 = ("make", "firstfit") in
+          List.iter
+            (fun (program, allocator) ->
+              let art =
+                Core.Runs.get (Core.Runs.create ~scale ()) ~profile:program
+                  ~allocator
+              in
+              Store.put store
+                ~digest:(cell_digest ~program ~allocator ~scale)
+                (Core.Artifact.encode art))
+            [ w1; w2 ];
+          let mixes =
+            [ [ cell w1; P.Health; cell w2; cell ("espresso", "quickfit") ];
+              [ P.Health; cell w2; cell w1; P.Health ] ]
+          in
+          let sent = List.length (List.concat mixes) in
+          let written0 = written () and simulated0 = simulated_total () in
+          let stages0 = status_stages server in
+          let failures = Array.make (List.length mixes) None in
+          List.mapi
+            (fun i mix ->
+              Thread.create
+                (fun () ->
+                  Serve.Client.with_connection (P.Unix_path sock) (fun c ->
+                      List.iter
+                        (fun req ->
+                          match Serve.Client.request c req with
+                          | Ok (P.Cell_ok _ | P.Health_ok _) -> ()
+                          | Ok r -> failures.(i) <- Some (P.encode_response r)
+                          | Error e ->
+                              failures.(i) <-
+                                Some (Serve.Client.error_to_string e))
+                        mix))
+                ())
+            mixes
+          |> List.iter Thread.join;
+          Array.iter
+            (Option.iter (Alcotest.failf "client: unexpected %s"))
+            failures;
+          (* A request's access-log line is written after its reply. *)
+          let deadline = Unix.gettimeofday () +. 10. in
+          while written () - written0 < sent && Unix.gettimeofday () < deadline
+          do
+            Thread.delay 0.005
+          done;
+          check_int "access-log counter moved by the requests sent" sent
+            (written () - written0);
+          let lines =
+            In_channel.with_open_text access_log In_channel.input_all
+            |> String.split_on_char '\n'
+            |> List.filter (fun l -> l <> "")
+          in
+          check_int "access-log lines" sent (List.length lines);
+          check_int "one cold cell simulated" (simulated0 + 1)
+            (simulated_total ());
+          let stages = status_stages server in
+          List.iter
+            (fun name ->
+              match List.assoc_opt name stages with
+              | None -> Alcotest.failf "/status has no %s stage" name
+              | Some (count, p50, p99) ->
+                  let before =
+                    match List.assoc_opt name stages0 with
+                    | Some (n, _, _) -> n
+                    | None -> 0
+                  in
+                  check_bool (name ^ " count grew") true (count > before);
+                  check_bool (name ^ " p99 >= p50 >= 0") true
+                    (p99 >= p50 && p50 >= 0.))
+            [ "read_frame"; "decode"; "encode"; "write_reply" ];
+          match status_section server "slow_requests" with
+          | Some (Metrics.Export.List (_ :: _)) -> ()
+          | _ -> Alcotest.fail "/status slow_requests is empty"))
+
 (* ------------------------------------------------------------------ *)
 (* Client receive timeout                                             *)
 (* ------------------------------------------------------------------ *)
@@ -1023,6 +1147,8 @@ let () =
         [
           tc "id propagates to log, status and spans" test_trace_propagation;
           tc "v1 client round-trips untraced" test_v1_client_round_trip;
+          tc "access log, stages and slow table count mixed traffic"
+            test_access_log_and_stages;
         ] );
       ( "http",
         [ tc "400, 405, 404 and /status" test_http_paths ] );
