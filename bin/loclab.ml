@@ -502,6 +502,14 @@ let store_cmd =
 
 (* ---- probe --------------------------------------------------------- *)
 
+(* A cell's (program, allocator) pair, checked as serve checks it. *)
+let check_cell ~program ~allocator =
+  match Core.Runs.check_cell ~program ~allocator with
+  | Ok profile -> profile
+  | Error e ->
+      Printf.eprintf "loclab: %s\n" (Core.Runs.cell_error_message e);
+      exit 2
+
 let probe_cmd =
   let program_arg =
     let doc = "Program profile key (see $(b,loclab list))." in
@@ -512,18 +520,7 @@ let probe_cmd =
     Arg.(value & opt string "quickfit" & info [ "allocator" ] ~docv:"KEY" ~doc)
   in
   let run scale penalty store_dir program allocator =
-    (match Workload.Programs.find program with
-    | _ -> ()
-    | exception Not_found ->
-        Printf.eprintf "loclab: unknown program %S\n" program;
-        exit 2);
-    if
-      allocator <> "custom"
-      && not (List.mem allocator (Allocators.Registry.keys ()))
-    then begin
-      Printf.eprintf "loclab: unknown allocator %S\n" allocator;
-      exit 2
-    end;
+    ignore (check_cell ~program ~allocator);
     let o = resolve_options ?scale ?penalty ?store_dir () in
     let ctx = make_ctx o in
     let d = Core.Runs.get ctx.Core.Context.runs ~profile:program ~allocator in
@@ -596,17 +593,17 @@ let record_cmd =
     Arg.(required & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
   in
   let run scale program allocator out =
-    (match Workload.Programs.find program with
-    | _ -> ()
-    | exception Not_found ->
-        Printf.eprintf "loclab: unknown program %S\n" program;
-        exit 2);
+    let profile = check_cell ~program ~allocator in
     let scale = (resolve_options ?scale ()).Core.Context.Options.scale in
+    (* The allocator is built as the grid builds it, so a capture of
+       "custom" is the custom cell's stream. *)
+    let heap = Allocators.Heap.create () in
+    let alloc =
+      Core.Runs.build_allocator ~profile_key:program ~allocator heap
+    in
     let result =
       Memsim.Trace_file.record_to_file out (fun sink ->
-          Workload.Driver.run ~sink ~scale
-            ~profile:(Workload.Programs.find program)
-            ~allocator ())
+          Workload.Driver.run_with ~sink ~scale ~profile ~heap ~alloc ())
     in
     Printf.printf "recorded %s events (%s, %s, scale %.2f) to %s\n"
       (Metrics.Table.fmt_int result.Workload.Driver.data_refs)
@@ -754,7 +751,7 @@ let profile_cell ~series ~scale ~window ~program ~allocator =
   Telemetry.Span.with_span ~cat:"cell" (program ^ "/" ^ allocator) @@ fun () ->
   let prof = Workload.Programs.find program in
   let heap = Allocators.Heap.create () in
-  let alloc = Allocators.Registry.build allocator heap in
+  let alloc = Core.Runs.build_allocator ~profile_key:program ~allocator heap in
   let multi = Cachesim.Multi.create Core.Runs.standard_configs in
   let pages = Vmsim.Page_sim.create () in
   let counter = Memsim.Sink.Counter.create () in
@@ -863,11 +860,6 @@ let profile_cmd =
       Printf.eprintf "loclab: window must be >= 1\n";
       exit 2
     end;
-    (match Workload.Programs.find program with
-    | _ -> ()
-    | exception Not_found ->
-        Printf.eprintf "loclab: unknown program %S\n" program;
-        exit 2);
     let allocators =
       String.split_on_char ',' allocs
       |> List.map String.trim
@@ -878,17 +870,7 @@ let profile_cmd =
       exit 2
     end;
     List.iter
-      (fun a ->
-        if a = "custom" then begin
-          Printf.eprintf
-            "loclab profile: \"custom\" is synthesized per profile; pick a \
-             registry allocator\n";
-          exit 2
-        end;
-        if not (List.mem a (Allocators.Registry.keys ())) then begin
-          Printf.eprintf "loclab: unknown allocator %S\n" a;
-          exit 2
-        end)
+      (fun allocator -> ignore (check_cell ~program ~allocator))
       allocators;
     Telemetry.Metrics.set_enabled Telemetry.Metrics.default true;
     Telemetry.Span.set_enabled true;

@@ -35,7 +35,7 @@ val hierarchy : t -> Hierarchy.t
 (** A fresh simulated hierarchy with this preset's level configs. *)
 
 val miss_penalties : t -> int array
-(** Per-level miss costs for {!Hierarchy.stalls}: a miss at level [i]
+(** Per-level miss costs for {!stall_cycles}: a miss at level [i]
     pays level [i+1]'s hit latency; the last level pays
     [mem_latency]. *)
 

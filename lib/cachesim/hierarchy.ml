@@ -37,8 +37,6 @@ let create_levels configs =
   in
   { levels = Array.of_list (List.map level configs) }
 
-let create ~l1 ~l2 = create_levels [ l1; l2 ]
-
 (* Probe one level with a block index already translated to its block
    size; true = miss. *)
 let probe level ~kind ~source ~ks ~block =
@@ -78,9 +76,6 @@ let sink t (b : Memsim.Event.Batch.t) =
       ~size:(meta lsr 3)
   done
 
-let num_levels t = Array.length t.levels
-let level_config t i = t.levels.(i).config
-
 let level_stats t i =
   match t.levels.(i).sim with
   | Forest_sim f -> Forest.member_stats f 0
@@ -89,24 +84,3 @@ let level_stats t i =
 let results t =
   Array.to_list t.levels
   |> List.mapi (fun i level -> (level.config, level_stats t i))
-
-let l1_stats t = level_stats t 0
-let l2_stats t = level_stats t 1
-
-let stalls t ~penalties =
-  if Array.length penalties <> Array.length t.levels then
-    invalid_arg
-      (Printf.sprintf
-         "Cachesim.Hierarchy.stalls: %d penalties for %d levels"
-         (Array.length penalties) (Array.length t.levels));
-  let total = ref 0 in
-  for i = 0 to Array.length t.levels - 1 do
-    total := !total + ((level_stats t i).Stats.misses * penalties.(i))
-  done;
-  !total
-
-let stall_cycles t ~l1_penalty ~l2_penalty =
-  if Array.length t.levels < 2 then
-    invalid_arg "Cachesim.Hierarchy.stall_cycles: fewer than two levels";
-  let s1 = level_stats t 0 and s2 = level_stats t 1 in
-  (s1.Stats.misses * l1_penalty) + (s2.Stats.misses * l2_penalty)

@@ -1,4 +1,6 @@
-let schema_version = 3
+(* Schema 4: a cell's cache list is the LRU sweep alone (the PLRU and
+   QLRU members at 16K 8-way were dropped from [Runs.standard_configs]). *)
+let schema_version = 4
 
 type meta = {
   program : string;

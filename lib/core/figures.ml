@@ -59,10 +59,12 @@ let mem_sweep max_kb =
     1024; 1536; 2048; 2560; 3072; 3584; 4096; 4608; 5120 ]
   |> List.map (fun k -> k * 1024)
 
+let fig2_memory_sizes = mem_sweep 5120
+
 let fig2 ctx =
   page_fault_figure ctx ~profile:"gs-large"
     ~title:"Figure 2: Page fault rate for GhostScript vs physical memory"
-    ~memory_sizes:(mem_sweep 5120)
+    ~memory_sizes:fig2_memory_sizes
   ^ "\nPaper: FirstFit degrades fastest as memory shrinks; BSD needs more\n\
      memory than the others (space waste); QuickFit/GNU local most resilient.\n"
 

@@ -11,6 +11,9 @@ val fig1 : Context.t -> string
 val fig2 : Context.t -> string
 (** Page fault rate vs. physical memory, GhostScript (GS-Large). *)
 
+val fig2_memory_sizes : int list
+(** {!fig2}'s x-axis: the physical memory sizes, in bytes. *)
+
 val fig3 : Context.t -> string
 (** Page fault rate vs. physical memory, PTC. *)
 

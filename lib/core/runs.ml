@@ -210,14 +210,6 @@ let standard_configs =
           ~name:(Printf.sprintf "64K-b%d" b)
           ~block_bytes:b (64 * 1024))
       [ 16; 64; 128 ]
-  (* Pseudo-LRU members at the 16K 8-way point: exercised through the
-     Multi per-config fallback (no forest inclusion outside LRU), they
-     let renderers compare replacement policies on the paper's grid. *)
-  @ [ Cachesim.Config.make ~associativity:8 ~policy:Cachesim.Policy.Plru
-        (16 * 1024);
-      Cachesim.Config.make ~associativity:8
-        ~policy:(Cachesim.Policy.Qlru Cachesim.Policy.qlru_h11_m1)
-        (16 * 1024) ]
 
 let create ?(scale = 0.2) ?(jobs = 1) ?store () =
   (* Not an assert: -noassert builds must still reject a zero-step
@@ -237,6 +229,19 @@ let store_hits t = t.cells.hits
 let simulated t = t.cells.computed
 let derived_hits t = t.derived.hits
 let derived_computed t = t.derived.computed
+
+type cell_error = Unknown_program of string | Unknown_allocator of string
+
+let check_cell ~program ~allocator =
+  match Workload.Programs.find program with
+  | exception Not_found -> Error (Unknown_program program)
+  | profile ->
+      if List.mem allocator (Allocators.Registry.keys ()) then Ok profile
+      else Error (Unknown_allocator allocator)
+
+let cell_error_message = function
+  | Unknown_program p -> Printf.sprintf "unknown program %S" p
+  | Unknown_allocator a -> Printf.sprintf "unknown allocator %S" a
 
 (* "custom" is the synthesized allocator: train its size classes on the
    profile's own request mix, like CustoMalloc generating an allocator

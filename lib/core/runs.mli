@@ -4,8 +4,8 @@
 
     Each run drives the profile against the allocator once, feeding the
     fused trace to: the paper's direct-mapped cache sweep (16K–256K), an
-    associativity set at 16 K (2/4/8-way), a block-size sweep at 64 K,
-    pseudo-LRU (PLRU) and quad-age LRU (QLRU) members at 16 K 8-way, a
+    associativity set at 16 K (2/4/8-way), a block-size sweep at 64 K
+    (all LRU, one {!Cachesim.Forest} family per block size), a
     two-level hierarchy (16 K L1 / 256 K L2), the page-fault simulator
     and the trace checksum.  The finished cell is distilled to a typed
     {!Artifact.t}; the in-process memo and the optional persistent
@@ -48,6 +48,18 @@ val derived_hits : t -> int
 
 val derived_computed : t -> int
 (** Derived cells computed by simulation so far. *)
+
+type cell_error = Unknown_program of string | Unknown_allocator of string
+
+val check_cell :
+  program:string -> allocator:string -> (Workload.Profile.t, cell_error) result
+(** The one validation of a grid cell's coordinates, shared by the CLI
+    and the server: [program] must be a {!Workload.Programs} key and
+    [allocator] a {!Allocators.Registry} key (["custom"] included).
+    Returns the program's profile. *)
+
+val cell_error_message : cell_error -> string
+(** ["unknown program \"x\""] / ["unknown allocator \"x\""]. *)
 
 val get : t -> profile:string -> allocator:string -> Artifact.t
 (** Memoized; consults the store before simulating.  A stored cell that
@@ -165,8 +177,8 @@ val read : Store.t -> digest:string -> (string * Artifact.t) option
     rejected payload is logged. *)
 
 val standard_configs : Cachesim.Config.t list
-(** Everything simulated per run: the paper sweep plus the
-    associativity, block-size and replacement-policy sets. *)
+(** The LRU sweep simulated per run: the paper's direct-mapped sizes
+    plus the associativity and block-size sets. *)
 
 val build_allocator :
   profile_key:string -> allocator:string -> Allocators.Heap.t ->

@@ -429,28 +429,16 @@ let run_cell t rctx ~program ~allocator ~scale =
   match check_scale scale with
   | Result.Error _ as e -> e
   | Result.Ok () -> (
-      match Workload.Programs.find program with
-      | exception Not_found ->
-          Result.Error
-            (Protocol.Unknown_key, Printf.sprintf "unknown program %S" program)
-      | profile ->
-          let known_allocator =
-            allocator = "custom"
-            || List.exists
-                 (fun (s : Allocators.Registry.spec) -> s.key = allocator)
-                 Allocators.Registry.all
+      match Core.Runs.check_cell ~program ~allocator with
+      | Result.Error e ->
+          Result.Error (Protocol.Unknown_key, Core.Runs.cell_error_message e)
+      | Result.Ok profile ->
+          let digest =
+            Core.Artifact.digest ~program ~allocator ~scale
+              ~seed:profile.Workload.Profile.seed
           in
-          if not known_allocator then
-            Result.Error
-              (Protocol.Unknown_key,
-               Printf.sprintf "unknown allocator %S" allocator)
-          else
-            let digest =
-              Core.Artifact.digest ~program ~allocator ~scale
-                ~seed:profile.Workload.Profile.seed
-            in
-            resolve_cell t rctx ~digest ~scale (fun runs ->
-                Core.Runs.get runs ~profile:program ~allocator))
+          resolve_cell t rctx ~digest ~scale (fun runs ->
+              Core.Runs.get runs ~profile:program ~allocator))
 
 let run_experiment t rctx ~id ~scale =
   match check_scale scale with

@@ -374,15 +374,6 @@ let prop_assoc_monotone =
       && s.Stats.cold_misses <= s.Stats.misses
       && s.Stats.read_accesses + s.Stats.write_accesses = s.Stats.accesses)
 
-let prop_full_assoc_has_no_conflicts =
-  QCheck.Test.make ~name:"fully-associative cache has no conflict misses"
-    ~count:100 trace_arb (fun trace ->
-      let cl = Classify.create (Config.make ~block_bytes:32 ~associativity:8 256) in
-      let sink = Classify.sink cl in
-      deliver sink
-        (List.map (fun (addr, size) -> Memsim.Event.read addr size) trace);
-      (Classify.counts cl).Classify.conflict = 0)
-
 (* ------------------------------------------------------------------ *)
 (* Multi                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -433,100 +424,55 @@ let test_multi_find () =
   | _ -> Alcotest.fail "expected Invalid_argument"
 
 (* ------------------------------------------------------------------ *)
-(* Classify                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_classify_cold () =
-  let cl = Classify.create (Config.make ~block_bytes:32 128) in
-  let sink = Classify.sink cl in
-  deliver sink [ Memsim.Event.read 0 4 ];
-  deliver sink [ Memsim.Event.read 32 4 ];
-  let c = Classify.counts cl in
-  check_int "all cold" 2 c.Classify.cold;
-  check_int "no conflict" 0 c.Classify.conflict;
-  check_int "no capacity" 0 c.Classify.capacity
-
-let test_classify_conflict () =
-  let cl = Classify.create (Config.make ~block_bytes:32 128) in
-  let sink = Classify.sink cl in
-  (* Two blocks in the same set of a 4-set cache, alternating: the
-     fully-associative cache (4 blocks) holds both, so repeats are
-     conflict misses. *)
-  let a = 0 and b = 4 * 32 in
-  List.iter
-    (fun addr -> deliver sink [ Memsim.Event.read addr 4 ])
-    [ a; b; a; b; a; b ];
-  let c = Classify.counts cl in
-  check_int "two cold" 2 c.Classify.cold;
-  check_int "four conflict" 4 c.Classify.conflict;
-  check_int "no capacity" 0 c.Classify.capacity
-
-let test_classify_capacity () =
-  let cl = Classify.create (Config.make ~block_bytes:32 128) in
-  let sink = Classify.sink cl in
-  (* Cycle through 8 blocks (> 4-block capacity) twice: second pass
-     misses even fully-associatively -> capacity misses. *)
-  for _pass = 1 to 2 do
-    for b = 0 to 7 do
-      deliver sink [ Memsim.Event.read (b * 32) 4 ]
-    done
-  done;
-  let c = Classify.counts cl in
-  check_int "eight cold" 8 c.Classify.cold;
-  check_int "second pass all capacity" 8 c.Classify.capacity;
-  check_int "total misses" 16 (Classify.total_misses cl)
-
-let prop_classify_partitions_misses =
-  QCheck.Test.make ~name:"cold+capacity+conflict = misses" ~count:200
-    trace_arb (fun trace ->
-      let cfg = Config.make ~block_bytes:32 256 in
-      let cl = Classify.create cfg in
-      let sink = Classify.sink cl in
-      deliver sink
-        (List.map (fun (addr, size) -> Memsim.Event.read addr size) trace);
-      let c = Classify.counts cl in
-      let s = Classify.stats cl in
-      c.Classify.cold + c.Classify.capacity + c.Classify.conflict
-      = s.Stats.misses
-      && c.Classify.hits = Stats.hits s)
-
-(* ------------------------------------------------------------------ *)
 (* Hierarchy                                                          *)
 (* ------------------------------------------------------------------ *)
 
+let two_level () =
+  Hierarchy.create_levels
+    [ Config.make ~block_bytes:32 128; Config.make ~block_bytes:32 4096 ]
+
+(* A preset over [h]'s levels whose per-level miss penalties are
+   [penalties]: a miss at level i pays level i+1's hit latency and the
+   last level pays memory, so the latencies are the penalties shifted
+   down one level. *)
+let cpu_with_penalties h penalties =
+  let n = List.length penalties in
+  { Cpu.key = "test";
+    label = "test";
+    year = 0;
+    levels =
+      List.mapi
+        (fun i (config, _) ->
+          { Cpu.config;
+            hit_latency = (if i = 0 then 1 else List.nth penalties (i - 1)) })
+        (Hierarchy.results h);
+    mem_latency = List.nth penalties (n - 1) }
+
+let stall_cycles h penalties =
+  Cpu.stall_cycles
+    (cpu_with_penalties h penalties)
+    (List.map snd (Hierarchy.results h))
+
 let test_hierarchy_l2_sees_only_l1_misses () =
-  let h =
-    Hierarchy.create
-      ~l1:(Config.make ~block_bytes:32 128)
-      ~l2:(Config.make ~block_bytes:32 4096)
-  in
+  let h = two_level () in
   let sink = Hierarchy.sink h in
   (* Touch block 0 three times: one L1 miss, then hits. *)
   for _ = 1 to 3 do
     deliver sink [ Memsim.Event.read 0 4 ]
   done;
-  check_int "L1 sees 3" 3 (Hierarchy.l1_stats h).Stats.accesses;
-  check_int "L1 misses once" 1 (Hierarchy.l1_stats h).Stats.misses;
-  check_int "L2 sees only the miss" 1 (Hierarchy.l2_stats h).Stats.accesses
+  check_int "L1 sees 3" 3 (Hierarchy.level_stats h 0).Stats.accesses;
+  check_int "L1 misses once" 1 (Hierarchy.level_stats h 0).Stats.misses;
+  check_int "L2 sees only the miss" 1 (Hierarchy.level_stats h 1).Stats.accesses
 
 let test_hierarchy_stall_cycles () =
-  let h =
-    Hierarchy.create
-      ~l1:(Config.make ~block_bytes:32 128)
-      ~l2:(Config.make ~block_bytes:32 4096)
-  in
+  let h = two_level () in
   let sink = Hierarchy.sink h in
   deliver sink [ Memsim.Event.read 0 4 ];
   (* one L1 miss + one L2 miss *)
-  check_int "stalls = 10 + 100" 110
-    (Hierarchy.stall_cycles h ~l1_penalty:10 ~l2_penalty:100)
+  check_int "stalls = 10 + 100" 110 (stall_cycles h [ 10; 100 ])
 
 let test_hierarchy_l2_filters () =
-  let h =
-    Hierarchy.create
-      ~l1:(Config.make ~block_bytes:32 128)
-      ~l2:(Config.make ~block_bytes:32 4096)
-  in
+  let h = two_level () in
   let sink = Hierarchy.sink h in
   (* Cycle 8 blocks > L1 capacity (4 blocks) but < L2 capacity: L1
      thrashes, L2 only cold-misses. *)
@@ -535,7 +481,7 @@ let test_hierarchy_l2_filters () =
       deliver sink [ Memsim.Event.read (b * 32) 4 ]
     done
   done;
-  let l1 = Hierarchy.l1_stats h and l2 = Hierarchy.l2_stats h in
+  let l1 = Hierarchy.level_stats h 0 and l2 = Hierarchy.level_stats h 1 in
   check_int "L1 thrashes every access" 80 l1.Stats.misses;
   check_int "L2 only cold misses" 8 l2.Stats.misses
 
@@ -619,6 +565,10 @@ let test_forest_create_rejects () =
   expect_invalid "mixed block sizes" (fun () ->
       Forest.create [ Config.make 256; Config.make ~block_bytes:16 256 ])
 
+let raw_event_gen =
+  QCheck.Gen.(
+    pair (pair bool (int_range 0 2)) (pair (int_range 0 4095) (int_range 1 70)))
+
 let forest_case_gen =
   QCheck.Gen.(
     oneofl [ 16; 32 ] >>= fun bb ->
@@ -628,12 +578,22 @@ let forest_case_gen =
       Config.make ~name:(Printf.sprintf "%d-%dway" cap assoc) ~block_bytes:bb
         ~associativity:assoc cap
     in
-    pair
-      (list_size (int_range 1 5) cfg)
-      (list_size (int_range 1 400)
-         (pair
-            (pair bool (int_range 0 2))
-            (pair (int_range 0 4095) (int_range 1 70)))))
+    pair (list_size (int_range 1 5) cfg) (list_size (int_range 1 400) raw_event_gen))
+
+(* Configurations of mixed block sizes, interleaved in creation order,
+   so Multi must split them into several families. *)
+let multi_case_gen =
+  QCheck.Gen.(
+    let cfg =
+      triple (oneofl [ 16; 32; 64 ])
+        (oneofl [ 256; 512; 1024; 2048; 4096 ])
+        (oneofl [ 1; 1; 2; 4 ])
+      >|= fun (bb, cap, assoc) ->
+      Config.make
+        ~name:(Printf.sprintf "%d-%dway-b%d" cap assoc bb)
+        ~block_bytes:bb ~associativity:assoc cap
+    in
+    pair (list_size (int_range 1 6) cfg) (list_size (int_range 1 400) raw_event_gen))
 
 let events_of_raw raw =
   List.map
@@ -679,25 +639,21 @@ let prop_forest_packed_matches_boxed =
     (fun (configs, raw_events) ->
       forest_matches_caches ~grain:7 configs (events_of_raw raw_events))
 
-let test_multi_packed_matches_boxed () =
-  (* Multiple families + a non-LRU single: the packed Multi sink must
-     agree with independent per-event caches. *)
-  let configs =
-    Config.paper_direct_mapped
-    @ [ Config.make ~associativity:4 (16 * 1024);
-        Config.make ~name:"64K-b16" ~block_bytes:16 (64 * 1024);
-        Config.make ~name:"8K-plru" ~associativity:4 ~policy:Policy.Plru
-          (8 * 1024) ]
-  in
-  let multi = Multi.create configs in
-  let caches = List.map Cache.create configs in
-  let stream = lcg_stream 6000 in
-  List.iter (fun e -> List.iter (fun c -> Cache.access c e) caches) stream;
-  deliver ~grain:13 (Multi.sink multi) stream;
-  List.iter2
-    (fun c (cfg, stats) ->
-      Alcotest.check stats_testable cfg.Config.name (Cache.stats c) stats)
-    caches (Multi.results multi)
+let prop_multi_packed_matches_boxed =
+  (* The packed Multi sink must agree, configuration by configuration
+     and in creation order, with independent caches fed boxed events. *)
+  QCheck.Test.make ~name:"multi packed equals boxed" ~count:200
+    (QCheck.make multi_case_gen)
+    (fun (configs, raw_events) ->
+      let events = events_of_raw raw_events in
+      let multi = Multi.create configs in
+      deliver ~grain:13 (Multi.sink multi) events;
+      List.for_all2
+        (fun cfg (cfg', stats) ->
+          let c = Cache.create cfg in
+          List.iter (Cache.access c) events;
+          cfg == cfg' && Cache.stats c = stats)
+        configs (Multi.results multi))
 
 let test_hierarchy_packed_matches_boxed () =
   (* The boxed reference is a chain of plain per-event caches: every
@@ -1054,27 +1010,18 @@ let test_wb_plru_dirty_follows_victim () =
   check_int "clean PLRU victim free" 1 (Cache.stats c).Stats.writebacks;
   check_resident c "plru dirty victim order" [ 1; 3; 4; 5 ]
 
-(* Multi must fall back to standalone simulation for non-LRU members
-   while keeping LRU members on the forest fast path — and the split
-   must be invisible in the results. *)
-let test_multi_mixed_policies () =
-  let configs =
-    [ Config.make (16 * 1024);
-      Config.make ~associativity:8 ~policy:Policy.Plru (16 * 1024);
-      Config.make ~associativity:4 ~policy:(Policy.Qlru Policy.qlru_h00_m1)
-        (16 * 1024);
-      Config.make ~associativity:2 ~policy:Policy.Fifo (8 * 1024);
-      Config.make ~associativity:4 ~policy:(Policy.Random 7) (8 * 1024) ]
-  in
-  let multi = Multi.create configs in
-  let caches = List.map Cache.create configs in
-  let stream = lcg_stream 6000 in
-  deliver ~grain:7 (Multi.sink multi) stream;
-  List.iter (fun e -> List.iter (fun c -> Cache.access c e) caches) stream;
-  List.iter2
-    (fun c (cfg, stats) ->
-      Alcotest.check stats_testable cfg.Config.name (Cache.stats c) stats)
-    caches (Multi.results multi)
+(* The sweep is LRU-only: a PLRU or QLRU member is a caller bug, named
+   in the error rather than simulated on a slower path. *)
+let test_multi_rejects_non_lru () =
+  List.iter
+    (fun policy ->
+      let bad = Config.make ~associativity:8 ~policy (16 * 1024) in
+      match Multi.create [ Config.make (16 * 1024); bad ] with
+      | exception Invalid_argument msg ->
+          check_bool "message names the configuration" true
+            (contains_substring ~needle:bad.Config.name msg)
+      | _ -> Alcotest.failf "%s: expected Invalid_argument" bad.Config.name)
+    [ Policy.Plru; Policy.Qlru Policy.qlru_h11_m1 ]
 
 let test_forest_rejects_non_lru () =
   match
@@ -1107,7 +1054,7 @@ let test_hierarchy_three_level_filters () =
       deliver sink [ Memsim.Event.read (b * 32) 4 ]
     done
   done;
-  check_int "3 levels" 3 (Hierarchy.num_levels h);
+  check_int "3 levels" 3 (List.length (Hierarchy.results h));
   let l1 = Hierarchy.level_stats h 0
   and l2 = Hierarchy.level_stats h 1
   and l3 = Hierarchy.level_stats h 2 in
@@ -1123,23 +1070,19 @@ let test_hierarchy_per_level_stalls () =
   deliver (Hierarchy.sink h) [ Memsim.Event.read 0 4 ];
   (* One access missing all three levels: pays the L2 access, the L3
      access, and main memory. *)
-  check_int "stalls sum per-level penalties" 250
-    (Hierarchy.stalls h ~penalties:[| 10; 40; 200 |]);
+  check_int "stalls sum per-level penalties" 250 (stall_cycles h [ 10; 40; 200 ]);
+  Alcotest.(check (array int))
+    "penalties follow next-level latencies" [| 10; 40; 200 |]
+    (Cpu.miss_penalties (cpu_with_penalties h [ 10; 40; 200 ]));
   (* Wrong arity is a caller bug, loudly. *)
-  check_bool "penalty arity checked" true
-    (match Hierarchy.stalls h ~penalties:[| 10; 40 |] with
+  check_bool "level count checked" true
+    (match
+       Cpu.stall_cycles
+         (cpu_with_penalties h [ 10; 40; 200 ])
+         [ Hierarchy.level_stats h 0; Hierarchy.level_stats h 1 ]
+     with
     | exception Invalid_argument _ -> true
-    | _ -> false);
-  (* The two-level compat wrapper agrees with the array form. *)
-  let h2 =
-    Hierarchy.create
-      ~l1:(Config.make ~block_bytes:32 128)
-      ~l2:(Config.make ~block_bytes:32 4096)
-  in
-  deliver (Hierarchy.sink h2) [ Memsim.Event.read 0 4 ];
-  check_int "compat wrapper = array form"
-    (Hierarchy.stalls h2 ~penalties:[| 10; 100 |])
-    (Hierarchy.stall_cycles h2 ~l1_penalty:10 ~l2_penalty:100)
+    | _ -> false)
 
 let test_hierarchy_rejects_empty () =
   check_bool "empty level list rejected" true
@@ -1300,8 +1243,8 @@ let () =
           Alcotest.test_case "bigger cache fewer misses" `Quick
             test_multi_bigger_cache_fewer_misses;
           Alcotest.test_case "find" `Quick test_multi_find;
-          Alcotest.test_case "mixed policies fall back standalone" `Quick
-            test_multi_mixed_policies;
+          Alcotest.test_case "rejects non-LRU configs" `Quick
+            test_multi_rejects_non_lru;
         ] );
       ( "forest",
         [
@@ -1317,12 +1260,11 @@ let () =
         @ qsuite [ prop_forest_matches_caches ] );
       ( "packed",
         [
-          Alcotest.test_case "multi packed equals boxed" `Quick
-            test_multi_packed_matches_boxed;
           Alcotest.test_case "hierarchy packed equals boxed" `Quick
             test_hierarchy_packed_matches_boxed;
         ]
-        @ qsuite [ prop_forest_packed_matches_boxed ] );
+        @ qsuite
+            [ prop_forest_packed_matches_boxed; prop_multi_packed_matches_boxed ] );
       ( "shard",
         [
           Alcotest.test_case "sharded stats identical across domains"
@@ -1365,15 +1307,6 @@ let () =
               prop_qlru_any_matches_oracle;
               prop_mru_matches_oracle;
             ] );
-      ( "classify",
-        [
-          Alcotest.test_case "cold" `Quick test_classify_cold;
-          Alcotest.test_case "conflict" `Quick test_classify_conflict;
-          Alcotest.test_case "capacity" `Quick test_classify_capacity;
-        ]
-        @ qsuite
-            [ prop_classify_partitions_misses;
-              prop_full_assoc_has_no_conflicts ] );
       ( "hierarchy",
         [
           Alcotest.test_case "L2 sees only L1 misses" `Quick

@@ -39,6 +39,13 @@ let test_runs_all_configs_present () =
   check_bool "pages saw traffic" true
     (d.Core.Artifact.fault_curve.Vmsim.Fault_curve.references > 0)
 
+let test_runs_standard_configs_lru () =
+  (* A cell's cache sweep is the forest families and nothing else. *)
+  List.iter
+    (fun (cfg : Cachesim.Config.t) ->
+      check_bool (cfg.name ^ " is LRU") true (Cachesim.Policy.is_lru cfg.policy))
+    Core.Runs.standard_configs
+
 let test_runs_page_and_cache_counts_agree () =
   let d = Core.Runs.get ctx.Core.Context.runs ~profile:"make" ~allocator:"bsd" in
   check_int "page sim sees every reference event"
@@ -113,6 +120,27 @@ let test_runs_unknown_keys () =
     (match Core.Runs.get ctx.Core.Context.runs ~profile:"make" ~allocator:"nope" with
     | exception Not_found -> true
     | _ -> false)
+
+let test_runs_check_cell () =
+  let check_key what expected (got : Workload.Profile.t) =
+    Alcotest.(check string) what expected got.key
+  in
+  (match Core.Runs.check_cell ~program:"espresso" ~allocator:"quickfit" with
+  | Ok p -> check_key "registry allocator" "espresso" p
+  | Error e -> Alcotest.fail (Core.Runs.cell_error_message e));
+  (match Core.Runs.check_cell ~program:"espresso" ~allocator:"custom" with
+  | Ok p -> check_key "custom is a cell allocator" "espresso" p
+  | Error e -> Alcotest.fail (Core.Runs.cell_error_message e));
+  (* The program is checked first. *)
+  (match Core.Runs.check_cell ~program:"nope" ~allocator:"nada" with
+  | Error (Core.Runs.Unknown_program "nope") -> ()
+  | _ -> Alcotest.fail "expected Unknown_program");
+  match Core.Runs.check_cell ~program:"make" ~allocator:"nope" with
+  | Error (Core.Runs.Unknown_allocator "nope" as e) ->
+      Alcotest.(check string)
+        "message" "unknown allocator \"nope\""
+        (Core.Runs.cell_error_message e)
+  | _ -> Alcotest.fail "expected Unknown_allocator"
 
 let contains_substring ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
@@ -396,6 +424,24 @@ let test_headline_tags_increase_misses () =
   check_bool "tags do not reduce misses" true
     (misses "gnu-local-tags" >= misses "gnu-local")
 
+let test_headline_bsd_faults_more () =
+  (* Finding 3 in its paper form (Figure 2): BSD's power-of-two waste
+     inflates its page-fault rate at every memory size. *)
+  let curve key =
+    (Core.Runs.get ctx.Core.Context.runs ~profile:"gs-large" ~allocator:key)
+      .Core.Artifact.fault_curve
+  in
+  let bsd = curve "bsd" and quickfit = curve "quickfit" in
+  List.iter
+    (fun memory_bytes ->
+      let rate c = Vmsim.Fault_curve.fault_rate c ~memory_bytes in
+      check_bool
+        (Printf.sprintf "bsd faults/ref > quickfit's at %d KB (%g vs %g)"
+           (memory_bytes / 1024) (rate bsd) (rate quickfit))
+        true
+        (rate bsd > rate quickfit))
+    Core.Figures.fig2_memory_sizes
+
 (* ------------------------------------------------------------------ *)
 (* Options: one resolution path for every subcommand                  *)
 (* ------------------------------------------------------------------ *)
@@ -503,6 +549,7 @@ let () =
         [
           tc "memoized" test_runs_memoized;
           tc "all configs present" test_runs_all_configs_present;
+          tc "standard configs are LRU" test_runs_standard_configs_lru;
           tc "page/cache counts agree" test_runs_page_and_cache_counts_agree;
           tc "miss rate decreases with size"
             test_runs_miss_rate_decreases_with_size;
@@ -511,6 +558,7 @@ let () =
           tc "cross-simulator consistency"
             test_runs_cross_simulator_consistency;
           tc "unknown keys" test_runs_unknown_keys;
+          tc "check_cell validates keys" test_runs_check_cell;
           tc "cache_stats unknown name" test_runs_cache_stats_unknown;
           tc "custom trained" test_runs_custom_trained;
         ] );
@@ -557,5 +605,6 @@ let () =
           tc "bsd wastes space" test_headline_bsd_wastes_space;
           tc "segregated fastest cpu" test_headline_segregated_fastest_cpu;
           tc "tags increase misses" test_headline_tags_increase_misses;
+          tc "bsd faults more at every fig2 size" test_headline_bsd_faults_more;
         ] );
     ]
