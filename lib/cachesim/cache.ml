@@ -1,18 +1,17 @@
 type t = {
   config : Config.t;
-  (* tags.((set * assoc) + way) holds the block index resident in that
-     way; -1 = invalid.  Way positions are physical: replacement order
-     lives in [policy], not in the array layout. *)
+  (* tags.((set * assoc) + way) holds one word per way: the resident
+     block index shifted left once, with the low bit set when the block
+     has been written since it was fetched (write-back accounting); -1 =
+     invalid.  Way positions are physical: replacement order lives in
+     [policy], not in the array layout. *)
   tags : int array;
-  (* dirty.(i) mirrors tags.(i): the resident block has been written
-     since it was fetched (write-back accounting). *)
-  dirty : bool array;
   num_sets : int;
   assoc : int;
   block_shift : int;  (* log2 block_bytes: block index = addr lsr shift *)
   seen : (int, unit) Hashtbl.t;  (* blocks ever referenced, for cold misses *)
   policy : Policy.State.t;  (* per-set replacement state (assoc > 1) *)
-  mutable stats : Stats.t;
+  stats : Stats.t;
 }
 
 let log2 n =
@@ -24,7 +23,6 @@ let create config =
   let assoc = config.Config.associativity in
   { config;
     tags = Array.make (num_sets * assoc) (-1);
-    dirty = Array.make (num_sets * assoc) false;
     num_sets;
     assoc;
     block_shift = log2 config.Config.block_bytes;
@@ -35,6 +33,18 @@ let create config =
 let config t = t.config
 let stats t = t.stats
 
+(* A way's word holds [block] (clean or dirty); the invalid word -1
+   shifts to max_int, which no block index reaches. *)
+let holds word block = word lsr 1 = block
+let dirty word = word land 1 = 1
+
+(* Evict whatever way word [i] holds (counting a writeback if it is
+   dirty) and fill it with [block]. *)
+let replace t i block ~write =
+  let old = Array.unsafe_get t.tags i in
+  if old >= 0 && dirty old then Stats.record_writeback t.stats;
+  Array.unsafe_set t.tags i ((block lsl 1) lor Bool.to_int write)
+
 (* Touch [block] in its set: return whether it missed.  Invalid ways
    fill leftmost-first; only a full set consults the policy for a
    victim (the contract the differential oracle shares).  A write marks
@@ -44,32 +54,29 @@ let touch t block ~write =
   let base = set * t.assoc in
   if t.assoc = 1 then
     (* Direct-mapped fast path: replacement is forced, no policy state. *)
-    if t.tags.(base) = block then begin
-      if write then t.dirty.(base) <- true;
+    if holds (Array.unsafe_get t.tags base) block then begin
+      if write then Array.unsafe_set t.tags base ((block lsl 1) lor 1);
       false
     end
     else begin
-      if t.tags.(base) >= 0 && t.dirty.(base) then
-        Stats.record_writeback t.stats;
-      t.tags.(base) <- block;
-      t.dirty.(base) <- write;
+      replace t base block ~write;
       true
     end
   else begin
     let rec find i = if i >= t.assoc then -1
-      else if t.tags.(base + i) = block then i
+      else if holds (Array.unsafe_get t.tags (base + i)) block then i
       else find (i + 1)
     in
     let pos = find 0 in
     if pos >= 0 then begin
       Policy.State.hit t.policy ~set ~way:pos;
-      if write then t.dirty.(base + pos) <- true;
+      if write then Array.unsafe_set t.tags (base + pos) ((block lsl 1) lor 1);
       false
     end
     else begin
       let rec first_invalid i =
         if i >= t.assoc then -1
-        else if t.tags.(base + i) < 0 then i
+        else if Array.unsafe_get t.tags (base + i) < 0 then i
         else first_invalid (i + 1)
       in
       let way =
@@ -77,10 +84,7 @@ let touch t block ~write =
         | -1 -> Policy.State.victim t.policy ~set
         | w -> w
       in
-      if t.tags.(base + way) >= 0 && t.dirty.(base + way) then
-        Stats.record_writeback t.stats;
-      t.tags.(base + way) <- block;
-      t.dirty.(base + way) <- write;
+      replace t (base + way) block ~write;
       Policy.State.fill t.policy ~set ~way;
       true
     end
@@ -95,13 +99,6 @@ let access_block t ~kind ~source ~block =
   if miss && cold then Hashtbl.replace t.seen block ();
   Stats.record t.stats ~kind ~source ~miss ~cold;
   miss
-
-let access t (e : Memsim.Event.t) =
-  let first = e.addr lsr t.block_shift in
-  let last = (e.addr + e.size - 1) lsr t.block_shift in
-  for block = first to last do
-    ignore (access_block t ~kind:e.kind ~source:e.source ~block)
-  done
 
 (* Packed hot path: kind/source are decoded once per event from the
    meta word; no Event.t record is built. *)
@@ -125,16 +122,14 @@ let contains_block t ~block =
   let set = block land (t.num_sets - 1) in
   let base = set * t.assoc in
   let rec find i =
-    i < t.assoc && (t.tags.(base + i) = block || find (i + 1))
+    i < t.assoc && (holds t.tags.(base + i) block || find (i + 1))
   in
   find 0
 
 let flush t =
   (* Flushing writes dirty blocks back. *)
-  Array.iteri
-    (fun i d -> if d && t.tags.(i) >= 0 then Stats.record_writeback t.stats)
-    t.dirty;
+  Array.iter
+    (fun w -> if w >= 0 && dirty w then Stats.record_writeback t.stats)
+    t.tags;
   Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.dirty 0 (Array.length t.dirty) false;
   Policy.State.reset t.policy
-let reset_stats t = t.stats <- Stats.create ()

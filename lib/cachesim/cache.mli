@@ -5,7 +5,8 @@
     the config's {!Policy.t} (true LRU by default); invalid ways fill
     leftmost-first and the policy is only consulted once the set is
     full.  Dirty blocks are tracked so write-backs can be counted on
-    eviction. *)
+    eviction: each way is one word, the block index with the dirty bit
+    folded in. *)
 
 type t
 
@@ -17,10 +18,6 @@ val access_block : t -> kind:Memsim.Event.kind ->
   source:Memsim.Event.source -> block:int -> bool
 (** [access_block t ~kind ~source ~block] touches one block (global block
     index, i.e. [addr / block_bytes]) and returns [true] on a miss. *)
-
-val access : t -> Memsim.Event.t -> unit
-(** Feeds one reference event, touching every block the byte range
-    spans. *)
 
 val access_packed : t -> addr:int -> meta:int -> unit
 (** One reference in packed form ({!Memsim.Event.Packed}); no [Event.t]
@@ -36,5 +33,3 @@ val contains_block : t -> block:int -> bool
 val flush : t -> unit
 (** Invalidates all blocks; statistics and cold-start tracking are kept.
     Used to model context-switch cache flushes. *)
-
-val reset_stats : t -> unit

@@ -101,7 +101,9 @@ let find key =
         (Printf.sprintf "Cachesim.Cpu.find: unknown CPU %S (known: %s)" key
            (String.concat ", " (keys ())))
 
-let hierarchy t = Hierarchy.create_levels (List.map (fun l -> l.config) t.levels)
+let hierarchy cpus =
+  Hierarchy.create
+    (List.map (fun t -> List.map (fun l -> l.config) t.levels) cpus)
 
 let miss_penalties t =
   (* A miss at level i pays the hit latency of level i+1; the last

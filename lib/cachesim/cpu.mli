@@ -31,8 +31,11 @@ val keys : unit -> string list
 val find : string -> t
 (** @raise Invalid_argument for an unknown key, listing the known ones. *)
 
-val hierarchy : t -> Hierarchy.t
-(** A fresh simulated hierarchy with this preset's level configs. *)
+val hierarchy : t list -> Hierarchy.t
+(** One fresh simulated hierarchy over the presets' level stacks, one
+    path per preset in the order given ({!Hierarchy.results} follows
+    it).  Levels the presets share with their whole upstream path are
+    simulated once: {!all} needs 7 level simulations, not 15. *)
 
 val miss_penalties : t -> int array
 (** Per-level miss costs for {!stall_cycles}: a miss at level [i]
@@ -41,8 +44,9 @@ val miss_penalties : t -> int array
 
 val stall_cycles : t -> Stats.t list -> int
 (** Memory stall cycles of per-level statistics (outermost first, one
-    entry per level, e.g. [List.map snd (Hierarchy.results h)] or a
-    stored copy of them): each level's misses pay {!miss_penalties}.
+    entry per level, e.g. [List.map snd] of the preset's path in
+    {!Hierarchy.results}, or a stored copy of them): each level's
+    misses pay {!miss_penalties}.
     @raise Invalid_argument when the level count is not the preset's. *)
 
 val total_cycles : t -> Stats.t list -> instructions:int -> int

@@ -1,7 +1,14 @@
-(* An N-level cache hierarchy: every reference probes level 0; each
-   level sees only the miss stream of the level above, as in the
-   paper's two-level runs (Mogul & Borg) and the modern L1/L2/L3
-   presets of {!Cpu}.
+(* Cache hierarchies as a trie of shared levels: every reference probes
+   the first level of each path; each level sees only the miss stream
+   of the level above, as in the paper's two-level runs (Mogul & Borg)
+   and the modern L1/L2/L3 presets of {!Cpu}.
+
+   Several paths (say, five CPU presets) are one trie: two paths share
+   a level when its config and its whole upstream path are equal, since
+   such a level sees an identical miss stream.  Each distinct level is
+   simulated once and its statistics are reported on every path through
+   it.  One path is the plain N-level hierarchy (the grid's two-level
+   paper hierarchy).
 
    An LRU level is a single-member {!Forest} family: the member code
    path (inline probe, array counters, cold table consulted only on a
@@ -14,73 +21,128 @@
 
 type sim = Forest_sim of Forest.t | Cache_sim of Cache.t
 
-type level = {
+type node = {
   config : Config.t;
   sim : sim;
   shift : int;  (* log2 of the level's block size *)
+  mutable below : node array;  (* the levels fed by this one's misses *)
 }
 
-type t = { levels : level array }
+type t = {
+  roots : node array;
+  paths : node list list;  (* per path, outermost first *)
+}
 
 let log2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
 
-let create_levels configs =
-  if configs = [] then invalid_arg "Cachesim.Hierarchy.create_levels: no levels";
-  let level (config : Config.t) =
-    { config;
-      sim =
-        (if Policy.is_lru config.policy then Forest_sim (Forest.create [ config ])
-         else Cache_sim (Cache.create config));
-      shift = log2 config.block_bytes }
+let level (config : Config.t) =
+  { config;
+    sim =
+      (if Policy.is_lru config.policy then Forest_sim (Forest.create [ config ])
+       else Cache_sim (Cache.create config));
+    shift = log2 config.block_bytes;
+    below = [||] }
+
+let check_path = function
+  | [] -> invalid_arg "Cachesim.Hierarchy.create: a path has no levels"
+  | first :: rest ->
+      (* A miss probes the level below with the missed block's first
+         address only, so a smaller block below would drop the rest of
+         the missed block. *)
+      ignore
+        (List.fold_left
+           (fun (up : Config.t) (c : Config.t) ->
+             if c.block_bytes < up.block_bytes then
+               invalid_arg
+                 (Printf.sprintf
+                    "Cachesim.Hierarchy.create: %s has %d-byte blocks, \
+                     smaller than the %d-byte blocks of %s above it"
+                    c.name c.block_bytes up.block_bytes up.name);
+             c)
+           first rest)
+
+let create paths =
+  if paths = [] then invalid_arg "Cachesim.Hierarchy.create: no paths";
+  List.iter check_path paths;
+  (* A level is keyed by its config and its whole upstream path: equal
+     keys see identical miss streams, so they are one level. *)
+  let levels = Hashtbl.create 16 and roots = ref [||] in
+  let rec walk parent key = function
+    | [] -> []
+    | config :: rest ->
+        let key = config :: key in
+        let node =
+          match Hashtbl.find_opt levels key with
+          | Some node -> node
+          | None ->
+              let node = level config in
+              Hashtbl.add levels key node;
+              (match parent with
+              | None -> roots := Array.append !roots [| node |]
+              | Some up -> up.below <- Array.append up.below [| node |]);
+              node
+        in
+        node :: walk (Some node) key rest
   in
-  { levels = Array.of_list (List.map level configs) }
+  let paths = List.map (walk None []) paths in
+  { roots = !roots; paths }
+
+let create_levels configs = create [ configs ]
+
+let distinct_levels t =
+  let rec count nodes =
+    Array.fold_left (fun n node -> n + 1 + count node.below) 0 nodes
+  in
+  count t.roots
 
 (* Probe one level with a block index already translated to its block
    size; true = miss. *)
-let probe level ~kind ~source ~ks ~block =
-  match level.sim with
+let probe node ~ks ~meta ~block =
+  match node.sim with
   | Forest_sim f -> Forest.access_block_ks f ~ks ~block > 0
-  | Cache_sim c -> Cache.access_block c ~kind ~source ~block
+  | Cache_sim c ->
+      Cache.access_block c
+        ~kind:(Memsim.Event.Packed.kind meta)
+        ~source:(Memsim.Event.Packed.source meta)
+        ~block
 
-let access_parts t ~kind ~source ~ks ~addr ~size =
-  let top = t.levels.(0) in
-  let n = Array.length t.levels in
-  let first = addr lsr top.shift in
-  let last = (addr + size - 1) lsr top.shift in
+(* A level missed the block at byte address [addr]: each level below
+   probes the block holding [addr] in its own (equal or larger) block
+   size, and passes its own misses further down. *)
+let rec descend below ~ks ~meta ~addr =
+  for i = 0 to Array.length below - 1 do
+    let node = Array.unsafe_get below i in
+    if probe node ~ks ~meta ~block:(addr lsr node.shift) then
+      descend node.below ~ks ~meta ~addr
+  done
+
+(* The root probe stays inline; the trie is only walked on a miss. *)
+let access_root root ~ks ~meta ~addr =
+  let shift = root.shift in
+  let first = addr lsr shift in
+  let last = (addr + (meta lsr 3) - 1) lsr shift in
   for block = first to last do
-    if probe top ~kind ~source ~ks ~block then begin
-      (* Propagate down the miss path, translating the level-0 block to
-         each level's (possibly larger) block, until some level hits. *)
-      let base = block lsl top.shift in
-      let i = ref 1 in
-      let missing = ref true in
-      while !missing && !i < n do
-        let level = t.levels.(!i) in
-        missing := probe level ~kind ~source ~ks ~block:(base lsr level.shift);
-        incr i
-      done
-    end
+    if probe root ~ks ~meta ~block then
+      descend root.below ~ks ~meta ~addr:(block lsl shift)
   done
 
 let sink t (b : Memsim.Event.Batch.t) =
   let addrs = b.Memsim.Event.Batch.addrs and metas = b.Memsim.Event.Batch.metas in
+  let roots = t.roots in
   for i = 0 to b.Memsim.Event.Batch.len - 1 do
     let meta = Array.unsafe_get metas i in
-    access_parts t
-      ~kind:(Memsim.Event.Packed.kind meta)
-      ~source:(Memsim.Event.Packed.source meta)
-      ~ks:(Memsim.Event.Packed.ks meta)
-      ~addr:(Array.unsafe_get addrs i)
-      ~size:(meta lsr 3)
+    let ks = Memsim.Event.Packed.ks meta and addr = Array.unsafe_get addrs i in
+    for r = 0 to Array.length roots - 1 do
+      access_root (Array.unsafe_get roots r) ~ks ~meta ~addr
+    done
   done
 
-let level_stats t i =
-  match t.levels.(i).sim with
+let stats node =
+  match node.sim with
   | Forest_sim f -> Forest.member_stats f 0
   | Cache_sim c -> Cache.stats c
 
 let results t =
-  Array.to_list t.levels
-  |> List.mapi (fun i level -> (level.config, level_stats t i))
+  List.map (List.map (fun node -> (node.config, stats node))) t.paths

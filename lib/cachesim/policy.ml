@@ -101,16 +101,17 @@ module State = struct
   type policy = t
 
   (* One representation per policy, flat over [num_sets * assoc] where
-     per-way memory is needed, one packed int per set for the bit
-     policies (associativity is a power of two <= 62, so tree bits and
-     MRU masks both fit one immediate int). *)
+     per-way memory is needed (one byte per way for QLRU's 2-bit ages),
+     one packed int per set for the bit policies (associativity is a
+     power of two <= 62, so tree bits and MRU masks both fit one
+     immediate int). *)
   type t =
     | S_lru of { stamps : int array; mutable tick : int; assoc : int }
     | S_fifo of { stamps : int array; mutable tick : int; assoc : int }
     | S_random of { mutable rng : int; assoc : int }
     | S_plru of { bits : int array; assoc : int }
     | S_qlru of {
-        ages : int array;
+        ages : Bytes.t;
         assoc : int;
         hit_age : int;
         insert_age : int;
@@ -132,7 +133,10 @@ module State = struct
     | Plru -> S_plru { bits = Array.make num_sets 0; assoc }
     | Qlru { hit_age; insert_age } ->
         S_qlru
-          { ages = Array.make (num_sets * assoc) 0; assoc; hit_age; insert_age }
+          { ages = Bytes.make (num_sets * assoc) '\000';
+            assoc;
+            hit_age;
+            insert_age }
     | Mru ->
         S_mru { bits = Array.make num_sets 0; assoc; full = (1 lsl assoc) - 1 }
 
@@ -174,6 +178,9 @@ module State = struct
     done;
     !lo
 
+  let age ages i = Char.code (Bytes.get ages i)
+  let set_age ages i a = Bytes.set ages i (Char.unsafe_chr a)
+
   let mru_touch bits set full way =
     let m = bits.(set) lor (1 lsl way) in
     bits.(set) <- (if m = full then 1 lsl way else m)
@@ -186,7 +193,7 @@ module State = struct
     | S_fifo _ -> ()
     | S_random _ -> ()
     | S_plru s -> plru_touch s.bits set s.assoc way
-    | S_qlru s -> s.ages.((set * s.assoc) + way) <- s.hit_age
+    | S_qlru s -> set_age s.ages ((set * s.assoc) + way) s.hit_age
     | S_mru s -> mru_touch s.bits set s.full way
 
   let fill t ~set ~way =
@@ -199,7 +206,7 @@ module State = struct
         s.stamps.((set * s.assoc) + way) <- s.tick
     | S_random _ -> ()
     | S_plru s -> plru_touch s.bits set s.assoc way
-    | S_qlru s -> s.ages.((set * s.assoc) + way) <- s.insert_age
+    | S_qlru s -> set_age s.ages ((set * s.assoc) + way) s.insert_age
     | S_mru s -> mru_touch s.bits set s.full way
 
   let min_stamp_way stamps base assoc =
@@ -226,17 +233,18 @@ module State = struct
     | S_qlru s ->
         let base = set * s.assoc in
         let rec max_age w acc =
-          if w >= s.assoc then acc else max_age (w + 1) (max acc s.ages.(base + w))
+          if w >= s.assoc then acc
+          else max_age (w + 1) (max acc (age s.ages (base + w)))
         in
         let m = max_age 0 0 in
         if m < 3 then
           (* Age the whole set until someone reaches 3. *)
           for w = 0 to s.assoc - 1 do
-            s.ages.(base + w) <- s.ages.(base + w) + (3 - m)
+            set_age s.ages (base + w) (age s.ages (base + w) + (3 - m))
           done;
         let rec leftmost w =
           if w >= s.assoc - 1 then w
-          else if s.ages.(base + w) = 3 then w
+          else if age s.ages (base + w) = 3 then w
           else leftmost (w + 1)
         in
         leftmost 0
@@ -255,6 +263,6 @@ module State = struct
     | S_fifo s -> Array.fill s.stamps 0 (Array.length s.stamps) 0
     | S_random _ -> ()
     | S_plru s -> Array.fill s.bits 0 (Array.length s.bits) 0
-    | S_qlru s -> Array.fill s.ages 0 (Array.length s.ages) 0
+    | S_qlru s -> Bytes.fill s.ages 0 (Bytes.length s.ages) '\000'
     | S_mru s -> Array.fill s.bits 0 (Array.length s.bits) 0
 end

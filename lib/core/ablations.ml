@@ -182,7 +182,8 @@ let seq_family (ctx : Context.t) =
      most scattered references); segregating by size shrinks both.\n"
 
 (* Flush-aware runs are one-offs outside the shared grid: one driver
-   pass per (allocator, quantum), kept as a derived cell. *)
+   pass per allocator, fanned out to one flushing cache per quantum,
+   kept as a derived cell. *)
 let flush_program = "gs-large"
 let flush_config = Cachesim.Config.make (64 * 1024)
 let flush_quanta = [ 0; 100_000; 20_000 ]
@@ -205,7 +206,9 @@ let flush_rows (ctx : Context.t) =
            ("quanta", List.map string_of_int flush_quanta) ])
   @@ fun () ->
   let profile = Workload.Programs.find flush_program in
-  let run_with_flush akey quantum =
+  (* A cache flushed before every [quantum]th event (never for 0).  The
+     sink cannot affect the driver, so every quantum shares one pass. *)
+  let flushing quantum =
     let cache = Cachesim.Cache.create flush_config in
     let count = ref 0 in
     let sink (b : Memsim.Event.Batch.t) =
@@ -218,15 +221,15 @@ let flush_rows (ctx : Context.t) =
           ~meta:(Array.unsafe_get b.Memsim.Event.Batch.metas i)
       done
     in
-    let r = Workload.Driver.run ~sink ~scale ~profile ~allocator:akey () in
-    (r, (quantum_name quantum, Cachesim.Cache.stats cache))
+    (quantum_name quantum, cache, sink)
   in
   List.map
     (fun akey ->
-      let runs = List.map (run_with_flush akey) flush_quanta in
-      Derived.row ~program:flush_program ~variant:akey
-        (fst (List.hd runs))
-        (List.map snd runs))
+      let caches = List.map flushing flush_quanta in
+      let sink = Memsim.Sink.fanout (List.map (fun (_, _, s) -> s) caches) in
+      let r = Workload.Driver.run ~sink ~scale ~profile ~allocator:akey () in
+      Derived.row ~program:flush_program ~variant:akey r
+        (List.map (fun (name, c, _) -> (name, Cachesim.Cache.stats c)) caches))
     allocators
 
 let flush (ctx : Context.t) =

@@ -37,6 +37,13 @@ val flush : Context.t -> string
     of Mogul & Borg the paper deliberately excludes from its own
     numbers, here as an extension). *)
 
+val flush_rows : Context.t -> Derived.row list
+(** {!flush}'s simulated rows, one per allocator: one GS-Large driver
+    pass (scale capped at 0.1) fanned out to a 64 K direct-mapped cache
+    per flush quantum, flushed before every quantum-th event (never for
+    0).  The statistics are named [flush-Q] for quanta 0, 100000 and
+    20000. *)
+
 val lifetime_prediction : Context.t -> string
 (** The paper's §5.1 future work, realised: train a per-site lifetime
     predictor on a profiling run (Barrett & Zorn), then compare the

@@ -290,7 +290,7 @@ let simulate feed =
   in
   ( fed,
     { caches = Cachesim.Multi.results multi;
-      hierarchy = Cachesim.Hierarchy.results hier;
+      hierarchy = List.hd (Cachesim.Hierarchy.results hier);
       fault_curve = Vmsim.Page_sim.curve pages } )
 
 let run t ~profile ~allocator =

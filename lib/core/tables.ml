@@ -140,9 +140,10 @@ let tab6 (ctx : Context.t) =
 
 (* The paper's allocator ranking, re-run on modern (2008-2017) L1/L2/L3
    hierarchies with real replacement policies.  Off-grid like the flush
-   ablation: one driver pass per allocator on GS-Large, fanned out to
-   every CPU preset's hierarchy so all presets see the identical trace.
-   The passes are a derived cell holding each preset's per-level
+   ablation: one driver pass per allocator on GS-Large, feeding one
+   hierarchy whose paths are the CPU presets, so all presets see the
+   identical trace and the levels they share are simulated once.  The
+   passes are a derived cell holding each preset's per-level
    statistics; latencies, and so cycles, are applied when rendering. *)
 let cpu_program = "gs-large"
 
@@ -160,25 +161,20 @@ let cpu_rows (ctx : Context.t) ~scale ~cpus =
   let profile = Workload.Programs.find cpu_program in
   List.map
     (fun akey ->
-      let hiers =
-        List.map (fun cpu -> (cpu, Cachesim.Cpu.hierarchy cpu)) cpus
-      in
+      let hier = Cachesim.Cpu.hierarchy cpus in
       let heap = Allocators.Heap.create () in
       let alloc =
         Runs.build_allocator ~profile_key:cpu_program ~allocator:akey heap
       in
-      let sink =
-        Memsim.Sink.fanout
-          (List.map (fun (_, h) -> Cachesim.Hierarchy.sink h) hiers)
-      in
+      let sink = Cachesim.Hierarchy.sink hier in
       let r = Workload.Driver.run_with ~sink ~scale ~profile ~heap ~alloc () in
       Derived.row ~program:cpu_program ~variant:akey r
-        (List.concat_map
-           (fun (cpu, h) ->
-             List.mapi
-               (fun i (_, stats) -> (level_name cpu i, stats))
-               (Cachesim.Hierarchy.results h))
-           hiers))
+        (List.concat
+           (List.map2
+              (fun cpu path ->
+                List.mapi (fun i (_, stats) -> (level_name cpu i, stats)) path)
+              cpus
+              (Cachesim.Hierarchy.results hier))))
     allocators
 
 let tabcpu (ctx : Context.t) =

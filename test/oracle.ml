@@ -202,10 +202,27 @@ let touch_block t ~kind ~source ~block =
   in
   let cold = miss && not (Hashtbl.mem t.seen block) in
   if cold then Hashtbl.replace t.seen block ();
-  Stats.record t.stats ~kind ~source ~miss ~cold
+  Stats.record t.stats ~kind ~source ~miss ~cold;
+  miss
 
 let access t (e : Memsim.Event.t) =
   let bb = t.config.Config.block_bytes in
   for block = e.addr / bb to (e.addr + e.size - 1) / bb do
-    touch_block t ~kind:e.kind ~source:e.source ~block
+    ignore (touch_block t ~kind:e.kind ~source:e.source ~block)
   done
+
+(* A context-switch flush: every dirty line is written back, every set
+   empties and the policy memory starts over — except Random's stream,
+   which keeps its position. *)
+let flush t =
+  Array.iteri
+    (fun set lines ->
+      List.iter (fun l -> if l.dirty then Stats.record_writeback t.stats) lines;
+      t.sets.(set) <- [])
+    t.sets;
+  match t.mem with
+  | M_lru order | M_fifo order -> Array.fill order 0 t.num_sets []
+  | M_random _ -> ()
+  | M_plru bits | M_mru bits ->
+      Array.iter (fun b -> Array.fill b 0 (Array.length b) false) bits
+  | M_qlru (ages, _, _) -> Array.fill ages 0 t.num_sets []

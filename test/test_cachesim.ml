@@ -7,6 +7,18 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let deliver = Testkit.Gen.deliver
 
+(* A cache fed boxed events through its packed sink. *)
+let feed c events = deliver (Cache.sink c) events
+
+(* The per-event reference the packed paths are checked against: every
+   block a boxed event's byte range spans, one [Cache.access_block]
+   each. *)
+let access c (e : Memsim.Event.t) =
+  let bb = (Cache.config c).Config.block_bytes in
+  for block = e.addr / bb to (e.addr + e.size - 1) / bb do
+    ignore (Cache.access_block c ~kind:e.kind ~source:e.source ~block)
+  done
+
 (* Naive substring check, for asserting on error-message contents. *)
 let contains_substring ~needle haystack =
   let nh = String.length haystack and nn = String.length needle in
@@ -101,8 +113,7 @@ let test_config_paper_sweep () =
 (* A tiny cache: 4 sets of 32-byte blocks = 128 bytes, direct-mapped. *)
 let tiny_dm () = Cache.create (Config.make ~block_bytes:32 128)
 
-let read_at cache addr =
-  Cache.access cache (Memsim.Event.read addr 4)
+let read_at cache addr = feed cache [ Memsim.Event.read addr 4 ]
 
 let test_dm_hit_after_miss () =
   let c = tiny_dm () in
@@ -140,7 +151,7 @@ let test_dm_distinct_sets_coexist () =
 let test_event_spanning_blocks () =
   let c = tiny_dm () in
   (* A 64-byte write starting at 16 spans blocks 0, 1, 2. *)
-  Cache.access c (Memsim.Event.write 16 64);
+  feed c [ Memsim.Event.write 16 64 ];
   let s = Cache.stats c in
   check_int "three block accesses" 3 s.Stats.accesses;
   check_int "all write accesses" 3 s.Stats.write_accesses;
@@ -148,9 +159,10 @@ let test_event_spanning_blocks () =
 
 let test_source_breakdown () =
   let c = tiny_dm () in
-  Cache.access c (Memsim.Event.read ~source:Memsim.Event.Malloc 0 4);
-  Cache.access c (Memsim.Event.read ~source:Memsim.Event.App 0 4);
-  Cache.access c (Memsim.Event.write ~source:Memsim.Event.Free 0 4);
+  feed c
+    [ Memsim.Event.read ~source:Memsim.Event.Malloc 0 4;
+      Memsim.Event.read ~source:Memsim.Event.App 0 4;
+      Memsim.Event.write ~source:Memsim.Event.Free 0 4 ];
   let s = Cache.stats c in
   check_int "malloc accesses" 1 s.Stats.malloc_accesses;
   check_int "malloc misses" 1 s.Stats.malloc_misses;
@@ -179,7 +191,7 @@ let test_flush () =
 let tiny_2way () =
   Cache.create (Config.make ~block_bytes:32 ~associativity:2 128)
 
-let write_at cache addr = Cache.access cache (Memsim.Event.write addr 4)
+let write_at cache addr = feed cache [ Memsim.Event.write addr 4 ]
 
 let test_wb_dirty_eviction () =
   let c = tiny_dm () in
@@ -237,11 +249,11 @@ let prop_writebacks_bounded =
         (pair bool (int_range 0 1023)))
     (fun ops ->
       let c = Cache.create (Config.make ~block_bytes:32 256) in
-      List.iter
-        (fun (w, addr) ->
-          if w then Cache.access c (Memsim.Event.write addr 4)
-          else Cache.access c (Memsim.Event.read addr 4))
-        ops;
+      feed c
+        (List.map
+           (fun (w, addr) ->
+             if w then Memsim.Event.write addr 4 else Memsim.Event.read addr 4)
+           ops);
       Cache.flush c;
       let s = Cache.stats c in
       s.Stats.writebacks <= s.Stats.write_accesses)
@@ -326,9 +338,10 @@ let trace_arb = Testkit.Gen.trace_arb
 let cross_validate cfg trace =
   let cache = Cache.create cfg in
   let model = Ref_model.create cfg in
+  feed cache
+    (List.map (fun (addr, size) -> Memsim.Event.read addr size) trace);
   List.iter
     (fun (addr, size) ->
-      Cache.access cache (Memsim.Event.read addr size);
       let bb = cfg.Config.block_bytes in
       for block = addr / bb to (addr + size - 1) / bb do
         Ref_model.access model block
@@ -365,9 +378,8 @@ let prop_assoc_monotone =
     trace_arb (fun trace ->
       let cfg = Config.make ~block_bytes:32 256 in
       let cache = Cache.create cfg in
-      List.iter
-        (fun (addr, size) -> Cache.access cache (Memsim.Event.read addr size))
-        trace;
+      feed cache
+        (List.map (fun (addr, size) -> Memsim.Event.read addr size) trace);
       let s = Cache.stats cache in
       s.Stats.misses <= s.Stats.accesses
       && Stats.hits s + s.Stats.misses = s.Stats.accesses
@@ -428,8 +440,16 @@ let test_multi_find () =
 (* ------------------------------------------------------------------ *)
 
 let two_level () =
-  Hierarchy.create_levels
-    [ Config.make ~block_bytes:32 128; Config.make ~block_bytes:32 4096 ]
+  Hierarchy.create
+    [ [ Config.make ~block_bytes:32 128; Config.make ~block_bytes:32 4096 ] ]
+
+(* The statistics of a one-path hierarchy, outermost level first. *)
+let path_stats h =
+  match Hierarchy.results h with
+  | [ path ] -> List.map snd path
+  | paths -> Alcotest.failf "expected one path, got %d" (List.length paths)
+
+let level h i = List.nth (path_stats h) i
 
 (* A preset over [h]'s levels whose per-level miss penalties are
    [penalties]: a miss at level i pays level i+1's hit latency and the
@@ -445,13 +465,13 @@ let cpu_with_penalties h penalties =
         (fun i (config, _) ->
           { Cpu.config;
             hit_latency = (if i = 0 then 1 else List.nth penalties (i - 1)) })
-        (Hierarchy.results h);
+        (List.hd (Hierarchy.results h));
     mem_latency = List.nth penalties (n - 1) }
 
 let stall_cycles h penalties =
   Cpu.stall_cycles
     (cpu_with_penalties h penalties)
-    (List.map snd (Hierarchy.results h))
+    (path_stats h)
 
 let test_hierarchy_l2_sees_only_l1_misses () =
   let h = two_level () in
@@ -460,9 +480,9 @@ let test_hierarchy_l2_sees_only_l1_misses () =
   for _ = 1 to 3 do
     deliver sink [ Memsim.Event.read 0 4 ]
   done;
-  check_int "L1 sees 3" 3 (Hierarchy.level_stats h 0).Stats.accesses;
-  check_int "L1 misses once" 1 (Hierarchy.level_stats h 0).Stats.misses;
-  check_int "L2 sees only the miss" 1 (Hierarchy.level_stats h 1).Stats.accesses
+  check_int "L1 sees 3" 3 (level h 0).Stats.accesses;
+  check_int "L1 misses once" 1 (level h 0).Stats.misses;
+  check_int "L2 sees only the miss" 1 (level h 1).Stats.accesses
 
 let test_hierarchy_stall_cycles () =
   let h = two_level () in
@@ -481,7 +501,7 @@ let test_hierarchy_l2_filters () =
       deliver sink [ Memsim.Event.read (b * 32) 4 ]
     done
   done;
-  let l1 = Hierarchy.level_stats h 0 and l2 = Hierarchy.level_stats h 1 in
+  let l1 = level h 0 and l2 = level h 1 in
   check_int "L1 thrashes every access" 80 l1.Stats.misses;
   check_int "L2 only cold misses" 8 l2.Stats.misses
 
@@ -526,7 +546,7 @@ let test_forest_equivalence () =
   let caches = List.map Cache.create configs in
   let stream = lcg_stream 6000 in
   deliver (Forest.sink forest) stream;
-  List.iter (fun e -> List.iter (fun c -> Cache.access c e) caches) stream;
+  List.iter (fun e -> List.iter (fun c -> access c e) caches) stream;
   List.iteri
     (fun i c ->
       Alcotest.check stats_testable
@@ -549,7 +569,7 @@ let test_forest_batched_multi_equivalence () =
   let caches = List.map Cache.create configs in
   let stream = lcg_stream 6000 in
   deliver ~grain:7 (Multi.sink multi) stream;
-  List.iter (fun e -> List.iter (fun c -> Cache.access c e) caches) stream;
+  List.iter (fun e -> List.iter (fun c -> access c e) caches) stream;
   List.iter2
     (fun c (cfg, stats) ->
       Alcotest.check stats_testable cfg.Config.name (Cache.stats c) stats)
@@ -609,14 +629,14 @@ let events_of_raw raw =
     raw
 
 (* The forest fed [events] at [grain] against each member simulated on
-   its own by Cache.access, one boxed event at a time. *)
+   its own by [access], one boxed event at a time. *)
 let forest_matches_caches ~grain configs events =
   let forest = Forest.create configs in
   deliver ~grain (Forest.sink forest) events;
   List.for_all
     (fun (i, cfg) ->
       let c = Cache.create cfg in
-      List.iter (Cache.access c) events;
+      List.iter (access c) events;
       Cache.stats c = Forest.member_stats forest i)
     (List.mapi (fun i cfg -> (i, cfg)) configs)
 
@@ -651,7 +671,7 @@ let prop_multi_packed_matches_boxed =
       List.for_all2
         (fun cfg (cfg', stats) ->
           let c = Cache.create cfg in
-          List.iter (Cache.access c) events;
+          List.iter (access c) events;
           cfg == cfg' && Cache.stats c = stats)
         configs (Multi.results multi))
 
@@ -666,7 +686,7 @@ let test_hierarchy_packed_matches_boxed () =
       Config.make ~name:"L2" ~associativity:4 (64 * 1024) ]
   in
   let caches = List.map Cache.create levels in
-  let packed = Hierarchy.create_levels levels in
+  let packed = Hierarchy.create [ levels ] in
   let stream = lcg_stream 6000 in
   let l1_block = (List.hd levels).Config.block_bytes in
   List.iter
@@ -688,7 +708,7 @@ let test_hierarchy_packed_matches_boxed () =
   List.iter2
     (fun c (cfg, stats) ->
       Alcotest.check stats_testable cfg.Config.name (Cache.stats c) stats)
-    caches (Hierarchy.results packed)
+    caches (List.hd (Hierarchy.results packed))
 
 (* ------------------------------------------------------------------ *)
 (* Shard: set-partitioned domain-parallel replay                      *)
@@ -751,11 +771,8 @@ let policy_differential name policy_gen =
     (fun (cfg, events) ->
       let cache = Cache.create cfg in
       let oracle = Testkit.Oracle.create cfg in
-      List.iter
-        (fun e ->
-          Cache.access cache e;
-          Testkit.Oracle.access oracle e)
-        events;
+      feed cache events;
+      List.iter (Testkit.Oracle.access oracle) events;
       Cache.stats cache = Testkit.Oracle.stats oracle)
 
 let prop_lru_matches_oracle =
@@ -798,14 +815,50 @@ let prop_qlru_any_matches_oracle =
 let prop_mru_matches_oracle =
   policy_differential "mru matches oracle" QCheck.Gen.(return Policy.Mru)
 
+(* Writebacks and flushes through the one-word-per-way storage: random
+   traces cut by context-switch flushes, then a final flush, so every
+   dirty line is written back on both sides. *)
+let policy_flush_differential name policy_gen =
+  QCheck.Test.make ~count:250 ~name
+    (QCheck.make
+       QCheck.Gen.(
+         pair (Testkit.Gen.policy_case_gen ~policy_gen)
+           (list_size (int_range 0 4) (int_bound 400))))
+    (fun ((cfg, events), cuts) ->
+      let cache = Cache.create cfg in
+      let oracle = Testkit.Oracle.create cfg in
+      let flush () =
+        Cache.flush cache;
+        Testkit.Oracle.flush oracle
+      in
+      List.iteri
+        (fun i (e : Memsim.Event.t) ->
+          if List.mem i cuts then flush ();
+          Cache.access_packed cache ~addr:e.addr
+            ~meta:(Memsim.Event.Packed.meta_of_event e);
+          Testkit.Oracle.access oracle e)
+        events;
+      flush ();
+      Cache.stats cache = Testkit.Oracle.stats oracle)
+
+let prop_plru_flush_matches_oracle =
+  policy_flush_differential "plru writebacks and flushes match oracle"
+    QCheck.Gen.(return Policy.Plru)
+
+let prop_qlru_flush_matches_oracle =
+  policy_flush_differential "qlru writebacks and flushes match oracle"
+    QCheck.Gen.(
+      pair (int_bound 3) (int_bound 3) >|= fun (h, m) ->
+      Policy.Qlru { Policy.hit_age = h; insert_age = m })
+
 (* Hand-computed victim sequences.  One set of four 32-byte ways
    (fully-associative 128-byte cache): block [b] lives at address
    [b * 32], ways fill left-to-right with blocks 0,1,2,3. *)
 let policy_cache policy =
   Cache.create (Config.make ~block_bytes:32 ~associativity:4 ~policy 128)
 
-let read_block c b = Cache.access c (Memsim.Event.read (b * 32) 4)
-let write_block c b = Cache.access c (Memsim.Event.write (b * 32) 4)
+let read_block c b = feed c [ Memsim.Event.read (b * 32) 4 ]
+let write_block c b = feed c [ Memsim.Event.write (b * 32) 4 ]
 
 let check_resident c name expected =
   List.iter
@@ -924,11 +977,9 @@ let test_random_same_seed_deterministic () =
       2048
   in
   let a = Cache.create cfg and b = Cache.create cfg in
-  List.iter
-    (fun e ->
-      Cache.access a e;
-      Cache.access b e)
-    (lcg_stream 3000);
+  let stream = lcg_stream 3000 in
+  feed a stream;
+  feed b stream;
   Alcotest.check stats_testable "same seed, same stats" (Cache.stats a)
     (Cache.stats b)
 
@@ -939,7 +990,7 @@ let test_random_different_seeds_diverge () =
         (Config.make ~block_bytes:32 ~associativity:4
            ~policy:(Policy.Random seed) 2048)
     in
-    List.iter (Cache.access c) (lcg_stream 3000);
+    feed c (lcg_stream 3000);
     (Cache.stats c).Stats.misses
   in
   check_bool "different seeds pick different victims" true (mk 1 <> mk 2)
@@ -1039,10 +1090,10 @@ let test_forest_rejects_non_lru () =
 (* ------------------------------------------------------------------ *)
 
 let three_level () =
-  Hierarchy.create_levels
-    [ Config.make ~block_bytes:32 128;
-      Config.make ~block_bytes:32 512;
-      Config.make ~block_bytes:32 4096 ]
+  Hierarchy.create
+    [ [ Config.make ~block_bytes:32 128;
+        Config.make ~block_bytes:32 512;
+        Config.make ~block_bytes:32 4096 ] ]
 
 let test_hierarchy_three_level_filters () =
   let h = three_level () in
@@ -1054,10 +1105,8 @@ let test_hierarchy_three_level_filters () =
       deliver sink [ Memsim.Event.read (b * 32) 4 ]
     done
   done;
-  check_int "3 levels" 3 (List.length (Hierarchy.results h));
-  let l1 = Hierarchy.level_stats h 0
-  and l2 = Hierarchy.level_stats h 1
-  and l3 = Hierarchy.level_stats h 2 in
+  check_int "3 levels" 3 (List.length (path_stats h));
+  let l1 = level h 0 and l2 = level h 1 and l3 = level h 2 in
   check_int "L1 sees everything" 80 l1.Stats.accesses;
   check_int "L1 thrashes" 80 l1.Stats.misses;
   check_int "L2 sees only L1 misses" 80 l2.Stats.accesses;
@@ -1079,26 +1128,47 @@ let test_hierarchy_per_level_stalls () =
     (match
        Cpu.stall_cycles
          (cpu_with_penalties h [ 10; 40; 200 ])
-         [ Hierarchy.level_stats h 0; Hierarchy.level_stats h 1 ]
+         [ level h 0; level h 1 ]
      with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
 let test_hierarchy_rejects_empty () =
+  let rejected f =
+    match f () with exception Invalid_argument _ -> true | _ -> false
+  in
   check_bool "empty level list rejected" true
-    (match Hierarchy.create_levels [] with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+    (rejected (fun () -> Hierarchy.create_levels []));
+  check_bool "no paths rejected" true
+    (rejected (fun () -> Hierarchy.create []));
+  check_bool "an empty path among others rejected" true
+    (rejected (fun () -> Hierarchy.create [ [ Config.make 256 ]; [] ]))
+
+(* A miss probes the level below with the missed block's first address
+   only: a smaller block below would silently drop the rest of it. *)
+let test_hierarchy_rejects_smaller_block_below () =
+  let l1 = Config.make ~name:"L1-b128" ~block_bytes:128 1024
+  and l2 = Config.make ~name:"L2-b64" ~block_bytes:64 4096 in
+  (match Hierarchy.create [ [ Config.make 256 ]; [ l1; l2 ] ] with
+  | exception Invalid_argument msg ->
+      check_bool "message names the level" true
+        (contains_substring ~needle:"L2-b64" msg);
+      check_bool "message names the level above" true
+        (contains_substring ~needle:"L1-b128" msg)
+  | _ -> Alcotest.fail "expected Invalid_argument for a smaller block below");
+  let h = Hierarchy.create [ [ l2; l1 ] ] in
+  deliver (Hierarchy.sink h) [ Memsim.Event.read 0 4 ];
+  check_int "a larger block below is accepted" 1 (level h 1).Stats.accesses
 
 let test_hierarchy_access_chain_invariant () =
   (* For every preset (mixed PLRU/QLRU levels included): level i+1's
      accesses are exactly level i's misses. *)
   List.iter
     (fun (cpu : Cpu.t) ->
-      let h = Cpu.hierarchy cpu in
+      let h = Cpu.hierarchy [ cpu ] in
       let sink = Hierarchy.sink h in
       deliver sink (lcg_stream 4000);
-      let stats = List.map snd (Hierarchy.results h) in
+      let stats = path_stats h in
       let rec chain = function
         | a :: (b : Stats.t) :: rest ->
             check_int
@@ -1145,13 +1215,138 @@ let test_cpu_skylake_cost_model () =
   Alcotest.(check (array int))
     "miss penalties follow next-level latencies" [| 12; 42; 240 |]
     (Cpu.miss_penalties cpu);
-  let h = Cpu.hierarchy cpu in
+  let h = Cpu.hierarchy [ cpu ] in
   deliver (Hierarchy.sink h) [ Memsim.Event.read 0 4 ];
   (* one miss at each level *)
-  let levels = List.map snd (Hierarchy.results h) in
+  let levels = path_stats h in
   check_int "stalls" 294 (Cpu.stall_cycles cpu levels);
   check_int "total = instructions + stalls" 394
     (Cpu.total_cycles cpu levels ~instructions:100)
+
+(* ------------------------------------------------------------------ *)
+(* Hierarchy trie: shared levels against independent oracle chains    *)
+(* ------------------------------------------------------------------ *)
+
+let test_trie_distinct_levels () =
+  check_int "the five presets share down to 7 levels" 7
+    (Hierarchy.distinct_levels (Cpu.hierarchy Cpu.all));
+  check_int "a duplicated preset is simulated once" 3
+    (Hierarchy.distinct_levels (Cpu.hierarchy [ Cpu.skylake; Cpu.skylake ]));
+  List.iter
+    (fun n ->
+      (* Equal configs at different depths see different streams. *)
+      let path = List.init n (fun _ -> Config.make 256) in
+      check_int
+        (Printf.sprintf "one path of %d levels" n)
+        n
+        (Hierarchy.distinct_levels (Hierarchy.create [ path ])))
+    [ 1; 2; 3; 4 ]
+
+(* One path simulated on its own, naively: a chain of oracle caches,
+   every block of a reference probing the first and each seeing only
+   the blocks the one above missed, in its own block size. *)
+let oracle_chain configs events =
+  let chain = List.map Testkit.Oracle.create configs in
+  let top = (List.hd configs).Config.block_bytes in
+  List.iter
+    (fun (e : Memsim.Event.t) ->
+      for block = e.addr / top to (e.addr + e.size - 1) / top do
+        let rec down = function
+          | [] -> ()
+          | o :: rest ->
+              let bb = (Testkit.Oracle.config o).Config.block_bytes in
+              if
+                Testkit.Oracle.touch_block o ~kind:e.kind ~source:e.source
+                  ~block:(block * top / bb)
+              then down rest
+        in
+        down chain
+      done)
+    events;
+  List.map Testkit.Oracle.stats chain
+
+(* Every path of the shared trie, fed packed batches, reports the
+   configs it was given and exactly its own oracle chain's statistics
+   (writebacks included). *)
+let trie_matches_oracle_chains paths events =
+  let h = Hierarchy.create paths in
+  deliver ~grain:13 (Hierarchy.sink h) events;
+  List.for_all2
+    (fun configs path ->
+      List.map fst path = configs
+      && List.map snd path = oracle_chain configs events)
+    paths (Hierarchy.results h)
+
+(* Addresses that pile onto a few sets of every preset level (1 MB
+   apart: a multiple of every level's set span), mixed with uniform
+   ones, so L2s and L3s evict too. *)
+let preset_events_gen =
+  QCheck.Gen.(
+    let addr =
+      oneof
+        [ int_bound (4 * 1024 * 1024);
+          pair (int_bound 7) (int_bound 40) >|= fun (set, tag) ->
+          (set * 64) + (tag * 1024 * 1024) ]
+    in
+    list_size (int_range 1 1500)
+      (pair (pair bool (int_range 0 2)) (pair addr (int_range 1 130))))
+
+let prop_trie_presets_match_oracle =
+  QCheck.Test.make ~name:"preset subsets match oracle chains" ~count:60
+    (QCheck.make
+       QCheck.Gen.(
+         pair (list_size (int_range 1 6) (oneofl Cpu.all)) preset_events_gen))
+    (fun (cpus, raw) ->
+      trie_matches_oracle_chains
+        (List.map
+           (fun (cpu : Cpu.t) ->
+             List.map (fun (l : Cpu.level) -> l.Cpu.config) cpu.Cpu.levels)
+           cpus)
+        (events_of_raw raw))
+
+(* Small mixed-policy stacks: two candidate levels per depth, block
+   sizes non-decreasing with depth, and each path picks a depth and one
+   candidate per level, so paths share prefixes (or coincide) often. *)
+let mixed_stacks_gen =
+  QCheck.Gen.(
+    let policy =
+      oneof
+        [ oneofl [ Policy.Lru; Policy.Fifo; Policy.Plru; Policy.Mru ];
+          int_bound 0xFFFF >|= (fun seed -> Policy.Random seed);
+          pair (int_bound 3) (int_bound 3) >|= fun (h, m) ->
+          Policy.Qlru { Policy.hit_age = h; insert_age = m } ]
+    in
+    let level bb =
+      triple (oneofl [ 128; 256; 512; 1024 ]) (oneofl [ 1; 2; 4 ]) policy
+      >|= fun (cap, assoc, policy) ->
+      let assoc = min assoc (cap / bb) in
+      Config.make
+        ~name:
+          (Printf.sprintf "%d-%dway-b%d-%s" cap assoc bb
+             (Policy.to_string policy))
+        ~block_bytes:bb ~associativity:assoc ~policy cap
+    in
+    list_repeat 3 (oneofl [ 16; 32; 64 ]) >>= fun bbs ->
+    flatten_l
+      (List.map (fun bb -> pair (level bb) (level bb)) (List.sort compare bbs))
+    >>= fun candidates ->
+    let path =
+      int_range 1 3 >>= fun depth ->
+      list_repeat depth bool >|= fun picks ->
+      List.mapi
+        (fun k pick ->
+          let a, b = List.nth candidates k in
+          if pick then a else b)
+        picks
+    in
+    list_size (int_range 1 5) path)
+
+let prop_trie_mixed_stacks_match_oracle =
+  QCheck.Test.make ~name:"mixed-policy stacks match oracle chains" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         pair mixed_stacks_gen (list_size (int_range 1 400) raw_event_gen)))
+    (fun (paths, raw) -> trie_matches_oracle_chains paths (events_of_raw raw))
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                              *)
@@ -1306,6 +1501,8 @@ let () =
               prop_qlru_h00_m0_matches_oracle;
               prop_qlru_any_matches_oracle;
               prop_mru_matches_oracle;
+              prop_plru_flush_matches_oracle;
+              prop_qlru_flush_matches_oracle;
             ] );
       ( "hierarchy",
         [
@@ -1318,9 +1515,21 @@ let () =
           Alcotest.test_case "per-level stalls" `Quick
             test_hierarchy_per_level_stalls;
           Alcotest.test_case "rejects empty" `Quick test_hierarchy_rejects_empty;
+          Alcotest.test_case "rejects a smaller block below" `Quick
+            test_hierarchy_rejects_smaller_block_below;
           Alcotest.test_case "access chain invariant" `Quick
             test_hierarchy_access_chain_invariant;
         ] );
+      ( "trie",
+        [
+          Alcotest.test_case "distinct level count" `Quick
+            test_trie_distinct_levels;
+        ]
+        @ qsuite
+            [
+              prop_trie_presets_match_oracle;
+              prop_trie_mixed_stacks_match_oracle;
+            ] );
       ( "cpu",
         [
           Alcotest.test_case "presets well formed" `Quick

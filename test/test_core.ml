@@ -360,6 +360,53 @@ let test_tab6_has_tag_rows () =
   check_bool "no tags row" true (contains ~needle:"no tags" out);
   check_bool "increase row" true (contains ~needle:"increase" out)
 
+(* abl-flush shares one driver pass per allocator among its quanta; each
+   row must equal independent per-quantum runs, each with its own cache
+   and its own driver pass. *)
+let test_flush_rows_match_independent_runs () =
+  let stats_testable =
+    Alcotest.testable Cachesim.Stats.pp (fun (a : Cachesim.Stats.t) b -> a = b)
+  in
+  let profile = Workload.Programs.find "gs-large" in
+  let run_with_flush allocator quantum =
+    let cache = Cachesim.Cache.create (Cachesim.Config.make (64 * 1024)) in
+    let count = ref 0 in
+    let sink (b : Memsim.Event.Batch.t) =
+      for i = 0 to b.Memsim.Event.Batch.len - 1 do
+        incr count;
+        if quantum > 0 && !count mod quantum = 0 then
+          Cachesim.Cache.flush cache;
+        Cachesim.Cache.access_packed cache ~addr:b.Memsim.Event.Batch.addrs.(i)
+          ~meta:b.Memsim.Event.Batch.metas.(i)
+      done
+    in
+    let r = Workload.Driver.run ~sink ~scale:0.02 ~profile ~allocator () in
+    (r, Cachesim.Cache.stats cache)
+  in
+  let rows = Core.Ablations.flush_rows ctx in
+  Alcotest.(check (list string))
+    "one row per allocator"
+    [ "firstfit"; "bsd"; "gnu-local"; "quickfit" ]
+    (List.map (fun (row : Core.Derived.row) -> row.variant) rows);
+  List.iter
+    (fun (row : Core.Derived.row) ->
+      let quanta = [ 0; 100_000; 20_000 ] in
+      Alcotest.(check (list string))
+        "one consumer per quantum"
+        (List.map (Printf.sprintf "flush-%d") quanta)
+        (List.map fst row.stats);
+      List.iter
+        (fun quantum ->
+          let r, stats = run_with_flush row.variant quantum in
+          let name = Printf.sprintf "%s flush-%d" row.variant quantum in
+          check_int (name ^ " instructions") r.Workload.Driver.instructions
+            row.instructions;
+          check_int (name ^ " heap") r.Workload.Driver.heap_used row.heap_used;
+          Alcotest.check stats_testable name stats
+            (Core.Derived.stats row (Printf.sprintf "flush-%d" quantum)))
+        quanta)
+    rows
+
 (* ------------------------------------------------------------------ *)
 (* Headline results (structural assertions at small scale)            *)
 (* ------------------------------------------------------------------ *)
@@ -587,6 +634,8 @@ let () =
           tc "tab6 tag rows" test_tab6_has_tag_rows;
           tc "deterministic across contexts"
             test_experiments_deterministic_across_contexts;
+          tc "flush rows equal independent per-quantum runs"
+            test_flush_rows_match_independent_runs;
         ] );
       ( "options",
         [
