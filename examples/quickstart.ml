@@ -6,11 +6,11 @@
 let () =
   (* A 16 KB direct-mapped cache with 32-byte blocks (the paper's
      configuration) consuming the trace. *)
-  let cache = Cachesim.Cache.create (Cachesim.Config.make (16 * 1024)) in
+  let cache = Cachesim.Multi.create [ Cachesim.Config.make (16 * 1024) ] in
   let counter = Memsim.Sink.Counter.create () in
   let sink =
     Memsim.Sink.fanout
-      [ Cachesim.Cache.sink cache; Memsim.Sink.Counter.sink counter ]
+      [ Cachesim.Multi.sink cache; Memsim.Sink.Counter.sink counter ]
   in
 
   (* The simulated machine: traced memory + heap + instruction costs. *)
@@ -35,7 +35,7 @@ let () =
   (* The machine batches its packed trace internally: flush before
      reading anything downstream of the sink. *)
   Allocators.Heap.flush_trace heap;
-  let stats = Cachesim.Cache.stats cache in
+  let stats = snd (List.hd (Cachesim.Multi.results cache)) in
   let cost = Allocators.Heap.cost heap in
   Printf.printf "allocator        : %s\n" (Allocators.Allocator.name alloc);
   Printf.printf "trace events     : %d\n" (Memsim.Sink.Counter.total counter);

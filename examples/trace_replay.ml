@@ -23,12 +23,13 @@ let () =
      re-execution. *)
   List.iter
     (fun (label, config) ->
-      let cache = Cachesim.Cache.create config in
-      let n = Memsim.Trace_file.replay_file path (Cachesim.Cache.sink cache) in
+      let cache = Cachesim.Multi.create [ config ] in
+      let n = Memsim.Trace_file.replay_file path (Cachesim.Multi.sink cache) in
       assert (n = result.Workload.Driver.data_refs);
+      let stats = snd (List.hd (Cachesim.Multi.results cache)) in
       Printf.printf "  %-12s miss rate %6.3f%%  writebacks %d\n" label
-        (Cachesim.Stats.miss_rate_pct (Cachesim.Cache.stats cache))
-        (Cachesim.Cache.stats cache).Cachesim.Stats.writebacks)
+        (Cachesim.Stats.miss_rate_pct stats)
+        stats.Cachesim.Stats.writebacks)
     [ ("16K direct", Cachesim.Config.make (16 * 1024));
       ("16K 4-way", Cachesim.Config.make ~associativity:4 (16 * 1024));
       ("64K direct", Cachesim.Config.make (64 * 1024));

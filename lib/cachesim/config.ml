@@ -56,6 +56,12 @@ let make ?name ?(block_bytes = 32) ?(associativity = 1) ?(policy = Policy.Lru)
     | Some n -> n
     | None -> default_name ~size_bytes ~associativity ~policy
   in
+  (* PLRU keeps a set's tree bits in one int: 63 bits, so 64 ways. *)
+  if policy = Policy.Plru && associativity > 64 then
+    invalid_arg
+      (Printf.sprintf
+         "Cachesim.Config.make: %s: plru supports at most 64 ways, not %d"
+         name associativity);
   { name; size_bytes; block_bytes; associativity; policy }
 
 let num_sets t = t.size_bytes / (t.block_bytes * t.associativity)

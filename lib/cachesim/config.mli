@@ -28,7 +28,8 @@ val make :
 
     @raise Invalid_argument — naming the offending value — if sizes or
     associativity are not powers of two, the block does not divide the
-    capacity, or associativity does not divide the number of blocks. *)
+    capacity, associativity does not divide the number of blocks, or a
+    {!Policy.Plru} config has more than 64 ways. *)
 
 val num_sets : t -> int
 (** Number of sets: [size_bytes / (block_bytes * associativity)]. *)

@@ -1,6 +1,8 @@
 (* One-pass simulation of a family of caches that share a block size
    (Hill & Smith's forest simulation, specialised to power-of-two
-   caches — the shape of the paper's TYCHO size sweep).
+   caches — the shape of the paper's TYCHO size sweep).  It is the
+   simulator's only cache engine: a single cache is a one-member
+   family.
 
    Two properties of the family make a single walk per reference
    sufficient:
@@ -27,11 +29,9 @@
    Set-associative members do not order by inclusion against the
    direct-mapped chain (same capacity at different set counts is the
    classic counterexample), so they are probed individually — but they
-   still share the family profile and cold table.  Their LRU state is a
-   last-use stamp per way, fed by the family's access tick: the
-   eviction victim (least stamp, untouched ways stamped 0 and hence
-   filled first) is exactly the block an MRU-first list would drop, so
-   statistics stay bit-identical to an independent {!Cache}.
+   still share the family profile and cold table.  Each replaces within
+   a set by its own {!Policy.State}: a hit updates the policy; a miss
+   fills the leftmost invalid way, or else the policy's victim.
 
    Counter layout.  The kind x source access/miss breakdown lives in
    6-cell arrays indexed [ki*3 + si] (ki: 0 read / 1 write; si: 0 app /
@@ -42,13 +42,12 @@
 type member = {
   config : Config.t;
   assoc : int;
-  (* tags.((set * assoc) + way) holds the resident block; -1 = invalid. *)
+  (* tags.((set * assoc) + way) holds one word per way: the resident
+     block index shifted left once, with the low bit set when the block
+     has been written since it was fetched (write-back accounting).
+     Way positions are physical: replacement order lives in [policy]. *)
   tags : int array;
-  (* dirty.(i) mirrors tags.(i): written since fetched (write-back). *)
-  dirty : bool array;
-  (* stamps.(i) mirrors tags.(i): family tick at last touch.  Empty for
-     direct-mapped members, which need no recency order. *)
-  stamps : int array;
+  policy : Policy.State.t;  (* empty for direct-mapped members *)
   set_mask : int;  (* num_sets - 1 *)
   miss : int array;  (* misses by [ki*3 + si] *)
   mutable writebacks : int;
@@ -57,35 +56,45 @@ type member = {
   mutable last_way : int;
 }
 
+(* An empty way: it shifts right to max_int, which no block index
+   reaches, and its dirty bit is clear, so evicting it writes nothing
+   back. *)
+let invalid = -2
+
+let holds word block = word lsr 1 = block
+
 type t = {
   members : member array;  (* creation order *)
   dm : member array;  (* direct-mapped, ascending number of sets *)
   sa : member array;  (* set-associative, creation order *)
+  (* Set-associative members whose policy a repeated hit changes (see
+     {!Policy.State.hit_after_fill_changes}). *)
+  refresh : member array;
   block_shift : int;
   (* Set-range sharding (see {!create}'s [?shard]): this instance owns a
      block iff [lo <= block land part_mask < hi].  [part_mask] is the
      smallest member's set mask, so every member's sets partition
      cleanly across shards: blocks of one set always land in one shard,
-     which keeps per-set LRU order, evictions and cold misses identical
-     to the sequential walk.  Unsharded instances own everything
-     (mask = 0, range [0, 1)). *)
+     which keeps per-set replacement state, evictions and cold misses
+     identical to the sequential walk.  Unsharded instances own
+     everything (mask = 0, range [0, 1)). *)
   part_mask : int;
   part_lo : int;
   part_hi : int;
   seen : (int, unit) Hashtbl.t;  (* blocks ever referenced, shared *)
-  mutable ticks : int;  (* probed block accesses; doubles as the LRU clock *)
   acc : int array;  (* accesses by [ki*3 + si], identical for members *)
   mutable cold_misses : int;
   (* Consecutive-repeat fast path: word-grain traces touch the same
      block many times in a row, and a repeat of the immediately
      preceding block necessarily hits every member (nothing else has
      been touched since it was installed family-wide), so it only needs
-     an access count — plus, for the run's first write, marking the
-     resident ways dirty.  Skipping the stamp refresh is safe: within a
-     run no other block of any set is touched, so the relative recency
-     order inside every set is unchanged. *)
+     an access count.  A run's first write marks the resident ways
+     dirty, and its first repeat replays the hit on the [refresh]
+     members; every other policy update is idempotent within a run,
+     since no other block of any set is touched. *)
   mutable last_block : int;
   mutable run_dirty : bool;  (* last_block already marked dirty *)
+  mutable run_hit : bool;  (* [refresh] members already saw the run hit *)
 }
 
 let log2 n =
@@ -108,40 +117,30 @@ let create ?shard configs =
             invalid_arg
               (Printf.sprintf
                  "Cachesim.Forest.create: %s has block size %d, family uses %d"
-                 c.name c.block_bytes first.Config.block_bytes);
-          (* The one-pass walk leans on LRU inclusion (stamp victims ==
-             MRU-list victims); other policies must go through {!Cache}. *)
-          if not (Policy.is_lru c.policy) then
-            invalid_arg
-              (Printf.sprintf
-                 "Cachesim.Forest.create: %s uses policy %s; forest \
-                  simulation supports lru only"
-                 c.name
-                 (Policy.to_string c.policy)))
-        (first :: rest));
+                 c.name c.block_bytes first.Config.block_bytes))
+        rest);
   let member config =
     let num_sets = Config.num_sets config in
     let assoc = config.Config.associativity in
-    let ways = num_sets * assoc in
     { config;
       assoc;
-      tags = Array.make ways (-1);
-      dirty = Array.make ways false;
-      stamps = (if assoc = 1 then [||] else Array.make ways 0);
+      tags = Array.make (num_sets * assoc) invalid;
+      policy =
+        Policy.State.create config.Config.policy
+          ~num_sets:(if assoc = 1 then 0 else num_sets)
+          ~assoc;
       set_mask = num_sets - 1;
       miss = Array.make 6 0;
       writebacks = 0;
       last_way = 0 }
   in
   let members = Array.of_list (List.map member configs) in
-  let dm =
-    Array.of_list
-      (List.filter (fun m -> m.assoc = 1) (Array.to_list members))
-  in
+  let select p = Array.of_list (List.filter p (Array.to_list members)) in
+  let dm = select (fun m -> m.assoc = 1) in
   Array.stable_sort (fun a b -> compare a.set_mask b.set_mask) dm;
-  let sa =
-    Array.of_list
-      (List.filter (fun m -> m.assoc > 1) (Array.to_list members))
+  let sa = select (fun m -> m.assoc > 1) in
+  let refresh =
+    select (fun m -> m.assoc > 1 && Policy.State.hit_after_fill_changes m.policy)
   in
   let part_mask, part_lo, part_hi =
     match shard with
@@ -160,36 +159,103 @@ let create ?shard configs =
   { members;
     dm;
     sa;
+    refresh;
     block_shift = log2 (List.hd configs).Config.block_bytes;
     part_mask;
     part_lo;
     part_hi;
-    seen = Hashtbl.create 4096;
-    ticks = 0;
+    (* Small to start: most families are one-member hierarchy levels
+       that see few distinct blocks, and the table grows as needed. *)
+    seen = Hashtbl.create 256;
     acc = Array.make 6 0;
     cold_misses = 0;
     last_block = -1;
-    run_dirty = false }
+    run_dirty = false;
+    run_hit = true }
 
-let block_bytes t = 1 lsl t.block_shift
-let size t = Array.length t.members
-
-(* First write of a repeat run: mark the resident copies of
-   [t.last_block] dirty in every member (idempotent — the block may
-   already be dirty somewhere from before the run). *)
-let mark_run_dirty t =
+(* The first write or (with [refresh] members) the first repeat of a
+   run: bring the resident copies of [t.last_block] up to date. *)
+let finish_run t ~write =
   let block = t.last_block in
-  let dm = t.dm in
-  for i = 0 to Array.length dm - 1 do
+  if write && not t.run_dirty then begin
+    (* Idempotent: the block may already be dirty from before the run. *)
+    let dm = t.dm in
+    for i = 0 to Array.length dm - 1 do
+      let m = Array.unsafe_get dm i in
+      let s = block land m.set_mask in
+      m.tags.(s) <- m.tags.(s) lor 1
+    done;
+    let sa = t.sa in
+    for j = 0 to Array.length sa - 1 do
+      let m = Array.unsafe_get sa j in
+      m.tags.(m.last_way) <- m.tags.(m.last_way) lor 1
+    done;
+    t.run_dirty <- true
+  end;
+  if not t.run_hit then begin
+    Array.iter
+      (fun m ->
+        Policy.State.hit m.policy ~set:(m.last_way / m.assoc)
+          ~way:(m.last_way land (m.assoc - 1)))
+      t.refresh;
+    t.run_hit <- true
+  end
+
+(* The probe helpers below are top-level and take everything they need
+   as arguments, so the hot path allocates no closures. *)
+
+(* The way of the set at [base] holding [block], scanning from [w];
+   -1 when it is not resident. *)
+let rec find_way tags ~base ~assoc ~block w =
+  if w >= assoc then -1
+  else if holds (Array.unsafe_get tags (base + w)) block then w
+  else find_way tags ~base ~assoc ~block (w + 1)
+
+let rec first_invalid tags ~base ~assoc w =
+  if w >= assoc then -1
+  else if Array.unsafe_get tags (base + w) < 0 then w
+  else first_invalid tags ~base ~assoc (w + 1)
+
+(* Probe-order index of the smallest direct-mapped member that hits;
+   by inclusion everything at or above it hits, everything below
+   missed. *)
+let rec boundary dm ~block i =
+  if i >= Array.length dm then i
+  else
     let m = Array.unsafe_get dm i in
-    Array.unsafe_set m.dirty (block land m.set_mask) true
-  done;
-  let sa = t.sa in
-  for j = 0 to Array.length sa - 1 do
-    let m = Array.unsafe_get sa j in
-    Array.unsafe_set m.dirty m.last_way true
-  done;
-  t.run_dirty <- true
+    if holds (Array.unsafe_get m.tags (block land m.set_mask)) block then i
+    else boundary dm ~block (i + 1)
+
+(* Touch [block] in a set-associative member, [word] being its tag word
+   (dirty bit set on a write); true on a miss.  A hit updates the
+   policy; a miss fills the leftmost invalid way, or else the policy's
+   victim. *)
+let probe_sa m ~ks ~block ~word =
+  let assoc = m.assoc and tags = m.tags in
+  let set = block land m.set_mask in
+  let base = set * assoc in
+  let w = find_way tags ~base ~assoc ~block 0 in
+  if w >= 0 then begin
+    let i = base + w in
+    m.last_way <- i;
+    Policy.State.hit m.policy ~set ~way:w;
+    Array.unsafe_set tags i (Array.unsafe_get tags i lor (word land 1));
+    false
+  end
+  else begin
+    let w =
+      match first_invalid tags ~base ~assoc 0 with
+      | -1 -> Policy.State.victim m.policy ~set
+      | w -> w
+    in
+    let i = base + w in
+    m.last_way <- i;
+    m.writebacks <- m.writebacks + (Array.unsafe_get tags i land 1);
+    Array.unsafe_set tags i word;
+    Policy.State.fill m.policy ~set ~way:w;
+    Array.unsafe_set m.miss ks (Array.unsafe_get m.miss ks + 1);
+    true
+  end
 
 (* The hot path: [ks] is the fused kind/source counter index
    [ki*3 + si], resolved once per event.  Returns how many members
@@ -200,88 +266,39 @@ let rec access_block_ks t ~ks ~block =
   else if block = t.last_block then begin
     (* Consecutive repeat: hits every member by construction. *)
     Array.unsafe_set t.acc ks (Array.unsafe_get t.acc ks + 1);
-    if ks >= 3 && not t.run_dirty then mark_run_dirty t;
+    if (ks >= 3 && not t.run_dirty) || not t.run_hit then
+      finish_run t ~write:(ks >= 3);
     0
   end
   else probe_block_ks t ~ks ~block
 
 and probe_block_ks t ~ks ~block =
-  let tick = t.ticks + 1 in
-  t.ticks <- tick;
   Array.unsafe_set t.acc ks (Array.unsafe_get t.acc ks + 1);
   let write = ks >= 3 in
+  let word = (block lsl 1) lor Bool.to_int write in
   let dm = t.dm in
-  let dn = Array.length dm in
-  (* Boundary: probe-order index of the smallest direct-mapped member
-     that hits; by inclusion everything at or above it hits, everything
-     below missed. *)
-  let rec boundary i =
-    if i >= dn then i
-    else
-      let m = Array.unsafe_get dm i in
-      if Array.unsafe_get m.tags (block land m.set_mask) = block then i
-      else boundary (i + 1)
-  in
-  let b = boundary 0 in
-  if b > 0 then
-    for i = 0 to b - 1 do
-      let m = Array.unsafe_get dm i in
-      let s = block land m.set_mask in
-      if m.tags.(s) >= 0 && m.dirty.(s) then m.writebacks <- m.writebacks + 1;
-      m.tags.(s) <- block;
-      m.dirty.(s) <- write;
-      Array.unsafe_set m.miss ks (Array.unsafe_get m.miss ks + 1)
-    done;
+  let b = boundary dm ~block 0 in
+  for i = 0 to b - 1 do
+    let m = Array.unsafe_get dm i in
+    let s = block land m.set_mask in
+    m.writebacks <- m.writebacks + (Array.unsafe_get m.tags s land 1);
+    Array.unsafe_set m.tags s word;
+    Array.unsafe_set m.miss ks (Array.unsafe_get m.miss ks + 1)
+  done;
   if write then
     (* Write hits only mark the resident block dirty. *)
-    for i = b to dn - 1 do
+    for i = b to Array.length dm - 1 do
       let m = Array.unsafe_get dm i in
-      m.dirty.(block land m.set_mask) <- true
+      let s = block land m.set_mask in
+      Array.unsafe_set m.tags s (Array.unsafe_get m.tags s lor 1)
     done;
   (* Set-associative members: no inclusion order, probe each. *)
+  let missed = ref b in
   let sa = t.sa in
-  let sn = Array.length sa in
-  let rec probe_sa j missed =
-    if j >= sn then missed
-    else begin
-      let m = Array.unsafe_get sa j in
-      let assoc = m.assoc in
-      let base = (block land m.set_mask) * assoc in
-      let rec find w =
-        if w >= assoc then -1
-        else if Array.unsafe_get m.tags (base + w) = block then w
-        else find (w + 1)
-      in
-      let w = find 0 in
-      if w >= 0 then begin
-        m.last_way <- base + w;
-        Array.unsafe_set m.stamps (base + w) tick;
-        if write then Array.unsafe_set m.dirty (base + w) true;
-        probe_sa (j + 1) missed
-      end
-      else begin
-        (* Victim: least last-use stamp.  Untouched ways keep stamp 0
-           and so fill before any valid way is evicted; once the set is
-           full the least stamp is exactly the LRU block. *)
-        let rec victim k best besti =
-          if k >= base + assoc then besti
-          else
-            let s = Array.unsafe_get m.stamps k in
-            if s < best then victim (k + 1) s k else victim (k + 1) best besti
-        in
-        let v = victim (base + 1) (Array.unsafe_get m.stamps base) base in
-        m.last_way <- v;
-        if Array.unsafe_get m.tags v >= 0 && Array.unsafe_get m.dirty v then
-          m.writebacks <- m.writebacks + 1;
-        Array.unsafe_set m.tags v block;
-        Array.unsafe_set m.dirty v write;
-        Array.unsafe_set m.stamps v tick;
-        Array.unsafe_set m.miss ks (Array.unsafe_get m.miss ks + 1);
-        probe_sa (j + 1) (missed + 1)
-      end
-    end
-  in
-  let missed = probe_sa 0 b in
+  for j = 0 to Array.length sa - 1 do
+    if probe_sa (Array.unsafe_get sa j) ~ks ~block ~word then incr missed
+  done;
+  let missed = !missed in
   (* A cold (first-ever) reference misses in every member at once; a
      family-wide hit proves the block was already seen, so the table is
      only consulted when someone missed. *)
@@ -291,18 +308,8 @@ and probe_block_ks t ~ks ~block =
   end;
   t.last_block <- block;
   t.run_dirty <- write;
+  t.run_hit <- Array.length t.refresh = 0;
   missed
-
-let kind_index (kind : Memsim.Event.kind) =
-  match kind with Read -> 0 | Write -> 1
-
-let source_index (source : Memsim.Event.source) =
-  match source with App -> 0 | Malloc -> 1 | Free -> 2
-
-let ks_index ~kind ~source = (kind_index kind * 3) + source_index source
-
-let access_block t ~kind ~source ~block =
-  access_block_ks t ~ks:(ks_index ~kind ~source) ~block
 
 let access_range_ks t ~ks ~addr ~size =
   let first = addr lsr t.block_shift in
@@ -323,9 +330,20 @@ let sink t (b : Memsim.Event.Batch.t) =
       ~size:(meta lsr 3)
   done
 
+let flush t =
+  Array.iter
+    (fun m ->
+      (* Flushing writes dirty blocks back. *)
+      Array.iter (fun w -> m.writebacks <- m.writebacks + (w land 1)) m.tags;
+      Array.fill m.tags 0 (Array.length m.tags) invalid;
+      Policy.State.reset m.policy)
+    t.members;
+  (* The last block is no longer resident: its next touch must probe. *)
+  t.last_block <- -1
+
 let absorb t other =
   (* Merge another shard's counters into ours.  Only statistics move:
-     tags/stamps stay per-shard (their sets are disjoint by
+     tags and policy state stay per-shard (their sets are disjoint by
      construction, so there is nothing to reconcile). *)
   if Array.length t.members <> Array.length other.members then
     invalid_arg "Cachesim.Forest.absorb: member count mismatch";
@@ -370,12 +388,6 @@ let member_stats t i =
   s.Stats.free_misses <- miss.(2) + miss.(5);
   s
 
-let member_config t i = t.members.(i).config
-
 let results t =
   List.init (Array.length t.members) (fun i ->
       (t.members.(i).config, member_stats t i))
-
-let miss_rate_series t =
-  results t
-  |> List.map (fun ((cfg : Config.t), st) -> (cfg.name, Stats.miss_rate_pct st))

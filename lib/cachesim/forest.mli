@@ -1,7 +1,8 @@
 (** One-pass simulation of a *family* of caches sharing one block size
     — Hill & Smith's forest simulation, the way the paper's TYCHO
     evaluates its whole 16K–256K size sweep in a single walk over the
-    trace.
+    trace.  It is the only cache engine: a single cache, such as a
+    {!Hierarchy} level, is a one-member family.
 
     Direct-mapped members are ordered by the inclusion property of
     same-stream direct-mapped caches with power-of-two set counts:
@@ -10,13 +11,18 @@
     hit classifies the reference for the whole chain.  Set-associative
     members do not order by inclusion (equal capacity at different set
     counts is the classic counterexample) and are probed individually,
-    with per-way last-use stamps standing in for an LRU list — but they
-    share the family's access profile and cold-miss table, which are
-    identical for every member seeing the same stream.
+    each replacing by its config's {!Policy.t} — but they share the
+    family's access profile and cold-miss table, which are identical
+    for every member seeing the same stream.
+
+    Caches are write-allocate: read and write misses both bring the
+    block in.  Invalid ways fill leftmost-first; only a full set
+    consults the policy for a victim.  A dirty block evicted (or
+    flushed) counts a writeback.
 
     Per-member statistics are bit-identical to simulating each member
-    independently with {!Cache} (verified by a property test in
-    [test/test_cachesim.ml]). *)
+    on its own (pinned against the naive oracle [test/oracle.ml] by
+    property tests in [test/test_cachesim.ml]). *)
 
 type t
 
@@ -35,31 +41,26 @@ val create : ?shard:int * int -> Config.t list -> t
     @raise Invalid_argument if the list is empty, the members disagree
     on block size, or the shard pair is out of range. *)
 
-val block_bytes : t -> int
-(** The family's shared block size. *)
-
-val size : t -> int
-(** Number of members. *)
-
-val access_block : t -> kind:Memsim.Event.kind ->
-  source:Memsim.Event.source -> block:int -> int
-(** [access_block t ~kind ~source ~block] touches one block (global
-    block index, i.e. [addr / block_bytes]) in every member and returns
-    how many members missed (0 = hit everywhere). *)
-
 val access_block_ks : t -> ks:int -> block:int -> int
-(** {!access_block} with the kind/source already fused into the
-    {!Memsim.Event.Packed.ks} counter index; the hot entry for
-    {!Hierarchy}. *)
+(** [access_block_ks t ~ks ~block] touches one block (global block
+    index, i.e. [addr / block_bytes]) in every member, with the
+    kind/source fused into the {!Memsim.Event.Packed.ks} counter index,
+    and returns how many members missed (0 = hit everywhere); the hot
+    entry for {!Hierarchy}. *)
 
 val access_range_ks : t -> ks:int -> addr:int -> size:int -> unit
 (** Touches every block the byte range spans, with the kind/source
-    already fused; the hot entry for {!Multi}'s batch loop. *)
+    already fused. *)
 
 val sink : t -> Memsim.Sink.t
 (** The family as a trace consumer: every event touches each block its
     byte range spans (addresses must be non-negative), without
     materialising [Event.t] records. *)
+
+val flush : t -> unit
+(** Writes back every dirty block and invalidates every member, and
+    forgets the replacement state; statistics and the cold-miss table
+    are kept.  Models a context-switch cache flush. *)
 
 val absorb : t -> t -> unit
 (** [absorb t other] adds [other]'s counters (accesses, misses, cold
@@ -68,15 +69,9 @@ val absorb : t -> t -> unit
 
     @raise Invalid_argument if the two instances' members differ. *)
 
-val member_config : t -> int -> Config.t
-(** Configuration of the [i]th member, in creation order. *)
-
 val member_stats : t -> int -> Stats.t
-(** Statistics of the [i]th member, materialised fresh on each call
-    (a snapshot, not a live accumulator). *)
+(** Statistics of the [i]th member, in creation order, materialised
+    fresh on each call (a snapshot, not a live accumulator). *)
 
 val results : t -> (Config.t * Stats.t) list
 (** Configuration and statistics per member, in creation order. *)
-
-val miss_rate_series : t -> (string * float) list
-(** [(name, miss-rate %)] per member — one figure series. *)

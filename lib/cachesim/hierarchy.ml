@@ -10,20 +10,15 @@
    it.  One path is the plain N-level hierarchy (the grid's two-level
    paper hierarchy).
 
-   An LRU level is a single-member {!Forest} family: the member code
-   path (inline probe, array counters, cold table consulted only on a
-   miss) is shared with the multi-configuration sweep, and a one-member
-   family's statistics are exactly an independent cache's.  Non-LRU
-   levels (Tree-PLRU, QLRU, ...) fall outside the forest's inclusion
-   argument and run as plain {!Cache} simulations instead — the two
-   agree bit-for-bit on LRU, which keeps the original two-level results
-   byte-identical. *)
-
-type sim = Forest_sim of Forest.t | Cache_sim of Cache.t
+   A level is a one-member {!Forest} family, whatever its replacement
+   policy: the member code path (inline probe, array counters, cold
+   table consulted only on a miss) is shared with the
+   multi-configuration sweep, and a one-member family's statistics are
+   exactly an independent cache's. *)
 
 type node = {
   config : Config.t;
-  sim : sim;
+  sim : Forest.t;
   shift : int;  (* log2 of the level's block size *)
   mutable below : node array;  (* the levels fed by this one's misses *)
 }
@@ -39,9 +34,7 @@ let log2 n =
 
 let level (config : Config.t) =
   { config;
-    sim =
-      (if Policy.is_lru config.policy then Forest_sim (Forest.create [ config ])
-       else Cache_sim (Cache.create config));
+    sim = Forest.create [ config ];
     shift = log2 config.block_bytes;
     below = [||] }
 
@@ -99,33 +92,26 @@ let distinct_levels t =
 
 (* Probe one level with a block index already translated to its block
    size; true = miss. *)
-let probe node ~ks ~meta ~block =
-  match node.sim with
-  | Forest_sim f -> Forest.access_block_ks f ~ks ~block > 0
-  | Cache_sim c ->
-      Cache.access_block c
-        ~kind:(Memsim.Event.Packed.kind meta)
-        ~source:(Memsim.Event.Packed.source meta)
-        ~block
+let probe node ~ks ~block = Forest.access_block_ks node.sim ~ks ~block > 0
 
 (* A level missed the block at byte address [addr]: each level below
    probes the block holding [addr] in its own (equal or larger) block
    size, and passes its own misses further down. *)
-let rec descend below ~ks ~meta ~addr =
+let rec descend below ~ks ~addr =
   for i = 0 to Array.length below - 1 do
     let node = Array.unsafe_get below i in
-    if probe node ~ks ~meta ~block:(addr lsr node.shift) then
-      descend node.below ~ks ~meta ~addr
+    if probe node ~ks ~block:(addr lsr node.shift) then
+      descend node.below ~ks ~addr
   done
 
 (* The root probe stays inline; the trie is only walked on a miss. *)
-let access_root root ~ks ~meta ~addr =
+let access_root root ~ks ~addr ~size =
   let shift = root.shift in
   let first = addr lsr shift in
-  let last = (addr + (meta lsr 3) - 1) lsr shift in
+  let last = (addr + size - 1) lsr shift in
   for block = first to last do
-    if probe root ~ks ~meta ~block then
-      descend root.below ~ks ~meta ~addr:(block lsl shift)
+    if probe root ~ks ~block then
+      descend root.below ~ks ~addr:(block lsl shift)
   done
 
 let sink t (b : Memsim.Event.Batch.t) =
@@ -135,14 +121,11 @@ let sink t (b : Memsim.Event.Batch.t) =
     let meta = Array.unsafe_get metas i in
     let ks = Memsim.Event.Packed.ks meta and addr = Array.unsafe_get addrs i in
     for r = 0 to Array.length roots - 1 do
-      access_root (Array.unsafe_get roots r) ~ks ~meta ~addr
+      access_root (Array.unsafe_get roots r) ~ks ~addr ~size:(meta lsr 3)
     done
   done
 
-let stats node =
-  match node.sim with
-  | Forest_sim f -> Forest.member_stats f 0
-  | Cache_sim c -> Cache.stats c
-
 let results t =
-  List.map (List.map (fun node -> (node.config, stats node))) t.paths
+  List.map
+    (List.map (fun node -> (node.config, Forest.member_stats node.sim 0)))
+    t.paths

@@ -11,9 +11,8 @@
     are one trie of 7 distinct levels (1 L1, 2 L2s, 4 L3s) instead of
     15; a single path is the plain N-level hierarchy.
 
-    Levels may use any replacement {!Policy.t}; LRU levels run on the
-    shared one-pass {!Forest} member path, others on plain {!Cache}
-    simulation. *)
+    Levels may use any replacement {!Policy.t}; each is a one-member
+    {!Forest}. *)
 
 type t
 

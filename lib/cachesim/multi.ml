@@ -1,4 +1,4 @@
-(* A set of LRU cache configurations fed from one trace, partitioned by
+(* A set of cache configurations fed from one trace, partitioned by
    block size into {!Forest} families: within a family the
    direct-mapped members cost one inclusion walk per reference,
    set-associative members are probed individually, and the access
@@ -21,8 +21,6 @@ let create configs =
          (List.map (fun (c : Config.t) -> c.block_bytes) configs))
   in
   let family bb = List.filter (fun (c : Config.t) -> c.block_bytes = bb) configs in
-  (* Every configuration lands in some family, so Forest.create rejects
-     any non-LRU policy, naming the configuration. *)
   let forests = Array.map (fun bb -> Forest.create (family bb)) blocks in
   (* A member's index is its rank among its family's configurations. *)
   let rank = Array.make (Array.length blocks) 0 in
@@ -36,25 +34,6 @@ let create configs =
 
 let sink t b = Array.iter (fun f -> Forest.sink f b) t.forests
 
-let stats_of t f m = Forest.member_stats t.forests.(f) m
-
 let results t =
-  Array.to_list t.slots |> List.map (fun (c, f, m) -> (c, stats_of t f m))
-
-let names t =
-  Array.to_list t.slots |> List.map (fun ((c : Config.t), _, _) -> c.name)
-
-let find t ~name =
-  match
-    Array.find_opt (fun ((c : Config.t), _, _) -> c.name = name) t.slots
-  with
-  | Some (c, f, m) -> (c, stats_of t f m)
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Cachesim.Multi.find: unknown cache %S (known: %s)"
-           name
-           (String.concat ", " (names t)))
-
-let miss_rate_series t =
-  results t
-  |> List.map (fun (cfg, st) -> (cfg.Config.name, Stats.miss_rate_pct st))
+  Array.to_list t.slots
+  |> List.map (fun (c, f, m) -> (c, Forest.member_stats t.forests.(f) m))

@@ -7,10 +7,7 @@
    by nanoBench/cachetrace-style tools:
 
    - [Lru]: true least-recently-used (the paper's set-associative
-     discussion, and the only policy the one-pass {!Forest} supports).
-   - [Fifo]: evict the oldest *fill*; hits do not refresh.
-   - [Random seed]: uniform victim from a deterministic xorshift32
-     stream — same seed, same simulation, bit for bit.
+     discussion).
    - [Plru]: tree pseudo-LRU — one bit per internal node of a binary
      tree over the ways, each access points its path away from the
      accessed way (Intel L1/L2 through Ivy Bridge, most L1s since).
@@ -18,27 +15,20 @@
      [hit_age], a fill inserts at [insert_age], the victim is the
      leftmost line of age 3, ageing everyone when none exists (the
      Skylake-era L2/L3 variants; H00/H11 x M0/M1 presets below).
-   - [Mru]: bit-PLRU — one MRU bit per line, set on access; when all
-     bits saturate the others reset; victim is the leftmost clear bit.
 
    Every policy is pinned to an executable naive oracle
    ([test/oracle.ml]) by a qcheck differential suite; the shared
    victim-side contract both implementations follow is:
 
    - invalid ways fill leftmost-first, before any replacement;
-   - [victim] is consulted only when the set is full;
-   - [Random] draws exactly one xorshift32 value per victim request,
-     in access order, and takes it modulo the associativity. *)
+   - [victim] is consulted only when the set is full. *)
 
 type qlru = { hit_age : int; insert_age : int }
 
 type t =
   | Lru
-  | Fifo
-  | Random of int
   | Plru
   | Qlru of qlru
-  | Mru
 
 let qlru_h00_m1 = { hit_age = 0; insert_age = 1 }
 let qlru_h11_m1 = { hit_age = 1; insert_age = 1 }
@@ -48,47 +38,33 @@ let is_lru = function Lru -> true | _ -> false
 
 let to_string = function
   | Lru -> "lru"
-  | Fifo -> "fifo"
-  | Random seed -> Printf.sprintf "random:%d" seed
   | Plru -> "plru"
   | Qlru { hit_age; insert_age } ->
       Printf.sprintf "qlru-h%d-m%d" hit_age insert_age
-  | Mru -> "mru"
 
 let of_string s =
   let fail () =
     Error
-      (Printf.sprintf
-         "unknown policy %S (expected lru, fifo, random:SEED, plru, \
-          qlru-hH-mM, or mru)"
-         s)
+      (Printf.sprintf "unknown policy %S (expected lru, plru or qlru-hH-mM)" s)
   in
   match s with
   | "lru" -> Ok Lru
-  | "fifo" -> Ok Fifo
   | "plru" -> Ok Plru
-  | "mru" -> Ok Mru
-  | _ -> (
-      match String.index_opt s ':' with
-      | Some i when String.sub s 0 i = "random" -> (
-          match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-          | Some seed -> Ok (Random seed)
-          | None -> fail ())
-      | _ ->
-          (* qlru-hH-mM with single-digit ages 0..3 *)
-          if
-            String.length s = 10
-            && String.sub s 0 6 = "qlru-h"
-            && s.[7] = '-' && s.[8] = 'm'
-          then
-            match
-              (int_of_string_opt (String.make 1 s.[6]),
-               int_of_string_opt (String.make 1 s.[9]))
-            with
-            | Some h, Some m when h >= 0 && h <= 3 && m >= 0 && m <= 3 ->
-                Ok (Qlru { hit_age = h; insert_age = m })
-            | _ -> fail ()
-          else fail ())
+  | _ ->
+      (* qlru-hH-mM with single-digit ages 0..3 *)
+      if
+        String.length s = 10
+        && String.sub s 0 6 = "qlru-h"
+        && s.[7] = '-' && s.[8] = 'm'
+      then
+        match
+          (int_of_string_opt (String.make 1 s.[6]),
+           int_of_string_opt (String.make 1 s.[9]))
+        with
+        | Some h, Some m when h >= 0 && h <= 3 && m >= 0 && m <= 3 ->
+            Ok (Qlru { hit_age = h; insert_age = m })
+        | _ -> fail ()
+      else fail ()
 
 let equal (a : t) b = a = b
 let pp ppf t = Format.pp_print_string ppf (to_string t)
@@ -101,14 +77,12 @@ module State = struct
   type policy = t
 
   (* One representation per policy, flat over [num_sets * assoc] where
-     per-way memory is needed (one byte per way for QLRU's 2-bit ages),
-     one packed int per set for the bit policies (associativity is a
-     power of two <= 62, so tree bits and MRU masks both fit one
-     immediate int). *)
+     per-way memory is needed (a last-use stamp per way for LRU, one
+     byte per way for QLRU's 2-bit ages), one packed int per set for
+     PLRU's tree bits (associativity is a power of two <= 64, so the
+     at most 63 node bits fit one immediate int). *)
   type t =
     | S_lru of { stamps : int array; mutable tick : int; assoc : int }
-    | S_fifo of { stamps : int array; mutable tick : int; assoc : int }
-    | S_random of { mutable rng : int; assoc : int }
     | S_plru of { bits : int array; assoc : int }
     | S_qlru of {
         ages : Bytes.t;
@@ -116,20 +90,10 @@ module State = struct
         hit_age : int;
         insert_age : int;
       }
-    | S_mru of { bits : int array; assoc : int; full : int }
-
-  let seed_rng seed =
-    (* xorshift32 state must be non-zero; fold the seed into 32 bits
-       and force a bit on. *)
-    let s = seed land 0xFFFFFFFF in
-    if s = 0 then 1 else s
 
   let create (policy : policy) ~num_sets ~assoc =
     match policy with
     | Lru -> S_lru { stamps = Array.make (num_sets * assoc) 0; tick = 0; assoc }
-    | Fifo ->
-        S_fifo { stamps = Array.make (num_sets * assoc) 0; tick = 0; assoc }
-    | Random seed -> S_random { rng = seed_rng seed; assoc }
     | Plru -> S_plru { bits = Array.make num_sets 0; assoc }
     | Qlru { hit_age; insert_age } ->
         S_qlru
@@ -137,8 +101,6 @@ module State = struct
             assoc;
             hit_age;
             insert_age }
-    | Mru ->
-        S_mru { bits = Array.make num_sets 0; assoc; full = (1 lsl assoc) - 1 }
 
   (* Tree-PLRU over a heap-indexed complete binary tree: node [n] has
      children [2n+1] (ways below the midpoint) and [2n+2] (above).  A
@@ -181,54 +143,46 @@ module State = struct
   let age ages i = Char.code (Bytes.get ages i)
   let set_age ages i a = Bytes.set ages i (Char.unsafe_chr a)
 
-  let mru_touch bits set full way =
-    let m = bits.(set) lor (1 lsl way) in
-    bits.(set) <- (if m = full then 1 lsl way else m)
-
-  let hit t ~set ~way =
+  (* [hit] and [fill] are the forest's per-probe policy updates: both
+     are inlined, and LRU's stamp store is unchecked, as callers pass a
+     set and way of this cache. *)
+  let[@inline] hit t ~set ~way =
     match t with
     | S_lru s ->
         s.tick <- s.tick + 1;
-        s.stamps.((set * s.assoc) + way) <- s.tick
-    | S_fifo _ -> ()
-    | S_random _ -> ()
+        Array.unsafe_set s.stamps ((set * s.assoc) + way) s.tick
     | S_plru s -> plru_touch s.bits set s.assoc way
     | S_qlru s -> set_age s.ages ((set * s.assoc) + way) s.hit_age
-    | S_mru s -> mru_touch s.bits set s.full way
 
-  let fill t ~set ~way =
+  let[@inline] fill t ~set ~way =
     match t with
     | S_lru s ->
         s.tick <- s.tick + 1;
-        s.stamps.((set * s.assoc) + way) <- s.tick
-    | S_fifo s ->
-        s.tick <- s.tick + 1;
-        s.stamps.((set * s.assoc) + way) <- s.tick
-    | S_random _ -> ()
+        Array.unsafe_set s.stamps ((set * s.assoc) + way) s.tick
     | S_plru s -> plru_touch s.bits set s.assoc way
     | S_qlru s -> set_age s.ages ((set * s.assoc) + way) s.insert_age
-    | S_mru s -> mru_touch s.bits set s.full way
 
-  let min_stamp_way stamps base assoc =
-    let rec go w best besti =
-      if w >= assoc then besti
-      else
-        let s = stamps.(base + w) in
-        if s < best then go (w + 1) s w else go (w + 1) best besti
-    in
-    go 1 stamps.(base) 0
+  (* A hit re-stamps LRU's recency and retraces PLRU's path: repeating
+     the last touch of a set changes nothing that orders its victims.
+     QLRU's hit does when it moves a fill's age. *)
+  let hit_after_fill_changes = function
+    | S_qlru s -> s.hit_age <> s.insert_age
+    | S_lru _ | S_plru _ -> false
 
   let victim t ~set =
     match t with
-    | S_lru s -> min_stamp_way s.stamps (set * s.assoc) s.assoc
-    | S_fifo s -> min_stamp_way s.stamps (set * s.assoc) s.assoc
-    | S_random s ->
-        let x = s.rng in
-        let x = x lxor (x lsl 13) land 0xFFFFFFFF in
-        let x = x lxor (x lsr 17) in
-        let x = x lxor (x lsl 5) land 0xFFFFFFFF in
-        s.rng <- x;
-        x mod s.assoc
+    | S_lru s ->
+        (* The least stamp; a loop over refs, so nothing is allocated. *)
+        let stamps = s.stamps and base = set * s.assoc in
+        let best = ref (Array.unsafe_get stamps base) and besti = ref 0 in
+        for w = 1 to s.assoc - 1 do
+          let st = Array.unsafe_get stamps (base + w) in
+          if st < !best then begin
+            best := st;
+            besti := w
+          end
+        done;
+        !besti
     | S_plru s -> plru_victim s.bits set s.assoc
     | S_qlru s ->
         let base = set * s.assoc in
@@ -248,21 +202,10 @@ module State = struct
           else leftmost (w + 1)
         in
         leftmost 0
-    | S_mru s ->
-        let b = s.bits.(set) in
-        let rec leftmost w =
-          if w >= s.assoc - 1 then w
-          else if b land (1 lsl w) = 0 then w
-          else leftmost (w + 1)
-        in
-        leftmost 0
 
   let reset t =
     match t with
     | S_lru s -> Array.fill s.stamps 0 (Array.length s.stamps) 0
-    | S_fifo s -> Array.fill s.stamps 0 (Array.length s.stamps) 0
-    | S_random _ -> ()
     | S_plru s -> Array.fill s.bits 0 (Array.length s.bits) 0
     | S_qlru s -> Bytes.fill s.ages 0 (Bytes.length s.ages) '\000'
-    | S_mru s -> Array.fill s.bits 0 (Array.length s.bits) 0
 end

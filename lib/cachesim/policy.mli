@@ -1,15 +1,12 @@
 (** Replacement policies for set-associative caches.
 
-    The paper's simulations are direct-mapped (PR 1); modern
-    hierarchies use pseudo-LRU families.  Each policy here is pinned
-    against a deliberately naive reference simulator
-    ([test/oracle.ml]) by a qcheck differential suite, under a shared
-    victim-side contract:
+    The paper's simulations are direct-mapped; modern hierarchies use
+    pseudo-LRU families.  Each policy here is pinned against a
+    deliberately naive reference simulator ([test/oracle.ml]) by a
+    qcheck differential suite, under a shared victim-side contract:
 
     - invalid ways are filled leftmost-first, before any replacement;
-    - {!State.victim} is consulted only when the set is full;
-    - [Random] draws exactly one xorshift32 value per victim request,
-      in access order, and reduces it modulo the associativity. *)
+    - {!State.victim} is consulted only when the set is full. *)
 
 type qlru = {
   hit_age : int;  (** age a line is set to on a hit (0..3) *)
@@ -20,12 +17,11 @@ type qlru = {
     maximum of 3 when no such line exists. *)
 
 type t =
-  | Lru  (** true least-recently-used (the only policy {!Forest} handles) *)
-  | Fifo  (** evict oldest fill; hits do not refresh *)
-  | Random of int  (** seeded xorshift32 victim; deterministic per seed *)
-  | Plru  (** tree pseudo-LRU (Intel L1s; pre-Ivy-Bridge L2/L3) *)
+  | Lru  (** true least-recently-used *)
+  | Plru
+      (** tree pseudo-LRU (Intel L1s; pre-Ivy-Bridge L2/L3); at most 64
+          ways, see {!Config.make} *)
   | Qlru of qlru  (** quad-age LRU (Skylake-era L2/L3 variants) *)
-  | Mru  (** bit-PLRU: MRU bit per line, reset-on-saturation *)
 
 val qlru_h00_m1 : qlru
 (** Hits rejuvenate to age 0, fills insert at age 1 (Skylake L2-like). *)
@@ -38,13 +34,12 @@ val qlru_h00_m0 : qlru
 (** Hits and fills both go to age 0 (most protective variant). *)
 
 val is_lru : t -> bool
-(** [is_lru p] is true only for {!Lru} — the gate for the one-pass
-    forest fast path, which relies on LRU inclusion. *)
+(** [is_lru p] is true only for {!Lru}, the policy whose configs keep
+    their paper-era names. *)
 
 val to_string : t -> string
 (** Stable token used in config names, artifact encoding and the CLI:
-    ["lru"], ["fifo"], ["random:SEED"], ["plru"], ["qlru-hH-mM"],
-    ["mru"]. *)
+    ["lru"], ["plru"], ["qlru-hH-mM"]. *)
 
 val of_string : string -> (t, string) result
 (** Inverse of {!to_string}; [Error] carries a human-readable message
@@ -53,8 +48,8 @@ val of_string : string -> (t, string) result
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
-(** Mutable per-set replacement state shared by {!Cache} and the
-    N-level {!Hierarchy}.  One value covers every set of a cache. *)
+(** Mutable per-set replacement state of a {!Forest} member.  One value
+    covers every set of a cache. *)
 module State : sig
   type policy = t
   type t
@@ -67,11 +62,16 @@ module State : sig
   val fill : t -> set:int -> way:int -> unit
   (** Record a fill (miss refill) into [way] of [set]. *)
 
+  val hit_after_fill_changes : t -> bool
+  (** Whether a hit on the way just filled, with nothing else touched
+      in between, changes the state: true only for a QLRU whose hit age
+      differs from its insert age.  Under every other policy such a
+      repeated touch changes no later victim choice. *)
+
   val victim : t -> set:int -> int
   (** Choose the way to evict from a {e full} [set].  Must not be
       called while the set still has invalid ways. *)
 
   val reset : t -> unit
-  (** Forget all recency state (cache flush).  [Random] keeps its rng
-      position so a flush does not replay the victim stream. *)
+  (** Forget all recency state (cache flush). *)
 end

@@ -209,16 +209,18 @@ let flush_rows (ctx : Context.t) =
   (* A cache flushed before every [quantum]th event (never for 0).  The
      sink cannot affect the driver, so every quantum shares one pass. *)
   let flushing quantum =
-    let cache = Cachesim.Cache.create flush_config in
+    let cache = Cachesim.Forest.create [ flush_config ] in
     let count = ref 0 in
     let sink (b : Memsim.Event.Batch.t) =
       for i = 0 to b.Memsim.Event.Batch.len - 1 do
         incr count;
         if quantum > 0 && !count mod quantum = 0 then
-          Cachesim.Cache.flush cache;
-        Cachesim.Cache.access_packed cache
+          Cachesim.Forest.flush cache;
+        let meta = Array.unsafe_get b.Memsim.Event.Batch.metas i in
+        Cachesim.Forest.access_range_ks cache
+          ~ks:(Memsim.Event.Packed.ks meta)
           ~addr:(Array.unsafe_get b.Memsim.Event.Batch.addrs i)
-          ~meta:(Array.unsafe_get b.Memsim.Event.Batch.metas i)
+          ~size:(meta lsr 3)
       done
     in
     (quantum_name quantum, cache, sink)
@@ -229,7 +231,9 @@ let flush_rows (ctx : Context.t) =
       let sink = Memsim.Sink.fanout (List.map (fun (_, _, s) -> s) caches) in
       let r = Workload.Driver.run ~sink ~scale ~profile ~allocator:akey () in
       Derived.row ~program:flush_program ~variant:akey r
-        (List.map (fun (name, c, _) -> (name, Cachesim.Cache.stats c)) caches))
+        (List.map
+           (fun (name, c, _) -> (name, Cachesim.Forest.member_stats c 0))
+           caches))
     allocators
 
 let flush (ctx : Context.t) =

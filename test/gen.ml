@@ -2,8 +2,8 @@
 
    Every suite used to grow its own copy of "random word trace",
    "random event stream" and "random cache shape"; they live here once,
-   so the policy differential suites, the forest equivalence suite and
-   the trace-file round-trips all draw from the same distributions. *)
+   so the policy differential suites, the forest-versus-oracle suites
+   and the trace-file round-trips all draw from the same distributions. *)
 
 open QCheck
 
@@ -37,6 +37,35 @@ let event_gen ?(addr_bound = 4096) ?(max_size = 70) () =
 let events_gen ?(max_events = 400) ?addr_bound ?max_size () =
   Gen.(list_size (int_range 1 max_events) (event_gen ?addr_bound ?max_size ()))
 
+(* Word-grain runs: after the first event, each event either starts
+   afresh ([event_gen]) or touches a few bytes at the previous event's
+   address with its own kind and source, so back-to-back references to
+   one block (the forest's consecutive-repeat fast path) are common, as
+   in real word-grain traces. *)
+let run_events_gen ?(max_events = 400) () =
+  Gen.(
+    let repeat =
+      frequency
+        [ (2, return None);
+          (3, triple bool (int_range 0 2) (int_range 1 8) >|= Option.some) ]
+    in
+    list_size (int_range 1 max_events) (pair (event_gen ()) repeat)
+    >|= fun steps ->
+    let rec go (prev : Memsim.Event.t option) = function
+      | [] -> []
+      | (fresh, repeat) :: rest ->
+          let e =
+            match (prev, repeat) with
+            | Some p, Some (write, src, size) ->
+                let source = source_of_int src in
+                if write then Memsim.Event.write ~source p.addr size
+                else Memsim.Event.read ~source p.addr size
+            | _ -> fresh
+          in
+          e :: go (Some e) rest
+    in
+    go None steps)
+
 (* ---- delivery -------------------------------------------------------- *)
 
 (* Delivers [events] to [sink] as packed batches of [grain] events (the
@@ -55,21 +84,18 @@ let deliver ?(grain = 7) (sink : Memsim.Sink.t) events =
 
 (* ---- cache shapes ---------------------------------------------------- *)
 
-(* Small caches (a handful of sets and ways) so random traces actually
-   thrash them.  [policies] picks the replacement policy; a [Random]
-   policy should be supplied pre-seeded ([policy_random_gen] draws the
-   seed too). *)
-let config_gen ?(policies = [ Cachesim.Policy.Lru ]) () =
+(* Every replacement policy, QLRU over its whole age square. *)
+let policy_gen =
   Gen.(
-    oneofl [ 16; 32 ] >>= fun bb ->
-    oneofl [ 256; 512; 1024; 2048; 4096 ] >>= fun cap ->
-    oneofl [ 1; 1; 2; 4 ] >>= fun assoc ->
-    oneofl policies >|= fun policy ->
-    Cachesim.Config.make
-      ~name:(Printf.sprintf "%d-%dway" cap assoc)
-      ~block_bytes:bb ~associativity:assoc ~policy cap)
+    oneof
+      [ return Cachesim.Policy.Lru;
+        return Cachesim.Policy.Plru;
+        pair (int_bound 3) (int_bound 3) >|= fun (h, m) ->
+        Cachesim.Policy.Qlru { Cachesim.Policy.hit_age = h; insert_age = m } ])
 
-(* A policy-under-test paired with the trace that drives it; the config
+(* A policy-under-test paired with the trace that drives it: small
+   caches (a handful of sets and ways) so random traces actually thrash
+   them, fed either uniform events or word-grain runs.  The config
    keeps the policy in its derived name for qcheck's failure output. *)
 let policy_case_gen ~policy_gen =
   Gen.(
@@ -81,4 +107,5 @@ let policy_case_gen ~policy_gen =
     let cfg =
       Cachesim.Config.make ~block_bytes:bb ~associativity:assoc ~policy cap
     in
-    pair (return cfg) (events_gen ~addr_bound:4096 ~max_size:70 ()))
+    pair (return cfg)
+      (oneof [ events_gen ~addr_bound:4096 ~max_size:70 (); run_events_gen () ]))

@@ -1,18 +1,15 @@
 (* A deliberately slow, obviously-correct reference cache simulator.
 
-   This is the executable specification the fast [Cachesim.Cache] is
-   differentially tested against: association-list sets, textbook
-   policy bookkeeping (tag lists for LRU/FIFO, a recursive bool tree
-   for PLRU, per-way age lists for QLRU), everything recomputed from
-   first principles on every access.  It shares only the victim-side
-   CONTRACT with the fast implementation, never its code:
+   This is the executable specification the fast [Cachesim.Forest] is
+   differentially tested against, member by member: association-list
+   sets, textbook policy bookkeeping (an MRU-first tag list for LRU, a
+   recursive bool tree for PLRU, per-way age lists for QLRU), everything
+   recomputed from first principles on every access, one cache at a
+   time.  It shares only the victim-side CONTRACT with the fast
+   implementation, never its code:
 
    - invalid ways fill leftmost-first, before any replacement;
-   - the victim is chosen only when the set is full;
-   - Random draws exactly one xorshift32 value per victim request, in
-     access order, and reduces it modulo the associativity
-     (transcribed below from the spec in [Cachesim.Policy]'s docs, not
-     shared with the implementation). *)
+   - the victim is chosen only when the set is full. *)
 
 open Cachesim
 
@@ -22,12 +19,9 @@ type line = { way : int; tag : int; dirty : bool }
 (* Textbook per-set policy memory. *)
 type policy_mem =
   | M_lru of int list array  (* per set: resident tags, MRU first *)
-  | M_fifo of int list array  (* per set: resident tags, oldest first *)
-  | M_random of int ref  (* xorshift32 state, shared by all sets *)
   | M_plru of bool array array  (* per set: tree bits, length assoc-1 *)
   | M_qlru of (int * int) list array * int * int
       (* per set: (way, age) pairs; hit_age; insert_age *)
-  | M_mru of bool array array  (* per set: one MRU bit per way *)
 
 type t = {
   config : Config.t;
@@ -45,14 +39,9 @@ let create (config : Config.t) =
   let mem =
     match config.policy with
     | Policy.Lru -> M_lru (Array.make num_sets [])
-    | Policy.Fifo -> M_fifo (Array.make num_sets [])
-    | Policy.Random seed ->
-        let s = seed land 0xFFFFFFFF in
-        M_random (ref (if s = 0 then 1 else s))
     | Policy.Plru -> M_plru (Array.init num_sets (fun _ -> Array.make (assoc - 1) false))
     | Policy.Qlru { hit_age; insert_age } ->
         M_qlru (Array.make num_sets [], hit_age, insert_age)
-    | Policy.Mru -> M_mru (Array.init num_sets (fun _ -> Array.make assoc false))
   in
   { config;
     num_sets;
@@ -96,22 +85,10 @@ let note_touch t ~set ~way ~tag ~filled =
   match t.mem with
   | M_lru order ->
       order.(set) <- tag :: List.filter (fun g -> g <> tag) order.(set)
-  | M_fifo order ->
-      (* Hits do not refresh; only fills append (newest last). *)
-      if filled then
-        order.(set) <- List.filter (fun g -> g <> tag) order.(set) @ [ tag ]
-  | M_random _ -> ()
   | M_plru bits -> plru_touch bits.(set) 0 0 t.assoc way
   | M_qlru (ages, hit_age, insert_age) ->
       ages.(set) <-
         qlru_set_age ages.(set) way (if filled then insert_age else hit_age)
-  | M_mru bits ->
-      let b = bits.(set) in
-      b.(way) <- true;
-      if Array.for_all (fun x -> x) b then begin
-        Array.fill b 0 t.assoc false;
-        b.(way) <- true
-      end
 
 (* Pick the way to evict from a full [set]. *)
 let victim t ~set =
@@ -121,15 +98,6 @@ let victim t ~set =
   | M_lru order ->
       (* Least recently used = last of the MRU-first list. *)
       way_of_tag (List.nth order.(set) (List.length order.(set) - 1))
-  | M_fifo order -> way_of_tag (List.hd order.(set))
-  | M_random rng ->
-      (* xorshift32, transcribed from the documented spec. *)
-      let x = !rng in
-      let x = x lxor (x lsl 13) land 0xFFFFFFFF in
-      let x = x lxor (x lsr 17) in
-      let x = x lxor (x lsl 5) land 0xFFFFFFFF in
-      rng := x;
-      x mod t.assoc
   | M_plru bits -> plru_victim bits.(set) 0 0 t.assoc
   | M_qlru (ages, _, _) ->
       (* Age the whole set until some line reaches 3 (persistently, as
@@ -147,12 +115,6 @@ let victim t ~set =
         if w >= t.assoc - 1 then w
         else if qlru_age ages.(set) w = 3 then w
         else leftmost (w + 1)
-      in
-      leftmost 0
-  | M_mru bits ->
-      let b = bits.(set) in
-      let rec leftmost w =
-        if w >= t.assoc - 1 then w else if not b.(w) then w else leftmost (w + 1)
       in
       leftmost 0
 
@@ -184,15 +146,12 @@ let touch_block t ~kind ~source ~block =
         (match List.find_opt (fun l -> l.way = way) lines with
         | Some evicted ->
             if evicted.dirty then Stats.record_writeback t.stats;
-            (* The evicted tag leaves the recency lists too. *)
+            (* The evicted tag leaves the recency list too. *)
             (match t.mem with
             | M_lru order ->
                 order.(set) <-
                   List.filter (fun g -> g <> evicted.tag) order.(set)
-            | M_fifo order ->
-                order.(set) <-
-                  List.filter (fun g -> g <> evicted.tag) order.(set)
-            | _ -> ())
+            | M_plru _ | M_qlru _ -> ())
         | None -> ());
         t.sets.(set) <-
           { way; tag = block; dirty = write }
@@ -212,8 +171,7 @@ let access t (e : Memsim.Event.t) =
   done
 
 (* A context-switch flush: every dirty line is written back, every set
-   empties and the policy memory starts over — except Random's stream,
-   which keeps its position. *)
+   empties and the policy memory starts over. *)
 let flush t =
   Array.iteri
     (fun set lines ->
@@ -221,8 +179,7 @@ let flush t =
       t.sets.(set) <- [])
     t.sets;
   match t.mem with
-  | M_lru order | M_fifo order -> Array.fill order 0 t.num_sets []
-  | M_random _ -> ()
-  | M_plru bits | M_mru bits ->
+  | M_lru order -> Array.fill order 0 t.num_sets []
+  | M_plru bits ->
       Array.iter (fun b -> Array.fill b 0 (Array.length b) false) bits
   | M_qlru (ages, _, _) -> Array.fill ages 0 t.num_sets []

@@ -7,17 +7,43 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let deliver = Testkit.Gen.deliver
 
-(* A cache fed boxed events through its packed sink. *)
-let feed c events = deliver (Cache.sink c) events
+(* One cache: a one-member forest, with a log of what it was fed so
+   residency can be asked without disturbing it. *)
+module One = struct
+  type op = Events of Memsim.Event.t list | Flush
 
-(* The per-event reference the packed paths are checked against: every
-   block a boxed event's byte range spans, one [Cache.access_block]
-   each. *)
-let access c (e : Memsim.Event.t) =
-  let bb = (Cache.config c).Config.block_bytes in
-  for block = e.addr / bb to (e.addr + e.size - 1) / bb do
-    ignore (Cache.access_block c ~kind:e.kind ~source:e.source ~block)
-  done
+  type t = {
+    config : Config.t;
+    forest : Forest.t;
+    mutable log : op list;  (* newest first *)
+  }
+
+  let create config = { config; forest = Forest.create [ config ]; log = [] }
+
+  let apply f = function
+    | Events events -> deliver (Forest.sink f) events
+    | Flush -> Forest.flush f
+
+  let run t op =
+    t.log <- op :: t.log;
+    apply t.forest op
+
+  let stats t = Forest.member_stats t.forest 0
+
+  (* Replays the log on a fresh cache and reads [block]'s first byte:
+     the block is resident iff that read hits. *)
+  let contains_block t ~block =
+    let f = Forest.create [ t.config ] in
+    List.iter (apply f) (List.rev t.log);
+    let misses () = (Forest.member_stats f 0).Stats.misses in
+    let before = misses () in
+    apply f (Events [ Memsim.Event.read (block * t.config.block_bytes) 1 ]);
+    misses () = before
+end
+
+let feed c events = One.run c (One.Events events)
+let flush c = One.run c One.Flush
+let stats = One.stats
 
 (* Naive substring check, for asserting on error-message contents. *)
 let contains_substring ~needle haystack =
@@ -85,9 +111,8 @@ let test_config_policy_names () =
 
 let test_policy_string_roundtrip () =
   let policies =
-    [ Policy.Lru; Policy.Fifo; Policy.Random 42; Policy.Random 0; Policy.Plru;
-      Policy.Qlru Policy.qlru_h00_m1; Policy.Qlru Policy.qlru_h11_m1;
-      Policy.Qlru Policy.qlru_h00_m0; Policy.Mru ]
+    [ Policy.Lru; Policy.Plru; Policy.Qlru Policy.qlru_h00_m1;
+      Policy.Qlru Policy.qlru_h11_m1; Policy.Qlru Policy.qlru_h00_m0 ]
   in
   List.iter
     (fun p ->
@@ -97,8 +122,32 @@ let test_policy_string_roundtrip () =
             (Policy.equal p p')
       | Error e -> Alcotest.failf "%s: %s" (Policy.to_string p) e)
     policies;
-  check_bool "garbage rejected" true
-    (match Policy.of_string "nmru" with Error _ -> true | Ok _ -> false)
+  List.iter
+    (fun token ->
+      check_bool (token ^ " rejected") true
+        (match Policy.of_string token with Error _ -> true | Ok _ -> false))
+    [ "nmru"; "fifo"; "mru"; "random:42"; "qlru-h4-m1" ]
+
+(* PLRU keeps a set's tree in one int, which holds 63 node bits: a
+   wider tree would shift past them and mis-simulate silently. *)
+let test_config_rejects_wide_plru () =
+  (match Config.make ~associativity:128 ~policy:Policy.Plru (128 * 32) with
+  | exception Invalid_argument msg ->
+      check_bool "message names the config" true
+        (contains_substring ~needle:"4K-128way-plru" msg);
+      check_bool "message names the limit" true
+        (contains_substring ~needle:"64" msg)
+  | _ -> Alcotest.fail "expected Invalid_argument for a 128-way PLRU");
+  check_int "64-way PLRU accepted" 64
+    (Config.make ~associativity:64 ~policy:Policy.Plru (64 * 32))
+      .Config.associativity;
+  List.iter
+    (fun policy ->
+      check_int
+        (Policy.to_string policy ^ " has no way limit")
+        128
+        (Config.make ~associativity:128 ~policy (128 * 32)).Config.associativity)
+    [ Policy.Lru; Policy.Qlru Policy.qlru_h00_m1 ]
 
 let test_config_paper_sweep () =
   let names = List.map (fun c -> c.Config.name) Config.paper_direct_mapped in
@@ -107,11 +156,11 @@ let test_config_paper_sweep () =
     names
 
 (* ------------------------------------------------------------------ *)
-(* Cache: hand-worked direct-mapped scenarios                          *)
+(* One cache: hand-worked direct-mapped scenarios                     *)
 (* ------------------------------------------------------------------ *)
 
 (* A tiny cache: 4 sets of 32-byte blocks = 128 bytes, direct-mapped. *)
-let tiny_dm () = Cache.create (Config.make ~block_bytes:32 128)
+let tiny_dm () = One.create (Config.make ~block_bytes:32 128)
 
 let read_at cache addr = feed cache [ Memsim.Event.read addr 4 ]
 
@@ -120,7 +169,7 @@ let test_dm_hit_after_miss () =
   read_at c 0x1000;
   read_at c 0x1004;
   (* same block *)
-  let s = Cache.stats c in
+  let s = stats c in
   check_int "two accesses" 2 s.Stats.accesses;
   check_int "one miss" 1 s.Stats.misses;
   check_int "one cold miss" 1 s.Stats.cold_misses
@@ -132,7 +181,7 @@ let test_dm_conflict_eviction () =
   read_at c (4 * 32);
   read_at c 0;
   (* evicted by previous access -> miss again, but not cold *)
-  let s = Cache.stats c in
+  let s = stats c in
   check_int "three accesses" 3 s.Stats.accesses;
   check_int "three misses" 3 s.Stats.misses;
   check_int "two cold" 2 s.Stats.cold_misses
@@ -145,14 +194,14 @@ let test_dm_distinct_sets_coexist () =
   read_at c 96;
   read_at c 0;
   read_at c 32;
-  let s = Cache.stats c in
+  let s = stats c in
   check_int "4 cold misses then hits" 4 s.Stats.misses
 
 let test_event_spanning_blocks () =
   let c = tiny_dm () in
   (* A 64-byte write starting at 16 spans blocks 0, 1, 2. *)
   feed c [ Memsim.Event.write 16 64 ];
-  let s = Cache.stats c in
+  let s = stats c in
   check_int "three block accesses" 3 s.Stats.accesses;
   check_int "all write accesses" 3 s.Stats.write_accesses;
   check_int "three misses" 3 s.Stats.misses
@@ -163,7 +212,7 @@ let test_source_breakdown () =
     [ Memsim.Event.read ~source:Memsim.Event.Malloc 0 4;
       Memsim.Event.read ~source:Memsim.Event.App 0 4;
       Memsim.Event.write ~source:Memsim.Event.Free 0 4 ];
-  let s = Cache.stats c in
+  let s = stats c in
   check_int "malloc accesses" 1 s.Stats.malloc_accesses;
   check_int "malloc misses" 1 s.Stats.malloc_misses;
   check_int "app hits" 0 s.Stats.app_misses;
@@ -175,11 +224,11 @@ let test_source_breakdown () =
 let test_flush () =
   let c = tiny_dm () in
   read_at c 0x40;
-  check_bool "resident" true (Cache.contains_block c ~block:2);
-  Cache.flush c;
-  check_bool "flushed" false (Cache.contains_block c ~block:2);
+  check_bool "resident" true (One.contains_block c ~block:2);
+  flush c;
+  check_bool "flushed" false (One.contains_block c ~block:2);
   read_at c 0x40;
-  let s = Cache.stats c in
+  let s = stats c in
   check_int "second access misses after flush" 2 s.Stats.misses;
   check_int "but is not cold" 1 s.Stats.cold_misses
 
@@ -189,7 +238,7 @@ let test_flush () =
 
 (* 2 sets x 2 ways x 32B = 128 bytes. *)
 let tiny_2way () =
-  Cache.create (Config.make ~block_bytes:32 ~associativity:2 128)
+  One.create (Config.make ~block_bytes:32 ~associativity:2 128)
 
 let write_at cache addr = feed cache [ Memsim.Event.write addr 4 ]
 
@@ -199,24 +248,24 @@ let test_wb_dirty_eviction () =
   (* dirty block 0 in set 0 *)
   read_at c (4 * 32);
   (* evicts it -> one writeback *)
-  check_int "one writeback" 1 (Cache.stats c).Stats.writebacks
+  check_int "one writeback" 1 (stats c).Stats.writebacks
 
 let test_wb_clean_eviction_free () =
   let c = tiny_dm () in
   read_at c 0;
   read_at c (4 * 32);
-  check_int "clean eviction, no writeback" 0 (Cache.stats c).Stats.writebacks
+  check_int "clean eviction, no writeback" 0 (stats c).Stats.writebacks
 
 let test_wb_flush_writes_dirty () =
   let c = tiny_dm () in
   write_at c 0;
   write_at c 32;
   read_at c 64;
-  Cache.flush c;
+  flush c;
   (* two dirty + one clean block flushed *)
-  check_int "two writebacks on flush" 2 (Cache.stats c).Stats.writebacks;
-  Cache.flush c;
-  check_int "second flush writes nothing" 2 (Cache.stats c).Stats.writebacks
+  check_int "two writebacks on flush" 2 (stats c).Stats.writebacks;
+  flush c;
+  check_int "second flush writes nothing" 2 (stats c).Stats.writebacks
 
 let test_wb_read_after_write_keeps_dirty () =
   let c = tiny_dm () in
@@ -224,7 +273,7 @@ let test_wb_read_after_write_keeps_dirty () =
   read_at c 0;
   (* still dirty *)
   read_at c (4 * 32);
-  check_int "writeback after read hit" 1 (Cache.stats c).Stats.writebacks
+  check_int "writeback after read hit" 1 (stats c).Stats.writebacks
 
 let test_wb_assoc_dirty_follows_lru () =
   let c = tiny_2way () in
@@ -234,13 +283,13 @@ let test_wb_assoc_dirty_follows_lru () =
   (* 0 is MRU and dirty; 2 clean LRU *)
   read_at c (4 * 32);
   (* evicts clean 2 *)
-  check_int "clean victim, no writeback" 0 (Cache.stats c).Stats.writebacks;
+  check_int "clean victim, no writeback" 0 (stats c).Stats.writebacks;
   read_at c (6 * 32);
   (* evicts dirty 0 *)
-  check_int "dirty victim written back" 1 (Cache.stats c).Stats.writebacks;
+  check_int "dirty victim written back" 1 (stats c).Stats.writebacks;
   check_int "memory traffic = misses + writebacks"
-    ((Cache.stats c).Stats.misses + 1)
-    (Stats.memory_traffic_blocks (Cache.stats c))
+    ((stats c).Stats.misses + 1)
+    (Stats.memory_traffic_blocks (stats c))
 
 let prop_writebacks_bounded =
   QCheck.Test.make ~name:"writebacks never exceed writes" ~count:200
@@ -248,18 +297,18 @@ let prop_writebacks_bounded =
       list_of_size (QCheck.Gen.int_range 1 300)
         (pair bool (int_range 0 1023)))
     (fun ops ->
-      let c = Cache.create (Config.make ~block_bytes:32 256) in
+      let c = One.create (Config.make ~block_bytes:32 256) in
       feed c
         (List.map
            (fun (w, addr) ->
              if w then Memsim.Event.write addr 4 else Memsim.Event.read addr 4)
            ops);
-      Cache.flush c;
-      let s = Cache.stats c in
+      flush c;
+      let s = stats c in
       s.Stats.writebacks <= s.Stats.write_accesses)
 
 (* ------------------------------------------------------------------ *)
-(* Cache: associativity                                               *)
+(* One cache: associativity                                           *)
 (* ------------------------------------------------------------------ *)
 
 let test_assoc_two_blocks_coexist () =
@@ -269,7 +318,7 @@ let test_assoc_two_blocks_coexist () =
   read_at c (2 * 32);
   read_at c (0 * 32);
   read_at c (2 * 32);
-  let s = Cache.stats c in
+  let s = stats c in
   check_int "only the two cold misses" 2 s.Stats.misses
 
 let test_assoc_lru_eviction_order () =
@@ -278,9 +327,9 @@ let test_assoc_lru_eviction_order () =
   read_at c (0 * 32);
   read_at c (2 * 32);
   read_at c (4 * 32);
-  check_bool "block 0 evicted" false (Cache.contains_block c ~block:0);
-  check_bool "block 2 stays" true (Cache.contains_block c ~block:2);
-  check_bool "block 4 resident" true (Cache.contains_block c ~block:4)
+  check_bool "block 0 evicted" false (One.contains_block c ~block:0);
+  check_bool "block 2 stays" true (One.contains_block c ~block:2);
+  check_bool "block 4 resident" true (One.contains_block c ~block:4)
 
 let test_assoc_touch_refreshes_lru () =
   let c = tiny_2way () in
@@ -289,8 +338,8 @@ let test_assoc_touch_refreshes_lru () =
   read_at c (0 * 32);
   (* refresh 0: now 2 is LRU *)
   read_at c (4 * 32);
-  check_bool "block 2 evicted" false (Cache.contains_block c ~block:2);
-  check_bool "block 0 survives" true (Cache.contains_block c ~block:0)
+  check_bool "block 2 evicted" false (One.contains_block c ~block:2);
+  check_bool "block 0 survives" true (One.contains_block c ~block:0)
 
 (* ------------------------------------------------------------------ *)
 (* Reference model cross-validation                                   *)
@@ -336,7 +385,7 @@ end
 let trace_arb = Testkit.Gen.trace_arb
 
 let cross_validate cfg trace =
-  let cache = Cache.create cfg in
+  let cache = One.create cfg in
   let model = Ref_model.create cfg in
   feed cache
     (List.map (fun (addr, size) -> Memsim.Event.read addr size) trace);
@@ -347,7 +396,7 @@ let cross_validate cfg trace =
         Ref_model.access model block
       done)
     trace;
-  let s = Cache.stats cache in
+  let s = stats cache in
   s.Stats.accesses = model.Ref_model.accesses
   && s.Stats.misses = model.Ref_model.misses
 
@@ -377,10 +426,10 @@ let prop_assoc_monotone =
   QCheck.Test.make ~name:"stats are internally consistent" ~count:200
     trace_arb (fun trace ->
       let cfg = Config.make ~block_bytes:32 256 in
-      let cache = Cache.create cfg in
+      let cache = One.create cfg in
       feed cache
         (List.map (fun (addr, size) -> Memsim.Event.read addr size) trace);
-      let s = Cache.stats cache in
+      let s = stats cache in
       s.Stats.misses <= s.Stats.accesses
       && Stats.hits s + s.Stats.misses = s.Stats.accesses
       && s.Stats.cold_misses <= s.Stats.misses
@@ -410,7 +459,9 @@ let test_multi_bigger_cache_fewer_misses () =
       deliver sink [ Memsim.Event.read (b * 32) 4 ]
     done
   done;
-  let rates = List.map snd (Multi.miss_rate_series m) in
+  let rates =
+    List.map (fun (_, st) -> Stats.miss_rate_pct st) (Multi.results m)
+  in
   let rec non_increasing = function
     | a :: b :: rest -> a >= b -. 1e-9 && non_increasing (b :: rest)
     | _ -> true
@@ -421,19 +472,18 @@ let test_multi_bigger_cache_fewer_misses () =
   check_bool "largest cache only cold misses" true (largest < 25.)
 
 let test_multi_find () =
-  let m = Multi.create Config.paper_direct_mapped in
-  let cfg, _ = Multi.find m ~name:"64K-dm" in
-  check_int "found the right size" (64 * 1024) cfg.Config.size_bytes;
-  (* A bare Not_found told the caller nothing; the error now names the
-     unknown key and every candidate. *)
-  match Multi.find m ~name:"nope" with
-  | exception Invalid_argument msg ->
-      check_bool "message names the unknown" true
-        (contains_substring ~needle:"nope" msg);
-      check_bool "message lists candidates" true
-        (contains_substring ~needle:"16K-dm" msg
-        && contains_substring ~needle:"256K-dm" msg)
-  | _ -> Alcotest.fail "expected Invalid_argument"
+  (* Results are looked up by display name. *)
+  let results = Multi.results (Multi.create Config.paper_direct_mapped) in
+  let find name =
+    List.find_opt (fun ((c : Config.t), _) -> c.name = name) results
+  in
+  (match find "64K-dm" with
+  | Some (cfg, _) ->
+      check_int "found the right size" (64 * 1024) cfg.Config.size_bytes
+  | None -> Alcotest.fail "64K-dm missing from the results");
+  check_bool "an unknown name is absent" true (find "nope" = None);
+  check_bool "every configuration is listed" true
+    (find "16K-dm" <> None && find "256K-dm" <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Hierarchy                                                          *)
@@ -533,27 +583,50 @@ let lcg_stream n =
       if next 2 = 0 then Memsim.Event.read ~source addr size
       else Memsim.Event.write ~source addr size)
 
+(* Each configuration simulated on its own by the naive oracle, one
+   boxed event at a time. *)
+let oracle_stats configs events =
+  List.map
+    (fun cfg ->
+      let o = Testkit.Oracle.create cfg in
+      List.iter (Testkit.Oracle.access o) events;
+      Testkit.Oracle.stats o)
+    configs
+
+(* [results] lists [configs] in creation order, each with exactly its
+   oracle's statistics. *)
+let matches_oracles configs events results =
+  List.length results = List.length configs
+  && List.for_all2 ( == ) configs (List.map fst results)
+  && List.map snd results = oracle_stats configs events
+
+let check_oracles configs events results =
+  check_int "one result per configuration" (List.length configs)
+    (List.length results);
+  List.iter2
+    (fun (cfg : Config.t) ((cfg', stats), expected) ->
+      check_bool (cfg.name ^ " in creation order") true (cfg == cfg');
+      Alcotest.check stats_testable cfg.name expected stats)
+    configs
+    (List.combine results (oracle_stats configs events))
+
 let test_forest_equivalence () =
   (* The production family shape: the paper's direct-mapped sweep plus
-     the 16K associativity set, one shared 32-byte block size. *)
+     the 16K associativity set, one shared 32-byte block size, and a
+     PLRU and a QLRU member beside them. *)
   let configs =
     Config.paper_direct_mapped
     @ List.map
         (fun a -> Config.make ~associativity:a (16 * 1024))
         [ 2; 4; 8 ]
+    @ [ Config.make ~associativity:8 ~policy:Policy.Plru (16 * 1024);
+        Config.make ~associativity:4 ~policy:(Policy.Qlru Policy.qlru_h00_m1)
+          (16 * 1024) ]
   in
   let forest = Forest.create configs in
-  let caches = List.map Cache.create configs in
   let stream = lcg_stream 6000 in
   deliver (Forest.sink forest) stream;
-  List.iter (fun e -> List.iter (fun c -> access c e) caches) stream;
-  List.iteri
-    (fun i c ->
-      Alcotest.check stats_testable
-        (Cache.config c).Config.name
-        (Cache.stats c)
-        (Forest.member_stats forest i))
-    caches
+  check_oracles configs stream (Forest.results forest)
 
 let test_forest_batched_multi_equivalence () =
   (* The production pipeline shape: several families fed packed batches
@@ -563,17 +636,14 @@ let test_forest_batched_multi_equivalence () =
     Config.paper_direct_mapped
     @ [ Config.make ~associativity:4 (16 * 1024);
         Config.make ~name:"64K-b16" ~block_bytes:16 (64 * 1024);
-        Config.make ~name:"64K-b128" ~block_bytes:128 (64 * 1024) ]
+        Config.make ~name:"64K-b128" ~block_bytes:128 (64 * 1024);
+        Config.make ~name:"32K-b64-plru" ~block_bytes:64 ~associativity:8
+          ~policy:Policy.Plru (32 * 1024) ]
   in
   let multi = Multi.create configs in
-  let caches = List.map Cache.create configs in
   let stream = lcg_stream 6000 in
   deliver ~grain:7 (Multi.sink multi) stream;
-  List.iter (fun e -> List.iter (fun c -> access c e) caches) stream;
-  List.iter2
-    (fun c (cfg, stats) ->
-      Alcotest.check stats_testable cfg.Config.name (Cache.stats c) stats)
-    caches (Multi.results multi)
+  check_oracles configs stream (Multi.results multi)
 
 let test_forest_create_rejects () =
   let expect_invalid msg f =
@@ -585,66 +655,137 @@ let test_forest_create_rejects () =
   expect_invalid "mixed block sizes" (fun () ->
       Forest.create [ Config.make 256; Config.make ~block_bytes:16 256 ])
 
-let raw_event_gen =
-  QCheck.Gen.(
-    pair (pair bool (int_range 0 2)) (pair (int_range 0 4095) (int_range 1 70)))
+(* A flush empties every member, so re-touching the block touched last
+   must miss, although the consecutive-repeat fast path counts a repeat
+   of the last block as a hit everywhere. *)
+let test_forest_flush_retouch () =
+  let forest =
+    Forest.create
+      [ Config.make 256;
+        Config.make ~associativity:2 ~policy:Policy.Plru 256;
+        Config.make ~associativity:4 ~policy:(Policy.Qlru Policy.qlru_h00_m1)
+          256 ]
+  in
+  deliver (Forest.sink forest) [ Memsim.Event.write 64 4 ];
+  Forest.flush forest;
+  deliver (Forest.sink forest) [ Memsim.Event.write 64 4 ];
+  List.iter
+    (fun ((cfg : Config.t), (s : Stats.t)) ->
+      check_int (cfg.name ^ ": both touches miss") 2 s.misses;
+      check_int (cfg.name ^ ": only the first is cold") 1 s.cold_misses;
+      check_int (cfg.name ^ ": the flush wrote the block back") 1 s.writebacks)
+    (Forest.results forest)
 
-let forest_case_gen =
+(* A family of one block size; members draw any policy, so families mix
+   policies. *)
+let family_gen =
   QCheck.Gen.(
     oneofl [ 16; 32 ] >>= fun bb ->
     let cfg =
-      pair (oneofl [ 256; 512; 1024; 2048; 4096 ]) (oneofl [ 1; 1; 2; 4 ])
-      >|= fun (cap, assoc) ->
-      Config.make ~name:(Printf.sprintf "%d-%dway" cap assoc) ~block_bytes:bb
-        ~associativity:assoc cap
+      triple
+        (oneofl [ 256; 512; 1024; 2048; 4096 ])
+        (oneofl [ 1; 1; 2; 4 ])
+        Testkit.Gen.policy_gen
+      >|= fun (cap, assoc, policy) ->
+      Config.make
+        ~name:(Printf.sprintf "%d-%dway-%s" cap assoc (Policy.to_string policy))
+        ~block_bytes:bb ~associativity:assoc ~policy cap
     in
-    pair (list_size (int_range 1 5) cfg) (list_size (int_range 1 400) raw_event_gen))
+    list_size (int_range 1 5) cfg)
 
-(* Configurations of mixed block sizes, interleaved in creation order,
-   so Multi must split them into several families. *)
+let forest_case_gen = QCheck.Gen.pair family_gen (Testkit.Gen.events_gen ())
+
+(* Configurations of mixed block sizes and policies, interleaved in
+   creation order, so Multi must split them into several families. *)
 let multi_case_gen =
   QCheck.Gen.(
     let cfg =
-      triple (oneofl [ 16; 32; 64 ])
+      quad (oneofl [ 16; 32; 64 ])
         (oneofl [ 256; 512; 1024; 2048; 4096 ])
         (oneofl [ 1; 1; 2; 4 ])
-      >|= fun (bb, cap, assoc) ->
+        Testkit.Gen.policy_gen
+      >|= fun (bb, cap, assoc, policy) ->
       Config.make
-        ~name:(Printf.sprintf "%d-%dway-b%d" cap assoc bb)
-        ~block_bytes:bb ~associativity:assoc cap
+        ~name:
+          (Printf.sprintf "%d-%dway-b%d-%s" cap assoc bb
+             (Policy.to_string policy))
+        ~block_bytes:bb ~associativity:assoc ~policy cap
     in
-    pair (list_size (int_range 1 6) cfg) (list_size (int_range 1 400) raw_event_gen))
+    pair (list_size (int_range 1 6) cfg) (Testkit.Gen.events_gen ()))
 
 let events_of_raw raw =
   List.map
     (fun ((write, src), (addr, size)) ->
-      let source =
-        match src with
-        | 0 -> Memsim.Event.App
-        | 1 -> Memsim.Event.Malloc
-        | _ -> Memsim.Event.Free
-      in
+      let source = Testkit.Gen.source_of_int src in
       if write then Memsim.Event.write ~source addr size
       else Memsim.Event.read ~source addr size)
     raw
 
 (* The forest fed [events] at [grain] against each member simulated on
-   its own by [access], one boxed event at a time. *)
-let forest_matches_caches ~grain configs events =
+   its own by the oracle. *)
+let forest_matches_oracles ~grain configs events =
   let forest = Forest.create configs in
   deliver ~grain (Forest.sink forest) events;
-  List.for_all
-    (fun (i, cfg) ->
-      let c = Cache.create cfg in
-      List.iter (access c) events;
-      Cache.stats c = Forest.member_stats forest i)
-    (List.mapi (fun i cfg -> (i, cfg)) configs)
+  matches_oracles configs events (Forest.results forest)
 
 let prop_forest_matches_caches =
   QCheck.Test.make ~name:"forest matches independent caches" ~count:300
     (QCheck.make forest_case_gen)
-    (fun (configs, raw_events) ->
-      forest_matches_caches ~grain:1 configs (events_of_raw raw_events))
+    (fun (configs, events) -> forest_matches_oracles ~grain:1 configs events)
+
+(* The forest and one oracle per member, fed [events] one at a time and
+   all flushed before each event whose index is in [cuts] and once at
+   the end, so every dirty line is written back on both sides. *)
+let flushed_forest_matches_oracles configs events cuts =
+  let forest = Forest.create configs in
+  let oracles = List.map Testkit.Oracle.create configs in
+  let flush () =
+    Forest.flush forest;
+    List.iter Testkit.Oracle.flush oracles
+  in
+  List.iteri
+    (fun i e ->
+      if List.mem i cuts then flush ();
+      deliver (Forest.sink forest) [ e ];
+      List.iter (fun o -> Testkit.Oracle.access o e) oracles)
+    events;
+  flush ();
+  List.map snd (Forest.results forest) = List.map Testkit.Oracle.stats oracles
+
+let cuts_gen = QCheck.Gen.(list_size (int_range 0 4) (int_bound 400))
+
+let prop_forest_runs_and_flushes =
+  (* Word-grain runs exercise the repeat fast path (a QLRU member whose
+     hit and insert ages differ must still see a run's first repeat as
+     a hit); flush cuts land inside runs. *)
+  QCheck.Test.make ~name:"forest runs and flushes match oracle" ~count:300
+    (QCheck.make
+       QCheck.Gen.(triple family_gen (Testkit.Gen.run_events_gen ()) cuts_gen))
+    (fun (configs, events, cuts) ->
+      flushed_forest_matches_oracles configs events cuts)
+
+(* One path simulated on its own, naively: a chain of oracle caches,
+   every block of a reference probing the first and each seeing only
+   the blocks the one above missed, in its own block size. *)
+let oracle_chain configs events =
+  let chain = List.map Testkit.Oracle.create configs in
+  let top = (List.hd configs).Config.block_bytes in
+  List.iter
+    (fun (e : Memsim.Event.t) ->
+      for block = e.addr / top to (e.addr + e.size - 1) / top do
+        let rec down = function
+          | [] -> ()
+          | o :: rest ->
+              let bb = (Testkit.Oracle.config o).Config.block_bytes in
+              if
+                Testkit.Oracle.touch_block o ~kind:e.kind ~source:e.source
+                  ~block:(block * top / bb)
+              then down rest
+        in
+        down chain
+      done)
+    events;
+  List.map Testkit.Oracle.stats chain
 
 (* ------------------------------------------------------------------ *)
 (* Packed deliveries against independent references                  *)
@@ -656,59 +797,34 @@ let prop_forest_packed_matches_boxed =
   QCheck.Test.make ~name:"forest packed batches equal boxed events"
     ~count:300
     (QCheck.make forest_case_gen)
-    (fun (configs, raw_events) ->
-      forest_matches_caches ~grain:7 configs (events_of_raw raw_events))
+    (fun (configs, events) -> forest_matches_oracles ~grain:7 configs events)
 
 let prop_multi_packed_matches_boxed =
   (* The packed Multi sink must agree, configuration by configuration
      and in creation order, with independent caches fed boxed events. *)
   QCheck.Test.make ~name:"multi packed equals boxed" ~count:200
     (QCheck.make multi_case_gen)
-    (fun (configs, raw_events) ->
-      let events = events_of_raw raw_events in
+    (fun (configs, events) ->
       let multi = Multi.create configs in
       deliver ~grain:13 (Multi.sink multi) events;
-      List.for_all2
-        (fun cfg (cfg', stats) ->
-          let c = Cache.create cfg in
-          List.iter (access c) events;
-          cfg == cfg' && Cache.stats c = stats)
-        configs (Multi.results multi))
+      matches_oracles configs events (Multi.results multi))
 
 let test_hierarchy_packed_matches_boxed () =
-  (* The boxed reference is a chain of plain per-event caches: every
-     block of a reference probes the first cache, and each cache sees
-     only the blocks the one above missed.  The packed hierarchy runs
-     its LRU levels on the forest member path, so the two share no
-     probe code. *)
+  (* The boxed reference is a chain of oracle caches fed event by
+     event: every block of a reference probes the first cache, and each
+     cache sees only the blocks the one above missed. *)
   let levels =
     [ Config.make ~name:"L1" (8 * 1024);
       Config.make ~name:"L2" ~associativity:4 (64 * 1024) ]
   in
-  let caches = List.map Cache.create levels in
   let packed = Hierarchy.create [ levels ] in
   let stream = lcg_stream 6000 in
-  let l1_block = (List.hd levels).Config.block_bytes in
-  List.iter
-    (fun (e : Memsim.Event.t) ->
-      for block = e.addr / l1_block to (e.addr + e.size - 1) / l1_block do
-        let addr = block * l1_block in
-        let rec down = function
-          | [] -> ()
-          | c :: rest ->
-              let bb = (Cache.config c).Config.block_bytes in
-              if Cache.access_block c ~kind:e.kind ~source:e.source
-                   ~block:(addr / bb)
-              then down rest
-        in
-        down caches
-      done)
-    stream;
   deliver ~grain:11 (Hierarchy.sink packed) stream;
   List.iter2
-    (fun c (cfg, stats) ->
-      Alcotest.check stats_testable cfg.Config.name (Cache.stats c) stats)
-    caches (List.hd (Hierarchy.results packed))
+    (fun expected (cfg, stats) ->
+      Alcotest.check stats_testable cfg.Config.name expected stats)
+    (oracle_chain levels stream)
+    (List.hd (Hierarchy.results packed))
 
 (* ------------------------------------------------------------------ *)
 (* Shard: set-partitioned domain-parallel replay                      *)
@@ -746,8 +862,8 @@ let prop_shard_matches_sequential =
   QCheck.Test.make ~name:"sharded replay equals sequential" ~count:60
     (QCheck.make
        QCheck.Gen.(pair forest_case_gen (int_range 2 4)))
-    (fun ((configs, raw_events), domains) ->
-      let trace = capture_trace (events_of_raw raw_events) in
+    (fun ((configs, events), domains) ->
+      let trace = capture_trace events in
       Shard.replay ~domains:1 ~configs trace
       = Shard.replay ~domains ~configs trace)
 
@@ -761,34 +877,17 @@ let test_shard_rejects () =
 (* Replacement policies                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Differential pinning: for every policy, the fast implementation must
+(* Differential pinning: for every policy, a one-member forest must
    produce field-for-field identical Stats.t to the deliberately naive
    [Testkit.Oracle] over hundreds of random mixed read/write traces.
    The two share only the victim-side contract, never code. *)
 let policy_differential name policy_gen =
   QCheck.Test.make ~count:250 ~name
     (QCheck.make (Testkit.Gen.policy_case_gen ~policy_gen))
-    (fun (cfg, events) ->
-      let cache = Cache.create cfg in
-      let oracle = Testkit.Oracle.create cfg in
-      feed cache events;
-      List.iter (Testkit.Oracle.access oracle) events;
-      Cache.stats cache = Testkit.Oracle.stats oracle)
+    (fun (cfg, events) -> forest_matches_oracles ~grain:7 [ cfg ] events)
 
 let prop_lru_matches_oracle =
   policy_differential "lru matches oracle" QCheck.Gen.(return Policy.Lru)
-
-let prop_fifo_matches_oracle =
-  policy_differential "fifo matches oracle" QCheck.Gen.(return Policy.Fifo)
-
-let prop_random_matches_oracle =
-  (* Seeds across the whole 32-bit range, including 0 (normalised to 1
-     by both sides) and values with high bits set. *)
-  policy_differential "random matches oracle"
-    QCheck.Gen.(
-      oneof
-        [ return 0; int_bound 0xFFFF; int_bound 0xFFFFFFFF ]
-      >|= fun seed -> Policy.Random seed)
 
 let prop_plru_matches_oracle =
   policy_differential "plru matches oracle" QCheck.Gen.(return Policy.Plru)
@@ -812,34 +911,15 @@ let prop_qlru_any_matches_oracle =
       pair (int_bound 3) (int_bound 3) >|= fun (h, m) ->
       Policy.Qlru { Policy.hit_age = h; insert_age = m })
 
-let prop_mru_matches_oracle =
-  policy_differential "mru matches oracle" QCheck.Gen.(return Policy.Mru)
-
 (* Writebacks and flushes through the one-word-per-way storage: random
    traces cut by context-switch flushes, then a final flush, so every
    dirty line is written back on both sides. *)
 let policy_flush_differential name policy_gen =
   QCheck.Test.make ~count:250 ~name
     (QCheck.make
-       QCheck.Gen.(
-         pair (Testkit.Gen.policy_case_gen ~policy_gen)
-           (list_size (int_range 0 4) (int_bound 400))))
+       QCheck.Gen.(pair (Testkit.Gen.policy_case_gen ~policy_gen) cuts_gen))
     (fun ((cfg, events), cuts) ->
-      let cache = Cache.create cfg in
-      let oracle = Testkit.Oracle.create cfg in
-      let flush () =
-        Cache.flush cache;
-        Testkit.Oracle.flush oracle
-      in
-      List.iteri
-        (fun i (e : Memsim.Event.t) ->
-          if List.mem i cuts then flush ();
-          Cache.access_packed cache ~addr:e.addr
-            ~meta:(Memsim.Event.Packed.meta_of_event e);
-          Testkit.Oracle.access oracle e)
-        events;
-      flush ();
-      Cache.stats cache = Testkit.Oracle.stats oracle)
+      flushed_forest_matches_oracles [ cfg ] events cuts)
 
 let prop_plru_flush_matches_oracle =
   policy_flush_differential "plru writebacks and flushes match oracle"
@@ -855,7 +935,7 @@ let prop_qlru_flush_matches_oracle =
    (fully-associative 128-byte cache): block [b] lives at address
    [b * 32], ways fill left-to-right with blocks 0,1,2,3. *)
 let policy_cache policy =
-  Cache.create (Config.make ~block_bytes:32 ~associativity:4 ~policy 128)
+  One.create (Config.make ~block_bytes:32 ~associativity:4 ~policy 128)
 
 let read_block c b = feed c [ Memsim.Event.read (b * 32) 4 ]
 let write_block c b = feed c [ Memsim.Event.write (b * 32) 4 ]
@@ -866,7 +946,7 @@ let check_resident c name expected =
       check_bool
         (Printf.sprintf "%s: block %d resident" name b)
         true
-        (Cache.contains_block c ~block:b))
+        (One.contains_block c ~block:b))
     expected;
   List.iter
     (fun b ->
@@ -874,7 +954,7 @@ let check_resident c name expected =
         check_bool
           (Printf.sprintf "%s: block %d evicted" name b)
           false
-          (Cache.contains_block c ~block:b))
+          (One.contains_block c ~block:b))
     [ 0; 1; 2; 3; 4; 5; 6 ]
 
 let test_lru_victim_sequence () =
@@ -884,17 +964,6 @@ let test_lru_victim_sequence () =
   (* refresh 0: block 1 is now least recent *)
   read_block c 4;
   check_resident c "lru" [ 0; 2; 3; 4 ]
-
-let test_fifo_victim_sequence () =
-  let c = policy_cache Policy.Fifo in
-  List.iter (read_block c) [ 0; 1; 2; 3 ];
-  read_block c 0;
-  (* a hit does NOT refresh FIFO order: 0 is still the oldest fill *)
-  read_block c 4;
-  check_resident c "fifo evicts oldest fill despite hit" [ 1; 2; 3; 4 ];
-  read_block c 5;
-  (* next-oldest fill is block 1 *)
-  check_resident c "fifo second victim" [ 2; 3; 4; 5 ]
 
 let test_plru_victim_sequence () =
   let c = policy_cache Policy.Plru in
@@ -933,119 +1002,58 @@ let test_qlru_h00_m1_victim_sequence () =
   read_block c 4;
   check_resident c "qlru-h0-m1 protects the hit line" [ 0; 2; 3; 4 ]
 
-let test_mru_victim_sequence () =
-  let c = policy_cache Policy.Mru in
-  (* Filling way 3 saturates the MRU bits; they reset leaving only way
-     3 marked. *)
-  List.iter (read_block c) [ 0; 1; 2; 3 ];
-  read_block c 0;
-  (* mark way 0 *)
-  read_block c 4;
-  (* leftmost unmarked way holds block 1 *)
-  check_resident c "mru first victim" [ 0; 2; 3; 4 ];
-  read_block c 5;
-  (* way 1 became marked by the fill; next unmarked holds block 2 *)
-  check_resident c "mru second victim" [ 0; 3; 4; 5 ]
-
-let test_random_victim_matches_xorshift () =
-  let seed = 123456 in
-  let c = policy_cache (Policy.Random seed) in
-  List.iter (read_block c) [ 0; 1; 2; 3 ];
-  (* First draw of the documented xorshift32, transcribed here. *)
-  let x = seed land 0xFFFFFFFF in
-  let x = if x = 0 then 1 else x in
-  let x = x lxor (x lsl 13) land 0xFFFFFFFF in
-  let x = x lxor (x lsr 17) in
-  let x = x lxor (x lsl 5) land 0xFFFFFFFF in
-  let victim_block = x mod 4 in
-  (* ways were filled in block order, so way w holds block w *)
-  read_block c 4;
-  check_bool "predicted victim evicted" false
-    (Cache.contains_block c ~block:victim_block);
-  List.iter
-    (fun b ->
-      if b <> victim_block then
-        check_bool
-          (Printf.sprintf "block %d survives" b)
-          true
-          (Cache.contains_block c ~block:b))
-    [ 0; 1; 2; 3; 4 ]
-
-let test_random_same_seed_deterministic () =
-  let cfg =
-    Config.make ~block_bytes:32 ~associativity:4 ~policy:(Policy.Random 99)
-      2048
-  in
-  let a = Cache.create cfg and b = Cache.create cfg in
-  let stream = lcg_stream 3000 in
-  feed a stream;
-  feed b stream;
-  Alcotest.check stats_testable "same seed, same stats" (Cache.stats a)
-    (Cache.stats b)
-
-let test_random_different_seeds_diverge () =
-  let mk seed =
-    let c =
-      Cache.create
-        (Config.make ~block_bytes:32 ~associativity:4
-           ~policy:(Policy.Random seed) 2048)
-    in
-    feed c (lcg_stream 3000);
-    (Cache.stats c).Stats.misses
-  in
-  check_bool "different seeds pick different victims" true (mk 1 <> mk 2)
-
 let test_policy_flush_resets_state () =
   (* After a flush the recency state must restart from scratch: the
      victim sequence replays exactly as on a fresh cache. *)
   let play c = List.iter (read_block c) [ 0; 1; 2; 3; 1; 4; 5 ] in
   let a = policy_cache Policy.Plru in
   play a;
-  Cache.flush a;
-  let before = (Cache.stats a).Stats.misses in
+  flush a;
+  let before = (stats a).Stats.misses in
   play a;
-  let replayed = (Cache.stats a).Stats.misses - before in
+  let replayed = (stats a).Stats.misses - before in
   let fresh = policy_cache Policy.Plru in
   play fresh;
   check_int "same misses after flush as from scratch"
-    (Cache.stats fresh).Stats.misses replayed;
+    (stats fresh).Stats.misses replayed;
   (* resident sets agree block for block *)
   List.iter
     (fun b ->
       check_bool
         (Printf.sprintf "block %d residency agrees" b)
-        (Cache.contains_block fresh ~block:b)
-        (Cache.contains_block a ~block:b))
+        (One.contains_block fresh ~block:b)
+        (One.contains_block a ~block:b))
     [ 0; 1; 2; 3; 4; 5; 6 ]
 
-(* Satellite: write-back accounting through the policy victim path. *)
+(* Write-back accounting through the policy victim path. *)
 
 let test_wb_policy_dirty_on_write_hit () =
-  (* FIFO write hit: recency untouched, but the line must turn dirty. *)
-  let c = policy_cache Policy.Fifo in
+  (* A QLRU h1-m1 hit leaves a line filled at age 1 at age 1: recency
+     untouched, but the line must turn dirty. *)
+  let c = policy_cache (Policy.Qlru Policy.qlru_h11_m1) in
   List.iter (read_block c) [ 0; 1; 2; 3 ];
   write_block c 0;
-  check_int "write hit costs no writeback" 0 (Cache.stats c).Stats.writebacks;
+  check_int "write hit costs no writeback" 0 (stats c).Stats.writebacks;
   read_block c 4;
-  (* FIFO evicts block 0 — dirty *)
+  (* every way ages to 3; the leftmost, dirty block 0, is evicted *)
   check_int "dirty victim written back exactly once" 1
-    (Cache.stats c).Stats.writebacks;
+    (stats c).Stats.writebacks;
   read_block c 5;
   (* evicts block 1 — clean *)
   check_int "clean eviction adds no writeback" 1
-    (Cache.stats c).Stats.writebacks
+    (stats c).Stats.writebacks
 
 let test_wb_policy_writeback_counted_once () =
-  let c = policy_cache Policy.Fifo in
+  let c = policy_cache Policy.Lru in
   write_block c 0;
   List.iter (read_block c) [ 1; 2; 3 ];
   read_block c 4;
-  (* evicts dirty block 0 *)
-  check_int "one writeback at eviction" 1 (Cache.stats c).Stats.writebacks;
-  Cache.flush c;
+  (* evicts dirty block 0, the least recently used *)
+  check_int "one writeback at eviction" 1 (stats c).Stats.writebacks;
+  flush c;
   (* every remaining line was filled by a read: nothing more to write *)
   check_int "flush adds nothing for clean lines" 1
-    (Cache.stats c).Stats.writebacks
+    (stats c).Stats.writebacks
 
 let test_wb_plru_dirty_follows_victim () =
   let c = policy_cache Policy.Plru in
@@ -1054,36 +1062,12 @@ let test_wb_plru_dirty_follows_victim () =
   (* PLRU victim walk lands on way 0 (dirty block 0). *)
   read_block c 4;
   check_int "dirty PLRU victim written back" 1
-    (Cache.stats c).Stats.writebacks;
+    (stats c).Stats.writebacks;
   read_block c 1;
   read_block c 5;
   (* victim is way 2 (clean block 2) *)
-  check_int "clean PLRU victim free" 1 (Cache.stats c).Stats.writebacks;
+  check_int "clean PLRU victim free" 1 (stats c).Stats.writebacks;
   check_resident c "plru dirty victim order" [ 1; 3; 4; 5 ]
-
-(* The sweep is LRU-only: a PLRU or QLRU member is a caller bug, named
-   in the error rather than simulated on a slower path. *)
-let test_multi_rejects_non_lru () =
-  List.iter
-    (fun policy ->
-      let bad = Config.make ~associativity:8 ~policy (16 * 1024) in
-      match Multi.create [ Config.make (16 * 1024); bad ] with
-      | exception Invalid_argument msg ->
-          check_bool "message names the configuration" true
-            (contains_substring ~needle:bad.Config.name msg)
-      | _ -> Alcotest.failf "%s: expected Invalid_argument" bad.Config.name)
-    [ Policy.Plru; Policy.Qlru Policy.qlru_h11_m1 ]
-
-let test_forest_rejects_non_lru () =
-  match
-    Forest.create [ Config.make ~associativity:2 ~policy:Policy.Plru 256 ]
-  with
-  | exception Invalid_argument msg ->
-      check_bool "message names the policy" true
-        (contains_substring ~needle:"plru" msg);
-      check_bool "message states the restriction" true
-        (contains_substring ~needle:"lru only" msg)
-  | _ -> Alcotest.fail "expected Invalid_argument for non-LRU forest"
 
 (* ------------------------------------------------------------------ *)
 (* N-level hierarchies and CPU presets                                *)
@@ -1242,29 +1226,6 @@ let test_trie_distinct_levels () =
         (Hierarchy.distinct_levels (Hierarchy.create [ path ])))
     [ 1; 2; 3; 4 ]
 
-(* One path simulated on its own, naively: a chain of oracle caches,
-   every block of a reference probing the first and each seeing only
-   the blocks the one above missed, in its own block size. *)
-let oracle_chain configs events =
-  let chain = List.map Testkit.Oracle.create configs in
-  let top = (List.hd configs).Config.block_bytes in
-  List.iter
-    (fun (e : Memsim.Event.t) ->
-      for block = e.addr / top to (e.addr + e.size - 1) / top do
-        let rec down = function
-          | [] -> ()
-          | o :: rest ->
-              let bb = (Testkit.Oracle.config o).Config.block_bytes in
-              if
-                Testkit.Oracle.touch_block o ~kind:e.kind ~source:e.source
-                  ~block:(block * top / bb)
-              then down rest
-        in
-        down chain
-      done)
-    events;
-  List.map Testkit.Oracle.stats chain
-
 (* Every path of the shared trie, fed packed batches, reports the
    configs it was given and exactly its own oracle chain's statistics
    (writebacks included). *)
@@ -1309,15 +1270,11 @@ let prop_trie_presets_match_oracle =
    candidate per level, so paths share prefixes (or coincide) often. *)
 let mixed_stacks_gen =
   QCheck.Gen.(
-    let policy =
-      oneof
-        [ oneofl [ Policy.Lru; Policy.Fifo; Policy.Plru; Policy.Mru ];
-          int_bound 0xFFFF >|= (fun seed -> Policy.Random seed);
-          pair (int_bound 3) (int_bound 3) >|= fun (h, m) ->
-          Policy.Qlru { Policy.hit_age = h; insert_age = m } ]
-    in
     let level bb =
-      triple (oneofl [ 128; 256; 512; 1024 ]) (oneofl [ 1; 2; 4 ]) policy
+      triple
+        (oneofl [ 128; 256; 512; 1024 ])
+        (oneofl [ 1; 2; 4 ])
+        Testkit.Gen.policy_gen
       >|= fun (cap, assoc, policy) ->
       let assoc = min assoc (cap / bb) in
       Config.make
@@ -1345,8 +1302,8 @@ let prop_trie_mixed_stacks_match_oracle =
   QCheck.Test.make ~name:"mixed-policy stacks match oracle chains" ~count:300
     (QCheck.make
        QCheck.Gen.(
-         pair mixed_stacks_gen (list_size (int_range 1 400) raw_event_gen)))
-    (fun (paths, raw) -> trie_matches_oracle_chains paths (events_of_raw raw))
+         pair mixed_stacks_gen (Testkit.Gen.events_gen ())))
+    (fun (paths, events) -> trie_matches_oracle_chains paths events)
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                              *)
@@ -1383,6 +1340,8 @@ let () =
           Alcotest.test_case "policy names" `Quick test_config_policy_names;
           Alcotest.test_case "policy token round-trip" `Quick
             test_policy_string_roundtrip;
+          Alcotest.test_case "rejects PLRU over 64 ways" `Quick
+            test_config_rejects_wide_plru;
         ] );
       ( "direct-mapped",
         [
@@ -1407,7 +1366,7 @@ let () =
             test_wb_read_after_write_keeps_dirty;
           Alcotest.test_case "assoc dirty follows LRU" `Quick
             test_wb_assoc_dirty_follows_lru;
-          Alcotest.test_case "dirty on write hit (FIFO)" `Quick
+          Alcotest.test_case "dirty on write hit (QLRU)" `Quick
             test_wb_policy_dirty_on_write_hit;
           Alcotest.test_case "writeback counted once" `Quick
             test_wb_policy_writeback_counted_once;
@@ -1438,8 +1397,6 @@ let () =
           Alcotest.test_case "bigger cache fewer misses" `Quick
             test_multi_bigger_cache_fewer_misses;
           Alcotest.test_case "find" `Quick test_multi_find;
-          Alcotest.test_case "rejects non-LRU configs" `Quick
-            test_multi_rejects_non_lru;
         ] );
       ( "forest",
         [
@@ -1449,10 +1406,10 @@ let () =
             test_forest_batched_multi_equivalence;
           Alcotest.test_case "create validation" `Quick
             test_forest_create_rejects;
-          Alcotest.test_case "rejects non-LRU policies" `Quick
-            test_forest_rejects_non_lru;
+          Alcotest.test_case "re-touch after a flush misses" `Quick
+            test_forest_flush_retouch;
         ]
-        @ qsuite [ prop_forest_matches_caches ] );
+        @ qsuite [ prop_forest_matches_caches; prop_forest_runs_and_flushes ] );
       ( "packed",
         [
           Alcotest.test_case "hierarchy packed equals boxed" `Quick
@@ -1471,36 +1428,23 @@ let () =
         [
           Alcotest.test_case "lru victim sequence" `Quick
             test_lru_victim_sequence;
-          Alcotest.test_case "fifo victim sequence" `Quick
-            test_fifo_victim_sequence;
           Alcotest.test_case "plru victim sequence" `Quick
             test_plru_victim_sequence;
           Alcotest.test_case "qlru-h1-m1 victim sequence" `Quick
             test_qlru_h11_m1_victim_sequence;
           Alcotest.test_case "qlru-h0-m1 victim sequence" `Quick
             test_qlru_h00_m1_victim_sequence;
-          Alcotest.test_case "mru victim sequence" `Quick
-            test_mru_victim_sequence;
-          Alcotest.test_case "random victim matches xorshift32" `Quick
-            test_random_victim_matches_xorshift;
-          Alcotest.test_case "random same seed deterministic" `Quick
-            test_random_same_seed_deterministic;
-          Alcotest.test_case "random seeds diverge" `Quick
-            test_random_different_seeds_diverge;
           Alcotest.test_case "flush resets recency state" `Quick
             test_policy_flush_resets_state;
         ]
         @ qsuite
             [
               prop_lru_matches_oracle;
-              prop_fifo_matches_oracle;
-              prop_random_matches_oracle;
               prop_plru_matches_oracle;
               prop_qlru_h00_m1_matches_oracle;
               prop_qlru_h11_m1_matches_oracle;
               prop_qlru_h00_m0_matches_oracle;
               prop_qlru_any_matches_oracle;
-              prop_mru_matches_oracle;
               prop_plru_flush_matches_oracle;
               prop_qlru_flush_matches_oracle;
             ] );

@@ -369,19 +369,21 @@ let test_flush_rows_match_independent_runs () =
   in
   let profile = Workload.Programs.find "gs-large" in
   let run_with_flush allocator quantum =
-    let cache = Cachesim.Cache.create (Cachesim.Config.make (64 * 1024)) in
+    let cache = Cachesim.Forest.create [ Cachesim.Config.make (64 * 1024) ] in
     let count = ref 0 in
     let sink (b : Memsim.Event.Batch.t) =
       for i = 0 to b.Memsim.Event.Batch.len - 1 do
         incr count;
         if quantum > 0 && !count mod quantum = 0 then
-          Cachesim.Cache.flush cache;
-        Cachesim.Cache.access_packed cache ~addr:b.Memsim.Event.Batch.addrs.(i)
-          ~meta:b.Memsim.Event.Batch.metas.(i)
+          Cachesim.Forest.flush cache;
+        let meta = b.Memsim.Event.Batch.metas.(i) in
+        Cachesim.Forest.access_range_ks cache
+          ~ks:(Memsim.Event.Packed.ks meta)
+          ~addr:b.Memsim.Event.Batch.addrs.(i) ~size:(meta lsr 3)
       done
     in
     let r = Workload.Driver.run ~sink ~scale:0.02 ~profile ~allocator () in
-    (r, Cachesim.Cache.stats cache)
+    (r, Cachesim.Forest.member_stats cache 0)
   in
   let rows = Core.Ablations.flush_rows ctx in
   Alcotest.(check (list string))

@@ -181,8 +181,8 @@ let config_pool =
       (16 * 1024);
     Cachesim.Config.make ~associativity:4
       ~policy:(Cachesim.Policy.Qlru Cachesim.Policy.qlru_h11_m1) (32 * 1024);
-    Cachesim.Config.make ~associativity:2 ~policy:(Cachesim.Policy.Random 42)
-      (8 * 1024) ]
+    Cachesim.Config.make ~associativity:2
+      ~policy:(Cachesim.Policy.Qlru Cachesim.Policy.qlru_h00_m1) (8 * 1024) ]
 
 let gen_artifact =
   let open QCheck.Gen in

@@ -328,7 +328,7 @@ let test_trace_replay_equivalence () =
      execution-driven modes are interchangeable. *)
   let profile = Programs.make_prog in
   let live_cache =
-    Cachesim.Cache.create (Cachesim.Config.make (16 * 1024))
+    Cachesim.Forest.create [ Cachesim.Config.make (16 * 1024) ]
   in
   let path = Filename.temp_file "loclab_equiv" ".trace" in
   let r =
@@ -336,17 +336,17 @@ let test_trace_replay_equivalence () =
         Driver.run
           ~sink:
             (Memsim.Sink.fanout
-               [ Cachesim.Cache.sink live_cache; file_sink ])
+               [ Cachesim.Forest.sink live_cache; file_sink ])
           ~scale:0.05 ~profile ~allocator:"gnu-local" ())
   in
   let replay_cache =
-    Cachesim.Cache.create (Cachesim.Config.make (16 * 1024))
+    Cachesim.Forest.create [ Cachesim.Config.make (16 * 1024) ]
   in
-  let n = Memsim.Trace_file.replay_file path (Cachesim.Cache.sink replay_cache) in
+  let n = Memsim.Trace_file.replay_file path (Cachesim.Forest.sink replay_cache) in
   Sys.remove path;
   check_int "event counts agree" r.Driver.data_refs n;
-  let a = Cachesim.Cache.stats live_cache
-  and b = Cachesim.Cache.stats replay_cache in
+  let a = Cachesim.Forest.member_stats live_cache 0
+  and b = Cachesim.Forest.member_stats replay_cache 0 in
   check_int "accesses agree" a.Cachesim.Stats.accesses b.Cachesim.Stats.accesses;
   check_int "misses agree" a.Cachesim.Stats.misses b.Cachesim.Stats.misses;
   check_int "writebacks agree" a.Cachesim.Stats.writebacks
