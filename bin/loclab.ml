@@ -643,26 +643,30 @@ let resolve_trace_format format data =
   | Some f -> f
   | None -> Memsim.Trace.Source.sniff data
 
+(* The one route from a capture file to its cell, for [trace import]
+   and [trace run]: read it once, pick its format, resolve the cell.  A
+   malformed capture is a one-line error, exit 2. *)
+let ingest_trace ctx format file =
+  let data = slurp_trace file in
+  let fmt = resolve_trace_format format data in
+  match Core.Runs.ingest ctx.Core.Context.runs ~format:fmt ~data with
+  | exception Failure msg ->
+      Printf.eprintf "loclab: %s\n" msg;
+      exit 2
+  | art -> (fmt, data, art)
+
 let trace_import_cmd =
   let run store_dir format file =
     let ctx = make_ctx (resolve_options ?store_dir ()) in
-    let runs = ctx.Core.Context.runs in
-    let data = slurp_trace file in
-    let fmt = resolve_trace_format format data in
-    match Core.Runs.ingest runs ~format:fmt ~data with
-    | exception Failure msg ->
-        Printf.eprintf "loclab: %s\n" msg;
-        exit 2
-    | art ->
-        let m = art.Core.Artifact.meta in
-        Printf.printf "digest %s\n" (Core.Artifact.digest_of_meta m);
-        Printf.printf "cell   %s (%s capture, %s bytes, %s events)\n"
-          m.Core.Artifact.program
-          (Memsim.Trace.Source.format_to_string fmt)
-          (Metrics.Table.fmt_int (String.length data))
-          (Metrics.Table.fmt_int
-             art.Core.Artifact.summary.Core.Artifact.data_refs);
-        grid_summary ctx
+    let fmt, data, art = ingest_trace ctx format file in
+    let m = art.Core.Artifact.meta in
+    Printf.printf "digest %s\n" (Core.Artifact.digest_of_meta m);
+    Printf.printf "cell   %s (%s capture, %s bytes, %s events)\n"
+      m.Core.Artifact.program
+      (Memsim.Trace.Source.format_to_string fmt)
+      (Metrics.Table.fmt_int (String.length data))
+      (Metrics.Table.fmt_int art.Core.Artifact.summary.Core.Artifact.data_refs);
+    grid_summary ctx
   in
   let doc =
     "Import an external trace: simulate it across the standard cache \
@@ -717,14 +721,9 @@ let trace_export_cmd =
 let trace_run_cmd =
   let run store_dir format file =
     let ctx = make_ctx (resolve_options ?store_dir ()) in
-    let source = Memsim.Trace.of_path ?format file in
-    match Core.Experiment.run_source ctx source with
-    | exception Failure msg ->
-        Printf.eprintf "loclab: %s\n" msg;
-        exit 2
-    | report ->
-        print_endline report;
-        grid_summary ctx
+    let _, _, art = ingest_trace ctx format file in
+    print_endline (Core.Ingest.report art);
+    grid_summary ctx
   in
   let doc =
     "Import an external trace and render its full per-cell report \

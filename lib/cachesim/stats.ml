@@ -23,7 +23,10 @@ let create () =
     free_misses = 0 }
 
 let hits t = t.accesses - t.misses
-let miss_rate t = if t.accesses = 0 then 0. else float t.misses /. float t.accesses
+let rate ~misses ~accesses =
+  if accesses = 0 then 0. else float misses /. float accesses
+
+let miss_rate t = rate ~misses:t.misses ~accesses:t.accesses
 let miss_rate_pct t = 100. *. miss_rate t
 
 let source_miss_rate t source =
@@ -33,7 +36,7 @@ let source_miss_rate t source =
     | Malloc -> (t.malloc_accesses, t.malloc_misses)
     | Free -> (t.free_accesses, t.free_misses)
   in
-  if accesses = 0 then 0. else float misses /. float accesses
+  rate ~misses ~accesses
 
 let record t ~kind ~source ~miss ~cold =
   t.accesses <- t.accesses + 1;

@@ -22,6 +22,10 @@ type t = {
 val create : unit -> t
 
 val hits : t -> int
+
+val rate : misses:int -> accesses:int -> float
+(** [misses / accesses]; 0 when there were no accesses. *)
+
 val miss_rate : t -> float
 (** Misses per access, in [0, 1]; 0 when there were no accesses. *)
 

@@ -111,16 +111,14 @@ let two_level (ctx : Context.t) =
   List.iter
     (fun (akey, alabel) ->
       let d = Runs.get ctx.Context.runs ~profile:"gs-large" ~allocator:akey in
-      let l1 = Artifact.l1 d and l2 = Artifact.l2 d in
-      let stalls =
-        (l1.Cachesim.Stats.misses * l1_penalty)
-        + (l2.Cachesim.Stats.misses * l2_penalty)
-      in
+      let (_, a1, m1), (_, a2, m2) = Artifact.paper_hierarchy d in
+      let stalls = (m1 * l1_penalty) + (m2 * l2_penalty) in
       let total = d.Artifact.summary.Artifact.instructions + stalls in
+      let pct misses accesses = 100. *. Cachesim.Stats.rate ~misses ~accesses in
       Table.add_row table
         [ alabel;
-          Table.fmt_float ~decimals:2 (Cachesim.Stats.miss_rate_pct l1);
-          Table.fmt_float ~decimals:2 (Cachesim.Stats.miss_rate_pct l2);
+          Table.fmt_float ~decimals:2 (pct m1 a1);
+          Table.fmt_float ~decimals:2 (pct m2 a2);
           Table.fmt_float ~decimals:1 (float_of_int stalls /. 1e6);
           Table.fmt_float ~decimals:1 (float_of_int total /. 1e6) ])
     Context.with_custom;

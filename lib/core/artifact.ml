@@ -1,6 +1,7 @@
-(* Schema 4: a cell's cache list is the LRU sweep alone (the PLRU and
-   QLRU members at 16K 8-way were dropped from [Runs.standard_configs]). *)
-let schema_version = 4
+(* Schema 5: a cell no longer stores the paper's two-level hierarchy;
+   both levels are read off the sweep's 16K-dm and 256K-dm members
+   ({!paper_hierarchy}), so the body lost its hierarchy list. *)
+let schema_version = 5
 
 type meta = {
   program : string;
@@ -16,9 +17,6 @@ type provenance = {
   source_bytes : int;
   source_checksum : int;
 }
-
-let synthetic_provenance =
-  { source_format = "synthetic"; source_bytes = 0; source_checksum = 0 }
 
 type summary = {
   steps_run : int;
@@ -39,13 +37,11 @@ type t = {
   summary : summary;
   alloc_stats : Allocators.Alloc_stats.t;
   caches : (Cachesim.Config.t * Cachesim.Stats.t) list;
-  hierarchy : (Cachesim.Config.t * Cachesim.Stats.t) list;
   fault_curve : Vmsim.Fault_curve.t;
 }
 
-let of_run ?(provenance = synthetic_provenance) ~program ~allocator ~scale
-    ~trace_checksum ~(result : Workload.Driver.result) ~caches ~hierarchy
-    ~fault_curve () =
+let of_run ~program ~allocator ~scale ~trace_checksum
+    ~(result : Workload.Driver.result) ~caches ~fault_curve =
   { meta =
       { program;
         allocator;
@@ -53,7 +49,8 @@ let of_run ?(provenance = synthetic_provenance) ~program ~allocator ~scale
         seed = result.Workload.Driver.profile.Workload.Profile.seed;
         schema_version;
         trace_checksum };
-    provenance;
+    provenance =
+      { source_format = "synthetic"; source_bytes = 0; source_checksum = 0 };
     summary =
       { steps_run = result.steps_run;
         instructions = result.instructions;
@@ -67,20 +64,7 @@ let of_run ?(provenance = synthetic_provenance) ~program ~allocator ~scale
         max_live_bytes = result.max_live_bytes };
     alloc_stats = result.alloc_stats;
     caches;
-    hierarchy;
     fault_curve }
-
-(* Levels are positional: 0 = closest to the processor. *)
-let level t i =
-  match List.nth_opt t.hierarchy i with
-  | Some (_, s) -> s
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Artifact.level: level %d of a %d-level hierarchy" i
-           (List.length t.hierarchy))
-
-let l1 t = level t 0
-let l2 t = level t 1
 
 (* ---- content addressing -------------------------------------------- *)
 
@@ -291,11 +275,6 @@ let encode t =
       write_config w config;
       write_stats w stats)
     t.caches;
-  W.list w
-    (fun (config, stats) ->
-      write_config w config;
-      write_stats w stats)
-    t.hierarchy;
   write_curve w t.fault_curve;
   W.contents w
 
@@ -317,18 +296,11 @@ let decode payload =
             let stats = read_stats r in
             (config, stats))
       in
-      let hierarchy =
-        R.list r (fun r ->
-            let config = read_config r in
-            let stats = read_stats r in
-            (config, stats))
-      in
       let fault_curve = read_curve r in
       if not (R.at_end r) then Error "trailing bytes after artifact"
       else
         Ok
-          { meta; provenance; summary; alloc_stats; caches; hierarchy;
-            fault_curve }
+          { meta; provenance; summary; alloc_stats; caches; fault_curve }
     end
   with
   | result -> result
@@ -358,11 +330,11 @@ let allocator_fraction t =
       (t.summary.malloc_instructions + t.summary.free_instructions)
     /. float_of_int t.summary.instructions
 
-let cache_stats t ~name =
+let cache t ~name =
   match
     List.find_opt (fun (c, _) -> c.Cachesim.Config.name = name) t.caches
   with
-  | Some (_, s) -> s
+  | Some cs -> cs
   | None ->
       invalid_arg
         (Printf.sprintf "Artifact.cache_stats: unknown cache %S (known: %s)"
@@ -370,7 +342,14 @@ let cache_stats t ~name =
            (String.concat ", "
               (List.map (fun (c, _) -> c.Cachesim.Config.name) t.caches)))
 
+let cache_stats t ~name = snd (cache t ~name)
+
 let miss_rate t ~cache = Cachesim.Stats.miss_rate (cache_stats t ~name:cache)
+
+let paper_hierarchy t =
+  let c1, s1 = cache t ~name:"16K-dm" and c2, s2 = cache t ~name:"256K-dm" in
+  ( (c1, s1.Cachesim.Stats.accesses, s1.Cachesim.Stats.misses),
+    (c2, s1.Cachesim.Stats.misses, s2.Cachesim.Stats.misses) )
 
 let exec_time t ~model ~cache =
   let s = cache_stats t ~name:cache in
@@ -449,19 +428,6 @@ let to_json t =
                         String (Cachesim.Policy.to_string c.policy) );
                       ("stats", stats_json s) ])
                 t.caches) );
-         ( "hierarchy",
-           List
-             (List.map
-                (fun ((c : Cachesim.Config.t), s) ->
-                  Obj
-                    [ ("name", String c.name);
-                      ("size_bytes", Int c.size_bytes);
-                      ("block_bytes", Int c.block_bytes);
-                      ("associativity", Int c.associativity);
-                      ( "policy",
-                        String (Cachesim.Policy.to_string c.policy) );
-                      ("stats", stats_json s) ])
-                t.hierarchy) );
          ( "fault_curve",
            Obj
              [ ("page_bytes", Int t.fault_curve.page_bytes);

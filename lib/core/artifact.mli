@@ -3,13 +3,12 @@
     An artifact is everything a renderer ever reads about one
     (program, allocator) simulation: the run summary (instruction and
     reference counts, heap growth), allocation statistics, per-config
-    cache statistics, the per-level hierarchy statistics, and the frozen
-    page-fault curve — plus a metadata header naming the inputs that produced it
-    (program, allocator, scale, seed, schema version) and the trace
-    checksum for drift detection.  {!Figures} and {!Tables} are pure
-    functions of artifacts; {!Runs} fills them (from simulation or the
-    persistent {!Store}); the binary codec here is what the store
-    persists.
+    cache statistics and the frozen page-fault curve — plus a metadata
+    header naming the inputs that produced it (program, allocator,
+    scale, seed, schema version) and the trace checksum for drift
+    detection.  {!Figures} and {!Tables} are pure functions of
+    artifacts; {!Runs} fills them (from simulation or the persistent
+    {!Store}); the binary codec here is what the store persists.
 
     Schema evolution: bump {!schema_version} whenever the encoding or
     the simulated contents change meaning.  The version participates in
@@ -42,8 +41,6 @@ type provenance = {
   source_checksum : int;  (** CRC-32 of the imported capture's bytes. *)
 }
 
-val synthetic_provenance : provenance
-
 type summary = {
   steps_run : int;
   instructions : int;
@@ -64,28 +61,21 @@ type t = {
   alloc_stats : Allocators.Alloc_stats.t;
   caches : (Cachesim.Config.t * Cachesim.Stats.t) list;
       (** Every simulated configuration, in simulation order. *)
-  hierarchy : (Cachesim.Config.t * Cachesim.Stats.t) list;
-      (** Hierarchy levels, outermost first (the paper-era default is
-          16K-dm over 256K-dm); each level's config carries its
-          replacement {!Cachesim.Policy.t}. *)
   fault_curve : Vmsim.Fault_curve.t;
 }
 
 val of_run :
-  ?provenance:provenance ->
   program:string ->
   allocator:string ->
   scale:float ->
   trace_checksum:int ->
   result:Workload.Driver.result ->
   caches:(Cachesim.Config.t * Cachesim.Stats.t) list ->
-  hierarchy:(Cachesim.Config.t * Cachesim.Stats.t) list ->
   fault_curve:Vmsim.Fault_curve.t ->
-  unit ->
   t
-(** Distil a finished simulation.  [allocator] is the grid key (not the
-    allocator's display name); the seed is taken from the result's
-    profile.  [provenance] defaults to {!synthetic_provenance}. *)
+(** Distil a finished synthetic simulation.  [allocator] is the grid
+    key (not the allocator's display name); the seed is taken from the
+    result's profile; the provenance is [{"synthetic"; 0; 0}]. *)
 
 (** {1 Content addressing} *)
 
@@ -124,21 +114,23 @@ val equal : t -> t -> bool
 val allocator_fraction : t -> float
 (** Fraction of instructions spent in malloc/free (Figure 1). *)
 
-val level : t -> int -> Cachesim.Stats.t
-(** Statistics of hierarchy level [i] (0 = closest to the processor).
-    @raise Invalid_argument when the artifact has no such level. *)
-
-val l1 : t -> Cachesim.Stats.t
-(** [level t 0]. *)
-
-val l2 : t -> Cachesim.Stats.t
-(** [level t 1]. *)
-
 val cache_stats : t -> name:string -> Cachesim.Stats.t
 (** @raise Invalid_argument if the configuration was not simulated; the
     message lists the configurations that were. *)
 
 val miss_rate : t -> cache:string -> float
+
+val paper_hierarchy :
+  t -> (Cachesim.Config.t * int * int) * (Cachesim.Config.t * int * int)
+(** The paper's two-level hierarchy (Mogul & Borg's 16 K L1 over a
+    256 K L2) as [(config, accesses, misses)] per level, read off the
+    sweep: L1 is the [16K-dm] member; L2 sees [16K-dm]'s misses and
+    misses [256K-dm]'s.  This is exact because both levels are
+    direct-mapped with one block size and L2's set count is a multiple
+    of L1's, so L1's contents are always a subset of L2's: an L1 hit
+    leaves L2 untouched, L2 holds what [256K-dm] holds on the full
+    stream, and every [256K-dm] miss is a [16K-dm] miss.
+    @raise Invalid_argument if either member was not simulated. *)
 
 val exec_time :
   t -> model:Metrics.Cost_model.t -> cache:string -> Metrics.Exec_time.t

@@ -48,14 +48,12 @@ let cpu (c : Cachesim.Cpu.t) =
     (String.concat "|"
        (List.map (fun (l : Cachesim.Cpu.level) -> config l.config) c.levels))
 
-let digest ~id ~scale ~inputs =
+let digest_of_meta m =
   (* %h: the scale's exact bits, as in Artifact.digest. *)
   Digest.to_hex
     (Digest.string
-       (Printf.sprintf "loclab-derived|%s|%h|%d|%s" id scale schema_version
-          inputs))
-
-let digest_of_meta m = digest ~id:m.id ~scale:m.scale ~inputs:m.inputs
+       (Printf.sprintf "loclab-derived|%s|%h|%d|%s" m.id m.scale schema_version
+          m.inputs))
 
 (* ---- codec --------------------------------------------------------- *)
 

@@ -72,10 +72,9 @@ val cpu : Cachesim.Cpu.t -> string
 (** The preset key and its level configurations (latencies are applied
     at render time, so they are not part of the description). *)
 
-val digest : id:string -> scale:float -> inputs:string -> string
-(** Hex digest of the key plus {!schema_version} — the store filename. *)
-
 val digest_of_meta : meta -> string
+(** Hex digest of the key ([id], [scale], [inputs]) plus
+    {!schema_version} — the store filename. *)
 
 (** {1 Codec} *)
 

@@ -182,17 +182,3 @@ let run ctx id =
   Telemetry.Span.with_span ~cat:"experiment" e.id @@ fun () ->
   Runs.prefetch ctx.Context.runs e.cells;
   e.render ctx
-
-let run_source ctx source =
-  Telemetry.Span.with_span ~cat:"experiment"
-    (Memsim.Trace.Source.to_string source)
-  @@ fun () -> Ingest.report (Runs.get_source ctx.Context.runs source)
-
-let run_all ctx =
-  warm_all ctx;
-  List.map
-    (fun e ->
-      ( e.id,
-        Telemetry.Span.with_span ~cat:"experiment" e.id (fun () ->
-            e.render ctx) ))
-    all

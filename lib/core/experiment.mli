@@ -25,7 +25,7 @@ val ids : unit -> string list
 
 val warm : Context.t -> string list -> unit
 (** [warm ctx ids] fills the context's run grid for every cell the
-    named experiments will demand, using up to [Runs.jobs ctx.runs]
+    named experiments will demand, using up to the context's [jobs]
     worker domains ({!Runs.prefetch}).  Purely a wall-clock
     optimization: rendering after a warm pass is bit-identical to
     rendering cold.
@@ -37,15 +37,3 @@ val warm_all : Context.t -> unit
 val run : Context.t -> string -> string
 (** [run ctx id] renders one experiment, warming its cells first.
     @raise Not_found for unknown ids. *)
-
-val run_source : Context.t -> Memsim.Trace.Source.t -> string
-(** [run_source ctx source] resolves the source's artifact through the
-    grid ({!Runs.get_source}: memo, store, or simulation) and renders
-    the per-cell {!Ingest.report} for it — the same report whether the
-    events came from a synthetic run or an imported capture.
-    @raise Not_found for unknown synthetic program/allocator keys.
-    @raise Failure for malformed trace files. *)
-
-val run_all : Context.t -> (string * string) list
-(** Renders every experiment, sharing the context's memoized runs and
-    warming the full grid up front. *)

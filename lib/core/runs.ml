@@ -223,8 +223,6 @@ let create ?(scale = 0.2) ?(jobs = 1) ?store () =
       space derived_codec derived_c (lazy (Option.map derived_store store)) }
 
 let scale t = t.scale
-let jobs t = t.jobs
-let store t = Lazy.force t.cells.store
 let store_hits t = t.cells.hits
 let simulated t = t.cells.computed
 let derived_hits t = t.derived.hits
@@ -257,21 +255,17 @@ let build_allocator ~profile_key ~allocator heap =
   end
   else Allocators.Registry.build allocator heap
 
-let paper_hierarchy () =
-  Cachesim.Hierarchy.create_levels
-    [ Cachesim.Config.make (16 * 1024); Cachesim.Config.make (256 * 1024) ]
-
 (* ---- the consumer set ----------------------------------------------- *)
 
 (* What the consumers saw of one cell's event stream. *)
 type observed = {
   caches : (Cachesim.Config.t * Cachesim.Stats.t) list;
-  hierarchy : (Cachesim.Config.t * Cachesim.Stats.t) list;
   fault_curve : Vmsim.Fault_curve.t;
 }
 
 (* Every cell, synthetic or external, feeds the same consumers: the
-   standard sweep, the paper hierarchy and the page simulator.  [feed]
+   standard sweep and the page simulator (the paper's two-level
+   hierarchy is read off the sweep, {!Artifact.paper_hierarchy}).  [feed]
    delivers the whole stream to each of their sinks — a driver fans
    them out over its one run, a captured trace replays into each in
    turn (one consumer's state in cache at a time) — and its result
@@ -280,17 +274,10 @@ type observed = {
    or in [capture]. *)
 let simulate feed =
   let multi = Cachesim.Multi.create standard_configs in
-  let hier = paper_hierarchy () in
   let pages = Vmsim.Page_sim.create () in
-  let fed =
-    feed
-      [ Cachesim.Multi.sink multi;
-        Cachesim.Hierarchy.sink hier;
-        Vmsim.Page_sim.sink pages ]
-  in
+  let fed = feed [ Cachesim.Multi.sink multi; Vmsim.Page_sim.sink pages ] in
   ( fed,
     { caches = Cachesim.Multi.results multi;
-      hierarchy = List.hd (Cachesim.Hierarchy.results hier);
       fault_curve = Vmsim.Page_sim.curve pages } )
 
 let run t ~profile ~allocator =
@@ -309,8 +296,7 @@ let run t ~profile ~allocator =
   in
   Artifact.of_run ~program:profile ~allocator ~scale:t.scale
     ~trace_checksum:(Memsim.Sink.Checksum.value checksum)
-    ~result ~caches:o.caches ~hierarchy:o.hierarchy ~fault_curve:o.fault_curve
-    ()
+    ~result ~caches:o.caches ~fault_curve:o.fault_curve
 
 (* ---- grid cells ------------------------------------------------------ *)
 
@@ -463,7 +449,6 @@ let simulate_trace c =
         max_live_bytes = 0 };
     alloc_stats = Allocators.Alloc_stats.create ();
     caches = o.caches;
-    hierarchy = o.hierarchy;
     fault_curve = o.fault_curve }
 
 let ingest_capture t c =
@@ -473,15 +458,6 @@ let ingest_capture t c =
     (fun () -> simulate_trace c)
 
 let ingest t ~format ~data = ingest_capture t (capture ~format ~data)
-
-let get_source t (source : Memsim.Trace.Source.t) =
-  match source with
-  | Memsim.Trace.Source.Synthetic { program; allocator } ->
-      get t ~profile:program ~allocator
-  | _ ->
-      let format = Option.get (Memsim.Trace.Source.format_of source) in
-      let path = Option.get (Memsim.Trace.Source.path_of source) in
-      ingest t ~format ~data:(Memsim.Trace.slurp path)
 
 (* ---- derived cells -------------------------------------------------- *)
 

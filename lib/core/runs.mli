@@ -3,15 +3,18 @@
     derived cells of the experiments that simulate off the grid.
 
     Each run drives the profile against the allocator once, feeding the
-    fused trace to: the paper's direct-mapped cache sweep (16K–256K), an
-    associativity set at 16 K (2/4/8-way), a block-size sweep at 64 K
-    (all LRU, one {!Cachesim.Forest} family per block size), a
-    two-level hierarchy (16 K L1 / 256 K L2), the page-fault simulator
-    and the trace checksum.  The finished cell is distilled to a typed
-    {!Artifact.t}; the in-process memo and the optional persistent
-    {!Store.t} both hold artifacts, so regenerating all tables and
-    figures costs one pass per pair — or zero passes from a warm
-    store.  The off-grid experiments ([tabcpu], [abl-flush],
+    fused trace to two consumers: one {!Cachesim.Multi} over the LRU
+    sweep — the paper's direct-mapped sizes (16K–256K), an
+    associativity set at 16 K (2/4/8-way) and a block-size sweep at
+    64 K, one {!Cachesim.Forest} family per block size — and the
+    page-fault simulator; the trace checksum is taken beside the
+    driver.  The paper's two-level hierarchy (16 K L1 / 256 K L2) is
+    not simulated: it is read off the sweep's [16K-dm] and [256K-dm]
+    members ({!Artifact.paper_hierarchy}).  The finished cell is
+    distilled to a typed {!Artifact.t}; the in-process memo and the
+    optional persistent {!Store.t} both hold artifacts, so regenerating
+    all tables and figures costs one pass per pair — or zero passes
+    from a warm store.  The off-grid experiments ([tabcpu], [abl-flush],
     [abl-lifetime]) store their simulated rows as {!Derived.t} cells
     ({!derive}), so a warm store renders everything without simulating.
 
@@ -33,8 +36,6 @@ val create : ?scale:float -> ?jobs:int -> ?store:Store.t -> unit -> t
     @raise Invalid_argument if [scale <= 0] or [jobs < 1]. *)
 
 val scale : t -> float
-val jobs : t -> int
-val store : t -> Store.t option
 
 val store_hits : t -> int
 (** Grid cells served from the persistent store so far. *)
@@ -81,9 +82,9 @@ val prefetch : t -> (string * string) list -> unit
 (** [prefetch t cells] fills the memo for every (profile, allocator)
     cell not already present: first from the persistent store
     (sequential, cheap), then by evaluating the remaining cells on up
-    to {!jobs} worker domains and writing each result through the
-    store.  Cells are independent simulations (each owns its heap, RNG
-    and sinks) and results are merged in submission order on the
+    to [jobs] ({!create}) worker domains and writing each result
+    through the store.  Cells are independent simulations (each owns
+    its heap, RNG and sinks) and results are merged in submission order on the
     calling domain, so the memo contents — and therefore every
     rendering — are bit-identical to a sequential fill, warm or cold.
     If any simulated cell raises (e.g. {!get}'s [Not_found] for an
@@ -119,10 +120,6 @@ val ingest_capture : t -> capture -> Artifact.t
 val ingest : t -> format:Memsim.Trace.Source.format -> data:string -> Artifact.t
 (** [ingest_capture t (capture ~format ~data)].
     @raise Failure on malformed trace data. *)
-
-val get_source : t -> Memsim.Trace.Source.t -> Artifact.t
-(** [Synthetic] sources go through {!get}; file-backed sources are
-    slurped and {!ingest}ed. *)
 
 val trace_ident : format:Memsim.Trace.Source.format -> data:string -> int * int
 (** [(events, checksum)] of the capture's event stream, without

@@ -1,11 +1,11 @@
-(* First-class trace sources.
+(* Trace capture formats.
 
-   Until now the only producer of reference events was a synthetic
-   Workload run; this module makes the event source pluggable.  Every
+   A synthetic Workload run is not the only producer of reference
+   events: a capture in any of these formats replays too.  Every
    reader streams packed {!Event.Batch} deliveries into a sink — no
    boxed [Event.t] on the hot path — so an externally captured trace
-   flows through exactly the pipeline (forest, hierarchy, vmsim)
-   that synthetic traffic does. *)
+   flows through exactly the pipeline (forest, vmsim) that synthetic
+   traffic does. *)
 
 let framed_magic = "LOCTRC1\n"
 
@@ -50,32 +50,6 @@ module Source = struct
       if String.lowercase_ascii (String.sub data 0 line_end) = csv_header then
         Csv
       else Text
-
-  type t =
-    | Synthetic of { program : string; allocator : string }
-    | Trace_file of string
-    | Text_file of string
-    | Csv_file of string
-    | Framed_file of string
-
-  let format_of = function
-    | Synthetic _ -> None
-    | Trace_file _ -> Some Binary
-    | Text_file _ -> Some Text
-    | Csv_file _ -> Some Csv
-    | Framed_file _ -> Some Framed
-
-  let path_of = function
-    | Synthetic _ -> None
-    | Trace_file p | Text_file p | Csv_file p | Framed_file p -> Some p
-
-  let to_string = function
-    | Synthetic { program; allocator } ->
-        Printf.sprintf "synthetic:%s/%s" program allocator
-    | Trace_file p -> "binary:" ^ p
-    | Text_file p -> "text:" ^ p
-    | Csv_file p -> "csv:" ^ p
-    | Framed_file p -> "framed:" ^ p
 end
 
 let slurp path =
@@ -317,13 +291,3 @@ let write format f =
   | Source.Text -> Text.write f
   | Source.Csv -> Csv.write f
   | Source.Framed -> Framed.write f
-
-let of_path ?format path =
-  let format =
-    match format with Some f -> f | None -> Source.sniff (slurp path)
-  in
-  match (format : Source.format) with
-  | Source.Binary -> Source.Trace_file path
-  | Source.Text -> Source.Text_file path
-  | Source.Csv -> Source.Csv_file path
-  | Source.Framed -> Source.Framed_file path

@@ -1,12 +1,11 @@
-(** First-class trace sources.
+(** Trace capture formats.
 
-    The event {e source} is pluggable: a reference trace can come from a
-    synthetic workload run, a recorded {!Trace_file}, an external
-    cachetrace-style text capture, a per-access CSV export, or a compact
-    CRC-framed binary.  Every reader streams packed {!Event.Batch}
-    deliveries into a sink — no boxed [Event.t] on the hot path — so
-    external traffic flows through exactly the pipeline synthetic
-    traffic does.
+    Besides a synthetic workload run, a reference trace can come from a
+    recorded {!Trace_file}, an external cachetrace-style text capture, a
+    per-access CSV export, or a compact CRC-framed binary.  Every
+    reader streams packed {!Event.Batch} deliveries into a sink — no
+    boxed [Event.t] on the hot path — so external traffic flows through
+    exactly the pipeline synthetic traffic does.
 
     Formats:
     - {b text} (cachetrace): one access per line, [R 0xADDR] /
@@ -45,31 +44,10 @@ module Source : sig
   (** Recognise a trace's format from its leading bytes: the binary
       magics and the CSV header are unambiguous; anything else is read
       as text. *)
-
-  (** Where a reference trace comes from.  [Synthetic] runs a workload
-      model; the file variants replay a capture from disk. *)
-  type t =
-    | Synthetic of { program : string; allocator : string }
-    | Trace_file of string  (** Recorded binary trace (path). *)
-    | Text_file of string  (** Cachetrace text capture (path). *)
-    | Csv_file of string  (** Per-access CSV export (path). *)
-    | Framed_file of string  (** CRC-framed compact binary (path). *)
-
-  val format_of : t -> format option
-  (** [None] for [Synthetic]. *)
-
-  val path_of : t -> string option
-
-  val to_string : t -> string
-  (** Human-readable, e.g. ["text:/tmp/capture.trc"]. *)
 end
 
 val slurp : string -> string
 (** Read a whole file (binary-safe). *)
-
-val of_path : ?format:Source.format -> string -> Source.t
-(** The file-backed source for [path]; without [?format] the file's
-    leading bytes are sniffed. *)
 
 val read : Source.format -> string -> Sink.t -> int
 (** [read format data sink] streams the encoded trace [data] into

@@ -1164,6 +1164,55 @@ let test_hierarchy_access_chain_invariant () =
       chain stats)
     Cpu.all
 
+(* The inclusion identity the grid relies on to read the paper's
+   two-level hierarchy off its sweep: for two direct-mapped levels of
+   one block size whose L2 has a multiple of L1's sets, L1's contents
+   stay a subset of L2's, so the hierarchy's L1 is the small member
+   fed the full stream, its L2 sees exactly the small member's misses
+   (by kind and source), and misses exactly the large member's.
+   Writebacks are not part of the identity: the hierarchy never
+   forwards L1's dirty evictions. *)
+let inclusion_case_gen =
+  QCheck.Gen.(
+    triple (oneofl [ 16; 32 ]) (oneofl [ 1; 2; 4; 8 ]) (oneofl [ 1; 2; 4; 8 ])
+    >>= fun (bb, sets, k) ->
+    let l1 = Config.make ~name:"L1" ~block_bytes:bb (bb * sets) in
+    let l2 = Config.make ~name:"L2" ~block_bytes:bb (bb * sets * k) in
+    triple (return l1) (return l2)
+      (oneof [ Testkit.Gen.events_gen (); Testkit.Gen.run_events_gen () ]))
+
+let hierarchy_is_read_off_the_sweep (l1, l2, events) =
+  let h = Hierarchy.create [ [ l1; l2 ] ] in
+  let m = Multi.create [ l1; l2 ] in
+  deliver ~grain:7 (Hierarchy.sink h) events;
+  deliver ~grain:7 (Multi.sink m) events;
+  match (Hierarchy.results h, List.map snd (Multi.results m)) with
+  | [ [ (_, h1); (_, (h2 : Stats.t)) ] ], [ small; (large : Stats.t) ] ->
+      h1 = small
+      && h2.accesses = small.misses
+      && h2.read_accesses = small.read_misses
+      && h2.write_accesses = small.write_misses
+      && h2.app_accesses = small.app_misses
+      && h2.malloc_accesses = small.malloc_misses
+      && h2.free_accesses = small.free_misses
+      && h2.misses = large.misses
+      && h2.read_misses = large.read_misses
+      && h2.write_misses = large.write_misses
+      && h2.cold_misses = large.cold_misses
+      && h2.app_misses = large.app_misses
+      && h2.malloc_misses = large.malloc_misses
+      && h2.free_misses = large.free_misses
+  | _ -> false
+
+let prop_hierarchy_read_off_sweep =
+  QCheck.Test.make ~name:"hierarchy is read off the sweep" ~count:300
+    (QCheck.make
+       ~print:(fun (l1, l2, events) ->
+         Format.asprintf "%a over %a, %d events" Config.pp l1 Config.pp l2
+           (List.length events))
+       inclusion_case_gen)
+    hierarchy_is_read_off_the_sweep
+
 let test_cpu_presets_well_formed () =
   check_int "five presets" 5 (List.length Cpu.all);
   List.iter
@@ -1464,6 +1513,7 @@ let () =
           Alcotest.test_case "access chain invariant" `Quick
             test_hierarchy_access_chain_invariant;
         ] );
+      ("identity", qsuite [ prop_hierarchy_read_off_sweep ]);
       ( "trie",
         [
           Alcotest.test_case "distinct level count" `Quick

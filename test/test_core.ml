@@ -31,11 +31,6 @@ let test_runs_all_configs_present () =
       let s = Core.Artifact.cache_stats d ~name in
       check_bool (name ^ " saw traffic") true (s.Cachesim.Stats.accesses > 0))
     Core.Runs.standard_configs;
-  check_bool "hierarchy L1 saw traffic" true
-    ((Core.Artifact.l1 d).Cachesim.Stats.accesses > 0);
-  check_bool "L2 sees fewer accesses than L1" true
-    ((Core.Artifact.l2 d).Cachesim.Stats.accesses
-    < (Core.Artifact.l1 d).Cachesim.Stats.accesses);
   check_bool "pages saw traffic" true
     (d.Core.Artifact.fault_curve.Vmsim.Fault_curve.references > 0)
 
@@ -87,29 +82,43 @@ let test_runs_bad_scale_rejected () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-let test_runs_cross_simulator_consistency () =
-  (* The 16K direct-mapped cache of the sweep and the hierarchy's L1
-     are the same configuration fed by the same event stream through
-     different sinks (Multi vs Hierarchy); their statistics must agree
-     exactly, field by field. *)
-  let d = Core.Runs.get ctx.Core.Context.runs ~profile:"make" ~allocator:"bsd" in
-  let sweep = Core.Artifact.cache_stats d ~name:"16K-dm" in
-  let l1 = Core.Artifact.l1 d in
-  let open Cachesim.Stats in
-  check_int "accesses" sweep.accesses l1.accesses;
-  check_int "misses" sweep.misses l1.misses;
-  check_int "read accesses" sweep.read_accesses l1.read_accesses;
-  check_int "read misses" sweep.read_misses l1.read_misses;
-  check_int "write accesses" sweep.write_accesses l1.write_accesses;
-  check_int "write misses" sweep.write_misses l1.write_misses;
-  check_int "cold misses" sweep.cold_misses l1.cold_misses;
-  check_int "writebacks" sweep.writebacks l1.writebacks;
-  check_int "app accesses" sweep.app_accesses l1.app_accesses;
-  check_int "app misses" sweep.app_misses l1.app_misses;
-  check_int "malloc accesses" sweep.malloc_accesses l1.malloc_accesses;
-  check_int "malloc misses" sweep.malloc_misses l1.malloc_misses;
-  check_int "free accesses" sweep.free_accesses l1.free_accesses;
-  check_int "free misses" sweep.free_misses l1.free_misses
+(* abl-l2 reads the paper hierarchy off the sweep; its row must equal
+   one computed from a real two-level hierarchy replaying the cell's
+   captured stream. *)
+let test_runs_two_level_row_matches_hierarchy_replay () =
+  let profile = Workload.Programs.find "gs-large" in
+  let buf = Memsim.Trace_buffer.create () in
+  let r =
+    Workload.Driver.run ~sink:(Memsim.Trace_buffer.sink buf) ~scale:0.02
+      ~profile ~allocator:"quickfit" ()
+  in
+  let h =
+    Cachesim.Hierarchy.create_levels
+      [ Cachesim.Config.make (16 * 1024); Cachesim.Config.make (256 * 1024) ]
+  in
+  Memsim.Trace_buffer.replay buf (Cachesim.Hierarchy.sink h);
+  let l1, l2 =
+    match Cachesim.Hierarchy.results h with
+    | [ [ (_, l1); (_, l2) ] ] -> (l1, l2)
+    | _ -> Alcotest.fail "expected one two-level path"
+  in
+  let stalls = (l1.Cachesim.Stats.misses * 10) + (l2.Cachesim.Stats.misses * 100) in
+  let expected =
+    [ "QuickFit";
+      Metrics.Table.fmt_float ~decimals:2 (Cachesim.Stats.miss_rate_pct l1);
+      Metrics.Table.fmt_float ~decimals:2 (Cachesim.Stats.miss_rate_pct l2);
+      Metrics.Table.fmt_float ~decimals:1 (float_of_int stalls /. 1e6);
+      Metrics.Table.fmt_float ~decimals:1
+        (float_of_int (r.Workload.Driver.instructions + stalls) /. 1e6) ]
+  in
+  let words line = List.filter (( <> ) "") (String.split_on_char ' ' line) in
+  let rows =
+    List.filter
+      (fun line -> match words line with "QuickFit" :: _ -> true | _ -> false)
+      (String.split_on_char '\n' (Core.Ablations.two_level ctx))
+  in
+  Alcotest.(check (list (list string)))
+    "abl-l2 QuickFit row" [ expected ] (List.map words rows)
 
 let test_runs_unknown_keys () =
   check_bool "unknown profile" true
@@ -212,7 +221,7 @@ let test_ingest_artifact_shape () =
     "digest matches trace_digest"
     (Core.Runs.trace_digest ~ident)
     (Core.Artifact.digest_of_meta m);
-  (* Every standard configuration and the hierarchy saw the traffic. *)
+  (* Every standard configuration saw the traffic. *)
   List.iter
     (fun cfg ->
       let s =
@@ -220,8 +229,7 @@ let test_ingest_artifact_shape () =
       in
       check_int (cfg.Cachesim.Config.name ^ " accesses") 1000
         s.Cachesim.Stats.accesses)
-    Core.Runs.standard_configs;
-  check_int "L1 accesses" 1000 (Core.Artifact.l1 art).Cachesim.Stats.accesses
+    Core.Runs.standard_configs
 
 let test_ingest_jobs_identical () =
   (* The grid's worker count never reaches an ingested cell: the
@@ -258,16 +266,6 @@ let test_ingest_malformed_raises () =
     | exception Failure msg -> contains ~needle:"line 2" msg
     | _ -> false)
 
-let test_get_source_synthetic_is_grid_cell () =
-  let via_source =
-    Core.Runs.get_source ctx.Core.Context.runs
-      (Memsim.Trace.Source.Synthetic { program = "make"; allocator = "bsd" })
-  in
-  let direct =
-    Core.Runs.get ctx.Core.Context.runs ~profile:"make" ~allocator:"bsd"
-  in
-  check_bool "same memoized artifact" true (via_source == direct)
-
 let test_ingest_report_renders () =
   let art =
     Core.Runs.ingest (Core.Runs.create ())
@@ -303,8 +301,6 @@ let test_ingest_matches_synthetic_cell () =
     ingested.Core.Artifact.meta.Core.Artifact.trace_checksum;
   check_bool "caches" true
     (synthetic.Core.Artifact.caches = ingested.Core.Artifact.caches);
-  check_bool "hierarchy" true
-    (synthetic.Core.Artifact.hierarchy = ingested.Core.Artifact.hierarchy);
   check_bool "fault curve" true
     (synthetic.Core.Artifact.fault_curve = ingested.Core.Artifact.fault_curve)
 
@@ -604,8 +600,8 @@ let () =
             test_runs_miss_rate_decreases_with_size;
           tc "exec time uses misses" test_runs_exec_time_uses_misses;
           tc "bad scale rejected" test_runs_bad_scale_rejected;
-          tc "cross-simulator consistency"
-            test_runs_cross_simulator_consistency;
+          tc "abl-l2 row = hierarchy replay"
+            test_runs_two_level_row_matches_hierarchy_replay;
           tc "unknown keys" test_runs_unknown_keys;
           tc "check_cell validates keys" test_runs_check_cell;
           tc "cache_stats unknown name" test_runs_cache_stats_unknown;
@@ -618,8 +614,6 @@ let () =
           tc "format identity memoized"
             test_ingest_format_identity_memoized;
           tc "malformed raises" test_ingest_malformed_raises;
-          tc "synthetic source is the grid cell"
-            test_get_source_synthetic_is_grid_cell;
           tc "report renders" test_ingest_report_renders;
           tc "binary capture matches its synthetic cell"
             test_ingest_matches_synthetic_cell;

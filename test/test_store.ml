@@ -203,8 +203,6 @@ let gen_artifact =
   map alloc_stats_of_list (list_repeat 10 nonneg) >>= fun alloc_stats ->
   int_range 1 (List.length config_pool) >>= fun ncfg ->
   list_repeat ncfg stats >>= fun cache_stats ->
-  int_range 1 3 >>= fun nlevels ->
-  list_repeat nlevels stats >>= fun level_stats ->
   oneofl [ 512; 4096; 8192 ] >>= fun page_bytes ->
   nonneg >>= fun references ->
   nonneg >>= fun cold ->
@@ -215,19 +213,13 @@ let gen_artifact =
       (List.filteri (fun i _ -> i < ncfg) config_pool)
       cache_stats
   in
-  let hierarchy =
-    List.map2
-      (fun c s -> (c, s))
-      (List.filteri (fun i _ -> i < nlevels) config_pool)
-      level_stats
-  in
   return
     { Core.Artifact.meta =
         { Core.Artifact.program; allocator; scale; seed;
           schema_version = Core.Artifact.schema_version; trace_checksum };
       provenance =
         { Core.Artifact.source_format; source_bytes; source_checksum };
-      summary; alloc_stats; caches; hierarchy;
+      summary; alloc_stats; caches;
       fault_curve = { Vmsim.Fault_curve.page_bytes; references; cold; hist } }
 
 let prop_artifact_roundtrip =
