@@ -81,7 +81,7 @@ type t = {
   part_mask : int;
   part_lo : int;
   part_hi : int;
-  seen : (int, unit) Hashtbl.t;  (* blocks ever referenced, shared *)
+  seen : unit Memsim.Addr.Index_table.t;  (* blocks ever referenced, shared *)
   acc : int array;  (* accesses by [ki*3 + si], identical for members *)
   mutable cold_misses : int;
   (* Consecutive-repeat fast path: word-grain traces touch the same
@@ -166,7 +166,7 @@ let create ?shard configs =
     part_hi;
     (* Small to start: most families are one-member hierarchy levels
        that see few distinct blocks, and the table grows as needed. *)
-    seen = Hashtbl.create 256;
+    seen = Memsim.Addr.Index_table.create 256;
     acc = Array.make 6 0;
     cold_misses = 0;
     last_block = -1;
@@ -257,22 +257,17 @@ let probe_sa m ~ks ~block ~word =
     true
   end
 
-(* The hot path: [ks] is the fused kind/source counter index
-   [ki*3 + si], resolved once per event.  Returns how many members
-   missed. *)
-let rec access_block_ks t ~ks ~block =
-  let p = block land t.part_mask in
-  if p < t.part_lo || p >= t.part_hi then 0  (* another shard's block *)
-  else if block = t.last_block then begin
-    (* Consecutive repeat: hits every member by construction. *)
-    Array.unsafe_set t.acc ks (Array.unsafe_get t.acc ks + 1);
-    if (ks >= 3 && not t.run_dirty) || not t.run_hit then
-      finish_run t ~write:(ks >= 3);
-    0
-  end
-  else probe_block_ks t ~ks ~block
+(* A consecutive repeat of [t.last_block]: it hits every member by
+   construction, so it only needs an access count. *)
+let repeat t ~ks =
+  Array.unsafe_set t.acc ks (Array.unsafe_get t.acc ks + 1);
+  if (ks >= 3 && not t.run_dirty) || not t.run_hit then
+    finish_run t ~write:(ks >= 3)
 
-and probe_block_ks t ~ks ~block =
+(* The hot path's miss side: [ks] is the fused kind/source counter
+   index [ki*3 + si], resolved once per event.  Returns how many
+   members missed. *)
+let probe_block_ks t ~ks ~block =
   Array.unsafe_set t.acc ks (Array.unsafe_get t.acc ks + 1);
   let write = ks >= 3 in
   let word = (block lsl 1) lor Bool.to_int write in
@@ -302,14 +297,23 @@ and probe_block_ks t ~ks ~block =
   (* A cold (first-ever) reference misses in every member at once; a
      family-wide hit proves the block was already seen, so the table is
      only consulted when someone missed. *)
-  if missed > 0 && not (Hashtbl.mem t.seen block) then begin
-    Hashtbl.replace t.seen block ();
+  if missed > 0 && not (Memsim.Addr.Index_table.mem t.seen block) then begin
+    Memsim.Addr.Index_table.add t.seen block ();
     t.cold_misses <- t.cold_misses + 1
   end;
   t.last_block <- block;
   t.run_dirty <- write;
   t.run_hit <- Array.length t.refresh = 0;
   missed
+
+let access_block_ks t ~ks ~block =
+  let p = block land t.part_mask in
+  if p < t.part_lo || p >= t.part_hi then 0  (* another shard's block *)
+  else if block = t.last_block then begin
+    repeat t ~ks;
+    0
+  end
+  else probe_block_ks t ~ks ~block
 
 let access_range_ks t ~ks ~addr ~size =
   let first = addr lsr t.block_shift in
@@ -318,17 +322,46 @@ let access_range_ks t ~ks ~addr ~size =
     ignore (access_block_ks t ~ks ~block)
   done
 
-(* The sink: ks, addr and size all come straight out of the two packed
-   ints — no Event.t is materialised. *)
-let sink t (b : Memsim.Event.Batch.t) =
-  let addrs = b.Memsim.Event.Batch.addrs and metas = b.Memsim.Event.Batch.metas in
-  for i = 0 to b.Memsim.Event.Batch.len - 1 do
-    let meta = Array.unsafe_get metas i in
-    access_range_ks t
-      ~ks:(Memsim.Event.Packed.ks meta)
-      ~addr:(Array.unsafe_get addrs i)
-      ~size:(meta lsr 3)
-  done
+(* One walk over the batch feeds every family, ascending by block size.
+   An event that lies inside one block of the smallest family, the
+   block that family touched last, is a consecutive repeat in every
+   family: each larger block contains that small one, and the previous
+   event ended in it, so it is also each larger family's [last_block].
+   Such an event gets only each family's repeat update; any other event
+   goes to each family's range walk, which takes the repeat path on its
+   own wherever it applies.  ks, addr and size all come straight out of
+   the two packed ints — no Event.t is materialised. *)
+let sink_families fs =
+  let n = Array.length fs in
+  if n = 0 then invalid_arg "Cachesim.Forest.sink_families: no families";
+  Array.iteri
+    (fun i f ->
+      if i > 0 && f.block_shift <= fs.(i - 1).block_shift then
+        invalid_arg "Cachesim.Forest.sink_families: block sizes must ascend";
+      if n > 1 && f.part_hi - f.part_lo <= f.part_mask then
+        invalid_arg "Cachesim.Forest.sink_families: a shard cannot share a walk")
+    fs;
+  let small = fs.(0) in
+  let shift = small.block_shift in
+  fun (b : Memsim.Event.Batch.t) ->
+    let addrs = b.Memsim.Event.Batch.addrs
+    and metas = b.Memsim.Event.Batch.metas in
+    for i = 0 to b.Memsim.Event.Batch.len - 1 do
+      let meta = Array.unsafe_get metas i
+      and addr = Array.unsafe_get addrs i in
+      let ks = Memsim.Event.Packed.ks meta and size = meta lsr 3 in
+      let first = addr lsr shift in
+      if first = small.last_block && (addr + size - 1) lsr shift = first then
+        for f = 0 to n - 1 do
+          repeat (Array.unsafe_get fs f) ~ks
+        done
+      else
+        for f = 0 to n - 1 do
+          access_range_ks (Array.unsafe_get fs f) ~ks ~addr ~size
+        done
+    done
+
+let sink t = sink_families [| t |]
 
 let flush t =
   Array.iter

@@ -55,7 +55,20 @@ val access_range_ks : t -> ks:int -> addr:int -> size:int -> unit
 val sink : t -> Memsim.Sink.t
 (** The family as a trace consumer: every event touches each block its
     byte range spans (addresses must be non-negative), without
-    materialising [Event.t] records. *)
+    materialising [Event.t] records.  It is [sink_families [| t |]]. *)
+
+val sink_families : t array -> Memsim.Sink.t
+(** [sink_families fs] feeds every family of [fs] from one walk per
+    batch, with statistics identical to each family's own {!sink}.  An
+    event that lies inside the block the smallest family touched last
+    is a repeat in every family (each larger block contains it), so it
+    costs each family an access count and no range walk.  The families
+    must see only this sink's events, and be flushed all together or
+    not at all.
+
+    @raise Invalid_argument if [fs] is empty, its block sizes do not
+    strictly ascend, or it holds several families one of which is a
+    shard. *)
 
 val flush : t -> unit
 (** Writes back every dirty block and invalidates every member, and

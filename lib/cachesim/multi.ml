@@ -2,15 +2,16 @@
    block size into {!Forest} families: within a family the
    direct-mapped members cost one inclusion walk per reference,
    set-associative members are probed individually, and the access
-   profile and cold-miss table are shared family-wide.  Families are
-   independent, so each replays a whole batch in turn.  Per-configuration
-   statistics are bit-identical to simulating every configuration
-   independently. *)
+   profile and cold-miss table are shared family-wide.  One walk over
+   each batch feeds the families in ascending block size
+   ({!Forest.sink_families}), so an event is decoded once for the whole
+   sweep.  Per-configuration statistics are bit-identical to simulating
+   every configuration independently. *)
 
 type t = {
   slots : (Config.t * int * int) array;
       (* creation order: config, family index, member index in it *)
-  forests : Forest.t array;
+  forests : Forest.t array;  (* ascending block size *)
 }
 
 let create configs =
@@ -32,7 +33,7 @@ let create configs =
   in
   { slots = Array.of_list (List.map slot configs); forests }
 
-let sink t b = Array.iter (fun f -> Forest.sink f b) t.forests
+let sink t = Forest.sink_families t.forests
 
 let results t =
   Array.to_list t.slots

@@ -8,9 +8,10 @@
     {!Forest} families: direct-mapped members are simulated in one
     inclusion walk per reference, set-associative members are probed
     individually but share the family's access profile and cold-miss
-    table.  The partition is invisible in the results — statistics are
-    bit-identical to simulating every configuration on its own, under
-    any replacement {!Policy.t}. *)
+    table.  One walk per batch feeds every family
+    ({!Forest.sink_families}).  The partition is invisible in the
+    results — statistics are bit-identical to simulating every
+    configuration on its own, under any replacement {!Policy.t}. *)
 
 type t
 

@@ -30,3 +30,14 @@ let page_index a ~page_bytes =
   a / page_bytes
 
 let pp ppf a = Format.fprintf ppf "0x%08x" a
+
+module Index_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+
+  (* Fibonacci hashing: the high bits of the product depend on every
+     low bit of the key, and the table indexes buckets by the low bits
+     of the hash, so the product is shifted down. *)
+  let hash k = (k * 0x9E3779B97F4A7C1) lsr 32
+end)

@@ -46,3 +46,9 @@ val page_index : t -> page_bytes:int -> int
 
 val pp : Format.formatter -> t -> unit
 (** Prints an address in hexadecimal, e.g. [0x0001a3f0]. *)
+
+module Index_table : Hashtbl.S with type key = int
+(** Hash table keyed by a block or page index ({!block_index},
+    {!page_index}).  Its hash is multiplicative, not the identity: the
+    indices of a power-of-two strided trace share their low bits, which
+    an identity hash would pile into a few buckets. *)

@@ -1,8 +1,10 @@
+module Table = Memsim.Addr.Index_table
+
 type t = {
   mutable fenwick : Fenwick.t;
   (* Position of each key's most recent access in the time index; the
      Fenwick tree has a 1 at exactly those positions. *)
-  last : (int, int) Hashtbl.t;
+  last : int Table.t;
   mutable now : int;
   mutable accesses : int;
   mutable cold : int;
@@ -11,10 +13,12 @@ type t = {
   mutable max_dist : int;
 }
 
-let create ?(initial_capacity = 1 lsl 16) () =
+(* A page stack sees tens to thousands of distinct pages, so the time
+   index starts small and compaction sizes it to the footprint. *)
+let create ?(initial_capacity = 1024) () =
   assert (initial_capacity > 1);
   { fenwick = Fenwick.create initial_capacity;
-    last = Hashtbl.create 4096;
+    last = Table.create 64;
     now = 0;
     accesses = 0;
     cold = 0;
@@ -23,19 +27,20 @@ let create ?(initial_capacity = 1 lsl 16) () =
 
 (* Renumber all keys' last-access times to 0 .. distinct-1 (preserving
    order) when the time index fills up, keeping the Fenwick tree small
-   regardless of trace length. *)
+   regardless of trace length: it grows to four times the footprint,
+   and is reused while the footprint fits. *)
 let compact t =
   let entries =
-    Hashtbl.fold (fun key time acc -> (time, key) :: acc) t.last []
+    Table.fold (fun key time acc -> (time, key) :: acc) t.last []
     |> List.sort compare
   in
   let needed = List.length entries in
-  let cap = max (Fenwick.capacity t.fenwick) (4 * (needed + 1)) in
-  t.fenwick <- Fenwick.create cap;
-  Hashtbl.reset t.last;
+  let cap = 4 * (needed + 1) in
+  if cap > Fenwick.capacity t.fenwick then t.fenwick <- Fenwick.create cap
+  else Fenwick.clear t.fenwick;
   List.iteri
     (fun i (_, key) ->
-      Hashtbl.replace t.last key i;
+      Table.replace t.last key i;
       Fenwick.add t.fenwick i 1)
     entries;
   t.now <- needed
@@ -53,27 +58,28 @@ let access t key =
   if t.now >= Fenwick.capacity t.fenwick then compact t;
   t.accesses <- t.accesses + 1;
   let result =
-    match Hashtbl.find_opt t.last key with
-    | None ->
+    match Table.find t.last key with
+    | exception Not_found ->
         t.cold <- t.cold + 1;
+        Table.add t.last key t.now;
         None
-    | Some t0 ->
+    | t0 ->
         (* Distinct keys referenced strictly between t0 and now: each has
            its most-recent access inside the window. *)
         let between = Fenwick.range_sum t.fenwick ~lo:(t0 + 1) ~hi:(t.now - 1) in
         let distance = between + 1 in
         Fenwick.add t.fenwick t0 (-1);
         bump_hist t distance;
+        Table.replace t.last key t.now;
         Some distance
   in
-  Hashtbl.replace t.last key t.now;
   Fenwick.add t.fenwick t.now 1;
   t.now <- t.now + 1;
   result
 
 let accesses t = t.accesses
 let cold t = t.cold
-let distinct t = Hashtbl.length t.last
+let distinct t = Table.length t.last
 let histogram t = Array.sub t.hist 0 (t.max_dist + 1)
 
 let misses_at t ~capacity =

@@ -14,8 +14,10 @@
 type t
 
 val create : ?initial_capacity:int -> unit -> t
-(** [initial_capacity] sizes the internal time index; it grows by
-    compaction automatically, so the default (1 lsl 16) is fine. *)
+(** [initial_capacity] (default 1024, at least 2) sizes the internal
+    time index.  When the index fills up, compaction renumbers it and
+    grows it to four times the number of distinct keys, so it stays
+    sized to the footprint whatever the start. *)
 
 val access : t -> int -> int option
 (** [access t key] records a reference to [key] and returns its stack

@@ -4,10 +4,8 @@ type t = {
   stack : Lru_stack.t;
   mutable references : int;
   (* Collapse consecutive same-page accesses: they are distance-1 hits at
-     every memory size >= 1 page, so only the reference count matters.
-     [same_page_hits] records how many were collapsed. *)
+     every memory size >= 1 page, so only the reference count matters. *)
   mutable last_page : int;
-  mutable same_page_hits : int;
 }
 
 let create ?(page_bytes = 4096) () =
@@ -21,14 +19,12 @@ let create ?(page_bytes = 4096) () =
     page_shift = log2 page_bytes;
     stack = Lru_stack.create ();
     references = 0;
-    last_page = -1;
-    same_page_hits = 0 }
+    last_page = -1 }
 
 let page_bytes t = t.page_bytes
 
 let touch_page t page =
-  if page = t.last_page then t.same_page_hits <- t.same_page_hits + 1
-  else begin
+  if page <> t.last_page then begin
     ignore (Lru_stack.access t.stack page);
     t.last_page <- page
   end

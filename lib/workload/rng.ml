@@ -1,29 +1,39 @@
-(* SplitMix64: tiny, fast, and plenty good for workload synthesis. *)
+(* SplitMix64: tiny, fast, and plenty good for workload synthesis.
 
-type t = { mutable state : int64 }
+   The 64-bit state lives unboxed in 8 bytes, read and written with
+   [Bytes.get/set_int64_ne]: a [mutable int64] field would box a fresh
+   int64 on every draw.  The draws are inlined, so in a caller the
+   intermediate int64s stay in registers and [int]/[float]/[bool]
+   allocate nothing. *)
 
-let create seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
+type t = Bytes.t
 
-let next_int64 t =
-  t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 (Int64.of_int seed);
+  t
+
+let copy = Bytes.copy
+
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
       0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
       0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int t bound =
+let[@inline] int t bound =
   assert (bound >= 1);
   let r = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
   r mod bound
 
-let float t =
+let[@inline] float t =
   let r = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   r /. 9007199254740992. (* 2^53 *)
 
-let bool t p = float t < p
+let[@inline] bool t p = float t < p
 
 let geometric t p =
   assert (p > 0. && p <= 1.);

@@ -697,7 +697,7 @@ let forest_case_gen = QCheck.Gen.pair family_gen (Testkit.Gen.events_gen ())
 
 (* Configurations of mixed block sizes and policies, interleaved in
    creation order, so Multi must split them into several families. *)
-let multi_case_gen =
+let multi_configs_gen =
   QCheck.Gen.(
     let cfg =
       quad (oneofl [ 16; 32; 64 ])
@@ -711,7 +711,10 @@ let multi_case_gen =
              (Policy.to_string policy))
         ~block_bytes:bb ~associativity:assoc ~policy cap
     in
-    pair (list_size (int_range 1 6) cfg) (Testkit.Gen.events_gen ()))
+    list_size (int_range 1 6) cfg)
+
+let multi_case_gen =
+  QCheck.Gen.pair multi_configs_gen (Testkit.Gen.events_gen ())
 
 let events_of_raw raw =
   List.map
@@ -807,6 +810,107 @@ let prop_multi_packed_matches_boxed =
     (fun (configs, events) ->
       let multi = Multi.create configs in
       deliver ~grain:13 (Multi.sink multi) events;
+      matches_oracles configs events (Multi.results multi))
+
+(* ---- the shared walk ------------------------------------------------ *)
+
+(* One episode at [base] (a multiple of 128) for the walk's repeat
+   gate, whose smallest family has 16-byte blocks.  A write spanning
+   small blocks 6..8 of [base] ends inside block 8; the words after it
+   lie in block 8, a repeat in every family; then an event starting in
+   block 8 runs on into block 9, which is a repeat only for block sizes
+   of 32 bytes and up; a word in block 8 again is a repeat for them
+   too, but not for the 16-byte family. *)
+let gate_episode base =
+  let open Memsim.Event in
+  [ write ~source:Malloc (base + 100) 40;
+    read (base + 132) 4;
+    write (base + 136) 4;
+    read ~source:Free (base + 140) 4;
+    write ~source:Malloc (base + 136) 24;
+    read (base + 144) 4;
+    read (base + 128) 4;
+    write (base + 132) 4;
+    read ~source:Free (base + 100) 4 ]
+
+(* Bases a cache's size apart conflict in its sets, so episodes evict
+   each other's (dirty) blocks. *)
+let gate_stream =
+  List.concat_map gate_episode [ 0; 512; 2048; 0; 128; 4096; 512; 0 ]
+
+let test_walk_gate_edge () =
+  (* Four families, created out of block-size order; each has
+     direct-mapped members and set-associative PLRU and QLRU members,
+     whose repeated hits replay on the policy. *)
+  let configs =
+    List.concat_map
+      (fun bb ->
+        let name fmt = Printf.sprintf fmt bb in
+        [ Config.make ~name:(name "512-b%d") ~block_bytes:bb 512;
+          Config.make ~name:(name "2K-b%d") ~block_bytes:bb 2048;
+          Config.make ~name:(name "1K-2way-b%d-plru") ~block_bytes:bb
+            ~associativity:2 ~policy:Policy.Plru 1024;
+          Config.make ~name:(name "1K-4way-b%d-qlru") ~block_bytes:bb
+            ~associativity:4 ~policy:(Policy.Qlru Policy.qlru_h00_m1) 1024 ])
+      [ 64; 16; 128; 32 ]
+  in
+  List.iter
+    (fun grain ->
+      let multi = Multi.create configs in
+      deliver ~grain (Multi.sink multi) gate_stream;
+      check_oracles configs gate_stream (Multi.results multi))
+    [ 1; 4; 1000 ]
+
+let test_walk_one_family () =
+  (* With one block size, Multi is its one Forest, and both are the
+     oracles'. *)
+  let configs =
+    [ Config.make ~name:"512-b16" ~block_bytes:16 512;
+      Config.make ~name:"8K-b16" ~block_bytes:16 (8 * 1024);
+      Config.make ~name:"1K-4way-b16-plru" ~block_bytes:16 ~associativity:4
+        ~policy:Policy.Plru 1024 ]
+  in
+  let multi = Multi.create configs and forest = Forest.create configs in
+  let stream = lcg_stream 3000 @ gate_stream in
+  deliver ~grain:7 (Multi.sink multi) stream;
+  deliver ~grain:7 (Forest.sink forest) stream;
+  check_oracles configs stream (Forest.results forest);
+  List.iter2
+    (fun ((cfg : Config.t), expected) (cfg', stats) ->
+      check_bool (cfg.name ^ " in creation order") true (cfg == cfg');
+      Alcotest.check stats_testable cfg.name expected stats)
+    (Forest.results forest) (Multi.results multi)
+
+let test_walk_rejects () =
+  let expect_invalid msg f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" msg
+  in
+  let family ?shard bb = Forest.create ?shard [ Config.make ~block_bytes:bb 1024 ] in
+  expect_invalid "no families" (fun () -> Forest.sink_families [||]);
+  expect_invalid "descending block sizes" (fun () ->
+      Forest.sink_families [| family 64; family 32 |]);
+  expect_invalid "repeated block size" (fun () ->
+      Forest.sink_families [| family 32; family 32 |]);
+  expect_invalid "a shard beside another family" (fun () ->
+      Forest.sink_families [| family ~shard:(0, 2) 32; family 64 |]);
+  (* A lone shard walks alone; a one-shard split owns every block. *)
+  let empty = Memsim.Event.Batch.create () in
+  Forest.sink_families [| family ~shard:(1, 2) 32 |] empty;
+  Forest.sink_families [| family ~shard:(0, 1) 32; family 64 |] empty
+
+let prop_multi_runs_match_oracles =
+  (* Word-grain runs across several families, so most events reach
+     every family through the walk's repeat gate. *)
+  QCheck.Test.make ~name:"multi word-grain runs match oracle" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         triple multi_configs_gen (Testkit.Gen.run_events_gen ())
+           (int_range 1 16)))
+    (fun (configs, events, grain) ->
+      let multi = Multi.create configs in
+      deliver ~grain (Multi.sink multi) events;
       matches_oracles configs events (Multi.results multi))
 
 let test_hierarchy_packed_matches_boxed () =
@@ -1459,6 +1563,16 @@ let () =
             test_forest_flush_retouch;
         ]
         @ qsuite [ prop_forest_matches_caches; prop_forest_runs_and_flushes ] );
+      ( "walk",
+        [
+          Alcotest.test_case "an event ending in a small block, then words"
+            `Quick test_walk_gate_edge;
+          Alcotest.test_case "one-family multi equals its forest" `Quick
+            test_walk_one_family;
+          Alcotest.test_case "sink_families validation" `Quick
+            test_walk_rejects;
+        ]
+        @ qsuite [ prop_multi_runs_match_oracles ] );
       ( "packed",
         [
           Alcotest.test_case "hierarchy packed equals boxed" `Quick

@@ -763,17 +763,33 @@ let source_total family source =
 let simulated_total () = source_total "loclab_cells_total" "simulated"
 let derived_computed_total () = source_total "loclab_derived_total" "computed"
 
-let single_flight_keys sock =
+(* One /status body's in-flight keys and simulated-cell count.  The
+   server reads its counters before the single-flight table and counts a
+   simulated cell only after its flight has left the table, so a body
+   listing a digest counts none of that digest's simulations. *)
+let status_flights sock =
   let body = http_body (http_exchange sock "GET /status HTTP/1.0\r\n\r\n") in
   match Metrics.Export.of_string body with
   | Error msg -> Alcotest.failf "/status unparsable: %s" msg
-  | Ok json -> (
-      match Metrics.Export.member "single_flight" json with
-      | Some (Metrics.Export.List keys) ->
-          List.filter_map
-            (function Metrics.Export.String k -> Some k | _ -> None)
-            keys
-      | _ -> Alcotest.fail "/status has no single_flight list")
+  | Ok json ->
+      let keys =
+        match Metrics.Export.member "single_flight" json with
+        | Some (Metrics.Export.List keys) ->
+            List.filter_map
+              (function Metrics.Export.String k -> Some k | _ -> None)
+              keys
+        | _ -> Alcotest.fail "/status has no single_flight list"
+      in
+      let simulated =
+        match
+          Option.bind
+            (Metrics.Export.member "requests" json)
+            (Metrics.Export.member "simulated_cells")
+        with
+        | Some (Metrics.Export.Int n) -> n
+        | _ -> Alcotest.fail "/status has no requests.simulated_cells"
+      in
+      (keys, simulated)
 
 (* A payload filed under another cell's digest fails the validated
    read: the reply must name the requested cell, and the store must
@@ -831,6 +847,7 @@ let test_status_during_cold_cell () =
       let program, allocator, scale = ("gs-large", "firstfit", 0.05) in
       let digest = cell_digest ~program ~allocator ~scale in
       let before = simulated_total () in
+      let status_before = snd (status_flights sock) in
       let finished = Atomic.make false in
       let cell =
         Thread.create
@@ -845,8 +862,8 @@ let test_status_during_cold_cell () =
       in
       let deadline = Unix.gettimeofday () +. 120. in
       let rec poll () =
-        if List.mem digest (single_flight_keys sock) then
-          Some (simulated_total ())
+        let keys, simulated = status_flights sock in
+        if List.mem digest keys then Some simulated
         else if Atomic.get finished || Unix.gettimeofday () > deadline then
           None
         else begin
@@ -857,7 +874,7 @@ let test_status_during_cold_cell () =
       let seen = poll () in
       Thread.join cell;
       check_bool "/status listed the in-flight digest" true (seen <> None);
-      check_int "listed while the cell was still simulating" before
+      check_int "listed while the cell was still simulating" status_before
         (Option.value seen ~default:(-1));
       check_int "the cell simulated once" (before + 1) (simulated_total ()))
 

@@ -145,27 +145,41 @@ let test_stack_compaction () =
       (Lru_stack.misses_at s ~capacity:cap)
   done
 
+(* The time index starts at two slots (so it compacts and grows many
+   times over) or at 16; keys stride by a power of two, as page indices
+   of a strided trace do, so they share their low bits in the key
+   table. *)
+let stack_start_gen =
+  QCheck.(pair (oneofl [ 2; 16 ]) (int_bound 20))
+
 let prop_stack_matches_naive =
   QCheck.Test.make ~name:"stack distances match naive LRU" ~count:100
-    QCheck.(list_of_size (QCheck.Gen.int_range 1 300) (int_bound 25))
-    (fun keys ->
-      let s = Lru_stack.create ~initial_capacity:16 () in
+    QCheck.(
+      pair stack_start_gen
+        (list_of_size (QCheck.Gen.int_range 1 300) (int_bound 25)))
+    (fun ((initial_capacity, log_stride), keys) ->
+      let s = Lru_stack.create ~initial_capacity () in
       let naive = Naive_lru.create () in
       List.for_all
-        (fun k -> Lru_stack.access s k = Naive_lru.access naive k)
+        (fun k ->
+          let key = k lsl log_stride in
+          Lru_stack.access s key = Naive_lru.access naive key)
         keys)
 
 let prop_stack_miss_counts_match_naive =
   QCheck.Test.make ~name:"miss counts match naive at all capacities"
     ~count:100
-    QCheck.(list_of_size (QCheck.Gen.int_range 1 200) (int_bound 12))
-    (fun keys ->
-      let s = Lru_stack.create ~initial_capacity:16 () in
+    QCheck.(
+      pair stack_start_gen
+        (list_of_size (QCheck.Gen.int_range 1 200) (int_bound 12)))
+    (fun ((initial_capacity, log_stride), keys) ->
+      let s = Lru_stack.create ~initial_capacity () in
       let naive = Naive_lru.create () in
       List.iter
         (fun k ->
-          ignore (Lru_stack.access s k);
-          ignore (Naive_lru.access naive k))
+          let key = k lsl log_stride in
+          ignore (Lru_stack.access s key);
+          ignore (Naive_lru.access naive key))
         keys;
       List.for_all
         (fun cap ->

@@ -23,6 +23,15 @@ let test_rng_copy_diverges_from_original () =
   check_bool "copy continues identically" true
     (Rng.next_int64 a = Rng.next_int64 b)
 
+(* Reference SplitMix64 outputs for seed 0: the generator is pinned bit
+   for bit, so every synthesised trace is too. *)
+let test_rng_known_answer () =
+  let rng = Rng.create 0 in
+  List.iter
+    (fun expected ->
+      Alcotest.(check int64) "SplitMix64 seed 0" expected (Rng.next_int64 rng))
+    [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL ]
+
 let test_rng_int_bounds () =
   let rng = Rng.create 1 in
   for _ = 1 to 1000 do
@@ -364,6 +373,7 @@ let () =
         [
           tc "deterministic" test_rng_deterministic;
           tc "copy" test_rng_copy_diverges_from_original;
+          tc "known answer" test_rng_known_answer;
           tc "int bounds" test_rng_int_bounds;
           tc "float bounds" test_rng_float_bounds;
           tc "bool probability" test_rng_bool_probability;
