@@ -931,18 +931,11 @@ let serve_cmd =
     in
     Arg.(value & opt string default_listen & info [ "listen" ] ~docv:"ADDR" ~doc)
   in
-  let max_pending_arg =
-    let doc =
-      "Per-connection bound on decoded-but-unanswered requests (the \
-       pipelining backpressure limit)."
-    in
-    Arg.(value & opt int 32 & info [ "max-pending" ] ~docv:"N" ~doc)
-  in
   let access_log_arg =
     let doc =
       "Write one JSON object per served request to $(docv) ($(b,-) = \
        stdout): timestamp, request id, peer, kind, per-stage durations, \
-       outcome, bytes, warm/cold, queue depth at admission."
+       outcome, bytes, warm/cold."
     in
     Arg.(
       value
@@ -956,14 +949,14 @@ let serve_cmd =
     in
     Arg.(value & opt int 1 & info [ "access-log-sample" ] ~docv:"N" ~doc)
   in
-  let run jobs store_dir listen max_pending access_log access_log_sample =
+  let run jobs store_dir listen access_log access_log_sample =
     let o = resolve_options ?jobs ?store_dir () in
     let addr = parse_addr listen in
     let store = Option.map open_store o.Core.Context.Options.store_dir in
     let server =
       try
-        Serve.Server.create ~max_pending ~jobs:o.Core.Context.Options.jobs
-          ?store ?access_log ~access_log_sample ~listen:addr ()
+        Serve.Server.create ~jobs:o.Core.Context.Options.jobs ?store
+          ?access_log ~access_log_sample ~listen:addr ()
       with
       | Failure msg | Invalid_argument msg ->
           Printf.eprintf "loclab serve: %s\n" msg;
@@ -994,8 +987,8 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ jobs_arg $ store_arg $ listen_arg $ max_pending_arg
-      $ access_log_arg $ access_sample_arg)
+      const run $ jobs_arg $ store_arg $ listen_arg $ access_log_arg
+      $ access_sample_arg)
 
 let client_cmd =
   let connect_arg =
@@ -1293,17 +1286,14 @@ let render_top ~addr_text ~status ~metrics_text b =
                 (Option.bind (member "p99_us" s) to_float_opt))))
       stages
   end;
-  let queues = list_at [ "connections"; "queues" ] in
   line "";
   line "connections (%d open)" (int_at [ "connections"; "open" ] 0);
   List.iter
     (fun c ->
-      line "  cid %-4d peer %-21s pending %d"
+      line "  cid %-4d peer %s"
         (Option.value ~default:0 (Option.bind (member "cid" c) to_int_opt))
-        (Option.value ~default:"?" (Option.bind (member "peer" c) to_string_opt))
-        (Option.value ~default:0
-           (Option.bind (member "pending" c) to_int_opt)))
-    queues;
+        (Option.value ~default:"?" (Option.bind (member "peer" c) to_string_opt)))
+    (list_at [ "connections"; "peers" ]);
   (match list_at [ "single_flight" ] with
   | [] -> ()
   | keys ->
@@ -1389,9 +1379,9 @@ let top_cmd =
     "Live terminal view of a running $(b,loclab serve): polls \
      $(b,/status) and $(b,/metrics) over the server's plain-HTTP side \
      and renders RED counters, latency and per-stage quantiles, open \
-     connections and queue depths, in-flight single-flight keys and the \
-     slowest requests.  $(b,--once) prints a single snapshot (for \
-     scripts and CI)."
+     connections, in-flight single-flight keys and the slowest \
+     requests.  $(b,--once) prints a single snapshot (for scripts and \
+     CI)."
   in
   Cmd.v (Cmd.info "top" ~doc)
     Term.(const run $ connect_arg $ interval_arg $ once_arg)

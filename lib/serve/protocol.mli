@@ -90,7 +90,7 @@ type error_code =
   | Bad_request  (** Undecodable or ill-typed request payload. *)
   | Unknown_key  (** Unknown program / allocator / experiment id. *)
   | Unsupported_version  (** Client spoke a protocol version we don't. *)
-  | Overloaded  (** Server shedding load (shutdown, or queue refusal). *)
+  | Overloaded  (** Server shedding load (a request read after shutdown). *)
   | Internal  (** The handler itself failed; details in the message. *)
 
 val error_code_to_string : error_code -> string

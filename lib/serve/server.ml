@@ -1,18 +1,20 @@
 (* The loclab simulation service.
 
-   One accept loop; per connection, a reader thread (frame decode) and
-   a handler thread (execution + replies) joined by a bounded queue —
-   the queue bound is the backpressure: a client that pipelines faster
-   than the server drains simply blocks in the kernel once the queue
-   and socket buffers fill.  Simulation work is parked on the shared
-   Exec.Pool via async/await, so CPU runs on worker domains while the
-   (I/O-bound) connection threads multiplex; identical concurrent cold
-   requests are deduplicated to one simulation by a single-flight table
-   keyed by the cell digest.
+   One accept loop; per connection, one thread that reads a frame,
+   decodes it, executes it and writes the reply, then reads the next.
+   One request is in flight per connection, so pipelined requests are
+   answered in order and the kernel socket buffers are the
+   backpressure: a client that pipelines faster than the server
+   answers simply blocks once they fill.  A failed read (a peer reset)
+   ends the connection quietly.  Simulation work is parked on the
+   shared Exec.Pool via async/await, so CPU runs on worker domains
+   while the (I/O-bound) connection threads multiplex; identical
+   concurrent cold requests are deduplicated to one simulation by a
+   single-flight table keyed by the cell digest.
 
    Every request carries a Telemetry.Rctx from the frame read to the
-   reply write: the reader stamps read_frame/decode and adopts (or
-   mints) the request id, the handler and the execution helpers stamp
+   reply write: the connection thread stamps read_frame/decode and
+   adopts (or mints) the request id, the execution helpers stamp
    store_lookup / simulate / single_flight_wait / encode / write_reply,
    and finish fans the result out to the per-stage histograms, the
    slow-request table, the span ring, and — when configured — the
@@ -93,81 +95,7 @@ let observe_stage (s : Rctx.stage) =
 (* Everything around the payload: magic, length word, CRC word. *)
 let frame_overhead = String.length Protocol.magic + 16
 
-(* ---- bounded per-connection queue ----------------------------------- *)
-
-type queue_item =
-  | Handle of Protocol.request * Protocol.trace_context option * Rctx.t
-  | Refuse of Protocol.error_code * string * Rctx.t
-      (** Reply with a typed error without executing anything. *)
-
-type conn = {
-  cid : int;
-  fd : Unix.file_descr;
-  peer : string;
-  q : queue_item Queue.t;
-  qmu : Mutex.t;
-  not_full : Condition.t;
-  not_empty : Condition.t;
-  max_pending : int;
-  mutable qclosed : bool;  (* reader finished; handler drains and exits *)
-  mutable dead : bool;  (* write side failed; both sides stop *)
-}
-
-(* Returns the queue depth at admission (0 = handler was idle) — the
-   congestion signal the access log records per request. *)
-let enqueue conn item =
-  Mutex.lock conn.qmu;
-  while Queue.length conn.q >= conn.max_pending && not conn.dead do
-    Condition.wait conn.not_full conn.qmu
-  done;
-  let depth =
-    if conn.dead then 0
-    else begin
-      let depth = Queue.length conn.q in
-      Queue.add item conn.q;
-      Condition.signal conn.not_empty;
-      depth
-    end
-  in
-  Mutex.unlock conn.qmu;
-  depth
-
-let queue_depth conn =
-  Mutex.lock conn.qmu;
-  let d = Queue.length conn.q in
-  Mutex.unlock conn.qmu;
-  d
-
-let close_queue conn =
-  Mutex.lock conn.qmu;
-  conn.qclosed <- true;
-  Condition.broadcast conn.not_empty;
-  Mutex.unlock conn.qmu
-
-let dequeue conn =
-  Mutex.lock conn.qmu;
-  while Queue.is_empty conn.q && not conn.qclosed && not conn.dead do
-    Condition.wait conn.not_empty conn.qmu
-  done;
-  let item =
-    if conn.dead || Queue.is_empty conn.q then None
-    else begin
-      let item = Queue.take conn.q in
-      Condition.signal conn.not_full;
-      Some item
-    end
-  in
-  Mutex.unlock conn.qmu;
-  item
-
-let kill_conn conn =
-  Mutex.lock conn.qmu;
-  conn.dead <- true;
-  Condition.broadcast conn.not_empty;
-  Condition.broadcast conn.not_full;
-  Mutex.unlock conn.qmu;
-  (* Wake a reader blocked in [read]. *)
-  try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+type conn = { cid : int; fd : Unix.file_descr; peer : string }
 
 (* ---- access log ----------------------------------------------------- *)
 
@@ -202,7 +130,6 @@ type t = {
   sock_path : string option;  (* AF_UNIX path to unlink on shutdown *)
   store : Store.t option;
   pool : Exec.Pool.t;
-  max_pending : int;
   server_version : string;
   started : float;
   access : access option;
@@ -222,8 +149,6 @@ type t = {
   inflight : int Atomic.t;
   open_conns : int Atomic.t;
 }
-
-let default_max_pending = 32
 
 let resolve_host host =
   match Unix.inet_addr_of_string host with
@@ -250,11 +175,8 @@ let clear_stale_unix_socket path =
     try Unix.unlink path with Unix.Unix_error _ -> ()
   end
 
-let create ?(server_version = "loclab/1.0.0")
-    ?(max_pending = default_max_pending) ?(jobs = 1) ?store ?access_log
+let create ?(server_version = "loclab/1.0.0") ?(jobs = 1) ?store ?access_log
     ?(access_log_sample = 1) ?(slow_capacity = 8) ~listen:requested () =
-  if max_pending < 1 then
-    invalid_arg "Serve.Server.create: max_pending must be >= 1";
   (* A dead client mid-write must surface as EPIPE, not kill the
      process. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -292,7 +214,6 @@ let create ?(server_version = "loclab/1.0.0")
     sock_path;
     store;
     pool = Exec.Pool.create ~jobs;
-    max_pending;
     server_version;
     started = Unix.gettimeofday ();
     access;
@@ -401,7 +322,7 @@ let single_flight t rctx key compute =
 
 (* Every cell request, synthetic or ingested, ends here.  Warm: the
    store's payload, accepted by Core's validated read, straight from
-   the handler thread.  Cold: a single-flighted call into Core's
+   the connection thread.  Cold: a single-flighted call into Core's
    resolve, whose own validated read answers a flight that lands after
    another one filled the store; a simulated artifact is written
    through, and Artifact.encode is exactly what the store persists, so
@@ -508,134 +429,113 @@ let execute t rctx (req : Protocol.request) : Protocol.response =
       Protocol.Error
         { code = Protocol.Internal; message = Printexc.to_string e }
 
-(* ---- connection threads --------------------------------------------- *)
+(* ---- the binary protocol -------------------------------------------- *)
 
-let send_response t conn rctx ?trace resp =
+(* Account for, encode and write one reply, then seal its context into
+   the histograms and the access log.  [false] when the write failed:
+   the peer is gone and the connection ends. *)
+let reply t conn rctx ~kind ?trace resp =
+  Metrics.Counter.inc (Metrics.Counter.labels m_requests [ kind ]);
   (match resp with
   | Protocol.Error { code; _ } ->
+      let code = Protocol.error_code_to_string code in
+      Rctx.set_outcome rctx code;
       Atomic.incr t.errors;
-      Metrics.Counter.inc
-        (Metrics.Counter.labels m_errors
-           [ Protocol.error_code_to_string code ])
-  | _ -> ());
+      Metrics.Counter.inc (Metrics.Counter.labels m_errors [ code ])
+  | _ -> Rctx.set_outcome rctx "ok");
   Atomic.incr t.requests;
+  (* Echo the trace context — with the adopted (possibly re-minted) id —
+     to version-2 requesters only; version-1 clients get version-1
+     bytes. *)
+  let echo =
+    Option.map
+      (fun (tc : Protocol.trace_context) ->
+        { tc with Protocol.trace_id = Rctx.id rctx })
+      trace
+  in
   let payload =
-    Rctx.stage rctx "encode" (fun () -> Protocol.encode_response ?trace resp)
+    Rctx.stage rctx "encode" (fun () ->
+        Protocol.encode_response ?trace:echo resp)
   in
   Rctx.add_bytes_out rctx (String.length payload + frame_overhead);
-  try Rctx.stage rctx "write_reply" (fun () ->
+  let sent =
+    match
+      Rctx.stage rctx "write_reply" (fun () ->
           Protocol.write_frame conn.fd payload)
-  with Unix.Unix_error _ | Sys_error _ -> kill_conn conn
-
-let handler_loop t conn =
-  let rec go () =
-    match dequeue conn with
-    | None -> ()
-    | Some item ->
-        Atomic.incr t.inflight;
-        let kind, resp, trace, rctx =
-          match item with
-          | Refuse (code, message, rctx) ->
-              ("refused", Protocol.Error { code; message }, None, rctx)
-          | Handle (req, trace, rctx) ->
-              (Protocol.request_kind req, execute t rctx req, trace, rctx)
-        in
-        Atomic.decr t.inflight;
-        Metrics.Counter.inc (Metrics.Counter.labels m_requests [ kind ]);
-        Rctx.set_outcome rctx
-          (match resp with
-          | Protocol.Error { code; _ } -> Protocol.error_code_to_string code
-          | _ -> "ok");
-        (* Echo the trace context — with the adopted (possibly
-           re-minted) id — to version-2 requesters only; version-1
-           clients get version-1 bytes. *)
-        let echo =
-          Option.map
-            (fun (tc : Protocol.trace_context) ->
-              { tc with Protocol.trace_id = Rctx.id rctx })
-            trace
-        in
-        send_response t conn rctx ?trace:echo resp;
-        let fin = Rctx.finish rctx in
-        Metrics.Histogram.observe h_duration (int_of_float fin.Rctx.total_us);
-        List.iter observe_stage fin.Rctx.stages;
-        let force =
-          match trace with
-          | Some tc ->
-              tc.Protocol.trace_flags land Protocol.flag_force_sample <> 0
-          | None -> false
-        in
-        access_log_write t ~force fin;
-        go ()
+    with
+    | () -> true
+    | exception (Unix.Unix_error _ | Sys_error _) -> false
   in
-  go ()
-
-let reader_loop t conn ~first =
-  (* Stamp the pre-context stages (the id isn't known until decode) and
-     hand the context to the handler through the queue — the mutex
-     gives the happens-before the Rctx ownership contract needs. *)
-  let admit rctx item =
-    let depth = enqueue conn item in
-    Rctx.set_queue_depth rctx depth
+  let fin = Rctx.finish rctx in
+  Metrics.Histogram.observe h_duration (int_of_float fin.Rctx.total_us);
+  List.iter observe_stage fin.Rctx.stages;
+  let force =
+    match trace with
+    | Some tc -> tc.Protocol.trace_flags land Protocol.flag_force_sample <> 0
+    | None -> false
   in
-  let refuse ?(read_span = None) code reason =
+  access_log_write t ~force fin;
+  sent
+
+(* Read a frame, decode it, execute it, write the reply, read the next:
+   one request in flight per connection, answered in arrival order.  A
+   pipelining client is held back by the kernel socket buffers. *)
+let serve_binary t conn ~first =
+  let refuse ~r0 ~r1 code message =
     let rctx = Rctx.create ~kind:"refused" ~peer:conn.peer () in
-    (match read_span with
-    | Some (start_us, dur_us) ->
-        Rctx.record_stage rctx "read_frame" ~start_us ~dur_us
-    | None -> ());
-    admit rctx (Refuse (code, reason, rctx))
+    Rctx.record_stage rctx "read_frame" ~start_us:r0 ~dur_us:(r1 -. r0);
+    reply t conn rctx ~kind:"refused" (Protocol.Error { code; message })
   in
   let rec go first =
-    if not conn.dead then begin
-      let r0 = Telemetry.Span.now_us () in
-      match Protocol.read_frame ~first conn.fd with
-      | Result.Ok None -> () (* clean EOF *)
-      | Result.Error reason ->
-          (* A torn or garbage frame leaves the stream unsynchronised:
-             answer with a typed error, then stop reading. *)
-          refuse
-            ~read_span:(Some (r0, Telemetry.Span.now_us () -. r0))
-            Protocol.Bad_request reason
-      | Result.Ok (Some payload) -> (
-          let r1 = Telemetry.Span.now_us () in
-          let decoded = Protocol.decode_request payload in
-          let r2 = Telemetry.Span.now_us () in
-          match decoded with
-          | Result.Error (Protocol.Unsupported v) ->
-              (* The frame was sound — only the payload version is
-                 foreign — so the stream is still synchronised and the
-                 connection survives. *)
-              refuse
-                ~read_span:(Some (r0, r1 -. r0))
-                Protocol.Unsupported_version
+    let r0 = Telemetry.Span.now_us () in
+    match Protocol.read_frame ~first conn.fd with
+    | Result.Ok None -> () (* clean EOF *)
+    | Result.Error reason ->
+        (* A torn or garbage frame leaves the stream unsynchronised:
+           answer with a typed error, then stop reading. *)
+        ignore
+          (refuse ~r0 ~r1:(Telemetry.Span.now_us ()) Protocol.Bad_request
+             reason)
+    | Result.Ok (Some payload) -> (
+        let r1 = Telemetry.Span.now_us () in
+        let decoded = Protocol.decode_request payload in
+        let r2 = Telemetry.Span.now_us () in
+        match decoded with
+        | Result.Error (Protocol.Unsupported v) ->
+            (* The frame was sound — only the payload version is
+               foreign — so the stream is still synchronised and the
+               connection survives. *)
+            if
+              refuse ~r0 ~r1 Protocol.Unsupported_version
                 (Printf.sprintf
                    "this server speaks protocol versions %d-%d, not %d"
-                   Protocol.min_version Protocol.version v);
-              go ""
-          | Result.Error (Protocol.Malformed msg) ->
-              refuse ~read_span:(Some (r0, r1 -. r0)) Protocol.Bad_request msg;
-              go ""
-          | Result.Ok (req, trace) ->
-              let rctx =
-                Rctx.create
-                  ?id:(Option.map (fun tc -> tc.Protocol.trace_id) trace)
-                  ~kind:(Protocol.request_kind req) ~peer:conn.peer ()
-              in
-              Rctx.record_stage rctx "read_frame" ~start_us:r0
-                ~dur_us:(r1 -. r0);
-              Rctx.record_stage rctx "decode" ~start_us:r1 ~dur_us:(r2 -. r1);
-              Rctx.add_bytes_in rctx (String.length payload + frame_overhead);
-              if Atomic.get t.stopping then
-                admit rctx
-                  (Refuse
-                     (Protocol.Overloaded, "server is shutting down", rctx))
-                (* and stop: drain what was accepted, refuse the rest *)
-              else begin
-                admit rctx (Handle (req, trace, rctx));
-                go ""
-              end)
-    end
+                   Protocol.min_version Protocol.version v)
+            then go ""
+        | Result.Error (Protocol.Malformed msg) ->
+            if refuse ~r0 ~r1 Protocol.Bad_request msg then go ""
+        | Result.Ok (req, trace) ->
+            let kind = Protocol.request_kind req in
+            let rctx =
+              Rctx.create
+                ?id:(Option.map (fun tc -> tc.Protocol.trace_id) trace)
+                ~kind ~peer:conn.peer ()
+            in
+            Rctx.record_stage rctx "read_frame" ~start_us:r0 ~dur_us:(r1 -. r0);
+            Rctx.record_stage rctx "decode" ~start_us:r1 ~dur_us:(r2 -. r1);
+            Rctx.add_bytes_in rctx (String.length payload + frame_overhead);
+            if Atomic.get t.stopping then
+              (* and stop: the drain finishes accepted work only *)
+              ignore
+                (reply t conn rctx ~kind:"refused"
+                   (Protocol.Error
+                      { code = Protocol.Overloaded;
+                        message = "server is shutting down" }))
+            else begin
+              Atomic.incr t.inflight;
+              let resp = execute t rctx req in
+              Atomic.decr t.inflight;
+              if reply t conn rctx ~kind ?trace resp then go ""
+            end)
   in
   go first
 
@@ -673,7 +573,7 @@ let contains_blank_line s =
 (* The live-introspection document behind GET /status: everything a
    dashboard needs in one scrape, rendered from the same counters the
    binary Stats request reads plus the request-scoped state (per-stage
-   quantiles, slowest requests, per-connection queue depths, in-flight
+   quantiles, slowest requests, open connections, in-flight
    single-flight keys). *)
 let status_json t =
   let stats = stats t in
@@ -692,16 +592,14 @@ let status_json t =
                  ("p99_us", Export.Float (q h 0.99)) ]))
       h_stages
   in
-  let queues =
+  let peers =
     Mutex.lock t.conns_mu;
     let conns = t.conns in
     Mutex.unlock t.conns_mu;
     List.rev_map
       (fun (c, _) ->
         Export.Obj
-          [ ("cid", Export.Int c.cid);
-            ("peer", Export.String c.peer);
-            ("pending", Export.Int (queue_depth c)) ])
+          [ ("cid", Export.Int c.cid); ("peer", Export.String c.peer) ])
       conns
   in
   let single_flight =
@@ -755,7 +653,7 @@ let status_json t =
          ( "connections",
            Export.Obj
              [ ("open", Export.Int stats.Protocol.connections);
-               ("queues", Export.List queues) ] );
+               ("peers", Export.List peers) ] );
          ("single_flight", Export.List single_flight);
          ("slow_requests", Export.List slow);
          ( "spans",
@@ -826,10 +724,9 @@ let serve_http t conn ~first =
 
 (* ---- connection lifecycle ------------------------------------------- *)
 
-(* Each connection starts as one thread that sniffs the first bytes: an
-   HTTP method prefix means plain HTTP (answered inline, then close);
-   anything else is treated as the binary protocol — the thread becomes
-   the reader and spawns its handler twin. *)
+(* Each connection is one thread that sniffs the first bytes: an HTTP
+   method prefix means plain HTTP (answered, then close); anything else
+   is treated as the binary protocol. *)
 let sniff_bytes = 4
 
 (* The 4-byte prefixes of the HTTP methods worth answering (GET with a
@@ -864,41 +761,26 @@ let conn_main t conn =
           | n -> sniff (off + n)
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> sniff off
       in
-      match sniff 0 with
-      | None -> () (* connected and left *)
-      | Some first when List.mem first http_prefixes ->
-          serve_http t conn ~first
-      | Some first ->
-          let handler = Thread.create (fun () -> handler_loop t conn) () in
-          reader_loop t conn ~first;
-          close_queue conn;
-          Thread.join handler)
+      try
+        match sniff 0 with
+        | None -> () (* connected and left *)
+        | Some first when List.mem first http_prefixes ->
+            serve_http t conn ~first
+        | Some first -> serve_binary t conn ~first
+      with Unix.Unix_error _ ->
+        (* A read failed — typically ECONNRESET from a peer that closed
+           with a reply unread: the connection is over. *)
+        ())
 
 let accept_conn t fd =
-  let conn =
-    Mutex.lock t.conns_mu;
-    let cid = t.next_cid in
-    t.next_cid <- cid + 1;
-    let conn =
-      { cid;
-        fd;
-        peer = peer_string fd;
-        q = Queue.create ();
-        qmu = Mutex.create ();
-        not_full = Condition.create ();
-        not_empty = Condition.create ();
-        max_pending = t.max_pending;
-        qclosed = false;
-        dead = false }
-    in
-    let thread = Thread.create (fun () -> conn_main t conn) () in
-    t.conns <- (conn, thread) :: t.conns;
-    Mutex.unlock t.conns_mu;
-    conn
-  in
-  ignore conn;
   Atomic.incr t.open_conns;
-  Metrics.Gauge.add g_connections 1
+  Metrics.Gauge.add g_connections 1;
+  Mutex.lock t.conns_mu;
+  let conn = { cid = t.next_cid; fd; peer = peer_string fd } in
+  t.next_cid <- conn.cid + 1;
+  let thread = Thread.create (fun () -> conn_main t conn) () in
+  t.conns <- (conn, thread) :: t.conns;
+  Mutex.unlock t.conns_mu
 
 (* ---- accept loop, shutdown ------------------------------------------ *)
 
@@ -909,9 +791,9 @@ let shutdown t =
   Atomic.set t.stopping true
 
 let drain_and_close t =
-  (* Stop reading on every open connection: readers see EOF, handlers
-     drain what was already queued, write the replies, and exit —
-     accepted work completes, nothing new enters. *)
+  (* Stop reading on every open connection: a thread blocked in a read
+     sees EOF, a thread executing a request writes its reply and then
+     sees EOF — accepted work completes, nothing new enters. *)
   Mutex.lock t.conns_mu;
   let conns = t.conns in
   Mutex.unlock t.conns_mu;

@@ -1,14 +1,16 @@
 (** The loclab simulation service: an accept loop answering
     {!Protocol} requests over AF_UNIX or TCP.
 
-    Per connection, a reader thread decodes frames into a {e bounded}
-    queue drained by a handler thread — the bound is the backpressure:
-    a client pipelining faster than the server drains blocks once the
-    queue (and the kernel socket buffers) fill.  Simulation work is
-    parked on a shared {!Exec.Pool} via [async]/[await], so CPU runs on
-    worker domains while connection threads multiplex I/O; identical
+    One thread per connection reads a frame, decodes it, executes it
+    and writes the reply before it reads the next, so pipelined
+    requests are answered in order and the kernel socket buffers are
+    the backpressure: a client pipelining faster than the server
+    answers blocks once they fill.  Simulation work is parked on a
+    shared {!Exec.Pool} via [async]/[await], so CPU runs on worker
+    domains while connection threads multiplex I/O; identical
     concurrent cold requests are collapsed to one simulation by a
-    single-flight table keyed by the cell digest.
+    single-flight table keyed by the cell digest.  A connection whose
+    read fails (a peer reset) ends quietly.
 
     Cell requests are answered from the persistent store when warm (the
     reply carries the store's verified payload bytes themselves) and
@@ -17,7 +19,7 @@
     persists exactly [Core.Artifact.encode].
 
     {b Request-scoped tracing.}  Every request is tracked by a
-    {!Telemetry.Rctx}: the reader stamps [read_frame]/[decode] and
+    {!Telemetry.Rctx}: the connection thread stamps [read_frame]/[decode] and
     adopts the client's request id (or mints one), the execution path
     stamps [parse]/[store_lookup]/[simulate]/[single_flight_wait], and
     the reply path stamps [encode]/[write_reply].  Completed requests
@@ -28,7 +30,7 @@
     The same port also answers plain [GET /metrics] (Prometheus text),
     [GET /health], and [GET /status] (a JSON introspection document:
     versions, RED counters, latency and per-stage quantiles,
-    per-connection queue depths, the single-flight table, the slowest
+    open connections, the single-flight table, the slowest
     requests), so a scraper, [loclab top] or a shell needs no custom
     client: the first bytes of each connection decide HTTP versus the
     binary protocol.  Non-GET HTTP methods get a [405], unknown paths a
@@ -38,7 +40,6 @@ type t
 
 val create :
   ?server_version:string ->
-  ?max_pending:int ->
   ?jobs:int ->
   ?store:Store.t ->
   ?access_log:string ->
@@ -48,9 +49,8 @@ val create :
   unit ->
   t
 (** Bind and listen (the socket accepts from the moment [create]
-    returns; {!run} starts answering).  [max_pending] (default 32)
-    bounds each connection's decoded-but-unanswered requests; [jobs]
-    (default 1) sizes the worker-domain pool.  [access_log] names the
+    returns; {!run} starts answering).  [jobs] (default 1) sizes the
+    worker-domain pool.  [access_log] names the
     JSON-lines access-log destination ([-] = stdout; absent = no log);
     [access_log_sample] (default 1) writes every Nth request — a
     request whose trace context sets {!Protocol.flag_force_sample} is
@@ -61,16 +61,16 @@ val create :
     and ignores [SIGPIPE] (process-wide).
     @raise Unix.Unix_error when binding fails,
     @raise Failure when the unix socket is already being served,
-    @raise Invalid_argument when [max_pending < 1] or
-    [access_log_sample < 1]. *)
+    @raise Invalid_argument when [access_log_sample < 1]. *)
 
 val listen_addr : t -> Protocol.addr
 (** The bound address — for [Tcp] with port 0, the real port. *)
 
 val run : t -> unit
 (** Accept and answer until {!shutdown}, then drain: open connections
-    stop reading, already-accepted requests complete and their replies
-    are written, worker domains and connection threads are joined, the
+    stop reading, a request already being executed completes and its
+    reply is written (a request read after the stop is answered
+    [Overloaded]), worker domains and connection threads are joined, the
     listen socket is closed, an AF_UNIX socket file unlinked and the
     access log closed (flushed, for stdout).  Blocks until the drain
     completes. *)

@@ -6,11 +6,11 @@
    accounting fields the access log and the slow-request table need.
 
    Concurrency contract: a context is owned by exactly one request's
-   execution path.  The reader thread that creates it hands it to the
-   handler thread through a mutex-guarded queue, and a single-flight
-   leader may mutate it from the pool worker domain while the handler
-   blocks in [await] — both hand-offs give happens-before, so no field
-   needs its own lock.  Only [finish] touches shared state (the slow
+   execution path.  The connection thread that creates it reads,
+   executes and answers the request; a single-flight leader may mutate
+   it from the pool worker domain while that thread blocks in [await],
+   and the future gives happens-before, so no field needs its own
+   lock.  Only [finish] touches shared state (the slow
    ring, under its mutex, and the span ring, under its own).
 
    Like the rest of the telemetry stack it is disabled by default and
@@ -28,7 +28,6 @@ type finished = {
   warm : bool option;
   bytes_in : int;
   bytes_out : int;
-  queue_depth : int;
   wall_start : float;  (* Unix.gettimeofday at creation, seconds *)
   total_us : float;
   stages : stage list;  (* execution order *)
@@ -45,7 +44,6 @@ type t = {
   mutable rwarm : bool option;
   mutable rbytes_in : int;
   mutable rbytes_out : int;
-  mutable rqueue_depth : int;
   mutable rstages : stage list;  (* reverse execution order *)
 }
 
@@ -91,7 +89,6 @@ let create ?id ~kind ~peer () =
     rwarm = None;
     rbytes_in = 0;
     rbytes_out = 0;
-    rqueue_depth = 0;
     rstages = [] }
 
 let id t = t.rid
@@ -101,7 +98,6 @@ let set_outcome t outcome = t.routcome <- outcome
 let set_warm t warm = t.rwarm <- Some warm
 let add_bytes_in t n = t.rbytes_in <- t.rbytes_in + n
 let add_bytes_out t n = t.rbytes_out <- t.rbytes_out + n
-let set_queue_depth t d = t.rqueue_depth <- d
 
 let record_stage t name ~start_us ~dur_us =
   if !on then
@@ -215,7 +211,6 @@ let finish t =
       warm = t.rwarm;
       bytes_in = t.rbytes_in;
       bytes_out = t.rbytes_out;
-      queue_depth = t.rqueue_depth;
       wall_start = t.wall;
       total_us;
       stages = List.rev t.rstages }
@@ -267,5 +262,4 @@ let to_json fin =
         Obj (List.map (fun s -> (s.sname, Float s.sdur_us)) fin.stages) );
       ("warm", match fin.warm with None -> Null | Some b -> Bool b);
       ("bytes_in", Int fin.bytes_in);
-      ("bytes_out", Int fin.bytes_out);
-      ("queue_depth", Int fin.queue_depth) ]
+      ("bytes_out", Int fin.bytes_out) ]

@@ -5,10 +5,10 @@
     fields the access log and the slow-request table render.
 
     {b Ownership.}  A context belongs to exactly one request's
-    execution path; hand-offs between the reader thread, the handler
-    thread and a single-flight leader's pool worker all pass through
-    mutex-guarded queues or futures (happens-before), so fields need no
-    locks of their own.  Only {!finish} touches shared state — the
+    execution path: the connection thread that reads, executes and
+    answers the request, and a single-flight leader's pool worker,
+    reached through a future (happens-before), so fields need no locks
+    of their own.  Only {!finish} touches shared state — the
     {!Slow} ring and, when span tracing is on, the {!Span} ring.
 
     {b Cost.}  Disabled (the default), {!stage} runs its thunk
@@ -31,7 +31,6 @@ type finished = {
   warm : bool option;  (** Store hit? [None] when not a store-backed kind. *)
   bytes_in : int;
   bytes_out : int;
-  queue_depth : int;  (** Connection queue depth when admitted. *)
   wall_start : float;  (** [Unix.gettimeofday] at creation (seconds). *)
   total_us : float;
   stages : stage list;  (** Execution order. *)
@@ -61,15 +60,14 @@ val set_outcome : t -> string -> unit
 val set_warm : t -> bool -> unit
 val add_bytes_in : t -> int -> unit
 val add_bytes_out : t -> int -> unit
-val set_queue_depth : t -> int -> unit
 
 val stage : t -> string -> (unit -> 'a) -> 'a
 (** [stage t name f] times [f] and appends the stage (also when [f]
     raises; the exception is re-raised).  Disabled: runs [f] directly. *)
 
 val record_stage : t -> string -> start_us:float -> dur_us:float -> unit
-(** Append a stage measured elsewhere (the reader times [read_frame]
-    and [decode] before the context exists in its final home). *)
+(** Append a stage measured elsewhere (the server times [read_frame]
+    and [decode] before the request id is known). *)
 
 val finish : t -> finished
 (** Seal the context: computes the total, submits it to the {!Slow}
@@ -101,7 +99,7 @@ val to_json : finished -> Metrics.Export.json
 (** The access-log object: [ts] (ISO 8601, µs precision), [request_id],
     [peer], [kind], [cell] (or null), [outcome], [total_us], [stages]
     (object: name → µs), [warm] (bool or null), [bytes_in],
-    [bytes_out], [queue_depth]. *)
+    [bytes_out]. *)
 
 val iso8601 : float -> string
 (** Render seconds-since-epoch as [YYYY-MM-DDThh:mm:ss.uuuuuuZ]. *)

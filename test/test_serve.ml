@@ -587,8 +587,8 @@ let test_trace_propagation () =
                     (Serve.Client.error_to_string e));
               check_bool "no downgrade against our own server" false
                 (Serve.Client.downgraded c);
-              (* The handler thread writes the access-log line after the
-                 reply; a second request on the same connection
+              (* The connection thread writes the access-log line after
+                 the reply; a second request on the same connection
                  serializes behind it, so once this answers the first
                  line is on disk. *)
               ignore (rpc c P.Health));
@@ -838,7 +838,7 @@ let test_misfiled_payload_rejected () =
           check_string "ingest digest" trace_digest d;
           check_healed store ~digest:trace_digest reply))
 
-(* At jobs = 1 the pool runs a cold cell inline on the handler thread;
+(* At jobs = 1 the pool runs a cold cell inline on the connection thread;
    the single-flight lock must not be held meanwhile.  /status must
    answer while the cell is still simulating — before its simulation
    is counted — and list its digest. *)
@@ -1061,6 +1061,157 @@ let test_access_log_and_stages () =
           | _ -> Alcotest.fail "/status slow_requests is empty"))
 
 (* ------------------------------------------------------------------ *)
+(* One thread per connection                                          *)
+(* ------------------------------------------------------------------ *)
+
+let raw_connect sock =
+  let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  fd
+
+let read_reply fd =
+  match P.read_frame fd with
+  | Ok (Some payload) -> (
+      match P.decode_response payload with
+      | Ok (resp, trace) -> (payload, resp, trace)
+      | Error e ->
+          Alcotest.failf "undecodable reply: %s" (P.decode_error_to_string e))
+  | Ok None -> Alcotest.fail "EOF before the reply"
+  | Error e -> Alcotest.failf "torn reply: %s" e
+
+let task_count () = Array.length (Sys.readdir "/proc/self/task")
+
+(* A peer that closes with our reply unread resets the connection: the
+   server's next read fails with ECONNRESET.  That must end the
+   connection quietly and release its thread. *)
+let test_reset_releases_thread () =
+  with_server (fun ~sock ~store:_ server ->
+      let before = task_count () in
+      for _ = 1 to 20 do
+        let fd = raw_connect sock in
+        P.write_frame fd (P.encode_request P.Health);
+        (match Unix.select [ fd ] [] [] 5. with
+        | [], _, _ -> Alcotest.fail "no reply within 5 s"
+        | _ -> ());
+        Unix.close fd
+      done;
+      let deadline = Unix.gettimeofday () +. 2. in
+      let settled () =
+        task_count () <= before && (Serve.Server.stats server).P.connections = 0
+      in
+      while (not (settled ())) && Unix.gettimeofday () < deadline do
+        Thread.delay 0.01
+      done;
+      check_int "threads back to the count before the clients" before
+        (task_count ());
+      check_int "no open connections" 0
+        (Serve.Server.stats server).P.connections)
+
+(* Five requests written before any reply is read are answered in
+   order: v2 replies echo their ids, the v1 request gets v1 bytes, and
+   the warm repeat of a cold cell carries the same artifact bytes. *)
+let test_pipelined_in_order () =
+  with_server (fun ~sock ~store:_ _server ->
+      let fd = raw_connect sock in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let traced id = Some { P.trace_id = id; trace_flags = 0 } in
+          let cell =
+            P.Run_cell { program = "espresso"; allocator = "bsd"; scale = 0.01 }
+          in
+          let unknown =
+            P.Run_cell { program = "no-such"; allocator = "bsd"; scale = 0.01 }
+          in
+          List.iter
+            (fun (trace, req) ->
+              P.write_frame fd (P.encode_request ?trace req))
+            [ (traced "a1", P.Health); (traced "a2", cell);
+              (traced "a3", unknown); (None, P.Health); (traced "a5", cell) ];
+          let echoed id = function
+            | Some tc -> check_string "echoed id" id tc.P.trace_id
+            | None -> Alcotest.failf "reply %s has no trace context" id
+          in
+          let unexpected n r =
+            Alcotest.failf "reply %d: unexpected %s" n (P.encode_response r)
+          in
+          (match read_reply fd with
+          | _, P.Health_ok _, trace -> echoed "a1" trace
+          | _, r, _ -> unexpected 1 r);
+          let cold =
+            match read_reply fd with
+            | _, P.Cell_ok { artifact; _ }, trace ->
+                echoed "a2" trace;
+                artifact
+            | _, r, _ -> unexpected 2 r
+          in
+          (match read_reply fd with
+          | _, P.Error { code = P.Unknown_key; _ }, trace -> echoed "a3" trace
+          | _, r, _ -> unexpected 3 r);
+          (match read_reply fd with
+          | payload, P.Health_ok _, None ->
+              check_int "v1 request answered in v1" P.min_version
+                (Codec.Reader.int (Codec.Reader.of_string payload))
+          | _, P.Health_ok _, Some _ -> Alcotest.fail "v1 request drew a trace"
+          | _, r, _ -> unexpected 4 r);
+          match read_reply fd with
+          | _, P.Cell_ok { artifact; _ }, trace ->
+              echoed "a5" trace;
+              check_string "warm bytes = cold bytes" cold artifact
+          | _, r, _ -> unexpected 5 r))
+
+(* Shutdown during a cold cell drains: the reply is still written, the
+   connection then closes, and run returns. *)
+let test_shutdown_drains_cold_cell () =
+  let sock, store_dir = fresh_paths () in
+  let store = Store.open_ store_dir in
+  let server = Serve.Server.create ~jobs:1 ~store ~listen:(P.Unix_path sock) () in
+  let returned = Atomic.make false in
+  let runner =
+    Thread.create
+      (fun () ->
+        Serve.Server.run server;
+        Atomic.set returned true)
+      ()
+  in
+  let program, allocator, scale = ("gs-large", "firstfit", 0.05) in
+  let digest = cell_digest ~program ~allocator ~scale in
+  let fd = raw_connect sock in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close fd;
+      Serve.Server.shutdown server;
+      Thread.join runner)
+    (fun () ->
+      P.write_frame fd
+        (P.encode_request (P.Run_cell { program; allocator; scale }));
+      let replied () =
+        match Unix.select [ fd ] [] [] 0. with [], _, _ -> false | _ -> true
+      in
+      let rec in_flight () =
+        List.mem digest (fst (status_flights sock))
+        || ((not (replied ())) && (Thread.delay 0.002; in_flight ()))
+      in
+      check_bool "shutdown lands while the cold cell is in flight" true
+        (in_flight ());
+      Serve.Server.shutdown server;
+      (match read_reply fd with
+      | _, P.Cell_ok { digest = d; artifact }, _ -> (
+          check_string "reply digest" digest d;
+          match Store.find store ~digest with
+          | Store.Hit payload ->
+              check_string "reply = store payload" payload artifact
+          | Store.Miss -> Alcotest.fail "cell not written through"
+          | Store.Corrupt e -> Alcotest.failf "store corrupt: %s" e)
+      | _, r, _ -> Alcotest.failf "unexpected %s" (P.encode_response r));
+      check_bool "EOF after the drained reply" true (P.read_frame fd = Ok None);
+      let deadline = Unix.gettimeofday () +. 10. in
+      while (not (Atomic.get returned)) && Unix.gettimeofday () < deadline do
+        Thread.delay 0.01
+      done;
+      check_bool "run returned" true (Atomic.get returned))
+
+(* ------------------------------------------------------------------ *)
 (* Client receive timeout                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -1176,6 +1327,12 @@ let () =
           tc "concurrent cold requests simulate once" test_concurrent_single_flight;
           tc "second experiment request reads its derived cell"
             test_experiment_warm_from_store;
+        ] );
+      ( "connection",
+        [
+          tc "reset peers release their threads" test_reset_releases_thread;
+          tc "pipelined requests answered in order" test_pipelined_in_order;
+          tc "shutdown drains a cold cell" test_shutdown_drains_cold_cell;
         ] );
       ( "client",
         [ tc "receive timeout on a mute server" test_client_receive_timeout ] );

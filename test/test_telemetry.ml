@@ -468,7 +468,6 @@ let test_rctx_stages () =
   Rctx.set_warm t false;
   Rctx.add_bytes_in t 10;
   Rctx.add_bytes_out t 20;
-  Rctx.set_queue_depth t 3;
   let fin = Rctx.finish t in
   check_bool "stages in execution order" true
     (List.map (fun (s : Rctx.stage) -> s.sname) fin.stages
@@ -478,8 +477,7 @@ let test_rctx_stages () =
   check_bool "total covers the request" true (fin.total_us >= 0.);
   check_bool "warm carried" true (fin.warm = Some false);
   check_int "bytes in" 10 fin.bytes_in;
-  check_int "bytes out" 20 fin.bytes_out;
-  check_int "queue depth" 3 fin.queue_depth
+  check_int "bytes out" 20 fin.bytes_out
 
 let test_rctx_disabled_is_free () =
   Rctx.set_enabled false;
@@ -499,7 +497,6 @@ let fin_with ~id ~total_us : Rctx.finished =
     warm = None;
     bytes_in = 0;
     bytes_out = 0;
-    queue_depth = 0;
     wall_start = 0.;
     total_us;
     stages = [];
