@@ -7,7 +7,7 @@ let bin_of_size size =
   assert (size >= Boundary_tag.min_block);
   let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
   let b = log2 size 0 in
-  min b max_bin
+  Int.min b max_bin
 
 type t = {
   heap : Heap.t;

@@ -137,7 +137,7 @@ let create ?shard configs =
   let members = Array.of_list (List.map member configs) in
   let select p = Array.of_list (List.filter p (Array.to_list members)) in
   let dm = select (fun m -> m.assoc = 1) in
-  Array.stable_sort (fun a b -> compare a.set_mask b.set_mask) dm;
+  Array.stable_sort (fun a b -> Int.compare a.set_mask b.set_mask) dm;
   let sa = select (fun m -> m.assoc > 1) in
   let refresh =
     select (fun m -> m.assoc > 1 && Policy.State.hit_after_fill_changes m.policy)
@@ -151,7 +151,7 @@ let create ?shard configs =
            a contiguous range of small-member set indices is a union of
            whole sets in every member. *)
         let mask =
-          Array.fold_left (fun acc m -> min acc m.set_mask) max_int members
+          Array.fold_left (fun acc m -> Int.min acc m.set_mask) max_int members
         in
         let groups = mask + 1 in
         (mask, groups * i / n, groups * (i + 1) / n)
@@ -363,16 +363,38 @@ let sink_families fs =
 
 let sink t = sink_families [| t |]
 
-let flush t =
+(* Every member emptied and its replacement state forgotten; the dirty
+   blocks dropped are the caller's to count. *)
+let invalidate t =
   Array.iter
     (fun m ->
-      (* Flushing writes dirty blocks back. *)
-      Array.iter (fun w -> m.writebacks <- m.writebacks + (w land 1)) m.tags;
       Array.fill m.tags 0 (Array.length m.tags) invalid;
       Policy.State.reset m.policy)
     t.members;
   (* The last block is no longer resident: its next touch must probe. *)
   t.last_block <- -1
+
+let flush t =
+  (* Flushing writes dirty blocks back. *)
+  Array.iter
+    (fun m ->
+      Array.iter (fun w -> m.writebacks <- m.writebacks + (w land 1)) m.tags)
+    t.members;
+  invalidate t
+
+let reset t =
+  invalidate t;
+  Array.iter
+    (fun m ->
+      Array.fill m.miss 0 6 0;
+      m.writebacks <- 0)
+    t.members;
+  Array.fill t.acc 0 6 0;
+  t.cold_misses <- 0;
+  (* [clear] keeps the table's buckets for the next trace. *)
+  Memsim.Addr.Index_table.clear t.seen;
+  t.run_dirty <- false;
+  t.run_hit <- true
 
 let absorb t other =
   (* Merge another shard's counters into ours.  Only statistics move:

@@ -75,6 +75,14 @@ val flush : t -> unit
     forgets the replacement state; statistics and the cold-miss table
     are kept.  Models a context-switch cache flush. *)
 
+val reset : t -> unit
+(** Returns the family to its just-created state: every member empty
+    with its replacement state forgotten, every statistic zeroed and
+    the cold-miss table emptied.  Nothing is written back.  A reset
+    instance fed a trace reports exactly what a fresh one would, so
+    one family (and its storage) can serve several independent
+    traces. *)
+
 val absorb : t -> t -> unit
 (** [absorb t other] adds [other]'s counters (accesses, misses, cold
     misses, writebacks) into [t] — the merge step of sharded

@@ -125,6 +125,16 @@ let sink t (b : Memsim.Event.Batch.t) =
     done
   done
 
+let reset t =
+  let rec go nodes =
+    Array.iter
+      (fun node ->
+        Forest.reset node.sim;
+        go node.below)
+      nodes
+  in
+  go t.roots
+
 let results t =
   List.map
     (List.map (fun node -> (node.config, Forest.member_stats node.sim 0)))

@@ -32,6 +32,10 @@ val distinct_levels : t -> int
 
 val sink : t -> Memsim.Sink.t
 
+val reset : t -> unit
+(** {!Forest.reset} on every level: the hierarchy then reports what a
+    freshly created one would, whatever it was fed before. *)
+
 val results : t -> (Config.t * Stats.t) list list
 (** Per path, in creation order: every level outermost first, with its
     statistics; level [i]'s accesses are level [i-1]'s misses.  Their

@@ -18,7 +18,7 @@ let create configs =
   if configs = [] then invalid_arg "Cachesim.Multi.create: no configurations";
   let blocks =
     Array.of_list
-      (List.sort_uniq compare
+      (List.sort_uniq Int.compare
          (List.map (fun (c : Config.t) -> c.block_bytes) configs))
   in
   let family bb = List.filter (fun (c : Config.t) -> c.block_bytes = bb) configs in

@@ -188,7 +188,7 @@ module State = struct
         let base = set * s.assoc in
         let rec max_age w acc =
           if w >= s.assoc then acc
-          else max_age (w + 1) (max acc (age s.ages (base + w)))
+          else max_age (w + 1) (Int.max acc (age s.ages (base + w)))
         in
         let m = max_age 0 0 in
         if m < 3 then

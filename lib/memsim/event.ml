@@ -102,7 +102,7 @@ module Batch = struct
       ~meta:(Array.unsafe_get b.metas i)
 
   let of_events buf len =
-    let b = create ~capacity:(max 1 len) () in
+    let b = create ~capacity:(Int.max 1 len) () in
     for i = 0 to len - 1 do
       push_event b buf.(i)
     done;

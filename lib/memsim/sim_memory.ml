@@ -11,8 +11,11 @@
    Trace emission is packed and batched at the source: each access
    appends (addr, meta) to an internal {!Event.Batch} — two int stores,
    no [Event.t] record — which is delivered downstream as one sink call
-   per 256 events.  Anything observing the sink's state must {!flush}
-   first. *)
+   per 256 events.  A byte range's whole-word pieces are written
+   straight into the batch arrays, its room checked once per run of
+   pieces rather than once per word; deliveries still land on the same
+   fixed 256-event boundaries.  Anything observing the sink's state
+   must {!flush} first. *)
 
 let page_bits = 10
 let page_words = 1 lsl page_bits
@@ -123,18 +126,32 @@ let ranged t kbit a n =
   assert (n >= 0);
   if n > 0 then begin
     (* Word-grain events, as PIXIE traces are: first piece may be a
-       partial word, then whole words. *)
+       partial word, then whole words, then a partial last word. *)
     let w = Addr.word_bytes in
-    let first = min n (w - (a land (w - 1))) in
+    let first = Int.min n (w - (a land (w - 1))) in
     emit_packed t a ((first lsl 3) lor kbit);
     let pos = ref (a + first) in
-    let remaining = ref (n - first) in
-    while !remaining > 0 do
-      let piece = min w !remaining in
-      emit_packed t !pos ((piece lsl 3) lor kbit);
-      pos := !pos + piece;
-      remaining := !remaining - piece
-    done
+    let words = ref ((n - first) / w) in
+    (* The whole words go straight into the batch arrays, a run at a
+       time: [buf] starts at [batch_capacity] and is flushed whenever it
+       fills, so it never grows and its arrays have room for a run. *)
+    let meta = (w lsl 3) lor kbit lor t.src_bits in
+    while !words > 0 do
+      let b = t.buf in
+      let len = b.Event.Batch.len in
+      let run = Int.min !words (batch_capacity - len) in
+      let addrs = b.Event.Batch.addrs and metas = b.Event.Batch.metas in
+      for i = 0 to run - 1 do
+        Array.unsafe_set addrs (len + i) (!pos + (i * w));
+        Array.unsafe_set metas (len + i) meta
+      done;
+      b.Event.Batch.len <- len + run;
+      pos := !pos + (run * w);
+      words := !words - run;
+      if len + run = batch_capacity then flush t
+    done;
+    let tail = (n - first) land (w - 1) in
+    if tail > 0 then emit_packed t !pos ((tail lsl 3) lor kbit)
   end
 
 let read_bytes t a n = ranged t 0 a n

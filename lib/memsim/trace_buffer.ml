@@ -22,7 +22,7 @@ let create ?(chunk_capacity = default_chunk_capacity) () =
     chunks_rev = [];
     current =
       Event.Batch.create
-        ~capacity:(min chunk_capacity first_chunk_capacity) ();
+        ~capacity:(Int.min chunk_capacity first_chunk_capacity) ();
     total = 0 }
 
 let length t = t.total
@@ -31,7 +31,7 @@ let rotate t =
   t.chunks_rev <- t.current :: t.chunks_rev;
   t.current <-
     Event.Batch.create
-      ~capacity:(min t.chunk_capacity (2 * Event.Batch.capacity t.current))
+      ~capacity:(Int.min t.chunk_capacity (2 * Event.Batch.capacity t.current))
       ()
 
 (* The sink: copy each incoming batch into the buffer, rotating at
@@ -43,7 +43,7 @@ let sink t (src : Event.Batch.t) =
     let room = Event.Batch.capacity t.current - t.current.Event.Batch.len in
     if room = 0 then rotate t
     else begin
-      let n = min room !remaining in
+      let n = Int.min room !remaining in
       let cur = t.current in
       Array.blit src.Event.Batch.addrs !off cur.Event.Batch.addrs
         cur.Event.Batch.len n;

@@ -19,7 +19,7 @@ let add t i delta =
 let prefix_sum t i =
   if i < 0 then 0
   else begin
-    let i = ref (min i (t.n - 1) + 1) in
+    let i = ref (Int.min i (t.n - 1) + 1) in
     let sum = ref 0 in
     while !i > 0 do
       sum := !sum + t.tree.(!i);

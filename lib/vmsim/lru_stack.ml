@@ -32,7 +32,7 @@ let create ?(initial_capacity = 1024) () =
 let compact t =
   let entries =
     Table.fold (fun key time acc -> (time, key) :: acc) t.last []
-    |> List.sort compare
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
   let needed = List.length entries in
   let cap = 4 * (needed + 1) in
@@ -47,7 +47,7 @@ let compact t =
 
 let bump_hist t d =
   if d >= Array.length t.hist then begin
-    let bigger = Array.make (max (d + 1) (2 * Array.length t.hist)) 0 in
+    let bigger = Array.make (Int.max (d + 1) (2 * Array.length t.hist)) 0 in
     Array.blit t.hist 0 bigger 0 (Array.length t.hist);
     t.hist <- bigger
   end;

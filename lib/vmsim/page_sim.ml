@@ -48,7 +48,7 @@ let references t = t.references
 let distinct_pages t = Lru_stack.distinct t.stack
 
 let faults t ~memory_bytes =
-  let pages = max 1 (memory_bytes / t.page_bytes) in
+  let pages = Int.max 1 (memory_bytes / t.page_bytes) in
   Lru_stack.misses_at t.stack ~capacity:pages
 
 let fault_rate t ~memory_bytes =

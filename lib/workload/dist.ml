@@ -18,7 +18,7 @@ let create pairs =
     pairs;
   let items =
     Hashtbl.fold (fun v w acc -> (v, w) :: acc) merged []
-    |> List.sort compare
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
   let total = List.fold_left (fun acc (_, w) -> acc +. w) 0. items in
   let values = Array.of_list (List.map fst items) in
@@ -50,5 +50,5 @@ let weight_of t v = Option.value ~default:0. (List.assoc_opt v t.probs)
 
 let to_histogram t ~scale =
   List.map
-    (fun (v, p) -> (v, max 1 (int_of_float (p *. float_of_int scale))))
+    (fun (v, p) -> (v, Int.max 1 (int_of_float (p *. float_of_int scale))))
     t.probs

@@ -139,11 +139,11 @@ let run_with ?(sink = Memsim.Sink.null) ?(scale = 1.0)
   (* The application's global segment sits in the data segment (static
      region), below the heap. *)
   let globals = Heap.alloc_static heap p.Profile.global_bytes in
-  let hot_bytes = max 64 (p.Profile.global_bytes / 16) in
+  let hot_bytes = Int.max 64 (p.Profile.global_bytes / 16) in
   let alloc_prob = 1. /. p.Profile.alloc_every in
   (* Touch [bytes] of an object starting at a word-rounded offset. *)
   let touch o bytes write =
-    let bytes = max 4 (min bytes o.size) in
+    let bytes = Int.max 4 (Int.min bytes o.size) in
     let max_off = o.size - bytes in
     let off =
       if max_off <= 0 || Rng.bool rng 0.7 then 0
@@ -192,7 +192,7 @@ let run_with ?(sink = Memsim.Sink.null) ?(scale = 1.0)
               10. *. p.Profile.mortal_lifetime_mean
             else p.Profile.mortal_lifetime_mean
           in
-          Some (max 1 (int_of_float (Rng.exponential rng ~mean)))
+          Some (Int.max 1 (int_of_float (Rng.exponential rng ~mean)))
         end
       in
       let long =
@@ -215,7 +215,7 @@ let run_with ?(sink = Memsim.Sink.null) ?(scale = 1.0)
       recent.(!recent_cursor mod recent_window) <- o;
       incr recent_cursor;
       (* Initialisation writes. *)
-      touch o (min size p.Profile.init_touch_bytes) true;
+      touch o (Int.min size p.Profile.init_touch_bytes) true;
       (match life with
       | None -> retained := !retained + size
       | Some l -> Deaths.push deaths (step + l) o)
@@ -230,13 +230,13 @@ let run_with ?(sink = Memsim.Sink.null) ?(scale = 1.0)
       let o = Live.pick live rng in
       if (not o.dead) && o.size < p.Profile.realloc_cap then begin
         let bigger =
-          min p.Profile.realloc_cap (max (o.size + 4) (o.size * 2))
+          Int.min p.Profile.realloc_cap (Int.max (o.size + 4) (o.size * 2))
         in
         let fresh = Allocator.realloc alloc o.addr bigger in
         o.addr <- fresh;
         o.size <- bigger;
         (* The app initialises the grown tail. *)
-        touch o (min bigger p.Profile.init_touch_bytes) true
+        touch o (Int.min bigger p.Profile.init_touch_bytes) true
       end
     end;
     (* Heap references. *)
@@ -244,7 +244,7 @@ let run_with ?(sink = Memsim.Sink.null) ?(scale = 1.0)
       for _ = 1 to p.Profile.refs_per_step do
         let o =
           if Rng.bool rng p.Profile.recent_bias then begin
-            let upto = min !recent_cursor recent_window in
+            let upto = Int.min !recent_cursor recent_window in
             let cand = recent.((!recent_cursor - 1 - Rng.int rng upto + (2 * recent_window)) mod recent_window) in
             if cand.dead || cand.idx < 0 then Live.pick live rng else cand
           end

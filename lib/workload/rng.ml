@@ -4,7 +4,13 @@
    [Bytes.get/set_int64_ne]: a [mutable int64] field would box a fresh
    int64 on every draw.  The draws are inlined, so in a caller the
    intermediate int64s stay in registers and [int]/[float]/[bool]
-   allocate nothing. *)
+   allocate nothing.
+
+   [float] converts its 53 random bits through [int], not with
+   [Int64.to_float]: that is a C call ([caml_int64_to_float_unboxed])
+   on every draw, while [Float.of_int] is one instruction.  A 53-bit
+   value fits a 63-bit int and converts exactly either way, so the
+   draws are bit-identical. *)
 
 type t = Bytes.t
 
@@ -30,7 +36,9 @@ let[@inline] int t bound =
   r mod bound
 
 let[@inline] float t =
-  let r = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
+  let r =
+    Float.of_int (Int64.to_int (Int64.shift_right_logical (next_int64 t) 11))
+  in
   r /. 9007199254740992. (* 2^53 *)
 
 let[@inline] bool t p = float t < p
@@ -42,7 +50,7 @@ let geometric t p =
     let u = float t in
     (* Inverse transform; cap to keep pathological draws finite. *)
     let v = log1p (-.u) /. log1p (-.p) in
-    min 1_000_000 (int_of_float v)
+    Int.min 1_000_000 (int_of_float v)
   end
 
 let exponential t ~mean =

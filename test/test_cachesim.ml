@@ -767,6 +767,27 @@ let prop_forest_runs_and_flushes =
     (fun (configs, events, cuts) ->
       flushed_forest_matches_oracles configs events cuts)
 
+(* [reset] returns a family to its just-created state: after trace [a]
+   and a reset, trace [b] must give every member exactly what a fresh
+   family fed only [b] reports, every Stats field included, and what
+   its oracle reports.  [b] opens with [a]'s last event, so a reset
+   that kept the repeat fast path's last block would count a hit. *)
+let prop_forest_reset_is_fresh =
+  QCheck.Test.make ~name:"reset forest equals a fresh one" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         triple family_gen (Testkit.Gen.run_events_gen ())
+           (Testkit.Gen.run_events_gen ())))
+    (fun (configs, a, b) ->
+      let b = List.nth a (List.length a - 1) :: b in
+      let reused = Forest.create configs and fresh = Forest.create configs in
+      deliver ~grain:7 (Forest.sink reused) a;
+      Forest.reset reused;
+      deliver ~grain:7 (Forest.sink reused) b;
+      deliver ~grain:7 (Forest.sink fresh) b;
+      Forest.results reused = Forest.results fresh
+      && matches_oracles configs b (Forest.results reused))
+
 (* One path simulated on its own, naively: a chain of oracle caches,
    every block of a reference probing the first and each seeing only
    the blocks the one above missed, in its own block size. *)
@@ -1405,18 +1426,42 @@ let preset_events_gen =
     list_size (int_range 1 1500)
       (pair (pair bool (int_range 0 2)) (pair addr (int_range 1 130))))
 
+let presets_gen = QCheck.Gen.(list_size (int_range 1 6) (oneofl Cpu.all))
+
+let preset_paths cpus =
+  List.map
+    (fun (cpu : Cpu.t) ->
+      List.map (fun (l : Cpu.level) -> l.Cpu.config) cpu.Cpu.levels)
+    cpus
+
 let prop_trie_presets_match_oracle =
   QCheck.Test.make ~name:"preset subsets match oracle chains" ~count:60
-    (QCheck.make
-       QCheck.Gen.(
-         pair (list_size (int_range 1 6) (oneofl Cpu.all)) preset_events_gen))
+    (QCheck.make QCheck.Gen.(pair presets_gen preset_events_gen))
     (fun (cpus, raw) ->
-      trie_matches_oracle_chains
-        (List.map
-           (fun (cpu : Cpu.t) ->
-             List.map (fun (l : Cpu.level) -> l.Cpu.config) cpu.Cpu.levels)
-           cpus)
-        (events_of_raw raw))
+      trie_matches_oracle_chains (preset_paths cpus) (events_of_raw raw))
+
+(* The trie's [reset] resets every level: after trace [a] and a reset,
+   trace [b] (opening with [a]'s last event) must give every level of
+   every path what a fresh trie fed only [b] reports, and what the
+   path's oracle chain reports. *)
+let prop_trie_reset_is_fresh =
+  QCheck.Test.make ~name:"reset trie equals a fresh one" ~count:40
+    (QCheck.make
+       QCheck.Gen.(triple presets_gen preset_events_gen preset_events_gen))
+    (fun (cpus, a, b) ->
+      let paths = preset_paths cpus in
+      let a = events_of_raw a in
+      let b = List.nth a (List.length a - 1) :: events_of_raw b in
+      let reused = Hierarchy.create paths and fresh = Hierarchy.create paths in
+      deliver ~grain:13 (Hierarchy.sink reused) a;
+      Hierarchy.reset reused;
+      deliver ~grain:13 (Hierarchy.sink reused) b;
+      deliver ~grain:13 (Hierarchy.sink fresh) b;
+      let results = Hierarchy.results reused in
+      results = Hierarchy.results fresh
+      && List.for_all2
+           (fun configs path -> List.map snd path = oracle_chain configs b)
+           paths results)
 
 (* Small mixed-policy stacks: two candidate levels per depth, block
    sizes non-decreasing with depth, and each path picks a depth and one
@@ -1562,7 +1607,10 @@ let () =
           Alcotest.test_case "re-touch after a flush misses" `Quick
             test_forest_flush_retouch;
         ]
-        @ qsuite [ prop_forest_matches_caches; prop_forest_runs_and_flushes ] );
+        @ qsuite
+            [ prop_forest_matches_caches;
+              prop_forest_runs_and_flushes;
+              prop_forest_reset_is_fresh ] );
       ( "walk",
         [
           Alcotest.test_case "an event ending in a small block, then words"
@@ -1637,6 +1685,7 @@ let () =
             [
               prop_trie_presets_match_oracle;
               prop_trie_mixed_stacks_match_oracle;
+              prop_trie_reset_is_fresh;
             ] );
       ( "cpu",
         [

@@ -405,6 +405,24 @@ let test_flush_rows_match_independent_runs () =
         quanta)
     rows
 
+let test_tabcpu_one_hierarchy () =
+  (* tabcpu's six allocator passes share one CPU hierarchy, reset
+     between passes: a hierarchy over every preset is some 6 MB of tags
+     and policy state, and one per pass would allocate six of them. *)
+  let ctx = Core.Context.create ~scale:0.002 () in
+  let measure f =
+    let before = (Gc.quick_stat ()).Gc.major_words in
+    ignore (Sys.opaque_identity (f ()));
+    (Gc.quick_stat ()).Gc.major_words -. before
+  in
+  let one = measure (fun () -> Cachesim.Cpu.hierarchy Cachesim.Cpu.all) in
+  let grown = measure (fun () -> Core.Tables.tabcpu ctx) in
+  check_bool
+    (Printf.sprintf "major words grew by %.0f, budget %.0f (two hierarchies)"
+       grown (2. *. one))
+    true
+    (grown < 2. *. one)
+
 (* ------------------------------------------------------------------ *)
 (* Headline results (structural assertions at small scale)            *)
 (* ------------------------------------------------------------------ *)
@@ -632,6 +650,7 @@ let () =
             test_experiments_deterministic_across_contexts;
           tc "flush rows equal independent per-quantum runs"
             test_flush_rows_match_independent_runs;
+          tc "tabcpu allocates one hierarchy" test_tabcpu_one_hierarchy;
         ] );
       ( "options",
         [

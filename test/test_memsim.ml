@@ -755,6 +755,84 @@ let test_mem_internal_batching () =
   Sim_memory.flush m;
   check_int "new sink gets later events" 1 (Sink.Counter.total c2)
 
+(* One step of a random access program for {!Sim_memory}. *)
+type op =
+  | Load of int  (* word address *)
+  | Store of int
+  | Read of int * int  (* any start, 0..300 bytes *)
+  | Write of int * int
+  | Source of Event.source
+
+let op_gen =
+  QCheck.Gen.(
+    let word = int_range 1 4096 >|= fun w -> w * 4 in
+    let range = pair (int_range 1 16384) (int_bound 300) in
+    frequency
+      [ (2, word >|= fun a -> Load a);
+        (2, word >|= fun a -> Store a);
+        (4, range >|= fun (a, n) -> Read (a, n));
+        (4, range >|= fun (a, n) -> Write (a, n));
+        (1, int_range 0 2 >|= fun s -> Source (Testkit.Gen.source_of_int s)) ])
+
+(* The batches a reference emitter delivers for [ops]: it pushes one
+   word-grain event at a time (a range splits at every word boundary),
+   delivers every 256 events, and delivers the rest at the end. *)
+let reference_batches ops =
+  let batches = ref [] and pending = ref [] and count = ref 0 in
+  let push kind source addr size =
+    pending := (addr, Event.Packed.meta ~kind ~source ~size) :: !pending;
+    incr count;
+    if !count = 256 then begin
+      batches := List.rev !pending :: !batches;
+      pending := [];
+      count := 0
+    end
+  in
+  let rec range kind source a n =
+    if n > 0 then begin
+      let piece = Int.min n (Addr.word_bytes - (a mod Addr.word_bytes)) in
+      push kind source a piece;
+      range kind source (a + piece) (n - piece)
+    end
+  in
+  let source = ref Event.App in
+  List.iter
+    (function
+      | Load a -> push Event.Read !source a Addr.word_bytes
+      | Store a -> push Event.Write !source a Addr.word_bytes
+      | Read (a, n) -> range Event.Read !source a n
+      | Write (a, n) -> range Event.Write !source a n
+      | Source s -> source := s)
+    ops;
+  if !pending <> [] then batches := List.rev !pending :: !batches;
+  List.rev !batches
+
+let prop_mem_emission_matches_reference =
+  (* Sim_memory's deliveries, batch by batch: each batch's length and
+     its (addr, meta) pairs, in order. *)
+  QCheck.Test.make ~name:"sim_memory batches equal a word-at-a-time emitter"
+    ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 200) op_gen))
+    (fun ops ->
+      let got = ref [] in
+      let sink (b : Event.Batch.t) =
+        got :=
+          List.init b.Event.Batch.len (fun i ->
+              (b.Event.Batch.addrs.(i), b.Event.Batch.metas.(i)))
+          :: !got
+      in
+      let m = Sim_memory.create ~sink () in
+      List.iter
+        (function
+          | Load a -> ignore (Sim_memory.load m a)
+          | Store a -> Sim_memory.store m a 1
+          | Read (a, n) -> Sim_memory.read_bytes m a n
+          | Write (a, n) -> Sim_memory.write_bytes m a n
+          | Source s -> Sim_memory.set_source m s)
+        ops;
+      Sim_memory.flush m;
+      List.rev !got = reference_batches ops)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -848,5 +926,6 @@ let () =
         ]
         @ qsuite
             [ prop_packed_roundtrip;
-              prop_packed_counter_checksum_differential ] );
+              prop_packed_counter_checksum_differential;
+              prop_mem_emission_matches_reference ] );
     ]

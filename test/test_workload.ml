@@ -30,7 +30,21 @@ let test_rng_known_answer () =
   List.iter
     (fun expected ->
       Alcotest.(check int64) "SplitMix64 seed 0" expected (Rng.next_int64 rng))
-    [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL ]
+    [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL ];
+  (* [float] and [bool] draws, bit for bit: the workloads' probabilities
+     and lifetimes are decided by them. *)
+  let rng = Rng.create 0 in
+  List.iter
+    (fun expected ->
+      Alcotest.(check int64) "float bits, seed 0" expected
+        (Int64.bits_of_float (Rng.float rng)))
+    [ 0x3fec4415072f63b9L; 0x3fdb9e279aa86e58L; 0x3f9b117462002500L;
+      0x3fef1177150e4990L; 0x3fbb39896a51a870L; 0x3fd4f2e7c31d1fa8L;
+      0x3fc6414d5f0fa298L; 0x3fe8b082675922d5L ];
+  let rng = Rng.create 1 in
+  Alcotest.(check string) "bool 0.3, seed 1"
+    "0000000010000001000011011100100000100000001000010001000101000100"
+    (String.init 64 (fun _ -> if Rng.bool rng 0.3 then '1' else '0'))
 
 let test_rng_int_bounds () =
   let rng = Rng.create 1 in
