@@ -595,15 +595,11 @@ let record_cmd =
   let run scale program allocator out =
     let profile = check_cell ~program ~allocator in
     let scale = (resolve_options ?scale ()).Core.Context.Options.scale in
-    (* The allocator is built as the grid builds it, so a capture of
-       "custom" is the custom cell's stream. *)
-    let heap = Allocators.Heap.create () in
-    let alloc =
-      Core.Runs.build_allocator ~profile_key:program ~allocator heap
-    in
+    (* The driver builds the allocator as the grid does, so a capture
+       of "custom" is the custom cell's stream. *)
     let result =
       Memsim.Trace_file.record_to_file out (fun sink ->
-          Workload.Driver.run_with ~sink ~scale ~profile ~heap ~alloc ())
+          Workload.Driver.run ~sink ~scale ~profile ~allocator ())
     in
     Printf.printf "recorded %s events (%s, %s, scale %.2f) to %s\n"
       (Metrics.Table.fmt_int result.Workload.Driver.data_refs)
@@ -750,7 +746,7 @@ let profile_cell ~series ~scale ~window ~program ~allocator =
   Telemetry.Span.with_span ~cat:"cell" (program ^ "/" ^ allocator) @@ fun () ->
   let prof = Workload.Programs.find program in
   let heap = Allocators.Heap.create () in
-  let alloc = Core.Runs.build_allocator ~profile_key:program ~allocator heap in
+  let alloc = Workload.Driver.build_allocator ~profile:prof ~allocator heap in
   let multi = Cachesim.Multi.create Core.Runs.standard_configs in
   let pages = Vmsim.Page_sim.create () in
   let counter = Memsim.Sink.Counter.create () in

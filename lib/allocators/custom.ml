@@ -124,7 +124,6 @@ let check_invariants t =
     walk (Heap.peek t.heap t.heads.(c))
   done
 
-let size_map t = t.map
 let pool t = t.pool
 let raw_malloc = malloc
 let raw_free = free

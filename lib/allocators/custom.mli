@@ -32,7 +32,6 @@ val create_for :
 
 val allocator : t -> Allocator.t
 
-val size_map : t -> Size_map.t
 val pool : t -> Page_pool.t
 
 val free_count : t -> int -> int

@@ -197,11 +197,6 @@ let free_pages t addr =
   let len = load_aux t head in
   release_run t ~head ~len
 
-let free_page_count t =
-  Hashtbl.fold
-    (fun _ run acc -> match run with Sfree l -> acc + l | Sused _ -> acc)
-    t.shadow 0
-
 let used_page_count t =
   Hashtbl.fold
     (fun _ run acc -> match run with Sused l -> acc + l | Sfree _ -> acc)

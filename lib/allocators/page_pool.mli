@@ -74,7 +74,6 @@ val peek_aux : t -> int -> int
 
 (** {1 Inspection (untraced)} *)
 
-val free_page_count : t -> int
 val used_page_count : t -> int
 val check_invariants : t -> unit
 (** Verifies that runs tile the allocated heap, no two free runs are

@@ -71,26 +71,28 @@ let size_classes (ctx : Context.t) =
   ^ "\nExpected: BSD's crude rounding wastes the most space; measured\n\
      classes keep BSD-like speed with QuickFit-like fragmentation.\n"
 
-let associativity (ctx : Context.t) =
-  let series =
-    Series.create
-      ~title:
-        "Ablation: 16K cache associativity on GS-Large (conflict-miss \
-         content per allocator)"
-      ~x_label:"ways" ~y_label:"miss rate %"
-  in
+(* GS-Large's miss rate per allocator over named members of the cell's
+   sweep, each placed at [x]. *)
+let gs_large_sweep (ctx : Context.t) ~title ~x_label members =
+  let series = Series.create ~title ~x_label ~y_label:"miss rate %" in
   List.iter
     (fun (akey, alabel) ->
       let d = Runs.get ctx.Context.runs ~profile:"gs-large" ~allocator:akey in
-      let pts =
-        List.map
-          (fun (ways, name) ->
-            (float_of_int ways, 100. *. Artifact.miss_rate d ~cache:name))
-          [ (1, "16K-dm"); (2, "16K-2way"); (4, "16K-4way"); (8, "16K-8way") ]
-      in
-      Series.add series ~name:alabel pts)
+      Series.add series ~name:alabel
+        (List.map
+           (fun (x, name) ->
+             (float_of_int x, 100. *. Artifact.miss_rate d ~cache:name))
+           members))
     Context.with_custom;
   Series.render series
+
+let associativity ctx =
+  gs_large_sweep ctx
+    ~title:
+      "Ablation: 16K cache associativity on GS-Large (conflict-miss \
+       content per allocator)"
+    ~x_label:"ways"
+    [ (1, "16K-dm"); (2, "16K-2way"); (4, "16K-4way"); (8, "16K-8way") ]
   ^ "\nWilson (cited in 2.2) predicts associativity absorbs part of the\n\
      placement-induced conflicts; the allocator gap narrows with ways.\n"
 
@@ -124,27 +126,13 @@ let two_level (ctx : Context.t) =
     Context.with_custom;
   Table.render table
 
-let block_size (ctx : Context.t) =
-  let series =
-    Series.create
-      ~title:
-        "Extension: cache block size at 64K on GS-Large (hardware \
-         prefetch via multi-word lines, paper 4.2)"
-      ~x_label:"block bytes" ~y_label:"miss rate %"
-  in
-  List.iter
-    (fun (akey, alabel) ->
-      let d = Runs.get ctx.Context.runs ~profile:"gs-large" ~allocator:akey in
-      let pts =
-        List.map
-          (fun (b, name) ->
-            (float_of_int b, 100. *. Artifact.miss_rate d ~cache:name))
-          [ (16, "64K-b16"); (32, "64K-dm"); (64, "64K-b64");
-            (128, "64K-b128") ]
-      in
-      Series.add series ~name:alabel pts)
-    Context.with_custom;
-  Series.render series
+let block_size ctx =
+  gs_large_sweep ctx
+    ~title:
+      "Extension: cache block size at 64K on GS-Large (hardware \
+       prefetch via multi-word lines, paper 4.2)"
+    ~x_label:"block bytes"
+    [ (16, "64K-b16"); (32, "64K-dm"); (64, "64K-b64"); (128, "64K-b128") ]
   ^ "\nLarger blocks prefetch neighbouring objects (helping dense, re-used\n\
      layouts most) until conflict misses take over; tag-free allocators\n\
      gain more because prefetched words are object data, not metadata.\n"
@@ -262,58 +250,68 @@ let flush (ctx : Context.t) =
   ^ "\nThe paper's own numbers deliberately exclude flushes; frequent\n\
      flushes compress the allocator differences toward cold-start costs.\n"
 
-(* Each program's profiling pass trains the predictor, then each variant
-   runs once into a 16K/64K sweep; the passes are a derived cell. *)
+(* The QuickFit and GNU local rows are grid cells.  The derived cell holds
+   what the grid cannot run: per program a profiling pass trains the
+   predictor, then predictive and custom each run into a 16K/64K sweep. *)
 let lifetime_programs = [ ("gawk", "Gawk"); ("espresso", "Espresso") ]
 let lifetime_variants = [ "predictive"; "quickfit"; "custom"; "gnu-local" ]
+
+let lifetime_cells =
+  [ ("gawk", "quickfit"); ("gawk", "gnu-local"); ("espresso", "quickfit");
+    ("espresso", "gnu-local") ]
 
 let lifetime_configs =
   [ Cachesim.Config.make (16 * 1024); Cachesim.Config.make (64 * 1024) ]
 
-let lifetime_rows (ctx : Context.t) ~scale =
-  Runs.derive ctx.Context.runs ~id:"abl-lifetime" ~scale
-    ~inputs:
-      (Derived.inputs
-         [ ("programs",
-            List.map (fun (p, _) -> Derived.program p) lifetime_programs);
-           ("variants", lifetime_variants);
-           ("configs", List.map Derived.config lifetime_configs) ])
-  @@ fun () ->
-  List.concat_map
-    (fun (pkey, _) ->
-      let profile = Workload.Programs.find pkey in
-      (* Profiling pass, then the measured run with a trained table. *)
-      let predictions = Workload.Driver.train_predictor ~profile () in
-      let build variant heap =
-        if variant = "predictive" then
-          let p = Allocators.Predictive.create ~predictions heap in
-          ( Allocators.Predictive.allocator p,
-            Some (fun () -> Allocators.Predictive.arena_pages p) )
-        else
-          (Runs.build_allocator ~profile_key:pkey ~allocator:variant heap, None)
-      in
-      List.map
-        (fun variant ->
-          let multi = Cachesim.Multi.create lifetime_configs in
-          let heap = Allocators.Heap.create () in
-          let alloc, arena_pages = build variant heap in
-          let r =
-            Workload.Driver.run_with
-              ~sink:(Cachesim.Multi.sink multi)
-              ~scale ~profile ~heap ~alloc ()
-          in
-          Derived.row ~program:pkey ~variant
-            ?arena_pages:(Option.map (fun f -> f ()) arena_pages)
-            r
+let lifetime_rows (ctx : Context.t) =
+  let runs = ctx.Context.runs in
+  let scale = Runs.scale runs in
+  let driven =
+    Runs.derive runs ~id:"abl-lifetime" ~scale
+      ~inputs:
+        (Derived.inputs
+           [ ("programs",
+              List.map (fun (p, _) -> Derived.program p) lifetime_programs);
+             ("variants", [ "predictive"; "custom" ]);
+             ("configs", List.map Derived.config lifetime_configs) ])
+    @@ fun () ->
+    List.concat_map
+      (fun (pkey, _) ->
+        let profile = Workload.Programs.find pkey in
+        let row ?arena_pages variant r multi =
+          Derived.row ~program:pkey ~variant ?arena_pages r
             (List.map
                (fun ((c : Cachesim.Config.t), s) -> (c.name, s))
-               (Cachesim.Multi.results multi)))
-        lifetime_variants)
-    lifetime_programs
+               (Cachesim.Multi.results multi))
+        in
+        (* Profiling pass, then the measured run with a trained table. *)
+        let predictions = Workload.Driver.train_predictor ~profile () in
+        let heap = Allocators.Heap.create () in
+        let p = Allocators.Predictive.create ~predictions heap in
+        let alloc = Allocators.Predictive.allocator p in
+        let multi = Cachesim.Multi.create lifetime_configs in
+        let sink = Cachesim.Multi.sink multi in
+        let r = Workload.Driver.run_with ~sink ~scale ~profile ~heap ~alloc () in
+        let arena_pages = Allocators.Predictive.arena_pages p in
+        let predictive = row "predictive" ~arena_pages r multi in
+        let multi = Cachesim.Multi.create lifetime_configs in
+        let sink = Cachesim.Multi.sink multi in
+        let r =
+          Workload.Driver.run ~sink ~scale ~profile ~allocator:"custom" ()
+        in
+        [ predictive; row "custom" r multi ])
+      lifetime_programs
+  in
+  List.map
+    (fun (profile, allocator) ->
+      Derived.of_artifact ~variant:allocator
+        (Runs.get runs ~profile ~allocator))
+    lifetime_cells
+  @ driven
 
 let lifetime_prediction (ctx : Context.t) =
-  let scale = min 0.25 (Runs.scale ctx.Context.runs) in
-  let rows = lifetime_rows ctx ~scale in
+  let scale = Runs.scale ctx.Context.runs in
+  let rows = lifetime_rows ctx in
   let table =
     Table.create
       ~title:

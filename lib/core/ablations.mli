@@ -48,7 +48,11 @@ val lifetime_prediction : Context.t -> string
 (** The paper's §5.1 future work, realised: train a per-site lifetime
     predictor on a profiling run (Barrett & Zorn), then compare the
     {!Allocators.Predictive} allocator against QuickFit/Custom/GNU local
-    on churn-heavy programs. *)
+    on churn-heavy programs.  Only the predictive and custom rows and
+    their training passes are a derived cell; the rest are grid cells. *)
+
+val lifetime_cells : (string * string) list
+(** The grid cells {!lifetime_prediction} reads. *)
 
 val penalty_sweep : Context.t -> string
 (** Total-time crossover between QuickFit and GNU local as the miss

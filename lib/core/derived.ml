@@ -1,4 +1,4 @@
-let schema_version = 1
+let schema_version = 2
 
 type row = {
   program : string;
@@ -27,6 +27,17 @@ let row ~program ~variant ?arena_pages (r : Workload.Driver.result) stats =
     heap_used = r.heap_used;
     arena_pages;
     stats }
+
+let of_artifact ~variant (a : Artifact.t) =
+  let s = a.summary in
+  { program = a.meta.program;
+    variant;
+    instructions = s.instructions;
+    allocator_instructions = s.malloc_instructions + s.free_instructions;
+    heap_used = s.heap_used;
+    arena_pages = None;
+    stats =
+      List.map (fun ((c : Cachesim.Config.t), st) -> (c.name, st)) a.caches }
 
 (* ---- content addressing -------------------------------------------- *)
 

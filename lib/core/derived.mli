@@ -1,13 +1,14 @@
 (** Derived cells: the integer rows behind the off-grid experiments.
 
-    [tabcpu], [abl-flush] and [abl-lifetime] drive their own simulations
-    instead of reading grid cells.  A derived cell stores what those
-    simulations observed — one {!row} per (program, variant) driver
-    pass, never rendered text — so the renderers in {!Tables} and
-    {!Ablations} are pure functions of it, and a warm store answers them
-    without simulating.  Render-time parameters (the [--cpu] preset
-    detailed, CPU latencies, the miss penalty) are not part of a derived
-    cell and never force a recompute.
+    [tabcpu], [abl-flush] and [abl-lifetime] need driver passes the grid
+    does not run; a row the grid holds is read off its cell
+    ({!of_artifact}).  A derived cell stores what those passes observed
+    — one {!row} per (program, variant) driver pass, never rendered
+    text — so the renderers in {!Tables} and {!Ablations} are pure
+    functions of it, and a warm store answers them without simulating.
+    Render-time parameters (the [--cpu] preset detailed, CPU latencies,
+    the miss penalty) are not part of a derived cell and never force a
+    recompute.
 
     A cell is addressed by the digest of its {!meta}: the experiment id,
     {!schema_version}, the effective scale and a canonical description
@@ -55,6 +56,10 @@ val row :
   (string * Cachesim.Stats.t) list ->
   row
 (** Distil one finished driver pass and its consumers' statistics. *)
+
+val of_artifact : variant:string -> Artifact.t -> row
+(** A grid cell's row: its instructions, malloc + free instructions,
+    heap, and every sweep member's statistics under its config name. *)
 
 (** {1 Content addressing} *)
 

@@ -153,7 +153,7 @@ let all =
     { id = "abl-lifetime";
       title = "Lifetime-prediction future work";
       paper_ref = "section 5.1 future work";
-      cells = [];  (* off-grid: its rows are a derived cell (Runs.derive) *)
+      cells = Ablations.lifetime_cells;
       render = Ablations.lifetime_prediction };
     { id = "abl-penalty";
       title = "Miss-penalty sweep extension";

@@ -8,9 +8,9 @@ type t = {
   cells : (string * string) list;
       (** The (profile, allocator) grid cells the renderer demands —
           the prefetch hint {!warm} feeds to {!Runs.prefetch}.  Empty
-          for static experiments and for the three off-grid experiments
-          ([tabcpu], [abl-flush], [abl-lifetime]), whose rows are a
-          derived cell resolved when they render ({!Runs.derive}). *)
+          for static experiments, [tabcpu] and [abl-flush]: their rows
+          are a derived cell ({!Runs.derive}).  [abl-lifetime] lists
+          the grid cells it reads beside its derived cell. *)
   render : Context.t -> string;
 }
 

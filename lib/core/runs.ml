@@ -241,19 +241,9 @@ let cell_error_message = function
   | Unknown_program p -> Printf.sprintf "unknown program %S" p
   | Unknown_allocator a -> Printf.sprintf "unknown allocator %S" a
 
-(* "custom" is the synthesized allocator: train its size classes on the
-   profile's own request mix, like CustoMalloc generating an allocator
-   for a measured program. *)
 let build_allocator ~profile_key ~allocator heap =
-  if allocator = "custom" then begin
-    let profile = Workload.Programs.find profile_key in
-    let histogram =
-      Workload.Dist.to_histogram profile.Workload.Profile.size_dist
-        ~scale:100_000
-    in
-    Allocators.Custom.allocator (Allocators.Custom.create_for ~histogram heap)
-  end
-  else Allocators.Registry.build allocator heap
+  Workload.Driver.build_allocator
+    ~profile:(Workload.Programs.find profile_key) ~allocator heap
 
 (* ---- the consumer set ----------------------------------------------- *)
 
@@ -283,16 +273,13 @@ let simulate feed =
 let run t ~profile ~allocator =
   Telemetry.Span.with_span ~cat:"cell" (profile ^ "/" ^ allocator) @@ fun () ->
   let prof = Workload.Programs.find profile in
-  let heap = Allocators.Heap.create () in
-  let alloc = build_allocator ~profile_key:profile ~allocator heap in
   let checksum = Memsim.Sink.Checksum.create () in
   let result, o =
     simulate (fun sinks ->
         let sink =
           Memsim.Sink.fanout (sinks @ [ Memsim.Sink.Checksum.sink checksum ])
         in
-        Workload.Driver.run_with ~sink ~scale:t.scale ~profile:prof ~heap
-          ~alloc ())
+        Workload.Driver.run ~sink ~scale:t.scale ~profile:prof ~allocator ())
   in
   Artifact.of_run ~program:profile ~allocator ~scale:t.scale
     ~trace_checksum:(Memsim.Sink.Checksum.value checksum)

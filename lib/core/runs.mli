@@ -180,7 +180,5 @@ val standard_configs : Cachesim.Config.t list
 val build_allocator :
   profile_key:string -> allocator:string -> Allocators.Heap.t ->
   Allocators.Allocator.t
-(** Instantiate a registry allocator on [heap]; ["custom"] is trained
-    on the profile's size histogram (the CustoMalloc workflow).  Used
-    by the grid and by the modern-CPU ranking's derived cell, which
-    drives its own simulations. *)
+(** {!Workload.Driver.build_allocator} for a profile key: what a grid
+    cell's driver pass builds. *)

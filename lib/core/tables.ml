@@ -166,12 +166,8 @@ let cpu_rows (ctx : Context.t) ~scale ~cpus =
   List.map
     (fun akey ->
       Cachesim.Hierarchy.reset hier;
-      let heap = Allocators.Heap.create () in
-      let alloc =
-        Runs.build_allocator ~profile_key:cpu_program ~allocator:akey heap
-      in
       let sink = Cachesim.Hierarchy.sink hier in
-      let r = Workload.Driver.run_with ~sink ~scale ~profile ~heap ~alloc () in
+      let r = Workload.Driver.run ~sink ~scale ~profile ~allocator:akey () in
       Derived.row ~program:cpu_program ~variant:akey r
         (List.concat
            (List.map2

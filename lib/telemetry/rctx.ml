@@ -37,7 +37,7 @@ type t = {
   rid : string;
   wall : float;
   t0 : float;  (* Span.now_us at creation *)
-  mutable rkind : string;
+  rkind : string;
   mutable rpeer : string;
   mutable rcell : string;
   mutable routcome : string;
@@ -92,7 +92,6 @@ let create ?id ~kind ~peer () =
     rstages = [] }
 
 let id t = t.rid
-let set_kind t kind = t.rkind <- kind
 let set_cell t cell = t.rcell <- cell
 let set_outcome t outcome = t.routcome <- outcome
 let set_warm t warm = t.rwarm <- Some warm

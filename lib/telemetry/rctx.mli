@@ -54,7 +54,6 @@ val create : ?id:string -> kind:string -> peer:string -> unit -> t
 
 val id : t -> string
 
-val set_kind : t -> string -> unit
 val set_cell : t -> string -> unit
 val set_outcome : t -> string -> unit
 val set_warm : t -> bool -> unit

@@ -285,19 +285,35 @@ let run_with ?(sink = Memsim.Sink.null) ?(scale = 1.0)
     max_live_bytes = (Allocator.stats alloc).Alloc_stats.max_live_bytes;
     alloc_stats = Allocator.stats alloc }
 
+(* "custom" is the synthesized allocator: its size classes are trained
+   on the profile's own request mix, like CustoMalloc generating an
+   allocator for a measured program. *)
+let build_allocator ~profile ~allocator heap =
+  if allocator = "custom" then
+    let histogram =
+      Dist.to_histogram profile.Profile.size_dist ~scale:100_000
+    in
+    Custom.allocator (Custom.create_for ~histogram heap)
+  else Registry.build allocator heap
+
 let run ?sink ?scale ?heap_bytes ~profile ~allocator () =
   let heap = Heap.create ?heap_bytes () in
-  let alloc = Registry.build allocator heap in
+  let alloc = build_allocator ~profile ~allocator heap in
   run_with ?sink ?scale ~profile ~heap ~alloc ()
 
-let train_predictor ?(scale = 0.05) ~profile () =
+(* Fixed, not the measured run's scale: as in Barrett & Zorn, a program
+   is profiled once and its table serves every later input, so every
+   measured scale sees the same predictions. *)
+let training_scale = 0.05
+
+let train_predictor ~profile () =
   let trainer =
     Predictive.Trainer.create ~sites:profile.Profile.site_count
   in
   let heap = Heap.create () in
   let alloc = Registry.build "bsd" heap in
   let _r =
-    run_with ~scale
+    run_with ~scale:training_scale
       ~on_alloc:(fun ~site ~long ~size:_ ->
         Predictive.Trainer.observe trainer ~site ~long)
       ~profile ~heap ~alloc ()

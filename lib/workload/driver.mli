@@ -28,6 +28,12 @@ val allocator_fraction : result -> float
 (** Fraction of instructions spent in malloc/free — one bar of
     Figure 1. *)
 
+val build_allocator :
+  profile:Profile.t -> allocator:string -> Allocators.Heap.t ->
+  Allocators.Allocator.t
+(** Instantiate a registry allocator on [heap]; ["custom"] is trained
+    on [profile]'s size histogram (the CustoMalloc workflow). *)
+
 val run :
   ?sink:Memsim.Sink.t ->
   ?scale:float ->
@@ -37,7 +43,7 @@ val run :
   unit ->
   result
 (** Plays [profile] (at [scale], default 1.0) against the named
-    allocator (a {!Allocators.Registry} key).  Every data reference of
+    allocator, built by {!build_allocator}.  Every data reference of
     the run is delivered to [sink].  [scale] shrinks both the step count
     and the retained-heap target, so behaviour (lifetime mix, miss-rate
     regime) is approximately scale-invariant. *)
@@ -51,16 +57,16 @@ val run_with :
   alloc:Allocators.Allocator.t ->
   unit ->
   result
-(** Like {!run} on a caller-built heap/allocator pair (for custom
-    allocators trained on the profile's histogram).  [on_alloc] observes
-    every allocation's site and eventual lifetime class — the profiling
-    feed for {!Allocators.Predictive.Trainer}. *)
+(** Like {!run} on a caller-built heap/allocator pair (for allocators
+    the caller keeps a handle on, like {!Allocators.Predictive}).
+    [on_alloc] observes every allocation's site and eventual lifetime
+    class — the profiling feed for {!Allocators.Predictive.Trainer}. *)
+
+val training_scale : float
+(** The scale of every profiling pass (0.05), whatever the measured one. *)
 
 val train_predictor :
-  ?scale:float ->
-  profile:Profile.t ->
-  unit ->
-  Allocators.Predictive.prediction array
-(** Runs a profiling pass (default scale 0.05) and returns per-site
+  profile:Profile.t -> unit -> Allocators.Predictive.prediction array
+(** Runs a profiling pass at {!training_scale} and returns per-site
     lifetime predictions — the Barrett & Zorn workflow the paper's §5.1
     points at. *)

@@ -57,7 +57,3 @@ let exponential t ~mean =
   assert (mean > 0.);
   let u = float t in
   -.mean *. log1p (-.u)
-
-let pick t arr =
-  assert (Array.length arr > 0);
-  arr.(int t (Array.length arr))

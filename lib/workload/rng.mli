@@ -29,6 +29,3 @@ val geometric : t -> float -> int
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given positive mean. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)

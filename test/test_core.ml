@@ -179,6 +179,26 @@ let test_runs_custom_trained () =
     (Allocators.Alloc_stats.internal_fragmentation d.Core.Artifact.alloc_stats
     < 0.15)
 
+(* Every caller that names "custom" gets the grid's allocator, trained
+   on the profile's histogram: a bare driver pass replays the grid
+   cell's stream. *)
+let test_driver_custom_is_grid_custom () =
+  let d =
+    Core.Runs.get ctx.Core.Context.runs ~profile:"espresso" ~allocator:"custom"
+  in
+  let checksum = Memsim.Sink.Checksum.create () in
+  let r =
+    Workload.Driver.run
+      ~sink:(Memsim.Sink.Checksum.sink checksum)
+      ~scale:(Core.Runs.scale ctx.Core.Context.runs)
+      ~profile:(Workload.Programs.find "espresso")
+      ~allocator:"custom" ()
+  in
+  check_int "instructions" d.Core.Artifact.summary.Core.Artifact.instructions
+    r.Workload.Driver.instructions;
+  check_int "trace checksum" d.Core.Artifact.meta.Core.Artifact.trace_checksum
+    (Memsim.Sink.Checksum.value checksum)
+
 (* ------------------------------------------------------------------ *)
 (* External trace ingestion                                           *)
 (* ------------------------------------------------------------------ *)
@@ -605,6 +625,18 @@ let test_options_jobs_zero_means_per_core () =
 
 let tc name f = Alcotest.test_case name `Quick f
 
+(* An experiment's [cells] must name every grid cell its render reads:
+   a missing one is still simulated, lazily and on one domain, so no
+   rendering test notices.  After prefetching the hint, a render on a
+   fresh context simulates nothing more. *)
+let cells_cover_render (e : Core.Experiment.t) () =
+  let ctx = Core.Context.create ~scale:0.002 () in
+  let runs = ctx.Core.Context.runs in
+  Core.Runs.prefetch runs e.cells;
+  let before = Core.Runs.simulated runs in
+  ignore (e.render ctx);
+  check_int (e.id ^ ": cells the hint missed") before (Core.Runs.simulated runs)
+
 let () =
   Alcotest.run "core"
     [
@@ -624,6 +656,8 @@ let () =
           tc "check_cell validates keys" test_runs_check_cell;
           tc "cache_stats unknown name" test_runs_cache_stats_unknown;
           tc "custom trained" test_runs_custom_trained;
+          tc "driver custom is the grid's custom"
+            test_driver_custom_is_grid_custom;
         ] );
       ( "ingest",
         [
@@ -652,6 +686,10 @@ let () =
             test_flush_rows_match_independent_runs;
           tc "tabcpu allocates one hierarchy" test_tabcpu_one_hierarchy;
         ] );
+      ( "cells",
+        List.map
+          (fun (e : Core.Experiment.t) -> tc e.id (cells_cover_render e))
+          Core.Experiment.all );
       ( "options",
         [
           tc "defaults" test_options_defaults;

@@ -569,7 +569,19 @@ let test_derived_gc_and_heal () =
   check_int "cold render computed each derived cell" 3
     (Core.Runs.derived_computed cold);
   let derived = derived_namespace.locate (Store.open_ dir) in
-  check_int "grid namespace untouched" 0 (List.length (Store.ls (Store.open_ dir)));
+  (* abl-lifetime reads its QuickFit and GNU local rows from grid cells;
+     the grid namespace holds exactly those, and nothing else. *)
+  let cell (program, allocator) =
+    Core.Artifact.digest ~program ~allocator ~scale:0.01
+      ~seed:(Workload.Programs.find program).Workload.Profile.seed
+  in
+  Alcotest.(check (list string))
+    "grid namespace: abl-lifetime's cells"
+    (List.sort compare
+       (List.map cell
+          [ ("gawk", "quickfit"); ("gawk", "gnu-local");
+            ("espresso", "quickfit"); ("espresso", "gnu-local") ]))
+    (Store.ls (Store.open_ dir));
   let cells =
     List.map
       (fun digest ->
@@ -584,6 +596,13 @@ let test_derived_gc_and_heal () =
   let digest id = fst (List.assoc id cells) in
   let file id = Filename.concat (Store.root derived) (digest id ^ ".art") in
   let lifetime = snd (List.assoc "abl-lifetime" cells) in
+  Alcotest.(check (list (pair string string)))
+    "abl-lifetime keeps only the rows the grid cannot run"
+    [ ("gawk", "predictive"); ("gawk", "custom"); ("espresso", "predictive");
+      ("espresso", "custom") ]
+    (List.map
+       (fun (r : Core.Derived.row) -> (r.program, r.variant))
+       lifetime.Core.Derived.rows);
   (* Corrupt: a flipped byte fails the frame CRC. *)
   flip_byte (file "tabcpu") 20;
   (* Misfiled: another experiment's payload under abl-flush's digest. *)

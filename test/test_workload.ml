@@ -308,6 +308,33 @@ let test_driver_run_with_custom_allocator () =
   check_bool "low fragmentation on its training workload" true
     (Allocators.Alloc_stats.internal_fragmentation r.Driver.alloc_stats < 0.12)
 
+(* The trained table comes from the driver's own draws, never from the
+   allocator: a profiling pass under any registry allocator trains the
+   table [train_predictor] trains. *)
+let test_driver_training_allocator_independent () =
+  List.iter
+    (fun profile ->
+      let expected = Driver.train_predictor ~profile () in
+      List.iter
+        (fun (spec : Allocators.Registry.spec) ->
+          let trainer =
+            Allocators.Predictive.Trainer.create
+              ~sites:profile.Profile.site_count
+          in
+          let heap = Allocators.Heap.create () in
+          let alloc = spec.build heap in
+          ignore
+            (Driver.run_with ~scale:Driver.training_scale
+               ~on_alloc:(fun ~site ~long ~size:_ ->
+                 Allocators.Predictive.Trainer.observe trainer ~site ~long)
+               ~profile ~heap ~alloc ());
+          check_bool
+            (profile.Profile.key ^ " trained under " ^ spec.key)
+            true
+            (Allocators.Predictive.Trainer.finish trainer = expected))
+        Allocators.Registry.all)
+    [ Programs.gawk; Programs.espresso ]
+
 let test_driver_reallocs_happen () =
   let r = Driver.run ~scale:0.1 ~profile:Programs.gawk ~allocator:"bsd" () in
   let st = r.Driver.alloc_stats in
@@ -424,6 +451,8 @@ let () =
           tc "same workload across allocators"
             test_driver_same_workload_across_allocators;
           tc "run_with custom allocator" test_driver_run_with_custom_allocator;
+          tc "training table is allocator-independent"
+            test_driver_training_allocator_independent;
           tc "reallocs happen" test_driver_reallocs_happen;
           tc "allocator integrity after run"
             test_driver_allocator_integrity_after_run;
