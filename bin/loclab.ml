@@ -938,23 +938,16 @@ let serve_cmd =
       & opt (some string) None
       & info [ "access-log" ] ~docv:"PATH" ~doc)
   in
-  let access_sample_arg =
-    let doc =
-      "Write every $(docv)th access-log line (sampling for high QPS; \
-       requests traced with the force-sample flag are always written)."
-    in
-    Arg.(value & opt int 1 & info [ "access-log-sample" ] ~docv:"N" ~doc)
-  in
-  let run jobs store_dir listen access_log access_log_sample =
+  let run jobs store_dir listen access_log =
     let o = resolve_options ?jobs ?store_dir () in
     let addr = parse_addr listen in
     let store = Option.map open_store o.Core.Context.Options.store_dir in
     let server =
       try
         Serve.Server.create ~jobs:o.Core.Context.Options.jobs ?store
-          ?access_log ~access_log_sample ~listen:addr ()
+          ?access_log ~listen:addr ()
       with
-      | Failure msg | Invalid_argument msg ->
+      | Failure msg ->
           Printf.eprintf "loclab serve: %s\n" msg;
           exit 2
       | Unix.Unix_error (err, _, _) ->
@@ -983,8 +976,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ jobs_arg $ store_arg $ listen_arg $ access_log_arg
-      $ access_sample_arg)
+      const run $ jobs_arg $ store_arg $ listen_arg $ access_log_arg)
 
 let client_cmd =
   let connect_arg =
@@ -1000,8 +992,8 @@ let client_cmd =
   in
   let action_arg =
     let doc =
-      "$(b,health) | $(b,stats) | $(b,metrics) | $(b,cell) PROGRAM ALLOCATOR \
-       | $(b,experiment) ID | $(b,ingest) FILE [FORMAT]"
+      "$(b,health) | $(b,cell) PROGRAM ALLOCATOR | $(b,experiment) ID | \
+       $(b,ingest) FILE [FORMAT]"
     in
     Arg.(non_empty & pos_all string [] & info [] ~docv:"ACTION" ~doc)
   in
@@ -1026,48 +1018,23 @@ let client_cmd =
       & opt (some string) None
       & info [ "request-id" ] ~docv:"HEX" ~doc)
   in
-  let no_trace_arg =
-    let doc =
-      "Send a version-1 request without a trace context (as pre-tracing \
-       clients do)."
-    in
-    Arg.(value & flag & info [ "no-trace" ] ~doc)
-  in
-  let run scale connect out timeout request_id no_trace action =
+  let run scale connect out timeout request_id action =
     let o = resolve_options ?scale () in
     let scale = o.Core.Context.Options.scale in
     let addr = parse_addr connect in
     let timeout = if timeout > 0. then Some timeout else None in
-    let trace =
-      if no_trace then None
-      else begin
-        let trace_id =
-          match request_id with
-          | Some id when Telemetry.Rctx.valid_id id ->
-              String.lowercase_ascii id
-          | Some id ->
-              Printf.eprintf
-                "loclab client: bad request id %S (want 1-32 hex digits)\n" id;
-              exit 2
-          | None -> Telemetry.Rctx.fresh_id ()
-        in
-        (* One-shot interactive requests are always worth a log line;
-           ask the server to bypass access-log sampling. *)
-        Some
-          { Serve.Protocol.trace_id;
-            trace_flags = Serve.Protocol.flag_force_sample }
-      end
+    let rid =
+      match request_id with
+      | Some id when Telemetry.Rctx.valid_id id -> String.lowercase_ascii id
+      | Some id ->
+          Printf.eprintf
+            "loclab client: bad request id %S (want 1-32 hex digits)\n" id;
+          exit 2
+      | None -> Telemetry.Rctx.fresh_id ()
     in
-    (* The id goes to stderr so stdout stays the payload (digests,
-       metrics text, artifacts) scripts already parse. *)
-    (match trace with
-    | Some tc -> Printf.eprintf "request id %s\n%!" tc.Serve.Protocol.trace_id
-    | None -> ());
     let req =
       match action with
       | [ "health" ] -> Serve.Protocol.Health
-      | [ "stats" ] -> Serve.Protocol.Stats
-      | [ "metrics" ] -> Serve.Protocol.Metrics
       | [ "cell"; program; allocator ] ->
           Serve.Protocol.Run_cell { program; allocator; scale }
       | [ "experiment"; id ] -> Serve.Protocol.Run_experiment { id; scale }
@@ -1086,25 +1053,17 @@ let client_cmd =
           Serve.Protocol.Ingest { format; trace }
       | _ ->
           Printf.eprintf
-            "loclab client: expected health | stats | metrics | cell PROGRAM \
-             ALLOCATOR | experiment ID | ingest FILE [FORMAT]\n";
+            "loclab client: expected health | cell PROGRAM ALLOCATOR | \
+             experiment ID | ingest FILE [FORMAT]\n";
           exit 2
     in
+    (* The id goes to stderr so stdout stays the payload (digests,
+       reports, artifacts) scripts already parse. *)
+    Printf.eprintf "request id %s\n%!" rid;
     let reply =
       try
         Serve.Client.with_connection ?timeout addr (fun c ->
-            let r = Serve.Client.request_traced ?trace c req in
-            (match (trace, r) with
-            | Some sent, Ok (_, Some echoed)
-              when echoed.Serve.Protocol.trace_id
-                   <> sent.Serve.Protocol.trace_id ->
-                Printf.eprintf "request id adopted as %s\n%!"
-                  echoed.Serve.Protocol.trace_id
-            | Some _, _ when Serve.Client.downgraded c ->
-                Printf.eprintf
-                  "note: server predates request tracing; retried untraced\n%!"
-            | _ -> ());
-            Result.map fst r)
+            Serve.Client.request ~id:rid c req)
       with Unix.Unix_error (err, _, _) ->
         Printf.eprintf "loclab client: cannot connect to %s: %s\n"
           (Serve.Protocol.addr_to_string addr)
@@ -1123,21 +1082,7 @@ let client_cmd =
         exit 1
     | Ok (Serve.Protocol.Health_ok { server_version; protocol_version }) ->
         Printf.printf "ok: %s (protocol %d)\n" server_version protocol_version
-    | Ok (Serve.Protocol.Stats_ok s) ->
-        Printf.printf
-          "uptime        %.1fs\n\
-           connections   %d\n\
-           requests      %d (%d errors, %d in flight)\n\
-           cells         %d warm, %d simulated\n\
-           latency       p50 %.0fus, p99 %.0fus\n"
-          s.Serve.Protocol.uptime_seconds s.Serve.Protocol.connections
-          s.Serve.Protocol.requests s.Serve.Protocol.errors
-          s.Serve.Protocol.inflight s.Serve.Protocol.warm_cells
-          s.Serve.Protocol.simulated_cells s.Serve.Protocol.p50_us
-          s.Serve.Protocol.p99_us
-    | Ok (Serve.Protocol.Metrics_ok text) | Ok (Serve.Protocol.Report_ok text)
-      ->
-        print_string text
+    | Ok (Serve.Protocol.Report_ok text) -> print_string text
     | Ok (Serve.Protocol.Cell_ok { digest; artifact }) -> (
         Printf.printf "digest %s\n" digest;
         (match Core.Artifact.decode_meta artifact with
@@ -1156,17 +1101,19 @@ let client_cmd =
             Printf.printf "wrote %s\n" path)
   in
   let doc =
-    "Query a running $(b,loclab serve): health, stats, a metrics snapshot, \
-     one grid cell (printing its digest, optionally saving the artifact \
-     bytes), a rendered experiment, or an external trace ingestion.  \
+    "Query a running $(b,loclab serve): health, one grid cell (printing \
+     its digest, optionally saving the artifact bytes), a rendered \
+     experiment, or an external trace ingestion.  \
      Requests carry a generated (or $(b,--request-id)) trace id, printed \
      to stderr, that the server's access log, $(b,/status) slow-request \
-     table and span trace all key on."
+     table and span trace all key on.  Server counters and metrics are \
+     on $(b,loclab top) and the plain-HTTP $(b,/status) and \
+     $(b,/metrics)."
   in
   Cmd.v (Cmd.info "client" ~doc)
     Term.(
       const run $ scale_arg $ connect_arg $ out_arg $ timeout_arg
-      $ request_id_arg $ no_trace_arg $ action_arg)
+      $ request_id_arg $ action_arg)
 
 (* ---- top -------------------------------------------------------------- *)
 
@@ -1226,10 +1173,9 @@ let render_top ~addr_text ~status ~metrics_text b =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   line "loclab top — %s — %s" addr_text
     (Telemetry.Rctx.iso8601 (Unix.gettimeofday ()));
-  line "%s  protocol %d-%d  artifact schema %d  up %.1fs"
+  line "%s  protocol %d  artifact schema %d  up %.1fs"
     (str_at [ "server"; "version" ] "?")
-    (int_at [ "server"; "protocol_min" ] 0)
-    (int_at [ "server"; "protocol_max" ] 0)
+    (int_at [ "server"; "protocol" ] 0)
     (int_at [ "server"; "artifact_schema" ] 0)
     (float_at [ "server"; "uptime_seconds" ] 0.);
   line "";
@@ -1256,13 +1202,10 @@ let render_top ~addr_text ~status ~metrics_text b =
     (int_at [ "spans"; "dropped" ] 0);
   (match mem [ "access_log" ] status with
   | Some (Obj _ as a) ->
-      line "access    written %d  sampled_out %d  write_errors %d  (every %d)"
+      line "access    written %d  write_errors %d"
         (Option.value ~default:0 (Option.bind (member "written" a) to_int_opt))
         (Option.value ~default:0
-           (Option.bind (member "sampled_out" a) to_int_opt))
-        (Option.value ~default:0
            (Option.bind (member "write_errors" a) to_int_opt))
-        (Option.value ~default:1 (Option.bind (member "sample" a) to_int_opt))
   | _ -> ());
   let stages = list_at [ "stages" ] in
   if stages <> [] then begin

@@ -181,7 +181,7 @@ let flush_allocators =
 let quantum_name q = Printf.sprintf "flush-%d" q
 
 let flush_rows (ctx : Context.t) =
-  let scale = min 0.1 (Runs.scale ctx.Context.runs) in
+  let scale = Context.off_grid_scale ctx in
   let allocators = List.map fst flush_allocators in
   Runs.derive ctx.Context.runs ~id:"abl-flush" ~scale
     ~inputs:

@@ -129,6 +129,11 @@ let of_options (o : Options.t) =
       create ~scale:o.scale ~jobs:o.jobs ~store:(Store.open_ dir) ~model
         ~cpu:o.cpu ()
 
+(* tabcpu and abl-flush drive their own passes rather than read grid
+   cells; capping their scale keeps `loclab all` affordable at the
+   default scale of 0.25. *)
+let off_grid_scale t = Float.min 0.1 (Runs.scale t.runs)
+
 let five_programs =
   [ ("espresso", "Espresso"); ("gs-large", "GS"); ("ptc", "PTC");
     ("gawk", "Gawk"); ("make", "Make") ]

@@ -40,6 +40,10 @@ module Options : sig
   val default : t
   (** scale 0.25, penalty 25, jobs 1, no store, Skylake. *)
 
+  val check_scale : float -> (float, string) result
+  (** The one scale rule, (0, 4]: the CLI and the service both apply
+      it.  Rejects NaN. *)
+
   val build :
     ?getenv:(string -> string option) ->
     ?scale:float ->
@@ -65,6 +69,11 @@ val of_options : Options.t -> t
     absent) and instantiates the cost model with the resolved penalty.
     @raise Sys_error when the store path exists and is not a
     directory, or cannot be created. *)
+
+val off_grid_scale : t -> float
+(** The scale of the off-grid experiments that drive their own passes
+    (tabcpu, abl-flush): the context's scale capped at 0.1, which keeps
+    [loclab all] affordable at the default scale of 0.25. *)
 
 val five_programs : (string * string) list
 (** (profile key, paper label) for the five-program suite, in the

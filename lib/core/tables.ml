@@ -178,7 +178,7 @@ let cpu_rows (ctx : Context.t) ~scale ~cpus =
     allocators
 
 let tabcpu (ctx : Context.t) =
-  let scale = min 0.1 (Runs.scale ctx.Context.runs) in
+  let scale = Context.off_grid_scale ctx in
   let cpus = Cachesim.Cpu.all in
   let rows = cpu_rows ctx ~scale ~cpus in
   let level_stats (cpu : Cachesim.Cpu.t) row =

@@ -1,4 +1,4 @@
-type t = { fd : Unix.file_descr; mutable downgraded : bool }
+type t = { fd : Unix.file_descr }
 
 type error =
   | Timeout of float
@@ -39,7 +39,7 @@ let connect ?timeout addr =
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  { fd; downgraded = false }
+  { fd }
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
@@ -49,14 +49,14 @@ let timeout_of t =
   | _ -> 0.
   | exception Unix.Unix_error _ -> 0.
 
-let roundtrip t ?trace req =
+let request ?id t req =
   match
-    Protocol.write_frame t.fd (Protocol.encode_request ?trace req);
+    Protocol.write_frame t.fd (Protocol.encode_request ?id req);
     Protocol.read_frame t.fd
   with
   | Result.Ok (Some payload) -> (
       match Protocol.decode_response payload with
-      | Result.Ok (resp, rtrace) -> Result.Ok (resp, rtrace)
+      | Result.Ok (resp, _) -> Result.Ok resp
       | Result.Error e ->
           Result.Error (Transport (Protocol.decode_error_to_string e)))
   | Result.Ok None -> Result.Error Closed
@@ -65,23 +65,6 @@ let roundtrip t ?trace req =
       Result.Error (Timeout (timeout_of t))
   | exception Unix.Unix_error (err, _, _) ->
       Result.Error (Transport (Unix.error_message err))
-
-let request_traced ?trace t req =
-  let trace = if t.downgraded then None else trace in
-  match roundtrip t ?trace req with
-  | Result.Ok (Protocol.Error { code = Protocol.Unsupported_version; _ }, _)
-    when trace <> None ->
-      (* An old server refused the trace-carrying envelope; fall back
-         to version-1 bytes for the rest of this connection.  Requests
-         lose their ids, not their answers. *)
-      t.downgraded <- true;
-      roundtrip t req
-  | r -> r
-
-let downgraded t = t.downgraded
-
-let request ?trace t req =
-  Result.map fst (request_traced ?trace t req)
 
 let with_connection ?timeout addr f =
   let t = connect ?timeout addr in

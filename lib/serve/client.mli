@@ -25,29 +25,12 @@ val connect : ?timeout:float -> Protocol.addr -> t
 val close : t -> unit
 
 val request :
-  ?trace:Protocol.trace_context ->
-  t -> Protocol.request -> (Protocol.response, error) result
-(** One round trip.  [Error] covers transport failures, timeouts and
+  ?id:string -> t -> Protocol.request -> (Protocol.response, error) result
+(** One round trip under request id [id] (default [""]: the server
+    mints one).  [Error] covers transport failures, timeouts and
     undecodable replies; a server-side failure arrives as
     [Ok (Error _)] — the typed error response — not as [Error].  Never
-    raises.
-
-    With [trace], the request carries a version-2 trace context.  An
-    old server that answers [Unsupported_version] triggers one silent
-    retry without the context, and the connection remembers the
-    downgrade ({!downgraded}) — ids are lost, answers are not. *)
-
-val request_traced :
-  ?trace:Protocol.trace_context ->
-  t ->
-  Protocol.request ->
-  (Protocol.response * Protocol.trace_context option, error) result
-(** Like {!request} but also yields the server's echoed trace context
-    (carrying the adopted — possibly re-minted — request id). *)
-
-val downgraded : t -> bool
-(** Whether this connection fell back to version 1 after an
-    [Unsupported_version] answer to a traced request. *)
+    raises. *)
 
 val with_connection : ?timeout:float -> Protocol.addr -> (t -> 'a) -> 'a
 (** [with_connection addr f] connects, runs [f], and always closes. *)

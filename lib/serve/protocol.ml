@@ -3,16 +3,15 @@
    Requests and responses travel as CRC-guarded length-framed payloads
    (the same Store.Codec.Frame envelope the artifact store uses on
    disk, under a serve-specific magic), and the payloads themselves are
-   Store.Codec field sequences beginning with a protocol version.  A
-   frame is therefore self-checking end to end: truncation, garbage and
-   bit flips are detected before any typed decoding runs, and typed
-   decoding itself never raises — every failure is an [Error] the
-   server answers with a typed error response. *)
+   Store.Codec field sequences: protocol version, request id, tag,
+   fields.  A frame is therefore self-checking end to end: truncation,
+   garbage and bit flips are detected before any typed decoding runs,
+   and typed decoding itself never raises — every failure is an
+   [Error] the server answers with a typed error response. *)
 
 module Codec = Store.Codec
 
-let version = 2
-let min_version = 1
+let version = 3
 let magic = "LOCSRV1\n"
 
 (* Cap a frame well above any artifact or rendered report (the largest
@@ -57,32 +56,16 @@ let addr_of_string s =
             (Printf.sprintf "unknown address scheme %S (use unix: or tcp:)"
                other))
 
-(* ---- trace context -------------------------------------------------- *)
-
-(* Version 2's addition: an optional trace context ahead of the message
-   tag, carrying a client-chosen request id (hex, 1-32 digits — the
-   server adopts valid ids and mints otherwise) and a flags word.  Flag
-   bit 0 asks the server to log this request regardless of access-log
-   sampling. *)
-
-type trace_context = { trace_id : string; trace_flags : int }
-
-let flag_force_sample = 1
-
 (* ---- requests ------------------------------------------------------- *)
 
 type request =
   | Health
-  | Stats
-  | Metrics
   | Run_cell of { program : string; allocator : string; scale : float }
   | Run_experiment of { id : string; scale : float }
   | Ingest of { format : string; trace : string }
 
 let request_kind = function
   | Health -> "health"
-  | Stats -> "stats"
-  | Metrics -> "metrics"
   | Run_cell _ -> "cell"
   | Run_experiment _ -> "experiment"
   | Ingest _ -> "ingest"
@@ -118,22 +101,8 @@ let error_code_of_int = function
   | 5 -> Some Internal
   | _ -> None
 
-type stats = {
-  uptime_seconds : float;
-  connections : int;  (** Currently open protocol connections. *)
-  requests : int;  (** Requests answered since start (any outcome). *)
-  errors : int;  (** Requests answered with an [Error] response. *)
-  warm_cells : int;  (** Cell requests served straight from the store. *)
-  simulated_cells : int;  (** Cell requests that ran a simulation. *)
-  inflight : int;  (** Requests currently executing. *)
-  p50_us : float;  (** Request latency quantile estimates (microseconds), *)
-  p99_us : float;  (** from the serve duration histogram. *)
-}
-
 type response =
   | Health_ok of { server_version : string; protocol_version : int }
-  | Stats_ok of stats
-  | Metrics_ok of string  (** Prometheus text exposition. *)
   | Cell_ok of { digest : string; artifact : string }
       (** [artifact] is the versioned [Core.Artifact] encoding — the
           exact bytes the store persists for [digest]. *)
@@ -150,25 +119,17 @@ let decode_error_to_string = function
   | Unsupported v -> Printf.sprintf "unsupported protocol version %d" v
   | Malformed msg -> msg
 
-(* Version selection is by presence: a payload without a trace context
-   is encoded exactly as version 1 (byte-identical to what a v1 build
-   emits, so old servers keep answering untraced clients), and a trace
-   context forces version 2, where [flags] then [id] precede the tag. *)
-let write_envelope w trace =
-  match trace with
-  | None -> Codec.Writer.int w min_version
-  | Some { trace_id; trace_flags } ->
-      Codec.Writer.int w version;
-      Codec.Writer.int w trace_flags;
-      Codec.Writer.string w trace_id
+(* Every payload opens with the version and the request id; an empty
+   id asks the server to mint one. *)
+let write_envelope w id =
+  Codec.Writer.int w version;
+  Codec.Writer.string w id
 
-let encode_request ?trace req =
+let encode_request ?(id = "") req =
   let w = Codec.Writer.create () in
-  write_envelope w trace;
+  write_envelope w id;
   (match req with
   | Health -> Codec.Writer.int w 0
-  | Stats -> Codec.Writer.int w 1
-  | Metrics -> Codec.Writer.int w 2
   | Run_cell { program; allocator; scale } ->
       Codec.Writer.int w 3;
       Codec.Writer.string w program;
@@ -184,28 +145,20 @@ let encode_request ?trace req =
       Codec.Writer.string w trace);
   Codec.Writer.contents w
 
-(* Shared decode shell: version check, optional trace context, tag
-   dispatch, trailing-byte and truncation detection, never an
-   exception.  Yields the message together with the trace context
-   (None for version-1 payloads). *)
+(* Shared decode shell: version check, request id, tag dispatch,
+   trailing-byte and truncation detection, never an exception.  Yields
+   the message together with the request id. *)
 let decode_payload what payload read_tagged =
   let r = Codec.Reader.of_string payload in
   try
     let v = Codec.Reader.int r in
-    if v < min_version || v > version then Result.Error (Unsupported v)
+    if v <> version then Result.Error (Unsupported v)
     else begin
-      let trace =
-        if v >= 2 then begin
-          let trace_flags = Codec.Reader.int r in
-          let trace_id = Codec.Reader.string r in
-          Some { trace_id; trace_flags }
-        end
-        else None
-      in
+      let id = Codec.Reader.string r in
       let tag = Codec.Reader.int r in
       match read_tagged r tag with
       | Some value ->
-          if Codec.Reader.at_end r then Result.Ok (value, trace)
+          if Codec.Reader.at_end r then Result.Ok (value, id)
           else Result.Error (Malformed (what ^ " has trailing bytes"))
       | None ->
           Result.Error (Malformed (Printf.sprintf "unknown %s tag %d" what tag))
@@ -215,8 +168,6 @@ let decode_payload what payload read_tagged =
 let decode_request payload =
   decode_payload "request" payload (fun r -> function
     | 0 -> Some Health
-    | 1 -> Some Stats
-    | 2 -> Some Metrics
     | 3 ->
         let program = Codec.Reader.string r in
         let allocator = Codec.Reader.string r in
@@ -232,28 +183,14 @@ let decode_request payload =
         Some (Ingest { format; trace })
     | _ -> None)
 
-let encode_response ?trace resp =
+let encode_response ?(id = "") resp =
   let w = Codec.Writer.create () in
-  write_envelope w trace;
+  write_envelope w id;
   (match resp with
   | Health_ok { server_version; protocol_version } ->
       Codec.Writer.int w 0;
       Codec.Writer.string w server_version;
       Codec.Writer.int w protocol_version
-  | Stats_ok s ->
-      Codec.Writer.int w 1;
-      Codec.Writer.float w s.uptime_seconds;
-      Codec.Writer.int w s.connections;
-      Codec.Writer.int w s.requests;
-      Codec.Writer.int w s.errors;
-      Codec.Writer.int w s.warm_cells;
-      Codec.Writer.int w s.simulated_cells;
-      Codec.Writer.int w s.inflight;
-      Codec.Writer.float w s.p50_us;
-      Codec.Writer.float w s.p99_us
-  | Metrics_ok text ->
-      Codec.Writer.int w 2;
-      Codec.Writer.string w text
   | Cell_ok { digest; artifact } ->
       Codec.Writer.int w 3;
       Codec.Writer.string w digest;
@@ -273,21 +210,6 @@ let decode_response payload =
         let server_version = Codec.Reader.string r in
         let protocol_version = Codec.Reader.int r in
         Some (Health_ok { server_version; protocol_version })
-    | 1 ->
-        let uptime_seconds = Codec.Reader.float r in
-        let connections = Codec.Reader.int r in
-        let requests = Codec.Reader.int r in
-        let errors = Codec.Reader.int r in
-        let warm_cells = Codec.Reader.int r in
-        let simulated_cells = Codec.Reader.int r in
-        let inflight = Codec.Reader.int r in
-        let p50_us = Codec.Reader.float r in
-        let p99_us = Codec.Reader.float r in
-        Some
-          (Stats_ok
-             { uptime_seconds; connections; requests; errors; warm_cells;
-               simulated_cells; inflight; p50_us; p99_us })
-    | 2 -> Some (Metrics_ok (Codec.Reader.string r))
     | 3 ->
         let digest = Codec.Reader.string r in
         let artifact = Codec.Reader.string r in

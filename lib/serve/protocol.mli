@@ -11,27 +11,25 @@
     store's on-disk framing does, so truncation, garbage and bit flips
     are caught before any typed decoding runs.
 
-    {b Versioning.}  The payload itself begins with a protocol version
-    integer followed by a message tag.  This build speaks versions
-    {!min_version} (1) through {!version} (2); version 2 inserts an
-    optional {!trace_context} (flags word, then request-id string)
-    between the version and the tag.  Encoders pick the version by
-    presence: no trace context → version-1 bytes, byte-identical to a
-    v1 build's output, so untraced new clients interoperate with old
-    servers; a trace context → version 2.  A well-formed frame carrying
-    an unknown version decodes to [Error (Unsupported v)] — the server
-    answers it with a typed [Unsupported_version] error response
-    (itself version 1, which any client necessarily understands)
-    instead of dropping the connection, and {!Client} reacts by
-    retrying without the trace context.
+    {b Payload.}  Every payload is
+
+    {v
+    version (3) | request id | message tag | message fields
+    v}
+
+    The request id is a client-chosen hex string
+    ({!Telemetry.Rctx.valid_id}); an empty or invalid one asks the
+    server to mint one, and every reply carries the id the server
+    adopted.  {!version} is the only version this build speaks: a
+    well-formed frame carrying any other decodes to
+    [Error (Unsupported v)], which the server answers with a typed
+    [Unsupported_version] error response (itself version 3) instead of
+    dropping the connection.
 
     Decoding never raises: every malformed input is a typed [Error]. *)
 
 val version : int
-(** The newest protocol version this build speaks (2). *)
-
-val min_version : int
-(** The oldest protocol version this build still decodes (1). *)
+(** The one protocol version this build speaks (3). *)
 
 val magic : string
 (** The frame magic, ["LOCSRV1\n"]. *)
@@ -52,26 +50,10 @@ val addr_of_string : string -> (addr, string) result
 
 val addr_to_string : addr -> string
 
-(** {1 Trace context} *)
-
-type trace_context = {
-  trace_id : string;
-      (** Hex request id, 1–32 digits ({!Telemetry.Rctx.valid_id});
-          the server adopts valid ids and mints replacements for
-          invalid ones. *)
-  trace_flags : int;  (** Bit 0: {!flag_force_sample}. *)
-}
-
-val flag_force_sample : int
-(** Ask the server to write this request to the access log even when
-    sampling would skip it. *)
-
 (** {1 Messages} *)
 
 type request =
   | Health
-  | Stats
-  | Metrics
   | Run_cell of { program : string; allocator : string; scale : float }
       (** One grid cell: answered from the store when warm, simulated
           (and written through) when cold. *)
@@ -95,22 +77,8 @@ type error_code =
 
 val error_code_to_string : error_code -> string
 
-type stats = {
-  uptime_seconds : float;
-  connections : int;  (** Currently open protocol connections. *)
-  requests : int;  (** Requests answered since start (any outcome). *)
-  errors : int;  (** Requests answered with an [Error] response. *)
-  warm_cells : int;  (** Cell requests served straight from the store. *)
-  simulated_cells : int;  (** Cell requests that ran a simulation. *)
-  inflight : int;  (** Requests currently executing. *)
-  p50_us : float;  (** Request latency quantile estimates (microseconds), *)
-  p99_us : float;  (** from the serve duration histogram. *)
-}
-
 type response =
   | Health_ok of { server_version : string; protocol_version : int }
-  | Stats_ok of stats
-  | Metrics_ok of string  (** Prometheus text exposition. *)
   | Cell_ok of { digest : string; artifact : string }
       (** [artifact] is the versioned [Core.Artifact] encoding — the
           exact bytes the store persists for [digest]. *)
@@ -120,26 +88,22 @@ type response =
 (** {1 Payload codec} *)
 
 type decode_error =
-  | Unsupported of int  (** Well-formed frame from a future protocol. *)
+  | Unsupported of int  (** Well-formed frame of another protocol version. *)
   | Malformed of string
 
 val decode_error_to_string : decode_error -> string
 
-val encode_request : ?trace:trace_context -> request -> string
-(** Without [trace]: version-1 bytes (old servers decode them).  With
-    [trace]: version 2. *)
+val encode_request : ?id:string -> request -> string
+(** [id] (default [""]: the server mints one) is the request id. *)
 
-val decode_request :
-  string -> (request * trace_context option, decode_error) result
-(** Never raises: truncation, unknown tags and trailing bytes are all
-    [Malformed].  The context is [None] for version-1 payloads. *)
+val decode_request : string -> (request * string, decode_error) result
+(** The request and its id.  Never raises: truncation, unknown tags and
+    trailing bytes are all [Malformed]. *)
 
-val encode_response : ?trace:trace_context -> response -> string
-(** The server echoes the (possibly adopted) trace context back to
-    version-2 requesters and omits it — version-1 bytes — otherwise. *)
+val encode_response : ?id:string -> response -> string
+(** The server passes the id it adopted for the request. *)
 
-val decode_response :
-  string -> (response * trace_context option, decode_error) result
+val decode_response : string -> (response * string, decode_error) result
 
 (** {1 Frame I/O}
 

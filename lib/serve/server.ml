@@ -60,8 +60,8 @@ let m_spans_dropped =
     ~help:"Span-ring events overwritten because the ring was full." ()
 
 let m_access_dropped =
-  Metrics.Counter.family ~name:"loclab_access_log_dropped"
-    ~help:"Access-log lines not written, by reason (sampled, write_error)."
+  Metrics.Counter.family ~name:"loclab_access_log_dropped_total"
+    ~help:"Access-log lines not written, by reason (write_error)."
     ~labels:[ "reason" ] ()
 
 let m_access_written =
@@ -71,7 +71,6 @@ let m_access_written =
 let h_duration = Metrics.Histogram.labels m_duration []
 let g_connections = Metrics.Gauge.labels m_connections []
 let g_spans_dropped = Metrics.Gauge.labels m_spans_dropped []
-let c_access_sampled = Metrics.Counter.labels m_access_dropped [ "sampled" ]
 
 let c_access_write_error =
   Metrics.Counter.labels m_access_dropped [ "write_error" ]
@@ -103,18 +102,14 @@ type access = {
   ach : out_channel;
   aclose : bool;  (* close on shutdown ("-" = stdout stays open) *)
   amu : Mutex.t;
-  asample : int;  (* write every Nth request (1 = all) *)
-  mutable aseq : int;
 }
 
-let open_access_log ~path ~sample =
-  if sample < 1 then
-    invalid_arg "Serve.Server.create: access_log_sample must be >= 1";
+let open_access_log path =
   let ach, aclose =
     if path = "-" then (stdout, false)
     else (open_out_gen [ Open_append; Open_creat ] 0o644 path, true)
   in
-  { ach; aclose; amu = Mutex.create (); asample = sample; aseq = 0 }
+  { ach; aclose; amu = Mutex.create () }
 
 (* ---- server state --------------------------------------------------- *)
 
@@ -130,7 +125,6 @@ type t = {
   sock_path : string option;  (* AF_UNIX path to unlink on shutdown *)
   store : Store.t option;
   pool : Exec.Pool.t;
-  server_version : string;
   started : float;
   access : access option;
   stopping : bool Atomic.t;
@@ -141,7 +135,7 @@ type t = {
   sf_mu : Mutex.t;
   sf_landed : Condition.t;  (* some flight's outcome arrived *)
   sf : (string, flight) Hashtbl.t;
-  (* stats *)
+  (* counters behind /status *)
   requests : int Atomic.t;
   errors : int Atomic.t;
   warm : int Atomic.t;
@@ -175,18 +169,15 @@ let clear_stale_unix_socket path =
     try Unix.unlink path with Unix.Unix_error _ -> ()
   end
 
-let create ?(server_version = "loclab/1.0.0") ?(jobs = 1) ?store ?access_log
-    ?(access_log_sample = 1) ?(slow_capacity = 8) ~listen:requested () =
+let server_version = "loclab/1.0.0"
+
+let create ?(jobs = 1) ?store ?access_log ~listen:requested () =
   (* A dead client mid-write must surface as EPIPE, not kill the
      process. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Metrics.set_enabled Metrics.default true;
   Rctx.set_enabled true;
-  Rctx.Slow.configure ~capacity:slow_capacity ();
-  let access =
-    Option.map (fun path -> open_access_log ~path ~sample:access_log_sample)
-      access_log
-  in
+  let access = Option.map open_access_log access_log in
   let listen_fd, listen_addr, sock_path =
     match requested with
     | Protocol.Unix_path path ->
@@ -214,7 +205,6 @@ let create ?(server_version = "loclab/1.0.0") ?(jobs = 1) ?store ?access_log
     sock_path;
     store;
     pool = Exec.Pool.create ~jobs;
-    server_version;
     started = Unix.gettimeofday ();
     access;
     stopping = Atomic.make false;
@@ -233,50 +223,33 @@ let create ?(server_version = "loclab/1.0.0") ?(jobs = 1) ?store ?access_log
 
 let listen_addr t = t.listen_addr
 
-let stats t =
-  { Protocol.uptime_seconds = Unix.gettimeofday () -. t.started;
-    connections = Atomic.get t.open_conns;
-    requests = Atomic.get t.requests;
-    errors = Atomic.get t.errors;
-    warm_cells = Atomic.get t.warm;
-    simulated_cells = Atomic.get t.simulated;
-    inflight = Atomic.get t.inflight;
-    p50_us = Metrics.Histogram.quantile h_duration 0.50;
-    p99_us = Metrics.Histogram.quantile h_duration 0.99 }
-
-let access_log_write t ?(force = false) fin =
+let access_log_write t fin =
   match t.access with
   | None -> ()
   | Some a ->
       Mutex.lock a.amu;
-      let n = a.aseq in
-      a.aseq <- n + 1;
-      let take = force || a.asample <= 1 || n mod a.asample = 0 in
-      (if not take then Metrics.Counter.inc c_access_sampled
-       else
-         match
-           output_string a.ach (Export.to_string (Rctx.to_json fin));
-           output_char a.ach '\n';
-           flush a.ach
-         with
-         | () -> Metrics.Counter.inc c_access_written
-         | exception Sys_error _ -> Metrics.Counter.inc c_access_write_error);
+      (match
+         output_string a.ach (Export.to_string (Rctx.to_json fin));
+         output_char a.ach '\n';
+         flush a.ach
+       with
+      | () -> Metrics.Counter.inc c_access_written
+      | exception Sys_error _ -> Metrics.Counter.inc c_access_write_error);
       Mutex.unlock a.amu
 
-(* The single place every scrape funnels through, so derived gauges are
-   fresh on both the binary Metrics request and HTTP GET /metrics. *)
+(* Every GET /metrics funnels through here, so derived gauges are
+   fresh. *)
 let prometheus_text () =
   Metrics.Gauge.set g_spans_dropped (Telemetry.Span.dropped ());
   Metrics.to_prometheus (Metrics.snapshot Metrics.default)
 
 (* ---- request execution ---------------------------------------------- *)
 
+(* The CLI's scale rule, answered as a Bad_request. *)
 let check_scale scale =
-  if scale > 0. && scale <= 4.0 then Result.Ok ()
-  else
-    Result.Error
-      (Protocol.Bad_request,
-       Printf.sprintf "scale %g out of range (0, 4]" scale)
+  Result.map_error
+    (fun msg -> (Protocol.Bad_request, msg))
+    (Core.Context.Options.check_scale scale)
 
 (* Deduplicate identical concurrent work: the first arrival registers
    a flight under [sf_mu], releases the lock, and only then computes on
@@ -349,7 +322,7 @@ let resolve_cell t rctx ~digest ~scale resolve =
 let run_cell t rctx ~program ~allocator ~scale =
   match check_scale scale with
   | Result.Error _ as e -> e
-  | Result.Ok () -> (
+  | Result.Ok scale -> (
       match Core.Runs.check_cell ~program ~allocator with
       | Result.Error e ->
           Result.Error (Protocol.Unknown_key, Core.Runs.cell_error_message e)
@@ -364,7 +337,7 @@ let run_cell t rctx ~program ~allocator ~scale =
 let run_experiment t rctx ~id ~scale =
   match check_scale scale with
   | Result.Error _ as e -> e
-  | Result.Ok () -> (
+  | Result.Ok scale -> (
       match Core.Experiment.find id with
       | exception Not_found ->
           Result.Error
@@ -411,10 +384,7 @@ let execute t rctx (req : Protocol.request) : Protocol.response =
     | Protocol.Health ->
         Result.Ok
           (Protocol.Health_ok
-             { server_version = t.server_version;
-               protocol_version = Protocol.version })
-    | Protocol.Stats -> Result.Ok (Protocol.Stats_ok (stats t))
-    | Protocol.Metrics -> Result.Ok (Protocol.Metrics_ok (prometheus_text ()))
+             { server_version; protocol_version = Protocol.version })
     | Protocol.Run_cell { program; allocator; scale } ->
         run_cell t rctx ~program ~allocator ~scale
     | Protocol.Run_experiment { id; scale } -> run_experiment t rctx ~id ~scale
@@ -434,7 +404,7 @@ let execute t rctx (req : Protocol.request) : Protocol.response =
 (* Account for, encode and write one reply, then seal its context into
    the histograms and the access log.  [false] when the write failed:
    the peer is gone and the connection ends. *)
-let reply t conn rctx ~kind ?trace resp =
+let reply t conn rctx ~kind resp =
   Metrics.Counter.inc (Metrics.Counter.labels m_requests [ kind ]);
   (match resp with
   | Protocol.Error { code; _ } ->
@@ -444,18 +414,11 @@ let reply t conn rctx ~kind ?trace resp =
       Metrics.Counter.inc (Metrics.Counter.labels m_errors [ code ])
   | _ -> Rctx.set_outcome rctx "ok");
   Atomic.incr t.requests;
-  (* Echo the trace context — with the adopted (possibly re-minted) id —
-     to version-2 requesters only; version-1 clients get version-1
-     bytes. *)
-  let echo =
-    Option.map
-      (fun (tc : Protocol.trace_context) ->
-        { tc with Protocol.trace_id = Rctx.id rctx })
-      trace
-  in
+  (* Every reply echoes the id the request was adopted (or minted)
+     under. *)
   let payload =
     Rctx.stage rctx "encode" (fun () ->
-        Protocol.encode_response ?trace:echo resp)
+        Protocol.encode_response ~id:(Rctx.id rctx) resp)
   in
   Rctx.add_bytes_out rctx (String.length payload + frame_overhead);
   let sent =
@@ -469,12 +432,7 @@ let reply t conn rctx ~kind ?trace resp =
   let fin = Rctx.finish rctx in
   Metrics.Histogram.observe h_duration (int_of_float fin.Rctx.total_us);
   List.iter observe_stage fin.Rctx.stages;
-  let force =
-    match trace with
-    | Some tc -> tc.Protocol.trace_flags land Protocol.flag_force_sample <> 0
-    | None -> false
-  in
-  access_log_write t ~force fin;
+  access_log_write t fin;
   sent
 
 (* Read a frame, decode it, execute it, write the reply, read the next:
@@ -507,19 +465,14 @@ let serve_binary t conn ~first =
                connection survives. *)
             if
               refuse ~r0 ~r1 Protocol.Unsupported_version
-                (Printf.sprintf
-                   "this server speaks protocol versions %d-%d, not %d"
-                   Protocol.min_version Protocol.version v)
+                (Printf.sprintf "this server speaks protocol version %d, not %d"
+                   Protocol.version v)
             then go ""
         | Result.Error (Protocol.Malformed msg) ->
             if refuse ~r0 ~r1 Protocol.Bad_request msg then go ""
-        | Result.Ok (req, trace) ->
+        | Result.Ok (req, id) ->
             let kind = Protocol.request_kind req in
-            let rctx =
-              Rctx.create
-                ?id:(Option.map (fun tc -> tc.Protocol.trace_id) trace)
-                ~kind ~peer:conn.peer ()
-            in
+            let rctx = Rctx.create ~id ~kind ~peer:conn.peer () in
             Rctx.record_stage rctx "read_frame" ~start_us:r0 ~dur_us:(r1 -. r0);
             Rctx.record_stage rctx "decode" ~start_us:r1 ~dur_us:(r2 -. r1);
             Rctx.add_bytes_in rctx (String.length payload + frame_overhead);
@@ -534,7 +487,7 @@ let serve_binary t conn ~first =
               Atomic.incr t.inflight;
               let resp = execute t rctx req in
               Atomic.decr t.inflight;
-              if reply t conn rctx ~kind ?trace resp then go ""
+              if reply t conn rctx ~kind resp then go ""
             end)
   in
   go first
@@ -571,12 +524,23 @@ let contains_blank_line s =
   go 0
 
 (* The live-introspection document behind GET /status: everything a
-   dashboard needs in one scrape, rendered from the same counters the
-   binary Stats request reads plus the request-scoped state (per-stage
-   quantiles, slowest requests, open connections, in-flight
-   single-flight keys). *)
+   dashboard needs in one scrape — the server's counters plus the
+   request-scoped state (per-stage quantiles, slowest requests, open
+   connections, in-flight single-flight keys).  The counters are read
+   before the single-flight table, and a simulated cell is counted only
+   after its flight has left the table, so a body listing a digest
+   counts none of that digest's simulations. *)
 let status_json t =
-  let stats = stats t in
+  let int a = Export.Int (Atomic.get a) in
+  let requests =
+    Export.Obj
+      [ ("total", int t.requests);
+        ("errors", int t.errors);
+        ("warm_cells", int t.warm);
+        ("simulated_cells", int t.simulated);
+        ("inflight", int t.inflight) ]
+  in
+  let open_conns = int t.open_conns in
   let q h p = Metrics.Histogram.quantile h p in
   let stages =
     List.filter_map
@@ -614,12 +578,9 @@ let status_json t =
   let access =
     match t.access with
     | None -> Export.Null
-    | Some a ->
+    | Some _ ->
         Export.Obj
-          [ ("sample", Export.Int a.asample);
-            ("written", Export.Int (Metrics.Counter.value c_access_written));
-            ( "sampled_out",
-              Export.Int (Metrics.Counter.value c_access_sampled) );
+          [ ("written", Export.Int (Metrics.Counter.value c_access_written));
             ( "write_errors",
               Export.Int (Metrics.Counter.value c_access_write_error) ) ]
   in
@@ -627,21 +588,14 @@ let status_json t =
     (Export.Obj
        [ ( "server",
            Export.Obj
-             [ ("version", Export.String t.server_version);
-               ("protocol_min", Export.Int Protocol.min_version);
-               ("protocol_max", Export.Int Protocol.version);
+             [ ("version", Export.String server_version);
+               ("protocol", Export.Int Protocol.version);
                ( "artifact_schema",
                  Export.Int Core.Artifact.schema_version );
                ("started", Export.String (Rctx.iso8601 t.started));
-               ("uptime_seconds", Export.Float stats.Protocol.uptime_seconds)
-             ] );
-         ( "requests",
-           Export.Obj
-             [ ("total", Export.Int stats.Protocol.requests);
-               ("errors", Export.Int stats.Protocol.errors);
-               ("warm_cells", Export.Int stats.Protocol.warm_cells);
-               ("simulated_cells", Export.Int stats.Protocol.simulated_cells);
-               ("inflight", Export.Int stats.Protocol.inflight) ] );
+               ( "uptime_seconds",
+                 Export.Float (Unix.gettimeofday () -. t.started) ) ] );
+         ("requests", requests);
          ( "latency_us",
            Export.Obj
              [ ("count", Export.Int (Metrics.Histogram.count h_duration));
@@ -652,7 +606,7 @@ let status_json t =
          ("stages", Export.List stages);
          ( "connections",
            Export.Obj
-             [ ("open", Export.Int stats.Protocol.connections);
+             [ ("open", open_conns);
                ("peers", Export.List peers) ] );
          ("single_flight", Export.List single_flight);
          ("slow_requests", Export.List slow);

@@ -39,29 +39,22 @@
 type t
 
 val create :
-  ?server_version:string ->
   ?jobs:int ->
   ?store:Store.t ->
   ?access_log:string ->
-  ?access_log_sample:int ->
-  ?slow_capacity:int ->
   listen:Protocol.addr ->
   unit ->
   t
 (** Bind and listen (the socket accepts from the moment [create]
     returns; {!run} starts answering).  [jobs] (default 1) sizes the
-    worker-domain pool.  [access_log] names the
-    JSON-lines access-log destination ([-] = stdout; absent = no log);
-    [access_log_sample] (default 1) writes every Nth request — a
-    request whose trace context sets {!Protocol.flag_force_sample} is
-    always written.  [slow_capacity] (default 8) sizes the
-    slowest-requests table served under [/status].  A stale AF_UNIX
-    socket file (nothing answering on it) is replaced; a live one is an
-    error.  Enables the default metrics registry and request tracing,
-    and ignores [SIGPIPE] (process-wide).
+    worker-domain pool.  [access_log] names the JSON-lines access-log
+    destination ([-] = stdout; absent = no log); every request is
+    written.  A stale AF_UNIX socket file (nothing answering on it) is
+    replaced; a live one is an error.  Enables the default metrics
+    registry and request tracing, and ignores [SIGPIPE]
+    (process-wide).
     @raise Unix.Unix_error when binding fails,
-    @raise Failure when the unix socket is already being served,
-    @raise Invalid_argument when [access_log_sample < 1]. *)
+    @raise Failure when the unix socket is already being served. *)
 
 val listen_addr : t -> Protocol.addr
 (** The bound address — for [Tcp] with port 0, the real port. *)
@@ -79,9 +72,6 @@ val shutdown : t -> unit
 (** Ask {!run} to stop.  Idempotent, lock-free and async-signal-safe —
     wire it directly to SIGINT; a second Ctrl-C during the drain is
     harmless. *)
-
-val stats : t -> Protocol.stats
-(** The live counters the [Stats] request answers with. *)
 
 val status_json : t -> string
 (** The [/status] introspection document (one compact JSON object) —

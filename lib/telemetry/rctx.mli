@@ -49,8 +49,8 @@ val valid_id : string -> bool
 
 val create : ?id:string -> kind:string -> peer:string -> unit -> t
 (** Start a context.  A valid client-supplied [id] is adopted
-    (lowercased); an invalid or absent one is replaced by
-    {!fresh_id} — the server mints for v1 clients. *)
+    (lowercased); an empty, invalid or absent one is replaced by
+    {!fresh_id}. *)
 
 val id : t -> string
 

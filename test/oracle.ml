@@ -183,3 +183,33 @@ let flush t =
   | M_plru bits ->
       Array.iter (fun b -> Array.fill b 0 (Array.length b) false) bits
   | M_qlru (ages, _, _) -> Array.fill ages 0 t.num_sets []
+
+(* An obviously-correct (quadratic) LRU stack, the oracle of
+   [Vmsim.Lru_stack] and [Vmsim.Page_sim]: an MRU-first key list, and
+   the stack distance (1-based LRU position, [None] when cold) of every
+   access, most recent first. *)
+module Naive_lru = struct
+  type t = { mutable stack : int list; mutable distances : int option list }
+
+  let create () = { stack = []; distances = [] }
+
+  let access t key =
+    let rec position i = function
+      | [] -> None
+      | k :: _ when k = key -> Some i
+      | _ :: rest -> position (i + 1) rest
+    in
+    let d = position 1 t.stack in
+    t.stack <- key :: List.filter (fun k -> k <> key) t.stack;
+    t.distances <- d :: t.distances;
+    d
+
+  (* Replays the recorded distances like [Lru_stack.misses_at]. *)
+  let misses_at t ~capacity =
+    List.fold_left
+      (fun acc d ->
+        match d with
+        | Some dist when dist <= capacity -> acc
+        | Some _ | None -> acc + 1)
+      0 t.distances
+end

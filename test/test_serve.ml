@@ -1,9 +1,9 @@
 (* The serve wire protocol and the server itself: codec round-trips
    (unit and property), framing corruption (truncation at every split
-   point, bit flips, bad magic, oversized length claims), version
-   negotiation, and an in-process client/server integration test
-   covering the cold/warm byte-identity contract and typed error
-   replies. *)
+   point, bit flips, bad magic, oversized length claims), refusal of
+   foreign protocol versions, and an in-process client/server
+   integration test covering the cold/warm byte-identity contract and
+   typed error replies. *)
 
 [@@@warning "-69"] (* tests poke records partially *)
 
@@ -49,35 +49,22 @@ let test_addr_round_trip () =
 
 let req_round_trip r =
   match P.decode_request (P.encode_request r) with
-  | Ok (r', None) -> check_bool "request round-trips" true (r = r')
-  | Ok (_, Some _) -> Alcotest.fail "untraced request grew a trace context"
+  | Ok (r', id) ->
+      check_bool "request round-trips" true (r = r');
+      check_string "default id is empty" "" id
   | Error e -> Alcotest.failf "decode failed: %s" (P.decode_error_to_string e)
 
 let resp_round_trip r =
   match P.decode_response (P.encode_response r) with
-  | Ok (r', None) -> check_bool "response round-trips" true (r = r')
-  | Ok (_, Some _) -> Alcotest.fail "untraced response grew a trace context"
+  | Ok (r', id) ->
+      check_bool "response round-trips" true (r = r');
+      check_string "default id is empty" "" id
   | Error e -> Alcotest.failf "decode failed: %s" (P.decode_error_to_string e)
-
-let sample_stats =
-  {
-    P.uptime_seconds = 12.5;
-    connections = 3;
-    requests = 100;
-    errors = 2;
-    warm_cells = 40;
-    simulated_cells = 9;
-    inflight = 1;
-    p50_us = 130.0;
-    p99_us = 4200.0;
-  }
 
 let test_request_round_trips () =
   List.iter req_round_trip
     [
       P.Health;
-      P.Stats;
-      P.Metrics;
       P.Run_cell { program = "espresso"; allocator = "bsd"; scale = 0.02 };
       P.Run_cell { program = ""; allocator = "\x00\xffbin"; scale = 1e-9 };
       P.Run_experiment { id = "tab4"; scale = 1.0 };
@@ -88,9 +75,7 @@ let test_request_round_trips () =
 let test_response_round_trips () =
   List.iter resp_round_trip
     [
-      P.Health_ok { server_version = "loclab/1.0.0"; protocol_version = 1 };
-      P.Stats_ok sample_stats;
-      P.Metrics_ok "# HELP x\nx 1\n";
+      P.Health_ok { server_version = "loclab/1.0.0"; protocol_version = 3 };
       P.Cell_ok { digest = String.make 32 'a'; artifact = "\x01\x02payload" };
       P.Report_ok "table\n";
       P.Error { code = P.Bad_request; message = "nope" };
@@ -107,14 +92,29 @@ let test_decode_rejects_junk () =
   in
   check_bool "empty request payload" true (malformed (P.decode_request ""));
   check_bool "empty response payload" true (malformed (P.decode_response ""));
-  (* Right version, unknown tag. *)
+  (* Right version, unknown tag: 1 and 2 were the retired Stats and
+     Metrics messages. *)
+  List.iter
+    (fun tag ->
+      let w = Codec.Writer.create () in
+      Codec.Writer.int w P.version;
+      Codec.Writer.string w "";
+      Codec.Writer.int w tag;
+      check_bool
+        (Printf.sprintf "unknown request tag %d" tag)
+        true
+        (malformed (P.decode_request (Codec.Writer.contents w)));
+      check_bool
+        (Printf.sprintf "unknown response tag %d" tag)
+        true
+        (malformed (P.decode_response (Codec.Writer.contents w))))
+    [ 1; 2; 99 ];
+  (* A payload without the request id is truncated. *)
   let w = Codec.Writer.create () in
-  Codec.Writer.int w P.min_version;
-  Codec.Writer.int w 99;
-  check_bool "unknown request tag" true
+  Codec.Writer.int w P.version;
+  Codec.Writer.int w 0;
+  check_bool "missing request id" true
     (malformed (P.decode_request (Codec.Writer.contents w)));
-  check_bool "unknown response tag" true
-    (malformed (P.decode_response (Codec.Writer.contents w)));
   (* A valid message with trailing garbage. *)
   check_bool "trailing bytes" true
     (malformed (P.decode_request (P.encode_request P.Health ^ "x")));
@@ -130,53 +130,66 @@ let test_decode_rejects_junk () =
       (malformed (P.decode_request (String.sub payload 0 len)))
   done
 
+(* Hand-encoded Health requests of the retired versions: version 1
+   was [1 | tag], version 2 [2 | flags | request id | tag]. *)
+let v1_health =
+  let w = Codec.Writer.create () in
+  Codec.Writer.int w 1;
+  Codec.Writer.int w 0;
+  Codec.Writer.contents w
+
+let v2_health =
+  let w = Codec.Writer.create () in
+  Codec.Writer.int w 2;
+  Codec.Writer.int w 1;
+  Codec.Writer.string w "ab";
+  Codec.Writer.int w 0;
+  Codec.Writer.contents w
+
 let test_version_negotiation () =
-  (* A well-formed frame from the future: version 99, then whatever. *)
+  (* Any version but 3 is well-formed but foreign: 99 from the future,
+     1 and 2 from the past. *)
   let w = Codec.Writer.create () in
   Codec.Writer.int w 99;
   Codec.Writer.int w 0;
-  let payload = Codec.Writer.contents w in
-  check_bool "future request version" true
-    (match P.decode_request payload with
-    | Error (P.Unsupported 99) -> true
-    | _ -> false);
-  check_bool "future response version" true
-    (match P.decode_response payload with
-    | Error (P.Unsupported 99) -> true
-    | _ -> false)
+  List.iter
+    (fun (v, payload) ->
+      check_bool
+        (Printf.sprintf "request version %d" v)
+        true
+        (match P.decode_request payload with
+        | Error (P.Unsupported v') -> v = v'
+        | _ -> false);
+      check_bool
+        (Printf.sprintf "response version %d" v)
+        true
+        (match P.decode_response payload with
+        | Error (P.Unsupported v') -> v = v'
+        | _ -> false))
+    [ (99, Codec.Writer.contents w); (1, v1_health); (2, v2_health) ]
 
 let test_trace_context_round_trip () =
-  let trace = { P.trace_id = "deadbeef00112233"; trace_flags = 1 } in
-  (match P.decode_request (P.encode_request ~trace P.Health) with
-  | Ok (P.Health, Some tc) ->
-      check_string "request trace id" trace.P.trace_id tc.P.trace_id;
-      check_int "request trace flags" trace.P.trace_flags tc.P.trace_flags
-  | _ -> Alcotest.fail "traced request did not round-trip");
+  (* The request id is the whole trace context. *)
+  let id = "deadbeef00112233" in
+  (match P.decode_request (P.encode_request ~id P.Health) with
+  | Ok (P.Health, id') -> check_string "request id" id id'
+  | _ -> Alcotest.fail "request did not round-trip");
   let resp = P.Report_ok "table\n" in
-  match P.decode_response (P.encode_response ~trace resp) with
-  | Ok (r, Some tc) ->
-      check_bool "traced response value" true (r = resp);
-      check_string "response trace id" trace.P.trace_id tc.P.trace_id
-  | _ -> Alcotest.fail "traced response did not round-trip"
+  match P.decode_response (P.encode_response ~id resp) with
+  | Ok (r, id') ->
+      check_bool "response value" true (r = resp);
+      check_string "response id" id id'
+  | _ -> Alcotest.fail "response did not round-trip"
 
-let test_untraced_encoding_is_version1 () =
-  (* Version selection is by presence: without a trace context the
-     encoder must emit byte-identical version-1 payloads, which is the
-     whole backward-compatibility story.  Pin the bytes. *)
-  let v1 tag =
-    let w = Codec.Writer.create () in
-    Codec.Writer.int w 1;
-    Codec.Writer.int w tag;
-    Codec.Writer.contents w
-  in
-  check_string "untraced Health = v1 bytes" (v1 0) (P.encode_request P.Health);
-  check_string "untraced Stats = v1 bytes" (v1 1) (P.encode_request P.Stats);
-  (* And a traced encoding announces version 2. *)
-  let traced =
-    P.encode_request ~trace:{ P.trace_id = "ab"; trace_flags = 0 } P.Health
-  in
-  let r = Codec.Reader.of_string traced in
-  check_int "traced payload version" 2 (Codec.Reader.int r)
+let test_envelope_bytes () =
+  (* Pin the bytes: version 3, the request id, the tag. *)
+  let w = Codec.Writer.create () in
+  Codec.Writer.int w 3;
+  Codec.Writer.string w "ab";
+  Codec.Writer.int w 0;
+  check_string "Health under id ab" (Codec.Writer.contents w)
+    (P.encode_request ~id:"ab" P.Health);
+  check_int "P.version" 3 P.version
 
 (* ------------------------------------------------------------------ *)
 (* Payload codec: properties                                          *)
@@ -189,8 +202,6 @@ let gen_request =
     oneof
       [
         return P.Health;
-        return P.Stats;
-        return P.Metrics;
         map3
           (fun program allocator scale -> P.Run_cell { program; allocator; scale })
           string_small string_small gen_scale;
@@ -207,8 +218,6 @@ let gen_response =
           (fun server_version protocol_version ->
             P.Health_ok { server_version; protocol_version })
           string_small small_nat;
-        return (P.Stats_ok sample_stats);
-        map (fun s -> P.Metrics_ok s) string_small;
         map2 (fun digest artifact -> P.Cell_ok { digest; artifact }) string_small string_small;
         map (fun s -> P.Report_ok s) string_small;
         map2
@@ -218,30 +227,23 @@ let gen_response =
           string_small;
       ])
 
-let gen_trace =
+let gen_id =
   QCheck.Gen.(
     oneof
       [
-        return None;
-        map2
-          (fun id flags -> Some { P.trace_id = id; trace_flags = flags })
-          (map
-             (fun n -> Printf.sprintf "%x" (abs n))
-             (int_range 0 max_int))
-          (int_range 0 3);
+        return "";
+        map (fun n -> Printf.sprintf "%x" (abs n)) (int_range 0 max_int);
       ])
 
 let prop_request_round_trip =
   QCheck.Test.make ~count:200 ~name:"request encode/decode round-trips"
-    (QCheck.make QCheck.Gen.(pair gen_request gen_trace))
-    (fun (r, trace) ->
-      P.decode_request (P.encode_request ?trace r) = Ok (r, trace))
+    (QCheck.make QCheck.Gen.(pair gen_request gen_id))
+    (fun (r, id) -> P.decode_request (P.encode_request ~id r) = Ok (r, id))
 
 let prop_response_round_trip =
   QCheck.Test.make ~count:200 ~name:"response encode/decode round-trips"
-    (QCheck.make QCheck.Gen.(pair gen_response gen_trace))
-    (fun (r, trace) ->
-      P.decode_response (P.encode_response ?trace r) = Ok (r, trace))
+    (QCheck.make QCheck.Gen.(pair gen_response gen_id))
+    (fun (r, id) -> P.decode_response (P.encode_response ~id r) = Ok (r, id))
 
 let prop_garbage_never_raises =
   (* decode_* must answer arbitrary bytes with a typed error (or, by
@@ -355,12 +357,11 @@ let fresh_paths () =
   ( Filename.concat (Filename.get_temp_dir_name ()) (tag ^ ".sock"),
     Filename.concat (Filename.get_temp_dir_name ()) (tag ^ "-store") )
 
-let with_server_jobs ~jobs ?access_log ?access_log_sample f =
+let with_server_jobs ~jobs ?access_log f =
   let sock, store_dir = fresh_paths () in
   let store = Store.open_ store_dir in
   let server =
-    Serve.Server.create ~jobs ~store ?access_log ?access_log_sample
-      ~listen:(P.Unix_path sock) ()
+    Serve.Server.create ~jobs ~store ?access_log ~listen:(P.Unix_path sock) ()
   in
   let runner = Thread.create Serve.Server.run server in
   Fun.protect
@@ -369,14 +370,43 @@ let with_server_jobs ~jobs ?access_log ?access_log_sample f =
       Thread.join runner)
     (fun () -> f ~sock ~store server)
 
-let with_server ?access_log ?access_log_sample f =
-  with_server_jobs ~jobs:1 ?access_log ?access_log_sample f
+let with_server ?access_log f = with_server_jobs ~jobs:1 ?access_log f
 
 let rpc client req =
   match Serve.Client.request client req with
   | Ok resp -> resp
   | Error e ->
       Alcotest.failf "transport error: %s" (Serve.Client.error_to_string e)
+
+(* One value of the server's /status document, by path. *)
+let status_at server path =
+  match Metrics.Export.of_string (Serve.Server.status_json server) with
+  | Error msg -> Alcotest.failf "/status unparsable: %s" msg
+  | Ok json ->
+      List.fold_left
+        (fun j k -> Option.bind j (Metrics.Export.member k))
+        (Some json) path
+
+let status_int server path =
+  match status_at server path with
+  | Some (Metrics.Export.Int n) -> n
+  | _ -> Alcotest.failf "/status has no integer %s" (String.concat "." path)
+
+let raw_connect sock =
+  let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  fd
+
+(* One reply read off a raw connection: its message and id. *)
+let read_reply fd =
+  match P.read_frame fd with
+  | Ok (Some payload) -> (
+      match P.decode_response payload with
+      | Ok reply -> reply
+      | Error e ->
+          Alcotest.failf "undecodable reply: %s" (P.decode_error_to_string e))
+  | Ok None -> Alcotest.fail "EOF before the reply"
+  | Error e -> Alcotest.failf "torn reply: %s" e
 
 let test_integration_lifecycle () =
   with_server (fun ~sock ~store server ->
@@ -418,18 +448,28 @@ let test_integration_lifecycle () =
            with
           | P.Error { code = P.Unknown_key; _ } -> ()
           | r -> Alcotest.failf "unknown program: unexpected %s" (P.encode_response r));
-          (match
-             rpc c (P.Run_cell { program = "espresso"; allocator = "bsd"; scale = 99.0 })
-           with
+          List.iter
+            (fun scale ->
+              match
+                rpc c (P.Run_cell { program = "espresso"; allocator = "bsd"; scale })
+              with
+              | P.Error { code = P.Bad_request; _ } -> ()
+              | r ->
+                  Alcotest.failf "bad scale %g: unexpected %s" scale
+                    (P.encode_response r))
+            [ 99.0; 0.; Float.nan ];
+          (match rpc c (P.Run_experiment { id = "tab4"; scale = Float.nan }) with
           | P.Error { code = P.Bad_request; _ } -> ()
-          | r -> Alcotest.failf "bad scale: unexpected %s" (P.encode_response r));
-          (* Stats reflect the work. *)
-          match rpc c P.Stats with
-          | P.Stats_ok s ->
-              check_int "one simulated cell" 1 s.P.simulated_cells;
-              check_int "one warm cell" 1 s.P.warm_cells;
-              check_bool "errors counted" true (s.P.errors >= 2)
-          | r -> Alcotest.failf "stats: unexpected %s" (P.encode_response r));
+          | r ->
+              Alcotest.failf "bad experiment scale: unexpected %s"
+                (P.encode_response r));
+          (* /status reflects the work. *)
+          check_int "one simulated cell" 1
+            (status_int server [ "requests"; "simulated_cells" ]);
+          check_int "one warm cell" 1
+            (status_int server [ "requests"; "warm_cells" ]);
+          check_bool "errors counted" true
+            (status_int server [ "requests"; "errors" ] >= 2));
       (* A future-version request gets a typed reply, not a hangup. *)
       Serve.Client.with_connection addr (fun _ -> ());
       let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
@@ -482,16 +522,23 @@ let test_integration_lifecycle () =
       check_bool "HTTP 200" true (contains body "200");
       check_bool "metrics exposition served" true
         (contains body "loclab_serve_requests_total");
-      (* Server-side stats agree with what we drove through it. *)
-      let s = Serve.Server.stats server in
-      check_bool "requests counted" true (s.P.requests >= 7);
-      check_bool "uptime sane" true (s.P.uptime_seconds >= 0.));
+      (* Server-side counters agree with what we drove through it. *)
+      check_bool "requests counted" true
+        (status_int server [ "requests"; "total" ] >= 7);
+      check_bool "uptime sane" true
+        (match
+           Option.bind
+             (status_at server [ "server"; "uptime_seconds" ])
+             Metrics.Export.to_float_opt
+         with
+        | Some u -> u >= 0.
+        | None -> false));
   (* Graceful shutdown ran in with_server's finally; after it the
      socket file must be gone. *)
   ()
 
 let test_integration_ingest () =
-  with_server (fun ~sock ~store _server ->
+  with_server (fun ~sock ~store server ->
       let text = "R 0x1000\nW 0x1020\nR 0x1000\nW 0x20000\n" in
       Serve.Client.with_connection (P.Unix_path sock) (fun c ->
           (* Cold ingest: simulated and written through. *)
@@ -534,11 +581,10 @@ let test_integration_ingest () =
           | r ->
               Alcotest.failf "malformed trace: unexpected %s"
                 (P.encode_response r));
-          match rpc c P.Stats with
-          | P.Stats_ok s ->
-              check_int "one simulated ingest" 1 s.P.simulated_cells;
-              check_int "one warm ingest" 1 s.P.warm_cells
-          | r -> Alcotest.failf "stats: unexpected %s" (P.encode_response r)))
+          check_int "one simulated ingest" 1
+            (status_int server [ "requests"; "simulated_cells" ]);
+          check_int "one warm ingest" 1
+            (status_int server [ "requests"; "warm_cells" ])))
 
 (* ------------------------------------------------------------------ *)
 (* Request tracing end to end                                         *)
@@ -549,9 +595,9 @@ let contains hay needle =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
-(* The tentpole contract: a client-supplied request id must surface in
-   the echoed trace context, the access log, the /status slow-request
-   table and the span ring — one id, four observability surfaces. *)
+(* A client-supplied request id must surface in the reply, the access
+   log, the /status slow-request table and the span ring — one id, four
+   observability surfaces. *)
 let test_trace_propagation () =
   let access_log =
     Filename.concat
@@ -569,29 +615,24 @@ let test_trace_propagation () =
     (fun () ->
       with_server ~access_log (fun ~sock ~store:_ server ->
           let id = "feedface01234567" in
-          let trace = { P.trace_id = id; trace_flags = P.flag_force_sample } in
-          Serve.Client.with_connection (P.Unix_path sock) (fun c ->
-              (match
-                 Serve.Client.request_traced ~trace c
+          let fd = raw_connect sock in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              P.write_frame fd
+                (P.encode_request ~id
                    (P.Run_cell
-                      { program = "espresso"; allocator = "bsd"; scale = 0.02 })
-               with
-              | Ok (P.Cell_ok _, Some echo) ->
-                  check_string "server echoes the client id" id echo.P.trace_id
-              | Ok (P.Cell_ok _, None) ->
-                  Alcotest.fail "traced request answered without a context"
-              | Ok (r, _) ->
-                  Alcotest.failf "unexpected %s" (P.encode_response r)
-              | Error e ->
-                  Alcotest.failf "transport: %s"
-                    (Serve.Client.error_to_string e));
-              check_bool "no downgrade against our own server" false
-                (Serve.Client.downgraded c);
+                      { program = "espresso"; allocator = "bsd"; scale = 0.02 }));
+              (match read_reply fd with
+              | P.Cell_ok _, echo ->
+                  check_string "server echoes the client id" id echo
+              | r, _ -> Alcotest.failf "unexpected %s" (P.encode_response r));
               (* The connection thread writes the access-log line after
                  the reply; a second request on the same connection
                  serializes behind it, so once this answers the first
                  line is on disk. *)
-              ignore (rpc c P.Health));
+              P.write_frame fd (P.encode_request P.Health);
+              ignore (read_reply fd));
           let lines =
             let ic = open_in access_log in
             let acc = ref [] in
@@ -631,28 +672,35 @@ let test_trace_propagation () =
           check_bool "span ring carries the id" true
             (contains (Telemetry.Span.to_chrome_json ()) id)))
 
-let test_v1_client_round_trip () =
-  (* An old client is byte-for-byte an untraced encode: the v2 server
-     must answer it with a plain v1 reply, no trace context. *)
+let test_old_versions_refused () =
+  (* A version-1 or version-2 Health gets a version-3 Unsupported_version
+     reply naming version 3, and the connection then answers a
+     version-3 Health. *)
   with_server (fun ~sock ~store:_ _server ->
-      let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+      let fd = raw_connect sock in
       Fun.protect
         ~finally:(fun () -> Unix.close fd)
         (fun () ->
-          Unix.connect fd (Unix.ADDR_UNIX sock);
-          P.write_frame fd (P.encode_request P.Health);
-          match P.read_frame fd with
-          | Ok (Some payload) -> (
-              match P.decode_response payload with
-              | Ok (P.Health_ok { protocol_version; _ }, None) ->
-                  check_int "server announces v2" P.version protocol_version;
-                  let r = Codec.Reader.of_string payload in
-                  check_int "reply encoded as v1" P.min_version
-                    (Codec.Reader.int r)
-              | Ok (_, Some _) ->
-                  Alcotest.fail "v1 request drew a traced reply"
-              | _ -> Alcotest.fail "undecodable reply to a v1 request")
-          | _ -> Alcotest.fail "no reply to a v1 request"))
+          List.iter
+            (fun (v, payload) ->
+              P.write_frame fd payload;
+              match read_reply fd with
+              | P.Error { code = P.Unsupported_version; message }, _ ->
+                  check_bool
+                    (Printf.sprintf "v%d refusal names version 3: %S" v message)
+                    true
+                    (contains message "version 3")
+              | r, _ ->
+                  Alcotest.failf "v%d Health: unexpected %s" v
+                    (P.encode_response r))
+            [ (1, v1_health); (2, v2_health) ];
+          P.write_frame fd (P.encode_request ~id:"abc" P.Health);
+          match read_reply fd with
+          | P.Health_ok { protocol_version; _ }, id ->
+              check_int "server speaks version 3" 3 protocol_version;
+              check_string "reply echoes the id" "abc" id
+          | r, _ ->
+              Alcotest.failf "v3 Health: unexpected %s" (P.encode_response r)))
 
 (* ------------------------------------------------------------------ *)
 (* The plain-HTTP side                                                *)
@@ -717,14 +765,13 @@ let test_http_paths () =
               "server"; "requests"; "latency_us"; "stages"; "connections";
               "single_flight"; "slow_requests"; "spans"; "access_log";
             ];
-          let protocol_max =
+          let protocol =
             Option.bind
               (Metrics.Export.member "server" json)
-              (Metrics.Export.member "protocol_max")
+              (Metrics.Export.member "protocol")
           in
-          check_bool "protocol_max = version" true
-            (Option.bind protocol_max Metrics.Export.to_int_opt
-            = Some P.version))
+          check_bool "protocol = version" true
+            (Option.bind protocol Metrics.Export.to_int_opt = Some P.version))
 
 (* ------------------------------------------------------------------ *)
 (* The shared resolution path                                         *)
@@ -980,8 +1027,7 @@ let test_access_log_and_stages () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove access_log with Sys_error _ -> ())
     (fun () ->
-      with_server_jobs ~jobs:2 ~access_log ~access_log_sample:1
-        (fun ~sock ~store server ->
+      with_server_jobs ~jobs:2 ~access_log (fun ~sock ~store server ->
           let scale = 0.005 in
           let cell (program, allocator) =
             P.Run_cell { program; allocator; scale }
@@ -1064,21 +1110,6 @@ let test_access_log_and_stages () =
 (* One thread per connection                                          *)
 (* ------------------------------------------------------------------ *)
 
-let raw_connect sock =
-  let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX sock);
-  fd
-
-let read_reply fd =
-  match P.read_frame fd with
-  | Ok (Some payload) -> (
-      match P.decode_response payload with
-      | Ok (resp, trace) -> (payload, resp, trace)
-      | Error e ->
-          Alcotest.failf "undecodable reply: %s" (P.decode_error_to_string e))
-  | Ok None -> Alcotest.fail "EOF before the reply"
-  | Error e -> Alcotest.failf "torn reply: %s" e
-
 let task_count () = Array.length (Sys.readdir "/proc/self/task")
 
 (* A peer that closes with our reply unread resets the connection: the
@@ -1097,7 +1128,8 @@ let test_reset_releases_thread () =
       done;
       let deadline = Unix.gettimeofday () +. 2. in
       let settled () =
-        task_count () <= before && (Serve.Server.stats server).P.connections = 0
+        task_count () <= before
+        && status_int server [ "connections"; "open" ] = 0
       in
       while (not (settled ())) && Unix.gettimeofday () < deadline do
         Thread.delay 0.01
@@ -1105,18 +1137,18 @@ let test_reset_releases_thread () =
       check_int "threads back to the count before the clients" before
         (task_count ());
       check_int "no open connections" 0
-        (Serve.Server.stats server).P.connections)
+        (status_int server [ "connections"; "open" ]))
 
 (* Five requests written before any reply is read are answered in
-   order: v2 replies echo their ids, the v1 request gets v1 bytes, and
-   the warm repeat of a cold cell carries the same artifact bytes. *)
+   order: each reply echoes its request's id, the request sent without
+   one gets a minted id, and the warm repeat of a cold cell carries the
+   same artifact bytes. *)
 let test_pipelined_in_order () =
   with_server (fun ~sock ~store:_ _server ->
       let fd = raw_connect sock in
       Fun.protect
         ~finally:(fun () -> Unix.close fd)
         (fun () ->
-          let traced id = Some { P.trace_id = id; trace_flags = 0 } in
           let cell =
             P.Run_cell { program = "espresso"; allocator = "bsd"; scale = 0.01 }
           in
@@ -1124,41 +1156,38 @@ let test_pipelined_in_order () =
             P.Run_cell { program = "no-such"; allocator = "bsd"; scale = 0.01 }
           in
           List.iter
-            (fun (trace, req) ->
-              P.write_frame fd (P.encode_request ?trace req))
-            [ (traced "a1", P.Health); (traced "a2", cell);
-              (traced "a3", unknown); (None, P.Health); (traced "a5", cell) ];
-          let echoed id = function
-            | Some tc -> check_string "echoed id" id tc.P.trace_id
-            | None -> Alcotest.failf "reply %s has no trace context" id
-          in
+            (fun (id, req) -> P.write_frame fd (P.encode_request ~id req))
+            [ ("a1", P.Health); ("a2", cell); ("a3", unknown); ("", P.Health);
+              ("a5", cell) ];
+          let echoed id id' = check_string "echoed id" id id' in
           let unexpected n r =
             Alcotest.failf "reply %d: unexpected %s" n (P.encode_response r)
           in
           (match read_reply fd with
-          | _, P.Health_ok _, trace -> echoed "a1" trace
-          | _, r, _ -> unexpected 1 r);
+          | P.Health_ok _, id -> echoed "a1" id
+          | r, _ -> unexpected 1 r);
           let cold =
             match read_reply fd with
-            | _, P.Cell_ok { artifact; _ }, trace ->
-                echoed "a2" trace;
+            | P.Cell_ok { artifact; _ }, id ->
+                echoed "a2" id;
                 artifact
-            | _, r, _ -> unexpected 2 r
+            | r, _ -> unexpected 2 r
           in
           (match read_reply fd with
-          | _, P.Error { code = P.Unknown_key; _ }, trace -> echoed "a3" trace
-          | _, r, _ -> unexpected 3 r);
+          | P.Error { code = P.Unknown_key; _ }, id -> echoed "a3" id
+          | r, _ -> unexpected 3 r);
           (match read_reply fd with
-          | payload, P.Health_ok _, None ->
-              check_int "v1 request answered in v1" P.min_version
-                (Codec.Reader.int (Codec.Reader.of_string payload))
-          | _, P.Health_ok _, Some _ -> Alcotest.fail "v1 request drew a trace"
-          | _, r, _ -> unexpected 4 r);
+          | P.Health_ok _, id ->
+              check_bool
+                (Printf.sprintf "minted id %S is valid" id)
+                true
+                (Telemetry.Rctx.valid_id id)
+          | r, _ -> unexpected 4 r);
           match read_reply fd with
-          | _, P.Cell_ok { artifact; _ }, trace ->
-              echoed "a5" trace;
+          | P.Cell_ok { artifact; _ }, id ->
+              echoed "a5" id;
               check_string "warm bytes = cold bytes" cold artifact
-          | _, r, _ -> unexpected 5 r))
+          | r, _ -> unexpected 5 r))
 
 (* Shutdown during a cold cell drains: the reply is still written, the
    connection then closes, and run returns. *)
@@ -1196,14 +1225,14 @@ let test_shutdown_drains_cold_cell () =
         (in_flight ());
       Serve.Server.shutdown server;
       (match read_reply fd with
-      | _, P.Cell_ok { digest = d; artifact }, _ -> (
+      | P.Cell_ok { digest = d; artifact }, _ -> (
           check_string "reply digest" digest d;
           match Store.find store ~digest with
           | Store.Hit payload ->
               check_string "reply = store payload" payload artifact
           | Store.Miss -> Alcotest.fail "cell not written through"
           | Store.Corrupt e -> Alcotest.failf "store corrupt: %s" e)
-      | _, r, _ -> Alcotest.failf "unexpected %s" (P.encode_response r));
+      | r, _ -> Alcotest.failf "unexpected %s" (P.encode_response r));
       check_bool "EOF after the drained reply" true (P.read_frame fd = Ok None);
       let deadline = Unix.gettimeofday () +. 10. in
       while (not (Atomic.get returned)) && Unix.gettimeofday () < deadline do
@@ -1289,7 +1318,7 @@ let () =
           tc "junk rejected" test_decode_rejects_junk;
           tc "version negotiation" test_version_negotiation;
           tc "trace context round-trips" test_trace_context_round_trip;
-          tc "untraced encoding is v1" test_untraced_encoding_is_version1;
+          tc "every payload is version 3" test_envelope_bytes;
           qt prop_request_round_trip;
           qt prop_response_round_trip;
           qt prop_garbage_never_raises;
@@ -1314,7 +1343,7 @@ let () =
       ( "tracing",
         [
           tc "id propagates to log, status and spans" test_trace_propagation;
-          tc "v1 client round-trips untraced" test_v1_client_round_trip;
+          tc "versions 1 and 2 are refused" test_old_versions_refused;
           tc "access log, stages and slow table count mixed traffic"
             test_access_log_and_stages;
         ] );

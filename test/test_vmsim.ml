@@ -3,6 +3,7 @@
    curve machinery. *)
 
 open Vmsim
+module Naive_lru = Testkit.Oracle.Naive_lru
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
