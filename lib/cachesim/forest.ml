@@ -29,8 +29,12 @@
    Set-associative members do not order by inclusion against the
    direct-mapped chain (same capacity at different set counts is the
    classic counterexample), so they are probed individually — but they
-   still share the family profile and cold table.  Each replaces within
-   a set by its own {!Policy.State}: a hit updates the policy; a miss
+   still share the family profile and cold table.  An LRU member keeps
+   each set's ways most-recent-first: a hit moves its way to the front,
+   and a miss drops the last way (still invalid while the set has room)
+   and puts the new block at the front, so it keeps no stamps and scans
+   for no victim.  A PLRU or QLRU member keeps its ways in place and
+   replaces by its own {!Policy.State}: a hit updates the policy; a miss
    fills the leftmost invalid way, or else the policy's victim.
 
    Counter layout.  The kind x source access/miss breakdown lives in
@@ -45,9 +49,11 @@ type member = {
   (* tags.((set * assoc) + way) holds one word per way: the resident
      block index shifted left once, with the low bit set when the block
      has been written since it was fetched (write-back accounting).
-     Way positions are physical: replacement order lives in [policy]. *)
+     An LRU member's ways are in recency order, most recent first;
+     other members' are physical, replacement order living in
+     [policy]. *)
   tags : int array;
-  policy : Policy.State.t;  (* empty for direct-mapped members *)
+  policy : Policy.State.t option;  (* None: direct-mapped or LRU *)
   set_mask : int;  (* num_sets - 1 *)
   miss : int array;  (* misses by [ki*3 + si] *)
   mutable writebacks : int;
@@ -81,7 +87,7 @@ type t = {
   part_mask : int;
   part_lo : int;
   part_hi : int;
-  seen : unit Memsim.Addr.Index_table.t;  (* blocks ever referenced, shared *)
+  seen : Memsim.Addr.Index_set.t;  (* blocks ever referenced, shared *)
   acc : int array;  (* accesses by [ki*3 + si], identical for members *)
   mutable cold_misses : int;
   (* Consecutive-repeat fast path: word-grain traces touch the same
@@ -126,9 +132,8 @@ let create ?shard configs =
       assoc;
       tags = Array.make (num_sets * assoc) invalid;
       policy =
-        Policy.State.create config.Config.policy
-          ~num_sets:(if assoc = 1 then 0 else num_sets)
-          ~assoc;
+        (if assoc = 1 then None
+         else Policy.State.create config.Config.policy ~num_sets ~assoc);
       set_mask = num_sets - 1;
       miss = Array.make 6 0;
       writebacks = 0;
@@ -140,7 +145,10 @@ let create ?shard configs =
   Array.stable_sort (fun a b -> Int.compare a.set_mask b.set_mask) dm;
   let sa = select (fun m -> m.assoc > 1) in
   let refresh =
-    select (fun m -> m.assoc > 1 && Policy.State.hit_after_fill_changes m.policy)
+    select (fun m ->
+        match m.policy with
+        | Some p -> Policy.State.hit_after_fill_changes p
+        | None -> false)
   in
   let part_mask, part_lo, part_hi =
     match shard with
@@ -165,8 +173,8 @@ let create ?shard configs =
     part_lo;
     part_hi;
     (* Small to start: most families are one-member hierarchy levels
-       that see few distinct blocks, and the table grows as needed. *)
-    seen = Memsim.Addr.Index_table.create 256;
+       that see few distinct blocks, and the set grows as needed. *)
+    seen = Memsim.Addr.Index_set.create 32;
     acc = Array.make 6 0;
     cold_misses = 0;
     last_block = -1;
@@ -195,8 +203,11 @@ let finish_run t ~write =
   if not t.run_hit then begin
     Array.iter
       (fun m ->
-        Policy.State.hit m.policy ~set:(m.last_way / m.assoc)
-          ~way:(m.last_way land (m.assoc - 1)))
+        match m.policy with
+        | Some p ->
+            Policy.State.hit p ~set:(m.last_way / m.assoc)
+              ~way:(m.last_way land (m.assoc - 1))
+        | None -> ())
       t.refresh;
     t.run_hit <- true
   end
@@ -226,11 +237,34 @@ let rec boundary dm ~block i =
     if holds (Array.unsafe_get m.tags (block land m.set_mask)) block then i
     else boundary dm ~block (i + 1)
 
-(* Touch [block] in a set-associative member, [word] being its tag word
-   (dirty bit set on a write); true on a miss.  A hit updates the
-   policy; a miss fills the leftmost invalid way, or else the policy's
-   victim. *)
-let probe_sa m ~ks ~block ~word =
+(* Touch [block] in an LRU member, whose sets are most-recent-first,
+   [word] being its tag word (dirty bit set on a write); true on a
+   miss.  A hit moves its way to the front; a miss drops the last way,
+   writing it back if dirty, and puts [word] at the front. *)
+let probe_lru m ~ks ~block ~word =
+  let assoc = m.assoc and tags = m.tags in
+  let base = (block land m.set_mask) * assoc in
+  m.last_way <- base;
+  let w = find_way tags ~base ~assoc ~block 0 in
+  let miss = w < 0 in
+  let last = if miss then base + assoc - 1 else base + w in
+  let front =
+    if miss then begin
+      m.writebacks <- m.writebacks + (Array.unsafe_get tags last land 1);
+      Array.unsafe_set m.miss ks (Array.unsafe_get m.miss ks + 1);
+      word
+    end
+    else Array.unsafe_get tags last lor (word land 1)
+  in
+  for i = last downto base + 1 do
+    Array.unsafe_set tags i (Array.unsafe_get tags (i - 1))
+  done;
+  Array.unsafe_set tags base front;
+  miss
+
+(* Touch [block] in a PLRU or QLRU member: a hit updates the policy; a
+   miss fills the leftmost invalid way, or else the policy's victim. *)
+let probe_policy m p ~ks ~block ~word =
   let assoc = m.assoc and tags = m.tags in
   let set = block land m.set_mask in
   let base = set * assoc in
@@ -238,24 +272,29 @@ let probe_sa m ~ks ~block ~word =
   if w >= 0 then begin
     let i = base + w in
     m.last_way <- i;
-    Policy.State.hit m.policy ~set ~way:w;
+    Policy.State.hit p ~set ~way:w;
     Array.unsafe_set tags i (Array.unsafe_get tags i lor (word land 1));
     false
   end
   else begin
     let w =
       match first_invalid tags ~base ~assoc 0 with
-      | -1 -> Policy.State.victim m.policy ~set
+      | -1 -> Policy.State.victim p ~set
       | w -> w
     in
     let i = base + w in
     m.last_way <- i;
     m.writebacks <- m.writebacks + (Array.unsafe_get tags i land 1);
     Array.unsafe_set tags i word;
-    Policy.State.fill m.policy ~set ~way:w;
+    Policy.State.fill p ~set ~way:w;
     Array.unsafe_set m.miss ks (Array.unsafe_get m.miss ks + 1);
     true
   end
+
+let probe_sa m ~ks ~block ~word =
+  match m.policy with
+  | None -> probe_lru m ~ks ~block ~word
+  | Some p -> probe_policy m p ~ks ~block ~word
 
 (* A consecutive repeat of [t.last_block]: it hits every member by
    construction, so it only needs an access count. *)
@@ -297,10 +336,8 @@ let probe_block_ks t ~ks ~block =
   (* A cold (first-ever) reference misses in every member at once; a
      family-wide hit proves the block was already seen, so the table is
      only consulted when someone missed. *)
-  if missed > 0 && not (Memsim.Addr.Index_table.mem t.seen block) then begin
-    Memsim.Addr.Index_table.add t.seen block ();
-    t.cold_misses <- t.cold_misses + 1
-  end;
+  if missed > 0 && Memsim.Addr.Index_set.add t.seen block then
+    t.cold_misses <- t.cold_misses + 1;
   t.last_block <- block;
   t.run_dirty <- write;
   t.run_hit <- Array.length t.refresh = 0;
@@ -323,14 +360,16 @@ let access_range_ks t ~ks ~addr ~size =
   done
 
 (* One walk over the batch feeds every family, ascending by block size.
-   An event that lies inside one block of the smallest family, the
-   block that family touched last, is a consecutive repeat in every
-   family: each larger block contains that small one, and the previous
-   event ended in it, so it is also each larger family's [last_block].
-   Such an event gets only each family's repeat update; any other event
-   goes to each family's range walk, which takes the repeat path on its
-   own wherever it applies.  ks, addr and size all come straight out of
-   the two packed ints — no Event.t is materialised. *)
+   An event that lies inside one block of the smallest family lies
+   inside one block of every family, since each larger block contains
+   that small one.  If that small block is the one the family touched
+   last, the event is a consecutive repeat in every family: the
+   previous event ended in it, so it is also each larger family's
+   [last_block], and the event gets only each family's repeat update.
+   Any other single-block event goes straight to each family's block
+   access, and a longer event to its range walk; both take the repeat
+   path on their own wherever it applies.  ks, addr and size all come
+   straight out of the two packed ints — no Event.t is materialised. *)
 let sink_families fs =
   let n = Array.length fs in
   if n = 0 then invalid_arg "Cachesim.Forest.sink_families: no families";
@@ -351,13 +390,18 @@ let sink_families fs =
       and addr = Array.unsafe_get addrs i in
       let ks = Memsim.Event.Packed.ks meta and size = meta lsr 3 in
       let first = addr lsr shift in
-      if first = small.last_block && (addr + size - 1) lsr shift = first then
+      if (addr + size - 1) lsr shift <> first then
+        for f = 0 to n - 1 do
+          access_range_ks (Array.unsafe_get fs f) ~ks ~addr ~size
+        done
+      else if first = small.last_block then
         for f = 0 to n - 1 do
           repeat (Array.unsafe_get fs f) ~ks
         done
       else
         for f = 0 to n - 1 do
-          access_range_ks (Array.unsafe_get fs f) ~ks ~addr ~size
+          let fam = Array.unsafe_get fs f in
+          ignore (access_block_ks fam ~ks ~block:(addr lsr fam.block_shift))
         done
     done
 
@@ -369,7 +413,7 @@ let invalidate t =
   Array.iter
     (fun m ->
       Array.fill m.tags 0 (Array.length m.tags) invalid;
-      Policy.State.reset m.policy)
+      Option.iter Policy.State.reset m.policy)
     t.members;
   (* The last block is no longer resident: its next touch must probe. *)
   t.last_block <- -1
@@ -391,8 +435,8 @@ let reset t =
     t.members;
   Array.fill t.acc 0 6 0;
   t.cold_misses <- 0;
-  (* [clear] keeps the table's buckets for the next trace. *)
-  Memsim.Addr.Index_table.clear t.seen;
+  (* [clear] keeps the set's room for the next trace. *)
+  Memsim.Addr.Index_set.clear t.seen;
   t.run_dirty <- false;
   t.run_hit <- true
 

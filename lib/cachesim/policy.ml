@@ -76,13 +76,13 @@ let pp ppf t = Format.pp_print_string ppf (to_string t)
 module State = struct
   type policy = t
 
-  (* One representation per policy, flat over [num_sets * assoc] where
-     per-way memory is needed (a last-use stamp per way for LRU, one
-     byte per way for QLRU's 2-bit ages), one packed int per set for
-     PLRU's tree bits (associativity is a power of two <= 64, so the
-     at most 63 node bits fit one immediate int). *)
+  (* One representation per policy that needs one: one packed int per
+     set for PLRU's tree bits (associativity is a power of two <= 64,
+     so the at most 63 node bits fit one immediate int), one byte per
+     way for QLRU's 2-bit ages, flat over [num_sets * assoc].  LRU has
+     none: a forest keeps an LRU set's ways most-recent-first, so the
+     victim is always the last way. *)
   type t =
-    | S_lru of { stamps : int array; mutable tick : int; assoc : int }
     | S_plru of { bits : int array; assoc : int }
     | S_qlru of {
         ages : Bytes.t;
@@ -93,14 +93,15 @@ module State = struct
 
   let create (policy : policy) ~num_sets ~assoc =
     match policy with
-    | Lru -> S_lru { stamps = Array.make (num_sets * assoc) 0; tick = 0; assoc }
-    | Plru -> S_plru { bits = Array.make num_sets 0; assoc }
+    | Lru -> None
+    | Plru -> Some (S_plru { bits = Array.make num_sets 0; assoc })
     | Qlru { hit_age; insert_age } ->
-        S_qlru
-          { ages = Bytes.make (num_sets * assoc) '\000';
-            assoc;
-            hit_age;
-            insert_age }
+        Some
+          (S_qlru
+             { ages = Bytes.make (num_sets * assoc) '\000';
+               assoc;
+               hit_age;
+               insert_age })
 
   (* Tree-PLRU over a heap-indexed complete binary tree: node [n] has
      children [2n+1] (ways below the midpoint) and [2n+2] (above).  A
@@ -143,46 +144,27 @@ module State = struct
   let age ages i = Char.code (Bytes.get ages i)
   let set_age ages i a = Bytes.set ages i (Char.unsafe_chr a)
 
-  (* [hit] and [fill] are the forest's per-probe policy updates: both
-     are inlined, and LRU's stamp store is unchecked, as callers pass a
-     set and way of this cache. *)
+  (* [hit] and [fill] are the forest's per-probe policy updates, both
+     inlined. *)
   let[@inline] hit t ~set ~way =
     match t with
-    | S_lru s ->
-        s.tick <- s.tick + 1;
-        Array.unsafe_set s.stamps ((set * s.assoc) + way) s.tick
     | S_plru s -> plru_touch s.bits set s.assoc way
     | S_qlru s -> set_age s.ages ((set * s.assoc) + way) s.hit_age
 
   let[@inline] fill t ~set ~way =
     match t with
-    | S_lru s ->
-        s.tick <- s.tick + 1;
-        Array.unsafe_set s.stamps ((set * s.assoc) + way) s.tick
     | S_plru s -> plru_touch s.bits set s.assoc way
     | S_qlru s -> set_age s.ages ((set * s.assoc) + way) s.insert_age
 
-  (* A hit re-stamps LRU's recency and retraces PLRU's path: repeating
-     the last touch of a set changes nothing that orders its victims.
-     QLRU's hit does when it moves a fill's age. *)
+  (* A hit retraces PLRU's path: repeating the last touch of a set
+     changes nothing that orders its victims.  QLRU's hit does when it
+     moves a fill's age. *)
   let hit_after_fill_changes = function
     | S_qlru s -> s.hit_age <> s.insert_age
-    | S_lru _ | S_plru _ -> false
+    | S_plru _ -> false
 
   let victim t ~set =
     match t with
-    | S_lru s ->
-        (* The least stamp; a loop over refs, so nothing is allocated. *)
-        let stamps = s.stamps and base = set * s.assoc in
-        let best = ref (Array.unsafe_get stamps base) and besti = ref 0 in
-        for w = 1 to s.assoc - 1 do
-          let st = Array.unsafe_get stamps (base + w) in
-          if st < !best then begin
-            best := st;
-            besti := w
-          end
-        done;
-        !besti
     | S_plru s -> plru_victim s.bits set s.assoc
     | S_qlru s ->
         let base = set * s.assoc in
@@ -205,7 +187,6 @@ module State = struct
 
   let reset t =
     match t with
-    | S_lru s -> Array.fill s.stamps 0 (Array.length s.stamps) 0
     | S_plru s -> Array.fill s.bits 0 (Array.length s.bits) 0
     | S_qlru s -> Bytes.fill s.ages 0 (Bytes.length s.ages) '\000'
 end

@@ -54,7 +54,9 @@ module State : sig
   type policy = t
   type t
 
-  val create : policy -> num_sets:int -> assoc:int -> t
+  val create : policy -> num_sets:int -> assoc:int -> t option
+  (** [None] for {!Lru}, which keeps no state: a {!Forest} holds an LRU
+      set's ways most-recent-first, so its victim is the last way. *)
 
   val hit : t -> set:int -> way:int -> unit
   (** Record a hit on [way] of [set]. *)
@@ -65,8 +67,8 @@ module State : sig
   val hit_after_fill_changes : t -> bool
   (** Whether a hit on the way just filled, with nothing else touched
       in between, changes the state: true only for a QLRU whose hit age
-      differs from its insert age.  Under every other policy such a
-      repeated touch changes no later victim choice. *)
+      differs from its insert age.  Under PLRU such a repeated touch
+      changes no later victim choice. *)
 
   val victim : t -> set:int -> int
   (** Choose the way to evict from a {e full} [set].  Must not be

@@ -196,12 +196,16 @@ let flush_rows (ctx : Context.t) =
      sink cannot affect the driver, so every quantum shares one pass. *)
   let flushing quantum =
     let cache = Cachesim.Forest.create [ flush_config ] in
-    let count = ref 0 in
+    let until_flush = ref quantum in
     let sink (b : Memsim.Event.Batch.t) =
       for i = 0 to b.Memsim.Event.Batch.len - 1 do
-        incr count;
-        if quantum > 0 && !count mod quantum = 0 then
-          Cachesim.Forest.flush cache;
+        if quantum > 0 then begin
+          decr until_flush;
+          if !until_flush = 0 then begin
+            Cachesim.Forest.flush cache;
+            until_flush := quantum
+          end
+        end;
         let meta = Array.unsafe_get b.Memsim.Event.Batch.metas i in
         Cachesim.Forest.access_range_ks cache
           ~ks:(Memsim.Event.Packed.ks meta)

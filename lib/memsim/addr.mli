@@ -47,8 +47,53 @@ val page_index : t -> page_bytes:int -> int
 val pp : Format.formatter -> t -> unit
 (** Prints an address in hexadecimal, e.g. [0x0001a3f0]. *)
 
-module Index_table : Hashtbl.S with type key = int
-(** Hash table keyed by a block or page index ({!block_index},
-    {!page_index}).  Its hash is multiplicative, not the identity: the
-    indices of a power-of-two strided trace share their low bits, which
-    an identity hash would pile into a few buckets. *)
+(** {1 Index tables}
+
+    Open-addressing tables keyed by a block or page index
+    ({!block_index}, {!page_index}), for the per-event consumers: a
+    lookup allocates nothing, and an insert allocates only when the
+    table doubles.  The home slot is a
+    multiplicative (Fibonacci) hash, not the identity: the indices of a
+    power-of-two strided trace share their low bits, which an identity
+    hash would pile into one probe run.  Any [int] but [min_int] is a
+    key; [min_int] marks an empty slot, and every operation given it
+    raises [Invalid_argument]. *)
+
+(** A set of indices. *)
+module Index_set : sig
+  type t
+
+  val create : int -> t
+  (** [create n] has room for [n] keys before it first grows. *)
+
+  val add : t -> int -> bool
+  (** [add t k] adds [k]; [true] when it was not already present. *)
+
+  val mem : t -> int -> bool
+  val length : t -> int
+
+  val clear : t -> unit
+  (** Empties the set and keeps its room. *)
+end
+
+(** A map from indices to [int]s. *)
+module Index_map : sig
+  type t
+
+  val create : int -> t
+  (** [create n] has room for [n] keys before it first grows. *)
+
+  val find : t -> int -> default:int -> int
+  (** The value bound to the key, or [default] when it is absent. *)
+
+  val replace : t -> int -> int -> unit
+  (** Binds the key to the value, adding it or overwriting its value. *)
+
+  val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
+  (** Folds over the bindings in an unspecified order. *)
+
+  val length : t -> int
+
+  val clear : t -> unit
+  (** Empties the map and keeps its room. *)
+end

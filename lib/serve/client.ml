@@ -10,20 +10,12 @@ let error_to_string = function
   | Closed -> "server closed the connection"
   | Transport msg -> msg
 
-let resolve_host host =
-  match Unix.inet_addr_of_string host with
-  | addr -> addr
-  | exception Failure _ -> (
-      match Unix.getaddrinfo host "" [ Unix.AI_FAMILY Unix.PF_INET ] with
-      | { Unix.ai_addr = Unix.ADDR_INET (addr, _); _ } :: _ -> addr
-      | _ -> failwith (Printf.sprintf "cannot resolve host %S" host))
-
 let connect ?timeout addr =
   let domain, sockaddr =
     match addr with
     | Protocol.Unix_path path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
     | Protocol.Tcp (host, port) ->
-        (Unix.PF_INET, Unix.ADDR_INET (resolve_host host, port))
+        (Unix.PF_INET, Unix.ADDR_INET (Protocol.resolve_host host, port))
   in
   let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
   (* A server dropping the connection mid-request must surface as

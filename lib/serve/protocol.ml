@@ -56,6 +56,14 @@ let addr_of_string s =
             (Printf.sprintf "unknown address scheme %S (use unix: or tcp:)"
                other))
 
+let resolve_host host =
+  match Unix.inet_addr_of_string host with
+  | addr -> addr
+  | exception Failure _ -> (
+      match Unix.getaddrinfo host "" [ Unix.AI_FAMILY Unix.PF_INET ] with
+      | { Unix.ai_addr = Unix.ADDR_INET (addr, _); _ } :: _ -> addr
+      | _ -> failwith (Printf.sprintf "cannot resolve host %S" host))
+
 (* ---- requests ------------------------------------------------------- *)
 
 type request =

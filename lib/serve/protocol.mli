@@ -50,6 +50,11 @@ val addr_of_string : string -> (addr, string) result
 
 val addr_to_string : addr -> string
 
+val resolve_host : string -> Unix.inet_addr
+(** A dotted IPv4 address, or the first IPv4 address [getaddrinfo]
+    gives for a host name.
+    @raise Failure when the name does not resolve. *)
+
 (** {1 Messages} *)
 
 type request =
@@ -109,6 +114,10 @@ val decode_response : string -> (response * string, decode_error) result
 
     Blocking, EINTR-retrying socket I/O — a SIGINT aimed at graceful
     shutdown never tears a frame. *)
+
+val write_all : Unix.file_descr -> string -> int -> int -> unit
+(** [write_all fd s pos len] writes [len] bytes of [s] from [pos].
+    @raise Unix.Unix_error on I/O failure (e.g. [EPIPE]). *)
 
 val write_frame : Unix.file_descr -> string -> unit
 (** Frame a payload and write it whole.

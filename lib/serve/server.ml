@@ -144,14 +144,6 @@ type t = {
   open_conns : int Atomic.t;
 }
 
-let resolve_host host =
-  match Unix.inet_addr_of_string host with
-  | addr -> addr
-  | exception Failure _ -> (
-      match Unix.getaddrinfo host "" [ Unix.AI_FAMILY Unix.PF_INET ] with
-      | { Unix.ai_addr = Unix.ADDR_INET (addr, _); _ } :: _ -> addr
-      | _ -> failwith (Printf.sprintf "cannot resolve host %S" host))
-
 (* Unlink a leftover socket file only when nothing answers on it: a
    stale path from a crashed server must not block restart, but a live
    sibling server must not be evicted. *)
@@ -190,7 +182,7 @@ let create ?(jobs = 1) ?store ?access_log ~listen:requested () =
         let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
         (try
            Unix.setsockopt fd Unix.SO_REUSEADDR true;
-           Unix.bind fd (Unix.ADDR_INET (resolve_host host, port))
+           Unix.bind fd (Unix.ADDR_INET (Protocol.resolve_host host, port))
          with e -> (try Unix.close fd with _ -> ()); raise e);
         let bound =
           match Unix.getsockname fd with
@@ -504,15 +496,6 @@ let http_response ?(content_type = "text/plain; version=0.0.4") status body =
      Content-Length: %d\r\nConnection: close\r\n\r\n%s"
     status content_type (String.length body) body
 
-let rec write_all fd s pos len =
-  if len > 0 then begin
-    let n =
-      try Unix.write_substring fd s pos len
-      with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-    in
-    write_all fd s (pos + n) (len - n)
-  end
-
 let contains_blank_line s =
   let n = String.length s in
   let rec go i =
@@ -672,7 +655,7 @@ let serve_http t conn ~first =
   Rctx.set_outcome rctx status;
   Rctx.add_bytes_out rctx (String.length resp);
   (try Rctx.stage rctx "write_reply" (fun () ->
-           write_all conn.fd resp 0 (String.length resp))
+           Protocol.write_all conn.fd resp 0 (String.length resp))
    with Unix.Unix_error _ -> ());
   access_log_write t (Rctx.finish rctx)
 

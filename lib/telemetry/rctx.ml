@@ -125,9 +125,10 @@ module Slow = struct
      requests stays visible for at least [window_us] after it ends,
      and a quiet server doesn't pin stale entries forever. *)
 
+  let capacity = 8
+  let window_us = 60e6
+
   type state = {
-    mutable capacity : int;
-    mutable window_us : float;
     mutable window_start : float;
     mutable current : finished list;  (* sorted slowest-first, <= capacity *)
     mutable previous : finished list;
@@ -135,22 +136,7 @@ module Slow = struct
 
   let mu = Mutex.create ()
 
-  let st =
-    { capacity = 8;
-      window_us = 60e6;
-      window_start = 0.;
-      current = [];
-      previous = [] }
-
-  let configure ?capacity ?window_us () =
-    Mutex.lock mu;
-    (match capacity with
-    | Some c when c >= 1 -> st.capacity <- c
-    | Some _ | None -> ());
-    (match window_us with
-    | Some w when w > 0. -> st.window_us <- w
-    | Some _ | None -> ());
-    Mutex.unlock mu
+  let st = { window_start = 0.; current = []; previous = [] }
 
   let reset () =
     Mutex.lock mu;
@@ -178,19 +164,19 @@ module Slow = struct
   let note fin =
     Mutex.lock mu;
     let now = Span.now_us () in
-    if now -. st.window_start > st.window_us then begin
+    if now -. st.window_start > window_us then begin
       st.previous <- st.current;
       st.current <- [];
       st.window_start <- now
     end;
-    st.current <- take st.capacity (insert_sorted fin st.current);
+    st.current <- take capacity (insert_sorted fin st.current);
     Mutex.unlock mu
 
   let snapshot () =
     Mutex.lock mu;
     let merged =
       List.fold_left
-        (fun acc fin -> take st.capacity (insert_sorted fin acc))
+        (fun acc fin -> take capacity (insert_sorted fin acc))
         st.current st.previous
     in
     Mutex.unlock mu;

@@ -74,21 +74,17 @@ val finish : t -> finished
     request as a root span plus one child span per stage, all tagged
     with the request id. *)
 
-(** Bounded table of the N slowest requests per time window.  The
+(** Bounded table of the 8 slowest requests per 60 s window.  The
     current window fills and on rotation becomes the previous one, so
     a snapshot covers one to two windows — a burst stays visible for
     at least a window after it ends, a quiet server doesn't pin stale
     entries forever. *)
 module Slow : sig
-  val configure : ?capacity:int -> ?window_us:float -> unit -> unit
-  (** Defaults: capacity 8, window 60 s.  Out-of-range values are
-      ignored. *)
-
   val note : finished -> unit
   (** Called by {!finish}; exposed for tests. *)
 
   val snapshot : unit -> finished list
-  (** Slowest first, at most [capacity] entries, merged across the
+  (** Slowest first, at most 8 entries, merged across the
       current and previous windows. *)
 
   val reset : unit -> unit

@@ -1,10 +1,10 @@
-module Table = Memsim.Addr.Index_table
+module Table = Memsim.Addr.Index_map
 
 type t = {
   mutable fenwick : Fenwick.t;
   (* Position of each key's most recent access in the time index; the
      Fenwick tree has a 1 at exactly those positions. *)
-  last : int Table.t;
+  last : Table.t;
   mutable now : int;
   mutable accesses : int;
   mutable cold : int;
@@ -57,21 +57,22 @@ let bump_hist t d =
 let access t key =
   if t.now >= Fenwick.capacity t.fenwick then compact t;
   t.accesses <- t.accesses + 1;
+  let t0 = Table.find t.last key ~default:(-1) in
+  Table.replace t.last key t.now;
   let result =
-    match Table.find t.last key with
-    | exception Not_found ->
-        t.cold <- t.cold + 1;
-        Table.add t.last key t.now;
-        None
-    | t0 ->
-        (* Distinct keys referenced strictly between t0 and now: each has
-           its most-recent access inside the window. *)
-        let between = Fenwick.range_sum t.fenwick ~lo:(t0 + 1) ~hi:(t.now - 1) in
-        let distance = between + 1 in
-        Fenwick.add t.fenwick t0 (-1);
-        bump_hist t distance;
-        Table.replace t.last key t.now;
-        Some distance
+    if t0 < 0 then begin
+      t.cold <- t.cold + 1;
+      None
+    end
+    else begin
+      (* Distinct keys referenced strictly between t0 and now: each has
+         its most-recent access inside the window. *)
+      let between = Fenwick.range_sum t.fenwick ~lo:(t0 + 1) ~hi:(t.now - 1) in
+      let distance = between + 1 in
+      Fenwick.add t.fenwick t0 (-1);
+      bump_hist t distance;
+      Some distance
+    end
   in
   Fenwick.add t.fenwick t.now 1;
   t.now <- t.now + 1;

@@ -767,6 +767,72 @@ let prop_forest_runs_and_flushes =
     (fun (configs, events, cuts) ->
       flushed_forest_matches_oracles configs events cuts)
 
+(* LRU members keep each set most-recent-first.  Members of 2 to 64
+   ways, always with one fully associative set among them, are pinned
+   to the oracle's MRU tag lists on word-grain runs three quarters of
+   whose events are writes.  Flush cuts write the dirty ways back on
+   both sides; at a reset cut both sides must agree so far, then the
+   family is reset and the oracles start afresh. *)
+let lru_family_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 4)
+      (pair (oneofl [ 512; 1024; 2048 ]) (oneofl [ 2; 4; 8; 16; 32; 64 ]))
+    >|= fun shapes ->
+    let lru cap assoc =
+      Config.make
+        ~name:(Printf.sprintf "%d-%dway" cap assoc)
+        ~block_bytes:16 ~associativity:assoc cap
+    in
+    lru 1024 64
+    :: List.filter_map
+         (fun (cap, assoc) ->
+           if assoc <= cap / 16 then Some (lru cap assoc) else None)
+         shapes)
+
+let write_heavy_runs_gen =
+  QCheck.Gen.(
+    Testkit.Gen.run_events_gen () >>= fun events ->
+    list_repeat (List.length events) (int_bound 3) >|= fun draws ->
+    List.map2
+      (fun (e : Memsim.Event.t) d ->
+        if d = 0 then e else { e with kind = Memsim.Event.Write })
+      events draws)
+
+let prop_forest_lru_matches_oracle =
+  QCheck.Test.make ~name:"lru members of 2 to 64 ways match oracle"
+    ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         triple lru_family_gen write_heavy_runs_gen
+           (list_size (int_range 0 6) (pair (int_bound 400) bool))))
+    (fun (configs, events, cuts) ->
+      let forest = Forest.create configs in
+      let oracles = ref (List.map Testkit.Oracle.create configs) in
+      let summary (s : Stats.t) = (s.misses, s.cold_misses, s.writebacks) in
+      let agree () =
+        List.map (fun (_, s) -> summary s) (Forest.results forest)
+        = List.map (fun o -> summary (Testkit.Oracle.stats o)) !oracles
+      in
+      let flush () =
+        Forest.flush forest;
+        List.iter Testkit.Oracle.flush !oracles
+      in
+      let ok = ref true in
+      List.iteri
+        (fun i e ->
+          (match List.assoc_opt i cuts with
+          | Some true -> flush ()
+          | Some false ->
+              ok := !ok && agree ();
+              Forest.reset forest;
+              oracles := List.map Testkit.Oracle.create configs
+          | None -> ());
+          deliver (Forest.sink forest) [ e ];
+          List.iter (fun o -> Testkit.Oracle.access o e) !oracles)
+        events;
+      flush ();
+      !ok && agree ())
+
 (* [reset] returns a family to its just-created state: after trace [a]
    and a reset, trace [b] must give every member exactly what a fresh
    family fed only [b] reports, every Stats field included, and what
@@ -1610,7 +1676,8 @@ let () =
         @ qsuite
             [ prop_forest_matches_caches;
               prop_forest_runs_and_flushes;
-              prop_forest_reset_is_fresh ] );
+              prop_forest_reset_is_fresh;
+              prop_forest_lru_matches_oracle ] );
       ( "walk",
         [
           Alcotest.test_case "an event ending in a small block, then words"

@@ -59,6 +59,76 @@ let prop_align_down_is_aligned =
       let r = Addr.align_down a ~alignment in
       r <= a && r mod alignment = 0 && a - r < alignment)
 
+(* The index set and map against [Hashtbl], one op sequence driving
+   all four.  Tables start at their smallest and sequences run to 3000
+   ops over thousands of keys, so they grow through several doublings;
+   the narrow key ranges make many adds updates of a present key.  Keys
+   mix 0, max_int, negatives and power-of-two strided block indices,
+   whose shared low bits an identity hash would pile up. *)
+type index_op = Add of int * int | Find of int | Clear
+
+let index_key_gen =
+  QCheck.Gen.(
+    frequency
+      [ (1, oneofl [ 0; max_int; -1; min_int + 1; max_int - 1 ]);
+        (4, map2 (fun i s -> i lsl s) (int_bound 600) (int_range 4 12));
+        (2, map (fun i -> -i) (int_bound 2000));
+        (3, int_bound 3000) ])
+
+let index_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (600, map2 (fun k v -> Add (k, v)) index_key_gen int);
+        (400, map (fun k -> Find k) index_key_gen);
+        (1, return Clear) ])
+
+let prop_index_tables_match_hashtbl =
+  QCheck.Test.make ~name:"index set and map match Hashtbl" ~count:100
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 3000) index_op_gen))
+    (fun ops ->
+      let set = Addr.Index_set.create 1 and map = Addr.Index_map.create 1 in
+      let model = Hashtbl.create 16 in
+      let step = function
+        | Add (k, v) ->
+            let fresh = not (Hashtbl.mem model k) in
+            Hashtbl.replace model k v;
+            Addr.Index_map.replace map k v;
+            Addr.Index_set.add set k = fresh
+        | Find k ->
+            let want = Hashtbl.find_opt model k in
+            Addr.Index_set.mem set k = Option.is_some want
+            && Addr.Index_map.find map k ~default:(-7)
+               = Option.value want ~default:(-7)
+        | Clear ->
+            Hashtbl.reset model;
+            Addr.Index_set.clear set;
+            Addr.Index_map.clear map;
+            true
+      in
+      let sorted l = List.sort Stdlib.compare l in
+      List.for_all
+        (fun op ->
+          step op
+          && Addr.Index_set.length set = Hashtbl.length model
+          && Addr.Index_map.length map = Hashtbl.length model)
+        ops
+      && sorted (Addr.Index_map.fold (fun k v acc -> (k, v) :: acc) map [])
+         = sorted (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []))
+
+let test_index_tables_reject_sentinel () =
+  let set = Addr.Index_set.create 4 and map = Addr.Index_map.create 4 in
+  let raises name f =
+    check_bool name true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  raises "set add" (fun () -> ignore (Addr.Index_set.add set min_int));
+  raises "set mem" (fun () -> ignore (Addr.Index_set.mem set min_int));
+  raises "map find" (fun () ->
+      ignore (Addr.Index_map.find map min_int ~default:0));
+  raises "map replace" (fun () -> Addr.Index_map.replace map min_int 1);
+  check_int "set still empty" 0 (Addr.Index_set.length set);
+  check_int "map still empty" 0 (Addr.Index_map.length map)
+
 (* ------------------------------------------------------------------ *)
 (* Event                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -844,8 +914,13 @@ let () =
           Alcotest.test_case "align_down" `Quick test_addr_align_down;
           Alcotest.test_case "predicates" `Quick test_addr_predicates;
           Alcotest.test_case "indices" `Quick test_addr_indices;
+          Alcotest.test_case "index tables reject min_int" `Quick
+            test_index_tables_reject_sentinel;
         ]
-        @ qsuite [ prop_align_up_is_aligned; prop_align_down_is_aligned ] );
+        @ qsuite
+            [ prop_align_up_is_aligned;
+              prop_align_down_is_aligned;
+              prop_index_tables_match_hashtbl ] );
       ( "event",
         [
           Alcotest.test_case "constructors" `Quick test_event_constructors;

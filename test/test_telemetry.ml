@@ -426,8 +426,7 @@ let with_rctx f =
   Fun.protect
     ~finally:(fun () ->
       Rctx.set_enabled false;
-      Rctx.Slow.reset ();
-      Rctx.Slow.configure ())
+      Rctx.Slow.reset ())
     f
 
 let is_hex s =
@@ -504,12 +503,16 @@ let fin_with ~id ~total_us : Rctx.finished =
 
 let test_rctx_slow_ring () =
   with_rctx @@ fun () ->
-  Rctx.Slow.configure ~capacity:2 ();
-  Rctx.Slow.note (fin_with ~id:"a" ~total_us:10.);
-  Rctx.Slow.note (fin_with ~id:"b" ~total_us:30.);
-  Rctx.Slow.note (fin_with ~id:"c" ~total_us:20.);
+  (* Nine requests into a ring of eight: the 10 us one drops out. *)
+  List.iter
+    (fun (id, total_us) -> Rctx.Slow.note (fin_with ~id ~total_us))
+    [ ("a", 10.); ("b", 30.); ("c", 20.); ("d", 90.); ("e", 50.);
+      ("f", 70.); ("g", 40.); ("h", 80.); ("i", 60.) ];
   let ids = List.map (fun (f : Rctx.finished) -> f.id) (Rctx.Slow.snapshot ()) in
-  check_bool "keeps the slowest, slowest first" true (ids = [ "b"; "c" ])
+  Alcotest.(check (list string))
+    "keeps the eight slowest, slowest first"
+    [ "d"; "h"; "f"; "i"; "e"; "g"; "b"; "c" ]
+    ids
 
 let test_rctx_json () =
   check_string "epoch" "1970-01-01T00:00:00.000000Z" (Rctx.iso8601 0.);
