@@ -598,7 +598,7 @@ let record_cmd =
     (* The driver builds the allocator as the grid does, so a capture
        of "custom" is the custom cell's stream. *)
     let result =
-      Memsim.Trace_file.record_to_file out (fun sink ->
+      Memsim.Trace.record out (fun sink ->
           Workload.Driver.run ~sink ~scale ~profile ~allocator ())
     in
     Printf.printf "recorded %s events (%s, %s, scale %.2f) to %s\n"
@@ -614,14 +614,14 @@ let record_cmd =
 let trace_format_conv = Arg.enum Memsim.Trace.Source.all_formats
 
 let trace_file_arg =
-  let doc = "Trace file: recorded binary, framed binary, cachetrace text \
+  let doc = "Trace file: recorded binary, cachetrace text \
              ($(b,R 0xADDR) / $(b,W 0xADDR) lines) or per-access CSV." in
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
 
 let trace_format_arg =
   let doc =
-    "Input trace format ($(b,binary) | $(b,text) | $(b,csv) | $(b,framed)).  \
-     Sniffed from the file's leading bytes when absent."
+    "Input trace format ($(b,binary) | $(b,text) | $(b,csv)).  Sniffed \
+     from the file's leading bytes when absent."
   in
   Arg.(
     value
@@ -675,9 +675,8 @@ let trace_import_cmd =
 let trace_export_cmd =
   let to_arg =
     let doc =
-      "Output trace format ($(b,binary) | $(b,text) | $(b,csv) | \
-       $(b,framed)).  Text and CSV carry kind and address only; binary \
-       and framed are lossless."
+      "Output trace format ($(b,binary) | $(b,text) | $(b,csv)).  Text \
+       and CSV carry kind and address only; binary is lossless."
     in
     Arg.(
       required
@@ -731,7 +730,7 @@ let trace_run_cmd =
 let trace_cmd =
   let doc =
     "Work with external reference traces: import (simulate + store), \
-     export (transcode between text, CSV, binary and framed captures) \
+     export (transcode between text, CSV and binary captures) \
      and run (render the full report)."
   in
   Cmd.group (Cmd.info "trace" ~doc)

@@ -10,7 +10,7 @@ let () =
 
   (* Pass 1: generate the trace once (espresso under QuickFit). *)
   let result =
-    Memsim.Trace_file.record_to_file path (fun sink ->
+    Memsim.Trace.record path (fun sink ->
         Workload.Driver.run ~sink ~scale:0.05
           ~profile:Workload.Programs.espresso ~allocator:"quickfit" ())
   in
@@ -21,10 +21,14 @@ let () =
 
   (* Pass 2..n: replay under different cache geometries, no workload
      re-execution. *)
+  let trace = Memsim.Trace.slurp path in
   List.iter
     (fun (label, config) ->
       let cache = Cachesim.Multi.create [ config ] in
-      let n = Memsim.Trace_file.replay_file path (Cachesim.Multi.sink cache) in
+      let n =
+        Memsim.Trace.read Memsim.Trace.Source.Binary trace
+          (Cachesim.Multi.sink cache)
+      in
       assert (n = result.Workload.Driver.data_refs);
       let stats = snd (List.hd (Cachesim.Multi.results cache)) in
       Printf.printf "  %-12s miss rate %6.3f%%  writebacks %d\n" label

@@ -81,8 +81,8 @@ let digest_of_meta m =
 
 (* ---- codec --------------------------------------------------------- *)
 
-module W = Store.Codec.Writer
-module R = Store.Codec.Reader
+module W = Binio.Writer
+module R = Binio.Reader
 
 (* The meta header layout is FROZEN: decode_meta must keep working on
    payloads from every past and future schema version. *)
@@ -247,7 +247,7 @@ let read_config r : Cachesim.Config.t =
   let policy =
     match Cachesim.Policy.of_string (R.string r) with
     | Ok p -> p
-    | Error e -> raise (Store.Codec.Error e)
+    | Error e -> raise (Binio.Error e)
   in
   Cachesim.Config.make ~name ~block_bytes ~associativity ~policy size_bytes
 
@@ -304,7 +304,7 @@ let decode payload =
     end
   with
   | result -> result
-  | exception Store.Codec.Error e -> Error e
+  | exception Binio.Error e -> Error e
   | exception Invalid_argument e ->
       (* Config.make validation: a decoded size/associativity that no
          longer forms a legal cache is corruption, not a crash. *)
@@ -313,7 +313,7 @@ let decode payload =
 let decode_meta payload =
   match read_meta (R.of_string payload) with
   | meta -> Ok meta
-  | exception Store.Codec.Error e -> Error e
+  | exception Binio.Error e -> Error e
 
 let equal a b =
   (* Fields are ints, floats (finite by construction), strings, arrays

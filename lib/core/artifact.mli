@@ -101,10 +101,10 @@ val decode_meta : string -> (meta, string) result
 (** Read only the (version-frozen) metadata header, succeeding even for
     payloads whose body layout belongs to another schema version. *)
 
-val write_stats : Store.Codec.Writer.t -> Cachesim.Stats.t -> unit
+val write_stats : Binio.Writer.t -> Cachesim.Stats.t -> unit
 (** The cache-statistics field sequence, shared with {!Derived}. *)
 
-val read_stats : Store.Codec.Reader.t -> Cachesim.Stats.t
+val read_stats : Binio.Reader.t -> Cachesim.Stats.t
 
 val equal : t -> t -> bool
 (** Structural equality of every field, histograms element-wise. *)

@@ -68,8 +68,8 @@ let digest_of_meta m =
 
 (* ---- codec --------------------------------------------------------- *)
 
-module W = Store.Codec.Writer
-module R = Store.Codec.Reader
+module W = Binio.Writer
+module R = Binio.Reader
 
 (* The header layout is FROZEN: decode_meta must keep working on
    payloads from every past and future schema version. *)
@@ -141,12 +141,12 @@ let decode payload =
       else Ok { meta; rows }
   with
   | result -> result
-  | exception Store.Codec.Error e -> Error e
+  | exception Binio.Error e -> Error e
 
 let decode_meta payload =
   match read_meta (R.of_string payload) with
   | meta -> Ok meta
-  | exception Store.Codec.Error e -> Error e
+  | exception Binio.Error e -> Error e
 
 (* ---- what renderers read ------------------------------------------- *)
 

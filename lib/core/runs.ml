@@ -418,7 +418,7 @@ let simulate_trace c =
     provenance =
       { Artifact.source_format = Memsim.Trace.Source.format_to_string c.format;
         source_bytes = String.length c.data;
-        source_checksum = Store.Codec.crc32 c.data };
+        source_checksum = Binio.crc32 c.data };
     summary =
       (* There is no simulated machine behind an imported trace, so the
          instruction/heap fields are zero; the reference counts are

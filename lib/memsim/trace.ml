@@ -7,36 +7,32 @@
    flows through exactly the pipeline (forest, vmsim) that synthetic
    traffic does. *)
 
-let framed_magic = "LOCTRC1\n"
+let binary_magic = "LOCLAB1\n"
 
 module Source = struct
-  type format = Binary | Text | Csv | Framed
+  type format = Binary | Text | Csv
 
   let format_to_string = function
     | Binary -> "binary"
     | Text -> "text"
     | Csv -> "csv"
-    | Framed -> "framed"
 
-  let all_formats =
-    [ ("binary", Binary); ("text", Text); ("csv", Csv); ("framed", Framed) ]
+  let all_formats = [ ("binary", Binary); ("text", Text); ("csv", Csv) ]
 
   let format_of_string s =
     match List.assoc_opt (String.lowercase_ascii (String.trim s)) all_formats with
     | Some f -> Result.Ok f
     | None ->
         Result.Error
-          (Printf.sprintf "unknown trace format %S (use binary|text|csv|framed)"
-             s)
+          (Printf.sprintf "unknown trace format %S (use binary|text|csv)" s)
 
   let csv_header = "index,op,address"
 
-  (* Recognise a trace's format from its leading bytes: both binary
-     containers start with a fixed magic and the CSV export starts with
-     its header row; anything else is read as cachetrace text. *)
+  (* Recognise a trace's format from its leading bytes: a binary
+     capture starts with its magic and the CSV export starts with its
+     header row; anything else is read as cachetrace text. *)
   let sniff data =
-    if String.starts_with ~prefix:Trace_file.magic data then Binary
-    else if String.starts_with ~prefix:framed_magic data then Framed
+    if String.starts_with ~prefix:binary_magic data then Binary
     else
       let line_end =
         match String.index_opt data '\n' with
@@ -232,62 +228,160 @@ module Csv = struct
     Buffer.contents b
 end
 
-(* ---- compact binary under the shared frame envelope ------------------- *)
+(* ---- the compact binary capture --------------------------------------- *)
 
-(* A Trace_file byte stream wrapped in the store's self-checking
-   [Binio.Frame] envelope (magic "LOCTRC1\n"), with the event count up
-   front: [frame( int count | string trace-bytes )].  The CRC makes a
-   framed trace safe to ship over the serve protocol or store on disk
-   without trusting the transport. *)
-module Framed = struct
-  let read data sink =
-    match Binio.Frame.unframe ~magic:framed_magic data with
-    | Result.Error reason -> failwith ("Trace.Framed: " ^ reason)
-    | Result.Ok payload -> (
-        let r = Binio.Reader.of_string payload in
-        match
-          let count = Binio.Reader.int r in
-          let trace = Binio.Reader.string r in
-          if not (Binio.Reader.at_end r) then
-            failwith "Trace.Framed: trailing bytes after trace payload";
-          (count, trace)
-        with
-        | exception Binio.Error msg -> failwith ("Trace.Framed: " ^ msg)
-        | count, trace ->
-            let n = Trace_file.replay_string trace sink in
-            if n <> count then
-              failwith
-                (Printf.sprintf
-                   "Trace.Framed: header promises %d events but trace holds %d"
-                   count n);
-            n)
+(* Magic "LOCLAB1\n", then per event a flags byte, an escaped size when
+   the flags say so, and the zigzag varint of the address delta from the
+   previous event (the first from 0):
+
+     bit 0        kind (0 = read, 1 = write)
+     bits 1-2     source (0 app, 1 malloc, 2 free)
+     bits 3-7     size: 1..30 inline, 31 = a size varint follows
+
+   Varints are LEB128 over the 63 bits of an int, at most 9 bytes.
+   Both directions convert to and from the packed meta word
+   ([size lsl 3 lor kind lsl 2 lor source], see {!Event.Packed}) with
+   shifts and masks alone.  Address locality makes typical traces ~2-3
+   bytes per reference. *)
+module Binary = struct
+  (* One page.  Every producer emits words or less, and a consumer walks
+     each block an event spans, so the size bounds what one event can
+     cost downstream. *)
+  let max_size = 4096
+
+  let add_varint b v =
+    let v = ref v in
+    while !v land lnot 0x7f <> 0 do
+      Buffer.add_char b (Char.unsafe_chr (!v land 0x7f lor 0x80));
+      v := !v lsr 7
+    done;
+    Buffer.add_char b (Char.unsafe_chr !v)
+
+  (* Over the full int range: deltas of addresses in [0, max_int] span
+     63 signed bits, and their zigzag all 63 unsigned ones. *)
+  let zigzag v = (v lsl 1) lxor (v asr (Sys.int_size - 1))
+  let unzigzag v = (v lsr 1) lxor (-(v land 1))
+
+  (* Appends [batch] to [b]; [prev] carries the last address across
+     batches. *)
+  let encode b prev (batch : Event.Batch.t) =
+    for i = 0 to batch.Event.Batch.len - 1 do
+      let addr = Array.unsafe_get batch.Event.Batch.addrs i in
+      let meta = Array.unsafe_get batch.Event.Batch.metas i in
+      let size = meta lsr 3 in
+      let size_field = if size >= 1 && size <= 30 then size else 31 in
+      Buffer.add_char b
+        (Char.unsafe_chr
+           (((meta lsr 2) land 1) lor ((meta land 3) lsl 1)
+           lor (size_field lsl 3)));
+      if size_field = 31 then add_varint b size;
+      add_varint b (zigzag (addr - !prev));
+      prev := addr
+    done
 
   let write f =
+    let b = Buffer.create 4096 in
+    Buffer.add_string b binary_magic;
+    let prev = ref 0 in
+    f (encode b prev);
+    Buffer.contents b
+
+  (* Decode failures carry the byte offset of the event's flags byte and
+     the byte itself in hex, so damage in a multi-MB trace can be
+     located directly with dd/xxd. *)
+  let corrupt off flags fmt =
+    Printf.ksprintf
+      (fun s ->
+        failwith
+          (Printf.sprintf "Trace.Binary: byte %d (flags 0x%02x): %s" off flags
+             s))
+      fmt
+
+  (* Reads the varint at [!pos] and advances [pos] past it. *)
+  let varint data pos ~off ~flags =
+    let len = String.length data in
+    let acc = ref 0 and shift = ref 0 and more = ref true in
+    while !more do
+      let p = !pos in
+      if p >= len then corrupt off flags "truncated event";
+      let byte = Char.code (String.unsafe_get data p) in
+      pos := p + 1;
+      acc := !acc lor ((byte land 0x7f) lsl !shift);
+      if byte land 0x80 = 0 then more := false
+      else if !shift = 56 then corrupt off flags "varint overflows 63 bits"
+      else shift := !shift + 7
+    done;
+    !acc
+
+  let read data (sink : Sink.t) =
+    if not (String.starts_with ~prefix:binary_magic data) then
+      failwith "Trace.Binary: not a loclab trace";
+    (* Deliver at the pipeline's batch grain: order-preserving, one
+       downstream dispatch per 256 events. *)
+    let batch = Event.Batch.create () in
+    let cap = Event.Batch.capacity batch in
+    let len = String.length data in
+    let pos = ref (String.length binary_magic) in
+    let prev = ref 0 in
     let count = ref 0 in
-    let trace =
-      Trace_file.record_to_string (fun rec_sink ->
-          f (fun batch ->
-              count := !count + batch.Event.Batch.len;
-              rec_sink batch))
-    in
-    let w = Binio.Writer.create () in
-    Binio.Writer.int w !count;
-    Binio.Writer.string w trace;
-    Binio.Frame.frame ~magic:framed_magic (Binio.Writer.contents w)
+    while !pos < len do
+      if batch.Event.Batch.len = cap then begin
+        sink batch;
+        Event.Batch.clear batch
+      end;
+      let off = !pos in
+      let flags = Char.code (String.unsafe_get data off) in
+      pos := off + 1;
+      let source = (flags lsr 1) land 3 in
+      if source = 3 then corrupt off flags "bad source 3";
+      let size_field = flags lsr 3 in
+      let size =
+        if size_field = 31 then varint data pos ~off ~flags else size_field
+      in
+      if size < 1 || size > max_size then
+        corrupt off flags "event size %d outside 1..%d" size max_size;
+      let addr = !prev + unzigzag (varint data pos ~off ~flags) in
+      if addr < 0 then corrupt off flags "address below 0";
+      prev := addr;
+      Event.Batch.push batch ~addr
+        ~meta:((size lsl 3) lor ((flags land 1) lsl 2) lor source);
+      incr count
+    done;
+    if batch.Event.Batch.len > 0 then sink batch;
+    !count
 end
 
 (* ---- format dispatch -------------------------------------------------- *)
 
 let read format data sink =
   match (format : Source.format) with
-  | Source.Binary -> Trace_file.replay_string data sink
+  | Source.Binary -> Binary.read data sink
   | Source.Text -> Text.read data sink
   | Source.Csv -> Csv.read data sink
-  | Source.Framed -> Framed.read data sink
 
 let write format f =
   match (format : Source.format) with
-  | Source.Binary -> Trace_file.record_to_string f
+  | Source.Binary -> Binary.write f
   | Source.Text -> Text.write f
   | Source.Csv -> Csv.write f
-  | Source.Framed -> Framed.write f
+
+(* The binary encoding streamed to a file: the buffer is drained to the
+   channel whenever it passes [chunk] bytes, so a long run never holds
+   its whole capture in memory. *)
+let record path f =
+  let chunk = 65536 in
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
+  let b = Buffer.create (2 * chunk) in
+  Buffer.add_string b binary_magic;
+  let prev = ref 0 in
+  let result =
+    f (fun batch ->
+        Binary.encode b prev batch;
+        if Buffer.length b >= chunk then begin
+          Buffer.output_buffer oc b;
+          Buffer.clear b
+        end)
+  in
+  Buffer.output_buffer oc b;
+  result

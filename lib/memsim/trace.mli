@@ -1,11 +1,11 @@
 (** Trace capture formats.
 
     Besides a synthetic workload run, a reference trace can come from a
-    recorded {!Trace_file}, an external cachetrace-style text capture, a
-    per-access CSV export, or a compact CRC-framed binary.  Every
-    reader streams packed {!Event.Batch} deliveries into a sink — no
-    boxed [Event.t] on the hot path — so external traffic flows through
-    exactly the pipeline synthetic traffic does.
+    recorded binary capture, an external cachetrace-style text capture
+    or a per-access CSV export.  Every reader streams packed
+    {!Event.Batch} deliveries into a sink — no boxed [Event.t] on the
+    hot path — so external traffic flows through exactly the pipeline
+    synthetic traffic does.
 
     Formats:
     - {b text} (cachetrace): one access per line, [R 0xADDR] /
@@ -16,18 +16,21 @@
     - {b csv}: header row [index,op,address], then one row per access:
       0-based index, [R]/[W], [0x]-prefixed hex address (cachetrace's
       per-access column layout, for differential testing).
-    - {b binary}: the {!Trace_file} encoding, verbatim.
-    - {b framed}: a binary trace wrapped in the store's self-checking
-      frame envelope (magic ["LOCTRC1\n"]) with the event count up
-      front — safe to ship over the serve protocol.
+    - {b binary}: magic ["LOCLAB1\n"], then per event a flags byte
+      (kind, source, sizes 1..30 inline), an escaped size varint for
+      larger sizes, and the zigzag varint of the address delta from the
+      previous event.  Lossless; typical traces take ~2–3 bytes per
+      reference.  The reader bounds what one event can ask for: sizes
+      1..4096, varints of at most 63 bits, addresses of at least 0.
 
-    All readers raise [Failure] with a located message (line number for
-    text/CSV, byte offset for binary) on malformed input. *)
-
-val framed_magic : string
+    All readers raise [Failure] with a located message on malformed
+    input: the line number for text/CSV, and for binary the byte offset
+    and flags byte of the damaged event (e.g. ["Trace.Binary: byte 8
+    (flags 0xf8): event size 68719476736 outside 1..4096"]), so
+    corruption in a multi-MB capture can be found with a hex dump. *)
 
 module Source : sig
-  type format = Binary | Text | Csv | Framed
+  type format = Binary | Text | Csv
 
   val format_to_string : format -> string
 
@@ -42,7 +45,7 @@ module Source : sig
 
   val sniff : string -> format
   (** Recognise a trace's format from its leading bytes: the binary
-      magics and the CSV header are unambiguous; anything else is read
+      magic and the CSV header are unambiguous; anything else is read
       as text. *)
 end
 
@@ -59,4 +62,10 @@ val write : Source.format -> (Sink.t -> unit) -> string
 (** [write format f] runs [f] with a sink that encodes everything it
     receives, and returns the encoded trace.  Text and CSV carry kind
     and address only (size and source are not representable); binary
-    and framed are lossless. *)
+    is lossless. *)
+
+val record : string -> (Sink.t -> 'a) -> 'a
+(** [record path f] runs [f] with a sink that streams the binary
+    encoding of everything it receives to [path], in bounded chunks;
+    the file holds the bytes [write Binary] would return.  The file is
+    closed afterwards, also on exceptions. *)

@@ -1,15 +1,13 @@
 (* The versioned wire protocol of `loclab serve`.
 
    Requests and responses travel as CRC-guarded length-framed payloads
-   (the same Store.Codec.Frame envelope the artifact store uses on
-   disk, under a serve-specific magic), and the payloads themselves are
-   Store.Codec field sequences: protocol version, request id, tag,
+   (the same Binio.Frame envelope the artifact store uses on disk,
+   under a serve-specific magic), and the payloads themselves are
+   Binio field sequences: protocol version, request id, tag,
    fields.  A frame is therefore self-checking end to end: truncation,
    garbage and bit flips are detected before any typed decoding runs,
    and typed decoding itself never raises — every failure is an
    [Error] the server answers with a typed error response. *)
-
-module Codec = Store.Codec
 
 let version = 3
 let magic = "LOCSRV1\n"
@@ -130,102 +128,102 @@ let decode_error_to_string = function
 (* Every payload opens with the version and the request id; an empty
    id asks the server to mint one. *)
 let write_envelope w id =
-  Codec.Writer.int w version;
-  Codec.Writer.string w id
+  Binio.Writer.int w version;
+  Binio.Writer.string w id
 
 let encode_request ?(id = "") req =
-  let w = Codec.Writer.create () in
+  let w = Binio.Writer.create () in
   write_envelope w id;
   (match req with
-  | Health -> Codec.Writer.int w 0
+  | Health -> Binio.Writer.int w 0
   | Run_cell { program; allocator; scale } ->
-      Codec.Writer.int w 3;
-      Codec.Writer.string w program;
-      Codec.Writer.string w allocator;
-      Codec.Writer.float w scale
+      Binio.Writer.int w 3;
+      Binio.Writer.string w program;
+      Binio.Writer.string w allocator;
+      Binio.Writer.float w scale
   | Run_experiment { id; scale } ->
-      Codec.Writer.int w 4;
-      Codec.Writer.string w id;
-      Codec.Writer.float w scale
+      Binio.Writer.int w 4;
+      Binio.Writer.string w id;
+      Binio.Writer.float w scale
   | Ingest { format; trace } ->
-      Codec.Writer.int w 5;
-      Codec.Writer.string w format;
-      Codec.Writer.string w trace);
-  Codec.Writer.contents w
+      Binio.Writer.int w 5;
+      Binio.Writer.string w format;
+      Binio.Writer.string w trace);
+  Binio.Writer.contents w
 
 (* Shared decode shell: version check, request id, tag dispatch,
    trailing-byte and truncation detection, never an exception.  Yields
    the message together with the request id. *)
 let decode_payload what payload read_tagged =
-  let r = Codec.Reader.of_string payload in
+  let r = Binio.Reader.of_string payload in
   try
-    let v = Codec.Reader.int r in
+    let v = Binio.Reader.int r in
     if v <> version then Result.Error (Unsupported v)
     else begin
-      let id = Codec.Reader.string r in
-      let tag = Codec.Reader.int r in
+      let id = Binio.Reader.string r in
+      let tag = Binio.Reader.int r in
       match read_tagged r tag with
       | Some value ->
-          if Codec.Reader.at_end r then Result.Ok (value, id)
+          if Binio.Reader.at_end r then Result.Ok (value, id)
           else Result.Error (Malformed (what ^ " has trailing bytes"))
       | None ->
           Result.Error (Malformed (Printf.sprintf "unknown %s tag %d" what tag))
     end
-  with Codec.Error msg -> Result.Error (Malformed msg)
+  with Binio.Error msg -> Result.Error (Malformed msg)
 
 let decode_request payload =
   decode_payload "request" payload (fun r -> function
     | 0 -> Some Health
     | 3 ->
-        let program = Codec.Reader.string r in
-        let allocator = Codec.Reader.string r in
-        let scale = Codec.Reader.float r in
+        let program = Binio.Reader.string r in
+        let allocator = Binio.Reader.string r in
+        let scale = Binio.Reader.float r in
         Some (Run_cell { program; allocator; scale })
     | 4 ->
-        let id = Codec.Reader.string r in
-        let scale = Codec.Reader.float r in
+        let id = Binio.Reader.string r in
+        let scale = Binio.Reader.float r in
         Some (Run_experiment { id; scale })
     | 5 ->
-        let format = Codec.Reader.string r in
-        let trace = Codec.Reader.string r in
+        let format = Binio.Reader.string r in
+        let trace = Binio.Reader.string r in
         Some (Ingest { format; trace })
     | _ -> None)
 
 let encode_response ?(id = "") resp =
-  let w = Codec.Writer.create () in
+  let w = Binio.Writer.create () in
   write_envelope w id;
   (match resp with
   | Health_ok { server_version; protocol_version } ->
-      Codec.Writer.int w 0;
-      Codec.Writer.string w server_version;
-      Codec.Writer.int w protocol_version
+      Binio.Writer.int w 0;
+      Binio.Writer.string w server_version;
+      Binio.Writer.int w protocol_version
   | Cell_ok { digest; artifact } ->
-      Codec.Writer.int w 3;
-      Codec.Writer.string w digest;
-      Codec.Writer.string w artifact
+      Binio.Writer.int w 3;
+      Binio.Writer.string w digest;
+      Binio.Writer.string w artifact
   | Report_ok text ->
-      Codec.Writer.int w 4;
-      Codec.Writer.string w text
+      Binio.Writer.int w 4;
+      Binio.Writer.string w text
   | Error { code; message } ->
-      Codec.Writer.int w 5;
-      Codec.Writer.int w (error_code_to_int code);
-      Codec.Writer.string w message);
-  Codec.Writer.contents w
+      Binio.Writer.int w 5;
+      Binio.Writer.int w (error_code_to_int code);
+      Binio.Writer.string w message);
+  Binio.Writer.contents w
 
 let decode_response payload =
   decode_payload "response" payload (fun r -> function
     | 0 ->
-        let server_version = Codec.Reader.string r in
-        let protocol_version = Codec.Reader.int r in
+        let server_version = Binio.Reader.string r in
+        let protocol_version = Binio.Reader.int r in
         Some (Health_ok { server_version; protocol_version })
     | 3 ->
-        let digest = Codec.Reader.string r in
-        let artifact = Codec.Reader.string r in
+        let digest = Binio.Reader.string r in
+        let artifact = Binio.Reader.string r in
         Some (Cell_ok { digest; artifact })
-    | 4 -> Some (Report_ok (Codec.Reader.string r))
+    | 4 -> Some (Report_ok (Binio.Reader.string r))
     | 5 -> (
-        let code = Codec.Reader.int r in
-        let message = Codec.Reader.string r in
+        let code = Binio.Reader.int r in
+        let message = Binio.Reader.string r in
         match error_code_of_int code with
         | Some code -> Some (Error { code; message })
         | None -> None)
@@ -245,7 +243,7 @@ let rec write_all fd s pos len =
   end
 
 let write_frame fd payload =
-  let data = Codec.Frame.frame ~magic payload in
+  let data = Binio.Frame.frame ~magic payload in
   write_all fd data 0 (String.length data)
 
 (* Read exactly [len] bytes; [Ok false] on EOF before the first byte,
@@ -293,6 +291,6 @@ let read_frame ?(first = "") fd =
               (* Reassemble and run the shared envelope check so the
                  CRC semantics are exactly the store's. *)
               let data = Bytes.to_string hdr ^ Bytes.to_string rest in
-              match Codec.Frame.unframe ~magic data with
+              match Binio.Frame.unframe ~magic data with
               | Result.Ok payload -> Result.Ok (Some payload)
               | Result.Error reason -> Result.Error reason))

@@ -1,7 +1,7 @@
 (** The versioned wire protocol of [loclab serve].
 
     {b Frame layout.}  Every message — request or response — is one
-    {!Store.Codec.Frame} envelope under the serve magic:
+    {!Binio.Frame} envelope under the serve magic:
 
     {v
     "LOCSRV1\n" | payload length (int64 LE) | payload | CRC-32 (int64 LE)

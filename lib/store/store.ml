@@ -1,7 +1,3 @@
-(* This module shares the library's name, so it is the library's
-   entry point; re-export the codec for dependents (Core.Artifact). *)
-module Codec = Codec
-
 let log_src = Logs.Src.create "loclab.store" ~doc:"loclab artifact store"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
@@ -46,8 +42,8 @@ let puts_c =
     ~help:"Artifacts written to the store" ~labels:[] ()
   |> Fun.flip Telemetry.Metrics.Counter.labels []
 
-let frame payload = Codec.Frame.frame ~magic payload
-let unframe data = Codec.Frame.unframe ~magic data
+let frame payload = Binio.Frame.frame ~magic payload
+let unframe data = Binio.Frame.unframe ~magic data
 
 let read_file file =
   let ic = open_in_bin file in

@@ -16,9 +16,6 @@
       reported as {!Corrupt} (and logged on the [loclab.store] source),
       never an exception — callers degrade to re-simulation. *)
 
-module Codec = Codec
-(** The binary primitives artifacts encode themselves with. *)
-
 type t
 
 val open_ : string -> t

@@ -62,7 +62,7 @@ let access t key =
   let result =
     if t0 < 0 then begin
       t.cold <- t.cold + 1;
-      None
+      0
     end
     else begin
       (* Distinct keys referenced strictly between t0 and now: each has
@@ -71,7 +71,7 @@ let access t key =
       let distance = between + 1 in
       Fenwick.add t.fenwick t0 (-1);
       bump_hist t distance;
-      Some distance
+      distance
     end
   in
   Fenwick.add t.fenwick t.now 1;

@@ -19,9 +19,9 @@ val create : ?initial_capacity:int -> unit -> t
     grows it to four times the number of distinct keys, so it stays
     sized to the footprint whatever the start. *)
 
-val access : t -> int -> int option
+val access : t -> int -> int
 (** [access t key] records a reference to [key] and returns its stack
-    distance, or [None] on a cold (first) access. *)
+    distance (at least 1), or 0 on a cold (first) access. *)
 
 val accesses : t -> int
 (** Total accesses recorded. *)

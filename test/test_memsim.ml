@@ -405,85 +405,57 @@ let prop_store_load_roundtrip =
       && Hashtbl.fold (fun a v acc -> acc && Sim_memory.load m a = v) model true)
 
 (* ------------------------------------------------------------------ *)
-(* Trace_file                                                         *)
+(* Binary trace capture                                               *)
 (* ------------------------------------------------------------------ *)
 
-let tmp_trace name = Filename.concat (Filename.get_temp_dir_name ()) name
+let binary = Trace.Source.Binary
+let encode events = Trace.write binary (fun sink -> deliver sink events)
+
+let replay data =
+  let n = ref 0 in
+  let events = record (fun sink -> n := Trace.read binary data sink) in
+  (!n, events)
 
 let test_trace_roundtrip () =
-  let path = tmp_trace "loclab_roundtrip.trace" in
   let events =
     [ Event.read 0x1000 4;
       Event.write ~source:Event.Malloc 0x1004 4;
       Event.read ~source:Event.Free 0x0ff0 2;
       Event.write 0x2000 64;
       (* > 30 bytes: escaped size *)
-      Event.read 0x1_000_000 1 ]
+      Event.read 0x1_000_000 1;
+      (* deltas spanning the whole int range *)
+      Event.write max_int 1;
+      Event.read 0 4096 ]
   in
-  Trace_file.record_to_file path (fun sink -> deliver sink events);
-  let n = ref 0 in
-  let back = record (fun sink -> n := Trace_file.replay_file path sink) in
-  Alcotest.(check int) "event count" (List.length events) !n;
-  Alcotest.(check bool) "events identical" true (back = events);
-  Sys.remove path
+  let n, back = replay (encode events) in
+  Alcotest.(check int) "event count" (List.length events) n;
+  Alcotest.(check bool) "events identical" true (back = events)
 
 let test_trace_rejects_foreign () =
-  let path = tmp_trace "loclab_foreign.trace" in
-  let oc = open_out_bin path in
-  output_string oc "NOTATRACE";
-  close_out oc;
   Alcotest.(check bool) "foreign rejected" true
-    (match Trace_file.replay_file path Sink.null with
+    (match Trace.read binary "NOTATRACE" Sink.null with
     | exception Failure _ -> true
-    | _ -> false);
-  Sys.remove path
+    | _ -> false)
 
 let test_trace_truncation_detected () =
-  let path = tmp_trace "loclab_trunc.trace" in
-  Trace_file.record_to_file path (fun sink ->
-      deliver sink [ Event.read 0x123456 4 ]);
+  let data = encode [ Event.read 0x123456 4 ] in
   (* Chop the last byte off. *)
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let data = really_input_string ic (len - 1) in
-  close_in ic;
-  let oc = open_out_bin path in
-  output_string oc data;
-  close_out oc;
+  let data = String.sub data 0 (String.length data - 1) in
   Alcotest.(check bool) "truncation detected" true
-    (match Trace_file.replay_file path Sink.null with
+    (match Trace.read binary data Sink.null with
     | exception Failure _ -> true
-    | _ -> false);
-  Sys.remove path
+    | _ -> false)
 
 let test_trace_compactness () =
   (* Sequential word touches encode in ~2 bytes/event. *)
-  let path = tmp_trace "loclab_compact.trace" in
-  Trace_file.record_to_file path (fun sink ->
-      deliver ~grain:256 sink
-        (List.init 10_000 (fun i -> Event.read (0x10000 + (4 * i)) 4)));
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  close_in ic;
-  Sys.remove path;
-  Alcotest.(check bool) "under 3 bytes/event" true (len < 30_000)
-
-let prop_trace_roundtrip_random =
-  (* Events come from the shared testkit generator, at full trace-file
-     width (addresses to 10M, sizes to 5000) rather than the cache-suite
-     defaults. *)
-  QCheck.Test.make ~name:"trace roundtrip on random events" ~count:100
-    (QCheck.make
-       QCheck.Gen.(
-         small_list
-           (Testkit.Gen.event_gen ~addr_bound:10_000_000 ~max_size:5000 ())))
-    (fun events ->
-      let path = tmp_trace "loclab_prop.trace" in
-      Trace_file.record_to_file path (fun sink -> deliver sink events);
-      let n = ref 0 in
-      let back = record (fun sink -> n := Trace_file.replay_file path sink) in
-      Sys.remove path;
-      !n = List.length events && back = events)
+  let data =
+    Trace.write binary (fun sink ->
+        deliver ~grain:256 sink
+          (List.init 10_000 (fun i -> Event.read (0x10000 + (4 * i)) 4)))
+  in
+  Alcotest.(check bool) "under 3 bytes/event" true
+    (String.length data < 30_000)
 
 (* Corrupt binary traces must be reported with the byte offset and the
    offending flags byte, so a bad capture is debuggable with a hex
@@ -500,11 +472,38 @@ let failure_of f =
   | exception Failure msg -> msg
   | _ -> Alcotest.fail "expected Failure"
 
+let prop_trace_roundtrip_random =
+  (* Events come from the shared testkit generator, at full trace-file
+     width (addresses to 10M, sizes to 5000) rather than the cache-suite
+     defaults.  Sizes up to one page round-trip; a stream holding a
+     larger event is refused at that event's flags byte. *)
+  QCheck.Test.make ~name:"trace roundtrip on random events" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         small_list
+           (Testkit.Gen.event_gen ~addr_bound:10_000_000 ~max_size:5000 ())))
+    (fun events ->
+      let data = encode events in
+      let rec legal_prefix acc = function
+        | [] -> None
+        | (e : Event.t) :: rest ->
+            if e.size > 4096 then Some (List.rev acc)
+            else legal_prefix (e :: acc) rest
+      in
+      match legal_prefix [] events with
+      | None ->
+          let n, back = replay data in
+          n = List.length events && back = events
+      | Some prefix ->
+          (* The magic plus the prefix's events end where the oversize
+             event's flags byte starts. *)
+          let off = String.length (encode prefix) in
+          contains
+            (failure_of (fun () -> replay data))
+            (Printf.sprintf "byte %d " off))
+
 let test_trace_corrupt_offset () =
-  let base =
-    Trace_file.record_to_string (fun sink ->
-        deliver sink [ Event.read 0x1000 4; Event.write 0x2000 8 ])
-  in
+  let base = encode [ Event.read 0x1000 4; Event.write 0x2000 8 ] in
   let with_byte off c =
     let b = Bytes.of_string base in
     Bytes.set b off (Char.chr c);
@@ -512,13 +511,13 @@ let test_trace_corrupt_offset () =
   in
   (* Size bits zeroed: flags 0x00 at offset 8. *)
   let msg =
-    failure_of (fun () -> Trace_file.replay_string (with_byte 8 0x00) Sink.null)
+    failure_of (fun () -> Trace.read binary (with_byte 8 0x00) Sink.null)
   in
   Alcotest.(check bool) "corrupt size names byte 8" true
     (contains msg "byte 8" && contains msg "0x00");
   (* Both source bits set (source 3) with a valid inline size. *)
   let msg =
-    failure_of (fun () -> Trace_file.replay_string (with_byte 8 0x0e) Sink.null)
+    failure_of (fun () -> Trace.read binary (with_byte 8 0x0e) Sink.null)
   in
   Alcotest.(check bool) "bad source names byte 8 and flags" true
     (contains msg "byte 8" && contains msg "0x0e")
@@ -526,18 +525,34 @@ let test_trace_corrupt_offset () =
 let test_trace_truncated_offset () =
   (* Keep the magic plus the first event's flags byte only: the address
      varint is missing, and the error must point at the event start. *)
-  let base =
-    Trace_file.record_to_string (fun sink ->
-        deliver sink [ Event.read 0x123456 4 ])
-  in
+  let base = encode [ Event.read 0x123456 4 ] in
   let msg =
-    failure_of (fun () ->
-        Trace_file.replay_string (String.sub base 0 9) Sink.null)
+    failure_of (fun () -> Trace.read binary (String.sub base 0 9) Sink.null)
   in
   Alcotest.(check bool) "truncation names byte 8" true (contains msg "byte 8")
 
+(* Hand-made captures that ask for more than an event may: each must be
+   refused at its flags byte, before any work is done on its behalf. *)
+let test_trace_bounds_located () =
+  let refused what data flags =
+    let msg = failure_of (fun () -> Trace.read binary data Sink.null) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s names byte 8 (%s)" what msg)
+      true
+      (contains msg (Printf.sprintf "byte 8 (flags 0x%02x)" flags))
+  in
+  (* One read of 2^36 bytes: escaped size varint, then delta 0x1000. *)
+  refused "2^36-byte read"
+    "LOCLAB1\n\xf8\x80\x80\x80\x80\x80\x02\x80\x40" 0xf8;
+  (* A 13-byte address varint. *)
+  refused "13-byte varint"
+    ("LOCLAB1\n\x08" ^ String.make 12 '\x80' ^ "\x01")
+    0x08;
+  (* A delta of -1 from address 0. *)
+  refused "negative address" "LOCLAB1\n\x08\x01" 0x08
+
 (* ------------------------------------------------------------------ *)
-(* Trace sources: text / CSV / framed readers and writers             *)
+(* Trace sources: text / CSV readers and writers                     *)
 (* ------------------------------------------------------------------ *)
 
 let read_events fmt data =
@@ -603,37 +618,13 @@ let test_csv_roundtrip () =
   Alcotest.(check bool) "missing header rejected" true
     (contains msg "header")
 
-let test_framed_roundtrip () =
-  (* Framed is lossless: sizes and sources survive, unlike text/CSV. *)
-  let events =
-    [ Event.read 0x1000 4;
-      Event.write ~source:Event.Malloc 0x1004 48;
-      Event.read ~source:Event.Free 0x0ff0 2 ]
-  in
-  let framed =
-    Trace.write Trace.Source.Framed (fun sink -> deliver sink events)
-  in
-  let n, back = read_events Trace.Source.Framed framed in
-  Alcotest.(check int) "count" (List.length events) n;
-  Alcotest.(check bool) "events identical" true (back = events);
-  (* A flipped byte in the body is caught by the frame CRC. *)
-  let b = Bytes.of_string framed in
-  Bytes.set b (Bytes.length b - 9) '\xff';
-  Alcotest.(check bool) "corruption detected" true
-    (match read_events Trace.Source.Framed (Bytes.to_string b) with
-    | exception Failure _ -> true
-    | _ -> false)
-
 let test_source_sniff () =
   let check what fmt data =
     Alcotest.(check string) what
       (Trace.Source.format_to_string fmt)
       (Trace.Source.format_to_string (Trace.Source.sniff data))
   in
-  check "binary magic" Trace.Source.Binary
-    (Trace_file.record_to_string (fun _ -> ()));
-  check "framed magic" Trace.Source.Framed
-    (Trace.write Trace.Source.Framed (fun _ -> ()));
+  check "binary magic" Trace.Source.Binary (encode []);
   check "csv header" Trace.Source.Csv "index,op,address\r\n0,R,0x1\n";
   check "anything else is text" Trace.Source.Text "R 0x10\n";
   Alcotest.(check bool) "format_of_string is case-insensitive" true
@@ -952,6 +943,8 @@ let () =
             test_trace_corrupt_offset;
           Alcotest.test_case "truncated event located" `Quick
             test_trace_truncated_offset;
+          Alcotest.test_case "per-event bounds located" `Quick
+            test_trace_bounds_located;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_trace_roundtrip_random ]
       );
@@ -964,7 +957,6 @@ let () =
           Alcotest.test_case "errors locate line" `Quick
             test_text_errors_locate_line;
           Alcotest.test_case "csv roundtrip" `Quick test_csv_roundtrip;
-          Alcotest.test_case "framed roundtrip" `Quick test_framed_roundtrip;
           Alcotest.test_case "sniff" `Quick test_source_sniff;
         ]
         @ qsuite [ prop_text_csv_text_roundtrip ] );

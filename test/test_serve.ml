@@ -8,7 +8,6 @@
 [@@@warning "-69"] (* tests poke records partially *)
 
 module P = Serve.Protocol
-module Codec = Store.Codec
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -96,25 +95,25 @@ let test_decode_rejects_junk () =
      Metrics messages. *)
   List.iter
     (fun tag ->
-      let w = Codec.Writer.create () in
-      Codec.Writer.int w P.version;
-      Codec.Writer.string w "";
-      Codec.Writer.int w tag;
+      let w = Binio.Writer.create () in
+      Binio.Writer.int w P.version;
+      Binio.Writer.string w "";
+      Binio.Writer.int w tag;
       check_bool
         (Printf.sprintf "unknown request tag %d" tag)
         true
-        (malformed (P.decode_request (Codec.Writer.contents w)));
+        (malformed (P.decode_request (Binio.Writer.contents w)));
       check_bool
         (Printf.sprintf "unknown response tag %d" tag)
         true
-        (malformed (P.decode_response (Codec.Writer.contents w))))
+        (malformed (P.decode_response (Binio.Writer.contents w))))
     [ 1; 2; 99 ];
   (* A payload without the request id is truncated. *)
-  let w = Codec.Writer.create () in
-  Codec.Writer.int w P.version;
-  Codec.Writer.int w 0;
+  let w = Binio.Writer.create () in
+  Binio.Writer.int w P.version;
+  Binio.Writer.int w 0;
   check_bool "missing request id" true
-    (malformed (P.decode_request (Codec.Writer.contents w)));
+    (malformed (P.decode_request (Binio.Writer.contents w)));
   (* A valid message with trailing garbage. *)
   check_bool "trailing bytes" true
     (malformed (P.decode_request (P.encode_request P.Health ^ "x")));
@@ -133,25 +132,25 @@ let test_decode_rejects_junk () =
 (* Hand-encoded Health requests of the retired versions: version 1
    was [1 | tag], version 2 [2 | flags | request id | tag]. *)
 let v1_health =
-  let w = Codec.Writer.create () in
-  Codec.Writer.int w 1;
-  Codec.Writer.int w 0;
-  Codec.Writer.contents w
+  let w = Binio.Writer.create () in
+  Binio.Writer.int w 1;
+  Binio.Writer.int w 0;
+  Binio.Writer.contents w
 
 let v2_health =
-  let w = Codec.Writer.create () in
-  Codec.Writer.int w 2;
-  Codec.Writer.int w 1;
-  Codec.Writer.string w "ab";
-  Codec.Writer.int w 0;
-  Codec.Writer.contents w
+  let w = Binio.Writer.create () in
+  Binio.Writer.int w 2;
+  Binio.Writer.int w 1;
+  Binio.Writer.string w "ab";
+  Binio.Writer.int w 0;
+  Binio.Writer.contents w
 
 let test_version_negotiation () =
   (* Any version but 3 is well-formed but foreign: 99 from the future,
      1 and 2 from the past. *)
-  let w = Codec.Writer.create () in
-  Codec.Writer.int w 99;
-  Codec.Writer.int w 0;
+  let w = Binio.Writer.create () in
+  Binio.Writer.int w 99;
+  Binio.Writer.int w 0;
   List.iter
     (fun (v, payload) ->
       check_bool
@@ -166,7 +165,7 @@ let test_version_negotiation () =
         (match P.decode_response payload with
         | Error (P.Unsupported v') -> v = v'
         | _ -> false))
-    [ (99, Codec.Writer.contents w); (1, v1_health); (2, v2_health) ]
+    [ (99, Binio.Writer.contents w); (1, v1_health); (2, v2_health) ]
 
 let test_trace_context_round_trip () =
   (* The request id is the whole trace context. *)
@@ -183,11 +182,11 @@ let test_trace_context_round_trip () =
 
 let test_envelope_bytes () =
   (* Pin the bytes: version 3, the request id, the tag. *)
-  let w = Codec.Writer.create () in
-  Codec.Writer.int w 3;
-  Codec.Writer.string w "ab";
-  Codec.Writer.int w 0;
-  check_string "Health under id ab" (Codec.Writer.contents w)
+  let w = Binio.Writer.create () in
+  Binio.Writer.int w 3;
+  Binio.Writer.string w "ab";
+  Binio.Writer.int w 0;
+  check_string "Health under id ab" (Binio.Writer.contents w)
     (P.encode_request ~id:"ab" P.Health);
   check_int "P.version" 3 P.version
 
@@ -277,7 +276,7 @@ let read_from_bytes ?first bytes =
   Unix.close r;
   result
 
-let framed payload = Codec.Frame.frame ~magic:P.magic payload
+let framed payload = Binio.Frame.frame ~magic:P.magic payload
 
 let test_frame_round_trip_over_fd () =
   let payload = P.encode_request (P.Run_experiment { id = "tab4"; scale = 0.25 }) in
@@ -474,10 +473,10 @@ let test_integration_lifecycle () =
       Serve.Client.with_connection addr (fun _ -> ());
       let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
       Unix.connect fd (Unix.ADDR_UNIX sock);
-      let w = Codec.Writer.create () in
-      Codec.Writer.int w 99;
-      Codec.Writer.int w 0;
-      P.write_frame fd (Codec.Writer.contents w);
+      let w = Binio.Writer.create () in
+      Binio.Writer.int w 99;
+      Binio.Writer.int w 0;
+      P.write_frame fd (Binio.Writer.contents w);
       (match P.read_frame fd with
       | Ok (Some payload) -> (
           match P.decode_response payload with
@@ -537,6 +536,11 @@ let test_integration_lifecycle () =
      socket file must be gone. *)
   ()
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 let test_integration_ingest () =
   with_server (fun ~sock ~store server ->
       let text = "R 0x1000\nW 0x1020\nR 0x1000\nW 0x20000\n" in
@@ -581,6 +585,35 @@ let test_integration_ingest () =
           | r ->
               Alcotest.failf "malformed trace: unexpected %s"
                 (P.encode_response r));
+          (* "framed" names no format, and a binary capture asking for
+             one 2^36-byte read is refused at its flags byte before any
+             work is done: both are Bad_request, and the connection
+             still answers. *)
+          (match rpc c (P.Ingest { format = "framed"; trace = text }) with
+          | P.Error { code = P.Bad_request; _ } -> ()
+          | r ->
+              Alcotest.failf "framed format: unexpected %s"
+                (P.encode_response r));
+          (match
+             rpc c
+               (P.Ingest
+                  { format = "binary";
+                    trace = "LOCLAB1\n\xf8\x80\x80\x80\x80\x80\x02\x80\x40"
+                  })
+           with
+          | P.Error { code = P.Bad_request; message } ->
+              check_bool
+                (Printf.sprintf "oversize event located (%s)" message)
+                true
+                (contains message "byte 8 (flags 0xf8)")
+          | r ->
+              Alcotest.failf "oversize event: unexpected %s"
+                (P.encode_response r));
+          (match rpc c P.Health with
+          | P.Health_ok _ -> ()
+          | r ->
+              Alcotest.failf "health after refusals: unexpected %s"
+                (P.encode_response r));
           check_int "one simulated ingest" 1
             (status_int server [ "requests"; "simulated_cells" ]);
           check_int "one warm ingest" 1
@@ -589,11 +622,6 @@ let test_integration_ingest () =
 (* ------------------------------------------------------------------ *)
 (* Request tracing end to end                                         *)
 (* ------------------------------------------------------------------ *)
-
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
 
 (* A client-supplied request id must surface in the reply, the access
    log, the /status slow-request table and the span ring — one id, four

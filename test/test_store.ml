@@ -85,8 +85,8 @@ let cell_path store ~program ~allocator ~scale =
 
 let test_crc32_vector () =
   (* The canonical IEEE 802.3 check value. *)
-  check_int "crc32(123456789)" 0xCBF43926 (Store.Codec.crc32 "123456789");
-  check_int "crc32 of empty" 0 (Store.Codec.crc32 "")
+  check_int "crc32(123456789)" 0xCBF43926 (Binio.crc32 "123456789");
+  check_int "crc32 of empty" 0 (Binio.crc32 "")
 
 let prop_codec_roundtrip =
   QCheck.Test.make ~count:200 ~name:"codec field-sequence round-trip"
@@ -96,48 +96,48 @@ let prop_codec_roundtrip =
         (list bool)
         (list (array_of_size Gen.(0 -- 10) small_signed_int)))
     (fun (ints, strings, bools, arrays) ->
-      let w = Store.Codec.Writer.create () in
-      List.iter (Store.Codec.Writer.int w) ints;
-      List.iter (Store.Codec.Writer.string w) strings;
-      List.iter (Store.Codec.Writer.bool w) bools;
-      List.iter (Store.Codec.Writer.int_array w) arrays;
-      Store.Codec.Writer.list w (Store.Codec.Writer.int w) ints;
-      let r = Store.Codec.Reader.of_string (Store.Codec.Writer.contents w) in
-      let ints' = List.map (fun _ -> Store.Codec.Reader.int r) ints in
-      let strings' = List.map (fun _ -> Store.Codec.Reader.string r) strings in
-      let bools' = List.map (fun _ -> Store.Codec.Reader.bool r) bools in
+      let w = Binio.Writer.create () in
+      List.iter (Binio.Writer.int w) ints;
+      List.iter (Binio.Writer.string w) strings;
+      List.iter (Binio.Writer.bool w) bools;
+      List.iter (Binio.Writer.int_array w) arrays;
+      Binio.Writer.list w (Binio.Writer.int w) ints;
+      let r = Binio.Reader.of_string (Binio.Writer.contents w) in
+      let ints' = List.map (fun _ -> Binio.Reader.int r) ints in
+      let strings' = List.map (fun _ -> Binio.Reader.string r) strings in
+      let bools' = List.map (fun _ -> Binio.Reader.bool r) bools in
       let arrays' =
-        List.map (fun _ -> Store.Codec.Reader.int_array r) arrays
+        List.map (fun _ -> Binio.Reader.int_array r) arrays
       in
-      let ints'' = Store.Codec.Reader.list r Store.Codec.Reader.int in
+      let ints'' = Binio.Reader.list r Binio.Reader.int in
       ints = ints' && strings = strings' && bools = bools' && arrays = arrays'
       && ints = ints''
-      && Store.Codec.Reader.at_end r)
+      && Binio.Reader.at_end r)
 
 let prop_codec_float_bits =
   QCheck.Test.make ~count:200 ~name:"codec floats round-trip bitwise"
     QCheck.float (fun f ->
-      let w = Store.Codec.Writer.create () in
-      Store.Codec.Writer.float w f;
-      let r = Store.Codec.Reader.of_string (Store.Codec.Writer.contents w) in
-      Int64.bits_of_float (Store.Codec.Reader.float r) = Int64.bits_of_float f)
+      let w = Binio.Writer.create () in
+      Binio.Writer.float w f;
+      let r = Binio.Reader.of_string (Binio.Writer.contents w) in
+      Int64.bits_of_float (Binio.Reader.float r) = Int64.bits_of_float f)
 
 let test_codec_truncation_raises () =
-  let w = Store.Codec.Writer.create () in
-  Store.Codec.Writer.int w 42;
-  Store.Codec.Writer.string w "hello";
-  let payload = Store.Codec.Writer.contents w in
+  let w = Binio.Writer.create () in
+  Binio.Writer.int w 42;
+  Binio.Writer.string w "hello";
+  let payload = Binio.Writer.contents w in
   for cut = 0 to String.length payload - 1 do
-    let r = Store.Codec.Reader.of_string (String.sub payload 0 cut) in
+    let r = Binio.Reader.of_string (String.sub payload 0 cut) in
     check_bool
       (Printf.sprintf "cut at %d detected" cut)
       true
       (match
-         let _ = Store.Codec.Reader.int r in
-         let _ = Store.Codec.Reader.string r in
+         let _ = Binio.Reader.int r in
+         let _ = Binio.Reader.string r in
          ()
        with
-      | exception Store.Codec.Error _ -> true
+      | exception Binio.Error _ -> true
       | () -> false)
   done
 
@@ -195,7 +195,7 @@ let gen_artifact =
   scale >>= fun scale ->
   nonneg >>= fun seed ->
   nonneg >>= fun trace_checksum ->
-  oneofl [ "synthetic"; "text"; "csv"; "binary"; "framed" ]
+  oneofl [ "synthetic"; "text"; "csv"; "binary" ]
   >>= fun source_format ->
   nonneg >>= fun source_bytes ->
   nonneg >>= fun source_checksum ->

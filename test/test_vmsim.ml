@@ -68,9 +68,9 @@ let prop_fenwick_matches_array =
 
 let test_stack_cold_then_hit () =
   let s = Lru_stack.create () in
-  check_bool "first access cold" true (Lru_stack.access s 1 = None);
+  check_int "first access cold" 0 (Lru_stack.access s 1);
   check_bool "immediate repeat distance 1" true
-    (Lru_stack.access s 1 = Some 1);
+    (Lru_stack.access s 1 = 1);
   check_int "one cold" 1 (Lru_stack.cold s);
   check_int "two accesses" 2 (Lru_stack.accesses s);
   check_int "one distinct" 1 (Lru_stack.distinct s)
@@ -81,7 +81,7 @@ let test_stack_distance_counts_distinct () =
   ignore (Lru_stack.access s 2);
   ignore (Lru_stack.access s 3);
   (* 1 was pushed down by 2 and 3: stack position 3. *)
-  check_bool "distance 3" true (Lru_stack.access s 1 = Some 3)
+  check_bool "distance 3" true (Lru_stack.access s 1 = 3)
 
 let test_stack_distance_ignores_repeats () =
   let s = Lru_stack.create () in
@@ -90,7 +90,7 @@ let test_stack_distance_ignores_repeats () =
   ignore (Lru_stack.access s 2);
   ignore (Lru_stack.access s 2);
   (* Only one distinct key (2) between the accesses of 1. *)
-  check_bool "distance 2" true (Lru_stack.access s 1 = Some 2)
+  check_bool "distance 2" true (Lru_stack.access s 1 = 2)
 
 let test_stack_misses_at () =
   let s = Lru_stack.create () in
@@ -133,11 +133,8 @@ let test_stack_compaction () =
   for _ = 1 to 2000 do
     let k = next_key () in
     let a = Lru_stack.access s k in
-    let b = Naive_lru.access naive k in
-    if a <> b then
-      Alcotest.failf "divergence: fast=%s naive=%s"
-        (match a with None -> "cold" | Some d -> string_of_int d)
-        (match b with None -> "cold" | Some d -> string_of_int d)
+    let b = Option.value ~default:0 (Naive_lru.access naive k) in
+    if a <> b then Alcotest.failf "divergence: fast=%d naive=%d (0 = cold)" a b
   done;
   for cap = 1 to 16 do
     check_int
@@ -164,7 +161,8 @@ let prop_stack_matches_naive =
       List.for_all
         (fun k ->
           let key = k lsl log_stride in
-          Lru_stack.access s key = Naive_lru.access naive key)
+          Lru_stack.access s key
+          = Option.value ~default:0 (Naive_lru.access naive key))
         keys)
 
 let prop_stack_miss_counts_match_naive =

@@ -382,7 +382,7 @@ let test_trace_replay_equivalence () =
   in
   let path = Filename.temp_file "loclab_equiv" ".trace" in
   let r =
-    Memsim.Trace_file.record_to_file path (fun file_sink ->
+    Memsim.Trace.record path (fun file_sink ->
         Driver.run
           ~sink:
             (Memsim.Sink.fanout
@@ -392,7 +392,10 @@ let test_trace_replay_equivalence () =
   let replay_cache =
     Cachesim.Forest.create [ Cachesim.Config.make (16 * 1024) ]
   in
-  let n = Memsim.Trace_file.replay_file path (Cachesim.Forest.sink replay_cache) in
+  let n =
+    Memsim.Trace.read Memsim.Trace.Source.Binary (Memsim.Trace.slurp path)
+      (Cachesim.Forest.sink replay_cache)
+  in
   Sys.remove path;
   check_int "event counts agree" r.Driver.data_refs n;
   let a = Cachesim.Forest.member_stats live_cache 0
@@ -403,6 +406,23 @@ let test_trace_replay_equivalence () =
     b.Cachesim.Stats.writebacks;
   check_int "malloc misses agree" a.Cachesim.Stats.malloc_misses
     b.Cachesim.Stats.malloc_misses
+
+let test_trace_record_matches_write () =
+  (* Streaming a run to a file in chunks writes the bytes the in-memory
+     encoder returns for the same run. *)
+  let run sink =
+    ignore
+      (Driver.run ~sink ~scale:0.05 ~profile:Programs.make_prog
+         ~allocator:"gnu-local" ())
+  in
+  let path = Filename.temp_file "loclab_record" ".trace" in
+  Memsim.Trace.record path run;
+  let streamed = Memsim.Trace.slurp path in
+  Sys.remove path;
+  let written = Memsim.Trace.write Memsim.Trace.Source.Binary run in
+  check_bool "capture spans several chunks" true
+    (String.length written > 200_000);
+  check_bool "record and write agree" true (streamed = written)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 let tc name f = Alcotest.test_case name `Quick f
@@ -458,5 +478,6 @@ let () =
             test_driver_allocator_integrity_after_run;
           tc "allocation budget" test_driver_allocation_budget;
           tc "trace replay equivalence" test_trace_replay_equivalence;
+          tc "trace record matches write" test_trace_record_matches_write;
         ] );
     ]
