@@ -218,8 +218,11 @@ let flush_rows (ctx : Context.t) =
   List.map
     (fun akey ->
       let caches = List.map flushing flush_quanta in
-      let sink = Memsim.Sink.fanout (List.map (fun (_, _, s) -> s) caches) in
-      let r = Workload.Driver.run ~sink ~scale ~profile ~allocator:akey () in
+      let r =
+        Exec.Relay.with_sink
+          (Memsim.Sink.fanout (List.map (fun (_, _, s) -> s) caches))
+        @@ fun sink -> Workload.Driver.run ~sink ~scale ~profile ~allocator:akey ()
+      in
       Derived.row ~program:flush_program ~variant:akey r
         (List.map
            (fun (name, c, _) -> (name, Cachesim.Forest.member_stats c 0))
@@ -294,13 +297,15 @@ let lifetime_rows (ctx : Context.t) =
         let p = Allocators.Predictive.create ~predictions heap in
         let alloc = Allocators.Predictive.allocator p in
         let multi = Cachesim.Multi.create lifetime_configs in
-        let sink = Cachesim.Multi.sink multi in
-        let r = Workload.Driver.run_with ~sink ~scale ~profile ~heap ~alloc () in
+        let r =
+          Exec.Relay.with_sink (Cachesim.Multi.sink multi) @@ fun sink ->
+          Workload.Driver.run_with ~sink ~scale ~profile ~heap ~alloc ()
+        in
         let arena_pages = Allocators.Predictive.arena_pages p in
         let predictive = row "predictive" ~arena_pages r multi in
         let multi = Cachesim.Multi.create lifetime_configs in
-        let sink = Cachesim.Multi.sink multi in
         let r =
+          Exec.Relay.with_sink (Cachesim.Multi.sink multi) @@ fun sink ->
           Workload.Driver.run ~sink ~scale ~profile ~allocator:"custom" ()
         in
         [ predictive; row "custom" r multi ])

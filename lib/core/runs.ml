@@ -255,29 +255,34 @@ type observed = {
 
 (* Every cell, synthetic or external, feeds the same consumers: the
    standard sweep and the page simulator (the paper's two-level
-   hierarchy is read off the sweep, {!Artifact.paper_hierarchy}).  [feed]
-   delivers the whole stream to each of their sinks — a driver fans
-   them out over its one run, a captured trace replays into each in
-   turn (one consumer's state in cache at a time) — and its result
-   comes back beside what the consumers observed.  The stream's
-   checksum is taken where the stream originates: beside the driver,
-   or in [capture]. *)
+   hierarchy is read off the sweep, {!Artifact.paper_hierarchy}).
+   [feed ~caches ~pages] delivers the whole stream to both sinks, and its
+   result comes back beside what the consumers observed.  The sweep is
+   nearly all of a cell's time, so it is the consumer that goes to an
+   idle core ({!Exec.Relay}); the page simulator stays on the caller
+   beside the stream's source. *)
 let simulate feed =
   let multi = Cachesim.Multi.create standard_configs in
   let pages = Vmsim.Page_sim.create () in
-  let fed = feed [ Cachesim.Multi.sink multi; Vmsim.Page_sim.sink pages ] in
+  let fed =
+    feed ~caches:(Cachesim.Multi.sink multi) ~pages:(Vmsim.Page_sim.sink pages)
+  in
   ( fed,
     { caches = Cachesim.Multi.results multi;
       fault_curve = Vmsim.Page_sim.curve pages } )
 
+(* The stream's checksum is taken beside the driver, where the stream
+   originates. *)
 let run t ~profile ~allocator =
   Telemetry.Span.with_span ~cat:"cell" (profile ^ "/" ^ allocator) @@ fun () ->
   let prof = Workload.Programs.find profile in
   let checksum = Memsim.Sink.Checksum.create () in
   let result, o =
-    simulate (fun sinks ->
+    simulate (fun ~caches ~pages ->
+        Exec.Relay.with_sink caches @@ fun caches ->
         let sink =
-          Memsim.Sink.fanout (sinks @ [ Memsim.Sink.Checksum.sink checksum ])
+          Memsim.Sink.fanout
+            [ caches; pages; Memsim.Sink.Checksum.sink checksum ]
         in
         Workload.Driver.run ~sink ~scale:t.scale ~profile:prof ~allocator ())
   in
@@ -406,7 +411,14 @@ let capture_digest c = trace_digest ~ident:c.ident
 let simulate_trace c =
   let program = trace_program ~ident:c.ident in
   Telemetry.Span.with_span ~cat:"ingest" program @@ fun () ->
-  let (), o = simulate (List.iter (Memsim.Trace_buffer.replay c.buffer)) in
+  (* The capture is read-only once taken, so the sweep replays it on an
+     idle core while the page simulator replays it here. *)
+  let (), o =
+    simulate (fun ~caches ~pages ->
+        Exec.Relay.beside
+          (fun () -> Memsim.Trace_buffer.replay c.buffer caches)
+          (fun () -> Memsim.Trace_buffer.replay c.buffer pages))
+  in
   let by_source = Memsim.Sink.Counter.by_source c.counter in
   { Artifact.meta =
       { Artifact.program;

@@ -166,8 +166,10 @@ let cpu_rows (ctx : Context.t) ~scale ~cpus =
   List.map
     (fun akey ->
       Cachesim.Hierarchy.reset hier;
-      let sink = Cachesim.Hierarchy.sink hier in
-      let r = Workload.Driver.run ~sink ~scale ~profile ~allocator:akey () in
+      let r =
+        Exec.Relay.with_sink (Cachesim.Hierarchy.sink hier) @@ fun sink ->
+        Workload.Driver.run ~sink ~scale ~profile ~allocator:akey ()
+      in
       Derived.row ~program:cpu_program ~variant:akey r
         (List.concat
            (List.map2

@@ -61,7 +61,12 @@ let create ~jobs =
     let workers = ref [] in
     (try
        for _ = 1 to jobs do
-         workers := Domain.spawn (fun () -> worker_loop t) :: !workers
+         workers :=
+           Domain.spawn (fun () ->
+               Cores.mark_worker ();
+               worker_loop t)
+           :: !workers;
+         Cores.enlist 1
        done
      with _ -> ());
     t.workers <- !workers
@@ -86,7 +91,8 @@ let shutdown t =
   t.workers <- [];
   Condition.broadcast t.work_ready;
   Mutex.unlock t.mutex;
-  List.iter join_retry workers
+  List.iter join_retry workers;
+  Cores.discharge (List.length workers)
 
 let with_pool ~jobs f =
   let t = create ~jobs in

@@ -21,7 +21,10 @@ val create : jobs:int -> t
     process).  With [jobs = 1] no domains are spawned and {!map}
     degenerates to [List.map] on the calling domain; if the runtime
     cannot allocate all requested domains the pool silently runs with
-    however many it got, degrading throughput but never results. *)
+    however many it got, degrading throughput but never results.  Live
+    workers count toward {!Cores}' spare-core rule until {!shutdown}
+    joins them, so a pool of one worker per core leaves {!Relay} no
+    helper to take. *)
 
 val jobs : t -> int
 (** The (clamped) parallelism the pool was created with. *)

@@ -15,7 +15,16 @@
     siblings, owned by the producer and only valid for the duration of
     the call: consumers must fully consume (or copy) it before
     returning, as the producer may reuse it the moment the call
-    returns. *)
+    returns.
+
+    A consumer may also run on another domain, behind [Exec.Relay]:
+    the relay's sink copies each batch into its own ring before it
+    returns, so ownership is unchanged for the producer, and the
+    relayed consumer receives the ring's slots — batches of different
+    boundaries — in stream order, which the delivery rule above makes
+    indistinguishable.  A relayed consumer runs concurrently with its
+    former fanout siblings, so it must share no mutable state with
+    them. *)
 
 type t = Event.Batch.t -> unit
 

@@ -212,6 +212,219 @@ let test_prefetch_unknown_key_raises () =
     | exception Not_found -> true
     | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Relay: consumers on a helper domain see the direct stream           *)
+(* ------------------------------------------------------------------ *)
+
+module Relay = Exec.Relay
+
+(* What one set of consumers made of a stream. *)
+let consumers () =
+  let checksum = Memsim.Sink.Checksum.create ()
+  and counter = Memsim.Sink.Counter.create ()
+  and multi = Cachesim.Multi.create Core.Runs.standard_configs in
+  let sink =
+    Memsim.Sink.fanout
+      [ Memsim.Sink.Checksum.sink checksum;
+        Memsim.Sink.Counter.sink counter;
+        Cachesim.Multi.sink multi ]
+  in
+  let seen () =
+    ( Memsim.Sink.Checksum.value checksum,
+      ( Memsim.Sink.Counter.total counter,
+        Memsim.Sink.Counter.reads counter,
+        Memsim.Sink.Counter.bytes counter,
+        Memsim.Sink.Counter.by_source counter Memsim.Event.Malloc ),
+      Cachesim.Multi.results multi )
+  in
+  (sink, seen)
+
+(* Delivers [events] in batches of the given sizes (cycled), reusing one
+   batch as a producer does; sizes above a ring slot's capacity split
+   across slots. *)
+let deliver_split sizes (sink : Memsim.Sink.t) events =
+  let b = Memsim.Event.Batch.create () in
+  let sizes = Array.of_list sizes in
+  let k = ref 0 in
+  List.iter
+    (fun e ->
+      Memsim.Event.Batch.push_event b e;
+      if Memsim.Event.Batch.length b >= sizes.(!k mod Array.length sizes) then begin
+        sink b;
+        Memsim.Event.Batch.clear b;
+        incr k
+      end)
+    events;
+  if Memsim.Event.Batch.length b > 0 then sink b
+
+let relayed_stream path sizes events =
+  let sink, seen = consumers () in
+  Relay.with_path path (fun () ->
+      Relay.with_sink sink (fun local -> deliver_split sizes local events));
+  seen ()
+
+let prop_relay_matches_direct =
+  QCheck.Test.make ~count:40
+    ~name:"relayed Checksum, Counter and Multi equal the direct ones"
+    QCheck.(
+      pair
+        (make Gen.(list_size (int_range 1 6000) (Testkit.Gen.event_gen ())))
+        (list_of_size Gen.(1 -- 6) (int_range 1 5000)))
+    (fun (events, sizes) ->
+      let sink, seen = consumers () in
+      deliver_split sizes sink events;
+      let direct = seen () in
+      relayed_stream Relay.Relayed sizes events = direct
+      && relayed_stream Relay.Inline sizes events = direct)
+
+let some_events n =
+  List.init n (fun i -> Memsim.Event.read (4096 + (8 * (i mod 997))) 8)
+
+let test_relay_consumer_raises () =
+  let batches = ref 0 in
+  let remote (_ : Memsim.Event.Batch.t) =
+    incr batches;
+    if !batches = 3 then failwith "consumer"
+  in
+  let delivered = ref 0 in
+  check_bool "the consumer's exception reaches the caller" true
+    (match
+       Relay.with_path Relay.Relayed (fun () ->
+           Relay.with_sink remote (fun local ->
+               List.iter
+                 (fun chunk ->
+                   incr delivered;
+                   deliver_split [ 1000 ] local chunk)
+                 (List.init 400 (fun _ -> some_events 1000))))
+     with
+    | exception Failure msg -> msg = "consumer"
+    | () -> false);
+  check_bool "the driver stopped early" true (!delivered < 400);
+  let sink, seen = consumers () in
+  deliver_split [ 300 ] sink (some_events 5000);
+  check_bool "the next relay still works" true
+    (relayed_stream Relay.Relayed [ 300 ] (some_events 5000) = seen ())
+
+let test_relay_f_raises () =
+  let events = some_events 7000 in
+  let sink, seen = consumers () in
+  check_bool "f's exception reaches the caller" true
+    (match
+       Relay.with_path Relay.Relayed (fun () ->
+           Relay.with_sink sink (fun local ->
+               deliver_split [ 700 ] local events;
+               raise Exit))
+     with
+    | exception Exit -> true
+    | () -> false);
+  let direct, seen_direct = consumers () in
+  deliver_split [ 700 ] direct events;
+  check_bool "every batch delivered before the raise was consumed" true
+    (seen () = seen_direct ());
+  check_bool "the helper was released" true
+    (relayed_stream Relay.Relayed [ 300 ] events = seen_direct ())
+
+let test_relay_reuses_one_helper () =
+  let caller = (Domain.self () :> int) in
+  let domains = ref [] in
+  for _ = 1 to 100 do
+    let remote (_ : Memsim.Event.Batch.t) =
+      let d = (Domain.self () :> int) in
+      if not (List.mem d !domains) then domains := d :: !domains
+    in
+    Relay.with_path Relay.Relayed (fun () ->
+        Relay.with_sink remote (fun local ->
+            deliver_split [ 256 ] local (some_events 3000)))
+  done;
+  check_int "one helper domain served all 100 relays" 1 (List.length !domains);
+  check_bool "and it is not the caller" true (not (List.mem caller !domains))
+
+(* A helper left idle retires; the next relay gets a fresh one. *)
+let test_relay_idle_helper_retires () =
+  let ran_on () =
+    let d = ref (-1) in
+    Relay.with_path Relay.Relayed (fun () ->
+        Relay.with_sink
+          (fun _ -> d := (Domain.self () :> int))
+          (fun local -> deliver_split [ 10 ] local (some_events 10)));
+    !d
+  in
+  let first = ran_on () in
+  Unix.sleepf 0.5;
+  let second = ran_on () in
+  check_bool "a new helper after an idle spell" true (first <> second);
+  check_int "which is then reused" second (ran_on ())
+
+(* Without a forced path, a relay runs inline while the pool's workers
+   fill every core, and on a helper otherwise when a second core
+   exists. *)
+let test_relay_spare_core_rule () =
+  let ran_on () =
+    let d = ref (-1) in
+    Relay.with_sink
+      (fun _ -> d := (Domain.self () :> int))
+      (fun local -> deliver_split [ 10 ] local (some_events 10));
+    !d
+  in
+  let caller = (Domain.self () :> int) in
+  Exec.Pool.with_pool ~jobs:(Exec.Pool.recommended_jobs ()) (fun _ ->
+      check_int "inline beside a worker per core" caller (ran_on ()));
+  check_bool "relayed iff a second core exists"
+    (Domain.recommended_domain_count () > 1)
+    (ran_on () <> caller)
+
+let test_relay_beside () =
+  let log = ref [] in
+  check_int "f's result" 7
+    (Relay.with_path Relay.Inline (fun () ->
+         Relay.beside (fun () -> log := `G :: !log) (fun () ->
+             log := `F :: !log;
+             7)));
+  check_bool "inline runs g, then f" true (!log = [ `F; `G ]);
+  let g_ran = Atomic.make false in
+  check_int "relayed: f's result" 8
+    (Relay.with_path Relay.Relayed (fun () ->
+         Relay.beside (fun () -> Atomic.set g_ran true) (fun () -> 8)));
+  check_bool "relayed: g ran before the return" true (Atomic.get g_ran);
+  check_bool "g's exception wins" true
+    (match
+       Relay.with_path Relay.Relayed (fun () ->
+           Relay.beside (fun () -> failwith "g") (fun () -> raise Exit))
+     with
+    | exception Failure msg -> msg = "g"
+    | _ -> false)
+
+(* A grid cell, and an ingested trace, encode to the same bytes whether
+   their consumers ran on a helper or inline. *)
+let test_relay_runs_cells_identical () =
+  let cell path allocator =
+    Relay.with_path path (fun () ->
+        Core.Artifact.encode
+          (Core.Runs.get (Core.Runs.create ~scale:0.01 ()) ~profile:"espresso"
+             ~allocator))
+  in
+  List.iter
+    (fun allocator ->
+      Alcotest.(check string)
+        (allocator ^ ": relayed = inline")
+        (cell Relay.Inline allocator) (cell Relay.Relayed allocator))
+    (Allocators.Registry.keys ());
+  let trace =
+    String.concat ""
+      (List.init 5000 (fun i ->
+           Printf.sprintf "%c 0x%x\n" (if i mod 3 = 0 then 'W' else 'R')
+             (0x10000 + (((i * 7919) mod 4093) * 4))))
+  in
+  let ingest path =
+    Relay.with_path path (fun () ->
+        Core.Artifact.encode
+          (Core.Runs.ingest (Core.Runs.create ()) ~format:Memsim.Trace.Source.Text
+             ~data:trace))
+  in
+  Alcotest.(check string)
+    "ingested trace: relayed = inline" (ingest Relay.Inline)
+    (ingest Relay.Relayed)
+
 let tc name f = Alcotest.test_case name `Quick f
 let qt t = QCheck_alcotest.to_alcotest t
 
@@ -239,6 +452,19 @@ let () =
             test_async_after_shutdown_runs_inline;
           tc "shutdown drains queued work" test_shutdown_drains_queued_work;
           tc "concurrent shutdown is safe" test_concurrent_shutdown_safe;
+        ] );
+      ( "relay",
+        [
+          qt prop_relay_matches_direct;
+          tc "a raising consumer re-raises on the caller"
+            test_relay_consumer_raises;
+          tc "a raising f releases the helper" test_relay_f_raises;
+          tc "100 relays spawn at most one domain" test_relay_reuses_one_helper;
+          tc "an idle helper retires" test_relay_idle_helper_retires;
+          tc "spare-core rule" test_relay_spare_core_rule;
+          tc "beside" test_relay_beside;
+          tc "Runs cells byte-identical relayed and inline"
+            test_relay_runs_cells_identical;
         ] );
       ( "determinism",
         [

@@ -913,6 +913,59 @@ let test_misfiled_payload_rejected () =
           check_string "ingest digest" trace_digest d;
           check_healed store ~digest:trace_digest reply))
 
+(* Holds the cold cell [digest] in flight until the test calls
+   [release]: Core.Runs logs every cell it computes, at debug level on
+   its "loclab.runs" source, after writing it through and before
+   returning into the server's single flight, so a reporter that blocks
+   on that line keeps the flight listed on /status, and its reply
+   unwritten, for as long as the test wants.  Other log lines pass
+   through to the reporter in place.  The hold must engage, so a
+   renamed source or reworded line fails here rather than leaving the
+   test to timing. *)
+let with_held_cell ~digest f =
+  let src =
+    List.find (fun s -> Logs.Src.name s = "loclab.runs") (Logs.Src.list ())
+  in
+  let level = Logs.Src.level src and prev = Logs.reporter () in
+  let mu = Mutex.create () and cond = Condition.create () in
+  let released = ref false and held = ref false in
+  let report s lvl ~over k msgf =
+    if s != src || lvl <> Logs.Debug then prev.Logs.report s lvl ~over k msgf
+    else
+      msgf (fun ?header:_ ?tags:_ fmt ->
+          Format.kasprintf
+            (fun line ->
+              if contains line digest then begin
+                Mutex.lock mu;
+                held := true;
+                while not !released do
+                  Condition.wait cond mu
+                done;
+                Mutex.unlock mu
+              end;
+              over ();
+              k ())
+            fmt)
+  in
+  let release () =
+    Mutex.lock mu;
+    released := true;
+    Condition.broadcast cond;
+    Mutex.unlock mu
+  in
+  Logs.set_reporter { Logs.report };
+  Logs.Src.set_level src (Some Logs.Debug);
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        release ();
+        Logs.Src.set_level src level;
+        Logs.set_reporter prev)
+      (fun () -> f ~release)
+  in
+  check_bool "the cold cell was held in flight" true !held;
+  r
+
 (* At jobs = 1 the pool runs a cold cell inline on the connection thread;
    the single-flight lock must not be held meanwhile.  /status must
    answer while the cell is still simulating — before its simulation
@@ -924,34 +977,54 @@ let test_status_during_cold_cell () =
       let before = simulated_total () in
       let status_before = snd (status_flights sock) in
       let finished = Atomic.make false in
-      let cell =
-        Thread.create
-          (fun () ->
-            Fun.protect
-              ~finally:(fun () -> Atomic.set finished true)
-              (fun () ->
-                Serve.Client.with_connection (P.Unix_path sock) (fun c ->
-                    ignore
-                      (cell_reply c (P.Run_cell { program; allocator; scale })))))
-          ()
+      let seen =
+        with_held_cell ~digest @@ fun ~release ->
+        let cell =
+          Thread.create
+            (fun () ->
+              Fun.protect
+                ~finally:(fun () -> Atomic.set finished true)
+                (fun () ->
+                  Serve.Client.with_connection (P.Unix_path sock) (fun c ->
+                      ignore
+                        (cell_reply c
+                           (P.Run_cell { program; allocator; scale })))))
+            ()
+        in
+        let deadline = Unix.gettimeofday () +. 120. in
+        let rec poll () =
+          let keys, simulated = status_flights sock in
+          if List.mem digest keys then Some simulated
+          else if Atomic.get finished || Unix.gettimeofday () > deadline then
+            None
+          else begin
+            Thread.delay 0.005;
+            poll ()
+          end
+        in
+        let seen = poll () in
+        release ();
+        Thread.join cell;
+        seen
       in
-      let deadline = Unix.gettimeofday () +. 120. in
-      let rec poll () =
-        let keys, simulated = status_flights sock in
-        if List.mem digest keys then Some simulated
-        else if Atomic.get finished || Unix.gettimeofday () > deadline then
-          None
-        else begin
-          Thread.delay 0.005;
-          poll ()
-        end
-      in
-      let seen = poll () in
-      Thread.join cell;
       check_bool "/status listed the in-flight digest" true (seen <> None);
       check_int "listed while the cell was still simulating" status_before
         (Option.value seen ~default:(-1));
       check_int "the cell simulated once" (before + 1) (simulated_total ()))
+
+(* With a worker domain per core no core is idle, so a cold cell's
+   consumers run on its worker: /metrics counts the relay inline. *)
+let test_worker_per_core_relays_nothing () =
+  let relays path = metric_value (Printf.sprintf "loclab_relay_total{path=\"%s\"}" path) in
+  with_server_jobs ~jobs:(Exec.Pool.recommended_jobs ())
+    (fun ~sock ~store:_ _server ->
+      let relayed = relays "relayed" and inline = relays "inline" in
+      Serve.Client.with_connection (P.Unix_path sock) (fun c ->
+          ignore
+            (cell_reply c
+               (P.Run_cell { program = "make"; allocator = "bsd"; scale = 0.01 })));
+      check_int "no relay took a helper" relayed (relays "relayed");
+      check_int "the cell's relay ran inline" (inline + 1) (relays "inline"))
 
 (* N clients ask for the same cold cell at once: one simulation, and
    every reply is the store's payload byte for byte. *)
@@ -1240,6 +1313,7 @@ let test_shutdown_drains_cold_cell () =
       Serve.Server.shutdown server;
       Thread.join runner)
     (fun () ->
+      with_held_cell ~digest @@ fun ~release ->
       P.write_frame fd
         (P.encode_request (P.Run_cell { program; allocator; scale }));
       let replied () =
@@ -1252,6 +1326,7 @@ let test_shutdown_drains_cold_cell () =
       check_bool "shutdown lands while the cold cell is in flight" true
         (in_flight ());
       Serve.Server.shutdown server;
+      release ();
       (match read_reply fd with
       | P.Cell_ok { digest = d; artifact }, _ -> (
           check_string "reply digest" digest d;
@@ -1382,6 +1457,7 @@ let () =
           tc "misfiled payload rejected and healed" test_misfiled_payload_rejected;
           tc "/status answers during a jobs=1 cold cell" test_status_during_cold_cell;
           tc "concurrent cold requests simulate once" test_concurrent_single_flight;
+          tc "a worker per core relays nothing" test_worker_per_core_relays_nothing;
           tc "second experiment request reads its derived cell"
             test_experiment_warm_from_store;
         ] );
