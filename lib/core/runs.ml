@@ -251,44 +251,45 @@ let build_allocator ~profile_key ~allocator heap =
 type observed = {
   caches : (Cachesim.Config.t * Cachesim.Stats.t) list;
   fault_curve : Vmsim.Fault_curve.t;
+  trace_checksum : int;
 }
 
 (* Every cell, synthetic or external, feeds the same consumers: the
-   standard sweep and the page simulator (the paper's two-level
-   hierarchy is read off the sweep, {!Artifact.paper_hierarchy}).
-   [feed ~caches ~pages] delivers the whole stream to both sinks, and its
-   result comes back beside what the consumers observed.  The sweep is
-   nearly all of a cell's time, so it is the consumer that goes to an
-   idle core ({!Exec.Relay}); the page simulator stays on the caller
-   beside the stream's source. *)
-let simulate feed =
+   standard sweep, the page simulator (the paper's two-level hierarchy
+   is read off the sweep, {!Artifact.paper_hierarchy}) and the stream
+   checksum.  [source] delivers the whole stream to the sink it is
+   given — a driver run, or a decode of a capture — and its result
+   comes back beside what the consumers observed.  The sweep is nearly
+   all of a cell's time, so it is the consumer that goes to an idle
+   core ({!Exec.Relay}); the page simulator and the checksum stay on
+   the caller beside the source. *)
+let simulate source =
   let multi = Cachesim.Multi.create standard_configs in
   let pages = Vmsim.Page_sim.create () in
+  let checksum = Memsim.Sink.Checksum.create () in
   let fed =
-    feed ~caches:(Cachesim.Multi.sink multi) ~pages:(Vmsim.Page_sim.sink pages)
+    Exec.Relay.with_sink (Cachesim.Multi.sink multi) @@ fun caches ->
+    source
+      (Memsim.Sink.fanout
+         [ caches;
+           Vmsim.Page_sim.sink pages;
+           Memsim.Sink.Checksum.sink checksum ])
   in
   ( fed,
     { caches = Cachesim.Multi.results multi;
-      fault_curve = Vmsim.Page_sim.curve pages } )
+      fault_curve = Vmsim.Page_sim.curve pages;
+      trace_checksum = Memsim.Sink.Checksum.value checksum } )
 
-(* The stream's checksum is taken beside the driver, where the stream
-   originates. *)
 let run t ~profile ~allocator =
   Telemetry.Span.with_span ~cat:"cell" (profile ^ "/" ^ allocator) @@ fun () ->
   let prof = Workload.Programs.find profile in
-  let checksum = Memsim.Sink.Checksum.create () in
   let result, o =
-    simulate (fun ~caches ~pages ->
-        Exec.Relay.with_sink caches @@ fun caches ->
-        let sink =
-          Memsim.Sink.fanout
-            [ caches; pages; Memsim.Sink.Checksum.sink checksum ]
-        in
+    simulate (fun sink ->
         Workload.Driver.run ~sink ~scale:t.scale ~profile:prof ~allocator ())
   in
   Artifact.of_run ~program:profile ~allocator ~scale:t.scale
-    ~trace_checksum:(Memsim.Sink.Checksum.value checksum)
-    ~result ~caches:o.caches ~fault_curve:o.fault_curve
+    ~trace_checksum:o.trace_checksum ~result ~caches:o.caches
+    ~fault_curve:o.fault_curve
 
 (* ---- grid cells ------------------------------------------------------ *)
 
@@ -354,22 +355,16 @@ let prefetch t cells =
 (* ---- external trace ingestion --------------------------------------- *)
 
 (* An ingested trace is a grid cell like any other, just with external
-   coordinates: its identity is the order-sensitive checksum of its
-   event stream (so the same accesses imported as text, CSV or binary
-   land on the same cell), its "program" is [trace:<ident>], its
-   allocator key is ["external"], and its scale is fixed at 1 (there is
-   no workload to scale).  It resolves like any other cell, and its
-   capture replays into the same consumers a driver feeds. *)
+   coordinates and another event source: its identity is the
+   order-sensitive checksum of its event stream (so the same accesses
+   imported as text, CSV or binary land on the same cell), its
+   "program" is [trace:<ident>], its allocator key is ["external"], and
+   its scale is fixed at 1 (there is no workload to scale).  It
+   resolves like any other cell, and a cold one decodes its capture
+   into the same consumers a driver feeds. *)
 
 let external_allocator = "external"
 let external_scale = 1.0
-
-let trace_ident ~format ~data =
-  let checksum = Memsim.Sink.Checksum.create () in
-  let events =
-    Memsim.Trace.read format data (Memsim.Sink.Checksum.sink checksum)
-  in
-  (events, Memsim.Sink.Checksum.value checksum)
 
 let trace_program ~ident = Printf.sprintf "trace:%x" ident
 
@@ -380,45 +375,37 @@ let trace_digest ~ident =
 type capture = {
   format : Memsim.Trace.Source.format;
   data : string;
-  buffer : Memsim.Trace_buffer.t;
   counter : Memsim.Sink.Counter.counter;
   events : int;
   ident : int;
 }
 
+(* The identity pass: one decode into the checksum, for identity, and
+   the per-source counts, for the summary.  Nothing of the stream is
+   kept, so a warm ingest holds only the capture's bytes. *)
 let capture ~format ~data =
-  (* One pass: buffer the packed events for replay, checksum the stream
-     for identity, and tally per-source counts for the summary. *)
-  let buffer = Memsim.Trace_buffer.create () in
   let checksum = Memsim.Sink.Checksum.create () in
   let counter = Memsim.Sink.Counter.create () in
   let events =
     Memsim.Trace.read format data
       (Memsim.Sink.fanout
-         [ Memsim.Trace_buffer.sink buffer;
-           Memsim.Sink.Checksum.sink checksum;
+         [ Memsim.Sink.Checksum.sink checksum;
            Memsim.Sink.Counter.sink counter ])
   in
-  { format;
-    data;
-    buffer;
-    counter;
-    events;
-    ident = Memsim.Sink.Checksum.value checksum }
+  { format; data; counter; events; ident = Memsim.Sink.Checksum.value checksum }
+
+let trace_ident ~format ~data =
+  let c = capture ~format ~data in
+  (c.events, c.ident)
 
 let capture_digest c = trace_digest ~ident:c.ident
 
 let simulate_trace c =
   let program = trace_program ~ident:c.ident in
   Telemetry.Span.with_span ~cat:"ingest" program @@ fun () ->
-  (* The capture is read-only once taken, so the sweep replays it on an
-     idle core while the page simulator replays it here. *)
-  let (), o =
-    simulate (fun ~caches ~pages ->
-        Exec.Relay.beside
-          (fun () -> Memsim.Trace_buffer.replay c.buffer caches)
-          (fun () -> Memsim.Trace_buffer.replay c.buffer pages))
-  in
+  (* The capture is decoded a second time, straight into the
+     consumers. *)
+  let _events, o = simulate (Memsim.Trace.read c.format c.data) in
   let by_source = Memsim.Sink.Counter.by_source c.counter in
   { Artifact.meta =
       { Artifact.program;
@@ -426,7 +413,7 @@ let simulate_trace c =
         scale = external_scale;
         seed = c.ident;
         schema_version = Artifact.schema_version;
-        trace_checksum = c.ident };
+        trace_checksum = o.trace_checksum };
     provenance =
       { Artifact.source_format = Memsim.Trace.Source.format_to_string c.format;
         source_bytes = String.length c.data;

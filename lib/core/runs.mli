@@ -3,12 +3,13 @@
     derived cells of the experiments that simulate off the grid.
 
     Each run drives the profile against the allocator once, feeding the
-    fused trace to two consumers: one {!Cachesim.Multi} over the LRU
+    fused trace to three consumers: one {!Cachesim.Multi} over the LRU
     sweep — the paper's direct-mapped sizes (16K–256K), an
     associativity set at 16 K (2/4/8-way) and a block-size sweep at
-    64 K, one {!Cachesim.Forest} family per block size — and the
-    page-fault simulator; the trace checksum is taken beside the
-    driver.  The paper's two-level hierarchy (16 K L1 / 256 K L2) is
+    64 K, one {!Cachesim.Forest} family per block size — the
+    page-fault simulator and the trace checksum.  An ingested trace
+    feeds the same consumers from a decode of its capture instead of a
+    driver run.  The paper's two-level hierarchy (16 K L1 / 256 K L2) is
     not simulated: it is read off the sweep's [16K-dm] and [256K-dm]
     members ({!Artifact.paper_hierarchy}).  The finished cell is
     distilled to a typed {!Artifact.t}; the in-process memo and the
@@ -101,29 +102,32 @@ val prefetch : t -> (string * string) list -> unit
     cell and warm-serve each other. *)
 
 type capture
-(** A parsed external trace: its buffered events, stream identity and
-    provenance. *)
+(** A checked external trace: its bytes, format, stream identity and
+    per-source event counts.  It holds no decoded event. *)
 
 val capture : format:Memsim.Trace.Source.format -> data:string -> capture
-(** Decode [data] in one pass.  @raise Failure on malformed trace
-    data. *)
+(** The identity pass: decode [data] once into the stream checksum and
+    the per-source counts, keeping nothing of the stream, so what it
+    allocates does not grow with the capture.  A cold
+    {!ingest_capture} decodes [data] a second time.  @raise Failure on
+    malformed trace data. *)
 
 val capture_digest : capture -> string
 (** Store digest of the capture's cell. *)
 
 val ingest_capture : t -> capture -> Artifact.t
 (** Resolve the capture's cell like {!get}: memo, validated store read,
-    or a replay of its events into the same consumers a synthetic run
-    feeds, written through.  The artifact's provenance records the
-    capture's format, byte length and CRC-32. *)
+    or a second decode of its bytes into the same consumers a
+    synthetic run feeds, written through.  The artifact's provenance
+    records the capture's format, byte length and CRC-32. *)
 
 val ingest : t -> format:Memsim.Trace.Source.format -> data:string -> Artifact.t
 (** [ingest_capture t (capture ~format ~data)].
     @raise Failure on malformed trace data. *)
 
 val trace_ident : format:Memsim.Trace.Source.format -> data:string -> int * int
-(** [(events, checksum)] of the capture's event stream, without
-    buffering it.  @raise Failure on malformed trace data. *)
+(** [(events, checksum)] of the capture's event stream: {!capture}'s
+    identity pass.  @raise Failure on malformed trace data. *)
 
 val trace_digest : ident:int -> string
 (** Store digest of the external cell identified by [ident]. *)

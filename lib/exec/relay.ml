@@ -321,22 +321,12 @@ let finish h =
   release h;
   error
 
-let settle error outcome =
-  match (error, outcome) with
-  | Some (e, bt), _ | None, Error (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None, Ok v -> v
-
-let run f x =
-  match f x with
-  | v -> Ok v
-  | exception e -> Error (e, Printexc.get_raw_backtrace ())
-
 let with_sink remote f =
   match acquire () with
   | None ->
       Telemetry.Metrics.Counter.inc inline_c;
       f remote
-  | Some h ->
+  | Some h -> (
       Telemetry.Metrics.Counter.inc relayed_c;
       Atomic.set h.published 0;
       Atomic.set h.consumed 0;
@@ -344,20 +334,15 @@ let with_sink remote f =
       Atomic.set h.failed false;
       h.fill <- 0;
       start h (fun () -> drain h remote);
-      let outcome = run f (push h) in
+      let outcome =
+        match f (push h) with
+        | v -> Ok v
+        | exception e -> Error (e, Printexc.get_raw_backtrace ())
+      in
       if h.fill > 0 then publish h;
       Atomic.set h.closed true;
       wake h;
-      settle (finish h) outcome
-
-let beside g f =
-  match acquire () with
-  | None ->
-      Telemetry.Metrics.Counter.inc inline_c;
-      g ();
-      f ()
-  | Some h ->
-      Telemetry.Metrics.Counter.inc relayed_c;
-      start h g;
-      let outcome = run f () in
-      settle (finish h) outcome
+      match (finish h, outcome) with
+      | Some (e, bt), _ | None, Error (e, bt) ->
+          Printexc.raise_with_backtrace e bt
+      | None, Ok v -> v)

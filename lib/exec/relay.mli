@@ -36,13 +36,6 @@ val with_sink : Memsim.Sink.t -> (Memsim.Sink.t -> 'a) -> 'a
     batches it delivered are still consumed, the helper is released and
     [f]'s exception is re-raised. *)
 
-val beside : (unit -> unit) -> (unit -> 'a) -> 'a
-(** [beside g f] runs [g] on a helper domain while [f] runs on the
-    caller, when a core is idle, and returns [f]'s result once both have
-    finished; otherwise it runs [g ()] then [f ()].  [g] and [f] must
-    share only read-only data.  An exception of [g] wins over [f]'s
-    outcome, as it would inline. *)
-
 val with_path : path -> (unit -> 'a) -> 'a
 (** [with_path p f] runs [f] with every relay that the calling domain
     makes inside it taking path [p], whatever the idle cores: the two

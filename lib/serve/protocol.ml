@@ -283,14 +283,15 @@ let read_frame ?(first = "") fd =
         if len < 0 || len > max_frame_bytes then
           Result.Error (Printf.sprintf "unreasonable frame length %d" len)
         else
-          let rest = Bytes.create (len + 8) in
-          (match read_exact fd rest 0 (len + 8) with
+          (* The whole frame lands in one buffer of its exact size, never
+             touched again, which the shared envelope check reads in
+             place (so the CRC semantics are exactly the store's): the
+             payload it returns is the only other copy. *)
+          let frame = Bytes.create (header_bytes + len + 8) in
+          Bytes.blit hdr 0 frame 0 header_bytes;
+          match read_exact fd frame header_bytes (len + 8) with
           | Result.Error _ as e -> e
           | Result.Ok false -> Result.Error "connection closed mid-frame"
-          | Result.Ok true -> (
-              (* Reassemble and run the shared envelope check so the
-                 CRC semantics are exactly the store's. *)
-              let data = Bytes.to_string hdr ^ Bytes.to_string rest in
-              match Binio.Frame.unframe ~magic data with
-              | Result.Ok payload -> Result.Ok (Some payload)
-              | Result.Error reason -> Result.Error reason))
+          | Result.Ok true ->
+              Result.map Option.some
+                (Binio.Frame.unframe ~magic (Bytes.unsafe_to_string frame))

@@ -356,9 +356,10 @@ let run_ingest t rctx ~format ~trace =
   match Memsim.Trace.Source.format_of_string format with
   | Result.Error msg -> Result.Error (Protocol.Bad_request, msg)
   | Result.Ok fmt -> (
-      (* Parse up front so a malformed capture is a typed Bad_request,
-         not an Internal from inside the single-flight; a cold ingest
-         replays this same capture. *)
+      (* The identity pass runs up front, so a malformed capture is a
+         typed Bad_request, not an Internal from inside the
+         single-flight; it keeps only the frame's bytes, which a cold
+         ingest decodes a second time into the consumers. *)
       match
         Rctx.stage rctx "parse" (fun () ->
             Core.Runs.capture ~format:fmt ~data:trace)

@@ -324,6 +324,33 @@ let test_ingest_matches_synthetic_cell () =
   check_bool "fault curve" true
     (synthetic.Core.Artifact.fault_curve = ingested.Core.Artifact.fault_curve)
 
+(* The identity pass keeps nothing of the stream it decodes: what
+   [Runs.capture] allocates does not grow with the capture's length. *)
+let test_ingest_capture_allocation_budget () =
+  let data =
+    Memsim.Trace.write Memsim.Trace.Source.Binary (fun sink ->
+        ignore
+          (Workload.Driver.run ~sink ~scale:0.05
+             ~profile:Workload.Programs.gs_large ~allocator:"quickfit" ()))
+  in
+  (* The counters take in the minor heap's words when it is collected,
+     so it is emptied on both sides of the measured call: a collection
+     inside it would otherwise count words allocated before it. *)
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let (_ : Core.Runs.capture) =
+    Core.Runs.capture ~format:Memsim.Trace.Source.Binary ~data
+  in
+  Gc.minor ();
+  let allocated = Gc.allocated_bytes () -. before in
+  let events, _ =
+    Core.Runs.trace_ident ~format:Memsim.Trace.Source.Binary ~data
+  in
+  check_bool "a capture of over a million events" true (events > 1_000_000);
+  check_bool
+    (Printf.sprintf "capture allocated %.0f bytes, budget 64 KiB" allocated)
+    true (allocated < 65_536.)
+
 (* ------------------------------------------------------------------ *)
 (* Experiments                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -669,6 +696,8 @@ let () =
           tc "report renders" test_ingest_report_renders;
           tc "binary capture matches its synthetic cell"
             test_ingest_matches_synthetic_cell;
+          tc "identity pass allocation budget"
+            test_ingest_capture_allocation_budget;
         ] );
       ( "experiments",
         [

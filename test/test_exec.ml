@@ -373,29 +373,9 @@ let test_relay_spare_core_rule () =
     (Domain.recommended_domain_count () > 1)
     (ran_on () <> caller)
 
-let test_relay_beside () =
-  let log = ref [] in
-  check_int "f's result" 7
-    (Relay.with_path Relay.Inline (fun () ->
-         Relay.beside (fun () -> log := `G :: !log) (fun () ->
-             log := `F :: !log;
-             7)));
-  check_bool "inline runs g, then f" true (!log = [ `F; `G ]);
-  let g_ran = Atomic.make false in
-  check_int "relayed: f's result" 8
-    (Relay.with_path Relay.Relayed (fun () ->
-         Relay.beside (fun () -> Atomic.set g_ran true) (fun () -> 8)));
-  check_bool "relayed: g ran before the return" true (Atomic.get g_ran);
-  check_bool "g's exception wins" true
-    (match
-       Relay.with_path Relay.Relayed (fun () ->
-           Relay.beside (fun () -> failwith "g") (fun () -> raise Exit))
-     with
-    | exception Failure msg -> msg = "g"
-    | _ -> false)
-
-(* A grid cell, and an ingested trace, encode to the same bytes whether
-   their consumers ran on a helper or inline. *)
+(* A grid cell, and an ingested trace in every capture format, encode
+   to the same bytes whether their consumers ran on a helper or inline:
+   each reader delivers its own batch shapes across the relay. *)
 let test_relay_runs_cells_identical () =
   let cell path allocator =
     Relay.with_path path (fun () ->
@@ -409,21 +389,33 @@ let test_relay_runs_cells_identical () =
         (allocator ^ ": relayed = inline")
         (cell Relay.Inline allocator) (cell Relay.Relayed allocator))
     (Allocators.Registry.keys ());
-  let trace =
+  let text =
     String.concat ""
       (List.init 5000 (fun i ->
            Printf.sprintf "%c 0x%x\n" (if i mod 3 = 0 then 'W' else 'R')
              (0x10000 + (((i * 7919) mod 4093) * 4))))
   in
-  let ingest path =
+  let driven format =
+    Memsim.Trace.write format (fun sink ->
+        ignore
+          (Workload.Driver.run ~sink ~scale:0.01
+             ~profile:(Workload.Programs.find "espresso") ~allocator:"bsd" ()))
+  in
+  let ingest path format data =
     Relay.with_path path (fun () ->
         Core.Artifact.encode
-          (Core.Runs.ingest (Core.Runs.create ()) ~format:Memsim.Trace.Source.Text
-             ~data:trace))
+          (Core.Runs.ingest (Core.Runs.create ()) ~format ~data))
   in
-  Alcotest.(check string)
-    "ingested trace: relayed = inline" (ingest Relay.Inline)
-    (ingest Relay.Relayed)
+  List.iter
+    (fun (name, format, data) ->
+      Alcotest.(check string)
+        (name ^ " capture: relayed = inline")
+        (ingest Relay.Inline format data)
+        (ingest Relay.Relayed format data))
+    [ ("text", Memsim.Trace.Source.Text, text);
+      ("driven binary", Memsim.Trace.Source.Binary,
+       driven Memsim.Trace.Source.Binary);
+      ("driven csv", Memsim.Trace.Source.Csv, driven Memsim.Trace.Source.Csv) ]
 
 let tc name f = Alcotest.test_case name `Quick f
 let qt t = QCheck_alcotest.to_alcotest t
@@ -462,7 +454,6 @@ let () =
           tc "100 relays spawn at most one domain" test_relay_reuses_one_helper;
           tc "an idle helper retires" test_relay_idle_helper_retires;
           tc "spare-core rule" test_relay_spare_core_rule;
-          tc "beside" test_relay_beside;
           tc "Runs cells byte-identical relayed and inline"
             test_relay_runs_cells_identical;
         ] );

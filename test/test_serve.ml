@@ -257,20 +257,22 @@ let prop_garbage_never_raises =
 (* Frame I/O over real file descriptors                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Write [bytes] to [w] from another thread, then close it. *)
+let write_then_close w bytes =
+  Thread.create
+    (fun () ->
+      let n = String.length bytes in
+      let off = ref 0 in
+      while !off < n do
+        off := !off + Unix.write_substring w bytes !off (n - !off)
+      done;
+      Unix.close w)
+    ()
+
 (* Feed exactly [bytes] to read_frame through a pipe, then EOF. *)
 let read_from_bytes ?first bytes =
   let r, w = Unix.pipe ~cloexec:true () in
-  let writer =
-    Thread.create
-      (fun () ->
-        let n = String.length bytes in
-        let off = ref 0 in
-        while !off < n do
-          off := !off + Unix.write_substring w bytes !off (n - !off)
-        done;
-        Unix.close w)
-      ()
-  in
+  let writer = write_then_close w bytes in
   let result = P.read_frame ?first r in
   Thread.join writer;
   Unix.close r;
@@ -346,6 +348,29 @@ let test_frame_bad_magic () =
     (match read_from_bytes (Bytes.to_string b) with
     | Error _ -> true
     | Ok _ -> false)
+
+(* Reading a frame costs the frame once and its payload once: an
+   8 MiB frame over a socketpair allocates about twice its payload, not
+   further whole copies of it. *)
+let test_frame_read_allocation () =
+  let payload = String.init (8 * 1024 * 1024) (fun i -> Char.chr (i land 0xff)) in
+  let bytes = framed payload in
+  let r, w = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let writer = write_then_close w bytes in
+  (* Minor collections on both sides of the call keep words allocated
+     before it out of the count (see test_core's identity-pass budget). *)
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let result = P.read_frame r in
+  Gc.minor ();
+  let allocated = Gc.allocated_bytes () -. before in
+  Thread.join writer;
+  Unix.close r;
+  check_bool "payload survives the socketpair" true (result = Ok (Some payload));
+  let ratio = allocated /. float_of_int (String.length payload) in
+  check_bool
+    (Printf.sprintf "read_frame allocated %.2fx the payload, budget 2.5x" ratio)
+    true (ratio < 2.5)
 
 (* ------------------------------------------------------------------ *)
 (* In-process server/client integration                               *)
@@ -1435,6 +1460,8 @@ let () =
           tc "bit flips" test_frame_bit_flips;
           tc "oversized length claim" test_frame_oversized_length_claim;
           tc "bad magic" test_frame_bad_magic;
+          tc "one copy of the frame, one of the payload"
+            test_frame_read_allocation;
         ] );
       ( "server",
         [
