@@ -9,8 +9,10 @@ type t = {
 
 let sbrk_instructions = 40
 
-let create ?(sink = Sink.null) ?(heap_bytes = 64 * 1024 * 1024)
-    ?(static_bytes = 4 * 1024 * 1024) () =
+let heap_bytes = 64 * 1024 * 1024
+let static_bytes = 4 * 1024 * 1024
+
+let create ?(sink = Sink.null) () =
   let layout = Region.Layout.create () in
   let static_region = Region.Layout.add layout ~name:"static" ~size:static_bytes in
   let heap_region = Region.Layout.add layout ~name:"heap" ~size:heap_bytes in

@@ -9,16 +9,10 @@
 
 type t
 
-val create :
-  ?sink:Memsim.Sink.t ->
-  ?heap_bytes:int ->
-  ?static_bytes:int ->
-  unit ->
-  t
-(** [heap_bytes] (default 64 MB) bounds the sbrk region; [static_bytes]
-    (default 4 MB) bounds allocator static data.  The two regions are
-    disjoint, with the static region at lower addresses (like a data
-    segment below the heap). *)
+val create : ?sink:Memsim.Sink.t -> unit -> t
+(** A 64 MB sbrk region and, below it, a 4 MB region for allocator
+    static data and the program's globals (like a data segment below
+    the heap). *)
 
 val mem : t -> Memsim.Sim_memory.t
 val cost : t -> Cost.t

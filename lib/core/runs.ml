@@ -375,24 +375,18 @@ let trace_digest ~ident =
 type capture = {
   format : Memsim.Trace.Source.format;
   data : string;
-  counter : Memsim.Sink.Counter.counter;
   events : int;
   ident : int;
 }
 
-(* The identity pass: one decode into the checksum, for identity, and
-   the per-source counts, for the summary.  Nothing of the stream is
-   kept, so a warm ingest holds only the capture's bytes. *)
+(* The identity pass: one decode into the checksum.  Nothing of the
+   stream is kept, so a warm ingest holds only the capture's bytes. *)
 let capture ~format ~data =
   let checksum = Memsim.Sink.Checksum.create () in
-  let counter = Memsim.Sink.Counter.create () in
   let events =
-    Memsim.Trace.read format data
-      (Memsim.Sink.fanout
-         [ Memsim.Sink.Checksum.sink checksum;
-           Memsim.Sink.Counter.sink counter ])
+    Memsim.Trace.read format data (Memsim.Sink.Checksum.sink checksum)
   in
-  { format; data; counter; events; ident = Memsim.Sink.Checksum.value checksum }
+  { format; data; events; ident = Memsim.Sink.Checksum.value checksum }
 
 let trace_ident ~format ~data =
   let c = capture ~format ~data in
@@ -404,9 +398,14 @@ let simulate_trace c =
   let program = trace_program ~ident:c.ident in
   Telemetry.Span.with_span ~cat:"ingest" program @@ fun () ->
   (* The capture is decoded a second time, straight into the
-     consumers. *)
-  let _events, o = simulate (Memsim.Trace.read c.format c.data) in
-  let by_source = Memsim.Sink.Counter.by_source c.counter in
+     consumers and the per-source counts the summary reports. *)
+  let counter = Memsim.Sink.Counter.create () in
+  let _events, o =
+    simulate (fun sink ->
+        Memsim.Trace.read c.format c.data
+          (Memsim.Sink.fanout [ sink; Memsim.Sink.Counter.sink counter ]))
+  in
+  let by_source = Memsim.Sink.Counter.by_source counter in
   { Artifact.meta =
       { Artifact.program;
         allocator = external_allocator;

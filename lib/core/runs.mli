@@ -102,14 +102,14 @@ val prefetch : t -> (string * string) list -> unit
     cell and warm-serve each other. *)
 
 type capture
-(** A checked external trace: its bytes, format, stream identity and
-    per-source event counts.  It holds no decoded event. *)
+(** A checked external trace: its bytes, format, event count and
+    stream identity.  It holds no decoded event. *)
 
 val capture : format:Memsim.Trace.Source.format -> data:string -> capture
-(** The identity pass: decode [data] once into the stream checksum and
-    the per-source counts, keeping nothing of the stream, so what it
-    allocates does not grow with the capture.  A cold
-    {!ingest_capture} decodes [data] a second time.  @raise Failure on
+(** The identity pass: decode [data] once into the stream checksum,
+    keeping nothing of the stream, so what it allocates does not grow
+    with the capture.  A cold {!ingest_capture} decodes [data] a second
+    time, and counts the events by source then.  @raise Failure on
     malformed trace data. *)
 
 val capture_digest : capture -> string

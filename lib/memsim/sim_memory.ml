@@ -156,6 +156,7 @@ let ranged t kbit a n =
 
 let read_bytes t a n = ranged t 0 a n
 let write_bytes t a n = ranged t 4 a n
+let access_bytes t ~write a n = ranged t (Bool.to_int write lsl 2) a n
 
 let peek t a =
   check_word_addr a;

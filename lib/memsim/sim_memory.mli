@@ -63,6 +63,10 @@ val read_bytes : t -> Addr.t -> int -> unit
 val write_bytes : t -> Addr.t -> int -> unit
 (** [write_bytes t a n] emits write events covering [\[a, a+n)]. *)
 
+val access_bytes : t -> write:bool -> Addr.t -> int -> unit
+(** {!write_bytes} when [write], else {!read_bytes}, chosen without a
+    branch: a random read/write mix would mispredict one. *)
+
 (** {1 Silent inspection (tests only)} *)
 
 val peek : t -> Addr.t -> int

@@ -2,11 +2,21 @@
     fused reference trace (application + allocator) the paper's
     simulations consume.
 
-    The driver owns the simulated machine: it builds a {!Allocators.Heap.t}
-    whose trace goes to the caller's sink (typically a
+    A run is two parts.  The {!Schedule} turns (profile, scale, seed)
+    into chunks of packed ops: malloc (object id, size, site, lifetime
+    class), free (id), realloc (id, new size), object touch (id,
+    offset, bytes, write), global touch (offset, write) and compute
+    charge.  It draws every random choice the application makes, and
+    none of them depends on the allocator.  The {!Player} applies each
+    chunk to a {!Allocators.Heap.t} and an allocator: it maps object ids
+    to addresses and makes every allocator call, instruction charge and
+    traced access.  [run] streams the one into the other chunk by
+    chunk, so every allocator played at the same (profile, scale) sees
+    the same op stream.
+
+    The heap's trace goes to the caller's sink (typically a
     {!Memsim.Sink.fanout} of cache simulators, the page simulator and a
-    counter), constructs the requested allocator on it, and plays the
-    profile's workload. *)
+    counter). *)
 
 type result = {
   profile : Profile.t;
@@ -37,7 +47,6 @@ val build_allocator :
 val run :
   ?sink:Memsim.Sink.t ->
   ?scale:float ->
-  ?heap_bytes:int ->
   profile:Profile.t ->
   allocator:string ->
   unit ->
@@ -45,28 +54,32 @@ val run :
 (** Plays [profile] (at [scale], default 1.0) against the named
     allocator, built by {!build_allocator}.  Every data reference of
     the run is delivered to [sink].  [scale] shrinks both the step count
-    and the retained-heap target, so behaviour (lifetime mix, miss-rate
-    regime) is approximately scale-invariant. *)
+    and the retained-heap target, so the lifetime mix and the heap's
+    growth curve keep their shape.  Miss rates still drift upward with
+    scale: GNU local at 64K on Espresso misses 7.62 % at scale 0.5 and
+    8.51 % at 1.0. *)
 
 val run_with :
   ?sink:Memsim.Sink.t ->
   ?scale:float ->
-  ?on_alloc:(site:int -> long:bool -> size:int -> unit) ->
   profile:Profile.t ->
   heap:Allocators.Heap.t ->
   alloc:Allocators.Allocator.t ->
   unit ->
   result
 (** Like {!run} on a caller-built heap/allocator pair (for allocators
-    the caller keeps a handle on, like {!Allocators.Predictive}).
-    [on_alloc] observes every allocation's site and eventual lifetime
-    class — the profiling feed for {!Allocators.Predictive.Trainer}. *)
+    the caller keeps a handle on, like {!Allocators.Predictive}).  The
+    allocator is called with each malloc's site
+    ({!Allocators.Allocator.malloc_sited}). *)
 
 val training_scale : float
 (** The scale of every profiling pass (0.05), whatever the measured one. *)
 
 val train_predictor :
   profile:Profile.t -> unit -> Allocators.Predictive.prediction array
-(** Runs a profiling pass at {!training_scale} and returns per-site
+(** Profiles [profile] at {!training_scale} and returns per-site
     lifetime predictions — the Barrett & Zorn workflow the paper's §5.1
-    points at. *)
+    points at.  The pass is a fold over the {!Schedule}'s mallocs, each
+    one's site and lifetime class fed to a
+    {!Allocators.Predictive.Trainer}: no heap, allocator or trace is
+    involved, so the table is the one any allocator's run would train. *)

@@ -308,33 +308,6 @@ let test_driver_run_with_custom_allocator () =
   check_bool "low fragmentation on its training workload" true
     (Allocators.Alloc_stats.internal_fragmentation r.Driver.alloc_stats < 0.12)
 
-(* The trained table comes from the driver's own draws, never from the
-   allocator: a profiling pass under any registry allocator trains the
-   table [train_predictor] trains. *)
-let test_driver_training_allocator_independent () =
-  List.iter
-    (fun profile ->
-      let expected = Driver.train_predictor ~profile () in
-      List.iter
-        (fun (spec : Allocators.Registry.spec) ->
-          let trainer =
-            Allocators.Predictive.Trainer.create
-              ~sites:profile.Profile.site_count
-          in
-          let heap = Allocators.Heap.create () in
-          let alloc = spec.build heap in
-          ignore
-            (Driver.run_with ~scale:Driver.training_scale
-               ~on_alloc:(fun ~site ~long ~size:_ ->
-                 Allocators.Predictive.Trainer.observe trainer ~site ~long)
-               ~profile ~heap ~alloc ());
-          check_bool
-            (profile.Profile.key ^ " trained under " ^ spec.key)
-            true
-            (Allocators.Predictive.Trainer.finish trainer = expected))
-        Allocators.Registry.all)
-    [ Programs.gawk; Programs.espresso ]
-
 let test_driver_reallocs_happen () =
   let r = Driver.run ~scale:0.1 ~profile:Programs.gawk ~allocator:"bsd" () in
   let st = r.Driver.alloc_stats in
@@ -424,6 +397,180 @@ let test_trace_record_matches_write () =
     (String.length written > 200_000);
   check_bool "record and write agree" true (streamed = written)
 
+(* ------------------------------------------------------------------ *)
+(* Schedule and player                                                *)
+(* ------------------------------------------------------------------ *)
+
+let mix h x = (h * 1_000_003) lxor x
+
+let digest_chunk h s =
+  let ops = Schedule.ops s in
+  let h = ref h in
+  for i = 0 to Schedule.length s - 1 do
+    h := mix !h ops.(i)
+  done;
+  !h
+
+(* The generator alone: no heap, allocator or memory. *)
+let schedule_digest ~profile ~scale =
+  let s = Schedule.create ~profile ~scale in
+  let h = ref 0 in
+  while Schedule.next s do
+    h := digest_chunk !h s
+  done;
+  !h
+
+(* Fold over the ops of a chunk, one [f ops at] per op. *)
+let iter_ops s f =
+  let ops = Schedule.ops s in
+  let i = ref 0 in
+  while !i < Schedule.length s do
+    f ops !i;
+    i := !i + Schedule.Op.width ops.(!i)
+  done
+
+(* Plays [profile] at [scale] against the allocator [build] makes,
+   calling [applied] on each chunk once the player has applied it.
+   Returns the heap, the allocator and the heap's per-source counter. *)
+let play ~profile ~scale ~build applied =
+  let counter = Memsim.Sink.Counter.create () in
+  let heap = Allocators.Heap.create ~sink:(Memsim.Sink.Counter.sink counter) () in
+  let alloc = build heap in
+  let s = Schedule.create ~profile ~scale in
+  let player = Player.create ~profile ~heap ~alloc in
+  while Schedule.next s do
+    Player.play player s;
+    applied s
+  done;
+  Allocators.Heap.flush_trace heap;
+  (heap, alloc, counter)
+
+(* Every registry allocator, plus the profile-trained custom allocator
+   a grid cell uses. *)
+let allocators profile =
+  List.map
+    (fun (spec : Allocators.Registry.spec) -> (spec.key, spec.build))
+    Allocators.Registry.all
+  @ [ ("trained custom", Driver.build_allocator ~profile ~allocator:"custom") ]
+
+let test_schedule_same_ops_under_every_allocator () =
+  List.iter
+    (fun profile ->
+      List.iter
+        (fun scale ->
+          let expected = schedule_digest ~profile ~scale in
+          let app = ref None in
+          List.iter
+            (fun (key, build) ->
+              let name =
+                Printf.sprintf "%s at %g under %s" profile.Profile.key scale key
+              in
+              let h = ref 0 and mallocs = ref 0 and frees = ref 0
+              and reallocs = ref 0 and requested = ref 0 in
+              (* A growing realloc requests its growth. *)
+              let sizes = Hashtbl.create 1024 in
+              let request ~grown id size =
+                let old = if grown then Hashtbl.find sizes id else 0 in
+                requested := !requested + Int.max 0 (size - old);
+                Hashtbl.replace sizes id size
+              in
+              let heap, alloc, counter =
+                play ~profile ~scale ~build (fun s ->
+                    h := digest_chunk !h s;
+                    iter_ops s (fun ops at ->
+                        let tag = ops.(at) in
+                        if tag = Schedule.Op.malloc then begin
+                          incr mallocs;
+                          request ~grown:false ops.(at + 1) ops.(at + 2)
+                        end
+                        else if tag = Schedule.Op.free then incr frees
+                        else if tag = Schedule.Op.realloc then begin
+                          incr reallocs;
+                          request ~grown:true ops.(at + 1) ops.(at + 2)
+                        end))
+              in
+              check_int (name ^ ": applied ops digest") expected !h;
+              let st = Allocators.Allocator.stats alloc in
+              check_int (name ^ ": mallocs") !mallocs
+                st.Allocators.Alloc_stats.malloc_calls;
+              check_int (name ^ ": frees") !frees
+                st.Allocators.Alloc_stats.free_calls;
+              check_int (name ^ ": reallocs") !reallocs
+                st.Allocators.Alloc_stats.realloc_calls;
+              check_int (name ^ ": bytes requested") !requested
+                st.Allocators.Alloc_stats.bytes_requested;
+              (* The application's side of the run is the schedule's. *)
+              let seen =
+                ( Allocators.Cost.app (Allocators.Heap.cost heap),
+                  Memsim.Sink.Counter.by_source counter Memsim.Event.App )
+              in
+              match !app with
+              | None -> app := Some seen
+              | Some first ->
+                  check_int (name ^ ": app instructions") (fst first) (fst seen);
+                  check_int (name ^ ": app refs") (snd first) (snd seen))
+            (allocators profile))
+        [ 0.005; 0.02 ])
+    Programs.all
+
+(* The trained table is the one a trainer fed the mallocs a player
+   applied would train, under any registry allocator. *)
+let test_schedule_training_matches_played_mallocs () =
+  List.iter
+    (fun profile ->
+      let expected = Driver.train_predictor ~profile () in
+      List.iter
+        (fun (key, build) ->
+          let trainer =
+            Allocators.Predictive.Trainer.create
+              ~sites:profile.Profile.site_count
+          in
+          let observed = ref 0 in
+          let _heap, alloc, _counter =
+            play ~profile ~scale:Driver.training_scale ~build (fun s ->
+                iter_ops s (fun ops at ->
+                    if ops.(at) = Schedule.Op.malloc then begin
+                      incr observed;
+                      Allocators.Predictive.Trainer.observe trainer
+                        ~site:ops.(at + 3) ~long:(ops.(at + 4) = 1)
+                    end))
+          in
+          let name = profile.Profile.key ^ " trained under " ^ key in
+          check_int (name ^ ": every malloc observed")
+            (Allocators.Allocator.stats alloc).Allocators.Alloc_stats.malloc_calls
+            !observed;
+          check_bool name true
+            (Allocators.Predictive.Trainer.finish trainer = expected))
+        (allocators profile))
+    [ Programs.gawk; Programs.espresso ]
+
+(* Chunks are reused and every table grows by doubling: generating a
+   schedule allocates in proportion to its objects, not its ops. *)
+let test_schedule_allocation_budget () =
+  let s = Schedule.create ~profile:Programs.gs_large ~scale:0.1 in
+  (* The counters take in the minor heap's words when it is collected,
+     so it is emptied on both sides of the measured loop. *)
+  let words () =
+    Gc.minor ();
+    Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8)
+  in
+  let before = words () in
+  let ops = ref 0 and objects = ref 0 in
+  while Schedule.next s do
+    iter_ops s (fun o at ->
+        incr ops;
+        if o.(at) = Schedule.Op.malloc then incr objects)
+  done;
+  let words = words () -. before in
+  let budget = float_of_int (32 * !objects) in
+  check_bool
+    (Printf.sprintf "%.0f words for %d objects and %d ops, budget %.0f"
+       words !objects !ops budget)
+    true (words < budget);
+  (* One word per op would break the budget. *)
+  check_bool "ops outnumber the budget's words" true
+    (float_of_int !ops > budget)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -471,13 +618,19 @@ let () =
           tc "same workload across allocators"
             test_driver_same_workload_across_allocators;
           tc "run_with custom allocator" test_driver_run_with_custom_allocator;
-          tc "training table is allocator-independent"
-            test_driver_training_allocator_independent;
           tc "reallocs happen" test_driver_reallocs_happen;
           tc "allocator integrity after run"
             test_driver_allocator_integrity_after_run;
           tc "allocation budget" test_driver_allocation_budget;
           tc "trace replay equivalence" test_trace_replay_equivalence;
           tc "trace record matches write" test_trace_record_matches_write;
+        ] );
+      ( "schedule",
+        [
+          tc "same ops under every allocator"
+            test_schedule_same_ops_under_every_allocator;
+          tc "training matches the played mallocs"
+            test_schedule_training_matches_played_mallocs;
+          tc "allocation budget" test_schedule_allocation_budget;
         ] );
     ]
