@@ -37,6 +37,19 @@
    replaces by its own {!Policy.State}: a hit updates the policy; a miss
    fills the leftmost invalid way, or else the policy's victim.
 
+   Tag storage follows occupancy.  A set's valid ways are always a
+   prefix of it: PLRU and QLRU fills take the leftmost invalid way, an
+   LRU miss inserts at the front and drops the last way, and only
+   [invalidate] empties ways, all of them at once.  So a member stores
+   [stride] ways per set, starting at one and doubling (up to its
+   associativity) when a miss finds every stored way of its set valid;
+   the ways it does not store are exactly the ones a dense layout would
+   hold invalid, and a probe's scan stops at the first invalid way.  A
+   member's tags are as large as its fullest set, not its capacity (an
+   8 MB 16-way L3 fed a small trace keeps one or two words per set,
+   not sixteen), and [reset] and [flush] keep the grown storage for the
+   next trace.
+
    Counter layout.  The kind x source access/miss breakdown lives in
    6-cell arrays indexed [ki*3 + si] (ki: 0 read / 1 write; si: 0 app /
    1 malloc / 2 free), so classifying a block touch is a single
@@ -46,13 +59,13 @@
 type member = {
   config : Config.t;
   assoc : int;
-  (* tags.((set * assoc) + way) holds one word per way: the resident
-     block index shifted left once, with the low bit set when the block
-     has been written since it was fetched (write-back accounting).
-     An LRU member's ways are in recency order, most recent first;
-     other members' are physical, replacement order living in
-     [policy]. *)
-  tags : int array;
+  (* tags.((set * stride) + way) holds one word per stored way: the
+     resident block index shifted left once, with the low bit set when
+     the block has been written since it was fetched (write-back
+     accounting).  An LRU member's ways are in recency order, most
+     recent first; other members' are physical, replacement order
+     living in [policy]. *)
+  mutable tags : int array;
   policy : Policy.State.t option;  (* None: direct-mapped or LRU *)
   set_mask : int;  (* num_sets - 1 *)
   miss : int array;  (* misses by [ki*3 + si] *)
@@ -60,11 +73,14 @@ type member = {
   (* Where the family's last probed block resides in this member
      (absolute way index), for the consecutive-repeat fast path. *)
   mutable last_way : int;
+  (* Ways stored per set in [tags]: a power of two <= [assoc], always 1
+     for a direct-mapped member. *)
+  mutable stride : int;
 }
 
-(* An empty way: it shifts right to max_int, which no block index
-   reaches, and its dirty bit is clear, so evicting it writes nothing
-   back. *)
+(* An empty way: negative, as no block's tag word is, so it shifts
+   right to max_int, which no block index reaches; and its dirty bit is
+   clear, so evicting it writes nothing back. *)
 let invalid = -2
 
 let holds word block = word lsr 1 = block
@@ -130,14 +146,15 @@ let create ?shard configs =
     let assoc = config.Config.associativity in
     { config;
       assoc;
-      tags = Array.make (num_sets * assoc) invalid;
+      tags = Array.make num_sets invalid;
       policy =
         (if assoc = 1 then None
          else Policy.State.create config.Config.policy ~num_sets ~assoc);
       set_mask = num_sets - 1;
       miss = Array.make 6 0;
       writebacks = 0;
-      last_way = 0 }
+      last_way = 0;
+      stride = 1 }
   in
   let members = Array.of_list (List.map member configs) in
   let select p = Array.of_list (List.filter p (Array.to_list members)) in
@@ -205,8 +222,8 @@ let finish_run t ~write =
       (fun m ->
         match m.policy with
         | Some p ->
-            Policy.State.hit p ~set:(m.last_way / m.assoc)
-              ~way:(m.last_way land (m.assoc - 1))
+            Policy.State.hit p ~set:(m.last_way / m.stride)
+              ~way:(m.last_way land (m.stride - 1))
         | None -> ())
       t.refresh;
     t.run_hit <- true
@@ -215,17 +232,32 @@ let finish_run t ~write =
 (* The probe helpers below are top-level and take everything they need
    as arguments, so the hot path allocates no closures. *)
 
-(* The way of the set at [base] holding [block], scanning from [w];
-   -1 when it is not resident. *)
-let rec find_way tags ~base ~assoc ~block w =
-  if w >= assoc then -1
-  else if holds (Array.unsafe_get tags (base + w)) block then w
-  else find_way tags ~base ~assoc ~block (w + 1)
+(* The way of the set at [base], scanning from [w], that holds the
+   block whose tag word without its dirty bit is [bw]; on a miss,
+   [lnot f], where [f] is the fill target: the first invalid way, or
+   [stride] when every stored way is valid.  Valid ways are a prefix,
+   so no way after an invalid one holds the block, and one scan finds
+   either.  One comparison per way covers both: a valid word differs
+   from [bw] at most in its dirty bit, and an invalid word is negative
+   while [bw] is not. *)
+let rec find_way tags ~base ~stride ~bw w =
+  if w >= stride then lnot w
+  else
+    let x = Array.unsafe_get tags (base + w) in
+    if x lxor bw <= 1 then if x >= 0 then w else lnot w
+    else find_way tags ~base ~stride ~bw (w + 1)
 
-let rec first_invalid tags ~base ~assoc w =
-  if w >= assoc then -1
-  else if Array.unsafe_get tags (base + w) < 0 then w
-  else first_invalid tags ~base ~assoc (w + 1)
+(* Doubles [m]'s stride: every set keeps its stored ways in place and
+   gains as many invalid ones. *)
+let grow m =
+  let stride = m.stride in
+  let wide = 2 * stride in
+  let tags = Array.make ((m.set_mask + 1) * wide) invalid in
+  for s = 0 to m.set_mask do
+    Array.blit m.tags (s * stride) tags (s * wide) stride
+  done;
+  m.tags <- tags;
+  m.stride <- wide
 
 (* Probe-order index of the smallest direct-mapped member that hits;
    by inclusion everything at or above it hits, everything below
@@ -237,38 +269,58 @@ let rec boundary dm ~block i =
     if holds (Array.unsafe_get m.tags (block land m.set_mask)) block then i
     else boundary dm ~block (i + 1)
 
-(* Touch [block] in an LRU member, whose sets are most-recent-first,
-   [word] being its tag word (dirty bit set on a write); true on a
-   miss.  A hit moves its way to the front; a miss drops the last way,
-   writing it back if dirty, and puts [word] at the front. *)
-let probe_lru m ~ks ~block ~word =
-  let assoc = m.assoc and tags = m.tags in
-  let base = (block land m.set_mask) * assoc in
-  m.last_way <- base;
-  let w = find_way tags ~base ~assoc ~block 0 in
-  let miss = w < 0 in
-  let last = if miss then base + assoc - 1 else base + w in
-  let front =
-    if miss then begin
-      m.writebacks <- m.writebacks + (Array.unsafe_get tags last land 1);
-      Array.unsafe_set m.miss ks (Array.unsafe_get m.miss ks + 1);
-      word
-    end
-    else Array.unsafe_get tags last lor (word land 1)
-  in
+(* Shifts the ways from [base] to [last] down one, dropping [last],
+   and puts [front] at [base]. *)
+let[@inline] push_front (tags : int array) ~base ~last front =
   for i = last downto base + 1 do
     Array.unsafe_set tags i (Array.unsafe_get tags (i - 1))
   done;
-  Array.unsafe_set tags base front;
-  miss
+  Array.unsafe_set tags base front
+
+(* An LRU miss on [set], [w] being its first invalid way, or [stride]
+   when every stored way is valid: grow the member if it is narrower
+   than its associativity, so that way [w] is invalid, then drop way
+   [w] (or the last way), writing it back if dirty, and put [word] at
+   the front.  Out of line, so that [probe_lru]'s hit path is as short
+   as it was with a dense layout. *)
+let lru_miss m ~ks ~set ~word w =
+  if w = m.stride && w < m.assoc then grow m;
+  let stride = m.stride and tags = m.tags in
+  let base = set * stride in
+  let last = base + Int.min w (stride - 1) in
+  m.last_way <- base;
+  m.writebacks <- m.writebacks + (Array.unsafe_get tags last land 1);
+  Array.unsafe_set m.miss ks (Array.unsafe_get m.miss ks + 1);
+  push_front tags ~base ~last word
+
+(* Touch [block] in an LRU member, whose sets are most-recent-first,
+   [word] being its tag word (dirty bit set on a write); true on a
+   miss.  A hit moves its way to the front. *)
+let probe_lru m ~ks ~block ~word =
+  let set = block land m.set_mask in
+  let stride = m.stride and tags = m.tags in
+  let base = set * stride in
+  let w = find_way tags ~base ~stride ~bw:(word land -2) 0 in
+  if w >= 0 then begin
+    m.last_way <- base;
+    push_front tags ~base ~last:(base + w)
+      (Array.unsafe_get tags (base + w) lor (word land 1));
+    false
+  end
+  else begin
+    lru_miss m ~ks ~set ~word (lnot w);
+    true
+  end
 
 (* Touch [block] in a PLRU or QLRU member: a hit updates the policy; a
-   miss fills the leftmost invalid way, or else the policy's victim. *)
+   miss fills the first invalid way (growing the member if every stored
+   way is valid and it is narrower than its associativity), or else the
+   policy's victim. *)
 let probe_policy m p ~ks ~block ~word =
-  let assoc = m.assoc and tags = m.tags in
   let set = block land m.set_mask in
-  let base = set * assoc in
-  let w = find_way tags ~base ~assoc ~block 0 in
+  let stride = m.stride and tags = m.tags in
+  let base = set * stride in
+  let w = find_way tags ~base ~stride ~bw:(word land -2) 0 in
   if w >= 0 then begin
     let i = base + w in
     m.last_way <- i;
@@ -277,12 +329,17 @@ let probe_policy m p ~ks ~block ~word =
     false
   end
   else begin
+    let f = lnot w in
     let w =
-      match first_invalid tags ~base ~assoc 0 with
-      | -1 -> Policy.State.victim p ~set
-      | w -> w
+      if f < stride then f
+      else if f < m.assoc then begin
+        grow m;
+        f
+      end
+      else Policy.State.victim p ~set
     in
-    let i = base + w in
+    let tags = m.tags in
+    let i = (set * m.stride) + w in
     m.last_way <- i;
     m.writebacks <- m.writebacks + (Array.unsafe_get tags i land 1);
     Array.unsafe_set tags i word;

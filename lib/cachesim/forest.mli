@@ -20,6 +20,12 @@
     consults the policy for a victim.  A dirty block evicted (or
     flushed) counts a writeback.
 
+    A set-associative member's tag storage is proportional to its
+    fullest set, not its capacity: it stores as many ways per set as
+    the fullest set has needed (a power of two up to the
+    associativity), growing when a miss finds its set's stored ways
+    all valid.
+
     Per-member statistics are bit-identical to simulating each member
     on its own (pinned against the naive oracle [test/oracle.ml] by
     property tests in [test/test_cachesim.ml]). *)
@@ -27,7 +33,8 @@
 type t
 
 val create : ?shard:int * int -> Config.t list -> t
-(** [create configs] builds the family.
+(** [create configs] builds the family, every set-associative member
+    storing one way per set until a set needs more.
 
     [?shard:(i, n)] builds shard [i] of [n]: the instance owns only the
     blocks whose set index (in the family's smallest member) falls in
@@ -73,15 +80,17 @@ val sink_families : t array -> Memsim.Sink.t
 val flush : t -> unit
 (** Writes back every dirty block and invalidates every member, and
     forgets the replacement state; statistics and the cold-miss table
-    are kept.  Models a context-switch cache flush. *)
+    are kept, and so is the tag storage grown so far.  Models a
+    context-switch cache flush. *)
 
 val reset : t -> unit
 (** Returns the family to its just-created state: every member empty
     with its replacement state forgotten, every statistic zeroed and
-    the cold-miss table emptied.  Nothing is written back.  A reset
-    instance fed a trace reports exactly what a fresh one would, so
-    one family (and its storage) can serve several independent
-    traces. *)
+    the cold-miss table emptied.  Nothing is written back.  The tag
+    storage grown so far, and the cold-miss table's room, are kept for
+    the next trace.  A reset instance fed a trace reports exactly what
+    a fresh one would, so one family (and its storage) can serve
+    several independent traces. *)
 
 val absorb : t -> t -> unit
 (** [absorb t other] adds [other]'s counters (accesses, misses, cold

@@ -143,11 +143,12 @@ let tab6 (ctx : Context.t) =
    ablation: one driver pass per allocator on GS-Large, feeding one
    hierarchy whose paths are the CPU presets, so all presets see the
    identical trace and the levels they share are simulated once.  The
-   hierarchy is built once (about 6 MB of tags and policy state for
-   all five presets) and reset before each allocator's pass, which
-   then reports exactly what a fresh one would.  The passes are a
-   derived cell holding each preset's per-level statistics; latencies,
-   and so cycles, are applied when rendering. *)
+   hierarchy is built once and reset before each allocator's pass,
+   which then reports exactly what a fresh one would; a level's tags
+   grow with its fullest set and a reset keeps them, so the 8-16 MB
+   L3s cost what the passes touch, not 664 K dense tag words.  The
+   passes are a derived cell holding each preset's per-level
+   statistics; latencies, and so cycles, are applied when rendering. *)
 let cpu_program = "gs-large"
 
 let level_name (cpu : Cachesim.Cpu.t) i = Printf.sprintf "%s/L%d" cpu.key (i + 1)

@@ -676,6 +676,67 @@ let test_forest_flush_retouch () =
       check_int (cfg.name ^ ": the flush wrote the block back") 1 s.writebacks)
     (Forest.results forest)
 
+(* A member stores as many ways per set as its fullest set holds.  An
+   8 MB 16-way member fed one block per set keeps about one tag word per
+   set, where dense storage would take 131,072; 17 blocks in one set
+   grow it to full width, still equal to the oracle; and a reset keeps
+   the grown storage yet reports what a fresh family does. *)
+let test_forest_storage_follows_occupancy () =
+  let l3 =
+    Config.make ~name:"8M-16way" ~block_bytes:64 ~associativity:16
+      (8 * 1024 * 1024)
+  in
+  let sets = Config.num_sets l3 in
+  check_int "8,192 sets" 8192 sets;
+  let read block = Memsim.Event.read (block * 64) 8 in
+  let one_per_set = List.init sets read in
+  let one_set = List.init 17 (fun i -> read (i * sets)) in
+  let major_words f =
+    Gc.full_major ();
+    let before = (Gc.quick_stat ()).Gc.major_words in
+    let r = f () in
+    (r, (Gc.quick_stat ()).Gc.major_words -. before)
+  in
+  let fed config () =
+    let forest = Forest.create [ config ] in
+    deliver (Forest.sink forest) one_per_set;
+    forest
+  in
+  (* A direct-mapped family of the same sets allocates the same but for
+     its tags, exactly one word per set. *)
+  let _, dm_words = major_words (fed (Config.make ~block_bytes:64 (512 * 1024))) in
+  let forest, l3_words = major_words (fed l3) in
+  let tags = l3_words -. dm_words +. float_of_int sets in
+  check_bool
+    (Printf.sprintf "one block per set: %.0f tag words, fewer than %d" tags
+       (2 * sets))
+    true
+    (tags < float_of_int (2 * sets));
+  let (), grown =
+    major_words (fun () -> deliver (Forest.sink forest) one_set)
+  in
+  check_bool
+    (Printf.sprintf "17 blocks in one set: %.0f words, at least %d" grown
+       (16 * sets))
+    true
+    (grown >= float_of_int (16 * sets));
+  check_oracles [ l3 ] (one_per_set @ one_set) (Forest.results forest);
+  (* Up to 40 blocks in each of three sets, every other touch a write:
+     evictions and writebacks from the grown storage. *)
+  let second =
+    List.init 1000 (fun i ->
+        let addr = (((i mod 40) * sets) + (i mod 3)) * 64 in
+        if i land 1 = 1 then Memsim.Event.write addr 8
+        else Memsim.Event.read addr 8)
+  in
+  Forest.reset forest;
+  deliver (Forest.sink forest) second;
+  let fresh = Forest.create [ l3 ] in
+  deliver (Forest.sink fresh) second;
+  Alcotest.check stats_testable "reset equals fresh"
+    (Forest.member_stats fresh 0) (Forest.member_stats forest 0);
+  check_oracles [ l3 ] second (Forest.results forest)
+
 (* A family of one block size; members draw any policy, so families mix
    policies. *)
 let family_gen =
@@ -1677,7 +1738,11 @@ let () =
             [ prop_forest_matches_caches;
               prop_forest_runs_and_flushes;
               prop_forest_reset_is_fresh;
-              prop_forest_lru_matches_oracle ] );
+              prop_forest_lru_matches_oracle ]
+        @ [
+            Alcotest.test_case "storage follows occupancy" `Quick
+              test_forest_storage_follows_occupancy;
+          ] );
       ( "walk",
         [
           Alcotest.test_case "an event ending in a small block, then words"

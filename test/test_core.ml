@@ -454,21 +454,43 @@ let test_flush_rows_match_independent_runs () =
 
 let test_tabcpu_one_hierarchy () =
   (* tabcpu's six allocator passes share one CPU hierarchy, reset
-     between passes: a hierarchy over every preset is some 6 MB of tags
-     and policy state, and one per pass would allocate six of them. *)
+     between passes.  A level's tags grow with its fullest set, so at
+     this scale the passes together stay below the trie's dense tag
+     words, num_sets x associativity summed over its distinct levels
+     (664,064), where one fresh hierarchy per pass would exceed them. *)
   let ctx = Core.Context.create ~scale:0.002 () in
-  let measure f =
-    let before = (Gc.quick_stat ()).Gc.major_words in
-    ignore (Sys.opaque_identity (f ()));
-    (Gc.quick_stat ()).Gc.major_words -. before
+  let cpus = Cachesim.Cpu.all in
+  (* A trie level is a config with its whole upstream path. *)
+  let levels =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun (cpu : Cachesim.Cpu.t) ->
+           let configs =
+             List.map (fun (l : Cachesim.Cpu.level) -> l.config) cpu.levels
+           in
+           List.mapi
+             (fun i _ -> List.filteri (fun j _ -> j <= i) configs)
+             configs)
+         cpus)
   in
-  let one = measure (fun () -> Cachesim.Cpu.hierarchy Cachesim.Cpu.all) in
-  let grown = measure (fun () -> Core.Tables.tabcpu ctx) in
+  check_int "trie levels"
+    (Cachesim.Hierarchy.distinct_levels (Cachesim.Cpu.hierarchy cpus))
+    (List.length levels);
+  let dense =
+    List.fold_left
+      (fun acc path ->
+        let c = List.nth path (List.length path - 1) in
+        acc + (Cachesim.Config.num_sets c * c.Cachesim.Config.associativity))
+      0 levels
+  in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  ignore (Sys.opaque_identity (Core.Tables.tabcpu ctx));
+  let grown = (Gc.quick_stat ()).Gc.major_words -. before in
   check_bool
-    (Printf.sprintf "major words grew by %.0f, budget %.0f (two hierarchies)"
-       grown (2. *. one))
+    (Printf.sprintf "major words grew by %.0f, budget %d (dense tags)" grown
+       dense)
     true
-    (grown < 2. *. one)
+    (grown < float_of_int dense)
 
 (* ------------------------------------------------------------------ *)
 (* Headline results (structural assertions at small scale)            *)
