@@ -598,7 +598,8 @@ let record_cmd =
     (* The driver builds the allocator as the grid does, so a capture
        of "custom" is the custom cell's stream. *)
     let result =
-      Memsim.Trace.record out (fun sink ->
+      Out_channel.with_open_bin out @@ fun oc ->
+      Memsim.Trace.record ~format:Memsim.Trace.Source.Binary oc (fun sink ->
           Workload.Driver.run ~sink ~scale ~profile ~allocator ())
     in
     Printf.printf "recorded %s events (%s, %s, scale %.2f) to %s\n"
@@ -691,22 +692,31 @@ let trace_export_cmd =
     let data = slurp_trace file in
     let fmt = resolve_trace_format format data in
     (* A streaming transcode: the reader's packed batches feed the
-       target writer's sink directly. *)
-    match
-      Memsim.Trace.write target (fun sink ->
+       target encoder, drained to the output in bounded chunks.  A
+       malformed capture leaves no output file behind. *)
+    let export oc =
+      Memsim.Trace.record ~format:target oc (fun sink ->
           ignore (Memsim.Trace.read fmt data sink))
-    with
-    | exception Failure msg ->
-        Printf.eprintf "loclab: %s\n" msg;
-        exit 2
-    | encoded -> (
-        match out with
-        | None -> print_string encoded
-        | Some path ->
-            write_file path encoded;
+    in
+    let fail msg =
+      Printf.eprintf "loclab: %s\n" msg;
+      exit 2
+    in
+    match out with
+    | None -> ( try export stdout with Failure msg -> fail msg)
+    | Some path -> (
+        match
+          Out_channel.with_open_bin path (fun oc ->
+              export oc;
+              Out_channel.pos oc)
+        with
+        | exception Failure msg ->
+            Sys.remove path;
+            fail msg
+        | bytes ->
             Printf.printf "wrote %s (%s, %s bytes)\n" path
               (Memsim.Trace.Source.format_to_string target)
-              (Metrics.Table.fmt_int (String.length encoded)))
+              (Metrics.Table.fmt_int (Int64.to_int bytes)))
   in
   let doc = "Transcode a trace between capture formats." in
   Cmd.v (Cmd.info "export" ~doc)

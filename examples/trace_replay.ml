@@ -10,7 +10,8 @@ let () =
 
   (* Pass 1: generate the trace once (espresso under QuickFit). *)
   let result =
-    Memsim.Trace.record path (fun sink ->
+    Out_channel.with_open_bin path @@ fun oc ->
+    Memsim.Trace.record ~format:Memsim.Trace.Source.Binary oc (fun sink ->
         Workload.Driver.run ~sink ~scale:0.05
           ~profile:Workload.Programs.espresso ~allocator:"quickfit" ())
   in

@@ -9,6 +9,36 @@
 
 let binary_magic = "LOCLAB1\n"
 
+(* ---- lines ------------------------------------------------------------ *)
+
+(* Text and CSV are read line by line: a line ends at LF or at the end
+   of the data, and its content drops one CR before the LF.  A line of
+   spaces and tabs only is blank. *)
+let line_end data a =
+  match String.index_from_opt data a '\n' with
+  | Some i -> i
+  | None -> String.length data
+
+let content_end data a eol =
+  if eol > a && data.[eol - 1] = '\r' then eol - 1 else eol
+
+let is_blank data a b =
+  let rec go i =
+    i >= b || (match data.[i] with ' ' | '\t' -> go (i + 1) | _ -> false)
+  in
+  go a
+
+(* The first non-blank line at or after [pos], whose number is
+   [line_no]: [Some (number, content start, content end, next line's
+   start)]. *)
+let rec first_line data pos line_no =
+  if pos >= String.length data then None
+  else
+    let eol = line_end data pos in
+    let b = content_end data pos eol in
+    if is_blank data pos b then first_line data (eol + 1) (line_no + 1)
+    else Some (line_no, pos, b, eol + 1)
+
 module Source = struct
   type format = Binary | Text | Csv
 
@@ -28,24 +58,21 @@ module Source = struct
 
   let csv_header = "index,op,address"
 
+  (* The one header rule, shared by [sniff] and the CSV reader: the
+     first non-blank line, trimmed, compared case-insensitively. *)
+  let is_csv_header data a b =
+    String.lowercase_ascii (String.trim (String.sub data a (b - a)))
+    = csv_header
+
   (* Recognise a trace's format from its leading bytes: a binary
-     capture starts with its magic and the CSV export starts with its
-     header row; anything else is read as cachetrace text. *)
+     capture starts with its magic and the CSV export with its header
+     row; anything else is read as cachetrace text. *)
   let sniff data =
     if String.starts_with ~prefix:binary_magic data then Binary
     else
-      let line_end =
-        match String.index_opt data '\n' with
-        | Some i -> i
-        | None -> String.length data
-      in
-      let line_end =
-        if line_end > 0 && data.[line_end - 1] = '\r' then line_end - 1
-        else line_end
-      in
-      if String.lowercase_ascii (String.sub data 0 line_end) = csv_header then
-        Csv
-      else Text
+      match first_line data 0 1 with
+      | Some (_, a, b, _) when is_csv_header data a b -> Csv
+      | _ -> Text
 end
 
 let slurp path =
@@ -54,18 +81,18 @@ let slurp path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* ---- text & CSV parsing helpers -------------------------------------- *)
+(* ---- text & CSV line parsers ------------------------------------------ *)
 
 (* Imported text/CSV events are address+kind only, normalised to one
    App byte each: meta 8 for reads, 12 for writes (see Event.Packed). *)
 let read_meta = Event.Packed.meta ~kind:Event.Read ~source:Event.App ~size:1
 let write_meta = Event.Packed.meta ~kind:Event.Write ~source:Event.App ~size:1
 
-let is_blank data a b =
-  let rec go i =
-    i >= b || (match data.[i] with ' ' | '\t' -> go (i + 1) | _ -> false)
-  in
-  go a
+(* An op character's meta, or -1. *)
+let op_meta = function
+  | 'R' | 'r' -> read_meta
+  | 'W' | 'w' -> write_meta
+  | _ -> -1
 
 let hex_val c =
   match c with
@@ -103,79 +130,211 @@ let parse_addr what line_no data a b =
   !acc
 
 let parse_op what line_no data a b c =
-  match c with
-  | 'R' | 'r' -> read_meta
-  | 'W' | 'w' -> write_meta
-  | _ -> bad what line_no data a b "expected op R or W"
+  let meta = op_meta c in
+  if meta < 0 then bad what line_no data a b "expected op R or W";
+  meta
 
-(* Shared line-driver: walks [data] line by line (accepting LF and
-   CRLF, skipping blank lines), hands each non-blank line's [a, b)
-   bounds and number to [parse], which pushes packed events into
-   [batch].  Deliveries happen at the pipeline's standard batch
-   grain. *)
-let read_lines data sink parse =
+(* A text line's content [a, b), non-blank: [RrWw] whitespace+
+   (0x|0X)? hexdigits, optionally followed by trailing whitespace. *)
+let parse_text_line data line_no a b batch =
+  let meta = parse_op "Text" line_no data a b data.[a] in
+  let i = ref (a + 1) in
+  while !i < b && (data.[!i] = ' ' || data.[!i] = '\t') do
+    incr i
+  done;
+  if !i = a + 1 then bad "Text" line_no data a b "expected whitespace after op";
+  let j = ref b in
+  while !j > !i && (data.[!j - 1] = ' ' || data.[!j - 1] = '\t') do
+    decr j
+  done;
+  let addr = parse_addr "Text" line_no data !i !j in
+  Event.Batch.push batch ~addr ~meta
+
+(* A CSV row's content [a, b), non-blank: index,op,address with a
+   one-character op; the index is not checked. *)
+let parse_csv_row data line_no a b batch =
+  match String.index_from_opt data a ',' with
+  | Some c1 when c1 < b -> (
+      match String.index_from_opt data (c1 + 1) ',' with
+      | Some c2 when c2 < b ->
+          if c2 - c1 <> 2 then
+            bad "Csv" line_no data a b "op column must be a single R or W";
+          let meta = parse_op "Csv" line_no data a b data.[c1 + 1] in
+          let addr = parse_addr "Csv" line_no data (c2 + 1) b in
+          Event.Batch.push batch ~addr ~meta
+      | _ -> bad "Csv" line_no data a b "expected index,op,address")
+  | _ -> bad "Csv" line_no data a b "expected index,op,address"
+
+(* ---- the one-pass text & CSV reader ----------------------------------- *)
+
+(* Nearly every line of a capture is canonical, as the writers below
+   render it: [R 0x<hex>\n] for text, [<index>,R,0x<hex>\n] for CSV.
+   Such a line is parsed while it is scanned, straight into the batch.
+   Any other line (blank, CRLF, tabs or runs of blanks, no 0x, 16 or
+   more hex digits, no final newline, or malformed) goes to the line
+   parsers above, so the grammar, the counts and every error message
+   are theirs. *)
+
+(* Per byte, its hex digit value, or 255. *)
+let hex_digits =
+  String.init 256 (fun i ->
+      let d = hex_val (Char.chr i) in
+      Char.chr (if d < 0 then 255 else d))
+
+(* The canonical tail from [i]: 1 to 15 hex digits (which cannot
+   overflow 63 bits), then LF.  Pushes the event and returns the next
+   line's start, or returns -1 having pushed nothing. *)
+let fast_addr data i meta batch =
+  let len = String.length data in
+  let stop = Int.min len (i + 15) in
+  let j = ref i and acc = ref 0 and digits = ref true in
+  while !digits && !j < stop do
+    let d =
+      Char.code
+        (String.unsafe_get hex_digits (Char.code (String.unsafe_get data !j)))
+    in
+    if d < 16 then begin
+      acc := (!acc lsl 4) lor d;
+      incr j
+    end
+    else digits := false
+  done;
+  if !j > i && !j < len && String.unsafe_get data !j = '\n' then begin
+    Event.Batch.push batch ~addr:!acc ~meta;
+    !j + 1
+  end
+  else -1
+
+(* [RrWw] ' ' 0x at [p], then the canonical tail. *)
+let fast_text data p batch =
+  if p + 5 >= String.length data then -1
+  else
+    let meta = op_meta (String.unsafe_get data p) in
+    if
+      meta < 0
+      || String.unsafe_get data (p + 1) <> ' '
+      || String.unsafe_get data (p + 2) <> '0'
+      || String.unsafe_get data (p + 3) <> 'x'
+    then -1
+    else fast_addr data (p + 4) meta batch
+
+(* Decimal digits , [RrWw] , 0x at [p], then the canonical tail. *)
+let fast_csv data p batch =
+  let len = String.length data in
+  let j = ref p in
+  while
+    !j < len && match String.unsafe_get data !j with '0' .. '9' -> true | _ -> false
+  do
+    incr j
+  done;
+  let j = !j in
+  if j + 6 >= len || String.unsafe_get data j <> ',' then -1
+  else
+    let meta = op_meta (String.unsafe_get data (j + 1)) in
+    if
+      meta < 0
+      || String.unsafe_get data (j + 2) <> ','
+      || String.unsafe_get data (j + 3) <> '0'
+      || String.unsafe_get data (j + 4) <> 'x'
+    then -1
+    else fast_addr data (j + 5) meta batch
+
+(* Reads the lines of [data] from [pos], the first numbered [line_no],
+   into [sink] at the pipeline's batch grain; returns the event count. *)
+let scan ~csv data pos line_no sink =
   let batch = Event.Batch.create () in
   let cap = Event.Batch.capacity batch in
-  let flush () =
-    if batch.Event.Batch.len > 0 then begin
-      sink batch;
-      Event.Batch.clear batch
-    end
-  in
   let len = String.length data in
-  let count = ref 0 in
-  let line_no = ref 0 in
-  let pos = ref 0 in
+  let delivered = ref 0 in
+  let pos = ref pos and line_no = ref line_no in
   while !pos < len do
-    incr line_no;
-    let eol =
-      match String.index_from_opt data !pos '\n' with
-      | Some i -> i
-      | None -> len
-    in
-    let b = if eol > !pos && data.[eol - 1] = '\r' then eol - 1 else eol in
-    if not (is_blank data !pos b) then begin
-      if batch.Event.Batch.len = cap then flush ();
-      parse !line_no !pos b batch;
-      incr count
+    if batch.Event.Batch.len = cap then begin
+      sink batch;
+      delivered := !delivered + cap;
+      Event.Batch.clear batch
     end;
-    pos := eol + 1
+    let p = !pos in
+    let next = if csv then fast_csv data p batch else fast_text data p batch in
+    if next >= 0 then pos := next
+    else begin
+      let eol = line_end data p in
+      let b = content_end data p eol in
+      if not (is_blank data p b) then
+        if csv then parse_csv_row data !line_no p b batch
+        else parse_text_line data !line_no p b batch;
+      pos := eol + 1
+    end;
+    incr line_no
   done;
-  flush ();
-  !count
+  if batch.Event.Batch.len > 0 then sink batch;
+  !delivered + batch.Event.Batch.len
+
+(* ---- text & CSV writers ----------------------------------------------- *)
+
+(* Lines are formatted into a reused scratch, appended to the buffer
+   whenever fewer than [max_line] bytes are left in it; the longest
+   line, a CSV row of a 19-digit index and a 16-digit address, takes
+   41. *)
+let scratch_size = 4096
+let max_line = 64
+
+(* The digits [%x] prints for [v], read as 63 unsigned bits. *)
+let put_hex s pos v =
+  let rec width v n = if v lsr 4 = 0 then n else width (v lsr 4) (n + 1) in
+  let n = width v 1 in
+  let v = ref v in
+  for i = pos + n - 1 downto pos do
+    Bytes.unsafe_set s i (String.unsafe_get "0123456789abcdef" (!v land 15));
+    v := !v lsr 4
+  done;
+  pos + n
+
+(* The digits [%d] prints for [v >= 0]. *)
+let put_dec s pos v =
+  let rec width v n = if v < 10 then n else width (v / 10) (n + 1) in
+  let n = width v 1 in
+  let v = ref v in
+  for i = pos + n - 1 downto pos do
+    Bytes.unsafe_set s i (Char.unsafe_chr (48 + (!v mod 10)));
+    v := !v / 10
+  done;
+  pos + n
+
+(* Encodes [batch] line by line: [line s pos addr meta] writes one line
+   at [pos] of the scratch [s] and returns its end. *)
+let encode_lines b s line (batch : Event.Batch.t) =
+  let pos = ref 0 in
+  for i = 0 to batch.Event.Batch.len - 1 do
+    if !pos > scratch_size - max_line then begin
+      Buffer.add_subbytes b s 0 !pos;
+      pos := 0
+    end;
+    pos :=
+      line s !pos
+        (Array.unsafe_get batch.Event.Batch.addrs i)
+        (Array.unsafe_get batch.Event.Batch.metas i)
+  done;
+  Buffer.add_subbytes b s 0 !pos
 
 (* ---- the cachetrace text format -------------------------------------- *)
 
-(* Grammar (per non-blank line): [RrWw] whitespace+ (0x|0X)? hexdigits,
-   optionally followed by trailing whitespace. *)
 module Text = struct
-  let parse_line data line_no a b batch =
-    let meta = parse_op "Text" line_no data a b data.[a] in
-    let i = ref (a + 1) in
-    while !i < b && (data.[!i] = ' ' || data.[!i] = '\t') do
-      incr i
-    done;
-    if !i = a + 1 then
-      bad "Text" line_no data a b "expected whitespace after op";
-    let j = ref b in
-    while !j > !i && (data.[!j - 1] = ' ' || data.[!j - 1] = '\t') do
-      decr j
-    done;
-    let addr = parse_addr "Text" line_no data !i !j in
-    Event.Batch.push batch ~addr ~meta
+  let read data sink = scan ~csv:false data 0 1 sink
 
-  let read data sink =
-    read_lines data sink (fun line_no a b batch -> parse_line data line_no a b batch)
+  type state = Bytes.t
 
-  let write f =
-    let b = Buffer.create 4096 in
-    f (fun (batch : Event.Batch.t) ->
-        for i = 0 to batch.Event.Batch.len - 1 do
-          let m = Array.unsafe_get batch.Event.Batch.metas i in
-          Buffer.add_string b (if m land 4 = 0 then "R 0x" else "W 0x");
-          Printf.bprintf b "%x\n" (Array.unsafe_get batch.Event.Batch.addrs i)
-        done);
-    Buffer.contents b
+  let start (_ : Buffer.t) = Bytes.create scratch_size
+
+  let line s pos addr meta =
+    Bytes.unsafe_set s pos (if meta land 4 = 0 then 'R' else 'W');
+    Bytes.unsafe_set s (pos + 1) ' ';
+    Bytes.unsafe_set s (pos + 2) '0';
+    Bytes.unsafe_set s (pos + 3) 'x';
+    let pos = put_hex s (pos + 4) addr in
+    Bytes.unsafe_set s pos '\n';
+    pos + 1
+
+  let encode b (s : state) batch = encode_lines b s line batch
 end
 
 (* ---- per-access CSV (cachetrace's column layout) ---------------------- *)
@@ -183,49 +342,36 @@ end
 (* Header row "index,op,address", then one row per access:
    0-based index, R/W, 0x-prefixed hex address. *)
 module Csv = struct
-  let parse_row data line_no a b batch =
-    match String.index_from_opt data a ',' with
-    | Some c1 when c1 < b -> (
-        match String.index_from_opt data (c1 + 1) ',' with
-        | Some c2 when c2 < b ->
-            if c2 - c1 <> 2 then
-              bad "Csv" line_no data a b "op column must be a single R or W";
-            let meta = parse_op "Csv" line_no data a b data.[c1 + 1] in
-            let addr = parse_addr "Csv" line_no data (c2 + 1) b in
-            Event.Batch.push batch ~addr ~meta
-        | _ -> bad "Csv" line_no data a b "expected index,op,address")
-    | _ -> bad "Csv" line_no data a b "expected index,op,address"
-
   let read data sink =
-    let seen_header = ref false in
-    let lines =
-      read_lines data sink (fun line_no a b batch ->
-          if !seen_header then parse_row data line_no a b batch
-          else begin
-            let line = String.lowercase_ascii (String.sub data a (b - a)) in
-            if String.trim line <> Source.csv_header then
-              bad "Csv" line_no data a b
-                (Printf.sprintf "expected header %S" Source.csv_header);
-            seen_header := true
-          end)
-    in
-    (* the header row is not an event *)
-    lines - (if !seen_header then 1 else 0)
+    match first_line data 0 1 with
+    | None -> 0
+    | Some (line_no, a, b, next) ->
+        if not (Source.is_csv_header data a b) then
+          bad "Csv" line_no data a b
+            (Printf.sprintf "expected header %S" Source.csv_header);
+        scan ~csv:true data next (line_no + 1) sink
 
-  let write f =
-    let b = Buffer.create 4096 in
+  type state = { scratch : Bytes.t; mutable index : int }
+
+  let start b =
     Buffer.add_string b Source.csv_header;
     Buffer.add_char b '\n';
-    let index = ref 0 in
-    f (fun (batch : Event.Batch.t) ->
-        for i = 0 to batch.Event.Batch.len - 1 do
-          let m = Array.unsafe_get batch.Event.Batch.metas i in
-          Printf.bprintf b "%d,%s,0x%x\n" !index
-            (if m land 4 = 0 then "R" else "W")
-            (Array.unsafe_get batch.Event.Batch.addrs i);
-          incr index
-        done);
-    Buffer.contents b
+    { scratch = Bytes.create scratch_size; index = 0 }
+
+  let encode b st batch =
+    encode_lines b st.scratch
+      (fun s pos addr meta ->
+        let pos = put_dec s pos st.index in
+        st.index <- st.index + 1;
+        Bytes.unsafe_set s pos ',';
+        Bytes.unsafe_set s (pos + 1) (if meta land 4 = 0 then 'R' else 'W');
+        Bytes.unsafe_set s (pos + 2) ',';
+        Bytes.unsafe_set s (pos + 3) '0';
+        Bytes.unsafe_set s (pos + 4) 'x';
+        let pos = put_hex s (pos + 5) addr in
+        Bytes.unsafe_set s pos '\n';
+        pos + 1)
+      batch
 end
 
 (* ---- the compact binary capture --------------------------------------- *)
@@ -262,9 +408,16 @@ module Binary = struct
   let zigzag v = (v lsl 1) lxor (v asr (Sys.int_size - 1))
   let unzigzag v = (v lsr 1) lxor (-(v land 1))
 
-  (* Appends [batch] to [b]; [prev] carries the last address across
+  (* The last address encoded. *)
+  type state = int ref
+
+  let start b =
+    Buffer.add_string b binary_magic;
+    ref 0
+
+  (* Appends [batch] to [b]; the state carries the last address across
      batches. *)
-  let encode b prev (batch : Event.Batch.t) =
+  let encode b (prev : state) (batch : Event.Batch.t) =
     for i = 0 to batch.Event.Batch.len - 1 do
       let addr = Array.unsafe_get batch.Event.Batch.addrs i in
       let meta = Array.unsafe_get batch.Event.Batch.metas i in
@@ -278,13 +431,6 @@ module Binary = struct
       add_varint b (zigzag (addr - !prev));
       prev := addr
     done
-
-  let write f =
-    let b = Buffer.create 4096 in
-    Buffer.add_string b binary_magic;
-    let prev = ref 0 in
-    f (encode b prev);
-    Buffer.contents b
 
   (* Decode failures carry the byte offset of the event's flags byte and
      the byte itself in hex, so damage in a multi-MB trace can be
@@ -359,25 +505,29 @@ let read format data sink =
   | Source.Text -> Text.read data sink
   | Source.Csv -> Csv.read data sink
 
-let write format f =
+(* Appends [format]'s preamble to [b] and returns the sink that appends
+   the encoding of each batch it receives. *)
+let encoder format b : Sink.t =
   match (format : Source.format) with
-  | Source.Binary -> Binary.write f
-  | Source.Text -> Text.write f
-  | Source.Csv -> Csv.write f
+  | Source.Binary -> Binary.encode b (Binary.start b)
+  | Source.Text -> Text.encode b (Text.start b)
+  | Source.Csv -> Csv.encode b (Csv.start b)
 
-(* The binary encoding streamed to a file: the buffer is drained to the
-   channel whenever it passes [chunk] bytes, so a long run never holds
-   its whole capture in memory. *)
-let record path f =
+let write format f =
+  let b = Buffer.create 4096 in
+  f (encoder format b);
+  Buffer.contents b
+
+(* The encoding streamed to a channel: the buffer is drained whenever
+   it passes [chunk] bytes, so a long run or a large transcode never
+   holds its whole output in memory. *)
+let record ~format oc f =
   let chunk = 65536 in
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
   let b = Buffer.create (2 * chunk) in
-  Buffer.add_string b binary_magic;
-  let prev = ref 0 in
+  let encode = encoder format b in
   let result =
     f (fun batch ->
-        Binary.encode b prev batch;
+        encode batch;
         if Buffer.length b >= chunk then begin
           Buffer.output_buffer oc b;
           Buffer.clear b

@@ -13,15 +13,24 @@
       [0x]/[0X] prefix, CRLF line endings, blank lines, and addresses up
       to the native 63-bit int.  Imported events are normalised to
       size 1, source [App].
-    - {b csv}: header row [index,op,address], then one row per access:
-      0-based index, [R]/[W], [0x]-prefixed hex address (cachetrace's
-      per-access column layout, for differential testing).
+    - {b csv}: header row [index,op,address] (the first non-blank
+      line, trimmed, any case), then one row per access: 0-based index,
+      [R]/[W], [0x]-prefixed hex address (cachetrace's per-access column
+      layout, for differential testing).
     - {b binary}: magic ["LOCLAB1\n"], then per event a flags byte
       (kind, source, sizes 1..30 inline), an escaped size varint for
       larger sizes, and the zigzag varint of the address delta from the
       previous event.  Lossless; typical traces take ~2–3 bytes per
       reference.  The reader bounds what one event can ask for: sizes
       1..4096, varints of at most 63 bits, addresses of at least 0.
+
+    The text and CSV readers make one pass over the bytes: a canonical
+    line, as the writers render it ([R 0x1f] / [3,W,0x1f], LF-ended,
+    1 to 15 hex digits), is parsed while it is scanned; any other line
+    falls back to the general line parser, so both paths accept the
+    same grammar and fail with the same messages.  The writers format
+    each line with integer loops into a reused scratch; their bytes are
+    [Printf]'s ["%x"] and ["%d"].
 
     All readers raise [Failure] with a located message on malformed
     input: the line number for text/CSV, and for binary the byte offset
@@ -46,7 +55,8 @@ module Source : sig
   val sniff : string -> format
   (** Recognise a trace's format from its leading bytes: the binary
       magic and the CSV header are unambiguous; anything else is read
-      as text. *)
+      as text.  The header is found by the CSV reader's own rule, so a
+      capture sniffed as CSV is one [read Csv] accepts the header of. *)
 end
 
 val slurp : string -> string
@@ -64,8 +74,9 @@ val write : Source.format -> (Sink.t -> unit) -> string
     and address only (size and source are not representable); binary
     is lossless. *)
 
-val record : string -> (Sink.t -> 'a) -> 'a
-(** [record path f] runs [f] with a sink that streams the binary
-    encoding of everything it receives to [path], in bounded chunks;
-    the file holds the bytes [write Binary] would return.  The file is
-    closed afterwards, also on exceptions. *)
+val record : format:Source.format -> out_channel -> (Sink.t -> 'a) -> 'a
+(** [record ~format oc f] runs [f] with a sink that streams the [format]
+    encoding of everything it receives to [oc] in 64 KiB chunks; once
+    [f] returns, [oc] has received the bytes [write format] would
+    return.  The channel is left open.  If [f] raises, the chunks
+    already drained stay written and the rest is dropped. *)

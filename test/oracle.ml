@@ -213,3 +213,147 @@ module Naive_lru = struct
         | Some _ | None -> acc + 1)
       0 t.distances
 end
+
+(* The line-at-a-time text and CSV reader, the reference of
+   [Memsim.Trace]'s one-pass reader: every line is found with
+   [String.index_from_opt], handed to a parser closure, and its address
+   walked a second time.  Same grammar, counts, batches and messages
+   (with the line number) by construction; the fast reader is pinned to
+   it on generated irregular captures. *)
+module Trace_lines = struct
+  module Batch = Memsim.Event.Batch
+
+  let read_meta =
+    Memsim.Event.Packed.meta ~kind:Memsim.Event.Read ~source:Memsim.Event.App
+      ~size:1
+
+  let write_meta =
+    Memsim.Event.Packed.meta ~kind:Memsim.Event.Write ~source:Memsim.Event.App
+      ~size:1
+
+  let csv_header = "index,op,address"
+
+  let is_blank data a b =
+    let rec go i =
+      i >= b || (match data.[i] with ' ' | '\t' -> go (i + 1) | _ -> false)
+    in
+    go a
+
+  let hex_val c =
+    match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+    | _ -> -1
+
+  let bad what line_no data a b detail =
+    let excerpt =
+      let n = b - a in
+      if n <= 60 then String.sub data a n else String.sub data a 57 ^ "..."
+    in
+    failwith
+      (Printf.sprintf "Trace.%s: line %d: %s in %S" what line_no detail excerpt)
+
+  let parse_addr what line_no data a b =
+    let a =
+      if
+        b - a >= 2
+        && data.[a] = '0'
+        && (data.[a + 1] = 'x' || data.[a + 1] = 'X')
+      then a + 2
+      else a
+    in
+    if a >= b then bad what line_no data a b "missing address";
+    let acc = ref 0 in
+    for i = a to b - 1 do
+      let d = hex_val data.[i] in
+      if d < 0 then bad what line_no data a b "bad hex digit in address";
+      if !acc > (max_int - d) / 16 then
+        bad what line_no data a b "address overflows 63 bits";
+      acc := (!acc * 16) + d
+    done;
+    !acc
+
+  let parse_op what line_no data a b c =
+    match c with
+    | 'R' | 'r' -> read_meta
+    | 'W' | 'w' -> write_meta
+    | _ -> bad what line_no data a b "expected op R or W"
+
+  let read_lines data (sink : Memsim.Sink.t) parse =
+    let batch = Batch.create () in
+    let cap = Batch.capacity batch in
+    let flush () =
+      if batch.Batch.len > 0 then begin
+        sink batch;
+        Batch.clear batch
+      end
+    in
+    let len = String.length data in
+    let count = ref 0 in
+    let line_no = ref 0 in
+    let pos = ref 0 in
+    while !pos < len do
+      incr line_no;
+      let eol =
+        match String.index_from_opt data !pos '\n' with
+        | Some i -> i
+        | None -> len
+      in
+      let b = if eol > !pos && data.[eol - 1] = '\r' then eol - 1 else eol in
+      if not (is_blank data !pos b) then begin
+        if batch.Batch.len = cap then flush ();
+        parse !line_no !pos b batch;
+        incr count
+      end;
+      pos := eol + 1
+    done;
+    flush ();
+    !count
+
+  let parse_text_line data line_no a b batch =
+    let meta = parse_op "Text" line_no data a b data.[a] in
+    let i = ref (a + 1) in
+    while !i < b && (data.[!i] = ' ' || data.[!i] = '\t') do
+      incr i
+    done;
+    if !i = a + 1 then bad "Text" line_no data a b "expected whitespace after op";
+    let j = ref b in
+    while !j > !i && (data.[!j - 1] = ' ' || data.[!j - 1] = '\t') do
+      decr j
+    done;
+    let addr = parse_addr "Text" line_no data !i !j in
+    Batch.push batch ~addr ~meta
+
+  let parse_csv_row data line_no a b batch =
+    match String.index_from_opt data a ',' with
+    | Some c1 when c1 < b -> (
+        match String.index_from_opt data (c1 + 1) ',' with
+        | Some c2 when c2 < b ->
+            if c2 - c1 <> 2 then
+              bad "Csv" line_no data a b "op column must be a single R or W";
+            let meta = parse_op "Csv" line_no data a b data.[c1 + 1] in
+            let addr = parse_addr "Csv" line_no data (c2 + 1) b in
+            Batch.push batch ~addr ~meta
+        | _ -> bad "Csv" line_no data a b "expected index,op,address")
+    | _ -> bad "Csv" line_no data a b "expected index,op,address"
+
+  let read_text data sink =
+    read_lines data sink (fun line_no a b batch ->
+        parse_text_line data line_no a b batch)
+
+  let read_csv data sink =
+    let seen_header = ref false in
+    let lines =
+      read_lines data sink (fun line_no a b batch ->
+          if !seen_header then parse_csv_row data line_no a b batch
+          else begin
+            let line = String.lowercase_ascii (String.sub data a (b - a)) in
+            if String.trim line <> csv_header then
+              bad "Csv" line_no data a b
+                (Printf.sprintf "expected header %S" csv_header);
+            seen_header := true
+          end)
+    in
+    lines - if !seen_header then 1 else 0
+end

@@ -627,6 +627,15 @@ let test_source_sniff () =
   check "binary magic" Trace.Source.Binary (encode []);
   check "csv header" Trace.Source.Csv "index,op,address\r\n0,R,0x1\n";
   check "anything else is text" Trace.Source.Text "R 0x10\n";
+  (* The header rule is the CSV reader's: the first non-blank line,
+     trimmed, any case. *)
+  let sniffed_csv what data =
+    check what Trace.Source.Csv data;
+    let n, _ = read_events (Trace.Source.sniff data) data in
+    check_int (what ^ ": read as sniffed") 1 n
+  in
+  sniffed_csv "header with trailing blanks" "index,op,address \n0,R,0x1\n";
+  sniffed_csv "header after a blank line" "\nIndex,Op,Address\n0,W,0x2\n";
   Alcotest.(check bool) "format_of_string is case-insensitive" true
     (Trace.Source.format_of_string "CSV" = Ok Trace.Source.Csv);
   Alcotest.(check bool) "unknown format is a typed error" true
@@ -657,6 +666,270 @@ let prop_text_csv_text_roundtrip =
             ignore (Trace.read Trace.Source.Csv csv sink))
       in
       text2 = text)
+
+(* ---- writer and reader differentials ---------------------------------- *)
+
+(* The writers against Printf, the formats they replace.  Each batch
+   is a list of (write?, address), delivered as one Event.Batch of any
+   length (beyond 256 it grows). *)
+let deliver_batches (sink : Sink.t) batches =
+  List.iter
+    (fun accesses ->
+      let b = Event.Batch.create () in
+      List.iter
+        (fun (w, addr) ->
+          Event.Batch.push b ~addr
+            ~meta:
+              (Event.Packed.meta
+                 ~kind:(if w then Event.Write else Event.Read)
+                 ~source:Event.App ~size:1))
+        accesses;
+      sink b)
+    batches
+
+let printf_text batches =
+  let b = Buffer.create 256 in
+  List.iter
+    (List.iter (fun (w, addr) ->
+         Printf.bprintf b "%s 0x%x\n" (if w then "W" else "R") addr))
+    batches;
+  Buffer.contents b
+
+let printf_csv batches =
+  let b = Buffer.create 256 in
+  Buffer.add_string b "index,op,address\n";
+  List.iteri
+    (fun i (w, addr) -> Printf.bprintf b "%d,%s,0x%x\n" i (if w then "W" else "R") addr)
+    (List.concat batches);
+  Buffer.contents b
+
+let writers_match_printf batches =
+  Trace.write Trace.Source.Text (fun sink -> deliver_batches sink batches)
+  = printf_text batches
+  && Trace.write Trace.Source.Csv (fun sink -> deliver_batches sink batches)
+     = printf_csv batches
+
+let prop_writers_match_printf =
+  (* Addresses over the whole int range ("%x" prints 63 unsigned bits,
+     so negatives too) with the digit-count edges mixed in; some
+     batches run past 256 events, and a case of up to ~2000 rows
+     crosses the CSV index's powers of ten up to 1000. *)
+  let addr =
+    QCheck.Gen.(
+      frequency
+        [ (4, int);
+          (2, int_bound 0xffff);
+          (1, oneofl [ 0; 15; 16; 255; 256; max_int; min_int; -1 ]) ])
+  in
+  let batch =
+    QCheck.Gen.(
+      list_size
+        (frequency [ (3, int_range 0 40); (1, int_range 250 700) ])
+        (pair bool addr))
+  in
+  QCheck.Test.make ~name:"text and csv writers equal Printf" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 3) batch))
+    writers_match_printf
+
+let test_writers_cross_ten_thousand () =
+  (* 10,050 rows in batches of 1,000: the index crosses 10^4. *)
+  let batches =
+    List.init 11 (fun k ->
+        List.init (if k = 10 then 50 else 1000) (fun i ->
+            (i land 1 = 1, (k * 1000) + i)))
+  in
+  check_bool "text and csv equal Printf" true (writers_match_printf batches)
+
+(* The fast reader against [Testkit.Oracle.Trace_lines], the
+   line-at-a-time parser it replaces: same events, count and batch
+   boundaries on irregular valid captures, the same message (line
+   number included) on malformed ones. *)
+let read_outcome read data =
+  let events = ref [] and batches = ref [] in
+  let sink (b : Event.Batch.t) =
+    batches := b.Event.Batch.len :: !batches;
+    for i = 0 to b.Event.Batch.len - 1 do
+      events := (b.Event.Batch.addrs.(i), b.Event.Batch.metas.(i)) :: !events
+    done
+  in
+  match read data sink with
+  | n -> Ok (n, List.rev !events, List.rev !batches)
+  | exception Failure msg -> Error msg
+
+let fast_read fmt data = read_outcome (Trace.read fmt) data
+
+let ref_read fmt data =
+  read_outcome
+    (match fmt with
+    | Trace.Source.Csv -> Testkit.Oracle.Trace_lines.read_csv
+    | _ -> Testkit.Oracle.Trace_lines.read_text)
+    data
+
+let outcome_to_string = function
+  | Ok (n, _, _) -> Printf.sprintf "Ok %d events" n
+  | Error msg -> "Error " ^ msg
+
+(* Hex digits of an address: canonical, or zero-padded to 15, 16 or 17
+   digits (the fast path's limit and either side of the 63-bit edge),
+   in random case. *)
+let hex_field_gen =
+  QCheck.Gen.(
+    let addr = map (fun v -> v land max_int) int in
+    let digits =
+      frequency
+        [ (3, map (Printf.sprintf "%x") (int_bound 0xfffff));
+          (2, map (Printf.sprintf "%x") addr);
+          (1, map (fun v -> Printf.sprintf "%015x" (v land 0xfff_ffff_ffff_ffff)) addr);
+          (1, map (Printf.sprintf "%016x") addr);
+          (1, map (Printf.sprintf "%017x") addr);
+          (1, return (Printf.sprintf "%x" max_int)) ]
+    in
+    pair digits bool >>= fun (d, upper) ->
+    map
+      (fun prefix -> prefix ^ if upper then String.uppercase_ascii d else d)
+      (frequency [ (4, return "0x"); (1, return "0X"); (1, return "") ]))
+
+let eol_gen = QCheck.Gen.(frequency [ (4, return "\n"); (1, return "\r\n") ])
+
+let blank_line_gen =
+  QCheck.Gen.(
+    map2 ( ^ ) (oneofl [ ""; " "; "\t"; "  \t" ]) eol_gen)
+
+let text_line_gen =
+  QCheck.Gen.(
+    frequency
+      [ (* canonical: the fast path *)
+        ( 4,
+          map2
+            (fun w a -> Printf.sprintf "%s 0x%x\n" (if w then "W" else "R") a)
+            bool (int_bound 0xffffff) );
+        ( 3,
+          oneofl [ "R"; "r"; "W"; "w" ] >>= fun op ->
+          oneofl [ " "; "\t"; "  "; " \t " ] >>= fun ws ->
+          hex_field_gen >>= fun hex ->
+          oneofl [ ""; ""; " "; "\t"; " \t" ] >>= fun trail ->
+          map (fun eol -> op ^ ws ^ hex ^ trail ^ eol) eol_gen );
+        (1, blank_line_gen) ])
+
+let csv_row_gen =
+  QCheck.Gen.(
+    frequency
+      [ ( 4,
+          map3
+            (fun i w a -> Printf.sprintf "%d,%s,0x%x\n" i (if w then "W" else "R") a)
+            (int_bound 100_000) bool (int_bound 0xffffff) );
+        ( 3,
+          oneofl [ ""; "0"; "17"; "x" ] >>= fun index ->
+          oneofl [ "R"; "r"; "W"; "w" ] >>= fun op ->
+          hex_field_gen >>= fun hex ->
+          map (fun eol -> index ^ "," ^ op ^ "," ^ hex ^ eol) eol_gen );
+        (1, blank_line_gen) ])
+
+let csv_header_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 2) blank_line_gen >>= fun blanks ->
+    oneofl
+      [ "index,op,address"; "INDEX,OP,ADDRESS"; "Index,Op,Address  ";
+        " index,op,address\t" ]
+    >>= fun header ->
+    map (fun eol -> String.concat "" blanks ^ header ^ eol) eol_gen)
+
+(* Lines, some runs past one batch, and maybe no final newline. *)
+let capture_gen line_gen =
+  QCheck.Gen.(
+    list_size (frequency [ (3, int_range 0 30); (1, int_range 250 600) ]) line_gen
+    >>= fun lines ->
+    map
+      (fun chop ->
+        let s = String.concat "" lines in
+        let n = String.length s in
+        if chop && n > 0 && s.[n - 1] = '\n' then String.sub s 0 (n - 1) else s)
+      bool)
+
+let text_capture_gen = capture_gen text_line_gen
+
+let csv_capture_gen =
+  QCheck.Gen.map2 ( ^ ) csv_header_gen (capture_gen csv_row_gen)
+
+let same_outcome fmt data =
+  let fast = fast_read fmt data and reference = ref_read fmt data in
+  if fast = reference then true
+  else
+    QCheck.Test.fail_reportf "fast %s, reference %s"
+      (outcome_to_string fast) (outcome_to_string reference)
+
+let prop_text_reader_matches_reference =
+  QCheck.Test.make ~name:"text reader equals the line reader" ~count:300
+    (QCheck.make ~print:String.escaped text_capture_gen)
+    (fun data ->
+      match fast_read Trace.Source.Text data with
+      | Error msg -> QCheck.Test.fail_reportf "valid capture refused: %s" msg
+      | Ok _ -> same_outcome Trace.Source.Text data)
+
+let prop_csv_reader_matches_reference =
+  QCheck.Test.make ~name:"csv reader equals the line reader" ~count:300
+    (QCheck.make ~print:String.escaped csv_capture_gen)
+    (fun data ->
+      match fast_read Trace.Source.Csv data with
+      | Error msg -> QCheck.Test.fail_reportf "valid capture refused: %s" msg
+      | Ok _ -> same_outcome Trace.Source.Csv data)
+
+(* A malformed line spliced into a valid capture, after its header. *)
+let malformed_gen capture_gen bad_lines =
+  QCheck.Gen.(
+    capture_gen >>= fun data ->
+    oneofl bad_lines >>= fun bad ->
+    eol_gen >>= fun eol ->
+    map
+      (fun cut ->
+        (* cut at a line start, past a CSV header *)
+        let starts =
+          List.filter
+            (fun i -> i = 0 || data.[i - 1] = '\n')
+            (List.init (String.length data + 1) Fun.id)
+        in
+        let i = List.nth starts (cut mod List.length starts) in
+        String.sub data 0 i ^ bad ^ eol ^ String.sub data i (String.length data - i))
+      nat)
+
+let long_hex = "R 0x" ^ String.make 70 'f'
+
+let prop_text_errors_match_reference =
+  let bad =
+    [ "X 0x10"; "bogus"; "R0x10"; "R_0x10"; "RW 0x10"; "R"; "R "; "R 0x"; "R 0x1g";
+      "W 0x4000000000000000"; "w\t0X4000000000000000"; "R 0xffffffffffffffffff";
+      long_hex ]
+  in
+  QCheck.Test.make ~name:"text errors equal the line reader's" ~count:300
+    (QCheck.make ~print:String.escaped (malformed_gen text_capture_gen bad))
+    (fun data ->
+      match fast_read Trace.Source.Text data with
+      | Ok _ -> QCheck.Test.fail_reportf "malformed capture accepted"
+      | Error _ -> same_outcome Trace.Source.Text data)
+
+let prop_csv_errors_match_reference =
+  let bad =
+    [ "0,RW,0x10"; "0,,0x10"; "0,X,0x10"; "0,R,"; "0,R,0x"; "0,R,0x1g";
+      "0,R,0x10 "; "0,R,0x4000000000000000"; "0;R;0x10"; "0,R 0x10"; "0,R;0x10";
+      "nonsense";
+      "0,W," ^ String.make 70 'f' ]
+  in
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [ (4, map2 ( ^ ) csv_header_gen (malformed_gen (capture_gen csv_row_gen) bad));
+          (* no header: the first non-blank line is a row *)
+          ( 1,
+            map2 ( ^ )
+              (map (String.concat "") (list_size (int_range 0 2) blank_line_gen))
+              (map (( ^ ) "0,R,0x10\n") (capture_gen csv_row_gen)) ) ])
+  in
+  QCheck.Test.make ~name:"csv errors equal the line reader's" ~count:300
+    (QCheck.make ~print:String.escaped gen)
+    (fun data ->
+      match fast_read Trace.Source.Csv data with
+      | Ok _ -> QCheck.Test.fail_reportf "malformed capture accepted"
+      | Error _ -> same_outcome Trace.Source.Csv data)
 
 (* ------------------------------------------------------------------ *)
 (* Packed events: codec, batches, and packed-vs-boxed differentials   *)
@@ -959,7 +1232,15 @@ let () =
           Alcotest.test_case "csv roundtrip" `Quick test_csv_roundtrip;
           Alcotest.test_case "sniff" `Quick test_source_sniff;
         ]
-        @ qsuite [ prop_text_csv_text_roundtrip ] );
+        @ qsuite [ prop_text_csv_text_roundtrip ]
+        @ [ Alcotest.test_case "writers cross 10^4 rows" `Quick
+              test_writers_cross_ten_thousand ]
+        @ qsuite
+            [ prop_writers_match_printf;
+              prop_text_reader_matches_reference;
+              prop_csv_reader_matches_reference;
+              prop_text_errors_match_reference;
+              prop_csv_errors_match_reference ] );
       ( "sim_memory",
         [
           Alcotest.test_case "load/store" `Quick test_mem_load_store;

@@ -355,7 +355,8 @@ let test_trace_replay_equivalence () =
   in
   let path = Filename.temp_file "loclab_equiv" ".trace" in
   let r =
-    Memsim.Trace.record path (fun file_sink ->
+    Out_channel.with_open_bin path @@ fun oc ->
+    Memsim.Trace.record ~format:Memsim.Trace.Source.Binary oc (fun file_sink ->
         Driver.run
           ~sink:
             (Memsim.Sink.fanout
@@ -382,20 +383,24 @@ let test_trace_replay_equivalence () =
 
 let test_trace_record_matches_write () =
   (* Streaming a run to a file in chunks writes the bytes the in-memory
-     encoder returns for the same run. *)
+     encoder returns for the same run, in every format. *)
   let run sink =
     ignore
       (Driver.run ~sink ~scale:0.05 ~profile:Programs.make_prog
          ~allocator:"gnu-local" ())
   in
-  let path = Filename.temp_file "loclab_record" ".trace" in
-  Memsim.Trace.record path run;
-  let streamed = Memsim.Trace.slurp path in
-  Sys.remove path;
-  let written = Memsim.Trace.write Memsim.Trace.Source.Binary run in
-  check_bool "capture spans several chunks" true
-    (String.length written > 200_000);
-  check_bool "record and write agree" true (streamed = written)
+  List.iter
+    (fun (name, format) ->
+      let path = Filename.temp_file "loclab_record" ".trace" in
+      Out_channel.with_open_bin path (fun oc ->
+          Memsim.Trace.record ~format oc run);
+      let streamed = Memsim.Trace.slurp path in
+      Sys.remove path;
+      let written = Memsim.Trace.write format run in
+      check_bool (name ^ " capture spans several chunks") true
+        (String.length written > 200_000);
+      check_bool (name ^ ": record and write agree") true (streamed = written))
+    Memsim.Trace.Source.all_formats
 
 (* ------------------------------------------------------------------ *)
 (* Schedule and player                                                *)
