@@ -13,9 +13,13 @@ exception Error of string
     artifact decoders catch it and turn it into a reported corruption,
     so it never escapes to renderers. *)
 
-val crc32 : string -> int
-(** CRC-32 (IEEE 802.3, the zlib polynomial) of the whole string, in
-    [0, 0xFFFFFFFF]. *)
+val crc32 : ?off:int -> ?len:int -> string -> int
+(** CRC-32 (IEEE 802.3, the zlib polynomial) of the [len] bytes of the
+    string from [off] (default: the whole string), in [0, 0xFFFFFFFF].
+    Slicing-by-8: eight bytes per step, bit-identical to the
+    byte-at-a-time definition.
+    @raise Invalid_argument when [off] and [len] do not name a
+    substring. *)
 
 (** The self-checking payload envelope shared by the store's cell files
     and the serve wire protocol: [magic | length (8 LE) | payload |
@@ -26,9 +30,14 @@ module Frame : sig
 
   val frame : magic:string -> string -> string
 
+  val verify : magic:string -> string -> (int * int, string) result
+  (** [Ok (off, len)]: the frame is sound and its payload is the [len]
+      bytes at [off], checked in place without a copy.  [Error reason]
+      on a short buffer, foreign magic, inconsistent length or CRC
+      mismatch; never raises. *)
+
   val unframe : magic:string -> string -> (string, string) result
-  (** [Error reason] on a short buffer, foreign magic, inconsistent
-      length or CRC mismatch; never raises. *)
+  (** {!verify}, then a copy of the payload. *)
 end
 
 (** Append-only binary writer. *)
@@ -60,7 +69,12 @@ end
 module Reader : sig
   type t
 
-  val of_string : string -> t
+  val of_string : ?off:int -> ?len:int -> string -> t
+  (** A reader over the [len] bytes from [off] (default: the whole
+      string), e.g. a payload {!Frame.verify} found in place.  Error
+      messages give offsets from [off].
+      @raise Invalid_argument when [off] and [len] do not name a
+      substring. *)
 
   val int : t -> int
   val float : t -> float
@@ -70,6 +84,6 @@ module Reader : sig
   val list : t -> (t -> 'a) -> 'a list
 
   val at_end : t -> bool
-  (** True when every byte has been consumed; typed decoders check it
-      to reject payloads with trailing garbage. *)
+  (** True when every byte up to [off + len] has been consumed; typed
+      decoders check it to reject payloads with trailing garbage. *)
 end

@@ -40,7 +40,7 @@ let to_string = function
   | Lru -> "lru"
   | Plru -> "plru"
   | Qlru { hit_age; insert_age } ->
-      Printf.sprintf "qlru-h%d-m%d" hit_age insert_age
+      "qlru-h" ^ string_of_int hit_age ^ "-m" ^ string_of_int insert_age
 
 let of_string s =
   let fail () =

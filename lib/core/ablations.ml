@@ -178,7 +178,7 @@ let flush_allocators =
   [ ("firstfit", "FirstFit"); ("bsd", "BSD"); ("gnu-local", "GNU local");
     ("quickfit", "QuickFit") ]
 
-let quantum_name q = Printf.sprintf "flush-%d" q
+let quantum_name q = "flush-" ^ string_of_int q
 
 let flush_rows (ctx : Context.t) =
   let scale = Context.off_grid_scale ctx in
@@ -341,7 +341,7 @@ let lifetime_prediction (ctx : Context.t) =
           let row = Derived.find rows ~program:pkey ~variant in
           let rate kb =
             Cachesim.Stats.miss_rate_pct
-              (Derived.stats row (Printf.sprintf "%dK-dm" kb))
+              (Derived.stats row (string_of_int kb ^ "K-dm"))
           in
           Table.add_row table
             [ plabel; variant;

@@ -69,12 +69,14 @@ let of_run ~program ~allocator ~scale ~trace_checksum
 (* ---- content addressing -------------------------------------------- *)
 
 let digest ~program ~allocator ~scale ~seed =
-  (* %h renders the float's exact bits, so digests never depend on a
+  (* The key "loclab-cell|<program>|<allocator>|<%h scale>|<seed>|<schema>";
+     %h renders the float's exact bits, so digests never depend on a
      decimal rounding choice. *)
   Digest.to_hex
     (Digest.string
-       (Printf.sprintf "loclab-cell|%s|%s|%h|%d|%d" program allocator scale
-          seed schema_version))
+       (String.concat "|"
+          [ "loclab-cell"; program; allocator; Metrics.Numfmt.hex scale;
+            string_of_int seed; string_of_int schema_version ]))
 
 let digest_of_meta m =
   digest ~program:m.program ~allocator:m.allocator ~scale:m.scale ~seed:m.seed

@@ -46,25 +46,31 @@ let inputs fields =
     (List.map (fun (field, values) -> field ^ "=" ^ String.concat "," values)
        fields)
 
+(* These spell a derived cell's key on every render that asks for it,
+   so they concatenate rather than interpret a format: "<key>@<seed>",
+   "<name>/<size>/<block>/<ways>/<policy>", "<key>[<level>|...]". *)
 let program key =
-  Printf.sprintf "%s@%d" key (Workload.Programs.find key).Workload.Profile.seed
+  key ^ "@" ^ string_of_int (Workload.Programs.find key).Workload.Profile.seed
 
 let config (c : Cachesim.Config.t) =
-  Printf.sprintf "%s/%d/%d/%d/%s" c.name c.size_bytes c.block_bytes
-    c.associativity
-    (Cachesim.Policy.to_string c.policy)
+  String.concat "/"
+    [ c.name; string_of_int c.size_bytes; string_of_int c.block_bytes;
+      string_of_int c.associativity; Cachesim.Policy.to_string c.policy ]
 
 let cpu (c : Cachesim.Cpu.t) =
-  Printf.sprintf "%s[%s]" c.key
-    (String.concat "|"
-       (List.map (fun (l : Cachesim.Cpu.level) -> config l.config) c.levels))
+  c.key ^ "["
+  ^ String.concat "|"
+      (List.map (fun (l : Cachesim.Cpu.level) -> config l.config) c.levels)
+  ^ "]"
 
 let digest_of_meta m =
-  (* %h: the scale's exact bits, as in Artifact.digest. *)
+  (* The key "loclab-derived|<id>|<%h scale>|<schema>|<inputs>"; %h:
+     the scale's exact bits, as in Artifact.digest. *)
   Digest.to_hex
     (Digest.string
-       (Printf.sprintf "loclab-derived|%s|%h|%d|%s" m.id m.scale schema_version
-          m.inputs))
+       (String.concat "|"
+          [ "loclab-derived"; m.id; Metrics.Numfmt.hex m.scale;
+            string_of_int schema_version; m.inputs ]))
 
 (* ---- codec --------------------------------------------------------- *)
 

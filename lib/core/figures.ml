@@ -139,7 +139,7 @@ let miss_rate_figure (ctx : Context.t) ~profile ~title =
           (fun kb ->
             ( float_of_int kb,
               100.
-              *. Artifact.miss_rate d ~cache:(Printf.sprintf "%dK-dm" kb) ))
+              *. Artifact.miss_rate d ~cache:(string_of_int kb ^ "K-dm") ))
           [ 16; 32; 64; 128; 256 ]
       in
       Series.add series ~name:alabel pts)

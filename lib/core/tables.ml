@@ -64,8 +64,9 @@ let time_and_miss_table (ctx : Context.t) ~cache ~title =
           (fun (pkey, _) ->
             let d = Runs.get ctx.Context.runs ~profile:pkey ~allocator:akey in
             let et = Artifact.exec_time d ~model:ctx.Context.model ~cache in
-            Printf.sprintf "%.2f/%.2f" (Exec_time.total_seconds et)
-              (Exec_time.miss_seconds et))
+            Table.fmt_float (Exec_time.total_seconds et)
+            ^ "/"
+            ^ Table.fmt_float (Exec_time.miss_seconds et))
           Context.five_programs
       in
       Table.add_row table (alabel :: cells))
@@ -151,7 +152,7 @@ let tab6 (ctx : Context.t) =
    statistics; latencies, and so cycles, are applied when rendering. *)
 let cpu_program = "gs-large"
 
-let level_name (cpu : Cachesim.Cpu.t) i = Printf.sprintf "%s/L%d" cpu.key (i + 1)
+let level_name (cpu : Cachesim.Cpu.t) i = cpu.key ^ "/L" ^ string_of_int (i + 1)
 
 let cpu_rows (ctx : Context.t) ~scale ~cpus =
   let allocators = List.map fst Context.with_custom in

@@ -150,13 +150,31 @@ let parse_text_line data line_no a b batch =
   let addr = parse_addr "Text" line_no data !i !j in
   Event.Batch.push batch ~addr ~meta
 
+(* A CSV row's index field [a, c) must be the row's 0-based ordinal
+   among the data rows, in decimal: what the writer emits, so a
+   shuffled, spliced or hand-numbered capture is refused, not replayed
+   in file order. *)
+let parse_index line_no data a b c ordinal =
+  if c = a then bad "Csv" line_no data a b "missing index";
+  let v = ref 0 in
+  for i = a to c - 1 do
+    match data.[i] with
+    | '0' .. '9' as ch ->
+        let d = Char.code ch - Char.code '0' in
+        v := if !v > (max_int - d) / 10 then max_int else (!v * 10) + d
+    | _ -> bad "Csv" line_no data a b "index must be decimal digits"
+  done;
+  if !v <> ordinal then
+    bad "Csv" line_no data a b (Printf.sprintf "expected index %d" ordinal)
+
 (* A CSV row's content [a, b), non-blank: index,op,address with a
-   one-character op; the index is not checked. *)
-let parse_csv_row data line_no a b batch =
+   one-character op, the [ordinal]-th data row. *)
+let parse_csv_row data line_no a b ordinal batch =
   match String.index_from_opt data a ',' with
   | Some c1 when c1 < b -> (
       match String.index_from_opt data (c1 + 1) ',' with
       | Some c2 when c2 < b ->
+          parse_index line_no data a b c1 ordinal;
           if c2 - c1 <> 2 then
             bad "Csv" line_no data a b "op column must be a single R or W";
           let meta = parse_op "Csv" line_no data a b data.[c1 + 1] in
@@ -218,17 +236,22 @@ let fast_text data p batch =
     then -1
     else fast_addr data (p + 4) meta batch
 
-(* Decimal digits , [RrWw] , 0x at [p], then the canonical tail. *)
-let fast_csv data p batch =
+(* 1 to 18 decimal digits spelling [ordinal] , [RrWw] , 0x at [p], then
+   the canonical tail. *)
+let fast_csv data p ordinal batch =
   let len = String.length data in
-  let j = ref p in
+  let stop = Int.min len (p + 18) in
+  let j = ref p and v = ref 0 in
   while
-    !j < len && match String.unsafe_get data !j with '0' .. '9' -> true | _ -> false
+    !j < stop
+    && match String.unsafe_get data !j with '0' .. '9' -> true | _ -> false
   do
+    v := (!v * 10) + Char.code (String.unsafe_get data !j) - Char.code '0';
     incr j
   done;
   let j = !j in
-  if j + 6 >= len || String.unsafe_get data j <> ',' then -1
+  if j = p || !v <> ordinal || j + 6 >= len || String.unsafe_get data j <> ','
+  then -1
   else
     let meta = op_meta (String.unsafe_get data (j + 1)) in
     if
@@ -254,13 +277,17 @@ let scan ~csv data pos line_no sink =
       Event.Batch.clear batch
     end;
     let p = !pos in
-    let next = if csv then fast_csv data p batch else fast_text data p batch in
+    (* Every data row pushes one event, so this is the row's ordinal. *)
+    let ordinal = !delivered + batch.Event.Batch.len in
+    let next =
+      if csv then fast_csv data p ordinal batch else fast_text data p batch
+    in
     if next >= 0 then pos := next
     else begin
       let eol = line_end data p in
       let b = content_end data p eol in
       if not (is_blank data p b) then
-        if csv then parse_csv_row data !line_no p b batch
+        if csv then parse_csv_row data !line_no p b ordinal batch
         else parse_text_line data !line_no p b batch;
       pos := eol + 1
     end;
@@ -339,8 +366,9 @@ end
 
 (* ---- per-access CSV (cachetrace's column layout) ---------------------- *)
 
-(* Header row "index,op,address", then one row per access:
-   0-based index, R/W, 0x-prefixed hex address. *)
+(* Header row "index,op,address", then one row per access: its 0-based
+   index among the rows (checked on read), R/W, 0x-prefixed hex
+   address. *)
 module Csv = struct
   let read data sink =
     match first_line data 0 1 with

@@ -16,7 +16,11 @@
     - {b csv}: header row [index,op,address] (the first non-blank
       line, trimmed, any case), then one row per access: 0-based index,
       [R]/[W], [0x]-prefixed hex address (cachetrace's per-access column
-      layout, for differential testing).
+      layout, for differential testing).  The index must be the row's
+      0-based ordinal among the data rows, in decimal digits, as the
+      writer numbers them: a row out of sequence (a shuffled or spliced
+      capture), an empty index or a non-numeric one is an error naming
+      its line, never a silent reordering.
     - {b binary}: magic ["LOCLAB1\n"], then per event a flags byte
       (kind, source, sizes 1..30 inline), an escaped size varint for
       larger sizes, and the zigzag varint of the address delta from the

@@ -26,8 +26,8 @@ let add_escaped b s =
 let float_repr f =
   (* Shortest decimal form that round-trips; counts and scales print as
      humans wrote them ("0.25"), not as 17-digit expansions. *)
-  let s = Printf.sprintf "%.12g" f in
-  if float_of_string s = f then s else Printf.sprintf "%.17g" f
+  let s = Numfmt.general 12 f in
+  if float_of_string s = f then s else Numfmt.general 17 f
 
 let rec add b = function
   | Null -> Buffer.add_string b "null"

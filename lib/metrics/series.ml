@@ -10,23 +10,28 @@ let create ~title ~x_label ~y_label =
 
 let add t ~name points = t.series_rev <- (name, points) :: t.series_rev
 
+(* [List.assoc_opt x pts] and the sorted union of the series' x values,
+   compared as floats (the order and the equality polymorphic compare
+   gives floats, NaN included) without its per-call dispatch. *)
+let y_at x pts =
+  List.find_map (fun (x', y) -> if Float.compare x' x = 0 then Some y else None) pts
+
+let union_xs series =
+  List.concat_map (fun (_, pts) -> List.map fst pts) series
+  |> List.sort_uniq Float.compare
+
 let render_columns t buf =
   let series = List.rev t.series_rev in
-  (* Collect the union of x values, sorted. *)
-  let xs =
-    List.concat_map (fun (_, pts) -> List.map fst pts) series
-    |> List.sort_uniq compare
-  in
-  let cell name x =
-    match List.assoc_opt x (List.assoc name series) with
-    | Some y -> Printf.sprintf "%.4g" y
-    | None -> "-"
-  in
+  let xs = union_xs series in
   let names = List.map fst series in
+  let columns = List.map (fun name -> List.assoc name series) names in
+  let cell pts x =
+    match y_at x pts with Some y -> Numfmt.general 4 y | None -> "-"
+  in
   let headers = t.x_label :: names in
   let rows =
     List.map
-      (fun x -> Printf.sprintf "%.4g" x :: List.map (fun n -> cell n x) names)
+      (fun x -> Numfmt.general 4 x :: List.map (fun pts -> cell pts x) columns)
       xs
   in
   let widths =
@@ -56,10 +61,7 @@ let render_columns t buf =
 let render_plot t buf =
   let series = List.rev t.series_rev in
   if series <> [] then begin
-    let xs =
-      List.concat_map (fun (_, pts) -> List.map fst pts) series
-      |> List.sort_uniq compare
-    in
+    let xs = union_xs series in
     let ys = List.concat_map (fun (_, pts) -> List.map snd pts) series in
     let ymax = List.fold_left max neg_infinity ys in
     let positive = List.filter (fun y -> y > 0.) ys in
@@ -86,7 +88,7 @@ let render_plot t buf =
           let mark = marks.[si mod String.length marks] in
           List.iteri
             (fun ci x ->
-              match List.assoc_opt x pts with
+              match y_at x pts with
               | Some y ->
                   let r = scale y in
                   if r >= 0 && r < height then
@@ -133,7 +135,12 @@ let to_csv t =
     (fun (name, pts) ->
       List.iter
         (fun (x, y) ->
-          Buffer.add_string buf (Printf.sprintf "%s,%g,%g\n" name x y))
+          Buffer.add_string buf name;
+          Buffer.add_char buf ',';
+          Buffer.add_string buf (Numfmt.general 6 x);
+          Buffer.add_char buf ',';
+          Buffer.add_string buf (Numfmt.general 6 y);
+          Buffer.add_char buf '\n')
         pts)
     (List.rev t.series_rev);
   Buffer.contents buf

@@ -109,6 +109,6 @@ let fmt_int n =
     s;
   Buffer.contents buf
 
-let fmt_float ?(decimals = 2) f = Printf.sprintf "%.*f" decimals f
-let fmt_pct ?(decimals = 1) f = Printf.sprintf "%.*f%%" decimals (100. *. f)
-let fmt_kb bytes = Printf.sprintf "%d KB" ((bytes + 1023) / 1024)
+let fmt_float ?(decimals = 2) f = Numfmt.fixed decimals f
+let fmt_pct ?(decimals = 1) f = Numfmt.fixed decimals (100. *. f) ^ "%"
+let fmt_kb bytes = string_of_int ((bytes + 1023) / 1024) ^ " KB"

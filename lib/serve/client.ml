@@ -46,8 +46,8 @@ let request ?id t req =
     Protocol.write_frame t.fd (Protocol.encode_request ?id req);
     Protocol.read_frame t.fd
   with
-  | Result.Ok (Some payload) -> (
-      match Protocol.decode_response payload with
+  | Result.Ok (Some { frame; off; len }) -> (
+      match Protocol.decode_response ~off ~len frame with
       | Result.Ok (resp, _) -> Result.Ok resp
       | Result.Error e ->
           Result.Error (Transport (Protocol.decode_error_to_string e)))

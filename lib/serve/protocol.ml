@@ -154,8 +154,8 @@ let encode_request ?(id = "") req =
 (* Shared decode shell: version check, request id, tag dispatch,
    trailing-byte and truncation detection, never an exception.  Yields
    the message together with the request id. *)
-let decode_payload what payload read_tagged =
-  let r = Binio.Reader.of_string payload in
+let decode_payload what ?off ?len payload read_tagged =
+  let r = Binio.Reader.of_string ?off ?len payload in
   try
     let v = Binio.Reader.int r in
     if v <> version then Result.Error (Unsupported v)
@@ -171,8 +171,8 @@ let decode_payload what payload read_tagged =
     end
   with Binio.Error msg -> Result.Error (Malformed msg)
 
-let decode_request payload =
-  decode_payload "request" payload (fun r -> function
+let decode_request ?off ?len payload =
+  decode_payload "request" ?off ?len payload (fun r -> function
     | 0 -> Some Health
     | 3 ->
         let program = Binio.Reader.string r in
@@ -210,8 +210,8 @@ let encode_response ?(id = "") resp =
       Binio.Writer.string w message);
   Binio.Writer.contents w
 
-let decode_response payload =
-  decode_payload "response" payload (fun r -> function
+let decode_response ?off ?len payload =
+  decode_payload "response" ?off ?len payload (fun r -> function
     | 0 ->
         let server_version = Binio.Reader.string r in
         let protocol_version = Binio.Reader.int r in
@@ -263,6 +263,8 @@ let read_exact fd buf off len =
 
 let header_bytes = String.length magic + 8
 
+type payload = { frame : string; off : int; len : int }
+
 let read_frame ?(first = "") fd =
   let hdr = Bytes.create header_bytes in
   let pre = min (String.length first) header_bytes in
@@ -285,13 +287,16 @@ let read_frame ?(first = "") fd =
         else
           (* The whole frame lands in one buffer of its exact size, never
              touched again, which the shared envelope check reads in
-             place (so the CRC semantics are exactly the store's): the
-             payload it returns is the only other copy. *)
+             place (so the CRC semantics are exactly the store's) and
+             the payload decoder reads in place too: the fields it
+             decodes are the only other copies. *)
           let frame = Bytes.create (header_bytes + len + 8) in
           Bytes.blit hdr 0 frame 0 header_bytes;
           match read_exact fd frame header_bytes (len + 8) with
           | Result.Error _ as e -> e
           | Result.Ok false -> Result.Error "connection closed mid-frame"
           | Result.Ok true ->
-              Result.map Option.some
-                (Binio.Frame.unframe ~magic (Bytes.unsafe_to_string frame))
+              let frame = Bytes.unsafe_to_string frame in
+              Result.map
+                (fun (off, len) -> Some { frame; off; len })
+                (Binio.Frame.verify ~magic frame)

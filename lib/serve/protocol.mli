@@ -7,9 +7,9 @@
     "LOCSRV1\n" | payload length (int64 LE) | payload | CRC-32 (int64 LE)
     v}
 
-    The CRC covers magic + length + payload, exactly as the artifact
-    store's on-disk framing does, so truncation, garbage and bit flips
-    are caught before any typed decoding runs.
+    The CRC covers the payload, exactly as the artifact store's on-disk
+    framing does; with the magic and the length check, truncation,
+    garbage and bit flips are caught before any typed decoding runs.
 
     {b Payload.}  Every payload is
 
@@ -101,14 +101,20 @@ val decode_error_to_string : decode_error -> string
 val encode_request : ?id:string -> request -> string
 (** [id] (default [""]: the server mints one) is the request id. *)
 
-val decode_request : string -> (request * string, decode_error) result
-(** The request and its id.  Never raises: truncation, unknown tags and
-    trailing bytes are all [Malformed]. *)
+val decode_request :
+  ?off:int -> ?len:int -> string -> (request * string, decode_error) result
+(** The request and its id, decoded from the [len] bytes at [off]
+    (default: the whole string), in place.  Never raises: truncation,
+    unknown tags and trailing bytes are all [Malformed].
+    @raise Invalid_argument only when [off] and [len] do not name a
+    substring. *)
 
 val encode_response : ?id:string -> response -> string
 (** The server passes the id it adopted for the request. *)
 
-val decode_response : string -> (response * string, decode_error) result
+val decode_response :
+  ?off:int -> ?len:int -> string -> (response * string, decode_error) result
+(** As {!decode_request}. *)
 
 (** {1 Frame I/O}
 
@@ -123,9 +129,15 @@ val write_frame : Unix.file_descr -> string -> unit
 (** Frame a payload and write it whole.
     @raise Unix.Unix_error on I/O failure (e.g. [EPIPE]). *)
 
+type payload = { frame : string; off : int; len : int }
+(** A verified payload where it arrived: the [len] bytes at [off] of the
+    whole frame [read_frame] read.  Decode it in place with
+    [decode_request ~off ~len frame]. *)
+
 val read_frame :
-  ?first:string -> Unix.file_descr -> (string option, string) result
-(** Read one frame; [Ok None] on clean EOF before the first byte,
-    [Error reason] on a torn frame, bad magic, oversized length claim
-    or CRC mismatch.  [first] supplies bytes already consumed from the
-    stream (the server's protocol sniff). *)
+  ?first:string -> Unix.file_descr -> (payload option, string) result
+(** Read one frame into one buffer of its exact size and check it there;
+    [Ok None] on clean EOF before the first byte, [Error reason] on a
+    torn frame, bad magic, oversized length claim or CRC mismatch.
+    [first] supplies bytes already consumed from the stream (the
+    server's protocol sniff). *)

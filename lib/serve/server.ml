@@ -449,7 +449,10 @@ let serve_binary t conn ~first =
              reason)
     | Result.Ok (Some payload) -> (
         let r1 = Telemetry.Span.now_us () in
-        let decoded = Protocol.decode_request payload in
+        let decoded =
+          Protocol.decode_request ~off:payload.off ~len:payload.len
+            payload.frame
+        in
         let r2 = Telemetry.Span.now_us () in
         match decoded with
         | Result.Error (Protocol.Unsupported v) ->
@@ -468,7 +471,7 @@ let serve_binary t conn ~first =
             let rctx = Rctx.create ~id ~kind ~peer:conn.peer () in
             Rctx.record_stage rctx "read_frame" ~start_us:r0 ~dur_us:(r1 -. r0);
             Rctx.record_stage rctx "decode" ~start_us:r1 ~dur_us:(r2 -. r1);
-            Rctx.add_bytes_in rctx (String.length payload + frame_overhead);
+            Rctx.add_bytes_in rctx (payload.len + frame_overhead);
             if Atomic.get t.stopping then
               (* and stop: the drain finishes accepted work only *)
               ignore

@@ -45,18 +45,35 @@ let puts_c =
 let frame payload = Binio.Frame.frame ~magic payload
 let unframe data = Binio.Frame.unframe ~magic data
 
+(* A cell is read whole into a buffer of its exact size: one open, one
+   fstat, one read (more only past [Unix.read]'s 64 KiB chunk) and one
+   close, with no channel buffer in between.  A file that shrinks
+   under the read yields what was read, which [unframe] rejects. *)
 let read_file file =
-  let ic = open_in_bin file in
+  let fd = Unix.openfile file [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
   Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      let size = (Unix.fstat fd).Unix.st_size in
+      let buf = Bytes.create size in
+      let rec go off =
+        if off = size then off
+        else
+          match Unix.read fd buf off (size - off) with
+          | 0 -> off
+          | n -> go (off + n)
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+      in
+      let got = go 0 in
+      if got = size then Bytes.unsafe_to_string buf
+      else Bytes.sub_string buf 0 got)
 
 let find t ~digest =
   Telemetry.Span.with_span ~cat:"store" ~args:[ ("digest", digest) ] "find"
     (fun () ->
       let file = path t ~digest in
       match read_file file with
-      | exception Sys_error _ ->
+      | exception Unix.Unix_error _ ->
           Telemetry.Metrics.Counter.inc lookup_miss_c;
           Miss
       | data -> (

@@ -325,11 +325,29 @@ module Trace_lines = struct
     let addr = parse_addr "Text" line_no data !i !j in
     Batch.push batch ~addr ~meta
 
-  let parse_csv_row data line_no a b batch =
+  (* The index must spell the row's ordinal among the data rows. *)
+  let parse_index line_no data a b c ordinal =
+    let field = String.sub data a (c - a) in
+    if field = "" then bad "Csv" line_no data a b "missing index";
+    if not (String.for_all (fun ch -> ch >= '0' && ch <= '9') field) then
+      bad "Csv" line_no data a b "index must be decimal digits";
+    let digits =
+      (* leading zeros dropped; an index longer than any int is no
+         ordinal *)
+      let n = String.length field in
+      let rec skip i = if i < n - 1 && field.[i] = '0' then skip (i + 1) else i in
+      let i = skip 0 in
+      String.sub field i (n - i)
+    in
+    if digits <> string_of_int ordinal then
+      bad "Csv" line_no data a b (Printf.sprintf "expected index %d" ordinal)
+
+  let parse_csv_row data line_no a b ordinal batch =
     match String.index_from_opt data a ',' with
     | Some c1 when c1 < b -> (
         match String.index_from_opt data (c1 + 1) ',' with
         | Some c2 when c2 < b ->
+            parse_index line_no data a b c1 ordinal;
             if c2 - c1 <> 2 then
               bad "Csv" line_no data a b "op column must be a single R or W";
             let meta = parse_op "Csv" line_no data a b data.[c1 + 1] in
@@ -343,10 +361,13 @@ module Trace_lines = struct
         parse_text_line data line_no a b batch)
 
   let read_csv data sink =
-    let seen_header = ref false in
+    let seen_header = ref false and rows = ref 0 in
     let lines =
       read_lines data sink (fun line_no a b batch ->
-          if !seen_header then parse_csv_row data line_no a b batch
+          if !seen_header then begin
+            parse_csv_row data line_no a b !rows batch;
+            incr rows
+          end
           else begin
             let line = String.lowercase_ascii (String.sub data a (b - a)) in
             if String.trim line <> csv_header then

@@ -618,6 +618,65 @@ let test_csv_roundtrip () =
   Alcotest.(check bool) "missing header rejected" true
     (contains msg "header")
 
+(* A CSV row's index is its ordinal among the data rows: a shuffled,
+   spliced, re-numbered or unnumbered capture fails on the first row
+   out of sequence, naming its line; an export imports back as the
+   stream it came from. *)
+let test_csv_index_is_the_ordinal () =
+  let csv = "index,op,address\n0,R,0x1000\n1,W,0x2000\n2,R,0x3000\n" in
+  let fails what data expected =
+    Alcotest.(check string) what expected
+      (failure_of (fun () -> read_events Trace.Source.Csv data))
+  in
+  fails "rows swapped"
+    "index,op,address\n0,R,0x1000\n2,R,0x3000\n1,W,0x2000\n"
+    "Trace.Csv: line 3: expected index 1 in \"2,R,0x3000\"";
+  fails "two exports spliced" (csv ^ "0,W,0x4000\n1,W,0x5000\n")
+    "Trace.Csv: line 5: expected index 3 in \"0,W,0x4000\"";
+  fails "a row dropped" "index,op,address\n0,R,0x1000\n2,R,0x3000\n"
+    "Trace.Csv: line 3: expected index 1 in \"2,R,0x3000\"";
+  fails "numbered from 1" "index,op,address\n1,R,0x1000\n"
+    "Trace.Csv: line 2: expected index 0 in \"1,R,0x1000\"";
+  fails "x index" "index,op,address\n0,R,0x1\nx,R,0x1000\n"
+    "Trace.Csv: line 3: index must be decimal digits in \"x,R,0x1000\"";
+  fails "signed index" "index,op,address\n+0,R,0x1000\n"
+    "Trace.Csv: line 2: index must be decimal digits in \"+0,R,0x1000\"";
+  fails "empty index" "index,op,address\n\n0,R,0x1\n,R,0x1000\r\n"
+    "Trace.Csv: line 4: missing index in \",R,0x1000\"";
+  fails "index past any int"
+    ("index,op,address\n" ^ String.make 25 '9' ^ ",R,0x1\n")
+    ("Trace.Csv: line 2: expected index 0 in \"" ^ String.make 25 '9' ^ ",R,0x1\"");
+  let n, events =
+    read_events Trace.Source.Csv
+      "index,op,address\n0,R,0x1\n\n001,W,0x2\r\n00000000000000000000002,R,0x3"
+  in
+  Alcotest.(check int) "zero-padded ordinals and blank lines" 3 n;
+  Alcotest.(check bool) "their events" true
+    (events = [ Event.read 1 1; Event.write 2 1; Event.read 3 1 ]);
+  (* Export -> import over several batches: the indices the writer
+     numbers across batch boundaries are the ones the reader expects. *)
+  let stream =
+    List.init 1000 (fun i ->
+        if i mod 3 = 0 then Event.write (i * 4096) 1 else Event.read (i * 64) 1)
+  in
+  let deliver sink =
+    List.iter
+      (fun lo ->
+        let b = Event.Batch.create () in
+        List.iteri
+          (fun i e -> if i >= lo && i < lo + 300 then Event.Batch.push_event b e)
+          stream;
+        sink b)
+      [ 0; 300; 600; 900 ]
+  in
+  let export = Trace.write Trace.Source.Csv deliver in
+  let n, events = read_events Trace.Source.Csv export in
+  Alcotest.(check int) "round trip count" 1000 n;
+  Alcotest.(check bool) "round trip events" true (events = stream);
+  Alcotest.(check string) "re-export is byte-identical" export
+    (Trace.write Trace.Source.Csv (fun sink ->
+         ignore (Trace.read Trace.Source.Csv export sink)))
+
 let test_source_sniff () =
   let check what fmt data =
     Alcotest.(check string) what
@@ -811,19 +870,39 @@ let text_line_gen =
           map (fun eol -> op ^ ws ^ hex ^ trail ^ eol) eol_gen );
         (1, blank_line_gen) ])
 
+(* A CSV line: a data row, rendered once its ordinal among the data
+   rows is known, or a line that is not a row. *)
+type csv_line = Row of (int -> string) | Other of string
+
+(* Each data row's index is its ordinal: as the writer spells it, or
+   zero-padded (past the fast path's 18 digits too). *)
 let csv_row_gen =
   QCheck.Gen.(
     frequency
       [ ( 4,
-          map3
-            (fun i w a -> Printf.sprintf "%d,%s,0x%x\n" i (if w then "W" else "R") a)
-            (int_bound 100_000) bool (int_bound 0xffffff) );
+          map2
+            (fun w a ->
+              Row (fun i -> Printf.sprintf "%d,%s,0x%x\n" i (if w then "W" else "R") a))
+            bool (int_bound 0xffffff) );
         ( 3,
-          oneofl [ ""; "0"; "17"; "x" ] >>= fun index ->
+          oneofl
+            [ string_of_int; Printf.sprintf "%05d"; Printf.sprintf "%020d" ]
+          >>= fun index ->
           oneofl [ "R"; "r"; "W"; "w" ] >>= fun op ->
           hex_field_gen >>= fun hex ->
-          map (fun eol -> index ^ "," ^ op ^ "," ^ hex ^ eol) eol_gen );
-        (1, blank_line_gen) ])
+          map (fun eol -> Row (fun i -> index i ^ "," ^ op ^ "," ^ hex ^ eol)) eol_gen
+        );
+        (1, map (fun l -> Other l) blank_line_gen) ])
+
+let number_rows lines =
+  let n = ref 0 in
+  List.map
+    (function
+      | Other l -> l
+      | Row f ->
+          incr n;
+          f (!n - 1))
+    lines
 
 let csv_header_gen =
   QCheck.Gen.(
@@ -834,22 +913,26 @@ let csv_header_gen =
     >>= fun header ->
     map (fun eol -> String.concat "" blanks ^ header ^ eol) eol_gen)
 
-(* Lines, some runs past one batch, and maybe no final newline. *)
-let capture_gen line_gen =
+(* Lines, some runs past one batch. *)
+let lines_gen line_gen =
   QCheck.Gen.(
-    list_size (frequency [ (3, int_range 0 30); (1, int_range 250 600) ]) line_gen
-    >>= fun lines ->
+    list_size (frequency [ (3, int_range 0 30); (1, int_range 250 600) ]) line_gen)
+
+(* The lines [render] makes, maybe without a final newline. *)
+let capture_of_gen render lines_gen =
+  QCheck.Gen.(
+    lines_gen >>= fun lines ->
     map
       (fun chop ->
-        let s = String.concat "" lines in
+        let s = String.concat "" (render lines) in
         let n = String.length s in
         if chop && n > 0 && s.[n - 1] = '\n' then String.sub s 0 (n - 1) else s)
       bool)
 
+let capture_gen line_gen = capture_of_gen Fun.id (lines_gen line_gen)
 let text_capture_gen = capture_gen text_line_gen
-
-let csv_capture_gen =
-  QCheck.Gen.map2 ( ^ ) csv_header_gen (capture_gen csv_row_gen)
+let csv_rows_gen = capture_of_gen number_rows (lines_gen csv_row_gen)
+let csv_capture_gen = QCheck.Gen.map2 ( ^ ) csv_header_gen csv_rows_gen
 
 let same_outcome fmt data =
   let fast = fast_read fmt data and reference = ref_read fmt data in
@@ -908,21 +991,46 @@ let prop_text_errors_match_reference =
       | Error _ -> same_outcome Trace.Source.Text data)
 
 let prop_csv_errors_match_reference =
+  (* Each malformed row is given its ordinal, so the fault it carries is
+     the one reported; the index faults come last. *)
   let bad =
-    [ "0,RW,0x10"; "0,,0x10"; "0,X,0x10"; "0,R,"; "0,R,0x"; "0,R,0x1g";
-      "0,R,0x10 "; "0,R,0x4000000000000000"; "0;R;0x10"; "0,R 0x10"; "0,R;0x10";
-      "nonsense";
-      "0,W," ^ String.make 70 'f' ]
+    List.map
+      (fun tail i -> string_of_int i ^ tail)
+      [ ",RW,0x10"; ",,0x10"; ",X,0x10"; ",R,"; ",R,0x"; ",R,0x1g"; ",R,0x10 ";
+        ",R,0x4000000000000000"; ";R;0x10"; ",R 0x10"; ",R;0x10";
+        ",W," ^ String.make 70 'f' ]
+    @ [ (fun _ -> "nonsense"); (fun _ -> ",R,0x10"); (fun _ -> "x,R,0x10");
+        (fun i -> string_of_int i ^ "x,R,0x10");
+        (fun i -> " " ^ string_of_int i ^ ",R,0x10");
+        (fun i -> "+" ^ string_of_int i ^ ",R,0x10");
+        (fun i -> string_of_int (i + 1) ^ ",R,0x10");
+        (fun i -> string_of_int (i - 1) ^ ",W,0x10");
+        (fun i -> String.make 30 '9' ^ string_of_int i ^ ",R,0x10") ]
+  in
+  (* A malformed row spliced among the rows of a valid capture. *)
+  let spliced =
+    QCheck.Gen.(
+      lines_gen csv_row_gen >>= fun lines ->
+      oneofl bad >>= fun row ->
+      eol_gen >>= fun eol ->
+      map
+        (fun cut ->
+          let cut = cut mod (List.length lines + 1) in
+          List.filteri (fun i _ -> i < cut) lines
+          @ (Row (fun i -> row i ^ eol) :: List.filteri (fun i _ -> i >= cut) lines))
+        nat)
   in
   let gen =
     QCheck.Gen.(
       frequency
-        [ (4, map2 ( ^ ) csv_header_gen (malformed_gen (capture_gen csv_row_gen) bad));
+        [ ( 4,
+            map2 ( ^ ) csv_header_gen
+              (capture_of_gen number_rows spliced) );
           (* no header: the first non-blank line is a row *)
           ( 1,
             map2 ( ^ )
               (map (String.concat "") (list_size (int_range 0 2) blank_line_gen))
-              (map (( ^ ) "0,R,0x10\n") (capture_gen csv_row_gen)) ) ])
+              (map (( ^ ) "0,R,0x10\n") csv_rows_gen) ) ])
   in
   QCheck.Test.make ~name:"csv errors equal the line reader's" ~count:300
     (QCheck.make ~print:String.escaped gen)
@@ -1240,7 +1348,9 @@ let () =
               prop_text_reader_matches_reference;
               prop_csv_reader_matches_reference;
               prop_text_errors_match_reference;
-              prop_csv_errors_match_reference ] );
+              prop_csv_errors_match_reference ]
+        @ [ Alcotest.test_case "csv index is the row's ordinal" `Quick
+              test_csv_index_is_the_ordinal ] );
       ( "sim_memory",
         [
           Alcotest.test_case "load/store" `Quick test_mem_load_store;

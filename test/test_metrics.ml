@@ -241,6 +241,124 @@ let test_navigation () =
     (Option.bind (Export.member "l" j) Export.to_list_opt
     = Some [ Export.Int 1 ])
 
+(* ------------------------------------------------------------------ *)
+(* Printf-free number formatting                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Each helper must print exactly what the Printf conversion it
+   replaces prints, specials and rounding edges included. *)
+let sweep =
+  let st = Random.State.make [| 36 |] in
+  [ Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; 0.; -0.;
+    1e300; -1e300; max_float; -.max_float; min_float; 4.9e-324; -4.9e-324;
+    2.5e-310; Float.pred min_float; 1e-7; 1.; -1.; 0.5; 0.125; 1. /. 3.;
+    2. /. 3.; 0.005; 0.015; 0.045; 9.995; 99.995; 0.0005; -0.0005; 1e21;
+    123456.789; 2048.; 1e15 +. 0.3; 4503599627370497.; 0.1; 0.2; 0.3;
+    12.5; 13.5; -2.5 ]
+  @ List.init 200 (fun i ->
+        let x =
+          Random.State.float st 2. -. 1.
+          *. (10. ** float_of_int (Random.State.int st 40 - 20))
+        in
+        if i mod 3 = 0 then Float.round (x *. 1000.) /. 1000. else x)
+
+let test_numfmt_equals_printf () =
+  let same what expected got =
+    if expected <> got then Alcotest.failf "%s: Printf %S, got %S" what expected got
+  in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun d ->
+          same
+            (Printf.sprintf "fixed %d %h" d x)
+            (Printf.sprintf "%.*f" d x) (Metrics.Numfmt.fixed d x))
+        [ -1000; 40 ];
+      for d = -2 to 20 do
+        same
+          (Printf.sprintf "fixed %d %h" d x)
+          (Printf.sprintf "%.*f" d x) (Metrics.Numfmt.fixed d x);
+        same
+          (Printf.sprintf "general %d %h" d x)
+          (Printf.sprintf "%.*g" d x) (Metrics.Numfmt.general d x)
+      done;
+      same (Printf.sprintf "%%g %h" x) (Printf.sprintf "%g" x)
+        (Metrics.Numfmt.general 6 x);
+      same (Printf.sprintf "%%.4g %h" x) (Printf.sprintf "%.4g" x)
+        (Metrics.Numfmt.general 4 x);
+      same "hex" (Printf.sprintf "%h" x) (Metrics.Numfmt.hex x);
+      same (Printf.sprintf "fmt_float %h" x) (Printf.sprintf "%.2f" x)
+        (Table.fmt_float x);
+      same (Printf.sprintf "fmt_pct %h" x)
+        (Printf.sprintf "%.1f%%" (100. *. x))
+        (Table.fmt_pct x);
+      for decimals = 0 to 9 do
+        same
+          (Printf.sprintf "fmt_float ~decimals:%d %h" decimals x)
+          (Printf.sprintf "%.*f" decimals x)
+          (Table.fmt_float ~decimals x);
+        same
+          (Printf.sprintf "fmt_pct ~decimals:%d %h" decimals x)
+          (Printf.sprintf "%.*f%%" decimals (100. *. x))
+          (Table.fmt_pct ~decimals x)
+      done;
+      let repr =
+        let s = Printf.sprintf "%.12g" x in
+        if float_of_string s = x then s else Printf.sprintf "%.17g" x
+      in
+      same
+        (Printf.sprintf "json %h" x)
+        (if Float.is_finite x then repr else "null")
+        (Export.to_string (Export.Float x)))
+    sweep;
+  List.iter
+    (fun b ->
+      same (Printf.sprintf "fmt_kb %d" b)
+        (Printf.sprintf "%d KB" ((b + 1023) / 1024))
+        (Table.fmt_kb b))
+    [ 0; 1; 1023; 1024; 1025; 396 * 1024; max_int - 1023; -1; -1024; -5000 ];
+  let s = Series.create ~title:"S" ~x_label:"x" ~y_label:"y" in
+  let points = List.mapi (fun i y -> (float_of_int i *. 0.37, y)) sweep in
+  Series.add s ~name:"a" points;
+  (* Columns and plot over unsorted x values, a NaN, a repeated name
+     (both "a" columns show the first "a", as the name lookup always
+     has), exactly as the polymorphic-compare renderer drew them. *)
+  let mixed = Series.create ~title:"T" ~x_label:"x" ~y_label:"y" in
+  Series.add mixed ~name:"a" [ (3., 1.5); (1., 200.); (-0.5, 0.25) ];
+  Series.add mixed ~name:"b" [ (2., 0.001); (1., Float.nan); (3., 12345.678) ];
+  Series.add mixed ~name:"a" [ (1., 7.) ];
+  same "series render"
+    {|T
+-
+   x     a          b     a
+-0.5  0.25          -  0.25
+   1   200        nan   200
+   2     -      0.001     -
+   3   1.5  1.235e+04   1.5
+
+y vs x (log scale)
+  |         x  
+  |            
+  |            
+  |   o        
+  |            
+  |            
+  |   +        
+  |         o  
+  |o           
+  |            
+  |            
+  |   x  x     
+  +------------
+   legend: o=a x=b +=a
+|}
+    (Series.render mixed);
+  same "series csv"
+    (String.concat ""
+       ("series,x,y\n"
+       :: List.map (fun (x, y) -> Printf.sprintf "a,%g,%g\n" x y) points))
+    (Series.to_csv s)
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -262,6 +380,7 @@ let () =
           tc "rejects bad row" test_table_rejects_bad_row;
           tc "csv" test_table_csv;
           tc "formatters" test_table_formatters;
+          tc "number formatting equals Printf" test_numfmt_equals_printf;
         ] );
       ( "series",
         [

@@ -279,11 +279,13 @@ let read_from_bytes ?first bytes =
   result
 
 let framed payload = Binio.Frame.frame ~magic:P.magic payload
+let payload_string (p : P.payload) = String.sub p.frame p.off p.len
 
 let test_frame_round_trip_over_fd () =
   let payload = P.encode_request (P.Run_experiment { id = "tab4"; scale = 0.25 }) in
   match read_from_bytes (framed payload) with
-  | Ok (Some p) -> check_string "payload survives the wire" payload p
+  | Ok (Some p) ->
+      check_string "payload survives the wire" payload (payload_string p)
   | Ok None -> Alcotest.fail "unexpected EOF"
   | Error e -> Alcotest.failf "read_frame: %s" e
 
@@ -294,7 +296,8 @@ let test_frame_sniffed_prefix () =
   let first = String.sub bytes 0 4 in
   let rest = String.sub bytes 4 (String.length bytes - 4) in
   match read_from_bytes ~first rest with
-  | Ok (Some p) -> check_string "prefix + rest reassemble" payload p
+  | Ok (Some p) ->
+      check_string "prefix + rest reassemble" payload (payload_string p)
   | _ -> Alcotest.fail "sniffed read failed"
 
 let test_frame_clean_eof () =
@@ -349,28 +352,126 @@ let test_frame_bad_magic () =
     | Error _ -> true
     | Ok _ -> false)
 
-(* Reading a frame costs the frame once and its payload once: an
-   8 MiB frame over a socketpair allocates about twice its payload, not
-   further whole copies of it. *)
+(* Reading a frame costs the frame once, and decoding it costs the
+   fields it decodes once: an 8 MiB ingest over a socketpair allocates
+   about its size in [read_frame] (the frame, checked in place) and
+   about its size again in [decode_request] (the trace field, read in
+   place from the frame), not further whole copies of it. *)
 let test_frame_read_allocation () =
-  let payload = String.init (8 * 1024 * 1024) (fun i -> Char.chr (i land 0xff)) in
+  let trace = String.init (8 * 1024 * 1024) (fun i -> Char.chr (i land 0xff)) in
+  let req = P.Ingest { format = "binary"; trace } in
+  let payload = P.encode_request ~id:"feed" req in
   let bytes = framed payload in
   let r, w = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let writer = write_then_close w bytes in
-  (* Minor collections on both sides of the call keep words allocated
+  (* Minor collections on both sides of each call keep words allocated
      before it out of the count (see test_core's identity-pass budget). *)
-  Gc.minor ();
-  let before = Gc.allocated_bytes () in
-  let result = P.read_frame r in
-  Gc.minor ();
-  let allocated = Gc.allocated_bytes () -. before in
+  let measure f =
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    let v = f () in
+    Gc.minor ();
+    (v, (Gc.allocated_bytes () -. before) /. float_of_int (String.length trace))
+  in
+  let result, read_ratio = measure (fun () -> P.read_frame r) in
   Thread.join writer;
   Unix.close r;
-  check_bool "payload survives the socketpair" true (result = Ok (Some payload));
-  let ratio = allocated /. float_of_int (String.length payload) in
+  let p =
+    match result with
+    | Ok (Some p) -> p
+    | _ -> Alcotest.fail "no frame from the socketpair"
+  in
+  check_string "payload survives the socketpair" payload (payload_string p);
+  let decoded, decode_ratio =
+    measure (fun () -> P.decode_request ~off:p.off ~len:p.len p.frame)
+  in
+  check_bool "request decodes in place" true (decoded = Ok (req, "feed"));
   check_bool
-    (Printf.sprintf "read_frame allocated %.2fx the payload, budget 2.5x" ratio)
-    true (ratio < 2.5)
+    (Printf.sprintf "read_frame allocated %.2fx the trace, budget 1.5x"
+       read_ratio)
+    true (read_ratio < 1.5);
+  check_bool
+    (Printf.sprintf "decode_request allocated %.2fx the trace, budget 1.5x"
+       decode_ratio)
+    true (decode_ratio < 1.5)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* A checked-in file under test/frames, found from the test directory
+   (dune test) or from the repository root (dune exec). *)
+let frame_file name =
+  let here = Filename.concat "frames" name in
+  if Sys.file_exists here then here else Filename.concat "test/frames" name
+
+let checked_in_digest = "1fdc6d4bf0a0ca218d41b15b897f852c"
+
+let checked_in_request =
+  P.Run_cell { program = "espresso"; allocator = "bsd"; scale = 0.002 }
+
+let flip s i =
+  let b = Bytes.of_string s in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x5A));
+  Bytes.to_string b
+
+let read_payload bytes =
+  match read_from_bytes bytes with
+  | Ok (Some p) -> p
+  | Ok None -> Alcotest.fail "unexpected EOF"
+  | Error e -> Alcotest.failf "read_frame: %s" e
+
+(* test/frames/request.frame and response.frame were written by the
+   byte-at-a-time CRC and the copying decoder: a Run_cell request and
+   the Cell_ok reply carrying test/frames/cell.art's payload, both with
+   id "00c0ffee".  They read back field for field, re-encode byte for
+   byte, and a flipped byte is refused with the message it always had;
+   a truncated payload in a sound frame, decoded in place, reports the
+   offsets a copy of the payload would. *)
+let test_frame_checked_in () =
+  let reqf = read_file (frame_file "request.frame") in
+  let respf = read_file (frame_file "response.frame") in
+  let cell = read_file (frame_file "cell.art") in
+  let artifact = String.sub cell 16 (String.length cell - 24) in
+  let p = read_payload reqf in
+  check_bool "request decodes in place" true
+    (P.decode_request ~off:p.off ~len:p.len p.frame
+    = Ok (checked_in_request, "00c0ffee"));
+  check_string "request re-encodes byte for byte" reqf
+    (framed (P.encode_request ~id:"00c0ffee" checked_in_request));
+  let p = read_payload respf in
+  let reply = P.Cell_ok { digest = checked_in_digest; artifact } in
+  check_bool "response decodes in place" true
+    (P.decode_response ~off:p.off ~len:p.len p.frame = Ok (reply, "00c0ffee"));
+  check_string "response re-encodes byte for byte" respf
+    (framed (P.encode_response ~id:"00c0ffee" reply));
+  List.iter
+    (fun (what, bytes, off, reason) ->
+      check_bool
+        (Printf.sprintf "%s byte %d flipped" what off)
+        true
+        (read_from_bytes (flip bytes off) = Error reason))
+    [ ("request", reqf, 0, "bad frame magic (not a loclab serve stream)");
+      ("request", reqf, 9, "connection closed mid-frame");
+      ("request", reqf, 20, "CRC mismatch (stored 0x6d06ce4e, computed 0x28f01ce)");
+      ( "request", reqf, 90,
+        "CRC mismatch (stored 0x5a0000006d06ce4e, computed 0x6d06ce4e)" );
+      ("response", respf, 40, "CRC mismatch (stored 0xe8830b38, computed 0x1326645e)");
+      ( "response", respf, 2434,
+        "CRC mismatch (stored 0xe8830b38, computed 0x633db3d2)" ) ];
+  let malformed = function Error (P.Malformed m) -> m | _ -> "not malformed" in
+  let cut frame n = read_payload (framed (String.sub (payload_string frame) 0 n)) in
+  let req = read_payload reqf and resp = read_payload respf in
+  let p = cut req 10 in
+  check_string "request cut to 10 bytes"
+    "truncated payload: need 8 bytes at offset 8 of 10"
+    (malformed (P.decode_request ~off:p.off ~len:p.len p.frame));
+  let p = cut req 64 in
+  check_string "request cut to 64 bytes"
+    "truncated payload: need 8 bytes at offset 59 of 64"
+    (malformed (P.decode_request ~off:p.off ~len:p.len p.frame));
+  let p = cut resp 2319 in
+  check_string "response cut to 2319 bytes"
+    "truncated payload: need 2339 bytes at offset 80 of 2319"
+    (malformed (P.decode_response ~off:p.off ~len:p.len p.frame))
 
 (* ------------------------------------------------------------------ *)
 (* In-process server/client integration                               *)
@@ -424,8 +525,8 @@ let raw_connect sock =
 (* One reply read off a raw connection: its message and id. *)
 let read_reply fd =
   match P.read_frame fd with
-  | Ok (Some payload) -> (
-      match P.decode_response payload with
+  | Ok (Some { frame; off; len }) -> (
+      match P.decode_response ~off ~len frame with
       | Ok reply -> reply
       | Error e ->
           Alcotest.failf "undecodable reply: %s" (P.decode_error_to_string e))
@@ -503,8 +604,8 @@ let test_integration_lifecycle () =
       Binio.Writer.int w 0;
       P.write_frame fd (Binio.Writer.contents w);
       (match P.read_frame fd with
-      | Ok (Some payload) -> (
-          match P.decode_response payload with
+      | Ok (Some { frame; off; len }) -> (
+          match P.decode_response ~off ~len frame with
           | Ok (P.Error { code = P.Unsupported_version; _ }, _) -> ()
           | _ -> Alcotest.fail "expected Unsupported_version reply")
       | _ -> Alcotest.fail "no reply to future-version request");
@@ -514,8 +615,8 @@ let test_integration_lifecycle () =
       in
       check_int "garbage written" 39 n;
       (match P.read_frame fd with
-      | Ok (Some payload) -> (
-          match P.decode_response payload with
+      | Ok (Some { frame; off; len }) -> (
+          match P.decode_response ~off ~len frame with
           | Ok (P.Error { code = P.Bad_request; _ }, _) -> ()
           | _ -> Alcotest.fail "expected Bad_request reply")
       | _ -> Alcotest.fail "no reply to garbage");
@@ -1238,12 +1339,29 @@ let test_access_log_and_stages () =
 
 let task_count () = Array.length (Sys.readdir "/proc/self/task")
 
+(* The task count once it has held still for longer than a relay
+   helper's idle retirement (0.2 s, Exec.Relay): helper domains left
+   idle by earlier cases retire (with their threads) within that
+   window, so a count taken after it does not drop under a case's
+   feet.  Gives up holding out after 10 s. *)
+let settled_task_count () =
+  let hold = 0.5 and deadline = Unix.gettimeofday () +. 10. in
+  let rec watch n since =
+    Thread.delay 0.01;
+    let n' = task_count () and t = Unix.gettimeofday () in
+    if t > deadline then n'
+    else if n' <> n then watch n' t
+    else if t -. since >= hold then n
+    else watch n since
+  in
+  watch (task_count ()) (Unix.gettimeofday ())
+
 (* A peer that closes with our reply unread resets the connection: the
    server's next read fails with ECONNRESET.  That must end the
    connection quietly and release its thread. *)
 let test_reset_releases_thread () =
   with_server (fun ~sock ~store:_ server ->
-      let before = task_count () in
+      let before = settled_task_count () in
       for _ = 1 to 20 do
         let fd = raw_connect sock in
         P.write_frame fd (P.encode_request P.Health);
@@ -1370,6 +1488,39 @@ let test_shutdown_drains_cold_cell () =
 
 (* ------------------------------------------------------------------ *)
 (* Client receive timeout                                             *)
+(* The checked-in request, sent raw to a server whose store holds the
+   checked-in cell, is answered warm with the checked-in reply frame,
+   byte for byte; the same request with one byte flipped gets a typed
+   Bad_request carrying read_frame's message. *)
+let test_checked_in_request_answered () =
+  with_server (fun ~sock ~store _server ->
+      Out_channel.with_open_bin
+        (Filename.concat (Store.root store) (checked_in_digest ^ ".art"))
+        (fun oc -> output_string oc (read_file (frame_file "cell.art")));
+      let reqf = read_file (frame_file "request.frame") in
+      let fd = raw_connect sock in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          P.write_all fd reqf 0 (String.length reqf);
+          match P.read_frame fd with
+          | Ok (Some p) ->
+              check_string "reply frame byte for byte"
+                (read_file (frame_file "response.frame")) p.frame
+          | Ok None -> Alcotest.fail "EOF before the reply"
+          | Error e -> Alcotest.failf "torn reply: %s" e);
+      let fd = raw_connect sock in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let bad = flip reqf 20 in
+          P.write_all fd bad 0 (String.length bad);
+          match read_reply fd with
+          | P.Error { code = P.Bad_request; message }, _ ->
+              check_string "Bad_request message"
+                "CRC mismatch (stored 0x6d06ce4e, computed 0x28f01ce)" message
+          | _ -> Alcotest.fail "expected a Bad_request reply"))
+
 (* ------------------------------------------------------------------ *)
 
 let test_client_receive_timeout () =
@@ -1462,6 +1613,7 @@ let () =
           tc "bad magic" test_frame_bad_magic;
           tc "one copy of the frame, one of the payload"
             test_frame_read_allocation;
+          tc "checked-in frames read back" test_frame_checked_in;
         ] );
       ( "server",
         [
@@ -1469,6 +1621,8 @@ let () =
           tc "ingest: cold, warm, typed errors" test_integration_ingest;
           tc "shutdown unlinks the socket" test_shutdown_removes_socket;
           tc "stale socket swept, live refused" test_stale_socket_replaced_live_refused;
+          tc "checked-in request answered byte for byte"
+            test_checked_in_request_answered;
         ] );
       ( "tracing",
         [

@@ -88,6 +88,67 @@ let test_crc32_vector () =
   check_int "crc32(123456789)" 0xCBF43926 (Binio.crc32 "123456789");
   check_int "crc32 of empty" 0 (Binio.crc32 "")
 
+(* The byte-at-a-time definition slicing-by-8 must reproduce. *)
+let crc_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let reference_crc32 s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch -> c := crc_table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
+    s;
+  !c lxor 0xFFFFFFFF
+
+let random_bytes st n = String.init n (fun _ -> Char.chr (Random.State.int st 256))
+
+(* Every length 0-64 and every substring of a 72-byte string (each
+   alignment and each tail length of the eight-byte steps), then random
+   strings up to 64 KiB, whole and at random [?off]/[?len]. *)
+let test_crc32_matches_reference () =
+  let st = Random.State.make [| 36 |] in
+  let s = random_bytes st 72 in
+  for len = 0 to 64 do
+    let prefix = String.sub s 0 len in
+    check_int (Printf.sprintf "length %d" len) (reference_crc32 prefix)
+      (Binio.crc32 prefix)
+  done;
+  for off = 0 to String.length s do
+    for len = 0 to String.length s - off do
+      let expected = reference_crc32 (String.sub s off len) in
+      if Binio.crc32 ~off ~len s <> expected then
+        Alcotest.failf "crc32 ~off:%d ~len:%d differs from the reference" off len
+    done;
+    check_int (Printf.sprintf "from %d to the end" off)
+      (reference_crc32 (String.sub s off (String.length s - off)))
+      (Binio.crc32 ~off s)
+  done;
+  for _ = 1 to 40 do
+    let n = Random.State.int st (64 * 1024 + 1) in
+    let s = random_bytes st n in
+    check_int (Printf.sprintf "%d random bytes" n) (reference_crc32 s)
+      (Binio.crc32 s);
+    let off = Random.State.int st (n + 1) in
+    let len = Random.State.int st (n - off + 1) in
+    check_int
+      (Printf.sprintf "%d of %d random bytes at %d" len n off)
+      (reference_crc32 (String.sub s off len))
+      (Binio.crc32 ~off ~len s)
+  done;
+  List.iter
+    (fun (off, len) ->
+      check_bool
+        (Printf.sprintf "~off:%d ~len:%d of 8 bytes refused" off len)
+        true
+        (match Binio.crc32 ~off ~len "12345678" with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ (-1, 2); (0, 9); (8, 1); (3, -1); (max_int, 1) ]
+
 let prop_codec_roundtrip =
   QCheck.Test.make ~count:200 ~name:"codec field-sequence round-trip"
     QCheck.(
@@ -292,6 +353,38 @@ let test_digest_sensitivity () =
       ("scale", Core.Artifact.digest ~program:"p" ~allocator:"a" ~scale:0.25 ~seed:7);
       ("seed", Core.Artifact.digest ~program:"p" ~allocator:"a" ~scale:0.5 ~seed:8) ]
 
+(* Content addresses are forever: a store filled by any earlier build
+   must still be found.  These keys and digests were computed with the
+   Printf-built keys ("loclab-cell|%s|%s|%h|%d|%d",
+   "loclab-derived|%s|%h|%d|%s") the digests used to be made from. *)
+let test_digests_pinned () =
+  List.iter
+    (fun (program, allocator, scale, seed, hex) ->
+      check_string
+        (Printf.sprintf "cell %S %S %h %d" program allocator scale seed)
+        hex
+        (Core.Artifact.digest ~program ~allocator ~scale ~seed))
+    [ ("espresso", "bsd", 0.25, 1, "5b2984f7074089ab760891a11561358f");
+      ("gs-large", "quickfit", 0.002, 42, "909c8cf761497a93a992bb0914a0ec03");
+      ("trace:0123", "custom", 0.1, -7, "5a0e66464b064b5b68cedd466242100f");
+      ("", "", -0., 0, "d2de38f74ced111ec7ab7ffd13007b76");
+      ("x", "y", 1e-310, max_int, "3ddf268bcecf096f6efc69b1232d4ccc") ];
+  List.iter
+    (fun (id, scale, inputs, hex) ->
+      check_string
+        (Printf.sprintf "derived %S %h %S" id scale inputs)
+        hex
+        (Core.Derived.digest_of_meta
+           { Core.Derived.id; scale; schema_version = 2; inputs }))
+    [ ("tabcpu", 0.25, "espresso,gs-large|bsd,quickfit",
+       "2b877313da084a814c067bbdb6eb4fea");
+      ("abl-flush", 0.002, "", "4ca0e49e3bf1371ffeb60ad7f4db1e87");
+      ("abl-lifetime", 3.0, "a|b|c", "f10577c9416ccd80be481f341647188d") ];
+  check_int "artifact schema the cell pins were taken at" 5
+    Core.Artifact.schema_version;
+  check_int "derived schema the derived pins were taken at" 2
+    Core.Derived.schema_version
+
 (* ------------------------------------------------------------------ *)
 (* Store                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -356,6 +449,52 @@ let test_store_overwrite_and_ls () =
   check_bool "overwrite wins" true
     (Store.find store ~digest:"aa" = Store.Hit "two");
   Alcotest.(check (list string)) "ls sorted" [ "aa"; "bb" ] (Store.ls store)
+
+(* test/frames/cell.art is a store cell (espresso/bsd at scale 0.002)
+   as the byte-at-a-time CRC and the channel reader's store wrote it:
+   it must be found, verified and re-written byte for byte, and a
+   flipped byte must be reported as it always was. *)
+(* A checked-in file under test/frames, found from the test directory
+   (dune test) or from the repository root (dune exec). *)
+let frame_file name =
+  let here = Filename.concat "frames" name in
+  if Sys.file_exists here then here else Filename.concat "test/frames" name
+
+let checked_in_digest = "1fdc6d4bf0a0ca218d41b15b897f852c"
+
+let test_store_reads_checked_in_cell () =
+  let cell = read_file (frame_file "cell.art") in
+  let root = fresh_dir () in
+  let store = Store.open_ root in
+  let file = Filename.concat root (checked_in_digest ^ ".art") in
+  write_file file cell;
+  let payload =
+    match Store.find store ~digest:checked_in_digest with
+    | Store.Hit p -> p
+    | Store.Miss -> Alcotest.fail "checked-in cell missed"
+    | Store.Corrupt r -> Alcotest.failf "checked-in cell corrupt: %s" r
+  in
+  check_string "the payload is the frame's middle"
+    (String.sub cell 16 (String.length cell - 24))
+    payload;
+  let again = Store.open_ (fresh_dir ()) in
+  Store.put again ~digest:checked_in_digest payload;
+  check_string "re-written byte for byte" cell
+    (read_file (Filename.concat (Store.root again) (checked_in_digest ^ ".art")));
+  check_int "its CRC trailer" 0x930c616b (Binio.crc32 payload);
+  let warns = !warn_count in
+  List.iter
+    (fun (off, reason) ->
+      flip_byte file off;
+      (match Store.find store ~digest:checked_in_digest with
+      | Store.Corrupt r -> check_string (Printf.sprintf "byte %d flipped" off) reason r
+      | _ -> Alcotest.failf "byte %d flipped: not reported corrupt" off);
+      write_file file cell)
+    [ (0, "bad magic (not a loclab artifact, or an incompatible frame)");
+      (9, "bad frame length 21283 for a 2363-byte file");
+      (100, "CRC mismatch (stored 0x930c616b, computed 0xf60a8a8d)");
+      (2362, "CRC mismatch (stored 0x5a000000930c616b, computed 0x930c616b)") ];
+  check_int "each corruption logged" (warns + 4) !warn_count
 
 let test_store_verify_and_gc () =
   let store = Store.open_ (fresh_dir ()) in
@@ -686,6 +825,8 @@ let () =
               qt prop_codec_roundtrip;
               qt prop_codec_float_bits;
               tc "truncation raises" test_codec_truncation_raises;
+              tc "crc32 equals the byte-at-a-time reference"
+                test_crc32_matches_reference;
             ] );
           ( "artifact",
             [
@@ -696,6 +837,7 @@ let () =
                 test_artifact_rejects_trailing_garbage;
               tc "rejects foreign schema" test_artifact_rejects_foreign_schema;
               tc "digest sensitivity" test_digest_sensitivity;
+              tc "digests pinned" test_digests_pinned;
             ] );
           ( "store",
             [
@@ -706,6 +848,7 @@ let () =
               tc "garbage file detected" test_store_detects_garbage_file;
               tc "overwrite and ls" test_store_overwrite_and_ls;
               tc "verify and gc" test_store_verify_and_gc;
+              tc "checked-in cell reads back" test_store_reads_checked_in_cell;
             ] );
           ( "grid",
             [
