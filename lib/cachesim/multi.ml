@@ -34,6 +34,7 @@ let create configs =
   { slots = Array.of_list (List.map slot configs); forests }
 
 let sink t = Forest.sink_families t.forests
+let reset t = Array.iter Forest.reset t.forests
 
 let results t =
   Array.to_list t.slots

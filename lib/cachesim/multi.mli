@@ -22,4 +22,10 @@ val sink : t -> Memsim.Sink.t
 (** Forwards every event to every configuration. *)
 
 val results : t -> (Config.t * Stats.t) list
-(** Configuration and statistics per cache, in creation order. *)
+(** Configuration and statistics per cache, in creation order.  The
+    statistics are copies: later traffic, or a {!reset}, leaves them
+    as they were. *)
+
+val reset : t -> unit
+(** {!Forest.reset} on every family: the instance reports what a fresh
+    one would for the next trace, and keeps the storage it grew. *)

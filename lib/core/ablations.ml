@@ -71,17 +71,74 @@ let size_classes (ctx : Context.t) =
   ^ "\nExpected: BSD's crude rounding wastes the most space; measured\n\
      classes keep BSD-like speed with QuickFit-like fragmentation.\n"
 
-(* GS-Large's miss rate per allocator over named members of the cell's
-   sweep, each placed at [x]. *)
+(* The extension caches only GS-Large's associativity and block-size
+   ablations read are one derived cell, not members of every grid
+   cell's sweep: one relayed driver pass per allocator into a Multi of
+   the six, at the grid's scale.  Their direct-mapped points (16K-dm,
+   64K-dm) are the grid cell's. *)
+let sweep_program = "gs-large"
+
+let sweep_configs =
+  List.map
+    (fun a -> Cachesim.Config.make ~associativity:a (16 * 1024))
+    [ 2; 4; 8 ]
+  (* Block-size sweep at 64K for the hardware-prefetch discussion
+     (Smith's line-size trade-off); 32-byte blocks are "64K-dm". *)
+  @ List.map
+      (fun b ->
+        Cachesim.Config.make
+          ~name:(Printf.sprintf "64K-b%d" b)
+          ~block_bytes:b (64 * 1024))
+      [ 16; 64; 128 ]
+
+let sweep_rows (ctx : Context.t) =
+  let runs = ctx.Context.runs in
+  let scale = Runs.scale runs in
+  let allocators = List.map fst Context.with_custom in
+  Runs.derive runs ~id:"abl-sweep" ~scale
+    ~inputs:
+      (Derived.inputs
+         [ ("programs", [ Derived.program sweep_program ]);
+           ("allocators", allocators);
+           ("configs", List.map Derived.config sweep_configs) ])
+  @@ fun () ->
+  let profile = Workload.Programs.find sweep_program in
+  (* One Multi serves every pass, reset before each. *)
+  let multi = Cachesim.Multi.create sweep_configs in
+  List.map
+    (fun akey ->
+      Cachesim.Multi.reset multi;
+      let r =
+        Exec.Relay.with_sink (Cachesim.Multi.sink multi) @@ fun sink ->
+        Workload.Driver.run ~sink ~scale ~profile ~allocator:akey ()
+      in
+      Derived.row ~program:sweep_program ~variant:akey r
+        (List.map
+           (fun ((c : Cachesim.Config.t), s) -> (c.name, s))
+           (Cachesim.Multi.results multi)))
+    allocators
+
+(* GS-Large's miss rate per allocator at named caches, each placed at
+   [x]: a member of the grid cell's sweep, or else of [abl-sweep]. *)
 let gs_large_sweep (ctx : Context.t) ~title ~x_label members =
+  let rows = sweep_rows ctx in
   let series = Series.create ~title ~x_label ~y_label:"miss rate %" in
   List.iter
     (fun (akey, alabel) ->
-      let d = Runs.get ctx.Context.runs ~profile:"gs-large" ~allocator:akey in
+      let d = Runs.get ctx.Context.runs ~profile:sweep_program ~allocator:akey in
+      let row = Derived.find rows ~program:sweep_program ~variant:akey in
+      let stats name =
+        if
+          List.exists
+            (fun (c : Cachesim.Config.t) -> c.name = name)
+            Runs.standard_configs
+        then Artifact.cache_stats d ~name
+        else Derived.stats row name
+      in
       Series.add series ~name:alabel
         (List.map
            (fun (x, name) ->
-             (float_of_int x, 100. *. Artifact.miss_rate d ~cache:name))
+             (float_of_int x, Cachesim.Stats.miss_rate_pct (stats name)))
            members))
     Context.with_custom;
   Series.render series
@@ -193,10 +250,15 @@ let flush_rows (ctx : Context.t) =
   @@ fun () ->
   let profile = Workload.Programs.find flush_program in
   (* A cache flushed before every [quantum]th event (never for 0).  The
-     sink cannot affect the driver, so every quantum shares one pass. *)
+     sink cannot affect the driver, so every quantum shares one pass;
+     [restart] readies the cache and its count for the next pass. *)
   let flushing quantum =
     let cache = Cachesim.Forest.create [ flush_config ] in
     let until_flush = ref quantum in
+    let restart () =
+      Cachesim.Forest.reset cache;
+      until_flush := quantum
+    in
     let sink (b : Memsim.Event.Batch.t) =
       for i = 0 to b.Memsim.Event.Batch.len - 1 do
         if quantum > 0 then begin
@@ -213,19 +275,21 @@ let flush_rows (ctx : Context.t) =
           ~size:(meta lsr 3)
       done
     in
-    (quantum_name quantum, cache, sink)
+    (quantum_name quantum, cache, restart, sink)
   in
+  (* One cache per quantum serves every pass. *)
+  let caches = List.map flushing flush_quanta in
   List.map
     (fun akey ->
-      let caches = List.map flushing flush_quanta in
+      List.iter (fun (_, _, restart, _) -> restart ()) caches;
       let r =
         Exec.Relay.with_sink
-          (Memsim.Sink.fanout (List.map (fun (_, _, s) -> s) caches))
+          (Memsim.Sink.fanout (List.map (fun (_, _, _, s) -> s) caches))
         @@ fun sink -> Workload.Driver.run ~sink ~scale ~profile ~allocator:akey ()
       in
       Derived.row ~program:flush_program ~variant:akey r
         (List.map
-           (fun (name, c, _) -> (name, Cachesim.Forest.member_stats c 0))
+           (fun (name, c, _, _) -> (name, Cachesim.Forest.member_stats c 0))
            caches))
     allocators
 
@@ -282,10 +346,12 @@ let lifetime_rows (ctx : Context.t) =
              ("variants", [ "predictive"; "custom" ]);
              ("configs", List.map Derived.config lifetime_configs) ])
     @@ fun () ->
+    (* One Multi serves every pass, reset before each. *)
+    let multi = Cachesim.Multi.create lifetime_configs in
     List.concat_map
       (fun (pkey, _) ->
         let profile = Workload.Programs.find pkey in
-        let row ?arena_pages variant r multi =
+        let row ?arena_pages variant r =
           Derived.row ~program:pkey ~variant ?arena_pages r
             (List.map
                (fun ((c : Cachesim.Config.t), s) -> (c.name, s))
@@ -296,19 +362,19 @@ let lifetime_rows (ctx : Context.t) =
         let heap = Allocators.Heap.create () in
         let p = Allocators.Predictive.create ~predictions heap in
         let alloc = Allocators.Predictive.allocator p in
-        let multi = Cachesim.Multi.create lifetime_configs in
+        Cachesim.Multi.reset multi;
         let r =
           Exec.Relay.with_sink (Cachesim.Multi.sink multi) @@ fun sink ->
           Workload.Driver.run_with ~sink ~scale ~profile ~heap ~alloc ()
         in
         let arena_pages = Allocators.Predictive.arena_pages p in
-        let predictive = row "predictive" ~arena_pages r multi in
-        let multi = Cachesim.Multi.create lifetime_configs in
+        let predictive = row "predictive" ~arena_pages r in
+        Cachesim.Multi.reset multi;
         let r =
           Exec.Relay.with_sink (Cachesim.Multi.sink multi) @@ fun sink ->
           Workload.Driver.run ~sink ~scale ~profile ~allocator:"custom" ()
         in
-        [ predictive; row "custom" r multi ])
+        [ predictive; row "custom" r ])
       lifetime_programs
   in
   List.map

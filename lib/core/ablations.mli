@@ -16,6 +16,18 @@ val associativity : Context.t -> string
 (** 16 K cache at 1/2/4/8 ways per allocator (GS-Large): how much of
     each allocator's miss rate is conflict misses. *)
 
+val sweep_configs : Cachesim.Config.t list
+(** The six extension caches {!associativity} and {!block_size} read
+    beside the grid cell's [16K-dm] and [64K-dm]: 16 K at 2, 4 and 8
+    ways, and 64 K with 16-, 64- and 128-byte blocks ([64K-b16],
+    [64K-b64], [64K-b128]). *)
+
+val sweep_rows : Context.t -> Derived.row list
+(** The [abl-sweep] derived cell {!associativity} and {!block_size}
+    share: one GS-Large driver pass per {!Context.with_custom}
+    allocator, at the grid's scale, into one {!Cachesim.Multi} of
+    {!sweep_configs}; each row's statistics are named by config. *)
+
 val two_level : Context.t -> string
 (** 16 K L1 + 256 K L2 with a 100-cycle L2 penalty (the Jouppi /
     Mogul-Borg future-machine scenario of §1.1): does GNU local's

@@ -1,7 +1,10 @@
 (* Schema 5: a cell no longer stores the paper's two-level hierarchy;
    both levels are read off the sweep's 16K-dm and 256K-dm members
-   ({!paper_hierarchy}), so the body lost its hierarchy list. *)
-let schema_version = 5
+   ({!paper_hierarchy}), so the body lost its hierarchy list.
+   Schema 6: the sweep is the paper's five direct-mapped caches; the
+   16K 2/4/8-way and 64K 16/64/128-byte-block members moved to the
+   [abl-sweep] derived cell. *)
+let schema_version = 6
 
 type meta = {
   program : string;

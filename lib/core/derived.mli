@@ -1,8 +1,10 @@
 (** Derived cells: the integer rows behind the off-grid experiments.
 
-    [tabcpu], [abl-flush] and [abl-lifetime] need driver passes the grid
-    does not run; a row the grid holds is read off its cell
-    ({!of_artifact}).  A derived cell stores what those passes observed
+    [tabcpu], [abl-flush], [abl-lifetime] and [abl-sweep] (the
+    associativity and block-size extensions of [abl-assoc] and
+    [abl-blocksize]) need driver passes the grid does not run; a row
+    the grid holds is read off its cell ({!of_artifact}).  A derived
+    cell stores what those passes observed
     — one {!row} per (program, variant) driver pass, never rendered
     text — so the renderers in {!Tables} and {!Ablations} are pure
     functions of it, and a warm store answers them without simulating.

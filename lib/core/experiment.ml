@@ -126,7 +126,7 @@ let all =
     { id = "abl-assoc";
       title = "Cache associativity ablation";
       paper_ref = "section 2.2 discussion";
-      cells = gs_large_custom;
+      cells = gs_large_custom;  (* plus the abl-sweep derived cell *)
       render = Ablations.associativity };
     { id = "abl-l2";
       title = "Two-level hierarchy extension";
@@ -136,7 +136,7 @@ let all =
     { id = "abl-blocksize";
       title = "Cache block-size / prefetch extension";
       paper_ref = "section 4.2 discussion";
-      cells = gs_large_custom;
+      cells = gs_large_custom;  (* plus the abl-sweep derived cell *)
       render = Ablations.block_size };
     { id = "abl-seqfam";
       title = "Sequential-fit family extension";

@@ -197,19 +197,10 @@ type t = {
   derived : (string, Derived.t) space;
 }
 
-let standard_configs =
-  Cachesim.Config.paper_direct_mapped
-  @ List.map
-      (fun a -> Cachesim.Config.make ~associativity:a (16 * 1024))
-      [ 2; 4; 8 ]
-  (* Block-size sweep at 64K for the hardware-prefetch discussion
-     (Smith's line-size trade-off); 32-byte blocks are "64K-dm". *)
-  @ List.map
-      (fun b ->
-        Cachesim.Config.make
-          ~name:(Printf.sprintf "64K-b%d" b)
-          ~block_bytes:b (64 * 1024))
-      [ 16; 64; 128 ]
+(* The paper's TYCHO sweep and nothing else: every grid table reads
+   these five.  The associativity and block-size extensions are
+   {!Ablations}' own derived cell. *)
+let standard_configs = Cachesim.Config.paper_direct_mapped
 
 let create ?(scale = 0.2) ?(jobs = 1) ?store () =
   (* Not an assert: -noassert builds must still reject a zero-step
@@ -259,10 +250,9 @@ type observed = {
    is read off the sweep, {!Artifact.paper_hierarchy}) and the stream
    checksum.  [source] delivers the whole stream to the sink it is
    given — a driver run, or a decode of a capture — and its result
-   comes back beside what the consumers observed.  The sweep is nearly
-   all of a cell's time, so it is the consumer that goes to an idle
-   core ({!Exec.Relay}); the page simulator and the checksum stay on
-   the caller beside the source. *)
+   comes back beside what the consumers observed.  The sweep is the
+   consumer that goes to an idle core ({!Exec.Relay}); the page
+   simulator and the checksum stay on the caller beside the source. *)
 let simulate source =
   let multi = Cachesim.Multi.create standard_configs in
   let pages = Vmsim.Page_sim.create () in

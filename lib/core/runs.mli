@@ -3,11 +3,12 @@
     derived cells of the experiments that simulate off the grid.
 
     Each run drives the profile against the allocator once, feeding the
-    fused trace to three consumers: one {!Cachesim.Multi} over the LRU
-    sweep — the paper's direct-mapped sizes (16K–256K), an
-    associativity set at 16 K (2/4/8-way) and a block-size sweep at
-    64 K, one {!Cachesim.Forest} family per block size — the
-    page-fault simulator and the trace checksum.  An ingested trace
+    fused trace to three consumers: one {!Cachesim.Multi} over the
+    paper's direct-mapped sweep ({!standard_configs}: 16K–256K, 32-byte
+    blocks), the page-fault simulator and the trace checksum.  The
+    associativity and block-size extensions, which only GS-Large's
+    ablations read, are not in the cell: they are [abl-sweep], a
+    derived cell of {!Ablations}.  An ingested trace
     feeds the same consumers from a decode of its capture instead of a
     driver run.  The paper's two-level hierarchy (16 K L1 / 256 K L2) is
     not simulated: it is read off the sweep's [16K-dm] and [256K-dm]
@@ -16,7 +17,8 @@
     optional persistent {!Store.t} both hold artifacts, so regenerating
     all tables and figures costs one pass per pair — or zero passes
     from a warm store.  The off-grid experiments ([tabcpu], [abl-flush],
-    [abl-lifetime]) store their simulated rows as {!Derived.t} cells
+    [abl-lifetime], and [abl-assoc]/[abl-blocksize]'s shared
+    [abl-sweep]) store their simulated rows as {!Derived.t} cells
     ({!derive}), so a warm store renders everything without simulating.
 
     Every value, grid cell, ingested trace or derived cell, resolves
@@ -178,8 +180,8 @@ val read : Store.t -> digest:string -> (string * Artifact.t) option
     rejected payload is logged. *)
 
 val standard_configs : Cachesim.Config.t list
-(** The LRU sweep simulated per run: the paper's direct-mapped sizes
-    plus the associativity and block-size sets. *)
+(** The cache sweep simulated per run:
+    {!Cachesim.Config.paper_direct_mapped}, in its order. *)
 
 val build_allocator :
   profile_key:string -> allocator:string -> Allocators.Heap.t ->

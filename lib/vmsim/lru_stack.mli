@@ -9,15 +9,21 @@
     referenced since the previous access to the same key, plus one (its
     LRU-stack position).  An access hits in an LRU memory of [m] slots
     iff its stack distance is at most [m].  First-ever accesses are
-    cold. *)
+    cold.
+
+    The stack has two tiers.  The 32 most recent keys sit in a
+    move-to-front array, where a hit is a short scan.  Older keys are
+    numbered in the order they left that array, which is recency
+    order, in a Fenwick-indexed time index, so a hit there costs one
+    prefix query. *)
 
 type t
 
 val create : ?initial_capacity:int -> unit -> t
-(** [initial_capacity] (default 1024, at least 2) sizes the internal
-    time index.  When the index fills up, compaction renumbers it and
-    grows it to four times the number of distinct keys, so it stays
-    sized to the footprint whatever the start. *)
+(** [initial_capacity] (default 1024, at least 2) sizes the time index
+    of the older keys.  When the index fills up, compaction renumbers
+    it and grows it to four times the number of older keys, so it
+    stays sized to the footprint whatever the start. *)
 
 val access : t -> int -> int
 (** [access t key] records a reference to [key] and returns its stack

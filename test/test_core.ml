@@ -170,6 +170,19 @@ let test_runs_cache_stats_unknown () =
             (contains_substring ~needle:cfg.name msg))
         Core.Runs.standard_configs
 
+(* A grid cell simulates the paper's direct-mapped sweep and nothing
+   else, in its order. *)
+let test_runs_cell_sweep_is_paper () =
+  let d = Core.Runs.get ctx.Core.Context.runs ~profile:"gs-large" ~allocator:"bsd" in
+  Alcotest.(check (list string))
+    "cache names, in order"
+    (List.map
+       (fun (c : Cachesim.Config.t) -> c.name)
+       Cachesim.Config.paper_direct_mapped)
+    (List.map (fun ((c : Cachesim.Config.t), _) -> c.name) d.Core.Artifact.caches);
+  check_bool "configurations" true
+    (List.map fst d.Core.Artifact.caches = Cachesim.Config.paper_direct_mapped)
+
 let test_runs_custom_trained () =
   (* "custom" must build per-profile (trained on the histogram). *)
   let d = Core.Runs.get ctx.Core.Context.runs ~profile:"espresso" ~allocator:"custom" in
@@ -452,6 +465,52 @@ let test_flush_rows_match_independent_runs () =
         quanta)
     rows
 
+(* abl-sweep drives the six extension caches alone; each row must equal
+   the same six simulated beside the paper's sweep, in one 11-cache
+   Multi over the same driver stream (the set every grid cell carried
+   before the six left it). *)
+let test_sweep_rows_match_eleven_cache_multi () =
+  let stats_testable =
+    Alcotest.testable Cachesim.Stats.pp (fun (a : Cachesim.Stats.t) b -> a = b)
+  in
+  let profile = Workload.Programs.find "gs-large" in
+  let six = Core.Ablations.sweep_configs in
+  let name (c : Cachesim.Config.t) = c.name in
+  Alcotest.(check (list string))
+    "the six extension caches"
+    [ "16K-2way"; "16K-4way"; "16K-8way"; "64K-b16"; "64K-b64"; "64K-b128" ]
+    (List.map name six);
+  let rows = Core.Ablations.sweep_rows ctx in
+  Alcotest.(check (list string))
+    "one row per allocator"
+    (List.map fst Core.Context.with_custom)
+    (List.map (fun (row : Core.Derived.row) -> row.variant) rows);
+  List.iter
+    (fun (row : Core.Derived.row) ->
+      let multi =
+        Cachesim.Multi.create (Cachesim.Config.paper_direct_mapped @ six)
+      in
+      let r =
+        Workload.Driver.run ~sink:(Cachesim.Multi.sink multi) ~scale:0.02
+          ~profile ~allocator:row.variant ()
+      in
+      check_int (row.variant ^ " instructions") r.Workload.Driver.instructions
+        row.instructions;
+      check_int (row.variant ^ " heap") r.Workload.Driver.heap_used
+        row.heap_used;
+      Alcotest.(check (list string))
+        (row.variant ^ " consumers")
+        (List.map name six) (List.map fst row.stats);
+      List.iter
+        (fun ((c : Cachesim.Config.t), stats) ->
+          if List.mem c six then
+            Alcotest.check stats_testable
+              (row.variant ^ " " ^ c.name)
+              stats
+              (Core.Derived.stats row c.name))
+        (Cachesim.Multi.results multi))
+    rows
+
 let test_tabcpu_one_hierarchy () =
   (* tabcpu's six allocator passes share one CPU hierarchy, reset
      between passes.  A level's tags grow with its fullest set, so at
@@ -707,6 +766,7 @@ let () =
           tc "custom trained" test_runs_custom_trained;
           tc "driver custom is the grid's custom"
             test_driver_custom_is_grid_custom;
+          tc "cell sweep is the paper's" test_runs_cell_sweep_is_paper;
         ] );
       ( "ingest",
         [
@@ -736,6 +796,8 @@ let () =
           tc "flush rows equal independent per-quantum runs"
             test_flush_rows_match_independent_runs;
           tc "tabcpu allocates one hierarchy" test_tabcpu_one_hierarchy;
+          tc "abl-sweep rows equal an 11-cache multi"
+            test_sweep_rows_match_eleven_cache_multi;
         ] );
       ( "cells",
         List.map

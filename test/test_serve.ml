@@ -482,8 +482,27 @@ let fresh_paths () =
   ( Filename.concat (Filename.get_temp_dir_name ()) (tag ^ ".sock"),
     Filename.concat (Filename.get_temp_dir_name ()) (tag ^ "-store") )
 
-let with_server_jobs ~jobs ?access_log f =
+let rec remove_tree path =
+  match Sys.is_directory path with
+  | true ->
+      Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+      (try Sys.rmdir path with Sys_error _ -> ())
+  | false -> ( try Sys.remove path with Sys_error _ -> ())
+  | exception Sys_error _ -> ()
+
+(* A fresh socket path and store directory, both removed when [f]
+   returns or raises: the socket file if a server left it, and the
+   store with its derived/ sub-store. *)
+let with_paths f =
   let sock, store_dir = fresh_paths () in
+  Fun.protect
+    ~finally:(fun () ->
+      remove_tree sock;
+      remove_tree store_dir)
+    (fun () -> f sock store_dir)
+
+let with_server_jobs ~jobs ?access_log f =
+  with_paths @@ fun sock store_dir ->
   let store = Store.open_ store_dir in
   let server =
     Serve.Server.create ~jobs ~store ?access_log ~listen:(P.Unix_path sock) ()
@@ -1436,7 +1455,7 @@ let test_pipelined_in_order () =
 (* Shutdown during a cold cell drains: the reply is still written, the
    connection then closes, and run returns. *)
 let test_shutdown_drains_cold_cell () =
-  let sock, store_dir = fresh_paths () in
+  with_paths @@ fun sock store_dir ->
   let store = Store.open_ store_dir in
   let server = Serve.Server.create ~jobs:1 ~store ~listen:(P.Unix_path sock) () in
   let returned = Atomic.make false in
@@ -1488,6 +1507,12 @@ let test_shutdown_drains_cold_cell () =
 
 (* ------------------------------------------------------------------ *)
 (* Client receive timeout                                             *)
+(* test/frames/cell-schema6.art and response-schema6.frame are the
+   same cell and Cell_ok reply at artifact schema 6, whose digest
+   (part of the reply) is the one a schema-6 server looks the request
+   up under. *)
+let schema6_digest = "118707bcdda1f4d570f0754cd7ee219c"
+
 (* The checked-in request, sent raw to a server whose store holds the
    checked-in cell, is answered warm with the checked-in reply frame,
    byte for byte; the same request with one byte flipped gets a typed
@@ -1495,8 +1520,8 @@ let test_shutdown_drains_cold_cell () =
 let test_checked_in_request_answered () =
   with_server (fun ~sock ~store _server ->
       Out_channel.with_open_bin
-        (Filename.concat (Store.root store) (checked_in_digest ^ ".art"))
-        (fun oc -> output_string oc (read_file (frame_file "cell.art")));
+        (Filename.concat (Store.root store) (schema6_digest ^ ".art"))
+        (fun oc -> output_string oc (read_file (frame_file "cell-schema6.art")));
       let reqf = read_file (frame_file "request.frame") in
       let fd = raw_connect sock in
       Fun.protect
@@ -1506,7 +1531,7 @@ let test_checked_in_request_answered () =
           match P.read_frame fd with
           | Ok (Some p) ->
               check_string "reply frame byte for byte"
-                (read_file (frame_file "response.frame")) p.frame
+                (read_file (frame_file "response-schema6.frame")) p.frame
           | Ok None -> Alcotest.fail "EOF before the reply"
           | Error e -> Alcotest.failf "torn reply: %s" e);
       let fd = raw_connect sock in
@@ -1565,7 +1590,7 @@ let test_shutdown_removes_socket () =
   check_bool "socket file unlinked on drain" false (Sys.file_exists !sock_path)
 
 let test_stale_socket_replaced_live_refused () =
-  let sock, store_dir = fresh_paths () in
+  with_paths @@ fun sock store_dir ->
   (* A dead socket file (nothing listening) must be swept and rebound. *)
   let dead = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
   Unix.bind dead (Unix.ADDR_UNIX sock);

@@ -186,6 +186,76 @@ let prop_stack_miss_counts_match_naive =
           = Naive_lru.misses_at naive ~capacity:cap)
         [ 1; 2; 3; 5; 8; 13 ])
 
+(* The two tiers against the naive stack: footprints of 1-200 keys
+   (the 32-key top tier alone, or over a lower tier of up to 168),
+   scans over 32 and 33 keys (hits at distance exactly 32, the top
+   tier's last slot, and 33, the lower tier's newest key), and a time
+   index starting at two or 16 slots; every lower hit and every cold
+   key past the 32nd demotes one key, so the index fills and compacts
+   many times over. *)
+let two_tier_gen =
+  QCheck.Gen.(
+    let* initial_capacity = oneofl [ 2; 16 ] in
+    let* footprint = int_range 1 200 in
+    let random = list_size (int_range 1 300) (int_bound (footprint - 1)) in
+    let scan =
+      let* width = oneof [ oneofl [ 32; 33 ]; int_range 1 footprint ] in
+      let* base = int_bound (footprint - 1) in
+      let* rounds = int_range 2 4 in
+      return
+        (List.concat
+           (List.init rounds (fun _ ->
+                List.init width (fun i -> (base + i) mod footprint))))
+    in
+    let* segments = list_size (int_range 1 8) (oneof [ random; scan ]) in
+    return ((initial_capacity, footprint), List.concat segments))
+
+let prop_two_tiers_match_naive =
+  QCheck.Test.make ~name:"two tiers match naive LRU" ~count:300
+    (QCheck.make
+       ~print:
+         QCheck.Print.(
+           pair (pair int int) (fun ks -> string_of_int (List.length ks) ^ " keys"))
+       two_tier_gen)
+    (fun ((initial_capacity, _), keys) ->
+      let s = Lru_stack.create ~initial_capacity () in
+      let naive = Naive_lru.create () in
+      List.for_all
+        (fun key ->
+          Lru_stack.access s key
+          = Option.value ~default:0 (Naive_lru.access naive key))
+        keys
+      && Lru_stack.distinct s = List.length (List.sort_uniq Int.compare keys)
+      && List.for_all
+           (fun cap ->
+             Lru_stack.misses_at s ~capacity:cap
+             = Naive_lru.misses_at naive ~capacity:cap)
+           [ 1; 2; 31; 32; 33; 34; 64; 200 ])
+
+(* The tier boundary by hand: 32 keys then the first again is the top
+   tier's last slot; 33 keys then the first is the lower tier's newest
+   key; and a deep key's distance counts the keys above it in both
+   tiers. *)
+let test_stack_tier_boundary () =
+  let distance_after n =
+    let s = Lru_stack.create ~initial_capacity:2 () in
+    for k = 0 to n - 1 do
+      ignore (Lru_stack.access s k)
+    done;
+    Lru_stack.access s 0
+  in
+  check_int "32 keys: distance 32" 32 (distance_after 32);
+  check_int "33 keys: distance 33" 33 (distance_after 33);
+  check_int "100 keys: distance 100" 100 (distance_after 100);
+  let s = Lru_stack.create ~initial_capacity:2 () in
+  for k = 0 to 99 do
+    ignore (Lru_stack.access s k)
+  done;
+  (* Key 50 is 50 deep; bringing 10 back to the top pushes it to 51. *)
+  check_int "key 10 from the lower tier" 90 (Lru_stack.access s 10);
+  check_int "key 50 one deeper" 51 (Lru_stack.access s 50);
+  check_int "key 10 now in the top tier" 2 (Lru_stack.access s 10)
+
 let prop_stack_cold_equals_distinct =
   QCheck.Test.make ~name:"cold count equals distinct keys" ~count:200
     QCheck.(small_list (int_bound 50))
@@ -324,7 +394,9 @@ let () =
               prop_stack_matches_naive;
               prop_stack_miss_counts_match_naive;
               prop_stack_cold_equals_distinct;
-            ] );
+            ]
+        @ [ Alcotest.test_case "tier boundary" `Quick test_stack_tier_boundary ]
+        @ qsuite [ prop_two_tiers_match_naive ] );
       ( "page_sim",
         [
           Alcotest.test_case "basic" `Quick test_pagesim_basic;
