@@ -1,6 +1,6 @@
 (** Fenwick (binary indexed) tree over a fixed range of integer
-    positions, used by {!Lru_stack} to count distinct pages between two
-    accesses in O(log n). *)
+    positions, used by {!Lru_stack} to count, in O(log n), the older
+    keys more recent than a given one. *)
 
 type t
 
