@@ -142,26 +142,6 @@ let timed f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* Render one experiment and log (id, store-hit/simulated deltas of
-   grid and derived cells, elapsed) — the per-experiment progress line
-   for [all]/[report]. *)
-let render_with_progress ctx (e : Core.Experiment.t) =
-  let runs = ctx.Core.Context.runs in
-  let counts () =
-    Core.Runs.
-      (store_hits runs, simulated runs, derived_hits runs, derived_computed runs)
-  in
-  let h0, s0, dh0, dc0 = counts () in
-  let out, dt = timed (fun () -> Core.Experiment.run ctx e.Core.Experiment.id) in
-  let h, s, dh, dc = counts () in
-  Logs.info (fun m ->
-      m "%-13s %2d cells (+%d store, +%d simulated; derived +%d store, +%d \
-         computed)  %6.2fs"
-        e.Core.Experiment.id
-        (List.length e.Core.Experiment.cells)
-        (h - h0) (s - s0) (dh - dh0) (dc - dc0) dt);
-  out
-
 let grid_summary ctx =
   let runs = ctx.Core.Context.runs in
   Logs.info (fun m ->
@@ -170,6 +150,34 @@ let grid_summary ctx =
         (Core.Runs.store_hits runs) (Core.Runs.simulated runs)
         (Core.Runs.derived_hits runs)
         (Core.Runs.derived_computed runs))
+
+(* The one route of [run], [all] and [report]: fill every grid cell the
+   experiments read, in parallel up to --jobs, then render each one
+   from the memo.  The fill is logged once (cells from the store, cells
+   simulated); each render logs the derived cells it resolved, the only
+   cells left to it.  [all] and [report] head each experiment with its
+   id; [run] prints the bare renderings. *)
+let fill_and_render ctx ~headers ids =
+  let runs = ctx.Core.Context.runs in
+  let (), dt = timed (fun () -> Core.Experiment.warm ctx ids) in
+  Logs.info (fun m ->
+      m "fill: %d cells from store, %d simulated  %6.2fs"
+        (Core.Runs.store_hits runs) (Core.Runs.simulated runs) dt);
+  List.iter
+    (fun id ->
+      let dh0 = Core.Runs.derived_hits runs
+      and dc0 = Core.Runs.derived_computed runs in
+      let out, dt = timed (fun () -> Core.Experiment.run ctx id) in
+      Logs.info (fun m ->
+          m "%-13s derived +%d store, +%d computed  %6.2fs" id
+            (Core.Runs.derived_hits runs - dh0)
+            (Core.Runs.derived_computed runs - dc0)
+            dt);
+      if headers then
+        Printf.printf "================ %s ================\n%s\n" id out
+      else print_string (out ^ "\n\n"))
+    ids;
+  grid_summary ctx
 
 (* ---- list ---------------------------------------------------------- *)
 
@@ -223,15 +231,7 @@ let run_cmd =
     let ctx =
       make_ctx (resolve_options ?scale ?penalty ?jobs ?store_dir ?cpu ())
     in
-    (* Fill every needed grid cell in parallel before rendering; the
-       renderings below then only read the memo. *)
-    Core.Experiment.warm ctx ids;
-    List.iter
-      (fun id ->
-        print_endline (Core.Experiment.run ctx id);
-        print_newline ())
-      ids;
-    grid_summary ctx;
+    fill_and_render ctx ~headers:false ids;
     write_telemetry ~metrics_out ~trace_out
   in
   let doc = "Regenerate the given tables/figures." in
@@ -248,13 +248,7 @@ let all_cmd =
     let ctx =
       make_ctx (resolve_options ?scale ?penalty ?jobs ?store_dir ?cpu ())
     in
-    List.iter
-      (fun e ->
-        let out = render_with_progress ctx e in
-        Printf.printf "================ %s ================\n%s\n"
-          e.Core.Experiment.id out)
-      Core.Experiment.all;
-    grid_summary ctx;
+    fill_and_render ctx ~headers:true (Core.Experiment.ids ());
     write_telemetry ~metrics_out ~trace_out
   in
   let doc = "Regenerate every table and figure (shares one run grid)." in
@@ -296,18 +290,12 @@ let report_cmd =
         exit 1
     | missing ->
         (* A mostly-warm store with a few corrupt or missing cells
-           degrades to re-simulating just those (and healing the
-           store), never to a failed report. *)
+           degrades to re-simulating just those, in parallel up to
+           --jobs, and healing the store: never to a failed report. *)
         Logs.warn (fun m ->
             m "store %s: %d of %d grid cells missing or corrupt; \
                re-simulating them" dir (List.length missing) total));
-    List.iter
-      (fun e ->
-        let out = render_with_progress ctx e in
-        Printf.printf "================ %s ================\n%s\n"
-          e.Core.Experiment.id out)
-      Core.Experiment.all;
-    grid_summary ctx;
+    fill_and_render ctx ~headers:true (Core.Experiment.ids ());
     write_telemetry ~metrics_out ~trace_out
   in
   let doc =
@@ -748,78 +736,67 @@ let trace_cmd =
 
 (* ---- profile -------------------------------------------------------- *)
 
-(* One profiled cell: simulate (program, allocator) with every probe on
-   and feed the windowed time series.  Returns the driver result so the
-   caller can print a summary line. *)
-let profile_cell ~series ~scale ~window ~program ~allocator =
-  Telemetry.Span.with_span ~cat:"cell" (program ^ "/" ^ allocator) @@ fun () ->
-  let prof = Workload.Programs.find program in
-  let heap = Allocators.Heap.create () in
-  let alloc = Workload.Driver.build_allocator ~profile:prof ~allocator heap in
-  let multi = Cachesim.Multi.create Core.Runs.standard_configs in
-  let pages = Vmsim.Page_sim.create () in
-  let counter = Memsim.Sink.Counter.create () in
-  (* Per-window deltas need the previous cumulative readings; the
-     simulators' stats records are live and sampleable mid-run. *)
-  let prev_cache =
-    List.map (fun (cfg, _) -> (cfg.Cachesim.Config.name, ref 0, ref 0))
-      (Cachesim.Multi.results multi)
-  in
-  let prev_src = Hashtbl.create 3 in
+(* One profiled cell: the grid's own driver pass and consumer set
+   ({!Core.Runs.simulate_cell}), tapped by a window probe that appends
+   one CSV row per series to [rows] at each window's close.  Returns
+   the cell and the windows it closed. *)
+let profile_cell ~rows ~scale ~window ~program ~allocator =
   let add_row ~window ~events name value =
-    Telemetry.Probe.Series.add series
-      [ program;
-        allocator;
-        string_of_int window;
-        string_of_int events;
-        name;
-        value ]
+    Buffer.add_string rows
+      (Metrics.Export.csv_row
+         [ program; allocator; string_of_int window; string_of_int events;
+           name; value ]);
+    Buffer.add_char rows '\n'
   in
-  let sample ~window ~events =
-    List.iter2
-      (fun (cfg, (st : Cachesim.Stats.t)) (_, pa, pm) ->
-        let da = st.Cachesim.Stats.accesses - !pa
-        and dm = st.Cachesim.Stats.misses - !pm in
-        pa := st.Cachesim.Stats.accesses;
-        pm := st.Cachesim.Stats.misses;
-        let rate =
-          if da = 0 then 0. else 100. *. float_of_int dm /. float_of_int da
-        in
-        add_row ~window ~events
-          ("miss_rate:" ^ cfg.Cachesim.Config.name)
-          (Printf.sprintf "%.4f" rate))
-      (Cachesim.Multi.results multi)
-      prev_cache;
-    List.iter
-      (fun (key, src) ->
-        let now = Memsim.Sink.Counter.by_source counter src in
-        let before =
-          Option.value ~default:0 (Hashtbl.find_opt prev_src key)
-        in
-        Hashtbl.replace prev_src key now;
-        add_row ~window ~events ("refs:" ^ key) (string_of_int (now - before)))
-      [ ("app", Memsim.Event.App);
-        ("malloc", Memsim.Event.Malloc);
-        ("free", Memsim.Event.Free) ];
-    add_row ~window ~events "live_bytes"
-      (string_of_int
-         (Allocators.Allocator.stats alloc).Allocators.Alloc_stats.live_bytes);
-    add_row ~window ~events "footprint_bytes"
-      (string_of_int (Vmsim.Page_sim.footprint_bytes pages))
+  (* Per-window deltas need the previous cumulative readings. *)
+  let windows = ref None in
+  let tap ~caches ~footprint_bytes ~alloc =
+    let counter = Memsim.Sink.Counter.create () in
+    let prev_cache = List.map (fun _ -> (ref 0, ref 0)) (caches ()) in
+    let prev_src =
+      List.map
+        (fun (key, src) -> (key, src, ref 0))
+        [ ("app", Memsim.Event.App);
+          ("malloc", Memsim.Event.Malloc);
+          ("free", Memsim.Event.Free) ]
+    in
+    let sample ~window ~events =
+      List.iter2
+        (fun (cfg, (st : Cachesim.Stats.t)) (pa, pm) ->
+          let da = st.Cachesim.Stats.accesses - !pa
+          and dm = st.Cachesim.Stats.misses - !pm in
+          pa := st.Cachesim.Stats.accesses;
+          pm := st.Cachesim.Stats.misses;
+          let rate =
+            if da = 0 then 0. else 100. *. float_of_int dm /. float_of_int da
+          in
+          add_row ~window ~events
+            ("miss_rate:" ^ cfg.Cachesim.Config.name)
+            (Printf.sprintf "%.4f" rate))
+        (caches ()) prev_cache;
+      List.iter
+        (fun (key, src, before) ->
+          let now = Memsim.Sink.Counter.by_source counter src in
+          add_row ~window ~events ("refs:" ^ key)
+            (string_of_int (now - !before));
+          before := now)
+        prev_src;
+      add_row ~window ~events "live_bytes"
+        (string_of_int
+           (Allocators.Allocator.stats alloc).Allocators.Alloc_stats.live_bytes);
+      add_row ~window ~events "footprint_bytes"
+        (string_of_int (footprint_bytes ()))
+    in
+    let w = Telemetry.Probe.Windows.create ~every:window ~f:sample in
+    windows := Some w;
+    [ Memsim.Sink.Counter.sink counter; Telemetry.Probe.Windows.sink w ]
   in
-  let windows = Telemetry.Probe.Windows.create ~every:window ~f:sample in
-  (* The window tap goes last so its siblings have absorbed everything
-     up to the window edge when [sample] reads them. *)
-  let sink =
-    Memsim.Sink.fanout
-      [ Cachesim.Multi.sink multi;
-        Vmsim.Page_sim.sink pages;
-        Memsim.Sink.Counter.sink counter;
-        Telemetry.Probe.Windows.sink windows ]
+  let art =
+    Core.Runs.simulate_cell ~tap ~scale ~profile:program ~allocator ()
   in
-  let result = Workload.Driver.run_with ~sink ~scale ~profile:prof ~heap ~alloc () in
-  Telemetry.Probe.Windows.flush windows;
-  (result, Telemetry.Probe.Windows.windows_fired windows)
+  let w = Option.get !windows in
+  Telemetry.Probe.Windows.flush w;
+  (art, Telemetry.Probe.Windows.windows_fired w)
 
 let profile_cmd =
   let program_arg =
@@ -878,32 +855,37 @@ let profile_cmd =
       allocators;
     Telemetry.Metrics.set_enabled Telemetry.Metrics.default true;
     Telemetry.Span.set_enabled true;
-    let series =
-      Telemetry.Probe.Series.create
-        ~columns:[ "program"; "allocator"; "window"; "events"; "series";
-                   "value" ]
-    in
+    let rows = Buffer.create 65536 in
+    Buffer.add_string rows
+      (Metrics.Export.csv_row
+         [ "program"; "allocator"; "window"; "events"; "series"; "value" ]);
+    Buffer.add_char rows '\n';
     Printf.printf "profiling %s at scale %g, %d-event windows\n" program scale
       window;
     List.iter
       (fun allocator ->
-        let result, fired =
-          profile_cell ~series ~scale ~window ~program ~allocator
+        let art, fired =
+          profile_cell ~rows ~scale ~window ~program ~allocator
         in
         let h = Allocators.Alloc_metrics.search_length ~allocator in
         Printf.printf
           "  %-12s %s refs, %d windows; fit searches: %s, mean length %.2f\n"
           allocator
-          (Metrics.Table.fmt_int result.Workload.Driver.data_refs)
+          (Metrics.Table.fmt_int art.Core.Artifact.summary.Core.Artifact.data_refs)
           fired
           (Metrics.Table.fmt_int (Telemetry.Metrics.Histogram.count h))
           (Telemetry.Metrics.Histogram.mean h))
       allocators;
-    Telemetry.Probe.Series.write_csv series ~path:series_out;
+    let csv = Buffer.contents rows in
+    write_file series_out csv;
     write_metrics metrics_out;
     write_trace trace_out;
-    Printf.printf "wrote %s (%d rows), %s, %s\n" series_out
-      (Telemetry.Probe.Series.length series) metrics_out trace_out
+    (* Every row, the header included, ends in a newline. *)
+    let nrows =
+      String.fold_left (fun n c -> if c = '\n' then n + 1 else n) (-1) csv
+    in
+    Printf.printf "wrote %s (%d rows), %s, %s\n" series_out nrows metrics_out
+      trace_out
   in
   let doc =
     "Run one or more (program, allocator) cells with every probe on: \
@@ -1126,9 +1108,9 @@ let client_cmd =
 
 (* ---- top -------------------------------------------------------------- *)
 
-(* A refreshing terminal view over a running server's /status and
-   /metrics endpoints — enough of a dashboard for a terminal, with no
-   scraping stack required. *)
+(* A refreshing terminal view over a running server's /status
+   document — enough of a dashboard for a terminal, with no scraping
+   stack required. *)
 
 let fmt_us us =
   if Float.is_nan us || us <= 0. then "-"
@@ -1136,121 +1118,79 @@ let fmt_us us =
   else if us < 1e6 then Printf.sprintf "%.1fms" (us /. 1e3)
   else Printf.sprintf "%.2fs" (us /. 1e6)
 
-(* Pull `name{kind="x"} 42` rows out of the Prometheus text. *)
-let prom_kind_counts text name =
-  let prefix = name ^ "{kind=\"" in
-  String.split_on_char '\n' text
-  |> List.filter_map (fun line ->
-         if not (String.length line > String.length prefix
-                 && String.sub line 0 (String.length prefix) = prefix)
-         then None
-         else
-           match String.index_from_opt line (String.length prefix) '"' with
-           | None -> None
-           | Some q -> (
-               let kind =
-                 String.sub line (String.length prefix)
-                   (q - String.length prefix)
-               in
-               match String.rindex_opt line ' ' with
-               | None -> None
-               | Some sp -> (
-                   match
-                     int_of_string_opt
-                       (String.trim
-                          (String.sub line (sp + 1)
-                             (String.length line - sp - 1)))
-                   with
-                   | Some v -> Some (kind, v)
-                   | None -> None)))
-
-let render_top ~addr_text ~status ~metrics_text b =
+let render_top ~addr_text ~status b =
   let open Metrics.Export in
-  let mem path j =
-    List.fold_left (fun acc k -> Option.bind acc (member k)) (Some j) path
+  (* The field of [j] at [path], or [d] when it is absent or mistyped. *)
+  let at conv d j path =
+    let v =
+      List.fold_left (fun acc k -> Option.bind acc (member k)) (Some j) path
+    in
+    Option.value ~default:d (Option.bind v conv)
   in
-  let int_at path d = Option.value ~default:d (Option.bind (mem path status) to_int_opt) in
-  let float_at path d =
-    Option.value ~default:d (Option.bind (mem path status) to_float_opt)
-  in
-  let str_at path d =
-    Option.value ~default:d (Option.bind (mem path status) to_string_opt)
-  in
-  let list_at path =
-    Option.value ~default:[] (Option.bind (mem path status) to_list_opt)
-  in
+  let int j path = at to_int_opt 0 j path
+  and float j path = at to_float_opt 0. j path
+  and str j path = at to_string_opt "?" j path
+  and list path = at to_list_opt [] status path in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   line "loclab top — %s — %s" addr_text
     (Telemetry.Rctx.iso8601 (Unix.gettimeofday ()));
   line "%s  protocol %d  artifact schema %d  up %.1fs"
-    (str_at [ "server"; "version" ] "?")
-    (int_at [ "server"; "protocol" ] 0)
-    (int_at [ "server"; "artifact_schema" ] 0)
-    (float_at [ "server"; "uptime_seconds" ] 0.);
+    (str status [ "server"; "version" ])
+    (int status [ "server"; "protocol" ])
+    (int status [ "server"; "artifact_schema" ])
+    (float status [ "server"; "uptime_seconds" ]);
   line "";
   line "requests  total %d  errors %d  inflight %d  warm %d  simulated %d"
-    (int_at [ "requests"; "total" ] 0)
-    (int_at [ "requests"; "errors" ] 0)
-    (int_at [ "requests"; "inflight" ] 0)
-    (int_at [ "requests"; "warm_cells" ] 0)
-    (int_at [ "requests"; "simulated_cells" ] 0);
-  (match prom_kind_counts metrics_text "loclab_serve_requests_total" with
+    (int status [ "requests"; "total" ])
+    (int status [ "requests"; "errors" ])
+    (int status [ "requests"; "inflight" ])
+    (int status [ "requests"; "warm_cells" ])
+    (int status [ "requests"; "simulated_cells" ]);
+  (match
+     at (function Obj kinds -> Some kinds | _ -> None) [] status
+       [ "requests"; "kinds" ]
+   with
   | [] -> ()
   | kinds ->
       line "kinds     %s"
         (String.concat "  "
-           (List.map (fun (k, v) -> Printf.sprintf "%s %d" k v) kinds)));
+           (List.map (fun (k, v) -> Printf.sprintf "%s %d" k (int v [])) kinds)));
   line "latency   p50 %s  p90 %s  p99 %s  (n=%d, mean %s)"
-    (fmt_us (float_at [ "latency_us"; "p50" ] 0.))
-    (fmt_us (float_at [ "latency_us"; "p90" ] 0.))
-    (fmt_us (float_at [ "latency_us"; "p99" ] 0.))
-    (int_at [ "latency_us"; "count" ] 0)
-    (fmt_us (float_at [ "latency_us"; "mean" ] 0.));
+    (fmt_us (float status [ "latency_us"; "p50" ]))
+    (fmt_us (float status [ "latency_us"; "p90" ]))
+    (fmt_us (float status [ "latency_us"; "p99" ]))
+    (int status [ "latency_us"; "count" ])
+    (fmt_us (float status [ "latency_us"; "mean" ]));
   line "spans     recorded %d  dropped %d"
-    (int_at [ "spans"; "recorded" ] 0)
-    (int_at [ "spans"; "dropped" ] 0);
-  (match mem [ "access_log" ] status with
+    (int status [ "spans"; "recorded" ])
+    (int status [ "spans"; "dropped" ]);
+  (match member "access_log" status with
   | Some (Obj _ as a) ->
-      line "access    written %d  write_errors %d"
-        (Option.value ~default:0 (Option.bind (member "written" a) to_int_opt))
-        (Option.value ~default:0
-           (Option.bind (member "write_errors" a) to_int_opt))
+      line "access    written %d  write_errors %d" (int a [ "written" ])
+        (int a [ "write_errors" ])
   | _ -> ());
-  let stages = list_at [ "stages" ] in
+  let stages = list [ "stages" ] in
   if stages <> [] then begin
     line "";
     line "%-20s %8s %10s %10s" "stage" "count" "p50" "p99";
     List.iter
       (fun s ->
-        line "%-20s %8d %10s %10s"
-          (Option.value ~default:"?"
-             (Option.bind (member "stage" s) to_string_opt))
-          (Option.value ~default:0 (Option.bind (member "count" s) to_int_opt))
-          (fmt_us
-             (Option.value ~default:0.
-                (Option.bind (member "p50_us" s) to_float_opt)))
-          (fmt_us
-             (Option.value ~default:0.
-                (Option.bind (member "p99_us" s) to_float_opt))))
+        line "%-20s %8d %10s %10s" (str s [ "stage" ]) (int s [ "count" ])
+          (fmt_us (float s [ "p50_us" ]))
+          (fmt_us (float s [ "p99_us" ])))
       stages
   end;
   line "";
-  line "connections (%d open)" (int_at [ "connections"; "open" ] 0);
+  line "connections (%d open)" (int status [ "connections"; "open" ]);
   List.iter
-    (fun c ->
-      line "  cid %-4d peer %s"
-        (Option.value ~default:0 (Option.bind (member "cid" c) to_int_opt))
-        (Option.value ~default:"?" (Option.bind (member "peer" c) to_string_opt)))
-    (list_at [ "connections"; "peers" ]);
-  (match list_at [ "single_flight" ] with
+    (fun c -> line "  cid %-4d peer %s" (int c [ "cid" ]) (str c [ "peer" ]))
+    (list [ "connections"; "peers" ]);
+  (match list [ "single_flight" ] with
   | [] -> ()
   | keys ->
       line "single-flight (%d)" (List.length keys);
-      List.iter
-        (fun k ->
-          line "  %s" (Option.value ~default:"?" (to_string_opt k)))
-        keys);
-  match list_at [ "slow_requests" ] with
+      List.iter (fun k -> line "  %s" (str k [])) keys);
+  match list [ "slow_requests" ] with
   | [] -> ()
   | slow ->
       line "";
@@ -1258,19 +1198,10 @@ let render_top ~addr_text ~status ~metrics_text b =
         "cell";
       List.iter
         (fun r ->
-          line "%-18s %9s %-10s %-8s %s"
-            (Option.value ~default:"?"
-               (Option.bind (member "request_id" r) to_string_opt))
-            (fmt_us
-               (Option.value ~default:0.
-                  (Option.bind (member "total_us" r) to_float_opt)))
-            (Option.value ~default:"?"
-               (Option.bind (member "kind" r) to_string_opt))
-            (Option.value ~default:"?"
-               (Option.bind (member "outcome" r) to_string_opt))
-            (match Option.bind (member "cell" r) to_string_opt with
-            | Some c -> c
-            | None -> "-"))
+          line "%-18s %9s %-10s %-8s %s" (str r [ "request_id" ])
+            (fmt_us (float r [ "total_us" ]))
+            (str r [ "kind" ]) (str r [ "outcome" ])
+            (at to_string_opt "-" r [ "cell" ]))
         slow
 
 let top_cmd =
@@ -1299,15 +1230,13 @@ let top_cmd =
           exit 1
     in
     let snapshot () =
-      let status_text = fetch "/status" in
-      let metrics_text = fetch "/metrics" in
-      match Metrics.Export.of_string status_text with
+      match Metrics.Export.of_string (fetch "/status") with
       | Error msg ->
           Printf.eprintf "loclab top: undecodable /status: %s\n" msg;
           exit 1
       | Ok status ->
           let b = Buffer.create 1024 in
-          render_top ~addr_text ~status ~metrics_text b;
+          render_top ~addr_text ~status b;
           Buffer.contents b
     in
     if once then print_string (snapshot ())
@@ -1325,8 +1254,8 @@ let top_cmd =
   in
   let doc =
     "Live terminal view of a running $(b,loclab serve): polls \
-     $(b,/status) and $(b,/metrics) over the server's plain-HTTP side \
-     and renders RED counters, latency and per-stage quantiles, open \
+     $(b,/status) over the server's plain-HTTP side and renders RED \
+     counters, requests by kind, latency and per-stage quantiles, open \
      connections, in-flight single-flight keys and the slowest \
      requests.  $(b,--once) prints a single snapshot (for scripts and \
      CI)."

@@ -252,34 +252,59 @@ type observed = {
    given — a driver run, or a decode of a capture — and its result
    comes back beside what the consumers observed.  The sweep is the
    consumer that goes to an idle core ({!Exec.Relay}); the page
-   simulator and the checksum stay on the caller beside the source. *)
-let simulate source =
+   simulator and the checksum stay on the caller beside the source.
+   A [tap] adds consumers, last in the fanout, that may read the sweep
+   and the page simulator at each batch edge: a tapped pass keeps the
+   sweep inline, so both stay on the domain that reads them. *)
+let simulate ?tap source =
   let multi = Cachesim.Multi.create standard_configs in
   let pages = Vmsim.Page_sim.create () in
   let checksum = Memsim.Sink.Checksum.create () in
-  let fed =
+  let tapped =
+    match tap with
+    | None -> []
+    | Some tap ->
+        tap
+          ~caches:(fun () -> Cachesim.Multi.results multi)
+          ~footprint_bytes:(fun () -> Vmsim.Page_sim.footprint_bytes pages)
+  in
+  let feed () =
     Exec.Relay.with_sink (Cachesim.Multi.sink multi) @@ fun caches ->
     source
       (Memsim.Sink.fanout
-         [ caches;
-           Vmsim.Page_sim.sink pages;
-           Memsim.Sink.Checksum.sink checksum ])
+         ([ caches;
+            Vmsim.Page_sim.sink pages;
+            Memsim.Sink.Checksum.sink checksum ]
+         @ tapped))
+  in
+  let fed =
+    if Option.is_none tap then feed () else Exec.Relay.with_path Inline feed
   in
   ( fed,
     { caches = Cachesim.Multi.results multi;
       fault_curve = Vmsim.Page_sim.curve pages;
       trace_checksum = Memsim.Sink.Checksum.value checksum } )
 
-let run t ~profile ~allocator =
+let simulate_cell ?tap ~scale ~profile ~allocator () =
   Telemetry.Span.with_span ~cat:"cell" (profile ^ "/" ^ allocator) @@ fun () ->
   let prof = Workload.Programs.find profile in
-  let result, o =
-    simulate (fun sink ->
-        Workload.Driver.run ~sink ~scale:t.scale ~profile:prof ~allocator ())
+  let heap = Allocators.Heap.create () in
+  let alloc = Workload.Driver.build_allocator ~profile:prof ~allocator heap in
+  let tap =
+    Option.map
+      (fun tap ~caches ~footprint_bytes -> tap ~caches ~footprint_bytes ~alloc)
+      tap
   in
-  Artifact.of_run ~program:profile ~allocator ~scale:t.scale
+  let result, o =
+    simulate ?tap (fun sink ->
+        Workload.Driver.run_with ~sink ~scale ~profile:prof ~heap ~alloc ())
+  in
+  Artifact.of_run ~program:profile ~allocator ~scale
     ~trace_checksum:o.trace_checksum ~result ~caches:o.caches
     ~fault_curve:o.fault_curve
+
+let run t ~profile ~allocator =
+  simulate_cell ~scale:t.scale ~profile ~allocator ()
 
 (* ---- grid cells ------------------------------------------------------ *)
 

@@ -94,6 +94,23 @@ val prefetch : t -> (string * string) list -> unit
     unknown key), no simulated cell of the batch is merged and the
     first failure (by position) is re-raised. *)
 
+val simulate_cell :
+  ?tap:
+    (caches:(unit -> (Cachesim.Config.t * Cachesim.Stats.t) list) ->
+    footprint_bytes:(unit -> int) ->
+    alloc:Allocators.Allocator.t ->
+    Memsim.Sink.t list) ->
+  scale:float -> profile:string -> allocator:string -> unit -> Artifact.t
+(** One driver pass of a grid cell at [scale] into the consumer set
+    every cell is simulated by, never through the memo or the store.
+    [tap] is called once, before the run: [caches ()] reads the sweep's
+    statistics so far, [footprint_bytes ()] the page simulator's, and
+    [alloc] is the cell's allocator.  The sinks it returns go last in
+    the fanout, so at each delivery they may read state that has
+    absorbed every event so far.  A tapped pass keeps the sweep on the
+    calling domain ({!Exec.Relay.with_path} [Inline]).
+    @raise Not_found for unknown keys. *)
+
 (** {1 External trace ingestion}
 
     An ingested trace becomes a grid cell with external coordinates:

@@ -511,8 +511,9 @@ let contains_blank_line s =
   go 0
 
 (* The live-introspection document behind GET /status: everything a
-   dashboard needs in one scrape — the server's counters plus the
-   request-scoped state (per-stage quantiles, slowest requests, open
+   dashboard needs in one scrape — the server's counters (requests by
+   kind read off [loclab_serve_requests_total]) plus the request-scoped
+   state (per-stage quantiles, slowest requests, open
    connections, in-flight single-flight keys).  The counters are read
    before the single-flight table, and a simulated cell is counted only
    after its flight has left the table, so a body listing a digest
@@ -525,7 +526,12 @@ let status_json t =
         ("errors", int t.errors);
         ("warm_cells", int t.warm);
         ("simulated_cells", int t.simulated);
-        ("inflight", int t.inflight) ]
+        ("inflight", int t.inflight);
+        ( "kinds",
+          Export.Obj
+            (List.map
+               (fun (labels, n) -> (String.concat "," labels, Export.Int n))
+               (Metrics.Counter.values m_requests)) ) ]
   in
   let open_conns = int t.open_conns in
   let q h p = Metrics.Histogram.quantile h p in

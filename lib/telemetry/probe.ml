@@ -3,43 +3,6 @@
    growth, reference mix), the paper's "how behaviour evolves over the
    trace" evidence that end-of-run aggregates cannot show. *)
 
-module Series = struct
-  type t = {
-    columns : string list;
-    mutable rows_rev : string list list;
-    mutable n : int;
-  }
-
-  let create ~columns =
-    if columns = [] then invalid_arg "Probe.Series.create: no columns";
-    { columns; rows_rev = []; n = 0 }
-
-  let columns t = t.columns
-  let length t = t.n
-
-  let add t row =
-    if List.length row <> List.length t.columns then
-      invalid_arg
-        (Printf.sprintf "Probe.Series.add: %d fields for %d columns"
-           (List.length row) (List.length t.columns));
-    t.rows_rev <- row :: t.rows_rev;
-    t.n <- t.n + 1
-
-  let rows t = List.rev t.rows_rev
-
-  let to_csv t =
-    String.concat "\n"
-      (Metrics.Export.csv_row t.columns
-      :: List.rev_map Metrics.Export.csv_row t.rows_rev)
-    ^ "\n"
-
-  let write_csv t ~path =
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (to_csv t))
-end
-
 module Windows = struct
   type t = {
     every : int;

@@ -7,26 +7,6 @@
     machine, so adding or removing probes cannot change simulation
     results. *)
 
-(** An in-memory table with fixed columns, exported as CSV. *)
-module Series : sig
-  type t
-
-  val create : columns:string list -> t
-  (** @raise Invalid_argument on an empty column list. *)
-
-  val add : t -> string list -> unit
-  (** Append a row.  @raise Invalid_argument on an arity mismatch. *)
-
-  val columns : t -> string list
-  val length : t -> int
-  val rows : t -> string list list
-
-  val to_csv : t -> string
-  (** Header plus rows, RFC-4180 quoting ({!Metrics.Export.csv_row}). *)
-
-  val write_csv : t -> path:string -> unit
-end
-
 (** A window tap: counts the events flowing past and fires a callback
     every [every] events, at which point sibling sinks in the same
     fanout (cache simulators, counters, the page simulator) can be

@@ -150,6 +150,9 @@ module Counter = struct
       ignore (Atomic.fetch_and_add h.cells.(shard_index ()) by)
 
   let value = merged
+
+  let values fam =
+    List.rev_map (fun (vals, h) -> (vals, merged h)) !(fam.children)
 end
 
 (* ---- gauges -------------------------------------------------------- *)

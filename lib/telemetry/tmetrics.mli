@@ -83,6 +83,10 @@ module Counter : sig
 
   val value : h -> int
   (** Merged total across shards. *)
+
+  val values : family -> (string list * int) list
+  (** Every child's label values and merged total, oldest child first
+      (the order of its samples in a snapshot). *)
 end
 
 module Gauge : sig

@@ -183,6 +183,32 @@ let test_runs_cell_sweep_is_paper () =
   check_bool "configurations" true
     (List.map fst d.Core.Artifact.caches = Cachesim.Config.paper_direct_mapped)
 
+(* A tapped pass is the grid's own pass plus one reader, last in the
+   fanout and with the sweep on its domain even where a relay is forced:
+   its cell is the memoized one byte for byte, the tap sees every event,
+   and at the last batch it reads the sweep's final counts. *)
+let test_runs_tapped_cell () =
+  let runs = ctx.Core.Context.runs in
+  let grid = Core.Runs.get runs ~profile:"espresso" ~allocator:"quickfit" in
+  let seen = ref 0 and accesses = ref (-1) in
+  let tap ~caches ~footprint_bytes:_ ~alloc:_ =
+    [ (fun (b : Memsim.Event.Batch.t) ->
+        seen := !seen + b.Memsim.Event.Batch.len;
+        accesses := (snd (List.hd (caches ()))).Cachesim.Stats.accesses) ]
+  in
+  let art =
+    Exec.Relay.with_path Exec.Relay.Relayed (fun () ->
+        Core.Runs.simulate_cell ~tap ~scale:(Core.Runs.scale runs)
+          ~profile:"espresso" ~allocator:"quickfit" ())
+  in
+  check_bool "the grid cell's bytes" true
+    (Core.Artifact.encode art = Core.Artifact.encode grid);
+  check_int "every event" art.Core.Artifact.summary.Core.Artifact.data_refs
+    !seen;
+  check_int "the sweep's final count"
+    (snd (List.hd art.Core.Artifact.caches)).Cachesim.Stats.accesses
+    !accesses
+
 let test_runs_custom_trained () =
   (* "custom" must build per-profile (trained on the histogram). *)
   let d = Core.Runs.get ctx.Core.Context.runs ~profile:"espresso" ~allocator:"custom" in
@@ -767,6 +793,7 @@ let () =
           tc "driver custom is the grid's custom"
             test_driver_custom_is_grid_custom;
           tc "cell sweep is the paper's" test_runs_cell_sweep_is_paper;
+          tc "tapped cell is the grid cell" test_runs_tapped_cell;
         ] );
       ( "ingest",
         [

@@ -152,6 +152,13 @@ let test_series_csv () =
   Series.add s ~name:"a" [ (1., 10.) ];
   check_str "csv" "series,x,y\na,1,10\n" (Series.to_csv s)
 
+let test_csv_row () =
+  check_str "embedded comma quoted" "1,\"x,y\"" (Export.csv_row [ "1"; "x,y" ]);
+  check_str "plain fields pass through" "2,plain"
+    (Export.csv_row [ "2"; "plain" ]);
+  check_str "quotes doubled, newline quoted" "\"say \"\"hi\"\"\",\"a\nb\","
+    (Export.csv_row [ "say \"hi\""; "a\nb"; "" ])
+
 (* ------------------------------------------------------------------ *)
 (* JSON parser (Export.of_string)                                     *)
 (* ------------------------------------------------------------------ *)
@@ -388,6 +395,7 @@ let () =
           tc "plot renders" test_series_plot_renders;
           tc "csv" test_series_csv;
         ] );
+      ("export", [ tc "csv_row quoting" test_csv_row ]);
       ( "json_parse",
         [
           tc "scalars" test_parse_scalars;

@@ -613,7 +613,13 @@ let test_integration_lifecycle () =
           check_int "one warm cell" 1
             (status_int server [ "requests"; "warm_cells" ]);
           check_bool "errors counted" true
-            (status_int server [ "requests"; "errors" ] >= 2));
+            (status_int server [ "requests"; "errors" ] >= 2);
+          (* Requests by kind: the process-wide counters, so at least
+             this case's own. *)
+          check_bool "health requests by kind" true
+            (status_int server [ "requests"; "kinds"; "health" ] >= 1);
+          check_bool "cell requests by kind" true
+            (status_int server [ "requests"; "kinds"; "cell" ] >= 6));
       (* A future-version request gets a typed reply, not a hangup. *)
       Serve.Client.with_connection addr (fun _ -> ());
       let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in

@@ -1,5 +1,5 @@
 (* Tests for the telemetry subsystem: metrics registry semantics (and
-   their Prometheus/JSON exports), span tracing, probe windows/series —
+   their Prometheus/JSON exports), span tracing, probe windows —
    and the two whole-stack invariants: instrumentation is a no-op when
    disabled, and enabling it never changes simulation results. *)
 
@@ -593,17 +593,6 @@ let test_windows_rejects () =
         (Telemetry.Probe.Windows.create ~every:0 ~f:(fun ~window:_ ~events:_ ->
              ())))
 
-let test_series () =
-  let t = Telemetry.Probe.Series.create ~columns:[ "a"; "b" ] in
-  Telemetry.Probe.Series.add t [ "1"; "x,y" ];
-  Telemetry.Probe.Series.add t [ "2"; "plain" ];
-  check_int "length" 2 (Telemetry.Probe.Series.length t);
-  check_string "csv quotes embedded commas" "a,b\n1,\"x,y\"\n2,plain\n"
-    (Telemetry.Probe.Series.to_csv t);
-  Alcotest.check_raises "arity mismatch"
-    (Invalid_argument "Probe.Series.add: 1 fields for 2 columns")
-    (fun () -> Telemetry.Probe.Series.add t [ "only" ])
-
 (* ------------------------------------------------------------------ *)
 (* Whole-stack invariants                                              *)
 (* ------------------------------------------------------------------ *)
@@ -720,7 +709,6 @@ let () =
           Alcotest.test_case "windows per-event" `Quick test_windows_per_event;
           Alcotest.test_case "windows batch" `Quick test_windows_batch;
           Alcotest.test_case "windows rejects" `Quick test_windows_rejects;
-          Alcotest.test_case "series csv" `Quick test_series;
         ] );
       ( "stack",
         [
