@@ -151,18 +151,23 @@ let grid_summary ctx =
         (Core.Runs.derived_hits runs)
         (Core.Runs.derived_computed runs))
 
-(* The one route of [run], [all] and [report]: fill every grid cell the
-   experiments read, in parallel up to --jobs, then render each one
-   from the memo.  The fill is logged once (cells from the store, cells
-   simulated); each render logs the derived cells it resolved, the only
-   cells left to it.  [all] and [report] head each experiment with its
+(* The one route of [run], [all] and [report]: fill every grid cell and
+   derived cell the experiments read, the grid in parallel up to
+   --jobs, then render each one from the memo.  The fill is logged once
+   (grid and derived cells from the store, simulated or computed); each
+   render logs the derived cells it resolved itself, which the
+   experiments' declarations make none.  [all] and [report] head each experiment with its
    id; [run] prints the bare renderings. *)
 let fill_and_render ctx ~headers ids =
   let runs = ctx.Core.Context.runs in
   let (), dt = timed (fun () -> Core.Experiment.warm ctx ids) in
   Logs.info (fun m ->
-      m "fill: %d cells from store, %d simulated  %6.2fs"
-        (Core.Runs.store_hits runs) (Core.Runs.simulated runs) dt);
+      m "fill: %d cells from store, %d simulated; derived %d from store, %d \
+         computed  %6.2fs"
+        (Core.Runs.store_hits runs) (Core.Runs.simulated runs)
+        (Core.Runs.derived_hits runs)
+        (Core.Runs.derived_computed runs)
+        dt);
   List.iter
     (fun id ->
       let dh0 = Core.Runs.derived_hits runs

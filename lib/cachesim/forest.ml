@@ -22,9 +22,13 @@
    statistics (total/read/write/per-source access counts) are the same
    number for every member, and a cold miss — first-ever reference to a
    block — happens in all members at once (nothing can hit a block that
-   was never referenced).  One profile record and one [seen] table
-   therefore replace the per-cache copies; members privately accumulate
-   only what differs: misses by kind and source, and writebacks.
+   was never referenced).  One profile record and one cold table (the
+   blocks ever referenced) therefore replace the per-cache copies;
+   members privately accumulate only what differs: misses by kind and
+   source, and writebacks.  A family fed only the misses of another
+   with its block size (a hierarchy level below one) needs no table at
+   all: a block's first touch misses upstream first, and is then the
+   first touch here too, so the upstream family's count is its own.
 
    Set-associative members do not order by inclusion against the
    direct-mapped chain (same capacity at different set counts is the
@@ -48,7 +52,8 @@
    member's tags are as large as its fullest set, not its capacity (an
    8 MB 16-way L3 fed a small trace keeps one or two words per set,
    not sixteen), and [reset] and [flush] keep the grown storage for the
-   next trace.
+   next trace.  A QLRU member's ages follow the same stride (its
+   {!Policy.State.grow} is called with the member's).
 
    Counter layout.  The kind x source access/miss breakdown lives in
    6-cell arrays indexed [ki*3 + si] (ki: 0 read / 1 write; si: 0 app /
@@ -103,9 +108,9 @@ type t = {
   part_mask : int;
   part_lo : int;
   part_hi : int;
-  seen : Memsim.Addr.Index_set.t;  (* blocks ever referenced, shared *)
+  cold : cold;
   acc : int array;  (* accesses by [ki*3 + si], identical for members *)
-  mutable cold_misses : int;
+  mutable cold_misses : int;  (* counted only by an [Own] table *)
   (* Consecutive-repeat fast path: word-grain traces touch the same
      block many times in a row, and a repeat of the immediately
      preceding block necessarily hits every member (nothing else has
@@ -119,11 +124,16 @@ type t = {
   mutable run_hit : bool;  (* [refresh] members already saw the run hit *)
 }
 
+(* Where a family's cold misses are counted: in its own table of the
+   blocks ever referenced (shared by its members), or by the family
+   upstream of it whose misses are all it sees (see {!create}). *)
+and cold = Own of Memsim.Addr.Index_set.t | Upstream of t
+
 let log2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
 
-let create ?shard configs =
+let create ?shard ?cold_of configs =
   (match shard with
   | None -> ()
   | Some (i, n) ->
@@ -140,7 +150,13 @@ let create ?shard configs =
               (Printf.sprintf
                  "Cachesim.Forest.create: %s has block size %d, family uses %d"
                  c.name c.block_bytes first.Config.block_bytes))
-        rest);
+        rest;
+      Option.iter
+        (fun up ->
+          if up.block_shift <> log2 first.Config.block_bytes then
+            invalid_arg
+              "Cachesim.Forest.create: cold_of has another block size")
+        cold_of);
   let member config =
     let num_sets = Config.num_sets config in
     let assoc = config.Config.associativity in
@@ -189,9 +205,13 @@ let create ?shard configs =
     part_mask;
     part_lo;
     part_hi;
-    (* Small to start: most families are one-member hierarchy levels
-       that see few distinct blocks, and the set grows as needed. *)
-    seen = Memsim.Addr.Index_set.create 32;
+    cold =
+      (match cold_of with
+      | Some { cold = Upstream owner; _ } -> Upstream owner
+      | Some owner -> Upstream owner
+      | None ->
+          (* Small to start: the set grows as needed. *)
+          Own (Memsim.Addr.Index_set.create 32));
     acc = Array.make 6 0;
     cold_misses = 0;
     last_block = -1;
@@ -248,7 +268,7 @@ let rec find_way tags ~base ~stride ~bw w =
     else find_way tags ~base ~stride ~bw (w + 1)
 
 (* Doubles [m]'s stride: every set keeps its stored ways in place and
-   gains as many invalid ones. *)
+   gains as many invalid ones, and so does its policy state. *)
 let grow m =
   let stride = m.stride in
   let wide = 2 * stride in
@@ -257,7 +277,8 @@ let grow m =
     Array.blit m.tags (s * stride) tags (s * wide) stride
   done;
   m.tags <- tags;
-  m.stride <- wide
+  m.stride <- wide;
+  Option.iter Policy.State.grow m.policy
 
 (* Probe-order index of the smallest direct-mapped member that hits;
    by inclusion everything at or above it hits, everything below
@@ -393,8 +414,11 @@ let probe_block_ks t ~ks ~block =
   (* A cold (first-ever) reference misses in every member at once; a
      family-wide hit proves the block was already seen, so the table is
      only consulted when someone missed. *)
-  if missed > 0 && Memsim.Addr.Index_set.add t.seen block then
-    t.cold_misses <- t.cold_misses + 1;
+  (match t.cold with
+  | Own seen ->
+      if missed > 0 && Memsim.Addr.Index_set.add seen block then
+        t.cold_misses <- t.cold_misses + 1
+  | Upstream _ -> ());
   t.last_block <- block;
   t.run_dirty <- write;
   t.run_hit <- Array.length t.refresh = 0;
@@ -493,7 +517,9 @@ let reset t =
   Array.fill t.acc 0 6 0;
   t.cold_misses <- 0;
   (* [clear] keeps the set's room for the next trace. *)
-  Memsim.Addr.Index_set.clear t.seen;
+  (match t.cold with
+  | Own seen -> Memsim.Addr.Index_set.clear seen
+  | Upstream _ -> ());
   t.run_dirty <- false;
   t.run_hit <- true
 
@@ -534,7 +560,8 @@ let member_stats t i =
   s.Stats.read_misses <- reads miss;
   s.Stats.write_accesses <- writes acc;
   s.Stats.write_misses <- writes miss;
-  s.Stats.cold_misses <- t.cold_misses;
+  s.Stats.cold_misses <-
+    (match t.cold with Own _ -> t.cold_misses | Upstream u -> u.cold_misses);
   s.Stats.writebacks <- m.writebacks;
   s.Stats.app_accesses <- acc.(0) + acc.(3);
   s.Stats.app_misses <- miss.(0) + miss.(3);

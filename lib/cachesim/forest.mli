@@ -32,9 +32,16 @@
 
 type t
 
-val create : ?shard:int * int -> Config.t list -> t
+val create : ?shard:int * int -> ?cold_of:t -> Config.t list -> t
 (** [create configs] builds the family, every set-associative member
     storing one way per set until a set needs more.
+
+    [?cold_of:up] is for a family fed nothing but [up]'s misses (a
+    {!Hierarchy} level below [up]), [up] having the same block size:
+    every block's first touch misses in [up] and then reaches this
+    family as its first touch here, so the family keeps no cold-miss
+    table and reports [up]'s cold misses (or those of the family [up]
+    itself reports).
 
     [?shard:(i, n)] builds shard [i] of [n]: the instance owns only the
     blocks whose set index (in the family's smallest member) falls in
@@ -46,7 +53,8 @@ val create : ?shard:int * int -> Config.t list -> t
     drives this across domains; identity is pinned by test).
 
     @raise Invalid_argument if the list is empty, the members disagree
-    on block size, or the shard pair is out of range. *)
+    on block size, [cold_of] has another block size, or the shard pair
+    is out of range. *)
 
 val access_block_ks : t -> ks:int -> block:int -> int
 (** [access_block_ks t ~ks ~block] touches one block (global block

@@ -14,7 +14,10 @@
    policy: the member code path (inline probe, array counters, cold
    table consulted only on a miss) is shared with the
    multi-configuration sweep, and a one-member family's statistics are
-   exactly an independent cache's. *)
+   exactly an independent cache's.  A level sees only the misses of the
+   level above, so where the two share a block size its first touches
+   are the upper level's: it keeps no cold table of its own, and the
+   five presets' seven levels keep one. *)
 
 type node = {
   config : Config.t;
@@ -32,11 +35,13 @@ let log2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
 
-let level (config : Config.t) =
-  { config;
-    sim = Forest.create [ config ];
-    shift = log2 config.block_bytes;
-    below = [||] }
+(* A level below one of its block size counts its cold misses there. *)
+let level ?above (config : Config.t) =
+  let shift = log2 config.block_bytes in
+  let cold_of =
+    Option.bind above (fun up -> if up.shift = shift then Some up.sim else None)
+  in
+  { config; sim = Forest.create ?cold_of [ config ]; shift; below = [||] }
 
 let check_path = function
   | [] -> invalid_arg "Cachesim.Hierarchy.create: a path has no levels"
@@ -70,7 +75,7 @@ let create paths =
           match Hashtbl.find_opt levels key with
           | Some node -> node
           | None ->
-              let node = level config in
+              let node = level ?above:parent config in
               Hashtbl.add levels key node;
               (match parent with
               | None -> roots := Array.append !roots [| node |]

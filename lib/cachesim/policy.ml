@@ -79,14 +79,18 @@ module State = struct
   (* One representation per policy that needs one: one packed int per
      set for PLRU's tree bits (associativity is a power of two <= 64,
      so the at most 63 node bits fit one immediate int), one byte per
-     way for QLRU's 2-bit ages, flat over [num_sets * assoc].  LRU has
-     none: a forest keeps an LRU set's ways most-recent-first, so the
-     victim is always the last way. *)
+     stored way for QLRU's 2-bit ages, flat over [num_sets * stride].
+     QLRU stores as many ways per set as its forest member does, and
+     [grow] doubles them with it: an unstored way is invalid, and an
+     invalid way's age is never read (a fill sets it, and [victim]
+     runs only on a full set).  LRU has none: a forest keeps an LRU
+     set's ways most-recent-first, so the victim is always the last
+     way. *)
   type t =
     | S_plru of { bits : int array; assoc : int }
     | S_qlru of {
-        ages : Bytes.t;
-        assoc : int;
+        mutable ages : Bytes.t;
+        mutable stride : int;
         hit_age : int;
         insert_age : int;
       }
@@ -98,10 +102,23 @@ module State = struct
     | Qlru { hit_age; insert_age } ->
         Some
           (S_qlru
-             { ages = Bytes.make (num_sets * assoc) '\000';
-               assoc;
+             { ages = Bytes.make num_sets '\000';
+               stride = 1;
                hit_age;
                insert_age })
+
+  let grow = function
+    | S_plru _ -> ()
+    | S_qlru s ->
+        let stride = s.stride in
+        let wide = 2 * stride in
+        let num_sets = Bytes.length s.ages / stride in
+        let ages = Bytes.make (num_sets * wide) '\000' in
+        for set = 0 to num_sets - 1 do
+          Bytes.blit s.ages (set * stride) ages (set * wide) stride
+        done;
+        s.ages <- ages;
+        s.stride <- wide
 
   (* Tree-PLRU over a heap-indexed complete binary tree: node [n] has
      children [2n+1] (ways below the midpoint) and [2n+2] (above).  A
@@ -149,12 +166,12 @@ module State = struct
   let[@inline] hit t ~set ~way =
     match t with
     | S_plru s -> plru_touch s.bits set s.assoc way
-    | S_qlru s -> set_age s.ages ((set * s.assoc) + way) s.hit_age
+    | S_qlru s -> set_age s.ages ((set * s.stride) + way) s.hit_age
 
   let[@inline] fill t ~set ~way =
     match t with
     | S_plru s -> plru_touch s.bits set s.assoc way
-    | S_qlru s -> set_age s.ages ((set * s.assoc) + way) s.insert_age
+    | S_qlru s -> set_age s.ages ((set * s.stride) + way) s.insert_age
 
   (* A hit retraces PLRU's path: repeating the last touch of a set
      changes nothing that orders its victims.  QLRU's hit does when it
@@ -167,19 +184,22 @@ module State = struct
     match t with
     | S_plru s -> plru_victim s.bits set s.assoc
     | S_qlru s ->
-        let base = set * s.assoc in
+        (* A full set is stored at full width: [stride] is the
+           associativity. *)
+        let assoc = s.stride in
+        let base = set * assoc in
         let rec max_age w acc =
-          if w >= s.assoc then acc
+          if w >= assoc then acc
           else max_age (w + 1) (Int.max acc (age s.ages (base + w)))
         in
         let m = max_age 0 0 in
         if m < 3 then
           (* Age the whole set until someone reaches 3. *)
-          for w = 0 to s.assoc - 1 do
+          for w = 0 to assoc - 1 do
             set_age s.ages (base + w) (age s.ages (base + w) + (3 - m))
           done;
         let rec leftmost w =
-          if w >= s.assoc - 1 then w
+          if w >= assoc - 1 then w
           else if age s.ages (base + w) = 3 then w
           else leftmost (w + 1)
         in

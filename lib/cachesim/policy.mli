@@ -56,7 +56,14 @@ module State : sig
 
   val create : policy -> num_sets:int -> assoc:int -> t option
   (** [None] for {!Lru}, which keeps no state: a {!Forest} holds an LRU
-      set's ways most-recent-first, so its victim is the last way. *)
+      set's ways most-recent-first, so its victim is the last way.
+      Like a forest member's tags, the state starts out storing one way
+      per set: {!grow} widens it. *)
+
+  val grow : t -> unit
+  (** Doubles the ways stored per set, keeping each set's stored ways
+      in place; called with the forest member's own [grow].  Only QLRU
+      stores per-way state; PLRU's tree bits are per set. *)
 
   val hit : t -> set:int -> way:int -> unit
   (** Record a hit on [way] of [set]. *)
@@ -72,7 +79,8 @@ module State : sig
 
   val victim : t -> set:int -> int
   (** Choose the way to evict from a {e full} [set].  Must not be
-      called while the set still has invalid ways. *)
+      called while the set still has invalid ways, so the state has
+      been grown to the full associativity. *)
 
   val reset : t -> unit
   (** Forget all recency state (cache flush). *)

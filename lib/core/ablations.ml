@@ -91,37 +91,38 @@ let sweep_configs =
           ~block_bytes:b (64 * 1024))
       [ 16; 64; 128 ]
 
-let sweep_rows (ctx : Context.t) =
-  let runs = ctx.Context.runs in
-  let scale = Runs.scale runs in
+let sweep_cell (ctx : Context.t) =
+  let scale = Runs.scale ctx.Context.runs in
   let allocators = List.map fst Context.with_custom in
-  Runs.derive runs ~id:"abl-sweep" ~scale
-    ~inputs:
-      (Derived.inputs
-         [ ("programs", [ Derived.program sweep_program ]);
-           ("allocators", allocators);
-           ("configs", List.map Derived.config sweep_configs) ])
-  @@ fun () ->
-  let profile = Workload.Programs.find sweep_program in
-  (* One Multi serves every pass, reset before each. *)
-  let multi = Cachesim.Multi.create sweep_configs in
-  List.map
-    (fun akey ->
-      Cachesim.Multi.reset multi;
-      let r =
-        Exec.Relay.with_sink (Cachesim.Multi.sink multi) @@ fun sink ->
-        Workload.Driver.run ~sink ~scale ~profile ~allocator:akey ()
-      in
-      Derived.row ~program:sweep_program ~variant:akey r
-        (List.map
-           (fun ((c : Cachesim.Config.t), s) -> (c.name, s))
-           (Cachesim.Multi.results multi)))
-    allocators
+  { Runs.id = "abl-sweep";
+    scale;
+    inputs =
+      Derived.inputs
+        [ ("programs", [ Derived.program sweep_program ]);
+          ("allocators", allocators);
+          ("configs", List.map Derived.config sweep_configs) ];
+    compute =
+      (fun () ->
+        let profile = Workload.Programs.find sweep_program in
+        (* One Multi serves every pass, reset before each. *)
+        let multi = Cachesim.Multi.create sweep_configs in
+        List.map
+          (fun akey ->
+            Cachesim.Multi.reset multi;
+            let r =
+              Exec.Relay.with_sink (Cachesim.Multi.sink multi) @@ fun sink ->
+              Workload.Driver.run ~sink ~scale ~profile ~allocator:akey ()
+            in
+            Derived.row ~program:sweep_program ~variant:akey r
+              (List.map
+                 (fun ((c : Cachesim.Config.t), s) -> (c.name, s))
+                 (Cachesim.Multi.results multi)))
+          allocators) }
 
 (* GS-Large's miss rate per allocator at named caches, each placed at
    [x]: a member of the grid cell's sweep, or else of [abl-sweep]. *)
 let gs_large_sweep (ctx : Context.t) ~title ~x_label members =
-  let rows = sweep_rows ctx in
+  let rows = Runs.derive ctx.Context.runs (sweep_cell ctx) in
   let series = Series.create ~title ~x_label ~y_label:"miss rate %" in
   List.iter
     (fun (akey, alabel) ->
@@ -237,64 +238,67 @@ let flush_allocators =
 
 let quantum_name q = "flush-" ^ string_of_int q
 
-let flush_rows (ctx : Context.t) =
+(* A cache flushed before every [quantum]th event (never for 0).  The
+   sink cannot affect the driver, so every quantum shares one pass;
+   [restart] readies the cache and its count for the next pass. *)
+let flushing quantum =
+  let cache = Cachesim.Forest.create [ flush_config ] in
+  let until_flush = ref quantum in
+  let restart () =
+    Cachesim.Forest.reset cache;
+    until_flush := quantum
+  in
+  let sink (b : Memsim.Event.Batch.t) =
+    for i = 0 to b.Memsim.Event.Batch.len - 1 do
+      if quantum > 0 then begin
+        decr until_flush;
+        if !until_flush = 0 then begin
+          Cachesim.Forest.flush cache;
+          until_flush := quantum
+        end
+      end;
+      let meta = Array.unsafe_get b.Memsim.Event.Batch.metas i in
+      Cachesim.Forest.access_range_ks cache
+        ~ks:(Memsim.Event.Packed.ks meta)
+        ~addr:(Array.unsafe_get b.Memsim.Event.Batch.addrs i)
+        ~size:(meta lsr 3)
+    done
+  in
+  (quantum_name quantum, cache, restart, sink)
+
+let flush_cell (ctx : Context.t) =
   let scale = Context.off_grid_scale ctx in
   let allocators = List.map fst flush_allocators in
-  Runs.derive ctx.Context.runs ~id:"abl-flush" ~scale
-    ~inputs:
-      (Derived.inputs
-         [ ("programs", [ Derived.program flush_program ]);
-           ("allocators", allocators);
-           ("config", [ Derived.config flush_config ]);
-           ("quanta", List.map string_of_int flush_quanta) ])
-  @@ fun () ->
-  let profile = Workload.Programs.find flush_program in
-  (* A cache flushed before every [quantum]th event (never for 0).  The
-     sink cannot affect the driver, so every quantum shares one pass;
-     [restart] readies the cache and its count for the next pass. *)
-  let flushing quantum =
-    let cache = Cachesim.Forest.create [ flush_config ] in
-    let until_flush = ref quantum in
-    let restart () =
-      Cachesim.Forest.reset cache;
-      until_flush := quantum
-    in
-    let sink (b : Memsim.Event.Batch.t) =
-      for i = 0 to b.Memsim.Event.Batch.len - 1 do
-        if quantum > 0 then begin
-          decr until_flush;
-          if !until_flush = 0 then begin
-            Cachesim.Forest.flush cache;
-            until_flush := quantum
-          end
-        end;
-        let meta = Array.unsafe_get b.Memsim.Event.Batch.metas i in
-        Cachesim.Forest.access_range_ks cache
-          ~ks:(Memsim.Event.Packed.ks meta)
-          ~addr:(Array.unsafe_get b.Memsim.Event.Batch.addrs i)
-          ~size:(meta lsr 3)
-      done
-    in
-    (quantum_name quantum, cache, restart, sink)
-  in
-  (* One cache per quantum serves every pass. *)
-  let caches = List.map flushing flush_quanta in
-  List.map
-    (fun akey ->
-      List.iter (fun (_, _, restart, _) -> restart ()) caches;
-      let r =
-        Exec.Relay.with_sink
-          (Memsim.Sink.fanout (List.map (fun (_, _, _, s) -> s) caches))
-        @@ fun sink -> Workload.Driver.run ~sink ~scale ~profile ~allocator:akey ()
-      in
-      Derived.row ~program:flush_program ~variant:akey r
-        (List.map
-           (fun (name, c, _, _) -> (name, Cachesim.Forest.member_stats c 0))
-           caches))
-    allocators
+  { Runs.id = "abl-flush";
+    scale;
+    inputs =
+      Derived.inputs
+        [ ("programs", [ Derived.program flush_program ]);
+          ("allocators", allocators);
+          ("config", [ Derived.config flush_config ]);
+          ("quanta", List.map string_of_int flush_quanta) ];
+    compute =
+      (fun () ->
+        let profile = Workload.Programs.find flush_program in
+        (* One cache per quantum serves every pass. *)
+        let caches = List.map flushing flush_quanta in
+        List.map
+          (fun akey ->
+            List.iter (fun (_, _, restart, _) -> restart ()) caches;
+            let r =
+              Exec.Relay.with_sink
+                (Memsim.Sink.fanout (List.map (fun (_, _, _, s) -> s) caches))
+              @@ fun sink ->
+              Workload.Driver.run ~sink ~scale ~profile ~allocator:akey ()
+            in
+            Derived.row ~program:flush_program ~variant:akey r
+              (List.map
+                 (fun (name, c, _, _) -> (name, Cachesim.Forest.member_stats c 0))
+                 caches))
+          allocators) }
 
 let flush (ctx : Context.t) =
-  let rows = flush_rows ctx in
+  let rows = Runs.derive ctx.Context.runs (flush_cell ctx) in
   let table =
     Table.create
       ~title:
@@ -334,55 +338,58 @@ let lifetime_cells =
 let lifetime_configs =
   [ Cachesim.Config.make (16 * 1024); Cachesim.Config.make (64 * 1024) ]
 
+let lifetime_cell (ctx : Context.t) =
+  let scale = Runs.scale ctx.Context.runs in
+  { Runs.id = "abl-lifetime";
+    scale;
+    inputs =
+      Derived.inputs
+        [ ("programs",
+           List.map (fun (p, _) -> Derived.program p) lifetime_programs);
+          ("variants", [ "predictive"; "custom" ]);
+          ("configs", List.map Derived.config lifetime_configs) ];
+    compute =
+      (fun () ->
+        (* One Multi serves every pass, reset before each. *)
+        let multi = Cachesim.Multi.create lifetime_configs in
+        List.concat_map
+          (fun (pkey, _) ->
+            let profile = Workload.Programs.find pkey in
+            let row ?arena_pages variant r =
+              Derived.row ~program:pkey ~variant ?arena_pages r
+                (List.map
+                   (fun ((c : Cachesim.Config.t), s) -> (c.name, s))
+                   (Cachesim.Multi.results multi))
+            in
+            (* Profiling pass, then the measured run with a trained
+               table. *)
+            let predictions = Workload.Driver.train_predictor ~profile () in
+            let heap = Allocators.Heap.create () in
+            let p = Allocators.Predictive.create ~predictions heap in
+            let alloc = Allocators.Predictive.allocator p in
+            Cachesim.Multi.reset multi;
+            let r =
+              Exec.Relay.with_sink (Cachesim.Multi.sink multi) @@ fun sink ->
+              Workload.Driver.run_with ~sink ~scale ~profile ~heap ~alloc ()
+            in
+            let arena_pages = Allocators.Predictive.arena_pages p in
+            let predictive = row "predictive" ~arena_pages r in
+            Cachesim.Multi.reset multi;
+            let r =
+              Exec.Relay.with_sink (Cachesim.Multi.sink multi) @@ fun sink ->
+              Workload.Driver.run ~sink ~scale ~profile ~allocator:"custom" ()
+            in
+            [ predictive; row "custom" r ])
+          lifetime_programs) }
+
 let lifetime_rows (ctx : Context.t) =
   let runs = ctx.Context.runs in
-  let scale = Runs.scale runs in
-  let driven =
-    Runs.derive runs ~id:"abl-lifetime" ~scale
-      ~inputs:
-        (Derived.inputs
-           [ ("programs",
-              List.map (fun (p, _) -> Derived.program p) lifetime_programs);
-             ("variants", [ "predictive"; "custom" ]);
-             ("configs", List.map Derived.config lifetime_configs) ])
-    @@ fun () ->
-    (* One Multi serves every pass, reset before each. *)
-    let multi = Cachesim.Multi.create lifetime_configs in
-    List.concat_map
-      (fun (pkey, _) ->
-        let profile = Workload.Programs.find pkey in
-        let row ?arena_pages variant r =
-          Derived.row ~program:pkey ~variant ?arena_pages r
-            (List.map
-               (fun ((c : Cachesim.Config.t), s) -> (c.name, s))
-               (Cachesim.Multi.results multi))
-        in
-        (* Profiling pass, then the measured run with a trained table. *)
-        let predictions = Workload.Driver.train_predictor ~profile () in
-        let heap = Allocators.Heap.create () in
-        let p = Allocators.Predictive.create ~predictions heap in
-        let alloc = Allocators.Predictive.allocator p in
-        Cachesim.Multi.reset multi;
-        let r =
-          Exec.Relay.with_sink (Cachesim.Multi.sink multi) @@ fun sink ->
-          Workload.Driver.run_with ~sink ~scale ~profile ~heap ~alloc ()
-        in
-        let arena_pages = Allocators.Predictive.arena_pages p in
-        let predictive = row "predictive" ~arena_pages r in
-        Cachesim.Multi.reset multi;
-        let r =
-          Exec.Relay.with_sink (Cachesim.Multi.sink multi) @@ fun sink ->
-          Workload.Driver.run ~sink ~scale ~profile ~allocator:"custom" ()
-        in
-        [ predictive; row "custom" r ])
-      lifetime_programs
-  in
   List.map
     (fun (profile, allocator) ->
       Derived.of_artifact ~variant:allocator
         (Runs.get runs ~profile ~allocator))
     lifetime_cells
-  @ driven
+  @ Runs.derive runs (lifetime_cell ctx)
 
 let lifetime_prediction (ctx : Context.t) =
   let scale = Runs.scale ctx.Context.runs in

@@ -22,7 +22,7 @@ val sweep_configs : Cachesim.Config.t list
     ways, and 64 K with 16-, 64- and 128-byte blocks ([64K-b16],
     [64K-b64], [64K-b128]). *)
 
-val sweep_rows : Context.t -> Derived.row list
+val sweep_cell : Context.t -> Runs.derivation
 (** The [abl-sweep] derived cell {!associativity} and {!block_size}
     share: one GS-Large driver pass per {!Context.with_custom}
     allocator, at the grid's scale, into one {!Cachesim.Multi} of
@@ -49,8 +49,8 @@ val flush : Context.t -> string
     of Mogul & Borg the paper deliberately excludes from its own
     numbers, here as an extension). *)
 
-val flush_rows : Context.t -> Derived.row list
-(** {!flush}'s simulated rows, one per allocator: one GS-Large driver
+val flush_cell : Context.t -> Runs.derivation
+(** {!flush}'s derived cell, one row per allocator: one GS-Large driver
     pass (scale capped at 0.1) fanned out to a 64 K direct-mapped cache
     per flush quantum, flushed before every quantum-th event (never for
     0).  The statistics are named [flush-Q] for quanta 0, 100000 and
@@ -65,6 +65,12 @@ val lifetime_prediction : Context.t -> string
 
 val lifetime_cells : (string * string) list
 (** The grid cells {!lifetime_prediction} reads. *)
+
+val lifetime_cell : Context.t -> Runs.derivation
+(** {!lifetime_prediction}'s derived cell, at the grid's scale: per
+    program (Gawk, then Espresso) a profiling pass trains the predictor,
+    then [predictive] and [custom] each run into a 16K/64K
+    direct-mapped sweep.  It reads none of {!lifetime_cells}. *)
 
 val penalty_sweep : Context.t -> string
 (** Total-time crossover between QuickFit and GNU local as the miss

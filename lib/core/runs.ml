@@ -345,28 +345,6 @@ let load t cells =
       | exception Not_found -> true (* unknown profile: let [run] raise *))
     (dedupe_missing t cells)
 
-let prefetch t cells =
-  (* Serve what the persistent store already holds (cheap sequential
-     I/O), then simulate only the genuinely cold cells in parallel. *)
-  match load t cells with
-  | [] -> ()
-  | pending ->
-      (* Every cell is self-contained (own heap, RNG, sinks), so the
-         workers never touch [t.memo] or the store; results come back in
-         submission order and are merged — and written through — here,
-         on the calling domain.  A parallel fill is therefore
-         bit-identical to a sequential one. *)
-      let artifacts =
-        Exec.Pool.with_pool
-          ~jobs:(min t.jobs (List.length pending))
-          (fun pool ->
-            Exec.Pool.map pool
-              (fun (profile, allocator) -> run t ~profile ~allocator)
-              pending)
-      in
-      List.iter2 (fun key art -> admit t.cells key `Computed art) pending
-        artifacts
-
 (* ---- external trace ingestion --------------------------------------- *)
 
 (* An ingested trace is a grid cell like any other, just with external
@@ -461,16 +439,118 @@ let ingest t ~format ~data = ingest_capture t (capture ~format ~data)
 
 (* ---- derived cells -------------------------------------------------- *)
 
-let derive t ~id ~scale ~inputs compute =
-  let meta =
-    { Derived.id; scale; schema_version = Derived.schema_version; inputs }
-  in
-  let digest = Derived.digest_of_meta meta in
-  let d =
+type derivation = {
+  id : string;
+  scale : float;
+  inputs : string;
+  compute : unit -> Derived.row list;
+}
+
+let derived_meta d =
+  { Derived.id = d.id;
+    scale = d.scale;
+    schema_version = Derived.schema_version;
+    inputs = d.inputs }
+
+let compute_derived d =
+  Telemetry.Span.with_span ~cat:"derived" d.id @@ fun () ->
+  { Derived.meta = derived_meta d; rows = d.compute () }
+
+let derive t d =
+  let digest = Derived.digest_of_meta (derived_meta d) in
+  let v =
     resolve t.derived digest
       ~digest:(fun () -> digest)
-      (fun () ->
-        Telemetry.Span.with_span ~cat:"derived" id @@ fun () ->
-        { Derived.meta; rows = compute () })
+      (fun () -> compute_derived d)
   in
-  d.Derived.rows
+  v.Derived.rows
+
+(* The derived cells of [ds] neither memoized nor stored, each once,
+   in first-occurrence order, paired with their digests; the stored
+   ones are admitted on the way. *)
+let load_derived t ds =
+  let seen = Hashtbl.create 8 in
+  List.filter_map
+    (fun d ->
+      let digest = Derived.digest_of_meta (derived_meta d) in
+      if Hashtbl.mem t.derived.memo digest || Hashtbl.mem seen digest then None
+      else begin
+        Hashtbl.replace seen digest ();
+        match stored t.derived ~digest with
+        | Some v ->
+            admit t.derived digest `Store v;
+            None
+        | None -> Some (digest, d)
+      end)
+    ds
+
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception e -> Error (e, Printexc.get_raw_backtrace ())
+
+let value = function
+  | Ok v -> v
+  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+
+let prefetch ?(derived = []) t cells =
+  (* Serve what the persistent store already holds (cheap sequential
+     I/O), then compute only the genuinely cold values. *)
+  let pending = load t cells in
+  let pending_d = load_derived t derived in
+  let jobs = min t.jobs (List.length pending) in
+  (* Every cell is self-contained (own heap, RNG, sinks), so the
+     workers never touch the memo or the store. *)
+  let fill () =
+    Exec.Pool.with_pool ~jobs (fun pool ->
+        Exec.Pool.map pool
+          (fun (profile, allocator) -> run t ~profile ~allocator)
+          pending)
+  in
+  (* Results are merged, and written through, here on the calling
+     domain in submission order, grid cells first: the memo and the
+     store hold what a sequential fill followed by each render's
+     resolve would leave. *)
+  let admit_cells =
+    List.iter2 (fun key art -> admit t.cells key `Computed art) pending
+  in
+  (* A sequential fill and the derived cells share no state either, so
+     the grid goes to an idle core while the caller computes the
+     derived cells, and the caller then takes the grid cells still
+     left: no core idles while cells remain.  A fill on pool workers
+     already holds the cores, and with no cold grid cell there is
+     nothing to overlap: the cold derived cells are then left to the
+     first render that reads them. *)
+  if pending <> [] && pending_d <> [] && jobs = 1 then begin
+    let cells = Array.of_list pending in
+    let slots = Array.make (Array.length cells) None in
+    let next = Atomic.make 0 in
+    let rec take () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < Array.length cells then begin
+        let profile, allocator = cells.(i) in
+        slots.(i) <- Some (outcome (fun () -> run t ~profile ~allocator));
+        take ()
+      end
+    in
+    let (), rows =
+      Exec.Relay.both take (fun () ->
+          let rows =
+            outcome (fun () ->
+                List.map (fun (_, d) -> compute_derived d) pending_d)
+          in
+          take ();
+          rows)
+    in
+    (* The first failure by position, grid cells first, before
+       anything is merged. *)
+    let artifacts =
+      Array.to_list (Array.map (fun r -> value (Option.get r)) slots)
+    in
+    let rows = value rows in
+    admit_cells artifacts;
+    List.iter2
+      (fun (digest, _) v -> admit t.derived digest `Computed v)
+      pending_d rows
+  end
+  else if pending <> [] then admit_cells (fill ())

@@ -81,18 +81,38 @@ val load : t -> (string * string) list -> (string * string) list
     — the ones {!get} or {!prefetch} would have to simulate.  With no
     store attached, every non-memoized cell is returned. *)
 
-val prefetch : t -> (string * string) list -> unit
-(** [prefetch t cells] fills the memo for every (profile, allocator)
-    cell not already present: first from the persistent store
-    (sequential, cheap), then by evaluating the remaining cells on up
-    to [jobs] ({!create}) worker domains and writing each result
-    through the store.  Cells are independent simulations (each owns
-    its heap, RNG and sinks) and results are merged in submission order on the
-    calling domain, so the memo contents — and therefore every
-    rendering — are bit-identical to a sequential fill, warm or cold.
-    If any simulated cell raises (e.g. {!get}'s [Not_found] for an
-    unknown key), no simulated cell of the batch is merged and the
-    first failure (by position) is re-raised. *)
+type derivation = {
+  id : string;  (** The experiment id the cell is filed under. *)
+  scale : float;  (** The effective scale [compute] simulates at. *)
+  inputs : string;
+      (** Everything [compute] simulates ({!Derived.inputs}). *)
+  compute : unit -> Derived.row list;
+      (** The driver passes.  It reads no grid cell, so it may run
+          beside a grid fill on another domain. *)
+}
+(** A derived cell as an experiment declares it, keyed by
+    [(id, Derived.schema_version, scale, inputs)]. *)
+
+val prefetch : ?derived:derivation list -> t -> (string * string) list -> unit
+(** [prefetch ?derived t cells] fills the memo for every (profile,
+    allocator) cell not already present, and reads every derived cell
+    of [derived] (default none) the store holds: first from the
+    persistent store (sequential, cheap), then by simulating the cold
+    grid cells on up to [jobs] ({!create}) worker domains.  When they
+    run on one (a single cold cell, or [jobs = 1]), the cold derived
+    cells are computed beside them: {!Exec.Relay.both} runs the grid
+    on an idle core while the caller computes the derived cells and
+    then takes the grid cells still left, or, with no idle core, runs
+    the grid first and the derived cells after.
+    Otherwise a cold derived cell is left to the first {!derive} that
+    asks for it.  Every value is independent (each owns its heap, RNG
+    and sinks), and every result is merged and written through on the
+    calling domain in submission order, grid cells first, so the memo
+    and the store — and therefore every rendering — are bit-identical
+    to a sequential fill, warm or cold.  If any computation raises
+    (e.g. {!get}'s [Not_found] for an unknown key), nothing computed
+    in the call is merged and the first failure (grid before derived,
+    then by position) is re-raised. *)
 
 val simulate_cell :
   ?tap:
@@ -156,15 +176,10 @@ val external_allocator : string
 
 (** {1 Derived cells} *)
 
-val derive :
-  t -> id:string -> scale:float -> inputs:string ->
-  (unit -> Derived.row list) -> Derived.row list
-(** [derive t ~id ~scale ~inputs compute] resolves the derived cell
-    keyed by [(id, Derived.schema_version, scale, inputs)] like
-    {!get}: memo, validated read of the store's [derived/] namespace,
-    or [compute ()] written through.  [inputs] must describe everything
-    [compute] simulates (see {!Derived.inputs}); [scale] is the
-    effective scale it simulates at. *)
+val derive : t -> derivation -> Derived.row list
+(** [derive t d] resolves [d]'s derived cell like {!get}: memo,
+    validated read of the store's [derived/] namespace, or
+    [d.compute ()] written through. *)
 
 (** {1 The validated store read} *)
 

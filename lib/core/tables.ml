@@ -154,37 +154,43 @@ let cpu_program = "gs-large"
 
 let level_name (cpu : Cachesim.Cpu.t) i = cpu.key ^ "/L" ^ string_of_int (i + 1)
 
-let cpu_rows (ctx : Context.t) ~scale ~cpus =
+let cpus = Cachesim.Cpu.all
+
+let cpu_cell (ctx : Context.t) =
+  let scale = Context.off_grid_scale ctx in
   let allocators = List.map fst Context.with_custom in
-  Runs.derive ctx.Context.runs ~id:"tabcpu" ~scale
-    ~inputs:
-      (Derived.inputs
-         [ ("programs", [ Derived.program cpu_program ]);
-           ("allocators", allocators);
-           ("cpus", List.map Derived.cpu cpus) ])
-  @@ fun () ->
-  let profile = Workload.Programs.find cpu_program in
-  let hier = Cachesim.Cpu.hierarchy cpus in
-  List.map
-    (fun akey ->
-      Cachesim.Hierarchy.reset hier;
-      let r =
-        Exec.Relay.with_sink (Cachesim.Hierarchy.sink hier) @@ fun sink ->
-        Workload.Driver.run ~sink ~scale ~profile ~allocator:akey ()
-      in
-      Derived.row ~program:cpu_program ~variant:akey r
-        (List.concat
-           (List.map2
-              (fun cpu path ->
-                List.mapi (fun i (_, stats) -> (level_name cpu i, stats)) path)
-              cpus
-              (Cachesim.Hierarchy.results hier))))
-    allocators
+  { Runs.id = "tabcpu";
+    scale;
+    inputs =
+      Derived.inputs
+        [ ("programs", [ Derived.program cpu_program ]);
+          ("allocators", allocators);
+          ("cpus", List.map Derived.cpu cpus) ];
+    compute =
+      (fun () ->
+        let profile = Workload.Programs.find cpu_program in
+        let hier = Cachesim.Cpu.hierarchy cpus in
+        List.map
+          (fun akey ->
+            Cachesim.Hierarchy.reset hier;
+            let r =
+              Exec.Relay.with_sink (Cachesim.Hierarchy.sink hier) @@ fun sink ->
+              Workload.Driver.run ~sink ~scale ~profile ~allocator:akey ()
+            in
+            Derived.row ~program:cpu_program ~variant:akey r
+              (List.concat
+                 (List.map2
+                    (fun cpu path ->
+                      List.mapi
+                        (fun i (_, stats) -> (level_name cpu i, stats))
+                        path)
+                    cpus
+                    (Cachesim.Hierarchy.results hier))))
+          allocators) }
 
 let tabcpu (ctx : Context.t) =
   let scale = Context.off_grid_scale ctx in
-  let cpus = Cachesim.Cpu.all in
-  let rows = cpu_rows ctx ~scale ~cpus in
+  let rows = Runs.derive ctx.Context.runs (cpu_cell ctx) in
   let level_stats (cpu : Cachesim.Cpu.t) row =
     List.mapi (fun i _ -> Derived.stats row (level_name cpu i)) cpu.levels
   in

@@ -21,3 +21,9 @@ val tabcpu : Context.t -> string
     {!Cachesim.Cpu} presets (L1/L2/L3 with tree-PLRU/QLRU policies) —
     one table ranking every allocator across all presets, plus a
     per-level detail table for the preset in {!Context.t.cpu}. *)
+
+val cpu_cell : Context.t -> Runs.derivation
+(** {!tabcpu}'s derived cell: one GS-Large driver pass per
+    {!Context.with_custom} allocator at {!Context.off_grid_scale}, into
+    one {!Cachesim.Hierarchy} over every {!Cachesim.Cpu.all} preset;
+    each row's statistics are named [<preset>/L<n>]. *)

@@ -8,6 +8,7 @@ let worker = Domain.DLS.new_key (fun () -> false)
 let enlist n = ignore (Atomic.fetch_and_add busy n)
 let discharge n = ignore (Atomic.fetch_and_add busy (-n))
 let mark_worker () = Domain.DLS.set worker true
+let in_use () = Atomic.get busy
 
 let try_take () =
   let self = if Domain.DLS.get worker then 0 else 1 in

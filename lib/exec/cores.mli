@@ -2,8 +2,9 @@
     simulation work, and whether one more would still find an idle core.
 
     A domain counts while it is a live {!Pool} worker or a {!Relay}
-    helper in use; the domain asking counts too, unless it is itself a
-    pool worker (already counted).  A helper may be taken only while
+    helper in use, whether the helper runs a relayed consumer set or
+    one side of {!Relay.both}; the domain asking counts too, unless it
+    is itself a pool worker (already counted).  A helper may be taken only while
     that total is below [Domain.recommended_domain_count ()], which
     honours the process's CPU affinity (under [taskset -c 0] it is 1,
     so no helper is ever taken). *)
@@ -23,3 +24,6 @@ val try_take : unit -> bool
 (** Counts one more helper in use and returns [true] iff the live
     total, the asking domain included, was below the recommended domain
     count; otherwise counts nothing and returns [false]. *)
+
+val in_use : unit -> int
+(** Live pool workers plus helpers in use, across every domain. *)

@@ -42,7 +42,8 @@ let helper_minor_heap_words = 8192
 
 let relays_f =
   Telemetry.Metrics.Counter.family ~name:"loclab_relay_total"
-    ~help:"Consumer relays, by whether a helper domain ran the consumers"
+    ~help:"Relays (consumer sets and side-by-side pairs), by whether a \
+           helper domain ran the relayed side"
     ~labels:[ "path" ] ()
 
 let relayed_c = Telemetry.Metrics.Counter.labels relays_f [ "relayed" ]
@@ -211,11 +212,23 @@ let rec next_job h =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> next_job h
       | exception Unix.Unix_error _ -> wait ())
 
+(* A helper's blocks over 128 words come from its thread's own glibc
+   malloc arena (OCaml 5.1 mallocs them), which no other domain
+   allocates from: once the GC has freed them, the arena keeps their
+   pages resident below its trim threshold.  A retiring helper hands
+   every arena's free pages back (a no-op outside glibc).  perfbench
+   report-warm, whose set-up fills side by side before its warm
+   passes, peaked at 18.0-18.1 MB for the parent and 16.5-17.4 MB with
+   the trim (4 alternating 25 s runs each), against 18.0-20.1 MB
+   without it. *)
+external malloc_trim : unit -> unit = "loclab_exec_malloc_trim" [@@noalloc]
+
 let rec serve h =
   match next_job h with
   | None ->
       Unix.close h.wake_r;
-      Unix.close h.wake_w
+      Unix.close h.wake_w;
+      malloc_trim ()
   | Some job ->
       (try job () with e -> h.error <- Some (e, Printexc.get_raw_backtrace ()));
       Mutex.lock h.mu;
@@ -301,12 +314,18 @@ let release h =
   Mutex.unlock idle_mu;
   Cores.discharge 1
 
-(* Hands [job] to [h] and returns at once. *)
+(* Hands [job] to [h] and returns at once.  A domain records
+   backtraces only when told to, so the helper follows the caller. *)
 let start h job =
+  let record = Printexc.backtrace_status () in
   Mutex.lock h.mu;
   h.error <- None;
   h.finished <- false;
-  h.job <- Some job;
+  h.job <-
+    Some
+      (fun () ->
+        Printexc.record_backtrace record;
+        job ());
   Mutex.unlock h.mu;
   ignore (Unix.write_substring h.wake_w "!" 0 1)
 
@@ -346,3 +365,63 @@ let with_sink remote f =
       | Some (e, bt), _ | None, Error (e, bt) ->
           Printexc.raise_with_backtrace e bt
       | None, Ok v -> v)
+
+(* ---- side by side ------------------------------------------------------ *)
+
+(* While a pair runs, both domains allocate, and OCaml 5.1 takes every
+   block over 128 words from the allocating thread's own glibc arena:
+   free memory in the helper's arena cannot serve the caller, nor the
+   reverse, so the floating garbage the GC's space overhead allows is
+   held once per arena.  A pair therefore runs at two thirds of the
+   configured overhead.  On a 2-vCPU host, perfbench grid-cold (its
+   fill one pair per pass) peaked at 19.0 MB at the full overhead,
+   17.6 MB at five sixths and 16.4 MB at two thirds, for a pass of
+   0.105, 0.115 and 0.116 s (medians of 6 runs each). *)
+let pair_overhead o = o * 2 / 3
+
+let overhead_mu = Mutex.create ()
+let pairs = ref 0  (* Pairs running, across every domain. *)
+let saved_overhead = ref 0
+
+let lower_overhead () =
+  Mutex.lock overhead_mu;
+  if !pairs = 0 then begin
+    let gc = Gc.get () in
+    saved_overhead := gc.Gc.space_overhead;
+    Gc.set { gc with Gc.space_overhead = pair_overhead gc.Gc.space_overhead }
+  end;
+  incr pairs;
+  Mutex.unlock overhead_mu
+
+let restore_overhead () =
+  Mutex.lock overhead_mu;
+  decr pairs;
+  if !pairs = 0 then
+    Gc.set { (Gc.get ()) with Gc.space_overhead = !saved_overhead };
+  Mutex.unlock overhead_mu
+
+let both f g =
+  match acquire () with
+  | None ->
+      Telemetry.Metrics.Counter.inc inline_c;
+      let a = f () in
+      (a, g ())
+  | Some h -> (
+      Telemetry.Metrics.Counter.inc relayed_c;
+      (* Written on the helper before [finish] reads [h.finished] under
+         [h.mu], so the caller sees it. *)
+      let a = ref None in
+      lower_overhead ();
+      start h (fun () -> a := Some (with_path Inline f));
+      let b =
+        match with_path Inline g with
+        | v -> Ok v
+        | exception e -> Error (e, Printexc.get_raw_backtrace ())
+      in
+      let failed = finish h in
+      restore_overhead ();
+      match (failed, b, !a) with
+      | Some (e, bt), _, _ | None, Error (e, bt), _ ->
+          Printexc.raise_with_backtrace e bt
+      | None, Ok b, Some a -> (a, b)
+      | None, Ok _, None -> assert false)

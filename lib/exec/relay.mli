@@ -19,8 +19,12 @@
     relay that finds it idle; an idle helper blocks, it does not spin,
     and it retires (its domain ends) after a fraction of a second
     without a relay, because an idle domain still slows every minor
-    collection of the process.  A helper runs with a small minor heap
-    and its relay loop allocates nothing per slot. *)
+    collection of the process; a retiring helper returns the free pages
+    of the malloc arenas to the system.  A helper runs with a small
+    minor heap and its relay loop allocates nothing per slot.
+
+    The same helpers run whole computations too: {!both} runs one thunk
+    on a helper while the caller runs another, under the same rule. *)
 
 type path =
   | Relayed  (** The consumers ran on a helper domain. *)
@@ -36,9 +40,23 @@ val with_sink : Memsim.Sink.t -> (Memsim.Sink.t -> 'a) -> 'a
     batches it delivered are still consumed, the helper is released and
     [f]'s exception is re-raised. *)
 
+val both : (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
+(** [both f g] is [(f (), g ())] in effect, [f] evaluated first.  When
+    a core is idle it runs [f] on a helper domain while the caller runs
+    [g], and returns once both have finished.  Every relay made inside
+    either thunk while both run takes the [Inline] path: the two sides
+    already hold the cores the spare-core rule would hand out.  An
+    exception from either side is re-raised on the caller, with its
+    backtrace, only after the other side has finished; if both raise,
+    [f]'s wins, as it would in the sequential order.  While the two
+    sides run, the GC's [space_overhead] is two thirds of its setting,
+    and restored once no pair runs: each side's garbage sits in its own
+    domain's malloc arena.  Counted in [loclab_relay_total] like
+    {!with_sink}. *)
+
 val with_path : path -> (unit -> 'a) -> 'a
 (** [with_path p f] runs [f] with every relay that the calling domain
     makes inside it taking path [p], whatever the idle cores: the two
     paths can then be compared on any host.  [Relayed] spawns or reuses
-    a helper even on one core.  Relays made by other domains (e.g. pool
+    a helper even on one core, for {!with_sink} and {!both} alike.  Relays made by other domains (e.g. pool
     workers) are not affected. *)

@@ -1508,6 +1508,15 @@ let test_cpu_skylake_cost_model () =
   check_int "total = instructions + stalls" 394
     (Cpu.total_cycles cpu levels ~instructions:100)
 
+(* A fresh trie of every preset stores one way per set in each level,
+   tags and QLRU ages alike: 56.6 K words, where dense QLRU ages made
+   it 118 K and dense tags 740 K. *)
+let test_cpu_hierarchy_footprint () =
+  let words = Obj.reachable_words (Obj.repr (Cpu.hierarchy Cpu.all)) in
+  check_bool
+    (Printf.sprintf "a fresh five-preset hierarchy holds %d words" words)
+    true (words < 64_000)
+
 (* ------------------------------------------------------------------ *)
 (* Hierarchy trie: shared levels against independent oracle chains    *)
 (* ------------------------------------------------------------------ *)
@@ -1825,6 +1834,8 @@ let () =
             test_cpu_presets_well_formed;
           Alcotest.test_case "skylake cost model" `Quick
             test_cpu_skylake_cost_model;
+          Alcotest.test_case "fresh hierarchy footprint" `Quick
+            test_cpu_hierarchy_footprint;
         ] );
       ( "stats",
         [

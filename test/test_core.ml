@@ -467,7 +467,7 @@ let test_flush_rows_match_independent_runs () =
     let r = Workload.Driver.run ~sink ~scale:0.02 ~profile ~allocator () in
     (r, Cachesim.Forest.member_stats cache 0)
   in
-  let rows = Core.Ablations.flush_rows ctx in
+  let rows = Core.Runs.derive ctx.Core.Context.runs (Core.Ablations.flush_cell ctx) in
   Alcotest.(check (list string))
     "one row per allocator"
     [ "firstfit"; "bsd"; "gnu-local"; "quickfit" ]
@@ -506,7 +506,7 @@ let test_sweep_rows_match_eleven_cache_multi () =
     "the six extension caches"
     [ "16K-2way"; "16K-4way"; "16K-8way"; "64K-b16"; "64K-b64"; "64K-b128" ]
     (List.map name six);
-  let rows = Core.Ablations.sweep_rows ctx in
+  let rows = Core.Runs.derive ctx.Core.Context.runs (Core.Ablations.sweep_cell ctx) in
   Alcotest.(check (list string))
     "one row per allocator"
     (List.map fst Core.Context.with_custom)
@@ -759,19 +759,178 @@ let test_options_jobs_zero_means_per_core () =
 
 let tc name f = Alcotest.test_case name `Quick f
 
-(* An experiment's [cells] must name every grid cell its render reads:
-   a missing one is still simulated, lazily and on one domain, so no
-   rendering test notices.  After prefetching the hint, a render on a
-   fresh context simulates nothing more. *)
+(* An experiment's [cells] and [derived] must name every grid cell and
+   derived cell its render reads: a missing one is still computed,
+   lazily and on one domain, so no rendering test notices.  After
+   warming the experiment and resolving its declared derived cells
+   (which the fill leaves to the render when no grid cell is cold), a
+   render on a fresh context simulates and computes nothing more. *)
 let cells_cover_render (e : Core.Experiment.t) () =
   let ctx = Core.Context.create ~scale:0.002 () in
   let runs = ctx.Core.Context.runs in
-  Core.Runs.prefetch runs e.cells;
-  let before = Core.Runs.simulated runs in
+  Core.Experiment.warm ctx [ e.id ];
+  List.iter (fun d -> ignore (Core.Runs.derive runs (d ctx))) e.derived;
+  let before = Core.Runs.simulated runs
+  and before_d = Core.Runs.derived_computed runs in
   ignore (e.render ctx);
-  check_int (e.id ^ ": cells the hint missed") before (Core.Runs.simulated runs)
+  check_int (e.id ^ ": cells the hint missed") before (Core.Runs.simulated runs);
+  check_int
+    (e.id ^ ": derived cells the declaration missed")
+    before_d
+    (Core.Runs.derived_computed runs)
+
+(* ------------------------------------------------------------------ *)
+(* The fill: grid cells beside derived cells                          *)
+(* ------------------------------------------------------------------ *)
+
+let made_dirs = ref []
+
+let rec remove_tree path =
+  if Sys.file_exists path && Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    try Unix.rmdir path with Unix.Unix_error _ -> ()
+  end
+  else try Sys.remove path with Sys_error _ -> ()
+
+let temp_store () =
+  let dir = Filename.temp_file "loclab-test-core-" ".store" in
+  Sys.remove dir;
+  made_dirs := dir :: !made_dirs;
+  Store.open_ dir
+
+(* Every payload of every namespace, by digest. *)
+let store_contents store =
+  List.concat_map
+    (fun (ns : Core.Runs.namespace) ->
+      let s = ns.locate store in
+      List.map
+        (fun digest ->
+          match Store.find s ~digest with
+          | Store.Hit payload -> (ns.name, digest, Digest.to_hex (Digest.string payload))
+          | _ -> Alcotest.failf "%s %s unreadable" ns.name digest)
+        (List.sort compare (Store.ls s)))
+    Core.Runs.namespaces
+
+(* Relays so far, down either path. *)
+let relays () =
+  List.fold_left
+    (fun n (fam : Telemetry.Metrics.family_snapshot) ->
+      if fam.fname <> "loclab_relay_total" then n
+      else
+        List.fold_left
+          (fun n (sample : Telemetry.Metrics.sample) ->
+            match sample.v with Telemetry.Metrics.Counter_v c -> n + c | _ -> n)
+          n fam.samples)
+    0
+    (Telemetry.Metrics.snapshot Telemetry.Metrics.default)
+
+let fill_scale = 0.004
+
+(* A cold [warm_all] into a fresh store under a forced relay path, then
+   a render of every experiment: the text, what the memo holds and what
+   the store holds. *)
+let fill_under path =
+  let store = temp_store () in
+  let ctx = Core.Context.create ~scale:fill_scale ~store () in
+  let runs = ctx.Core.Context.runs in
+  let r0 = relays () in
+  Exec.Relay.with_path path (fun () -> Core.Experiment.warm_all ctx);
+  let took = relays () - r0 in
+  let text =
+    String.concat "\n"
+      (List.map (fun (e : Core.Experiment.t) -> e.render ctx) Core.Experiment.all)
+  in
+  let simulated = Core.Runs.simulated runs
+  and computed = Core.Runs.derived_computed runs in
+  let memo =
+    List.concat_map
+      (fun (e : Core.Experiment.t) ->
+        List.map
+          (fun (profile, allocator) ->
+            Core.Artifact.encode (Core.Runs.get runs ~profile ~allocator))
+          e.cells
+        @ List.map
+            (fun d ->
+              let d = d ctx in
+              Core.Derived.encode
+                { Core.Derived.meta =
+                    { Core.Derived.id = d.Core.Runs.id;
+                      scale = d.scale;
+                      schema_version = Core.Derived.schema_version;
+                      inputs = d.inputs };
+                  rows = Core.Runs.derive runs d })
+            e.derived)
+      Core.Experiment.all
+  in
+  check_int "reading the memo simulated nothing" simulated
+    (Core.Runs.simulated runs);
+  check_int "reading the memo computed nothing" computed
+    (Core.Runs.derived_computed runs);
+  check_int "the four derived cells computed in the fill" 4 computed;
+  (took, text, memo, store_contents store, store)
+
+let test_fill_relayed_equals_inline () =
+  Telemetry.Metrics.set_enabled Telemetry.Metrics.default true;
+  let took_r, text_r, memo_r, store_r, _ = fill_under Exec.Relay.Relayed in
+  let _, text_i, memo_i, store_i, _ = fill_under Exec.Relay.Inline in
+  check_bool "the relayed fill relayed" true (took_r > 0);
+  Alcotest.(check string) "rendered bytes" text_i text_r;
+  Alcotest.(check (list string)) "memo contents" memo_i memo_r;
+  Alcotest.(check (list (triple string string string)))
+    "store digests and payloads" store_i store_r
+
+(* A side-by-side fill that fails merges nothing, and raises the grid's
+   first failure by position before any derived cell's. *)
+let test_fill_failure_merges_nothing () =
+  let failing_derivation =
+    { Core.Runs.id = "failing"; scale = fill_scale; inputs = "none";
+      compute = (fun () -> failwith "derived") }
+  in
+  List.iter
+    (fun path ->
+      let ctx = Core.Context.create ~scale:fill_scale () in
+      let runs = ctx.Core.Context.runs in
+      let prefetch derived cells =
+        Exec.Relay.with_path path (fun () ->
+            Core.Runs.prefetch runs ~derived cells)
+      in
+      check_bool "an unknown program raises Not_found" true
+        (match
+           prefetch
+             [ failing_derivation ]
+             [ ("make", "bsd"); ("no-such-program", "bsd"); ("gawk", "bsd") ]
+         with
+        | () -> false
+        | exception Not_found -> true);
+      check_bool "a failing derived cell raises its exception" true
+        (match prefetch [ failing_derivation ] [ ("make", "bsd") ] with
+        | () -> false
+        | exception Failure msg -> msg = "derived");
+      check_int "no grid cell merged" 0 (Core.Runs.simulated runs);
+      check_int "no derived cell merged" 0 (Core.Runs.derived_computed runs))
+    [ Exec.Relay.Relayed; Exec.Relay.Inline ]
+
+(* A report over a warm store forks nothing: every value is a store
+   read, so the fill takes no helper and relays nothing. *)
+let test_warm_fill_takes_no_helper () =
+  Telemetry.Metrics.set_enabled Telemetry.Metrics.default true;
+  let _, text, _, _, store = fill_under Exec.Relay.Relayed in
+  let ctx = Core.Context.create ~scale:fill_scale ~store () in
+  let runs = ctx.Core.Context.runs in
+  let before = relays () in
+  Core.Experiment.warm_all ctx;
+  check_int "loclab_relay_total unchanged" before (relays ());
+  check_int "no cell simulated" 0 (Core.Runs.simulated runs);
+  check_int "no derived cell computed" 0 (Core.Runs.derived_computed runs);
+  check_int "the four derived cells read" 4 (Core.Runs.derived_hits runs);
+  Alcotest.(check string) "warm render = cold render" text
+    (String.concat "\n"
+       (List.map (fun (e : Core.Experiment.t) -> e.render ctx) Core.Experiment.all));
+  check_int "nor did the render" before (relays ())
 
 let () =
+  (* [Alcotest.run] ends in [exit], which runs [at_exit] handlers. *)
+  at_exit (fun () -> List.iter remove_tree !made_dirs);
   Alcotest.run "core"
     [
       ( "runs",
@@ -825,6 +984,13 @@ let () =
           tc "tabcpu allocates one hierarchy" test_tabcpu_one_hierarchy;
           tc "abl-sweep rows equal an 11-cache multi"
             test_sweep_rows_match_eleven_cache_multi;
+        ] );
+      ( "fill",
+        [
+          tc "relayed = inline: bytes, memo, store"
+            test_fill_relayed_equals_inline;
+          tc "a warm fill takes no helper" test_warm_fill_takes_no_helper;
+          tc "a failed fill merges nothing" test_fill_failure_merges_nothing;
         ] );
       ( "cells",
         List.map

@@ -417,6 +417,135 @@ let test_relay_runs_cells_identical () =
        driven Memsim.Trace.Source.Binary);
       ("driven csv", Memsim.Trace.Source.Csv, driven Memsim.Trace.Source.Csv) ]
 
+(* ------------------------------------------------------------------ *)
+(* Relay.both: two thunks side by side                                *)
+(* ------------------------------------------------------------------ *)
+
+let self () = (Domain.self () :> int)
+
+let test_both_results () =
+  List.iter
+    (fun path ->
+      let a, b =
+        Relay.with_path path (fun () ->
+            Relay.both (fun () -> List.init 1000 Fun.id) (fun () -> "g"))
+      in
+      check_int "f's result" 499500 (List.fold_left ( + ) 0 a);
+      Alcotest.(check string) "g's result" "g" b)
+    [ Relay.Relayed; Relay.Inline ];
+  let a, b = Relay.both (fun () -> 1) (fun () -> 2) in
+  check_int "unforced f" 1 a;
+  check_int "unforced g" 2 b
+
+let raising_thunk name () = failwith name
+
+(* The side that does not raise is slow, so a re-raise that did not
+   wait for it would find its flag clear.  The backtrace starts where
+   the thunk raised, on whichever domain it ran. *)
+let test_both_reraises_after_other_side () =
+  Printexc.record_backtrace true;
+  let raises_with_backtrace ~name f =
+    match Relay.with_path Relay.Relayed f with
+    | _ -> Alcotest.failf "%s: no exception" name
+    | exception Failure msg ->
+        let bt = Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ()) in
+        Alcotest.(check string) (name ^ ": message") name msg;
+        check_bool (name ^ ": backtrace from the raise\n" ^ bt) true
+          (String.starts_with ~prefix:"Raised at Stdlib.failwith" bt)
+  in
+  let base = Exec.Cores.in_use () in
+  let g_done = Atomic.make false in
+  raises_with_backtrace ~name:"f" (fun () ->
+      Relay.both (raising_thunk "f") (fun () ->
+          Unix.sleepf 0.05;
+          Atomic.set g_done true));
+  check_bool "g finished before f's exception surfaced" true
+    (Atomic.get g_done);
+  let f_done = Atomic.make false in
+  raises_with_backtrace ~name:"g" (fun () ->
+      Relay.both
+        (fun () ->
+          Unix.sleepf 0.05;
+          Atomic.set f_done true)
+        (raising_thunk "g"));
+  check_bool "f finished before g's exception surfaced" true
+    (Atomic.get f_done);
+  raises_with_backtrace ~name:"f" (fun () ->
+      Relay.both (raising_thunk "f") (raising_thunk "g"));
+  check_int "no helper left counted" base (Exec.Cores.in_use ());
+  check_bool "the next pair still runs side by side" true
+    (let f, g = Relay.with_path Relay.Relayed (fun () -> Relay.both self self) in
+     f <> g)
+
+(* Forced inline, or with no idle core, the pair is [f] then [g] on
+   the caller, as the sequential code it replaces. *)
+let test_both_inline_order () =
+  let order = ref [] in
+  let note side () = order := (side, self ()) :: !order in
+  Relay.with_path Relay.Inline (fun () ->
+      ignore (Relay.both (note "f") (note "g")));
+  Alcotest.(check (list (pair string int)))
+    "f, then g, both on the caller"
+    [ ("f", self ()); ("g", self ()) ]
+    (List.rev !order)
+
+(* While both sides run they hold the cores: a relay made inside either
+   side runs its consumers on that side's own domain, forced path or
+   not. *)
+let test_both_nested_relays_inline () =
+  let nested () =
+    let d = ref (-1) in
+    Relay.with_sink
+      (fun _ -> d := self ())
+      (fun local -> deliver_split [ 10 ] local (some_events 10));
+    (self (), !d)
+  in
+  let (f_dom, f_relay), (g_dom, g_relay) =
+    Relay.with_path Relay.Relayed (fun () -> Relay.both nested nested)
+  in
+  check_bool "f ran on a helper" true (f_dom <> self ());
+  check_int "g ran on the caller" (self ()) g_dom;
+  check_int "f's relay ran inline" f_dom f_relay;
+  check_int "g's relay ran inline" g_dom g_relay;
+  check_bool "a relay after the pair takes a helper again" true
+    (Relay.with_path Relay.Relayed (fun () -> snd (nested ())) <> self ())
+
+(* Both sides see the lowered GC space overhead; it is restored after
+   the pair, also when a side raises. *)
+let test_both_space_overhead () =
+  let overhead () = (Gc.get ()).Gc.space_overhead in
+  let base = overhead () in
+  let during, _ =
+    Relay.with_path Relay.Relayed (fun () -> Relay.both overhead overhead)
+  in
+  check_int "two thirds while the pair runs" (base * 2 / 3) during;
+  check_int "restored after it" base (overhead ());
+  (match
+     Relay.with_path Relay.Relayed (fun () ->
+         Relay.both (fun () -> ()) (raising_thunk "g"))
+   with
+  | _ -> Alcotest.fail "no exception"
+  | exception Failure _ -> ());
+  check_int "restored after a raise" base (overhead ());
+  let inline, _ =
+    Relay.with_path Relay.Inline (fun () -> Relay.both overhead overhead)
+  in
+  check_int "unchanged for a sequential pair" base inline
+
+let test_both_reuses_one_helper () =
+  let base = Exec.Cores.in_use () in
+  let domains = ref [] in
+  for _ = 1 to 50 do
+    let f, _ =
+      Relay.with_path Relay.Relayed (fun () -> Relay.both self (fun () -> ()))
+    in
+    if not (List.mem f !domains) then domains := f :: !domains;
+    check_int "the Cores count is back at its baseline" base
+      (Exec.Cores.in_use ())
+  done;
+  check_int "one helper domain ran all 50 pairs" 1 (List.length !domains);
+  check_bool "and it is not the caller" true (not (List.mem (self ()) !domains))
+
 let tc name f = Alcotest.test_case name `Quick f
 let qt t = QCheck_alcotest.to_alcotest t
 
@@ -456,6 +585,18 @@ let () =
           tc "spare-core rule" test_relay_spare_core_rule;
           tc "Runs cells byte-identical relayed and inline"
             test_relay_runs_cells_identical;
+        ] );
+      ( "both",
+        [
+          tc "both results come back" test_both_results;
+          tc "an exception waits for the other side"
+            test_both_reraises_after_other_side;
+          tc "forced inline runs f then g" test_both_inline_order;
+          tc "relays inside either side run inline"
+            test_both_nested_relays_inline;
+          tc "50 pairs spawn at most one domain" test_both_reuses_one_helper;
+          tc "space overhead lowered while a pair runs"
+            test_both_space_overhead;
         ] );
       ( "determinism",
         [
