@@ -414,11 +414,13 @@ let probe_block_ks t ~ks ~block =
   (* A cold (first-ever) reference misses in every member at once; a
      family-wide hit proves the block was already seen, so the table is
      only consulted when someone missed. *)
-  (match t.cold with
-  | Own seen ->
-      if missed > 0 && Memsim.Addr.Index_set.add seen block then
-        t.cold_misses <- t.cold_misses + 1
-  | Upstream _ -> ());
+  if missed > 0 then begin
+    match t.cold with
+    | Own seen ->
+        if Memsim.Addr.Index_set.add seen block then
+          t.cold_misses <- t.cold_misses + 1
+    | Upstream _ -> ()
+  end;
   t.last_block <- block;
   t.run_dirty <- write;
   t.run_hit <- Array.length t.refresh = 0;

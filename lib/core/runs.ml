@@ -517,10 +517,12 @@ let prefetch ?(derived = []) t cells =
   (* A sequential fill and the derived cells share no state either, so
      the grid goes to an idle core while the caller computes the
      derived cells, and the caller then takes the grid cells still
-     left: no core idles while cells remain.  A fill on pool workers
-     already holds the cores, and with no cold grid cell there is
-     nothing to overlap: the cold derived cells are then left to the
-     first render that reads them. *)
+     left: no core idles while cells remain.  Once the helper has run
+     out of grid cells, the caller's relays run on it again, so a fill
+     of a few cold cells leaves the derived cells' sweeps relayed.  A
+     fill on pool workers already holds the cores, and with no cold grid
+     cell there is nothing to overlap: the cold derived cells are then
+     left to the first render that reads them. *)
   if pending <> [] && pending_d <> [] && jobs = 1 then begin
     let cells = Array.of_list pending in
     let slots = Array.make (Array.length cells) None in

@@ -212,23 +212,11 @@ let rec next_job h =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> next_job h
       | exception Unix.Unix_error _ -> wait ())
 
-(* A helper's blocks over 128 words come from its thread's own glibc
-   malloc arena (OCaml 5.1 mallocs them), which no other domain
-   allocates from: once the GC has freed them, the arena keeps their
-   pages resident below its trim threshold.  A retiring helper hands
-   every arena's free pages back (a no-op outside glibc).  perfbench
-   report-warm, whose set-up fills side by side before its warm
-   passes, peaked at 18.0-18.1 MB for the parent and 16.5-17.4 MB with
-   the trim (4 alternating 25 s runs each), against 18.0-20.1 MB
-   without it. *)
-external malloc_trim : unit -> unit = "loclab_exec_malloc_trim" [@@noalloc]
-
 let rec serve h =
   match next_job h with
   | None ->
       Unix.close h.wake_r;
-      Unix.close h.wake_w;
-      malloc_trim ()
+      Unix.close h.wake_w
   | Some job ->
       (try job () with e -> h.error <- Some (e, Printexc.get_raw_backtrace ()));
       Mutex.lock h.mu;
@@ -238,7 +226,54 @@ let rec serve h =
       Mutex.unlock h.mu;
       serve h
 
+(* While both sides of a pair run, both domains allocate and both live
+   sets are held at once, so the floating garbage the GC's space
+   overhead allows grows with their sum: until [f] returns, the process
+   runs at two thirds of the configured overhead.  On a 2-vCPU host,
+   [loclab all --scale 0.25 --jobs 1] (one pair) peaked at 35-36 MB at
+   the full overhead and at 27-30 MB at two thirds, where filling the
+   grid and then the derived cells peaked at 28-31 MB; perfbench
+   grid-cold at scale 0.002 read 17.2 MB and 16.4 MB (EXPERIMENTS.md,
+   "The fill, side by side").  [Gc.set] writes the whole control record
+   back, so every [Gc.set] here runs under [overhead_mu]. *)
+let pair_overhead o = o * 2 / 3
+
+let overhead_mu = Mutex.create ()
+let pairs = ref 0  (* Pairs running, across every domain. *)
+let saved_overhead = ref 0
+
+let set_gc f =
+  Mutex.lock overhead_mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock overhead_mu) (fun () -> f ())
+
+let lower_overhead () =
+  set_gc (fun () ->
+      if !pairs = 0 then begin
+        let gc = Gc.get () in
+        saved_overhead := gc.Gc.space_overhead;
+        Gc.set
+          { gc with Gc.space_overhead = pair_overhead gc.Gc.space_overhead }
+      end;
+      incr pairs)
+
+let restore_overhead () =
+  set_gc (fun () ->
+      decr pairs;
+      if !pairs = 0 then
+        Gc.set { (Gc.get ()) with Gc.space_overhead = !saved_overhead })
+
+(* OCaml 5.1 mallocs every major-heap block over 128 words from the
+   allocating thread's glibc arena, and free memory in one arena never
+   serves another: a helper with an arena of its own holds its own
+   floating garbage beside the caller's.  So before a helper's thread
+   first mallocs, the process is limited to one arena (idempotent; a
+   no-op outside glibc).  With an arena per helper, the run above
+   peaked at 29-33 MB. *)
+external share_one_arena : unit -> unit = "loclab_exec_share_one_arena"
+  [@@noalloc]
+
 let spawn () =
+  share_one_arena ();
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   let h =
     { ring =
@@ -260,7 +295,9 @@ let spawn () =
   (* Never joined: a helper ends on its own once it retires. *)
   match
     Domain.spawn (fun () ->
-        Gc.set { (Gc.get ()) with Gc.minor_heap_size = helper_minor_heap_words };
+        set_gc (fun () ->
+            Gc.set
+              { (Gc.get ()) with Gc.minor_heap_size = helper_minor_heap_words });
         serve h)
   with
   | _ -> h
@@ -269,44 +306,61 @@ let spawn () =
       Unix.close wake_w;
       raise e
 
-let forced = Domain.DLS.new_key (fun () -> None)
+(* How the calling domain's relays run: on a forced path, or as the
+   caller's side of a {!both} whose helper is [h]. *)
+type mode = Forced of path | Paired of helper
 
-let with_path p f =
-  let prev = Domain.DLS.get forced in
-  Domain.DLS.set forced (Some p);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set forced prev) f
+let mode = Domain.DLS.new_key (fun () -> None)
 
-(* A helper for the calling domain, or [None] to run inline. *)
+let with_mode m f =
+  let prev = Domain.DLS.get mode in
+  Domain.DLS.set mode (Some m);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set mode prev) f
+
+let with_path p f = with_mode (Forced p) f
+
+let job_done h =
+  Mutex.lock h.mu;
+  let d = h.finished in
+  Mutex.unlock h.mu;
+  d
+
+(* A helper for the calling domain, and whether the caller must release
+   it, or [None] to run inline.  The caller's side of a pair runs
+   inline while the other side runs, and then relays on the pair's
+   helper, which the pair already counts. *)
 let acquire () =
   let counted =
-    match Domain.DLS.get forced with
-    | Some Inline -> false
-    | Some Relayed ->
+    match Domain.DLS.get mode with
+    | Some (Paired h) -> if job_done h then `Lent h else `No
+    | Some (Forced Inline) -> `No
+    | Some (Forced Relayed) ->
         Cores.enlist 1;
-        true
-    | None -> Cores.try_take ()
+        `Counted
+    | None -> if Cores.try_take () then `Counted else `No
   in
-  if not counted then None
-  else begin
-    Mutex.lock idle_mu;
-    let reused =
-      match !idle with
-      | h :: rest ->
-          idle := rest;
-          Some h
-      | [] -> None
-    in
-    Mutex.unlock idle_mu;
-    match reused with
-    | Some _ -> reused
-    | None -> (
-        (* Out of domain slots: run inline, as on a busy host. *)
-        match spawn () with
-        | h -> Some h
-        | exception _ ->
-            Cores.discharge 1;
-            None)
-  end
+  match counted with
+  | `No -> None
+  | `Lent h -> Some (h, false)
+  | `Counted -> (
+      Mutex.lock idle_mu;
+      let reused =
+        match !idle with
+        | h :: rest ->
+            idle := rest;
+            Some h
+        | [] -> None
+      in
+      Mutex.unlock idle_mu;
+      match reused with
+      | Some h -> Some (h, true)
+      | None -> (
+          (* Out of domain slots: run inline, as on a busy host. *)
+          match spawn () with
+          | h -> Some (h, true)
+          | exception _ ->
+              Cores.discharge 1;
+              None))
 
 let release h =
   Mutex.lock idle_mu;
@@ -329,23 +383,29 @@ let start h job =
   Mutex.unlock h.mu;
   ignore (Unix.write_substring h.wake_w "!" 0 1)
 
-(* Waits for [h]'s job, releases [h], and returns the job's failure. *)
-let finish h =
+(* Waits for [h]'s job, releases [h] if [owned], and returns the job's
+   failure. *)
+let finish h ~owned =
   Mutex.lock h.mu;
   while not h.finished do
     Condition.wait h.cond h.mu
   done;
   Mutex.unlock h.mu;
   let error = h.error in
-  release h;
+  if owned then release h;
   error
+
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception e -> Error (e, Printexc.get_raw_backtrace ())
 
 let with_sink remote f =
   match acquire () with
   | None ->
       Telemetry.Metrics.Counter.inc inline_c;
       f remote
-  | Some h -> (
+  | Some (h, owned) -> (
       Telemetry.Metrics.Counter.inc relayed_c;
       Atomic.set h.published 0;
       Atomic.set h.consumed 0;
@@ -353,52 +413,16 @@ let with_sink remote f =
       Atomic.set h.failed false;
       h.fill <- 0;
       start h (fun () -> drain h remote);
-      let outcome =
-        match f (push h) with
-        | v -> Ok v
-        | exception e -> Error (e, Printexc.get_raw_backtrace ())
-      in
+      let outcome = outcome (fun () -> f (push h)) in
       if h.fill > 0 then publish h;
       Atomic.set h.closed true;
       wake h;
-      match (finish h, outcome) with
+      match (finish h ~owned, outcome) with
       | Some (e, bt), _ | None, Error (e, bt) ->
           Printexc.raise_with_backtrace e bt
       | None, Ok v -> v)
 
 (* ---- side by side ------------------------------------------------------ *)
-
-(* While a pair runs, both domains allocate, and OCaml 5.1 takes every
-   block over 128 words from the allocating thread's own glibc arena:
-   free memory in the helper's arena cannot serve the caller, nor the
-   reverse, so the floating garbage the GC's space overhead allows is
-   held once per arena.  A pair therefore runs at two thirds of the
-   configured overhead.  On a 2-vCPU host, perfbench grid-cold (its
-   fill one pair per pass) peaked at 19.0 MB at the full overhead,
-   17.6 MB at five sixths and 16.4 MB at two thirds, for a pass of
-   0.105, 0.115 and 0.116 s (medians of 6 runs each). *)
-let pair_overhead o = o * 2 / 3
-
-let overhead_mu = Mutex.create ()
-let pairs = ref 0  (* Pairs running, across every domain. *)
-let saved_overhead = ref 0
-
-let lower_overhead () =
-  Mutex.lock overhead_mu;
-  if !pairs = 0 then begin
-    let gc = Gc.get () in
-    saved_overhead := gc.Gc.space_overhead;
-    Gc.set { gc with Gc.space_overhead = pair_overhead gc.Gc.space_overhead }
-  end;
-  incr pairs;
-  Mutex.unlock overhead_mu
-
-let restore_overhead () =
-  Mutex.lock overhead_mu;
-  decr pairs;
-  if !pairs = 0 then
-    Gc.set { (Gc.get ()) with Gc.space_overhead = !saved_overhead };
-  Mutex.unlock overhead_mu
 
 let both f g =
   match acquire () with
@@ -406,22 +430,20 @@ let both f g =
       Telemetry.Metrics.Counter.inc inline_c;
       let a = f () in
       (a, g ())
-  | Some h -> (
+  | Some (h, owned) -> (
       Telemetry.Metrics.Counter.inc relayed_c;
-      (* Written on the helper before [finish] reads [h.finished] under
-         [h.mu], so the caller sees it. *)
+      (* Written on the helper before the job sets [h.finished] under
+         [h.mu], where the caller reads it.  [g]'s relays may reuse [h]
+         once [f] is done, which resets [h.error], so [f]'s failure is
+         kept here. *)
       let a = ref None in
       lower_overhead ();
-      start h (fun () -> a := Some (with_path Inline f));
-      let b =
-        match with_path Inline g with
-        | v -> Ok v
-        | exception e -> Error (e, Printexc.get_raw_backtrace ())
-      in
-      let failed = finish h in
-      restore_overhead ();
-      match (failed, b, !a) with
-      | Some (e, bt), _, _ | None, Error (e, bt), _ ->
+      start h (fun () ->
+          a := Some (outcome (fun () -> with_path Inline f));
+          restore_overhead ());
+      let b = outcome (fun () -> with_mode (Paired h) g) in
+      ignore (finish h ~owned);
+      match (Option.get !a, b) with
+      | Error (e, bt), _ | Ok _, Error (e, bt) ->
           Printexc.raise_with_backtrace e bt
-      | None, Ok b, Some a -> (a, b)
-      | None, Ok _, None -> assert false)
+      | Ok a, Ok b -> (a, b))

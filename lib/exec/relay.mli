@@ -19,9 +19,10 @@
     relay that finds it idle; an idle helper blocks, it does not spin,
     and it retires (its domain ends) after a fraction of a second
     without a relay, because an idle domain still slows every minor
-    collection of the process; a retiring helper returns the free pages
-    of the malloc arenas to the system.  A helper runs with a small
-    minor heap and its relay loop allocates nothing per slot.
+    collection of the process.  A helper runs with a small minor heap,
+    its relay loop allocates nothing per slot, and its thread shares the
+    process's one glibc malloc arena (the first spawn limits the process
+    to one).
 
     The same helpers run whole computations too: {!both} runs one thunk
     on a helper while the caller runs another, under the same rule. *)
@@ -45,13 +46,14 @@ val both : (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
     a core is idle it runs [f] on a helper domain while the caller runs
     [g], and returns once both have finished.  Every relay made inside
     either thunk while both run takes the [Inline] path: the two sides
-    already hold the cores the spare-core rule would hand out.  An
-    exception from either side is re-raised on the caller, with its
-    backtrace, only after the other side has finished; if both raise,
-    [f]'s wins, as it would in the sequential order.  While the two
-    sides run, the GC's [space_overhead] is two thirds of its setting,
-    and restored once no pair runs: each side's garbage sits in its own
-    domain's malloc arena.  Counted in [loclab_relay_total] like
+    already hold the cores the spare-core rule would hand out.  Once
+    [f] has returned, [g]'s relays run on [f]'s helper, which the pair
+    still holds.  An exception from either side is re-raised on the
+    caller, with its backtrace, only after the other side has finished;
+    if both raise, [f]'s wins, as it would in the sequential order.
+    Until [f] returns, the GC's [space_overhead] is two thirds of its
+    setting (restored once no pair's [f] runs): both sides' live data
+    and garbage are held at once.  Counted in [loclab_relay_total] like
     {!with_sink}. *)
 
 val with_path : path -> (unit -> 'a) -> 'a

@@ -489,40 +489,107 @@ let test_both_inline_order () =
     [ ("f", self ()); ("g", self ()) ]
     (List.rev !order)
 
+let nested_relay () =
+  let d = ref (-1) in
+  Relay.with_sink
+    (fun _ -> d := self ())
+    (fun local -> deliver_split [ 10 ] local (some_events 10));
+  (self (), !d)
+
 (* While both sides run they hold the cores: a relay made inside either
    side runs its consumers on that side's own domain, forced path or
-   not. *)
+   not.  [f] waits for [g]'s relay, so both are running when it is
+   made. *)
 let test_both_nested_relays_inline () =
-  let nested () =
-    let d = ref (-1) in
-    Relay.with_sink
-      (fun _ -> d := self ())
-      (fun local -> deliver_split [ 10 ] local (some_events 10));
-    (self (), !d)
-  in
+  let g_relayed = Atomic.make false in
   let (f_dom, f_relay), (g_dom, g_relay) =
-    Relay.with_path Relay.Relayed (fun () -> Relay.both nested nested)
+    Relay.with_path Relay.Relayed (fun () ->
+        Relay.both
+          (fun () ->
+            let r = nested_relay () in
+            while not (Atomic.get g_relayed) do
+              Domain.cpu_relax ()
+            done;
+            r)
+          (fun () ->
+            let r = nested_relay () in
+            Atomic.set g_relayed true;
+            r))
   in
   check_bool "f ran on a helper" true (f_dom <> self ());
   check_int "g ran on the caller" (self ()) g_dom;
   check_int "f's relay ran inline" f_dom f_relay;
   check_int "g's relay ran inline" g_dom g_relay;
   check_bool "a relay after the pair takes a helper again" true
-    (Relay.with_path Relay.Relayed (fun () -> snd (nested ())) <> self ())
+    (Relay.with_path Relay.Relayed (fun () -> snd (nested_relay ())) <> self ())
 
-(* Both sides see the lowered GC space overhead; it is restored after
-   the pair, also when a side raises. *)
+(* Once [f] has returned, [g]'s relays run on the pair's helper, which
+   stays counted once; a failure there is [g]'s, and the pair still
+   releases the helper. *)
+let test_both_lends_finished_helper () =
+  let base = Exec.Cores.in_use () in
+  let after_f g =
+    Relay.with_path Relay.Relayed (fun () ->
+        Relay.both self (fun () ->
+            (* Time for the helper to mark [f]'s job finished. *)
+            Unix.sleepf 0.05;
+            g ()))
+  in
+  let f_dom, (g_dom, g_relay, in_use) =
+    after_f (fun () ->
+        let g_dom, g_relay = nested_relay () in
+        (g_dom, g_relay, Exec.Cores.in_use ()))
+  in
+  check_int "g ran on the caller" (self ()) g_dom;
+  check_int "g's relay ran on f's helper" f_dom g_relay;
+  check_int "the pair counts one helper" (base + 1) in_use;
+  check_int "the Cores count is back at its baseline" base
+    (Exec.Cores.in_use ());
+  (match
+     after_f (fun () ->
+         Relay.with_sink
+           (fun _ -> failwith "lent")
+           (fun local -> deliver_split [ 10 ] local (some_events 10)))
+   with
+  | _ -> Alcotest.fail "no exception"
+  | exception Failure msg -> Alcotest.(check string) "g's failure" "lent" msg);
+  check_int "released after a failed lent relay" base (Exec.Cores.in_use ());
+  let f, g = Relay.with_path Relay.Relayed (fun () -> Relay.both self self) in
+  check_bool "the next pair still runs side by side" true (f <> g)
+
+(* Both sides see the lowered GC space overhead while both run; it is
+   restored once [f] returns, also when a side raises, and a sequential
+   pair leaves it alone. *)
 let test_both_space_overhead () =
   let overhead () = (Gc.get ()).Gc.space_overhead in
   let base = overhead () in
-  let during, _ =
-    Relay.with_path Relay.Relayed (fun () -> Relay.both overhead overhead)
+  let g_read = Atomic.make false in
+  let (f_during, g_during, g_after) =
+    Relay.with_path Relay.Relayed (fun () ->
+        let f_during, (g_during, g_after) =
+          Relay.both
+            (fun () ->
+              let o = overhead () in
+              while not (Atomic.get g_read) do
+                Domain.cpu_relax ()
+              done;
+              o)
+            (fun () ->
+              let o = overhead () in
+              Atomic.set g_read true;
+              (* Time for [f] to return. *)
+              Unix.sleepf 0.05;
+              (o, overhead ()))
+        in
+        (f_during, g_during, g_after))
   in
-  check_int "two thirds while the pair runs" (base * 2 / 3) during;
-  check_int "restored after it" base (overhead ());
+  check_int "f: two thirds while both run" (base * 2 / 3) f_during;
+  check_int "g: two thirds while both run" (base * 2 / 3) g_during;
+  check_int "g: restored once f returned" base g_after;
+  check_int "restored after the pair" base (overhead ());
   (match
      Relay.with_path Relay.Relayed (fun () ->
-         Relay.both (fun () -> ()) (raising_thunk "g"))
+         Relay.both (raising_thunk "f") (fun () -> ()))
    with
   | _ -> Alcotest.fail "no exception"
   | exception Failure _ -> ());
@@ -595,7 +662,9 @@ let () =
           tc "relays inside either side run inline"
             test_both_nested_relays_inline;
           tc "50 pairs spawn at most one domain" test_both_reuses_one_helper;
-          tc "space overhead lowered while a pair runs"
+          tc "g's relays take the helper once f is done"
+            test_both_lends_finished_helper;
+          tc "space overhead lowered while both sides run"
             test_both_space_overhead;
         ] );
       ( "determinism",
